@@ -38,14 +38,12 @@ from .channel import (
     RngStreams,
     SymbolBlock,
     apply_pauli,
-    intercept_resend,
     transmit,
 )
 from .codes import (
     CssPair,
     DecodeFailure,
     LinearCode,
-    Permutation,
     load_code,
     load_css,
     reconcile_alice,
@@ -57,20 +55,14 @@ from .protocol import (
     AliceMachine,
     BobMachine,
     ErrorEstimate,
-    InsufficientSample,
     ProtocolParams,
     SessionOutcome,
     SessionStatus,
-    SiftClass,
-    SiftedData,
     alice_prepare,
     biased_attack_rates,
     bob_measure,
     naive_average_rate,
-    naive_estimate,
-    refined_estimate,
     run_session,
-    sift,
     weighted_error_rates,
 )
 from .transcript import Actor, Event, EventKind, SessionTranscript
@@ -91,13 +83,11 @@ __all__ = [
     "EventKind",
     "FidelityBudget",
     "FixedPauliString",
-    "InsufficientSample",
     "Lemma1Result",
     "LinearCode",
     "ParameterPlan",
     "Passive",
     "PauliLetter",
-    "Permutation",
     "ProtocolParams",
     "QubitSymbol",
     "RngStreams",
@@ -106,8 +96,6 @@ __all__ = [
     "SessionOutcome",
     "SessionStatus",
     "SessionTranscript",
-    "SiftClass",
-    "SiftedData",
     "SymbolBlock",
     "alice_prepare",
     "apply_pauli",
@@ -116,20 +104,16 @@ __all__ = [
     "bob_measure",
     "exponent_A",
     "hypergeometric_pmf",
-    "intercept_resend",
     "key_rate",
     "lemma1_bound",
     "load_code",
     "load_css",
     "naive_average_rate",
-    "naive_estimate",
     "plan_parameters",
     "rate_threshold",
     "reconcile_alice",
     "reconcile_bob",
-    "refined_estimate",
     "run_session",
-    "sift",
     "steane_pair",
     "theorem2_asymptotic",
     "theorem2_bound",

@@ -12,8 +12,8 @@ vertical; in the diagonal basis bit 0 is 45 degrees and bit 1 is 135 degrees.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class QubitSymbol:
 class SymbolBlock:
     """A batch of qubit symbols stored as parallel bit arrays.
 
-    Behaves as a sequence of :class:`QubitSymbol`; bulk operations work on the
+    Indexing yields one :class:`QubitSymbol`; bulk operations work on the
     underlying arrays directly.
     """
 
@@ -72,22 +72,11 @@ class SymbolBlock:
         self.bases = bases
         self.bits = bits
 
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[QubitSymbol]) -> "SymbolBlock":
-        syms = list(symbols)
-        bases = np.fromiter((int(s.basis) for s in syms), dtype=np.uint8, count=len(syms))
-        bits = np.fromiter((s.bit for s in syms), dtype=np.uint8, count=len(syms))
-        return cls(bases, bits)
-
     def __len__(self) -> int:
         return int(self.bases.size)
 
     def __getitem__(self, i: int) -> QubitSymbol:
         return QubitSymbol(Basis(int(self.bases[i])), int(self.bits[i]))
-
-    def __iter__(self) -> Iterator[QubitSymbol]:
-        for b, v in zip(self.bases, self.bits):
-            yield QubitSymbol(Basis(int(b)), int(v))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolBlock):
@@ -100,13 +89,41 @@ class SymbolBlock:
         return SymbolBlock(self.bases.copy(), self.bits.copy())
 
 
+class _Strategy:
+    """Behaviour shared by the channel strategies.
+
+    ``kind`` names the strategy in its dict form, which feeds the session
+    metadata, the config digest and replay; ``stream`` names the RNG
+    substream it draws from, or None when it draws nothing.
+    """
+
+    kind: ClassVar[str]
+    stream: ClassVar[str | None] = None
+
+    def apply(self, block: SymbolBlock, rng: np.random.Generator | None) -> SymbolBlock:
+        """What arrives at Bob's end when Alice sends ``block``."""
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class Passive:
+class Passive(_Strategy):
     """No eavesdropping, no noise: the channel is the identity."""
 
+    kind: ClassVar[str] = "passive"
+
+    def apply(self, block: SymbolBlock, rng) -> SymbolBlock:
+        return block.copy()
+
 
 @dataclass(frozen=True)
-class BiasedInterceptResend:
+class BiasedInterceptResend(_Strategy):
     """Intercept-resend attack with per-basis interception probabilities.
 
     Each photon is independently measured in the rectilinear basis with
@@ -115,6 +132,9 @@ class BiasedInterceptResend:
     basis is re-sent unchanged; a photon measured in the other basis is
     re-sent in the measurement basis with Eve's (uniformly random) outcome.
     """
+
+    kind: ClassVar[str] = "biased_intercept_resend"
+    stream: ClassVar[str] = "eve"
 
     p1: float
     p2: float
@@ -125,10 +145,29 @@ class BiasedInterceptResend:
         if self.p1 + self.p2 > 1.0 + 1e-12:
             raise ValueError("p1 + p2 must not exceed 1")
 
+    def apply(self, block: SymbolBlock, rng: np.random.Generator) -> SymbolBlock:
+        u = rng.random(len(block))
+        meas_rect = u < self.p1
+        meas_diag = (u >= self.p1) & (u < self.p1 + self.p2)
+        bases = block.bases.copy()
+        bits = block.bits.copy()
+        # mismatched measurements randomize the re-sent bit
+        mismatch = (meas_rect & (bases == Basis.DIAGONAL)) | (
+            meas_diag & (bases == Basis.RECTILINEAR)
+        )
+        coins = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
+        bits[mismatch] = coins
+        bases[meas_rect] = Basis.RECTILINEAR
+        bases[meas_diag] = Basis.DIAGONAL
+        return SymbolBlock(bases, bits)
+
 
 @dataclass(frozen=True)
-class DepolarizingPauli:
+class DepolarizingPauli(_Strategy):
     """I.i.d. Pauli noise with letter probabilities (q_i, q_x, q_y, q_z)."""
+
+    kind: ClassVar[str] = "depolarizing"
+    stream: ClassVar[str] = "noise"
 
     q_i: float
     q_x: float
@@ -147,20 +186,63 @@ class DepolarizingPauli:
         """Equal X/Y/Z weight w each; per-basis bit-flip rate is 2w."""
         return cls(1.0 - 3.0 * w, w, w, w)
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "q": [self.q_i, self.q_x, self.q_y, self.q_z]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DepolarizingPauli":
+        return cls(*d["q"])
+
+    def apply(self, block: SymbolBlock, rng: np.random.Generator) -> SymbolBlock:
+        probs = (self.q_i, self.q_x, self.q_y, self.q_z)
+        letters = rng.choice(4, size=len(block), p=probs).astype(np.uint8)
+        return apply_pauli_block(block, letters)
+
 
 @dataclass(frozen=True)
-class FixedPauliString:
-    """Apply one fixed Pauli letter per position; length must match the block."""
+class FixedPauliString(_Strategy):
+    """Apply one fixed Pauli letter per position; length must match the block.
+
+    Letters may be given as :class:`PauliLetter` values or by name, so
+    ``FixedPauliString("IXZ")`` is the three-letter string I, X, Z.
+    """
+
+    kind: ClassVar[str] = "fixed_pauli"
 
     letters: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "letters", tuple(PauliLetter(l) for l in self.letters)
-        )
+        try:
+            letters = tuple(
+                PauliLetter[l] if isinstance(l, str) else PauliLetter(l) for l in self.letters
+            )
+        except KeyError as exc:
+            raise ValueError(f"unknown Pauli letter {exc.args[0]!r}") from None
+        object.__setattr__(self, "letters", letters)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "letters": "".join(l.name for l in self.letters)}
+
+    def apply(self, block: SymbolBlock, rng) -> SymbolBlock:
+        return apply_pauli_block(block, np.array(self.letters, dtype=np.uint8))
 
 
 AttackStrategy = Union[Passive, BiasedInterceptResend, DepolarizingPauli, FixedPauliString]
+
+_STRATEGY_KINDS = {
+    cls.kind: cls for cls in (Passive, BiasedInterceptResend, DepolarizingPauli, FixedPauliString)
+}
+
+
+def strategy_from_dict(d: dict) -> AttackStrategy:
+    """Rebuild a strategy from its ``to_dict`` form; a malformed dict is a ValueError."""
+    cls = _STRATEGY_KINDS.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown strategy kind {d.get('kind')!r}")
+    try:
+        return cls.from_dict(d)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {cls.kind} strategy {d!r}") from exc
 
 
 def apply_pauli(symbol: QubitSymbol, letter: PauliLetter) -> QubitSymbol:
@@ -182,96 +264,16 @@ def apply_pauli_block(block: SymbolBlock, letters: np.ndarray) -> SymbolBlock:
     return SymbolBlock(block.bases.copy(), block.bits ^ flips)
 
 
-def intercept_resend(
-    symbol: QubitSymbol, measure_basis: Basis, rng: np.random.Generator
-) -> QubitSymbol:
-    """Measure one symbol in ``measure_basis`` and re-send the result.
+def transmit(
+    block: SymbolBlock, strategy: AttackStrategy, rng: np.random.Generator | None
+) -> SymbolBlock:
+    """What arrives at Bob's end when Alice sends ``block`` under ``strategy``.
 
-    Matching basis leaves the symbol unchanged; a mismatched measurement
-    yields a uniformly random outcome, re-sent in the measurement basis.
+    ``rng`` feeds the strategy's draws; it may be None when the strategy's
+    ``stream`` is None.
     """
-    if symbol.basis == measure_basis:
-        return symbol
-    return QubitSymbol(measure_basis, int(rng.integers(0, 2)))
+    return strategy.apply(block, rng)
 
-
-def _as_block(symbols) -> SymbolBlock:
-    if isinstance(symbols, SymbolBlock):
-        return symbols
-    return SymbolBlock.from_symbols(symbols)
-
-
-def transmit(symbols, strategy: AttackStrategy, rng: np.random.Generator) -> SymbolBlock:
-    """Send a block of symbols through the channel under one strategy.
-
-    Parameters
-    ----------
-    symbols : SymbolBlock or iterable of QubitSymbol
-        What Alice transmitted.
-    strategy : AttackStrategy
-        Channel behaviour for this session.
-    rng : numpy Generator
-        Randomness source for the strategy (unused for Passive and
-        FixedPauliString).
-
-    Returns
-    -------
-    SymbolBlock
-        What arrives at Bob's end.
-    """
-    block = _as_block(symbols)
-    if isinstance(strategy, Passive):
-        return block.copy()
-    if isinstance(strategy, FixedPauliString):
-        letters = np.fromiter(
-            (int(l) for l in strategy.letters), dtype=np.uint8, count=len(strategy.letters)
-        )
-        return apply_pauli_block(block, letters)
-    if isinstance(strategy, DepolarizingPauli):
-        probs = (strategy.q_i, strategy.q_x, strategy.q_y, strategy.q_z)
-        letters = rng.choice(4, size=len(block), p=probs).astype(np.uint8)
-        return apply_pauli_block(block, letters)
-    if isinstance(strategy, BiasedInterceptResend):
-        n = len(block)
-        u = rng.random(n)
-        meas_rect = u < strategy.p1
-        meas_diag = (u >= strategy.p1) & (u < strategy.p1 + strategy.p2)
-        bases = block.bases.copy()
-        bits = block.bits.copy()
-        # mismatched measurements randomize the re-sent bit
-        mismatch = (meas_rect & (bases == Basis.DIAGONAL)) | (
-            meas_diag & (bases == Basis.RECTILINEAR)
-        )
-        coins = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
-        bits[mismatch] = coins
-        bases[meas_rect] = Basis.RECTILINEAR
-        bases[meas_diag] = Basis.DIAGONAL
-        return SymbolBlock(bases, bits)
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
-def strategy_stream_name(strategy: AttackStrategy) -> str | None:
-    """Name of the RNG substream a strategy consumes, if any."""
-    if isinstance(strategy, BiasedInterceptResend):
-        return "eve"
-    if isinstance(strategy, DepolarizingPauli):
-        return "noise"
-    return None
-
-
-# Named substreams used by a protocol session. Every consumer of randomness
-# gets its own stream derived from the master seed, so transcripts do not
-# depend on evaluation order.
-STREAM_NAMES = (
-    "alice_bases",
-    "alice_bits",
-    "bob_bases",
-    "eve",
-    "noise",
-    "test_selection",
-    "codeword",
-    "permutation",
-)
 
 _MAX_SEED = 2**64
 

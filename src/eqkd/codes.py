@@ -110,13 +110,6 @@ def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def in_rowspace(m: np.ndarray, v: np.ndarray) -> bool:
-    """Whether vector v lies in the row space of m over GF(2)."""
-    m = np.asarray(m, dtype=np.uint8)
-    v = np.asarray(v, dtype=np.uint8).reshape(1, -1)
-    return gf2_rank(m) == gf2_rank(np.vstack([m, v]))
-
-
 class BinaryMatrix:
     """A 0/1 matrix over GF(2) with its rank computed at construction."""
 
@@ -266,7 +259,7 @@ def _decode_table(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
         return cached
     m = code.n - code.k_dim
     if m > _TABLE_SYNDROME_LIMIT:
-        raise CodeError("syndrome table too large; supply a decoder hook")
+        raise CodeError("syndrome table too large")
     t = (code.d - 1) // 2
     leaders = np.zeros((2**m, code.n), dtype=np.uint8)
     covered = np.zeros(2**m, dtype=bool)
@@ -290,15 +283,8 @@ def _decode_table(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     return cache
 
 
-def syndrome_decode(code: LinearCode, word: np.ndarray, decoder=None) -> np.ndarray:
+def syndrome_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
     """Bounded-distance decode: the unique codeword within radius t, if any.
-
-    Parameters
-    ----------
-    code : LinearCode
-    word : received n-bit word
-    decoder : optional callable word -> codeword, used instead of the
-        syndrome table (for codes too large to tabulate).
 
     Raises
     ------
@@ -308,8 +294,6 @@ def syndrome_decode(code: LinearCode, word: np.ndarray, decoder=None) -> np.ndar
     word = np.asarray(word, dtype=np.uint8)
     if word.shape != (code.n,):
         raise ValueError(f"word must have {code.n} bits")
-    if decoder is not None:
-        return np.asarray(decoder(word), dtype=np.uint8)
     decoded, ok = syndrome_decode_blocks(code, word[None, :])
     if not ok[0]:
         raise DecodeFailure("no codeword within the correction radius")
@@ -485,56 +469,8 @@ def reconcile_bob(pair: CssPair, received: np.ndarray, announcement: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# Permutations
+# Block permutations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """A permutation of block positions, with seed provenance when random."""
-
-    mapping: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mapping, dtype=np.int64)
-        if sorted(m.tolist()) != list(range(m.size)):
-            raise ValueError("mapping must be a permutation of 0..n-1")
-        object.__setattr__(self, "mapping", m)
-
-    @property
-    def n(self) -> int:
-        return int(self.mapping.size)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator, seed: int | None = None) -> "Permutation":
-        return cls(rng.permutation(n), seed=seed)
-
-    @classmethod
-    def from_seed(cls, n: int, seed: int) -> "Permutation":
-        return cls.random(n, np.random.default_rng(seed), seed=seed)
-
-
-def permute(perm: Permutation, block: np.ndarray) -> np.ndarray:
-    """Gather: result[i] = block[mapping[i]]."""
-    block = np.asarray(block)
-    if block.shape[-1] != perm.n:
-        raise ValueError("block length must match the permutation")
-    return block[..., perm.mapping]
-
-
-def inverse_permute(perm: Permutation, block: np.ndarray) -> np.ndarray:
-    """Scatter: the unique inverse of :func:`permute`."""
-    block = np.asarray(block)
-    if block.shape[-1] != perm.n:
-        raise ValueError("block length must match the permutation")
-    out = np.empty_like(block)
-    out[..., perm.mapping] = block
-    return out
-
 
 def block_permutations(n: int, blocks: int, seed: int) -> np.ndarray:
     """(blocks, n) array of independent permutations derived from one seed."""

@@ -33,8 +33,9 @@ from ..bounds import (
     theorem2_bound,
     theorem3_fidelity,
 )
+from ..channel import BiasedInterceptResend, DepolarizingPauli, FixedPauliString, strategy_from_dict
 from ..codes import CodeError, css_meta, load_css, css_fingerprint, steane_pair
-from ..protocol import ProtocolParams, session_meta, strategy_from_dict
+from ..protocol import ProtocolParams, session_meta
 from .endpoints import ROLES, loopback_session, serve_endpoint
 from .runner import ExperimentConfig, attack_demo, emit_csv, replay_verify, run_experiment
 
@@ -90,15 +91,13 @@ def _session_setup(args):
 
     if args.eve is not None:
         p1, p2 = (float(x) for x in args.eve.split(","))
-        strategy_dict = {"kind": "biased_intercept_resend", "p1": p1, "p2": p2}
+        strategy = BiasedInterceptResend(p1, p2)
     elif args.depolarize is not None:
-        w = args.depolarize
-        strategy_dict = {"kind": "depolarizing", "q": [1.0 - 3.0 * w, w, w, w]}
+        strategy = DepolarizingPauli.symmetric(args.depolarize)
     elif args.pauli is not None:
-        strategy_dict = {"kind": "fixed_pauli", "letters": args.pauli.upper()}
+        strategy = FixedPauliString(args.pauli.upper())
     else:
-        strategy_dict = file_cfg.get("strategy", {"kind": "passive"})
-    strategy = strategy_from_dict(strategy_dict)
+        strategy = strategy_from_dict(file_cfg.get("strategy", {"kind": "passive"}))
 
     if args.code is not None:
         css = load_css(*args.code.split(","))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..channel import RngStreams
+from ..channel import RngStreams, strategy_from_dict
 from ..codes import css_from_meta
 from ..protocol import (
     AliceMachine,
@@ -32,7 +32,7 @@ from ..protocol import (
     channel_transform,
     config_digest,
     session_meta,
-    strategy_from_dict,
+    status_for_decision,
 )
 from ..transcript import Actor, EventKind, SessionTranscript, pack_bits
 from .wire import (
@@ -156,12 +156,7 @@ def _channel_outcome(canonical: SessionTranscript) -> dict:
     digests = [e.payload["digest"] for e in canonical.find_all(EventKind.KEY_DIGEST)]
     status = None
     if decisions:
-        last = decisions[-1].payload["status"]
-        status = {
-            "proceed": "accepted",
-            "abort_error_rate": "aborted_error_rate",
-            "abort_insufficient_sample": "aborted_insufficient_sample",
-        }[last]
+        status = status_for_decision(decisions[-1].payload.get("status")).value
     return {
         "role": "channel",
         "status": status,

@@ -1,9 +1,11 @@
 """Batch experiment driver.
 
-Runs many seeded sessions, collects per-trial statistics (including the
-lumped single-rate estimate that the protocol itself deliberately avoids),
-aggregates them, and writes deterministic CSV. Also verifies recorded
-transcripts by replaying their configuration and comparing event streams.
+Runs many seeded sessions and turns each ``SessionOutcome`` into one CSV row:
+the per-class estimate, and the retained fraction and lumped single-rate
+estimate (which the protocol itself deliberately avoids) that ``run_session``
+reports next to it. Aggregates the rows and writes deterministic CSV. Also
+verifies recorded transcripts by replaying their configuration and comparing
+event streams.
 """
 
 from __future__ import annotations
@@ -15,23 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..channel import AttackStrategy, BiasedInterceptResend, RngStreams
-from ..codes import CssPair, steane_pair
+from ..channel import AttackStrategy, BiasedInterceptResend, strategy_from_dict
+from ..codes import CssPair, css_from_meta, steane_pair
 from ..protocol import (
     ProtocolParams,
     SessionOutcome,
     SessionStatus,
     biased_attack_rates,
-    bob_measure,
-    channel_transform,
-    decode_symbols,
-    encode_symbols,
     naive_average_rate,
-    naive_estimate,
-    alice_prepare,
     run_session,
-    sift,
-    strategy_from_dict,
 )
 from ..transcript import SessionTranscript
 
@@ -85,33 +79,9 @@ class ExperimentResult:
     outcomes: list[SessionOutcome]
 
 
-def _quantum_phase_stats(
-    params: ProtocolParams, strategy: AttackStrategy, seed: int
-) -> tuple[float, float | None]:
-    """Retained fraction and lumped test rate for one seed.
-
-    Re-derives the session's quantum phase from the same seed and substreams,
-    so the sifted data matches the protocol run bit for bit; the lumped
-    sample itself comes from a dedicated substream the protocol never touches.
-    """
-    streams = RngStreams(seed)
-    symbols = alice_prepare(params, streams)
-    delivered = decode_symbols(
-        channel_transform(encode_symbols(symbols), strategy, streams)
-    )
-    results = bob_measure(delivered, params, streams.stream("bob_bases"))
-    sifted = sift(symbols, results)
-    try:
-        naive = naive_estimate(sifted, params, streams.stream("naive_test"))
-    except ValueError:
-        naive = None
-    return sifted.retained_fraction, naive
-
-
 def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, SessionOutcome]:
     seed = config.seed_for(trial)
     outcome = run_session(config.params, config.strategy, config.css, seed)
-    retained, naive = _quantum_phase_stats(config.params, config.strategy, seed)
     est = outcome.estimate
     key_match = None
     blocks_match = None
@@ -129,8 +99,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, SessionOu
         status=outcome.status.value,
         e1=None if est is None else est.e1,
         e2=None if est is None else est.e2,
-        naive_rate=naive,
-        retained_fraction=retained,
+        naive_rate=outcome.lumped_rate,
+        retained_fraction=outcome.retained_fraction,
         num_blocks=outcome.num_blocks,
         key_length=key_length,
         key_match=key_match,
@@ -271,8 +241,6 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
             return False, f"transcript metadata lacks {field_name!r}"
     params = ProtocolParams.from_dict(meta["params"])
     strategy = strategy_from_dict(meta["strategy"])
-    from ..codes import css_from_meta
-
     css = css_from_meta(meta["css"])
     replayed = run_session(params, strategy, css, int(meta["seed"]))
     want = transcript.event_lines()

@@ -25,19 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel import (
-    AttackStrategy,
-    Basis,
-    BiasedInterceptResend,
-    DepolarizingPauli,
-    FixedPauliString,
-    Passive,
-    PauliLetter,
-    RngStreams,
-    SymbolBlock,
-    strategy_stream_name,
-    transmit,
-)
+from .channel import AttackStrategy, Basis, RngStreams, SymbolBlock, transmit
 from .codes import (
     CssPair,
     block_permutations,
@@ -57,10 +45,6 @@ from .transcript import (
 
 class ProtocolError(Exception):
     pass
-
-
-class InsufficientSample(ProtocolError):
-    """A test class is smaller than the requested sample."""
 
 
 class ProtocolViolation(ProtocolError):
@@ -129,38 +113,6 @@ class ProtocolParams:
         return cls(**d)
 
 
-class SiftClass(enum.Enum):
-    BOTH_RECT = "both_rect"
-    BOTH_DIAG = "both_diag"
-    ALICE_RECT_BOB_DIAG = "alice_rect_bob_diag"
-    ALICE_DIAG_BOB_RECT = "alice_diag_bob_rect"
-
-
-@dataclass(frozen=True, eq=False)
-class SiftClassData:
-    """One same-basis class: global positions with both parties' bits."""
-
-    positions: np.ndarray
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.positions.size)
-
-
-@dataclass(frozen=True, eq=False)
-class SiftedData:
-    both_rect: SiftClassData
-    both_diag: SiftClassData
-    class_counts: dict
-    n_total: int
-
-    @property
-    def retained_fraction(self) -> float:
-        kept = self.class_counts[SiftClass.BOTH_RECT] + self.class_counts[SiftClass.BOTH_DIAG]
-        return kept / self.n_total
-
-
 @dataclass(frozen=True, eq=False)
 class ErrorEstimate:
     """Refined per-class error estimate from disjoint test samples."""
@@ -193,11 +145,22 @@ class SessionStatus(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SessionOutcome:
+    """The canonical record of one session, plus two demonstration scalars.
+
+    ``retained_fraction`` is the share of positions in the two same-basis
+    classes. ``lumped_rate`` is the single error rate over a test sample
+    drawn from the union of both classes, so each class counts by its size;
+    the protocol itself never uses it. It is None when nothing survived
+    sifting.
+    """
+
     status: SessionStatus
     estimate: ErrorEstimate | None
     alice_key: np.ndarray | None
     bob_key: np.ndarray | None
     transcript: SessionTranscript
+    retained_fraction: float
+    lumped_rate: float | None
     num_blocks: int = 0
 
 
@@ -233,43 +196,13 @@ def bob_measure(
 
 def _sift_positions(
     alice_bases: np.ndarray, bob_bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the both-rectilinear and the both-diagonal class."""
     rect = int(Basis.RECTILINEAR)
     diag = int(Basis.DIAGONAL)
     both_rect = np.nonzero((alice_bases == rect) & (bob_bases == rect))[0]
     both_diag = np.nonzero((alice_bases == diag) & (bob_bases == diag))[0]
-    counts = {
-        SiftClass.BOTH_RECT: int(both_rect.size),
-        SiftClass.BOTH_DIAG: int(both_diag.size),
-        SiftClass.ALICE_RECT_BOB_DIAG: int(
-            ((alice_bases == rect) & (bob_bases == diag)).sum()
-        ),
-        SiftClass.ALICE_DIAG_BOB_RECT: int(
-            ((alice_bases == diag) & (bob_bases == rect)).sum()
-        ),
-    }
-    return both_rect, both_diag, counts
-
-
-def sift(alice_symbols: SymbolBlock, bob_results: SymbolBlock) -> SiftedData:
-    """Keep the two same-basis classes, with positions and both bit strings."""
-    if len(alice_symbols) != len(bob_results):
-        raise ValueError("mismatched block lengths")
-    rect_pos, diag_pos, counts = _sift_positions(alice_symbols.bases, bob_results.bases)
-    return SiftedData(
-        both_rect=SiftClassData(
-            positions=rect_pos,
-            alice_bits=alice_symbols.bits[rect_pos],
-            bob_bits=bob_results.bits[rect_pos],
-        ),
-        both_diag=SiftClassData(
-            positions=diag_pos,
-            alice_bits=alice_symbols.bits[diag_pos],
-            bob_bits=bob_results.bits[diag_pos],
-        ),
-        class_counts=counts,
-        n_total=len(alice_symbols),
-    )
+    return both_rect, both_diag
 
 
 def _draw_class_samples(
@@ -279,59 +212,6 @@ def _draw_class_samples(
     i1 = np.sort(rng.choice(n_rect, size=m1, replace=False))
     i2 = np.sort(rng.choice(n_diag, size=m2, replace=False))
     return i1, i2
-
-
-def refined_estimate(
-    sifted: SiftedData, params: ProtocolParams, rng: np.random.Generator
-) -> ErrorEstimate:
-    """Estimate e1 and e2 from disjoint per-class samples.
-
-    Raises
-    ------
-    InsufficientSample
-        When a class holds fewer positions than its sample size.
-    """
-    if len(sifted.both_rect) < params.m1 or len(sifted.both_diag) < params.m2:
-        raise InsufficientSample(
-            f"classes hold ({len(sifted.both_rect)}, {len(sifted.both_diag)}) "
-            f"positions; need ({params.m1}, {params.m2})"
-        )
-    i1, i2 = _draw_class_samples(
-        len(sifted.both_rect), len(sifted.both_diag), params.m1, params.m2, rng
-    )
-    r1 = int(
-        (sifted.both_rect.alice_bits[i1] != sifted.both_rect.bob_bits[i1]).sum()
-    )
-    r2 = int(
-        (sifted.both_diag.alice_bits[i2] != sifted.both_diag.bob_bits[i2]).sum()
-    )
-    return ErrorEstimate(
-        r1=r1,
-        m1=params.m1,
-        r2=r2,
-        m2=params.m2,
-        tested_rect=sifted.both_rect.positions[i1],
-        tested_diag=sifted.both_diag.positions[i2],
-    )
-
-
-def naive_estimate(
-    sifted: SiftedData, params: ProtocolParams, rng: np.random.Generator
-) -> float:
-    """Single lumped error rate over a merged test sample.
-
-    The sample is drawn uniformly from the union of both same-basis classes,
-    so each class is weighted by its size. Demonstration statistic only; the
-    protocol itself never uses it.
-    """
-    a = np.concatenate([sifted.both_rect.alice_bits, sifted.both_diag.alice_bits])
-    b = np.concatenate([sifted.both_rect.bob_bits, sifted.both_diag.bob_bits])
-    total = a.size
-    if total == 0:
-        raise ValueError("nothing survived sifting")
-    size = min(params.m1 + params.m2, total)
-    idx = rng.choice(total, size=size, replace=False)
-    return float((a[idx] != b[idx]).mean())
 
 
 def naive_average_rate(p: float, e1: float, e2: float) -> float:
@@ -381,8 +261,7 @@ def decode_symbols(payload: dict) -> SymbolBlock:
 def channel_transform(payload: dict, strategy: AttackStrategy, streams: RngStreams) -> dict:
     """Apply the channel strategy to a qubits payload (the relay's job)."""
     block = decode_symbols(payload)
-    name = strategy_stream_name(strategy)
-    rng = streams.stream(name if name is not None else "noise")
+    rng = None if strategy.stream is None else streams.stream(strategy.stream)
     return encode_symbols(transmit(block, strategy, rng))
 
 
@@ -391,44 +270,13 @@ def key_digest_payload(key: np.ndarray) -> dict:
     return {"algo": "sha256", "bits": int(key.size), "digest": digest.hexdigest()}
 
 
-def strategy_to_dict(strategy: AttackStrategy) -> dict:
-    if isinstance(strategy, Passive):
-        return {"kind": "passive"}
-    if isinstance(strategy, BiasedInterceptResend):
-        return {"kind": "biased_intercept_resend", "p1": strategy.p1, "p2": strategy.p2}
-    if isinstance(strategy, DepolarizingPauli):
-        return {
-            "kind": "depolarizing",
-            "q": [strategy.q_i, strategy.q_x, strategy.q_y, strategy.q_z],
-        }
-    if isinstance(strategy, FixedPauliString):
-        return {
-            "kind": "fixed_pauli",
-            "letters": "".join(PauliLetter(l).name for l in strategy.letters),
-        }
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
-def strategy_from_dict(d: dict) -> AttackStrategy:
-    kind = d["kind"]
-    if kind == "passive":
-        return Passive()
-    if kind == "biased_intercept_resend":
-        return BiasedInterceptResend(p1=d["p1"], p2=d["p2"])
-    if kind == "depolarizing":
-        return DepolarizingPauli(*d["q"])
-    if kind == "fixed_pauli":
-        return FixedPauliString(tuple(PauliLetter[ch] for ch in d["letters"]))
-    raise ValueError(f"unknown strategy kind {kind!r}")
-
-
 def session_meta(
     params: ProtocolParams, strategy: AttackStrategy, css: CssPair, seed: int
 ) -> dict:
     return {
         "seed": int(seed),
         "params": params.to_dict(),
-        "strategy": strategy_to_dict(strategy),
+        "strategy": strategy.to_dict(),
         "css": css_meta(css),
     }
 
@@ -444,11 +292,21 @@ def config_digest(meta: dict) -> str:
 
 Message = tuple[Actor, EventKind, dict]
 
+# The one mapping between session statuses and the DECISION payload strings.
 _DECISION_FOR_STATUS = {
     SessionStatus.ACCEPTED: "proceed",
     SessionStatus.ABORTED_ERROR_RATE: "abort_error_rate",
     SessionStatus.ABORTED_INSUFFICIENT_SAMPLE: "abort_insufficient_sample",
 }
+_STATUS_FOR_DECISION = {d: s for s, d in _DECISION_FOR_STATUS.items()}
+
+
+def status_for_decision(decision) -> SessionStatus:
+    """The status a DECISION payload announces; unknown strings are violations."""
+    try:
+        return _STATUS_FOR_DECISION[decision]
+    except (KeyError, TypeError):
+        raise ProtocolViolation(f"unknown decision {decision!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,6 +335,13 @@ class _PartyMachine:
         self.transcript = SessionTranscript(meta=dict(meta or {}))
         self.done = False
         self.result: PartyResult | None = None
+        self._rect_pos: np.ndarray | None = None
+        self._diag_pos: np.ndarray | None = None
+        self._test_rect: np.ndarray | None = None
+        self._test_diag: np.ndarray | None = None
+        self._estimate: ErrorEstimate | None = None
+        self._key: np.ndarray | None = None
+        self._num_blocks = 0
 
     def _emit(self, actor: Actor, kind: EventKind, payload: dict) -> Message:
         self.transcript.append(actor, kind, payload)
@@ -489,10 +354,24 @@ class _PartyMachine:
         if kind not in tuple(expected):
             raise ProtocolViolation(f"unexpected {kind} in state {self._state}")
 
-    def _raw_key_layout(
-        self, rect_pos: np.ndarray, diag_pos: np.ndarray, tested_diag: np.ndarray
-    ) -> np.ndarray:
-        untested = np.setdiff1d(diag_pos, tested_diag, assume_unique=True)
+    def _finish(
+        self, status: SessionStatus, own_digest: str | None = None, peer_digest: str | None = None
+    ) -> None:
+        """The one terminal transition: record the result, accept no more messages."""
+        self.result = PartyResult(
+            status=status,
+            estimate=self._estimate,
+            key=self._key,
+            own_digest=own_digest,
+            peer_digest=peer_digest,
+            num_blocks=self._num_blocks,
+        )
+        self.done = True
+        self._state = "done"
+
+    def _raw_key_layout(self) -> np.ndarray:
+        """Untested both-diagonal positions, cut to whole blocks."""
+        untested = np.setdiff1d(self._diag_pos, self._test_diag, assume_unique=True)
         blocks = untested.size // self.css.n
         return untested[: blocks * self.css.n]
 
@@ -504,14 +383,7 @@ class AliceMachine(_PartyMachine):
         super().__init__(params, css, streams, meta)
         self._state = "start"
         self.symbols: SymbolBlock | None = None
-        self._rect_pos: np.ndarray | None = None
-        self._diag_pos: np.ndarray | None = None
-        self._test_rect: np.ndarray | None = None
-        self._test_diag: np.ndarray | None = None
-        self._estimate: ErrorEstimate | None = None
-        self._key: np.ndarray | None = None
         self._own_digest: str | None = None
-        self._num_blocks = 0
 
     def start(self) -> list[Message]:
         if self._state != "start":
@@ -534,16 +406,18 @@ class AliceMachine(_PartyMachine):
                     {"n": len(self.symbols), "bases": pack_bits(self.symbols.bases)},
                 )
             ]
-            self._rect_pos, self._diag_pos, _ = _sift_positions(
-                self.symbols.bases, bob_bases
-            )
+            self._rect_pos, self._diag_pos = _sift_positions(self.symbols.bases, bob_bases)
             self._state = "await_test"
             return out
         if self._state == "await_test":
             self._expect(kind, (EventKind.TEST_INDICES, EventKind.DECISION))
             self._log(actor, kind, payload)
             if kind is EventKind.DECISION:
-                return self._finish_aborted(payload)
+                status = status_for_decision(payload.get("status"))
+                if status is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
+                    raise ProtocolViolation("unexpected early decision")
+                self._finish(status)
+                return []
             self._test_rect = np.asarray(payload["rect"], dtype=np.int64)
             self._test_diag = np.asarray(payload["diag"], dtype=np.int64)
             self._state = "await_disclosure"
@@ -555,32 +429,9 @@ class AliceMachine(_PartyMachine):
         if self._state == "await_bob_digest":
             self._expect(kind, (EventKind.KEY_DIGEST,))
             self._log(actor, kind, payload)
-            self.result = PartyResult(
-                status=SessionStatus.ACCEPTED,
-                estimate=self._estimate,
-                key=self._key,
-                own_digest=self._own_digest,
-                peer_digest=payload["digest"],
-                num_blocks=self._num_blocks,
-            )
-            self.done = True
+            self._finish(SessionStatus.ACCEPTED, self._own_digest, payload["digest"])
             return []
         raise ProtocolViolation(f"no messages expected in state {self._state}")
-
-    def _finish_aborted(self, payload: dict) -> list[Message]:
-        if payload.get("status") != "abort_insufficient_sample":
-            raise ProtocolViolation("unexpected early decision")
-        self.result = PartyResult(
-            status=SessionStatus.ABORTED_INSUFFICIENT_SAMPLE,
-            estimate=None,
-            key=None,
-            own_digest=None,
-            peer_digest=None,
-            num_blocks=0,
-        )
-        self.done = True
-        self._state = "done"
-        return []
 
     def _estimate_and_decide(self, payload: dict) -> list[Message]:
         bob_rect = unpack_bits(payload["rect_bits"], int(payload["m1"]))
@@ -614,16 +465,7 @@ class AliceMachine(_PartyMachine):
             )
         )
         if not accepted:
-            self.result = PartyResult(
-                status=status,
-                estimate=est,
-                key=None,
-                own_digest=None,
-                peer_digest=None,
-                num_blocks=0,
-            )
-            self.done = True
-            self._state = "done"
+            self._finish(status)
             return out
         out.extend(self._reconcile())
         self._state = "await_bob_digest"
@@ -631,7 +473,7 @@ class AliceMachine(_PartyMachine):
 
     def _reconcile(self) -> list[Message]:
         css = self.css
-        used = self._raw_key_layout(self._rect_pos, self._diag_pos, self._test_diag)
+        used = self._raw_key_layout()
         blocks = used.size // css.n
         self._num_blocks = blocks
         v = self.symbols.bits[used].reshape(blocks, css.n)
@@ -671,15 +513,7 @@ class BobMachine(_PartyMachine):
         self.transcript.skip()  # Alice's pre-channel symbols are not visible
         self._state = "await_qubits"
         self.results: SymbolBlock | None = None
-        self._rect_pos: np.ndarray | None = None
-        self._diag_pos: np.ndarray | None = None
-        self._test_rect: np.ndarray | None = None
-        self._test_diag: np.ndarray | None = None
-        self._estimate: ErrorEstimate | None = None
-        self._status: SessionStatus | None = None
         self._perm_seed: int | None = None
-        self._num_blocks = 0
-        self._key: np.ndarray | None = None
 
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
         if self._state == "await_qubits":
@@ -699,9 +533,7 @@ class BobMachine(_PartyMachine):
             self._expect(kind, (EventKind.BASES_ANNOUNCED_ALICE,))
             self._log(actor, kind, payload)
             alice_bases = unpack_bits(payload["bases"], int(payload["n"]))
-            self._rect_pos, self._diag_pos, _ = _sift_positions(
-                alice_bases, self.results.bases
-            )
+            self._rect_pos, self._diag_pos = _sift_positions(alice_bases, self.results.bases)
             return self._select_test()
         if self._state == "await_estimate":
             self._expect(kind, (EventKind.ESTIMATE,))
@@ -719,23 +551,11 @@ class BobMachine(_PartyMachine):
         if self._state == "await_decision":
             self._expect(kind, (EventKind.DECISION,))
             self._log(actor, kind, payload)
-            if payload["status"] != "proceed":
-                self.result = PartyResult(
-                    status=SessionStatus(
-                        "aborted_error_rate"
-                        if payload["status"] == "abort_error_rate"
-                        else "aborted_insufficient_sample"
-                    ),
-                    estimate=self._estimate,
-                    key=None,
-                    own_digest=None,
-                    peer_digest=None,
-                    num_blocks=0,
-                )
-                self.done = True
-                self._state = "done"
-                return []
-            self._state = "await_permutation"
+            status = status_for_decision(payload.get("status"))
+            if status is SessionStatus.ACCEPTED:
+                self._state = "await_permutation"
+            else:
+                self._finish(status)
             return []
         if self._state == "await_permutation":
             self._expect(kind, (EventKind.PERMUTATION_SEED,))
@@ -755,16 +575,7 @@ class BobMachine(_PartyMachine):
             self._log(actor, kind, payload)
             digest_payload = key_digest_payload(self._key)
             out = [self._emit(Actor.BOB, EventKind.KEY_DIGEST, digest_payload)]
-            self.result = PartyResult(
-                status=SessionStatus.ACCEPTED,
-                estimate=self._estimate,
-                key=self._key,
-                own_digest=digest_payload["digest"],
-                peer_digest=payload["digest"],
-                num_blocks=self._num_blocks,
-            )
-            self.done = True
-            self._state = "done"
+            self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], payload["digest"])
             return out
         raise ProtocolViolation(f"no messages expected in state {self._state}")
 
@@ -775,23 +586,13 @@ class BobMachine(_PartyMachine):
             and self._diag_pos.size >= p.m2 + self.css.n
         )
         if not enough:
+            status = SessionStatus.ABORTED_INSUFFICIENT_SAMPLE
             out = [
                 self._emit(
-                    Actor.BOB,
-                    EventKind.DECISION,
-                    {"status": "abort_insufficient_sample"},
+                    Actor.BOB, EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]}
                 )
             ]
-            self.result = PartyResult(
-                status=SessionStatus.ABORTED_INSUFFICIENT_SAMPLE,
-                estimate=None,
-                key=None,
-                own_digest=None,
-                peer_digest=None,
-                num_blocks=0,
-            )
-            self.done = True
-            self._state = "done"
+            self._finish(status)
             return out
         i1, i2 = _draw_class_samples(
             self._rect_pos.size,
@@ -831,7 +632,7 @@ class BobMachine(_PartyMachine):
         n = int(payload["block_len"])
         if n != css.n or blocks != self._num_blocks:
             raise ProtocolViolation("codeword announcement does not match this pair")
-        used = self._raw_key_layout(self._rect_pos, self._diag_pos, self._test_diag)
+        used = self._raw_key_layout()
         w = self.results.bits[used].reshape(blocks, n)
         perms = block_permutations(n, blocks, self._perm_seed)
         w_perm = np.take_along_axis(w, perms, axis=1)
@@ -844,6 +645,31 @@ class BobMachine(_PartyMachine):
 # In-process driver
 # ---------------------------------------------------------------------------
 
+def _lumped_rate(
+    rect_pos: np.ndarray,
+    diag_pos: np.ndarray,
+    alice_bits: np.ndarray,
+    bob_bits: np.ndarray,
+    sample_size: int,
+    rng: np.random.Generator,
+) -> float | None:
+    """Error rate over a sample drawn uniformly from both same-basis classes.
+
+    Index i < |rect| stands for the i-th both-rectilinear position and the
+    rest for the both-diagonal ones; only the sampled indices are mapped to
+    positions, so no array of the session's length is built.
+    """
+    total = rect_pos.size + diag_pos.size
+    if total == 0:
+        return None
+    idx = rng.choice(total, size=min(sample_size, total), replace=False)
+    in_rect = idx < rect_pos.size
+    positions = np.empty_like(idx)
+    positions[in_rect] = rect_pos[idx[in_rect]]
+    positions[~in_rect] = diag_pos[idx[~in_rect] - rect_pos.size]
+    return float((alice_bits[positions] != bob_bits[positions]).mean())
+
+
 def run_session(
     params: ProtocolParams, strategy: AttackStrategy, css: CssPair, seed: int
 ) -> SessionOutcome:
@@ -851,7 +677,8 @@ def run_session(
 
     The same state machines that serve the networked mode are driven over an
     in-memory queue; the channel strategy is applied to the qubit payload in
-    flight, exactly as the networked relay does.
+    flight, exactly as the networked relay does. The lumped rate comes from a
+    substream the protocol never touches, so it leaves the transcript alone.
     """
     streams = RngStreams(seed)
     meta = session_meta(params, strategy, css, seed)
@@ -885,11 +712,21 @@ def run_session(
     a, b = alice.result, bob.result
     if a.status is not b.status:
         raise ProtocolError("parties disagree on the session status")
+    rect_pos, diag_pos = bob._rect_pos, bob._diag_pos
     return SessionOutcome(
         status=a.status,
         estimate=a.estimate,
         alice_key=a.key,
         bob_key=b.key,
         transcript=canonical,
+        retained_fraction=(rect_pos.size + diag_pos.size) / params.n_qubits,
+        lumped_rate=_lumped_rate(
+            rect_pos,
+            diag_pos,
+            alice.symbols.bits,
+            bob.results.bits,
+            params.m1 + params.m2,
+            streams.stream("naive_test"),
+        ),
         num_blocks=a.num_blocks,
     )

@@ -1,0 +1,88 @@
+"""Reference implementation of a session's quantum phase, kept for the tests.
+
+It re-runs prepare, channel and measure from a seed and then sifts and
+estimates on its own, away from the party state machines, so tests can check
+what ``run_session`` reports against an independent derivation. It consumes
+the same named substreams in the same order as a session does, so for a
+given seed it sees the same symbols, the same test sample and the same
+lumped sample.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from eqkd.channel import RngStreams
+from eqkd.protocol import (
+    alice_prepare,
+    bob_measure,
+    channel_transform,
+    decode_symbols,
+    encode_symbols,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class SiftClass:
+    """One same-basis class: global positions with both parties' bits."""
+
+    positions: np.ndarray
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Sifted:
+    both_rect: SiftClass
+    both_diag: SiftClass
+    n_total: int
+
+    @property
+    def retained_fraction(self) -> float:
+        return (self.both_rect.positions.size + self.both_diag.positions.size) / self.n_total
+
+
+def quantum_phase(params, strategy, seed):
+    """(streams, Alice's symbols, Bob's results) for one seed."""
+    streams = RngStreams(seed)
+    sent = alice_prepare(params, streams)
+    delivered = decode_symbols(channel_transform(encode_symbols(sent), strategy, streams))
+    results = bob_measure(delivered, params, streams.stream("bob_bases"))
+    return streams, sent, results
+
+
+def sift(sent, results) -> Sifted:
+    def keep(basis: int) -> SiftClass:
+        pos = np.nonzero((sent.bases == basis) & (results.bases == basis))[0]
+        return SiftClass(pos, sent.bits[pos], results.bits[pos])
+
+    return Sifted(both_rect=keep(0), both_diag=keep(1), n_total=len(sent))
+
+
+def refined_estimate(sifted: Sifted, params, rng):
+    """(r1, r2, tested_rect, tested_diag) from sorted per-class samples."""
+    i1 = np.sort(rng.choice(sifted.both_rect.positions.size, size=params.m1, replace=False))
+    i2 = np.sort(rng.choice(sifted.both_diag.positions.size, size=params.m2, replace=False))
+    rect, diag = sifted.both_rect, sifted.both_diag
+    r1 = int((rect.alice_bits[i1] != rect.bob_bits[i1]).sum())
+    r2 = int((diag.alice_bits[i2] != diag.bob_bits[i2]).sum())
+    return r1, r2, rect.positions[i1], diag.positions[i2]
+
+
+def naive_estimate(sifted: Sifted, params, rng) -> float | None:
+    """Lumped rate over a sample drawn from the concatenated classes."""
+    a = np.concatenate([sifted.both_rect.alice_bits, sifted.both_diag.alice_bits])
+    b = np.concatenate([sifted.both_rect.bob_bits, sifted.both_diag.bob_bits])
+    if a.size == 0:
+        return None
+    idx = rng.choice(a.size, size=min(params.m1 + params.m2, a.size), replace=False)
+    return float((a[idx] != b[idx]).mean())
+
+
+def quantum_phase_stats(params, strategy, seed) -> tuple[float, float | None]:
+    """Retained fraction and lumped rate, re-derived from the seed."""
+    streams, sent, results = quantum_phase(params, strategy, seed)
+    sifted = sift(sent, results)
+    return sifted.retained_fraction, naive_estimate(sifted, params, streams.stream("naive_test"))

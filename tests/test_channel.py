@@ -13,8 +13,6 @@ from eqkd.channel import (
     SymbolBlock,
     apply_pauli,
     apply_pauli_block,
-    intercept_resend,
-    strategy_stream_name,
     transmit,
 )
 
@@ -71,33 +69,33 @@ def test_symbol_block_validation_and_roundtrip():
     with pytest.raises(ValueError):
         SymbolBlock(np.array([0], dtype=np.uint8), np.array([0, 0], dtype=np.uint8))
     symbols = [QubitSymbol(0, 1), QubitSymbol(1, 0), QubitSymbol(1, 1)]
-    block = SymbolBlock.from_symbols(symbols)
-    assert list(block) == symbols
+    block = SymbolBlock(np.array([0, 1, 1], dtype=np.uint8), np.array([1, 0, 1], dtype=np.uint8))
+    assert [block[i] for i in range(len(block))] == symbols
     assert block == block.copy()
     assert len(block) == 3
+
+
+def _always_measure(basis: Basis) -> BiasedInterceptResend:
+    """An eavesdropper who intercepts every photon in one basis."""
+    return BiasedInterceptResend(*((1.0, 0.0) if basis is Basis.RECTILINEAR else (0.0, 1.0)))
 
 
 def test_intercept_resend_matching_basis_is_transparent():
     rng = np.random.default_rng(1)
     for basis in Basis:
-        for bit in (0, 1):
-            out = intercept_resend(QubitSymbol(basis, bit), basis, rng)
-            assert out == QubitSymbol(basis, bit)
+        block = SymbolBlock(np.full(4, int(basis), dtype=np.uint8),
+                            np.array([0, 1, 0, 1], dtype=np.uint8))
+        assert transmit(block, _always_measure(basis), rng) == block
 
 
 def test_intercept_resend_mismatch_randomizes():
     rng = np.random.default_rng(2)
-    outs = [
-        intercept_resend(QubitSymbol(Basis.RECTILINEAR, 0), Basis.DIAGONAL, rng).bit
-        for _ in range(2000)
-    ]
-    assert all(
-        intercept_resend(QubitSymbol(Basis.RECTILINEAR, 0), Basis.DIAGONAL, rng).basis
-        is Basis.DIAGONAL
-        for _ in range(8)
-    )
-    mean = np.mean(outs)
-    assert abs(mean - 0.5) < 3 * 0.5 / np.sqrt(2000)
+    n = 2000
+    block = SymbolBlock(np.full(n, int(Basis.RECTILINEAR), dtype=np.uint8),
+                        np.zeros(n, dtype=np.uint8))
+    out = transmit(block, _always_measure(Basis.DIAGONAL), rng)
+    assert (out.bases == Basis.DIAGONAL).all()
+    assert abs(out.bits.mean() - 0.5) < 3 * 0.5 / np.sqrt(n)
 
 
 def test_passive_transmit_copies():
@@ -119,6 +117,9 @@ def test_fixed_pauli_string_deterministic():
     assert out.bases.tolist() == [0, 1, 0, 1]
     with pytest.raises(ValueError):
         transmit(block, FixedPauliString((PauliLetter.I,)), np.random.default_rng(0))
+    assert FixedPauliString("XZYI") == FixedPauliString(letters)
+    with pytest.raises(ValueError):
+        FixedPauliString("IQ")
 
 
 def test_depolarizing_per_basis_flip_rate():
@@ -172,10 +173,10 @@ def test_biased_intercept_validation():
 
 
 def test_strategy_stream_names():
-    assert strategy_stream_name(Passive()) is None
-    assert strategy_stream_name(FixedPauliString((PauliLetter.I,))) is None
-    assert strategy_stream_name(BiasedInterceptResend(0.1, 0.1)) == "eve"
-    assert strategy_stream_name(DepolarizingPauli.symmetric(0.01)) == "noise"
+    assert Passive().stream is None
+    assert FixedPauliString((PauliLetter.I,)).stream is None
+    assert BiasedInterceptResend(0.1, 0.1).stream == "eve"
+    assert DepolarizingPauli.symmetric(0.01).stream == "noise"
 
 
 def test_rng_streams_deterministic_and_separated():

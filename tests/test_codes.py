@@ -12,7 +12,6 @@ from eqkd.codes import (
     LinearCode,
     NestingViolation,
     NotACodeword,
-    Permutation,
     block_permutations,
     coset_label,
     css_fingerprint,
@@ -24,11 +23,9 @@ from eqkd.codes import (
     gf2_rank,
     gf2_rref,
     gf2_solve,
-    inverse_permute,
     load_css,
     min_distance,
     parse_code,
-    permute,
     reconcile_alice,
     reconcile_alice_blocks,
     reconcile_bob,
@@ -258,22 +255,6 @@ def test_reconcile_weight_two_corrupts_key():
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
-
-def test_permutation_roundtrip():
-    rng = np.random.default_rng(8)
-    perm = Permutation.random(10, rng)
-    block = rng.integers(0, 2, 10, dtype=np.uint8)
-    assert np.array_equal(inverse_permute(perm, permute(perm, block)), block)
-    assert np.array_equal(permute(Permutation.identity(10), block), block)
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 0, 1]))
-
-
-def test_permutation_from_seed_deterministic():
-    p1 = Permutation.from_seed(16, 99)
-    p2 = Permutation.from_seed(16, 99)
-    assert np.array_equal(p1.mapping, p2.mapping)
-
 
 def test_block_permutations_valid_and_deterministic():
     perms = block_permutations(7, 12, 1234)

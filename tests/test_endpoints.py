@@ -8,11 +8,12 @@ from eqkd.channel import DepolarizingPauli, Passive
 from eqkd.codes import steane_pair
 from eqkd.harness.endpoints import (
     EXIT_HANDSHAKE,
+    _channel_outcome,
     _endpoint_proc,
     loopback_session,
 )
-from eqkd.protocol import ProtocolParams, run_session, session_meta
-from eqkd.transcript import SessionTranscript
+from eqkd.protocol import ProtocolParams, ProtocolViolation, run_session, session_meta
+from eqkd.transcript import Actor, EventKind, SessionTranscript
 
 CSS = steane_pair()
 
@@ -104,3 +105,12 @@ def test_serve_endpoint_argument_validation():
         serve_endpoint("bob", meta)
     with pytest.raises(ValueError):
         serve_endpoint("nope", meta, listen=("127.0.0.1", 0))
+
+
+def test_channel_outcome_rejects_an_unknown_decision():
+    params, _ = _meta(24)
+    out = run_session(params, Passive(), CSS, 24)
+    assert _channel_outcome(out.transcript)["status"] == "accepted"
+    out.transcript.append(Actor.ALICE, EventKind.DECISION, {"status": "no_such_status"})
+    with pytest.raises(ProtocolViolation):
+        _channel_outcome(out.transcript)

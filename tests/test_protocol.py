@@ -10,31 +10,26 @@ from eqkd.channel import (
     Passive,
     PauliLetter,
     RngStreams,
+    strategy_from_dict,
 )
 from eqkd.codes import steane_pair
 from eqkd.protocol import (
     AliceMachine,
-    InsufficientSample,
+    BobMachine,
     ProtocolParams,
     ProtocolViolation,
     SessionStatus,
-    SiftClass,
     alice_prepare,
     biased_attack_rates,
     bob_measure,
     channel_transform,
-    decode_symbols,
-    encode_symbols,
     naive_average_rate,
-    naive_estimate,
-    refined_estimate,
     run_session,
-    sift,
-    strategy_from_dict,
-    strategy_to_dict,
+    session_meta,
     weighted_error_rates,
 )
-from eqkd.transcript import Actor, EventKind
+from eqkd.transcript import Actor, EventKind, unpack_bits
+from pipeline_oracle import quantum_phase, quantum_phase_stats, refined_estimate, sift
 
 CSS = steane_pair()
 
@@ -105,42 +100,48 @@ def test_bob_measure_length_check():
         bob_measure(sent, params, streams.stream("bob_bases"))
 
 
+def _bases(transcript):
+    """(Alice's bases, Bob's bases) as announced in the transcript."""
+    alice = transcript.find(EventKind.BASES_ANNOUNCED_ALICE).payload
+    bob = transcript.find(EventKind.BASES_ANNOUNCED_BOB).payload
+    return unpack_bits(alice["bases"], alice["n"]), unpack_bits(bob["bases"], bob["n"])
+
+
 def test_sift_partition():
     params = default_params()
-    streams = RngStreams(3)
-    sent = alice_prepare(params, streams)
-    results = bob_measure(sent, params, streams.stream("bob_bases"))
-    sifted = sift(sent, results)
-    counts = sifted.class_counts
-    assert sum(counts.values()) == params.n_qubits
-    assert counts[SiftClass.BOTH_RECT] == len(sifted.both_rect)
-    assert counts[SiftClass.BOTH_DIAG] == len(sifted.both_diag)
-    assert not np.intersect1d(sifted.both_rect.positions, sifted.both_diag.positions).size
+    out = run_session(params, Passive(), CSS, seed=3)
+    tr = out.transcript
+    alice_bases, bob_bases = _bases(tr)
+    classes = {
+        (a, b): np.nonzero((alice_bases == a) & (bob_bases == b))[0]
+        for a in (0, 1)
+        for b in (0, 1)
+    }
+    assert sum(c.size for c in classes.values()) == params.n_qubits
+    rect, diag = classes[0, 0], classes[1, 1]
+    assert not np.intersect1d(rect, diag).size
+    assert out.retained_fraction == (rect.size + diag.size) / params.n_qubits
     expected = 0.3**2 + 0.7**2
     sigma = np.sqrt(expected * (1 - expected) / params.n_qubits)
-    assert abs(sifted.retained_fraction - expected) < 3 * sigma
-    # positions carry the right bits
-    pos = sifted.both_rect.positions
-    assert np.array_equal(sifted.both_rect.alice_bits, sent.bits[pos])
-    assert np.array_equal(sifted.both_rect.bob_bits, results.bits[pos])
+    assert abs(out.retained_fraction - expected) < 3 * sigma
+    # the machines test positions of the right class, and the disclosed bits
+    # are Bob's bits there: on a passive channel, Alice's bits
+    tested = tr.find(EventKind.TEST_INDICES).payload
+    assert np.isin(tested["rect"], rect).all() and np.isin(tested["diag"], diag).all()
+    sent = tr.events[0].payload
+    alice_bits = unpack_bits(sent["bits"], sent["n"])
+    disclosed = tr.find(EventKind.TEST_DISCLOSURE).payload
+    for cls, m in (("rect", params.m1), ("diag", params.m2)):
+        bob_bits = unpack_bits(disclosed[f"{cls}_bits"], m)
+        assert np.array_equal(bob_bits, alice_bits[tested[cls]])
 
 
 # ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
 
-def run_quantum_phase(params, strategy, seed):
-    streams = RngStreams(seed)
-    sent = alice_prepare(params, streams)
-    delivered = decode_symbols(channel_transform(encode_symbols(sent), strategy, streams))
-    results = bob_measure(delivered, params, streams.stream("bob_bases"))
-    return streams, sift(sent, results)
-
-
 def test_refined_estimate_clean_channel_sees_nothing():
-    params = default_params()
-    streams, sifted = run_quantum_phase(params, Passive(), 4)
-    est = refined_estimate(sifted, params, streams.stream("test_selection"))
+    est = run_session(default_params(), Passive(), CSS, seed=4).estimate
     assert (est.r1, est.r2) == (0, 0)
     assert (est.m1, est.m2) == (100, 100)
     assert est.tested_rect.size == 100 and est.tested_diag.size == 100
@@ -149,38 +150,55 @@ def test_refined_estimate_clean_channel_sees_nothing():
 
 
 def test_refined_estimate_insufficient_sample():
-    params = default_params()
-    streams, sifted = run_quantum_phase(default_params(m1=1, m2=1), Passive(), 5)
     starved = ProtocolParams(n_qubits=4000, bias_p=0.3, m1=50, m2=3000)
-    with pytest.raises(InsufficientSample):
-        refined_estimate(sifted, starved, streams.stream("test_selection"))
+    out = run_session(starved, Passive(), CSS, seed=5)
+    assert out.status is SessionStatus.ABORTED_INSUFFICIENT_SAMPLE
+    assert out.estimate is None
 
 
 def test_all_x_errors_hit_only_the_rectilinear_class():
     params = default_params()
     strategy = FixedPauliString((PauliLetter.X,) * params.n_qubits)
-    streams, sifted = run_quantum_phase(params, strategy, 6)
-    est = refined_estimate(sifted, params, streams.stream("test_selection"))
+    est = run_session(params, strategy, CSS, seed=6).estimate
     assert est.e1 == 1.0 and est.e2 == 0.0
 
 
 def test_all_z_errors_hit_only_the_diagonal_class():
     params = default_params()
     strategy = FixedPauliString((PauliLetter.Z,) * params.n_qubits)
-    streams, sifted = run_quantum_phase(params, strategy, 7)
-    est = refined_estimate(sifted, params, streams.stream("test_selection"))
+    est = run_session(params, strategy, CSS, seed=7).estimate
     assert est.e1 == 0.0 and est.e2 == 1.0
 
 
 def test_naive_estimate_is_size_weighted():
     params = default_params(n_qubits=30_000, bias_p=0.1, m1=25, m2=200)
-    streams, sifted = run_quantum_phase(params, BiasedInterceptResend(0.0, 1.0), 8)
-    naive = naive_estimate(sifted, params, streams.stream("naive_test"))
+    out = run_session(params, BiasedInterceptResend(0.0, 1.0), CSS, seed=8)
     # the tiny both-rect class is saturated with errors, yet the merged
     # sample dilutes it into invisibility
-    assert naive < 0.05
-    est = refined_estimate(sifted, params, streams.stream("test_selection"))
-    assert est.e1 > 0.3
+    assert out.lumped_rate < 0.05
+    assert out.estimate.e1 > 0.3
+
+
+@pytest.mark.parametrize(
+    "params, strategy",
+    [
+        (default_params(), Passive()),
+        (default_params(), DepolarizingPauli.symmetric(0.02)),
+        (default_params(), FixedPauliString("IXZY" * 1000)),
+        (default_params(), BiasedInterceptResend(0.3, 0.2)),
+        (ProtocolParams(n_qubits=200, bias_p=0.5, m1=10, m2=60), BiasedInterceptResend(0.1, 0.1)),
+    ],
+)
+def test_outcome_scalars_match_rerun_oracle(params, strategy):
+    statuses = set()
+    for seed in range(30, 36):
+        out = run_session(params, strategy, CSS, seed)
+        statuses.add(out.status)
+        retained, lumped = quantum_phase_stats(params, strategy, seed)
+        assert out.retained_fraction == retained
+        assert out.lumped_rate == lumped
+    if params.n_qubits == 200:
+        assert statuses == {SessionStatus.ABORTED_INSUFFICIENT_SAMPLE}
 
 
 def test_analytic_rate_helpers():
@@ -209,7 +227,10 @@ def test_strategy_dict_roundtrip():
         DepolarizingPauli.symmetric(0.01),
         FixedPauliString((PauliLetter.I, PauliLetter.X, PauliLetter.Z)),
     ):
-        assert strategy_from_dict(strategy_to_dict(strategy)) == strategy
+        assert strategy_from_dict(strategy.to_dict()) == strategy
+    for malformed in ({"kind": "no_such_kind"}, {"kind": "depolarizing"}, {"p1": 0.1}):
+        with pytest.raises(ValueError):
+            strategy_from_dict(malformed)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +309,13 @@ def test_session_estimate_matches_pipeline_functions():
     params = default_params()
     strategy = DepolarizingPauli.symmetric(0.02)
     out = run_session(params, strategy, CSS, seed=16)
-    streams, sifted = run_quantum_phase(params, strategy, 16)
-    est = refined_estimate(sifted, params, streams.stream("test_selection"))
-    assert (est.r1, est.r2) == (out.estimate.r1, out.estimate.r2)
-    assert np.array_equal(est.tested_rect, out.estimate.tested_rect)
-    assert np.array_equal(est.tested_diag, out.estimate.tested_diag)
+    streams, sent, results = quantum_phase(params, strategy, 16)
+    r1, r2, tested_rect, tested_diag = refined_estimate(
+        sift(sent, results), params, streams.stream("test_selection")
+    )
+    assert (r1, r2) == (out.estimate.r1, out.estimate.r2)
+    assert np.array_equal(tested_rect, out.estimate.tested_rect)
+    assert np.array_equal(tested_diag, out.estimate.tested_diag)
 
 
 def test_session_key_digest_matches_key():
@@ -308,8 +331,6 @@ def test_session_key_comes_from_untested_diagonal_positions():
     out = run_session(default_params(), Passive(), CSS, seed=18)
     tr = out.transcript
     n = default_params().n_qubits
-    from eqkd.transcript import unpack_bits
-
     alice_bases = unpack_bits(tr.events[0].payload["bases"], n)
     bob_bases = unpack_bits(tr.find(EventKind.BASES_ANNOUNCED_BOB).payload["bases"], n)
     both_diag = int(((alice_bases == 1) & (bob_bases == 1)).sum())
@@ -323,16 +344,9 @@ def test_machine_views_are_the_canonical_transcript_minus_one_event():
     params = default_params()
     strategy = Passive()
     seed = 19
-    from eqkd.protocol import session_meta
-
     streams = RngStreams(seed)
     meta = session_meta(params, strategy, CSS, seed)
     alice = AliceMachine(params, CSS, streams, meta=meta)
-    bob = None  # built by the driver below
-
-    # drive manually, mirroring the in-process driver
-    from eqkd.protocol import BobMachine
-
     bob = BobMachine(params, CSS, streams, meta=meta)
     pending = [("bob", m) for m in alice.start()]
     canonical = []
@@ -375,3 +389,51 @@ def test_session_outcome_statuses_agree_between_parties():
     out = run_session(default_params(), DepolarizingPauli.symmetric(0.02), CSS, seed=21)
     assert out.status is SessionStatus.ACCEPTED
     assert out.alice_key.size == out.bob_key.size
+
+
+def _drive(alice, bob, strategy, streams, stop_at=None):
+    """Shuttle messages between the machines as ``run_session`` does.
+
+    Returns the undelivered (dest, message) pairs once a message of kind
+    ``stop_at`` is next, or an empty list when the session ends.
+    """
+    pending = [("bob", m) for m in alice.start()]
+    while pending:
+        dest, (actor, kind, payload) = pending[0]
+        if kind is stop_at:
+            return pending
+        pending.pop(0)
+        if actor is Actor.ALICE and kind is EventKind.QUBITS_SENT:
+            delivered = channel_transform(payload, strategy, streams)
+            pending.extend(("alice", m) for m in bob.receive(Actor.CHANNEL, kind, delivered))
+        elif dest == "bob":
+            pending.extend(("alice", m) for m in bob.receive(actor, kind, payload))
+        else:
+            pending.extend(("bob", m) for m in alice.receive(actor, kind, payload))
+    return pending
+
+
+def test_alice_rejects_a_second_key_digest():
+    params = default_params()
+    streams = RngStreams(22)
+    alice = AliceMachine(params, CSS, streams)
+    bob = BobMachine(params, CSS, streams)
+    _drive(alice, bob, Passive(), streams)
+    assert alice.done and alice.result.status is SessionStatus.ACCEPTED
+    genuine = alice.result.peer_digest
+    with pytest.raises(ProtocolViolation):
+        alice.receive(Actor.BOB, EventKind.KEY_DIGEST, {"digest": "00" * 32})
+    assert alice.result.peer_digest == genuine
+
+
+def test_bob_rejects_an_unknown_decision():
+    params = default_params()
+    streams = RngStreams(23)
+    alice = AliceMachine(params, CSS, streams)
+    bob = BobMachine(params, CSS, streams)
+    pending = _drive(alice, bob, Passive(), streams, stop_at=EventKind.DECISION)
+    _dest, (actor, kind, _payload) = pending[0]
+    with pytest.raises(ProtocolViolation):
+        bob.receive(actor, kind, {"status": "no_such_status"})
+    assert not bob.done
+
