@@ -178,7 +178,8 @@ class DepolarizingPauli(_Strategy):
         qs = (self.q_i, self.q_x, self.q_y, self.q_z)
         if any(q < 0 for q in qs):
             raise ValueError("letter probabilities must be nonnegative")
-        if abs(sum(qs) - 1.0) > 1e-12:
+        # written so that a NaN probability fails the check too
+        if not abs(sum(qs) - 1.0) <= 1e-12:
             raise ValueError("letter probabilities must sum to 1 within 1e-12")
 
     @classmethod
@@ -194,9 +195,24 @@ class DepolarizingPauli(_Strategy):
         return cls(*d["q"])
 
     def apply(self, block: SymbolBlock, rng: np.random.Generator) -> SymbolBlock:
-        probs = (self.q_i, self.q_x, self.q_y, self.q_z)
-        letters = rng.choice(4, size=len(block), p=probs).astype(np.uint8)
-        return apply_pauli_block(block, letters)
+        """Flip each bit whose sampled letter anticommutes with its basis.
+
+        Draw contract: exactly one ``rng.random(len(block))`` call. Those are
+        the draws ``rng.choice(4, size=len(block), p=q)`` makes, and the cdf
+        below is built as ``choice`` builds it, so a seed gives the same
+        flips as sampling letters with ``choice`` and applying them with
+        :func:`apply_pauli_block`. No letters are formed: the letter at a
+        draw u is the first whose cdf value exceeds u, so a diagonal bit
+        flips on Y or Z (u >= cdf[1]) and a rectilinear bit on X or Y
+        (cdf[0] <= u < cdf[2]).
+        """
+        cdf = np.array([self.q_i, self.q_x, self.q_y, self.q_z], dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(len(block))
+        flips = np.where(
+            block.bases.view(bool), u >= cdf[1], (u >= cdf[0]) & (u < cdf[2])
+        )
+        return SymbolBlock(block.bases.copy(), block.bits ^ flips)
 
 
 @dataclass(frozen=True)

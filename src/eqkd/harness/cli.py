@@ -22,7 +22,6 @@ from pathlib import Path
 
 from ..bounds import (
     Lemma1Result,
-    ParameterPlan,
     SamplingInstance,
     SecurityParams,
     key_rate,
@@ -34,7 +33,7 @@ from ..bounds import (
     theorem3_fidelity,
 )
 from ..channel import BiasedInterceptResend, DepolarizingPauli, FixedPauliString, strategy_from_dict
-from ..codes import CodeError, css_meta, load_css, css_fingerprint, steane_pair
+from ..codes import CodeError, load_css, css_fingerprint, steane_pair
 from ..protocol import ProtocolParams, session_meta
 from .endpoints import ROLES, loopback_session, serve_endpoint
 from .runner import ExperimentConfig, attack_demo, emit_csv, replay_verify, run_experiment

@@ -35,7 +35,6 @@ from .codes import (
 )
 from .transcript import (
     Actor,
-    Event,
     EventKind,
     SessionTranscript,
     pack_bits,
@@ -214,6 +213,31 @@ def _draw_class_samples(
     return i1, i2
 
 
+def _class_sample(positions: np.ndarray, sample, size: int, name: str) -> np.ndarray:
+    """A test sample the peer announced for one class, checked on arrival.
+
+    It must be ``size`` strictly increasing integers, each a position of the
+    class (``positions``, sorted); anything else is a violation.
+    """
+    try:
+        arr = np.asarray(sample)
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (size,) or arr.dtype.kind not in "iu":
+        raise ProtocolViolation(f"{name} test sample is not a list of {size} integers")
+    arr = arr.astype(np.int64)
+    slots = np.searchsorted(positions, arr)
+    if (
+        np.any(np.diff(arr) <= 0)
+        or slots[-1] >= positions.size
+        or np.any(positions[slots] != arr)
+    ):
+        raise ProtocolViolation(
+            f"{name} test sample is not strictly increasing positions of its class"
+        )
+    return arr
+
+
 def naive_average_rate(p: float, e1: float, e2: float) -> float:
     """Population value of the lumped rate: class rates weighted by size."""
     w1, w2 = p * p, (1.0 - p) ** 2
@@ -251,11 +275,30 @@ def encode_symbols(block: SymbolBlock) -> dict:
     }
 
 
+def _peer_bits(payload: dict, key: str, count: int) -> np.ndarray:
+    """``count`` bits from a hex field of a received payload.
+
+    A missing field, or one that does not decode to exactly ``count`` bits,
+    is a protocol violation.
+    """
+    try:
+        return unpack_bits(payload[key], count)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolViolation(f"malformed {key!r} field: {exc}") from None
+
+
+def _expect_count(payload: dict, key: str, expected: int) -> None:
+    """A count field of a received payload must equal what this session expects."""
+    if payload.get(key) != expected:
+        raise ProtocolViolation(f"{key!r} is {payload.get(key)!r}, expected {expected}")
+
+
 def decode_symbols(payload: dict) -> SymbolBlock:
-    n = int(payload["n"])
-    return SymbolBlock(
-        unpack_bits(payload["bases"], n), unpack_bits(payload["bits"], n)
-    )
+    """The symbols of a qubits payload; a malformed payload is a violation."""
+    n = payload.get("n")
+    if not isinstance(n, int) or n < 0:
+        raise ProtocolViolation(f"malformed symbol count {n!r}")
+    return SymbolBlock(_peer_bits(payload, "bases", n), _peer_bits(payload, "bits", n))
 
 
 def channel_transform(payload: dict, strategy: AttackStrategy, streams: RngStreams) -> dict:
@@ -370,8 +413,14 @@ class _PartyMachine:
         self._state = "done"
 
     def _raw_key_layout(self) -> np.ndarray:
-        """Untested both-diagonal positions, cut to whole blocks."""
-        untested = np.setdiff1d(self._diag_pos, self._test_diag, assume_unique=True)
+        """Untested both-diagonal positions, cut to whole blocks.
+
+        ``_diag_pos`` is sorted (it comes from ``nonzero``) and the tested
+        positions are members of it, so ``searchsorted`` finds their slots.
+        """
+        keep = np.ones(self._diag_pos.size, dtype=bool)
+        keep[np.searchsorted(self._diag_pos, self._test_diag)] = False
+        untested = self._diag_pos[keep]
         blocks = untested.size // self.css.n
         return untested[: blocks * self.css.n]
 
@@ -398,7 +447,8 @@ class AliceMachine(_PartyMachine):
         if self._state == "await_bob_bases":
             self._expect(kind, (EventKind.BASES_ANNOUNCED_BOB,))
             self._log(actor, kind, payload)
-            bob_bases = unpack_bits(payload["bases"], int(payload["n"]))
+            _expect_count(payload, "n", self.params.n_qubits)
+            bob_bases = _peer_bits(payload, "bases", self.params.n_qubits)
             out = [
                 self._emit(
                     Actor.ALICE,
@@ -418,8 +468,9 @@ class AliceMachine(_PartyMachine):
                     raise ProtocolViolation("unexpected early decision")
                 self._finish(status)
                 return []
-            self._test_rect = np.asarray(payload["rect"], dtype=np.int64)
-            self._test_diag = np.asarray(payload["diag"], dtype=np.int64)
+            p = self.params
+            self._test_rect = _class_sample(self._rect_pos, payload.get("rect"), p.m1, "rect")
+            self._test_diag = _class_sample(self._diag_pos, payload.get("diag"), p.m2, "diag")
             self._state = "await_disclosure"
             return []
         if self._state == "await_disclosure":
@@ -434,17 +485,20 @@ class AliceMachine(_PartyMachine):
         raise ProtocolViolation(f"no messages expected in state {self._state}")
 
     def _estimate_and_decide(self, payload: dict) -> list[Message]:
-        bob_rect = unpack_bits(payload["rect_bits"], int(payload["m1"]))
-        bob_diag = unpack_bits(payload["diag_bits"], int(payload["m2"]))
+        p = self.params
+        _expect_count(payload, "m1", p.m1)
+        _expect_count(payload, "m2", p.m2)
+        bob_rect = _peer_bits(payload, "rect_bits", p.m1)
+        bob_diag = _peer_bits(payload, "diag_bits", p.m2)
         mine_rect = self.symbols.bits[self._test_rect]
         mine_diag = self.symbols.bits[self._test_diag]
         r1 = int((mine_rect != bob_rect).sum())
         r2 = int((mine_diag != bob_diag).sum())
         est = ErrorEstimate(
             r1=r1,
-            m1=int(payload["m1"]),
+            m1=p.m1,
             r2=r2,
-            m2=int(payload["m2"]),
+            m2=p.m2,
             tested_rect=self._test_rect,
             tested_diag=self._test_diag,
         )
@@ -456,7 +510,7 @@ class AliceMachine(_PartyMachine):
                 {"r1": est.r1, "m1": est.m1, "r2": est.r2, "m2": est.m2},
             )
         ]
-        threshold = self.params.threshold
+        threshold = p.threshold
         accepted = est.e1 < threshold and est.e2 < threshold
         status = SessionStatus.ACCEPTED if accepted else SessionStatus.ABORTED_ERROR_RATE
         out.append(
@@ -519,6 +573,7 @@ class BobMachine(_PartyMachine):
         if self._state == "await_qubits":
             self._expect(kind, (EventKind.QUBITS_SENT,))
             self._log(actor, kind, payload)
+            _expect_count(payload, "n", self.params.n_qubits)
             received = decode_symbols(payload)
             self.results = bob_measure(received, self.params, self.streams.stream("bob_bases"))
             self._state = "await_alice_bases"
@@ -532,7 +587,8 @@ class BobMachine(_PartyMachine):
         if self._state == "await_alice_bases":
             self._expect(kind, (EventKind.BASES_ANNOUNCED_ALICE,))
             self._log(actor, kind, payload)
-            alice_bases = unpack_bits(payload["bases"], int(payload["n"]))
+            _expect_count(payload, "n", self.params.n_qubits)
+            alice_bases = _peer_bits(payload, "bases", self.params.n_qubits)
             self._rect_pos, self._diag_pos = _sift_positions(alice_bases, self.results.bases)
             return self._select_test()
         if self._state == "await_estimate":
@@ -636,7 +692,7 @@ class BobMachine(_PartyMachine):
         w = self.results.bits[used].reshape(blocks, n)
         perms = block_permutations(n, blocks, self._perm_seed)
         w_perm = np.take_along_axis(w, perms, axis=1)
-        announcements = unpack_bits(payload["masked"], blocks * n).reshape(blocks, n)
+        announcements = _peer_bits(payload, "masked", blocks * n).reshape(blocks, n)
         keys, _ok = reconcile_bob_blocks(css, w_perm, announcements)
         self._key = keys.reshape(-1)
 

@@ -44,8 +44,15 @@ def pack_bits(bits: np.ndarray) -> str:
 
 
 def unpack_bits(hex_str: str, n: int) -> np.ndarray:
-    data = np.frombuffer(bytes.fromhex(hex_str), dtype=np.uint8)
-    return np.unpackbits(data, count=n).astype(np.uint8)
+    """Inverse of :func:`pack_bits`: the ``n`` bits a hex string encodes.
+
+    The string must decode to exactly ceil(n/8) bytes; a shorter or longer
+    one is a ValueError, never zero-padded or cut.
+    """
+    data = bytes.fromhex(hex_str)
+    if n < 0 or len(data) != (n + 7) // 8:
+        raise ValueError(f"{len(data)} bytes do not encode exactly {n} bits")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n).astype(np.uint8)
 
 
 @dataclass(frozen=True)

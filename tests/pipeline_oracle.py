@@ -1,11 +1,17 @@
-"""Reference implementation of a session's quantum phase, kept for the tests.
+"""Reference implementations kept for the tests.
 
-It re-runs prepare, channel and measure from a seed and then sifts and
-estimates on its own, away from the party state machines, so tests can check
-what ``run_session`` reports against an independent derivation. It consumes
-the same named substreams in the same order as a session does, so for a
-given seed it sees the same symbols, the same test sample and the same
-lumped sample.
+``quantum_phase`` and what follows it re-run prepare, channel and measure
+from a seed and then sift and estimate on their own, away from the party
+state machines, so tests can check what ``run_session`` reports against an
+independent derivation. They consume the same named substreams in the same
+order as a session does, so for a given seed they see the same symbols, the
+same test sample and the same lumped sample.
+
+``depolarizing_letters_oracle`` and ``raw_key_layout_oracle`` are the
+straightforward forms of two hot paths: the depolarizing channel drawing
+explicit Pauli letters with ``Generator.choice``, and the raw-key layout
+taking a set difference. The library computes the same results without
+building those intermediates.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eqkd.channel import RngStreams
+from eqkd.channel import RngStreams, apply_pauli_block
 from eqkd.protocol import (
     alice_prepare,
     bob_measure,
@@ -86,3 +92,17 @@ def quantum_phase_stats(params, strategy, seed) -> tuple[float, float | None]:
     streams, sent, results = quantum_phase(params, strategy, seed)
     sifted = sift(sent, results)
     return sifted.retained_fraction, naive_estimate(sifted, params, streams.stream("naive_test"))
+
+
+def depolarizing_letters_oracle(strategy, block, rng):
+    """``DepolarizingPauli.apply`` by explicit letters: ``choice``, then the flip table."""
+    probs = (strategy.q_i, strategy.q_x, strategy.q_y, strategy.q_z)
+    letters = rng.choice(4, size=len(block), p=probs).astype(np.uint8)
+    return apply_pauli_block(block, letters)
+
+
+def raw_key_layout_oracle(diag_pos, test_diag, block_len):
+    """Untested both-diagonal positions, cut to whole blocks, by set difference."""
+    untested = np.setdiff1d(diag_pos, test_diag, assume_unique=True)
+    blocks = untested.size // block_len
+    return untested[: blocks * block_len]

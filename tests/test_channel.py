@@ -15,6 +15,7 @@ from eqkd.channel import (
     apply_pauli_block,
     transmit,
 )
+from pipeline_oracle import depolarizing_letters_oracle
 
 # Which letters flip the encoded bit in each basis, from the polarization
 # action: X swaps horizontal/vertical, Z swaps the diagonal pair, Y both.
@@ -141,8 +142,65 @@ def test_depolarizing_validation():
         DepolarizingPauli(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         DepolarizingPauli(-0.1, 0.4, 0.4, 0.3)
+    with pytest.raises(ValueError):
+        DepolarizingPauli(float("nan"), 0.0, 0.0, 1.0)
     q = DepolarizingPauli.symmetric(0.1)
     assert q.q_i == pytest.approx(0.7)
+
+
+def _letter_distributions(gen, count):
+    """(q_i, q_x, q_y, q_z) in four shapes, taken in turn: dense, with some
+    zero letters, one letter only, and dense with the sum off 1 by up to
+    1e-12 (one-letter ones are off by up to 1e-12 too, half the time)."""
+    for k in range(count):
+        shape = k % 4
+        q = gen.dirichlet(np.ones(4))
+        if shape == 1:
+            q[gen.permutation(4)[: gen.integers(1, 4)]] = 0.0
+            q /= q.sum()
+        elif shape == 2:
+            q = np.zeros(4)
+            q[gen.integers(4)] = 1.0 + (gen.uniform(-9e-13, 9e-13) if k % 8 == 6 else 0.0)
+        elif shape == 3:
+            q[np.argmax(q)] += gen.uniform(-9e-13, 9e-13)
+        yield tuple(float(x) for x in q)
+
+
+def _random_block(gen, n):
+    return SymbolBlock(gen.integers(0, 2, n, dtype=np.uint8), gen.integers(0, 2, n, dtype=np.uint8))
+
+
+def test_depolarizing_matches_the_letter_oracle():
+    gen = np.random.default_rng(2024)
+    for k, q in enumerate(_letter_distributions(gen, 320)):
+        strat = DepolarizingPauli(*q)
+        n = (0, 1, int(gen.integers(2, 4000)))[k % 3]
+        block = _random_block(gen, n)
+        seed = int(gen.integers(2**63))
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert strat.apply(block, ours) == depolarizing_letters_oracle(strat, block, oracle), (q, n)
+        # the same draws: both generators are left in the same state
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+def test_depolarizing_draws_on_a_cdf_boundary():
+    # A draw u >= 1/2 makes 1 - u and u/2 exact, so these distributions put
+    # cdf boundaries exactly at u and the letter there is decided by the tie.
+    seed = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)
+    u = np.random.default_rng(seed).random()
+    tied = [
+        (u, 1.0 - u, 0.0, 0.0),  # u == cdf[0]
+        (u / 2, u / 2, 1.0 - u, 0.0),  # u == cdf[1]
+        (u / 2, 0.0, u / 2, 1.0 - u),  # u == cdf[2]
+        (u, 0.0, 0.0, 1.0 - u),  # u == cdf[0] == cdf[1] == cdf[2]
+    ]
+    for q in tied:
+        strat = DepolarizingPauli(*q)
+        for basis in Basis:
+            block = SymbolBlock(np.array([basis], dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+            ours = strat.apply(block, np.random.default_rng(seed))
+            oracle = depolarizing_letters_oracle(strat, block, np.random.default_rng(seed))
+            assert ours == oracle, (q, basis)
 
 
 def test_biased_intercept_resend_statistics():

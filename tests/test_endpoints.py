@@ -1,18 +1,32 @@
 import json
 import multiprocessing
+import queue
+import socket
+import threading
 
 import numpy as np
 import pytest
 
-from eqkd.channel import DepolarizingPauli, Passive
+from eqkd.channel import DepolarizingPauli, Passive, RngStreams
 from eqkd.codes import steane_pair
 from eqkd.harness.endpoints import (
     EXIT_HANDSHAKE,
+    EXIT_PROTOCOL,
     _channel_outcome,
     _endpoint_proc,
     loopback_session,
+    serve_endpoint,
 )
-from eqkd.protocol import ProtocolParams, ProtocolViolation, run_session, session_meta
+from eqkd.harness.wire import exchange_hello, send_event
+from eqkd.protocol import (
+    ProtocolParams,
+    ProtocolViolation,
+    alice_prepare,
+    config_digest,
+    encode_symbols,
+    run_session,
+    session_meta,
+)
 from eqkd.transcript import Actor, EventKind, SessionTranscript
 
 CSS = steane_pair()
@@ -96,8 +110,6 @@ def test_mismatched_configs_fail_the_handshake(tmp_path):
 
 
 def test_serve_endpoint_argument_validation():
-    from eqkd.harness.endpoints import serve_endpoint
-
     _params, meta = _meta(35)
     with pytest.raises(ValueError):
         serve_endpoint("alice", meta)  # no address to connect to
@@ -114,3 +126,24 @@ def test_channel_outcome_rejects_an_unknown_decision():
     out.transcript.append(Actor.ALICE, EventKind.DECISION, {"status": "no_such_status"})
     with pytest.raises(ProtocolViolation):
         _channel_outcome(out.transcript)
+
+
+def test_truncated_payload_ends_the_endpoint_with_exit_protocol():
+    params, meta = _meta(36)
+    ports = queue.Queue()
+    codes = []
+    bob = threading.Thread(
+        target=lambda: codes.append(
+            serve_endpoint("bob", meta, listen=("127.0.0.1", 0), port_report=ports.put, timeout=15)
+        )
+    )
+    bob.start()
+    with socket.create_connection(("127.0.0.1", ports.get(timeout=15)), timeout=15) as relay:
+        exchange_hello(relay, config_digest(meta), initiate=True)
+        payload = encode_symbols(alice_prepare(params, RngStreams(36)))
+        send_event(relay, EventKind.QUBITS_SENT, dict(payload, bases=payload["bases"][:-2]))
+        # judged with the link still open: a closed link would end Bob with
+        # the same code for a different reason
+        bob.join(timeout=15)
+        assert not bob.is_alive()
+    assert codes == [EXIT_PROTOCOL]

@@ -23,13 +23,20 @@ from eqkd.protocol import (
     biased_attack_rates,
     bob_measure,
     channel_transform,
+    encode_symbols,
     naive_average_rate,
     run_session,
     session_meta,
     weighted_error_rates,
 )
-from eqkd.transcript import Actor, EventKind, unpack_bits
-from pipeline_oracle import quantum_phase, quantum_phase_stats, refined_estimate, sift
+from eqkd.transcript import Actor, EventKind, pack_bits, unpack_bits
+from pipeline_oracle import (
+    quantum_phase,
+    quantum_phase_stats,
+    raw_key_layout_oracle,
+    refined_estimate,
+    sift,
+)
 
 CSS = steane_pair()
 
@@ -340,6 +347,28 @@ def test_session_key_comes_from_untested_diagonal_positions():
     assert tr.find(EventKind.PERMUTATION_SEED).payload["blocks"] == expected_blocks
 
 
+def test_raw_key_layout_matches_the_setdiff_oracle():
+    gen = np.random.default_rng(19)
+    machine = AliceMachine(default_params(), CSS, RngStreams(19))
+    cases = []
+    for _ in range(200):
+        size = int(gen.integers(1, 3000))
+        diag_pos = np.sort(gen.choice(4 * size, size=size, replace=False))
+        tested = np.sort(gen.choice(diag_pos, size=int(gen.integers(0, size + 1)), replace=False))
+        cases.append((diag_pos, tested))
+    diag_pos = np.arange(0, 300, 3)
+    cases += [
+        (diag_pos, diag_pos[[0, -1]]),  # the first and last slots
+        (diag_pos, diag_pos),  # every slot tested
+        (diag_pos, diag_pos[:0]),  # none tested
+        (diag_pos[:5], diag_pos[:1]),  # fewer untested than one block
+    ]
+    for diag_pos, tested in cases:
+        machine._diag_pos, machine._test_diag = diag_pos, tested
+        expected = raw_key_layout_oracle(diag_pos, tested, CSS.n)
+        assert np.array_equal(machine._raw_key_layout(), expected)
+
+
 def test_machine_views_are_the_canonical_transcript_minus_one_event():
     params = default_params()
     strategy = Passive()
@@ -437,3 +466,71 @@ def test_bob_rejects_an_unknown_decision():
         bob.receive(actor, kind, {"status": "no_such_status"})
     assert not bob.done
 
+
+def _alice_awaiting(kind, seed):
+    """Alice, with Bob's genuine message of ``kind`` the next one due to her."""
+    params = default_params()
+    streams = RngStreams(seed)
+    alice = AliceMachine(params, CSS, streams)
+    bob = BobMachine(params, CSS, streams)
+    pending = _drive(alice, bob, Passive(), streams, stop_at=kind)
+    _dest, (actor, _kind, payload) = pending[0]
+    return alice, actor, payload
+
+
+@pytest.mark.parametrize(
+    "probe",
+    ["repeated_index", "outside_the_class", "out_of_range", "wrong_length", "not_increasing",
+     "not_integers"],
+)
+def test_alice_rejects_a_malformed_test_sample(probe):
+    alice, actor, genuine = _alice_awaiting(EventKind.TEST_INDICES, 25)
+    rect, diag = list(genuine["rect"]), list(genuine["diag"])
+    if probe == "repeated_index":
+        diag = [diag[0]] * len(diag)
+    elif probe == "outside_the_class":
+        rect = diag[: len(rect)]  # increasing, but both-diagonal positions
+    elif probe == "out_of_range":
+        rect[-1] = default_params().n_qubits + 5
+    elif probe == "wrong_length":
+        diag = diag[:-1]
+    elif probe == "not_increasing":
+        rect = rect[::-1]
+    else:
+        rect = [float(x) for x in rect]
+    with pytest.raises(ProtocolViolation):
+        alice.receive(actor, EventKind.TEST_INDICES, {"rect": rect, "diag": diag})
+    assert not alice.done
+
+
+@pytest.mark.parametrize(
+    "kind", [EventKind.QUBITS_SENT, EventKind.BASES_ANNOUNCED_BOB, EventKind.BASES_ANNOUNCED_ALICE]
+)
+def test_machines_reject_a_truncated_bases_payload(kind):
+    params = default_params()
+    streams = RngStreams(26)
+    alice = AliceMachine(params, CSS, streams)
+    bob = BobMachine(params, CSS, streams)
+    dest, (actor, _kind, payload) = _drive(alice, bob, Passive(), streams, stop_at=kind)[0]
+    receiver = alice if dest == "alice" else bob
+    if kind is EventKind.QUBITS_SENT:
+        actor = Actor.CHANNEL
+    for bad in (dict(payload, bases=payload["bases"][:-2]), dict(payload, n=payload["n"] - 8)):
+        with pytest.raises(ProtocolViolation):
+            receiver.receive(actor, kind, bad)
+    assert not receiver.done
+
+
+def test_relay_rejects_a_truncated_qubits_payload():
+    payload = encode_symbols(alice_prepare(default_params(), RngStreams(27)))
+    with pytest.raises(ProtocolViolation):
+        channel_transform(dict(payload, bits=payload["bits"][:-2]), Passive(), RngStreams(27))
+
+
+def test_alice_rejects_a_disclosure_of_the_wrong_size():
+    alice, actor, genuine = _alice_awaiting(EventKind.TEST_DISCLOSURE, 28)
+    short = genuine["m1"] - 8
+    bad = dict(genuine, m1=short, rect_bits=pack_bits(np.zeros(short, dtype=np.uint8)))
+    with pytest.raises(ProtocolViolation):
+        alice.receive(actor, EventKind.TEST_DISCLOSURE, bad)
+    assert not alice.done

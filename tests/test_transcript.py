@@ -21,6 +21,17 @@ def test_pack_unpack_roundtrip(n):
     assert np.array_equal(unpack_bits(hex_str, n), bits)
 
 
+def test_unpack_bits_wants_exactly_the_bytes_n_bits_take():
+    with pytest.raises(ValueError):
+        unpack_bits("ff", 16)  # truncated
+    with pytest.raises(ValueError):
+        unpack_bits("ffff", 8)  # too long
+    with pytest.raises(ValueError):
+        unpack_bits("ff", -1)
+    assert unpack_bits("", 0).size == 0
+    assert unpack_bits("e0", 3).tolist() == [1, 1, 1]
+
+
 def test_pack_bits_is_msb_first():
     assert pack_bits(np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)) == "80"
     assert pack_bits(np.array([1], dtype=np.uint8)) == "80"
