@@ -17,11 +17,18 @@ from eqkd.channel import (
     Passive,
     PauliLetter,
 )
-from eqkd.codes import steane_pair
+from eqkd.codes import BinaryMatrix, LinearCode, steane_pair, validate_css
 from eqkd.harness.runner import ExperimentConfig, emit_csv, run_experiment
 from eqkd.protocol import ProtocolParams, run_session
 
 CSS = steane_pair()
+
+# The [15,11] Hamming code over its dual, the [15,4] simplex code: seven key
+# bits and radius 1 per 15-bit block. Row j of the simplex generator is bit j
+# of the column numbers 1..15.
+_SIMPLEX_15_4 = ["101010101010101", "011001100110011", "000111100001111", "000000011111111"]
+_C2_15 = LinearCode.from_generator(BinaryMatrix.from_rows(_SIMPLEX_15_4))
+CSS_15_11 = validate_css(LinearCode.from_generator(_C2_15.parity_check), _C2_15)
 
 BASE = dict(n_qubits=4000, bias_p=0.3, m1=100, m2=100)
 # p = 1/2 over 200 pulses leaves the diagonal class under m2 + 7
@@ -49,6 +56,17 @@ SESSIONS = [
      "9caef3c3387e016831077bc54bef7b004eb68c9e9a40b85e67c66d1d19de00c0"),
 ]
 
+SESSIONS_15_11 = [
+    (DepolarizingPauli.symmetric(0.01), 21,
+     "be1cb9b7d3911816174454b518b42ee8ce1d51e60de72a5afa87e098b3ae3c17"),
+    (DepolarizingPauli.symmetric(0.01), 22,
+     "5e04643b994b1760660a762c13bd8f4834cda8147ecf15e299b3d5fa64e80789"),
+    (BiasedInterceptResend(0.02, 0.03), 21,
+     "aa71d7144fe440e8fe258518f7b1c93b974a6c8b6c0a73d8d49423f3f3020baa"),
+    (BiasedInterceptResend(0.02, 0.03), 22,
+     "0ddde928cd780d974177984b22c972d4c40d80e613ab1bc28ba7f331e0b60cd1"),
+]
+
 EXPERIMENTS = [
     # accepted and error-rate aborts
     (dict(n_qubits=6000, bias_p=0.2, m1=50, m2=100), BiasedInterceptResend(0.05, 0.2), 300,
@@ -67,6 +85,14 @@ def _sha256(text: str) -> str:
 def test_golden_transcript(params, strategy, seed, status, digest):
     out = run_session(ProtocolParams(**params), strategy, CSS, seed)
     assert out.status.value == status
+    assert _sha256(out.transcript.to_jsonl()) == digest
+
+
+@pytest.mark.parametrize("strategy, seed, digest", SESSIONS_15_11)
+def test_golden_transcript_hamming_15_11(strategy, seed, digest):
+    assert (CSS_15_11.n, CSS_15_11.k, CSS_15_11.t) == (15, 7, 1)
+    out = run_session(ProtocolParams(**BASE), strategy, CSS_15_11, seed)
+    assert out.status.value == "accepted"
     assert _sha256(out.transcript.to_jsonl()) == digest
 
 
