@@ -46,8 +46,26 @@ class NotACodeword(CodeError):
 # ---------------------------------------------------------------------------
 
 def gf2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2)."""
-    return (np.asarray(a, dtype=np.uint32) @ np.asarray(b, dtype=np.uint32)) & 1
+    """Matrix product over GF(2), as a uint8 array of 0/1 entries.
+
+    Equals ``np.matmul`` of the operands cast to uint32, ``& 1``: matmul's
+    rules for 1-d and 2-d operands hold, and every entry counts mod 2. It is
+    computed by XOR, without a matmul: column c of the product is the XOR of
+    the columns i of ``a`` for which ``b[i, c]`` is odd, cut to its low bit.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2):
+        raise ValueError("gf2_mul takes 1-d or 2-d operands")
+    a2 = np.atleast_2d(a).astype(np.uint8, copy=False)
+    b2 = (b[:, None] if b.ndim == 1 else b).astype(np.uint8, copy=False) & 1
+    if a2.shape[1] != b2.shape[0]:
+        raise ValueError(f"gf2_mul: shapes {a.shape} and {b.shape} do not align")
+    out = np.zeros((a2.shape[0], b2.shape[1]), dtype=np.uint8)
+    for i, c in zip(*np.nonzero(b2)):
+        out[:, c] ^= a2[:, i]
+    out &= 1  # XOR keeps the parity of the low bits; the rest is dropped here
+    return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
 
 
 def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -162,7 +180,7 @@ def enumerate_codewords(generator: np.ndarray) -> np.ndarray:
     k = gen.shape[0]
     if k > _ENUM_DIM_LIMIT:
         raise CodeError(f"refusing to enumerate 2^{k} codewords")
-    return gf2_mul(_all_messages(k), gen).astype(np.uint8)
+    return gf2_mul(_all_messages(k), gen)
 
 
 def min_distance(generator: np.ndarray) -> int:
@@ -224,7 +242,7 @@ class LinearCode:
         msgs = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
         if msgs.shape[1] != self.k_dim:
             raise ValueError(f"messages must have {self.k_dim} bits")
-        out = gf2_mul(msgs, self.generator.array).astype(np.uint8)
+        out = gf2_mul(msgs, self.generator.array)
         return out[0] if np.asarray(messages).ndim == 1 else out
 
     def codewords(self) -> np.ndarray:
@@ -232,7 +250,7 @@ class LinearCode:
 
     def syndrome(self, words: np.ndarray) -> np.ndarray:
         w = np.atleast_2d(np.asarray(words, dtype=np.uint8))
-        s = gf2_mul(w, self.parity_check.array.T).astype(np.uint8)
+        s = gf2_mul(w, self.parity_check.array.T)
         return s[0] if np.asarray(words).ndim == 1 else s
 
 
@@ -244,8 +262,13 @@ _TABLE_SYNDROME_LIMIT = 22  # refuse tables above 2^22 syndromes
 
 
 def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    return np.atleast_2d(syndromes).astype(np.int64) @ weights
+    """Each syndrome row read as an m-bit integer, its first bit the highest."""
+    syndromes = np.atleast_2d(syndromes)
+    idx = np.zeros(syndromes.shape[0], dtype=np.intp)
+    for j in range(m):
+        idx <<= 1
+        idx |= syndromes[:, j]
+    return idx
 
 
 def _decode_table(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
@@ -393,7 +416,7 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
         x = gf2_solve(L.T, eye[i])
         assert x is not None
         T[i] = x
-    key_map = gf2_mul(T, g2.array).astype(np.uint8)
+    key_map = gf2_mul(T, g2.array)
     assert not gf2_mul(key_map, c2.generator.array.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
     return CssPair(c1=c1, c2=c2, t=t, k=k, g2=g2, key_map=key_map)
@@ -408,11 +431,11 @@ def coset_label(pair: CssPair, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.uint8)
     if not pair.c1.contains(u):
         raise NotACodeword("coset labels are defined only on C1")
-    return gf2_mul(pair.key_map, u).astype(np.uint8)
+    return gf2_mul(pair.key_map, u)
 
 
 def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:
-    return gf2_mul(np.atleast_2d(words), pair.key_map.T).astype(np.uint8)
+    return gf2_mul(np.atleast_2d(words), pair.key_map.T)
 
 
 def reconcile_alice_blocks(
@@ -465,17 +488,72 @@ def reconcile_bob(pair: CssPair, received: np.ndarray, announcement: np.ndarray)
     """Single-block key for Bob; raises DecodeFailure beyond the radius."""
     word = np.asarray(received, dtype=np.uint8) ^ np.asarray(announcement, dtype=np.uint8)
     u = syndrome_decode(pair.c1, word)
-    return gf2_mul(pair.key_map, u).astype(np.uint8)
+    return gf2_mul(pair.key_map, u)
 
 
 # ---------------------------------------------------------------------------
 # Block permutations
 # ---------------------------------------------------------------------------
 
-def block_permutations(n: int, blocks: int, seed: int) -> np.ndarray:
-    """(blocks, n) array of independent permutations derived from one seed."""
+# Keys are drawn and ranked this many at a time, so that one pass works in
+# cache. The draws come off the generator in order, so they are the same as
+# one (B, n) draw.
+_KEYS_PER_PASS = 1 << 16
+
+
+def _stable_ranks(keys: np.ndarray) -> np.ndarray:
+    """(n, B) array whose column b holds the stable ranks of keys[b].
+
+    The rank of entry j is the number of entries of its row that come before
+    it: those with a smaller key, and those with an equal key and a smaller
+    index. Column b is therefore the position each entry takes when a stable
+    sort orders keys[b]. Each of the n(n-1)/2 pairs of a row is compared
+    once.
+    """
+    blocks, n = keys.shape
+    cols = np.ascontiguousarray(keys.T)
+    ranks = np.empty((n, blocks), dtype=np.min_scalar_type(max(n - 1, 0)))
+    # Count every later entry as coming before entry i; then, for each pair
+    # i < j in which i comes first (key_i <= key_j), move the count to j.
+    ranks[:] = np.arange(n - 1, -1, -1, dtype=ranks.dtype)[:, None]
+    for i in range(n - 1):
+        i_first = (cols[i] <= cols[i + 1 :]).view(np.uint8)
+        ranks[i + 1 :] += i_first
+        ranks[i] -= np.add.reduce(i_first, axis=0, dtype=ranks.dtype)
+    return ranks
+
+
+def block_permutations(words: np.ndarray, seed: int) -> np.ndarray:
+    """Each row of a (B, n) uint8 array permuted; one seed gives all B permutations.
+
+    The keys are ``default_rng(seed).random((B, n))``, and entry j of row b
+    moves to its stable rank among keys[b]. So row b of the result is row b
+    of ``words`` in the order a stable sort gives keys[b], for any uint8
+    values; ``tests/pipeline_oracle.py`` has that form. An unstable sort gives
+    the same order unless a row has two equal keys, which has probability
+    below n(n-1)/2 in 2^53 per row.
+    """
+    words = np.asarray(words)
+    if words.ndim != 2 or words.dtype != np.uint8:
+        raise ValueError("words must be a 2-d uint8 array")
+    blocks, n = words.shape
     rng = np.random.default_rng(int(seed))
-    return np.argsort(rng.random((blocks, n)), axis=1)
+    out = np.empty_like(words)
+    # A row is built as little-endian 64-bit lanes, byte r of the row being
+    # bits 8r..8r+7 of lane r // 8: entry j is shifted to bit 8 * rank_j of
+    # the row. A shift outside a lane's 64 bits (wrapped, when negative)
+    # gives 0.
+    lanes = -(-n // 8)
+    step = max(1, _KEYS_PER_PASS // max(n, 1))
+    for start in range(0, blocks, step):
+        rows = words[start : start + step]
+        bit_at = np.left_shift(_stable_ranks(rng.random(rows.shape)), 3, dtype=np.uint64)
+        packed = np.empty((rows.shape[0], lanes), dtype="<u8")
+        for g in range(lanes):
+            moved = np.left_shift(rows.T, bit_at - np.uint64(64 * g), dtype=np.uint64)
+            np.bitwise_or.reduce(moved, axis=0, out=packed[:, g])
+        out[start : start + step] = packed.view(np.uint8)[:, :n]
+    return out
 
 
 # ---------------------------------------------------------------------------

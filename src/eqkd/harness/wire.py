@@ -104,6 +104,8 @@ def recv_event(sock: socket.socket) -> tuple[EventKind, dict]:
         payload = json.loads(blob.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"bad event payload: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FrameError(f"event payload is a JSON {type(payload).__name__}, not an object")
     return kind, payload
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -287,10 +288,21 @@ def _peer_bits(payload: dict, key: str, count: int) -> np.ndarray:
         raise ProtocolViolation(f"malformed {key!r} field: {exc}") from None
 
 
-def _expect_count(payload: dict, key: str, expected: int) -> None:
-    """A count field of a received payload must equal what this session expects."""
-    if payload.get(key) != expected:
-        raise ProtocolViolation(f"{key!r} is {payload.get(key)!r}, expected {expected}")
+def _peer_int(payload: dict, key: str, low: int, high: int) -> int:
+    """An integer field of a received payload; it must lie in [low, high]."""
+    value = payload.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+        wanted = low if low == high else f"an integer in [{low}, {high}]"
+        raise ProtocolViolation(f"{key!r} is {value!r}, expected {wanted}")
+    return value
+
+
+def _peer_digest(payload: dict) -> str:
+    """The ``digest`` field of a received KEY_DIGEST: 64 hex characters."""
+    digest = payload.get("digest")
+    if not isinstance(digest, str) or not re.fullmatch("[0-9a-fA-F]{64}", digest):
+        raise ProtocolViolation(f"'digest' is {digest!r}, expected 64 hex characters")
+    return digest
 
 
 def decode_symbols(payload: dict) -> SymbolBlock:
@@ -412,6 +424,10 @@ class _PartyMachine:
         self.done = True
         self._state = "done"
 
+    def _layout_blocks(self) -> int:
+        """How many whole blocks the untested both-diagonal positions fill."""
+        return (self._diag_pos.size - self._test_diag.size) // self.css.n
+
     def _raw_key_layout(self) -> np.ndarray:
         """Untested both-diagonal positions, cut to whole blocks.
 
@@ -420,9 +436,7 @@ class _PartyMachine:
         """
         keep = np.ones(self._diag_pos.size, dtype=bool)
         keep[np.searchsorted(self._diag_pos, self._test_diag)] = False
-        untested = self._diag_pos[keep]
-        blocks = untested.size // self.css.n
-        return untested[: blocks * self.css.n]
+        return self._diag_pos[keep][: self._layout_blocks() * self.css.n]
 
 
 class AliceMachine(_PartyMachine):
@@ -447,8 +461,9 @@ class AliceMachine(_PartyMachine):
         if self._state == "await_bob_bases":
             self._expect(kind, (EventKind.BASES_ANNOUNCED_BOB,))
             self._log(actor, kind, payload)
-            _expect_count(payload, "n", self.params.n_qubits)
-            bob_bases = _peer_bits(payload, "bases", self.params.n_qubits)
+            n = self.params.n_qubits
+            _peer_int(payload, "n", n, n)
+            bob_bases = _peer_bits(payload, "bases", n)
             out = [
                 self._emit(
                     Actor.ALICE,
@@ -480,14 +495,14 @@ class AliceMachine(_PartyMachine):
         if self._state == "await_bob_digest":
             self._expect(kind, (EventKind.KEY_DIGEST,))
             self._log(actor, kind, payload)
-            self._finish(SessionStatus.ACCEPTED, self._own_digest, payload["digest"])
+            self._finish(SessionStatus.ACCEPTED, self._own_digest, _peer_digest(payload))
             return []
         raise ProtocolViolation(f"no messages expected in state {self._state}")
 
     def _estimate_and_decide(self, payload: dict) -> list[Message]:
         p = self.params
-        _expect_count(payload, "m1", p.m1)
-        _expect_count(payload, "m2", p.m2)
+        _peer_int(payload, "m1", p.m1, p.m1)
+        _peer_int(payload, "m2", p.m2, p.m2)
         bob_rect = _peer_bits(payload, "rect_bits", p.m1)
         bob_diag = _peer_bits(payload, "diag_bits", p.m2)
         mine_rect = self.symbols.bits[self._test_rect]
@@ -532,10 +547,8 @@ class AliceMachine(_PartyMachine):
         self._num_blocks = blocks
         v = self.symbols.bits[used].reshape(blocks, css.n)
         perm_seed = int(self.streams.stream("permutation").integers(0, 2**63))
-        perms = block_permutations(css.n, blocks, perm_seed)
-        v_perm = np.take_along_axis(v, perms, axis=1)
         announcements, keys = reconcile_alice_blocks(
-            css, v_perm, self.streams.stream("codeword")
+            css, block_permutations(v, perm_seed), self.streams.stream("codeword")
         )
         self._key = keys.reshape(-1)
         digest_payload = key_digest_payload(self._key)
@@ -573,7 +586,8 @@ class BobMachine(_PartyMachine):
         if self._state == "await_qubits":
             self._expect(kind, (EventKind.QUBITS_SENT,))
             self._log(actor, kind, payload)
-            _expect_count(payload, "n", self.params.n_qubits)
+            n = self.params.n_qubits
+            _peer_int(payload, "n", n, n)
             received = decode_symbols(payload)
             self.results = bob_measure(received, self.params, self.streams.stream("bob_bases"))
             self._state = "await_alice_bases"
@@ -587,18 +601,20 @@ class BobMachine(_PartyMachine):
         if self._state == "await_alice_bases":
             self._expect(kind, (EventKind.BASES_ANNOUNCED_ALICE,))
             self._log(actor, kind, payload)
-            _expect_count(payload, "n", self.params.n_qubits)
-            alice_bases = _peer_bits(payload, "bases", self.params.n_qubits)
+            n = self.params.n_qubits
+            _peer_int(payload, "n", n, n)
+            alice_bases = _peer_bits(payload, "bases", n)
             self._rect_pos, self._diag_pos = _sift_positions(alice_bases, self.results.bases)
             return self._select_test()
         if self._state == "await_estimate":
             self._expect(kind, (EventKind.ESTIMATE,))
             self._log(actor, kind, payload)
+            p = self.params
             self._estimate = ErrorEstimate(
-                r1=int(payload["r1"]),
-                m1=int(payload["m1"]),
-                r2=int(payload["r2"]),
-                m2=int(payload["m2"]),
+                r1=_peer_int(payload, "r1", 0, p.m1),
+                m1=_peer_int(payload, "m1", p.m1, p.m1),
+                r2=_peer_int(payload, "r2", 0, p.m2),
+                m2=_peer_int(payload, "m2", p.m2, p.m2),
                 tested_rect=self._test_rect,
                 tested_diag=self._test_diag,
             )
@@ -616,8 +632,9 @@ class BobMachine(_PartyMachine):
         if self._state == "await_permutation":
             self._expect(kind, (EventKind.PERMUTATION_SEED,))
             self._log(actor, kind, payload)
-            self._perm_seed = int(payload["seed"])
-            self._num_blocks = int(payload["blocks"])
+            self._perm_seed = _peer_int(payload, "seed", 0, 2**63 - 1)
+            self._num_blocks = self._layout_blocks()
+            self._check_block_layout(payload)
             self._state = "await_codeword"
             return []
         if self._state == "await_codeword":
@@ -629,9 +646,10 @@ class BobMachine(_PartyMachine):
         if self._state == "await_alice_digest":
             self._expect(kind, (EventKind.KEY_DIGEST,))
             self._log(actor, kind, payload)
+            peer_digest = _peer_digest(payload)
             digest_payload = key_digest_payload(self._key)
             out = [self._emit(Actor.BOB, EventKind.KEY_DIGEST, digest_payload)]
-            self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], payload["digest"])
+            self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], peer_digest)
             return out
         raise ProtocolViolation(f"no messages expected in state {self._state}")
 
@@ -664,8 +682,8 @@ class BobMachine(_PartyMachine):
                 Actor.BOB,
                 EventKind.TEST_INDICES,
                 {
-                    "rect": [int(x) for x in self._test_rect],
-                    "diag": [int(x) for x in self._test_diag],
+                    "rect": self._test_rect.tolist(),
+                    "diag": self._test_diag.tolist(),
                 },
             ),
             self._emit(
@@ -682,18 +700,20 @@ class BobMachine(_PartyMachine):
         self._state = "await_estimate"
         return out
 
+    def _check_block_layout(self, payload: dict) -> None:
+        """``blocks`` and ``block_len`` must describe this party's own raw-key layout."""
+        _peer_int(payload, "blocks", self._num_blocks, self._num_blocks)
+        _peer_int(payload, "block_len", self.css.n, self.css.n)
+
     def _decode_blocks(self, payload: dict) -> None:
         css = self.css
-        blocks = int(payload["blocks"])
-        n = int(payload["block_len"])
-        if n != css.n or blocks != self._num_blocks:
-            raise ProtocolViolation("codeword announcement does not match this pair")
-        used = self._raw_key_layout()
-        w = self.results.bits[used].reshape(blocks, n)
-        perms = block_permutations(n, blocks, self._perm_seed)
-        w_perm = np.take_along_axis(w, perms, axis=1)
+        self._check_block_layout(payload)
+        blocks, n = self._num_blocks, css.n
+        w = self.results.bits[self._raw_key_layout()].reshape(blocks, n)
         announcements = _peer_bits(payload, "masked", blocks * n).reshape(blocks, n)
-        keys, _ok = reconcile_bob_blocks(css, w_perm, announcements)
+        keys, _ok = reconcile_bob_blocks(
+            css, block_permutations(w, self._perm_seed), announcements
+        )
         self._key = keys.reshape(-1)
 
 

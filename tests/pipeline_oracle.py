@@ -7,11 +7,14 @@ independent derivation. They consume the same named substreams in the same
 order as a session does, so for a given seed they see the same symbols, the
 same test sample and the same lumped sample.
 
-``depolarizing_letters_oracle`` and ``raw_key_layout_oracle`` are the
-straightforward forms of two hot paths: the depolarizing channel drawing
-explicit Pauli letters with ``Generator.choice``, and the raw-key layout
-taking a set difference. The library computes the same results without
-building those intermediates.
+``depolarizing_letters_oracle``, ``raw_key_layout_oracle``,
+``block_permutations_oracle`` and ``gf2_mul_oracle`` are the straightforward
+forms of four hot paths: the depolarizing channel drawing explicit Pauli
+letters with ``Generator.choice``, the raw-key layout taking a set
+difference, the block permutations sorting their keys with ``argsort`` and
+gathering with ``take_along_axis``, and the GF(2) product as an integer
+matmul. The library computes the same results without building those
+intermediates.
 """
 
 from __future__ import annotations
@@ -106,3 +109,14 @@ def raw_key_layout_oracle(diag_pos, test_diag, block_len):
     untested = np.setdiff1d(diag_pos, test_diag, assume_unique=True)
     blocks = untested.size // block_len
     return untested[: blocks * block_len]
+
+
+def block_permutations_oracle(words, seed):
+    """``block_permutations`` by sorting: a stable argsort of the keys, then a gather."""
+    keys = np.random.default_rng(int(seed)).random(words.shape)
+    return np.take_along_axis(words, np.argsort(keys, axis=1, kind="stable"), axis=1)
+
+
+def gf2_mul_oracle(a, b):
+    """``gf2_mul`` as a ``uint32`` matmul, reduced mod 2."""
+    return (np.asarray(a, dtype=np.uint32) @ np.asarray(b, dtype=np.uint32)) & 1

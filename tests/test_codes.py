@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eqkd.codes import (
+    _KEYS_PER_PASS,
     BinaryMatrix,
     CodeError,
     DecodeFailure,
@@ -34,7 +35,10 @@ from eqkd.codes import (
     syndrome_decode,
     syndrome_decode_blocks,
     validate_css,
+    _stable_ranks,
+    _syndrome_index,
 )
+from pipeline_oracle import block_permutations_oracle, gf2_mul_oracle
 
 HAMMING_ROWS = ["1000011", "0100101", "0010110", "0001111"]
 
@@ -52,6 +56,43 @@ def test_gf2_mul_matches_integer_arithmetic():
     a = rng.integers(0, 2, (6, 9), dtype=np.uint8)
     b = rng.integers(0, 2, (9, 4), dtype=np.uint8)
     assert np.array_equal(gf2_mul(a, b), (a.astype(int) @ b.astype(int)) % 2)
+
+
+def _gf2_operands(rng, rows, inner, cols):
+    """(a, b) pairs of every operand form matmul takes: 2-d and 1-d, transposed
+    (non-contiguous) views, entries beyond 0/1, bools and negative integers."""
+    a = rng.integers(0, 4, (rows, inner), dtype=np.uint8)
+    b = rng.integers(0, 4, (inner, cols), dtype=np.uint8)
+    yield a, b
+    yield np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
+    yield a[:, ::-1], b[::-1]
+    yield a.astype(bool), b.astype(bool)
+    yield a.astype(np.int64) - 2, b.astype(np.int64) - 2
+    if rows:
+        yield a[-1], b
+    if cols:
+        yield a, b[:, -1]
+    if rows and cols:
+        yield a[-1], b[:, -1]
+
+
+def test_gf2_mul_matches_the_matmul_oracle():
+    rng = np.random.default_rng(40)
+    shapes = [(0, 4, 7), (1, 4, 7), (5, 1, 1), (6, 9, 4), (300, 7, 3), (4, 15, 11), (3, 5, 0)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 40, 3)) for _ in range(20)]
+    for rows, inner, cols in shapes:
+        for a, b in _gf2_operands(rng, rows, inner, cols):
+            got, want = gf2_mul(a, b), gf2_mul_oracle(a, b)
+            assert got.dtype == np.uint8
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
+def test_gf2_mul_rejects_misaligned_operands():
+    with pytest.raises(ValueError):
+        gf2_mul(np.zeros((3, 4), np.uint8), np.zeros((5, 2), np.uint8))
+    with pytest.raises(ValueError):
+        gf2_mul(np.zeros((2, 2, 2), np.uint8), np.zeros((2, 2), np.uint8))
 
 
 def test_gf2_rref_shape_and_pivots():
@@ -257,12 +298,58 @@ def test_reconcile_weight_two_corrupts_key():
 # ---------------------------------------------------------------------------
 
 def test_block_permutations_valid_and_deterministic():
-    perms = block_permutations(7, 12, 1234)
+    words = np.tile(np.arange(7, dtype=np.uint8), (12, 1))
+    perms = block_permutations(words, 1234)
     assert perms.shape == (12, 7)
     for row in perms:
         assert sorted(row.tolist()) == list(range(7))
-    assert np.array_equal(perms, block_permutations(7, 12, 1234))
-    assert not np.array_equal(perms, block_permutations(7, 12, 1235))
+    assert np.array_equal(perms, block_permutations(words, 1234))
+    assert not np.array_equal(perms, block_permutations(words, 1235))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 15, 31])
+def test_block_permutations_match_the_argsort_oracle(n):
+    rng = np.random.default_rng(41 + n)
+    # a random count, and one that spans three passes of key draws
+    for blocks in (0, 1, int(rng.integers(2, 5000)), 2 * (_KEYS_PER_PASS // n) + 1):
+        words = rng.integers(0, 256, (blocks, n), dtype=np.uint8)
+        seed = int(rng.integers(0, 2**63))
+        got = block_permutations(words, seed)
+        assert got.dtype == np.uint8 and got.shape == words.shape
+        assert np.array_equal(got, block_permutations_oracle(words, seed))
+        # a transposed (non-contiguous) input gives the same rows
+        assert np.array_equal(block_permutations(np.ascontiguousarray(words.T).T, seed), got)
+
+
+def test_block_permutations_of_rows_longer_than_a_byte_can_rank():
+    rng = np.random.default_rng(42)
+    words = rng.integers(0, 256, (5, 300), dtype=np.uint8)
+    assert np.array_equal(block_permutations(words, 7), block_permutations_oracle(words, 7))
+
+
+def test_block_permutations_want_a_2d_uint8_array():
+    with pytest.raises(ValueError):
+        block_permutations(np.zeros((3, 7), dtype=np.int64), 1)
+    with pytest.raises(ValueError):
+        block_permutations(np.zeros(7, dtype=np.uint8), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 31, 300])
+def test_stable_ranks_break_ties_like_a_stable_argsort(n):
+    rng = np.random.default_rng(43 + n)
+    for levels in (1, 2, 3, n + 1):  # 1 level: every key of a row is tied
+        keys = rng.integers(0, levels, (50, n)).astype(np.float64)
+        ranks = _stable_ranks(keys)
+        assert ranks.shape == (n, 50)
+        inverse = np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1, kind="stable")
+        assert np.array_equal(ranks.T, inverse)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 8, 22])
+def test_syndrome_index_reads_the_first_bit_as_the_highest(m):
+    syndromes = np.random.default_rng(44 + m).integers(0, 2, (40, m), dtype=np.uint8)
+    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
+    assert np.array_equal(_syndrome_index(syndromes, m), syndromes.astype(np.int64) @ weights)
 
 
 # ---------------------------------------------------------------------------

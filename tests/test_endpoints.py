@@ -17,8 +17,9 @@ from eqkd.harness.endpoints import (
     loopback_session,
     serve_endpoint,
 )
-from eqkd.harness.wire import exchange_hello, send_event
+from eqkd.harness.wire import exchange_hello, recv_event, send_event
 from eqkd.protocol import (
+    AliceMachine,
     ProtocolParams,
     ProtocolViolation,
     alice_prepare,
@@ -144,6 +145,32 @@ def test_truncated_payload_ends_the_endpoint_with_exit_protocol():
         send_event(relay, EventKind.QUBITS_SENT, dict(payload, bases=payload["bases"][:-2]))
         # judged with the link still open: a closed link would end Bob with
         # the same code for a different reason
+        bob.join(timeout=15)
+        assert not bob.is_alive()
+    assert codes == [EXIT_PROTOCOL]
+
+
+def test_malformed_estimate_ends_the_endpoint_with_exit_protocol():
+    params, meta = _meta(37)
+    ports = queue.Queue()
+    codes = []
+    bob = threading.Thread(
+        target=lambda: codes.append(
+            serve_endpoint("bob", meta, listen=("127.0.0.1", 0), port_report=ports.put, timeout=15)
+        )
+    )
+    bob.start()
+    # the relay plays Alice over a passive channel, up to her estimate
+    alice = AliceMachine(params, CSS, RngStreams(37), meta=meta)
+    with socket.create_connection(("127.0.0.1", ports.get(timeout=15)), timeout=15) as relay:
+        exchange_hello(relay, config_digest(meta), initiate=True)
+        replies = alice.start()
+        while not any(kind is EventKind.ESTIMATE for _actor, kind, _payload in replies):
+            for _actor, kind, payload in replies:
+                send_event(relay, kind, payload)
+            kind, payload = recv_event(relay)
+            replies = alice.receive(Actor.BOB, kind, payload)
+        send_event(relay, EventKind.ESTIMATE, {})
         bob.join(timeout=15)
         assert not bob.is_alive()
     assert codes == [EXIT_PROTOCOL]

@@ -77,6 +77,14 @@ def test_unknown_tag_rejected(sockets):
         recv_event(b)
 
 
+@pytest.mark.parametrize("blob", [b"[]", b"[1, 2]", b'"text"', b"7", b"null"])
+def test_non_object_event_payload_rejected(sockets, blob):
+    a, b = sockets
+    send_frame(a, 0x06, blob)  # an ESTIMATE frame
+    with pytest.raises(FrameError):
+        recv_event(b)
+
+
 def test_closed_stream_raises_eof(sockets):
     a, b = sockets
     a.close()

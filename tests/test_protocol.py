@@ -534,3 +534,104 @@ def test_alice_rejects_a_disclosure_of_the_wrong_size():
     with pytest.raises(ProtocolViolation):
         alice.receive(actor, EventKind.TEST_DISCLOSURE, bad)
     assert not alice.done
+
+
+def _awaiting(kind, seed, to_alice=False):
+    """(receiver, actor, genuine payload) with a message of ``kind`` next due.
+
+    The receiver is Bob, or Alice when ``to_alice``; only KEY_DIGEST goes
+    both ways, and Bob's comes once Alice's is delivered.
+    """
+    params = default_params()
+    streams = RngStreams(seed)
+    alice = AliceMachine(params, CSS, streams)
+    bob = BobMachine(params, CSS, streams)
+    dest, (actor, _kind, payload) = _drive(alice, bob, Passive(), streams, stop_at=kind)[0]
+    if to_alice and dest == "bob":
+        [(actor, _kind, payload)] = bob.receive(actor, kind, payload)
+        dest = "alice"
+    assert dest == ("alice" if to_alice else "bob")
+    return (alice if to_alice else bob), actor, payload
+
+
+def _probe(genuine, change):
+    """``genuine`` with the fields in ``change`` replaced.
+
+    A None value drops the field; a callable maps the genuine value.
+    """
+    bad = dict(genuine)
+    for key, value in change.items():
+        bad[key] = value(genuine[key]) if callable(value) else value
+    return {k: v for k, v in bad.items() if v is not None}
+
+
+_M1 = default_params().m1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"r1": None, "m1": None, "r2": None, "m2": None},
+        {"r2": None},
+        {"r1": "0"},
+        {"r1": 1.0},
+        {"r1": True},
+        {"r1": -1},
+        {"r1": _M1 + 1},
+        {"m1": _M1 + 1},
+        {"m2": None},
+    ],
+    ids=["empty", "no_r2", "string", "float", "bool", "negative", "above_m", "wrong_m", "no_m2"],
+)
+def test_bob_rejects_a_malformed_estimate(change):
+    bob, actor, genuine = _awaiting(EventKind.ESTIMATE, 29)
+    with pytest.raises(ProtocolViolation):
+        bob.receive(actor, EventKind.ESTIMATE, _probe(genuine, change))
+    assert not bob.done
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"seed": -1},
+        {"seed": 2**63},
+        {"seed": "5"},
+        {"seed": 5.0},
+        {"seed": None},
+        {"blocks": lambda b: b + 1},
+        {"blocks": None},
+        {"block_len": CSS.n + 1},
+    ],
+    ids=["negative", "too_large", "string", "float", "no_seed", "wrong_blocks", "no_blocks",
+         "wrong_block_len"],
+)
+def test_bob_rejects_a_malformed_permutation_seed(change):
+    bob, actor, genuine = _awaiting(EventKind.PERMUTATION_SEED, 30)
+    with pytest.raises(ProtocolViolation):
+        bob.receive(actor, EventKind.PERMUTATION_SEED, _probe(genuine, change))
+    assert not bob.done
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"blocks": lambda b: b + 1}, {"blocks": None}, {"block_len": CSS.n + 1}, {"block_len": "7"}],
+    ids=["wrong_blocks", "no_blocks", "wrong_block_len", "string_block_len"],
+)
+def test_bob_rejects_a_codeword_announcement_of_another_layout(change):
+    bob, actor, genuine = _awaiting(EventKind.CODEWORD_ANNOUNCEMENT, 31)
+    with pytest.raises(ProtocolViolation):
+        bob.receive(actor, EventKind.CODEWORD_ANNOUNCEMENT, _probe(genuine, change))
+    assert not bob.done
+
+
+@pytest.mark.parametrize("to_alice", [False, True], ids=["bob", "alice"])
+@pytest.mark.parametrize(
+    "digest",
+    [None, "ab" * 31, "ab" * 33, "zz" * 32, "ab" * 32 + "\n", 12, ["ab" * 32]],
+    ids=["missing", "short", "long", "not_hex", "newline", "integer", "list"],
+)
+def test_machines_reject_a_malformed_key_digest(to_alice, digest):
+    party, actor, genuine = _awaiting(EventKind.KEY_DIGEST, 32, to_alice=to_alice)
+    with pytest.raises(ProtocolViolation):
+        party.receive(actor, EventKind.KEY_DIGEST, _probe(genuine, {"digest": digest}))
+    assert not party.done
