@@ -149,16 +149,13 @@ class BiasedInterceptResend(_Strategy):
         u = rng.random(len(block))
         meas_rect = u < self.p1
         meas_diag = (u >= self.p1) & (u < self.p1 + self.p2)
-        bases = block.bases.copy()
+        diag = block.bases.view(bool)
         bits = block.bits.copy()
-        # mismatched measurements randomize the re-sent bit
-        mismatch = (meas_rect & (bases == Basis.DIAGONAL)) | (
-            meas_diag & (bases == Basis.RECTILINEAR)
-        )
-        coins = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
-        bits[mismatch] = coins
-        bases[meas_rect] = Basis.RECTILINEAR
-        bases[meas_diag] = Basis.DIAGONAL
+        # mismatched measurements randomize the re-sent bit; one coin per
+        # mismatched position, in position order
+        idx = np.flatnonzero((meas_rect & diag) | (meas_diag & ~diag))
+        bits[idx] = rng.integers(0, 2, size=idx.size, dtype=np.uint8)
+        bases = ((diag | meas_diag) & ~meas_rect).view(np.uint8)
         return SymbolBlock(bases, bits)
 
 
@@ -209,9 +206,8 @@ class DepolarizingPauli(_Strategy):
         cdf = np.array([self.q_i, self.q_x, self.q_y, self.q_z], dtype=np.float64).cumsum()
         cdf /= cdf[-1]
         u = rng.random(len(block))
-        flips = np.where(
-            block.bases.view(bool), u >= cdf[1], (u >= cdf[0]) & (u < cdf[2])
-        )
+        diag = block.bases.view(bool)
+        flips = (diag & (u >= cdf[1])) | (~diag & (u >= cdf[0]) & (u < cdf[2]))
         return SymbolBlock(block.bases.copy(), block.bits ^ flips)
 
 

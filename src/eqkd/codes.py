@@ -438,6 +438,20 @@ def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:
     return gf2_mul(np.atleast_2d(words), pair.key_map.T)
 
 
+def _leader_labels(pair: CssPair) -> tuple[np.ndarray, np.ndarray]:
+    """((2^m, k) labels of C1's coset leaders, covered) indexed by syndrome integer.
+
+    An uncovered syndrome has the all-zero leader, so its row is zero.
+    """
+    cached = getattr(pair, "_leader_label_cache", None)
+    if cached is not None:
+        return cached
+    leaders, covered = _decode_table(pair.c1)
+    cache = (_labels(pair, leaders), covered)
+    object.__setattr__(pair, "_leader_label_cache", cache)
+    return cache
+
+
 def reconcile_alice_blocks(
     pair: CssPair, v_blocks: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -460,20 +474,22 @@ def reconcile_bob_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode a batch and return (keys, decode_ok).
 
-    Rows whose syndrome has no leader within radius t get a best-effort key
-    (the label map applied to the undecoded word) and ok False; unreachable
-    for perfect outer codes.
+    Equals decoding ``received ^ announcements`` with
+    :func:`syndrome_decode_blocks` and labelling the decoded words; rows whose
+    syndrome has no leader within radius t get a best-effort key (the label
+    of the undecoded word) and ok False, which is unreachable for perfect
+    outer codes. Labels are linear, so the key is the label of the word XOR
+    the label of its syndrome's leader, looked up in a (2^m, k) table whose
+    uncovered rows are zero; no decoded word is formed.
     """
     received = np.atleast_2d(np.asarray(received_blocks, dtype=np.uint8))
     ann = np.atleast_2d(np.asarray(announcements, dtype=np.uint8))
     if received.shape != ann.shape or received.shape[1] != pair.n:
         raise ValueError("received blocks and announcements must be (B, n)")
     words = received ^ ann
-    decoded, ok = syndrome_decode_blocks(pair.c1, words)
-    keys = _labels(pair, decoded)
-    if not ok.all():
-        keys[~ok] = _labels(pair, words[~ok])
-    return keys, ok
+    leader_labels, covered = _leader_labels(pair)
+    idx = _syndrome_index(pair.c1.syndrome(words), pair.c1.n - pair.c1.k_dim)
+    return _labels(pair, words) ^ leader_labels[idx], covered[idx]
 
 
 def reconcile_alice(

@@ -102,7 +102,9 @@ def recv_event(sock: socket.socket) -> tuple[EventKind, dict]:
         raise UnknownTag(tag)
     try:
         payload = json.loads(blob.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past the digit
+        # limit; RecursionError is nesting deeper than the decoder follows
         raise FrameError(f"bad event payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise FrameError(f"event payload is a JSON {type(payload).__name__}, not an object")

@@ -22,11 +22,10 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .channel import AttackStrategy, Basis, RngStreams, SymbolBlock, transmit
+from .channel import AttackStrategy, RngStreams, SymbolBlock, transmit
 from .codes import (
     CssPair,
     block_permutations,
@@ -171,7 +170,7 @@ class SessionOutcome:
 def alice_prepare(params: ProtocolParams, streams: RngStreams) -> SymbolBlock:
     """Draw Alice's bases (rectilinear w.p. p) and uniform bits."""
     n = params.n_qubits
-    bases = (streams.stream("alice_bases").random(n) >= params.bias_p).astype(np.uint8)
+    bases = (streams.stream("alice_bases").random(n) >= params.bias_p).view(np.uint8)
     bits = streams.stream("alice_bits").integers(0, 2, size=n, dtype=np.uint8)
     return SymbolBlock(bases, bits)
 
@@ -183,26 +182,33 @@ def bob_measure(
 
     A matching basis reproduces the encoded bit; a mismatched one yields a
     uniform outcome. Returns the (basis, outcome) record as a SymbolBlock.
+
+    Draw contract: ``rng.random(n)`` picks the bases (rectilinear below p),
+    then one ``rng.integers(0, 2, size=k, dtype=uint8)`` call gives the k
+    mismatched positions their outcomes, coin i going to the i-th mismatched
+    position in increasing order.
     """
     n = len(received)
     if n != params.n_qubits:
         raise ValueError("received block length does not match params")
-    bases = (rng.random(n) >= params.bias_p).astype(np.uint8)
+    bases = (rng.random(n) >= params.bias_p).view(np.uint8)
     bits = received.bits.copy()
-    mismatch = bases != received.bases
-    bits[mismatch] = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
+    idx = np.flatnonzero(bases != received.bases)
+    bits[idx] = rng.integers(0, 2, size=idx.size, dtype=np.uint8)
     return SymbolBlock(bases, bits)
 
 
 def _sift_positions(
     alice_bases: np.ndarray, bob_bases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the both-rectilinear and the both-diagonal class."""
-    rect = int(Basis.RECTILINEAR)
-    diag = int(Basis.DIAGONAL)
-    both_rect = np.nonzero((alice_bases == rect) & (bob_bases == rect))[0]
-    both_diag = np.nonzero((alice_bases == diag) & (bob_bases == diag))[0]
-    return both_rect, both_diag
+    """Positions of the both-rectilinear and the both-diagonal class.
+
+    The bases are 0/1 uint8 arrays, so their bool views read True for
+    diagonal.
+    """
+    a = alice_bases.view(bool)
+    b = bob_bases.view(bool)
+    return np.flatnonzero(~(a | b)), np.flatnonzero(a & b)
 
 
 def _draw_class_samples(
@@ -402,12 +408,13 @@ class _PartyMachine:
         self.transcript.append(actor, kind, payload)
         return (actor, kind, payload)
 
-    def _log(self, actor: Actor, kind: EventKind, payload: dict) -> None:
-        self.transcript.append(actor, kind, payload)
-
-    def _expect(self, kind: EventKind, expected: Iterable[EventKind]) -> None:
-        if kind not in tuple(expected):
+    def _accept(self, actor: Actor, kind: EventKind, payload: dict, *expected: EventKind) -> None:
+        """Log an inbound message of one of the ``expected`` kinds with an object payload."""
+        if kind not in expected:
             raise ProtocolViolation(f"unexpected {kind} in state {self._state}")
+        if not isinstance(payload, dict):
+            raise ProtocolViolation(f"{kind} payload is a {type(payload).__name__}, not an object")
+        self.transcript.append(actor, kind, payload)
 
     def _finish(
         self, status: SessionStatus, own_digest: str | None = None, peer_digest: str | None = None
@@ -428,15 +435,20 @@ class _PartyMachine:
         """How many whole blocks the untested both-diagonal positions fill."""
         return (self._diag_pos.size - self._test_diag.size) // self.css.n
 
-    def _raw_key_layout(self) -> np.ndarray:
-        """Untested both-diagonal positions, cut to whole blocks.
+    def _raw_key_layout(self, bits: np.ndarray) -> np.ndarray:
+        """This party's raw key: ``bits`` at the untested both-diagonal positions.
 
-        ``_diag_pos`` is sorted (it comes from ``nonzero``) and the tested
-        positions are members of it, so ``searchsorted`` finds their slots.
+        Equals ``bits[untested]``, where ``untested`` is the both-diagonal
+        positions not in the test sample, in increasing order, cut to whole
+        blocks, reshaped to ``(blocks, n)``. The class is gathered first and
+        the tested slots dropped from the gathered bits: ``_diag_pos`` is
+        sorted (it comes from ``flatnonzero``) and the tested positions are
+        members of it, so ``searchsorted`` finds their slots.
         """
         keep = np.ones(self._diag_pos.size, dtype=bool)
         keep[np.searchsorted(self._diag_pos, self._test_diag)] = False
-        return self._diag_pos[keep][: self._layout_blocks() * self.css.n]
+        blocks, n = self._layout_blocks(), self.css.n
+        return bits[self._diag_pos][keep][: blocks * n].reshape(blocks, n)
 
 
 class AliceMachine(_PartyMachine):
@@ -459,8 +471,7 @@ class AliceMachine(_PartyMachine):
 
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
         if self._state == "await_bob_bases":
-            self._expect(kind, (EventKind.BASES_ANNOUNCED_BOB,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.BASES_ANNOUNCED_BOB)
             n = self.params.n_qubits
             _peer_int(payload, "n", n, n)
             bob_bases = _peer_bits(payload, "bases", n)
@@ -475,8 +486,7 @@ class AliceMachine(_PartyMachine):
             self._state = "await_test"
             return out
         if self._state == "await_test":
-            self._expect(kind, (EventKind.TEST_INDICES, EventKind.DECISION))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.TEST_INDICES, EventKind.DECISION)
             if kind is EventKind.DECISION:
                 status = status_for_decision(payload.get("status"))
                 if status is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
@@ -489,12 +499,10 @@ class AliceMachine(_PartyMachine):
             self._state = "await_disclosure"
             return []
         if self._state == "await_disclosure":
-            self._expect(kind, (EventKind.TEST_DISCLOSURE,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.TEST_DISCLOSURE)
             return self._estimate_and_decide(payload)
         if self._state == "await_bob_digest":
-            self._expect(kind, (EventKind.KEY_DIGEST,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.KEY_DIGEST)
             self._finish(SessionStatus.ACCEPTED, self._own_digest, _peer_digest(payload))
             return []
         raise ProtocolViolation(f"no messages expected in state {self._state}")
@@ -542,10 +550,8 @@ class AliceMachine(_PartyMachine):
 
     def _reconcile(self) -> list[Message]:
         css = self.css
-        used = self._raw_key_layout()
-        blocks = used.size // css.n
-        self._num_blocks = blocks
-        v = self.symbols.bits[used].reshape(blocks, css.n)
+        v = self._raw_key_layout(self.symbols.bits)
+        blocks = self._num_blocks = v.shape[0]
         perm_seed = int(self.streams.stream("permutation").integers(0, 2**63))
         announcements, keys = reconcile_alice_blocks(
             css, block_permutations(v, perm_seed), self.streams.stream("codeword")
@@ -584,8 +590,7 @@ class BobMachine(_PartyMachine):
 
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
         if self._state == "await_qubits":
-            self._expect(kind, (EventKind.QUBITS_SENT,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.QUBITS_SENT)
             n = self.params.n_qubits
             _peer_int(payload, "n", n, n)
             received = decode_symbols(payload)
@@ -599,16 +604,14 @@ class BobMachine(_PartyMachine):
                 )
             ]
         if self._state == "await_alice_bases":
-            self._expect(kind, (EventKind.BASES_ANNOUNCED_ALICE,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.BASES_ANNOUNCED_ALICE)
             n = self.params.n_qubits
             _peer_int(payload, "n", n, n)
             alice_bases = _peer_bits(payload, "bases", n)
             self._rect_pos, self._diag_pos = _sift_positions(alice_bases, self.results.bases)
             return self._select_test()
         if self._state == "await_estimate":
-            self._expect(kind, (EventKind.ESTIMATE,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.ESTIMATE)
             p = self.params
             self._estimate = ErrorEstimate(
                 r1=_peer_int(payload, "r1", 0, p.m1),
@@ -621,8 +624,7 @@ class BobMachine(_PartyMachine):
             self._state = "await_decision"
             return []
         if self._state == "await_decision":
-            self._expect(kind, (EventKind.DECISION,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.DECISION)
             status = status_for_decision(payload.get("status"))
             if status is SessionStatus.ACCEPTED:
                 self._state = "await_permutation"
@@ -630,22 +632,19 @@ class BobMachine(_PartyMachine):
                 self._finish(status)
             return []
         if self._state == "await_permutation":
-            self._expect(kind, (EventKind.PERMUTATION_SEED,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.PERMUTATION_SEED)
             self._perm_seed = _peer_int(payload, "seed", 0, 2**63 - 1)
             self._num_blocks = self._layout_blocks()
             self._check_block_layout(payload)
             self._state = "await_codeword"
             return []
         if self._state == "await_codeword":
-            self._expect(kind, (EventKind.CODEWORD_ANNOUNCEMENT,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.CODEWORD_ANNOUNCEMENT)
             self._decode_blocks(payload)
             self._state = "await_alice_digest"
             return []
         if self._state == "await_alice_digest":
-            self._expect(kind, (EventKind.KEY_DIGEST,))
-            self._log(actor, kind, payload)
+            self._accept(actor, kind, payload, EventKind.KEY_DIGEST)
             peer_digest = _peer_digest(payload)
             digest_payload = key_digest_payload(self._key)
             out = [self._emit(Actor.BOB, EventKind.KEY_DIGEST, digest_payload)]
@@ -709,7 +708,7 @@ class BobMachine(_PartyMachine):
         css = self.css
         self._check_block_layout(payload)
         blocks, n = self._num_blocks, css.n
-        w = self.results.bits[self._raw_key_layout()].reshape(blocks, n)
+        w = self._raw_key_layout(self.results.bits)
         announcements = _peer_bits(payload, "masked", blocks * n).reshape(blocks, n)
         keys, _ok = reconcile_bob_blocks(
             css, block_permutations(w, self._perm_seed), announcements

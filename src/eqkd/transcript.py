@@ -52,7 +52,7 @@ def unpack_bits(hex_str: str, n: int) -> np.ndarray:
     data = bytes.fromhex(hex_str)
     if n < 0 or len(data) != (n + 7) // 8:
         raise ValueError(f"{len(data)} bytes do not encode exactly {n} bits")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n).astype(np.uint8)
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
 @dataclass(frozen=True)

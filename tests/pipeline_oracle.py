@@ -7,14 +7,14 @@ independent derivation. They consume the same named substreams in the same
 order as a session does, so for a given seed they see the same symbols, the
 same test sample and the same lumped sample.
 
-``depolarizing_letters_oracle``, ``raw_key_layout_oracle``,
-``block_permutations_oracle`` and ``gf2_mul_oracle`` are the straightforward
-forms of four hot paths: the depolarizing channel drawing explicit Pauli
-letters with ``Generator.choice``, the raw-key layout taking a set
-difference, the block permutations sorting their keys with ``argsort`` and
-gathering with ``take_along_axis``, and the GF(2) product as an integer
-matmul. The library computes the same results without building those
-intermediates.
+The ``*_oracle`` functions are the straightforward forms of the hot paths:
+the depolarizing channel drawing explicit Pauli letters with
+``Generator.choice``; intercept-resend and Bob's measurement scattering their
+coins through a boolean mask; the raw-key layout taking a set difference; the
+block permutations sorting their keys with ``argsort`` and gathering with
+``take_along_axis``; the GF(2) product as an integer matmul; and Bob's batch
+decode correcting each word with its leader before labelling it. The library
+computes the same results without building those intermediates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eqkd.channel import RngStreams, apply_pauli_block
+from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block
+from eqkd.codes import _labels, syndrome_decode_blocks
 from eqkd.protocol import (
     alice_prepare,
     bob_measure,
@@ -102,6 +103,45 @@ def depolarizing_letters_oracle(strategy, block, rng):
     probs = (strategy.q_i, strategy.q_x, strategy.q_y, strategy.q_z)
     letters = rng.choice(4, size=len(block), p=probs).astype(np.uint8)
     return apply_pauli_block(block, letters)
+
+
+def biased_intercept_resend_oracle(strategy, block, rng):
+    """``BiasedInterceptResend.apply`` with masked scatters for the coins and the bases."""
+    u = rng.random(len(block))
+    meas_rect = u < strategy.p1
+    meas_diag = (u >= strategy.p1) & (u < strategy.p1 + strategy.p2)
+    bases = block.bases.copy()
+    bits = block.bits.copy()
+    mismatch = (meas_rect & (bases == Basis.DIAGONAL)) | (
+        meas_diag & (bases == Basis.RECTILINEAR)
+    )
+    bits[mismatch] = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
+    bases[meas_rect] = Basis.RECTILINEAR
+    bases[meas_diag] = Basis.DIAGONAL
+    return SymbolBlock(bases, bits)
+
+
+def bob_measure_oracle(received, params, rng):
+    """``bob_measure`` with the coins scattered through a boolean mask."""
+    bases = (rng.random(len(received)) >= params.bias_p).astype(np.uint8)
+    bits = received.bits.copy()
+    mismatch = bases != received.bases
+    bits[mismatch] = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
+    return SymbolBlock(bases, bits)
+
+
+def reconcile_bob_blocks_oracle(pair, received, announcements):
+    """``reconcile_bob_blocks`` by decoding each word, then labelling it.
+
+    An uncovered syndrome leaves the word as it is, so its key is the label
+    of the undecoded word.
+    """
+    words = np.atleast_2d(received) ^ np.atleast_2d(announcements)
+    decoded, ok = syndrome_decode_blocks(pair.c1, words)
+    keys = _labels(pair, decoded)
+    if not ok.all():
+        keys[~ok] = _labels(pair, words[~ok])
+    return keys, ok
 
 
 def raw_key_layout_oracle(diag_pos, test_diag, block_len):

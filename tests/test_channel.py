@@ -15,7 +15,7 @@ from eqkd.channel import (
     apply_pauli_block,
     transmit,
 )
-from pipeline_oracle import depolarizing_letters_oracle
+from pipeline_oracle import biased_intercept_resend_oracle, depolarizing_letters_oracle
 
 # Which letters flip the encoded bit in each basis, from the polarization
 # action: X swaps horizontal/vertical, Z swaps the diagonal pair, Y both.
@@ -220,6 +220,27 @@ def test_biased_intercept_resend_statistics():
     # diag-intercepted bits are fair coins
     coins = out.bits[out.bases == 1]
     assert abs(coins.mean() - 0.5) < 3 * 0.5 / np.sqrt(coins.size)
+
+
+@pytest.mark.parametrize(
+    "p1, p2",
+    [
+        (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5),  # p1 or p2 at 0 or 1, p1 + p2 = 1
+        (0.3, 0.7), (0.2, 0.3), (0.0, 0.4), (0.6, 0.0),
+    ],
+)
+def test_biased_intercept_resend_matches_the_masked_oracle(p1, p2):
+    strat = BiasedInterceptResend(p1, p2)
+    gen = np.random.default_rng(int(1000 * p1 + 10 * p2))
+    for n in (0, 1, 1, *gen.integers(2, 5000, size=6)):
+        block = _random_block(gen, int(n))
+        seed = int(gen.integers(2**63))
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = strat.apply(block, ours)
+        assert out == biased_intercept_resend_oracle(strat, block, oracle), n
+        assert out.bases.dtype == out.bits.dtype == np.uint8
+        # the same draws: both generators are left in the same state
+        assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 def test_biased_intercept_validation():

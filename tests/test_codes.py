@@ -35,10 +35,17 @@ from eqkd.codes import (
     syndrome_decode,
     syndrome_decode_blocks,
     validate_css,
+    _decode_table,
+    _labels,
+    _leader_labels,
     _stable_ranks,
     _syndrome_index,
 )
-from pipeline_oracle import block_permutations_oracle, gf2_mul_oracle
+from pipeline_oracle import (
+    block_permutations_oracle,
+    gf2_mul_oracle,
+    reconcile_bob_blocks_oracle,
+)
 
 HAMMING_ROWS = ["1000011", "0100101", "0010110", "0001111"]
 
@@ -281,6 +288,74 @@ def test_reconcile_blocks_matches_scalar():
     keys, ok = reconcile_bob_blocks(pair, v, ann_batch)
     assert ok.all()
     assert np.array_equal(keys, keys_batch)
+
+
+# The [15,11] Hamming code over the [15,4] simplex code, its dual; row j of
+# the simplex generator is bit j of the column numbers 1..15.
+SIMPLEX_15_4 = ["101010101010101", "011001100110011", "000111100001111", "000000011111111"]
+
+
+def _pair_15_11():
+    c2 = LinearCode.from_generator(BinaryMatrix.from_rows(SIMPLEX_15_4))
+    return validate_css(LinearCode.from_generator(c2.parity_check), c2)
+
+
+def _pair_15_10():
+    """A non-perfect pair over the simplex code: [15,11] Hamming ∩ w⊥, k = 6.
+
+    w = all-ones lies in the Hamming code (every simplex row has even weight)
+    but not in the simplex code, so C1 is the [15,10,4] even-weight subcode.
+    Its radius is 1, so 16 of its 32 syndromes have a leader.
+    """
+    simplex = BinaryMatrix.from_rows(SIMPLEX_15_4).array
+    checks = np.vstack([simplex, np.ones((1, 15), dtype=np.uint8)])
+    c1 = LinearCode.from_generator(gf2_nullspace(checks))
+    return validate_css(c1, LinearCode.from_generator(simplex))
+
+
+def _words_of_every_weight(gen, blocks, n):
+    """(blocks, n) random words whose weights run 0, 1, ..., n, 0, 1, ..."""
+    words = np.zeros((blocks, n), dtype=np.uint8)
+    for b in range(blocks):
+        words[b, gen.permutation(n)[: b % (n + 1)]] = 1
+    return words
+
+
+@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10])
+def test_reconcile_bob_blocks_match_the_decode_then_label_oracle(make_pair):
+    pair = make_pair()
+    gen = np.random.default_rng(pair.n + pair.k)
+    uncovered = 0
+    for blocks in (0, 1, int(gen.integers(2, 3000)), 20 * (pair.n + 1)):
+        received = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
+        ann = received ^ _words_of_every_weight(gen, blocks, pair.n)
+        keys, ok = reconcile_bob_blocks(pair, received, ann)
+        keys_ref, ok_ref = reconcile_bob_blocks_oracle(pair, received, ann)
+        assert keys.shape == (blocks, pair.k) and keys.dtype == np.uint8
+        assert np.array_equal(keys, keys_ref)
+        assert np.array_equal(ok, ok_ref)
+        uncovered += int(blocks - ok.sum())
+    # only the non-perfect outer code leaves syndromes without a leader
+    assert (uncovered > 0) == (pair.c1.k_dim == 10)
+
+
+def test_non_perfect_pair_covers_half_its_syndromes():
+    pair = _pair_15_10()
+    assert (pair.c1.n, pair.c1.k_dim, pair.c1.d, pair.k, pair.t) == (15, 10, 4, 6, 1)
+    _leaders, covered = _decode_table(pair.c1)
+    assert covered.size == 32 and covered.sum() == 16
+
+
+@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10])
+def test_leader_label_table_labels_the_covered_leaders(make_pair):
+    pair = make_pair()
+    leaders, covered = _decode_table(pair.c1)
+    table, table_covered = _leader_labels(pair)
+    assert table.shape == (covered.size, pair.k) and table.dtype == np.uint8
+    assert table_covered is covered
+    assert np.array_equal(table[covered], _labels(pair, leaders[covered]))
+    assert not table[~covered].any()
+    assert _leader_labels(pair)[0] is table  # cached on the pair
 
 
 def test_reconcile_weight_two_corrupts_key():

@@ -1,0 +1,197 @@
+"""Fuzzing of every input a peer controls.
+
+The party machines are driven to each of their states along one accepted
+session, then handed an arbitrary message: any kind, any actor, and a payload
+that is either an arbitrary JSON value or the session's own payload of that
+kind with fields dropped, replaced or nudged. Only ``ProtocolViolation`` may
+escape. The wire decoder is fed arbitrary byte streams and frames; only
+``FrameError`` may escape. Example budgets are bounded so the suite stays
+fast.
+"""
+
+import copy
+import json
+import socket
+import struct
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqkd.channel import DepolarizingPauli, RngStreams
+from eqkd.codes import steane_pair
+from eqkd.harness.wire import FrameError, recv_event
+from eqkd.protocol import (
+    AliceMachine,
+    BobMachine,
+    ProtocolParams,
+    ProtocolViolation,
+    SessionStatus,
+    channel_transform,
+)
+from eqkd.transcript import Actor, EventKind
+
+CSS = steane_pair()
+PARAMS = ProtocolParams(n_qubits=400, bias_p=0.3, m1=10, m2=10)
+STRATEGY = DepolarizingPauli.symmetric(0.002)
+SEED = 5
+FUZZ = settings(max_examples=60, deadline=None, database=None)
+
+
+def _snapshots():
+    """Each machine in every state one accepted session passes through.
+
+    Returns (alice states, bob states, payload of each kind); a machine state
+    is (machine, kind it expects next, or None once done).
+    """
+    streams = RngStreams(SEED)
+    alice = AliceMachine(PARAMS, CSS, streams)
+    bob = BobMachine(PARAMS, CSS, streams)
+    alice_states = [(copy.deepcopy(alice), None)]
+    bob_states = []
+    payloads = {}
+    queue = []
+    for actor, kind, payload in alice.start():
+        payloads[kind] = payload
+        queue.append((bob, Actor.CHANNEL, kind, channel_transform(payload, STRATEGY, streams)))
+    while queue:
+        dest, actor, kind, payload = queue.pop(0)
+        states = alice_states if dest is alice else bob_states
+        states.append((copy.deepcopy(dest), kind))
+        payloads.setdefault(kind, payload)
+        peer = bob if dest is alice else alice
+        queue.extend((peer, *msg) for msg in dest.receive(actor, kind, payload))
+    assert alice.done and bob.done and alice.result.status is SessionStatus.ACCEPTED
+    alice_states.append((alice, None))
+    bob_states.append((bob, None))
+    return alice_states, bob_states, payloads
+
+
+ALICE_STATES, BOB_STATES, PAYLOADS = _snapshots()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _nudged(value):
+    """Values close to a valid field: off by a little, cut, padded or reordered."""
+    if isinstance(value, bool) or value is None:
+        return json_values
+    if isinstance(value, int):
+        return st.sampled_from([value - 1, value + 1, -value, 2**63, float(value), str(value)])
+    if isinstance(value, str):
+        return st.sampled_from(
+            [value[:-1], value[:-2], value + "0", value + "00", "g" + value[1:], " " + value]
+        )
+    if isinstance(value, list) and value:
+        return st.sampled_from(
+            [value[:-1], value + [value[-1]], value[::-1], [value[0]] * len(value), [-1] + value]
+        )
+    return json_values
+
+
+@st.composite
+def payloads(draw, kind):
+    """An arbitrary JSON value, or the session's payload of ``kind`` with its fields tampered."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(json_values)
+    out = dict(PAYLOADS[kind])
+    for key in sorted(out):
+        action = draw(st.sampled_from(["keep", "keep", "drop", "replace", "nudge"]))
+        if action == "drop":
+            del out[key]
+        elif action == "replace":
+            out[key] = draw(json_values)
+        elif action == "nudge":
+            out[key] = draw(_nudged(out[key]))
+    if draw(st.booleans()):
+        out[draw(st.text(max_size=8))] = draw(json_values)
+    return out
+
+
+@st.composite
+def messages(draw, states):
+    """(machine in some state, actor, kind, payload); the expected kind half the time."""
+    machine, expected = draw(st.sampled_from(states))
+    if expected is None or draw(st.booleans()):
+        kind = draw(st.sampled_from(list(EventKind)))
+    else:
+        kind = expected
+    return copy.deepcopy(machine), draw(st.sampled_from(list(Actor))), kind, draw(payloads(kind))
+
+
+def _only_violations(machine, actor, kind, payload):
+    try:
+        machine.receive(actor, kind, payload)
+    except ProtocolViolation:
+        pass
+
+
+def test_snapshots_cover_every_state():
+    assert [kind for _m, kind in ALICE_STATES] == [
+        None,
+        EventKind.BASES_ANNOUNCED_BOB,
+        EventKind.TEST_INDICES,
+        EventKind.TEST_DISCLOSURE,
+        EventKind.KEY_DIGEST,
+        None,
+    ]
+    assert [kind for _m, kind in BOB_STATES] == [
+        EventKind.QUBITS_SENT,
+        EventKind.BASES_ANNOUNCED_ALICE,
+        EventKind.ESTIMATE,
+        EventKind.DECISION,
+        EventKind.PERMUTATION_SEED,
+        EventKind.CODEWORD_ANNOUNCEMENT,
+        EventKind.KEY_DIGEST,
+        None,
+    ]
+
+
+@FUZZ
+@given(messages(ALICE_STATES))
+def test_alice_raises_only_protocol_violation(message):
+    _only_violations(*message)
+
+
+@FUZZ
+@given(messages(BOB_STATES))
+def test_bob_raises_only_protocol_violation(message):
+    _only_violations(*message)
+
+
+def _recv_from(data: bytes):
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(5)
+        a.sendall(data)
+        a.close()
+        return recv_event(b)
+
+
+def _frame(tag: int, body: bytes) -> bytes:
+    return struct.pack(">I", 1 + len(body)) + bytes([tag]) + body
+
+
+frames = st.one_of(
+    st.binary(min_size=1, max_size=64),
+    st.builds(_frame, st.integers(0, 255), st.binary(max_size=64)),
+    st.builds(
+        _frame,
+        st.integers(0, 12),
+        json_values.map(lambda v: json.dumps(v).encode()),
+    ),
+)
+
+
+@FUZZ
+@given(frames)
+def test_recv_event_raises_only_frame_error(data):
+    try:
+        _recv_from(data)
+    except FrameError:
+        pass

@@ -85,6 +85,23 @@ def test_non_object_event_payload_rejected(sockets, blob):
         recv_event(b)
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"[" * 100_000,  # deeper than the JSON decoder recurses
+        b'{"r1": ' + b"7" * 5000 + b"}",  # past the int digit limit
+        b'{"r1": 1',
+        b"\xff{}",
+    ],
+    ids=["deep_nesting", "long_int", "truncated_json", "bad_utf8"],
+)
+def test_undecodable_event_payload_rejected(sockets, blob):
+    a, b = sockets
+    send_frame(a, 0x06, blob)  # an ESTIMATE frame
+    with pytest.raises(FrameError):
+        recv_event(b)
+
+
 def test_closed_stream_raises_eof(sockets):
     a, b = sockets
     a.close()

@@ -1,0 +1,48 @@
+"""The benchmark's tracer patches eqkd by name; these names must keep resolving.
+
+``perfbench/tracer.py`` wraps module globals and class attributes that it
+looks up by name, so renaming or re-shaping one of them breaks the traced
+benchmark without failing any eqkd test. The tracer is compiled from its
+source here and never installed, so nothing under ``perfbench/`` is written
+or patched.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eqkd.codes import reconcile_bob_blocks, steane_pair
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_loader("perfbench_tracer", loader=None)
+    module = importlib.util.module_from_spec(spec)
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_function_is_a_global_of_a_traced_module(tracer):
+    for name, *_ in tracer.FUNCTIONS + tracer.COUNTED:
+        owners = [m.__name__ for m in tracer.MODULES if callable(getattr(m, name, None))]
+        assert owners, f"no module in MODULES has a global {name!r}"
+
+
+def test_every_traced_method_resolves_on_its_class(tracer):
+    for cls, name, *_ in tracer.METHODS:
+        assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name} is not defined there"
+
+
+def test_block_counter_reads_a_keys_and_ok_pair(tracer):
+    pair = steane_pair()
+    words = np.random.default_rng(3).integers(0, 2, (40, pair.n), dtype=np.uint8)
+    result = reconcile_bob_blocks(pair, words, np.zeros_like(words))
+    keys, ok = result
+    assert keys.shape == (40, pair.k) and ok.size == 40
+    counts = {"codes.blocks": 0, "codes.decode_failures": 0}
+    tracer._count_blocks(counts, (), result)
+    assert counts == {"codes.blocks": 40, "codes.decode_failures": 0}

@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from eqkd.channel import (
     Passive,
     PauliLetter,
     RngStreams,
+    SymbolBlock,
     strategy_from_dict,
 )
 from eqkd.codes import steane_pair
@@ -31,6 +33,7 @@ from eqkd.protocol import (
 )
 from eqkd.transcript import Actor, EventKind, pack_bits, unpack_bits
 from pipeline_oracle import (
+    bob_measure_oracle,
     quantum_phase,
     quantum_phase_stats,
     raw_key_layout_oracle,
@@ -97,6 +100,25 @@ def test_bob_measure_matching_bases_reproduce_bits():
     # mismatched outcomes are fair coins
     coins = results.bits[~same]
     assert abs(coins.mean() - 0.5) < 3 * 0.5 / np.sqrt(coins.size)
+
+
+@pytest.mark.parametrize("bias_p", [0.5, 0.3, 0.05, 1e-9])
+def test_bob_measure_matches_the_masked_oracle(bias_p):
+    gen = np.random.default_rng(int(bias_p * 1000) + 7)
+    for n in (0, 1, 1, *gen.integers(2, 5000, size=6)):
+        n = int(n)
+        # bob_measure reads only these two fields; params for n < 5 are infeasible
+        params = SimpleNamespace(n_qubits=n, bias_p=bias_p)
+        received = SymbolBlock(
+            gen.integers(0, 2, n, dtype=np.uint8), gen.integers(0, 2, n, dtype=np.uint8)
+        )
+        seed = int(gen.integers(2**63))
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = bob_measure(received, params, ours)
+        assert out == bob_measure_oracle(received, params, oracle), n
+        assert out.bases.dtype == out.bits.dtype == np.uint8
+        # the same draws: both generators are left in the same state
+        assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 def test_bob_measure_length_check():
@@ -366,7 +388,10 @@ def test_raw_key_layout_matches_the_setdiff_oracle():
     for diag_pos, tested in cases:
         machine._diag_pos, machine._test_diag = diag_pos, tested
         expected = raw_key_layout_oracle(diag_pos, tested, CSS.n)
-        assert np.array_equal(machine._raw_key_layout(), expected)
+        # bits[j] = j, so the layout reads back the positions it took
+        layout = machine._raw_key_layout(np.arange(diag_pos[-1] + 1))
+        assert layout.shape == (expected.size // CSS.n, CSS.n)
+        assert np.array_equal(layout.reshape(-1), expected)
 
 
 def test_machine_views_are_the_canonical_transcript_minus_one_event():
