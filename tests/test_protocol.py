@@ -660,3 +660,31 @@ def test_machines_reject_a_malformed_key_digest(to_alice, digest):
     with pytest.raises(ProtocolViolation):
         party.receive(actor, EventKind.KEY_DIGEST, _probe(genuine, {"digest": digest}))
     assert not party.done
+
+
+@pytest.mark.parametrize(
+    "kind, to_alice",
+    [
+        *((kind, False) for kind in (
+            EventKind.QUBITS_SENT,
+            EventKind.BASES_ANNOUNCED_ALICE,
+            EventKind.ESTIMATE,
+            EventKind.DECISION,
+            EventKind.PERMUTATION_SEED,
+            EventKind.CODEWORD_ANNOUNCEMENT,
+            EventKind.KEY_DIGEST,
+        )),
+        *((kind, True) for kind in (
+            EventKind.BASES_ANNOUNCED_BOB,
+            EventKind.TEST_INDICES,
+            EventKind.TEST_DISCLOSURE,
+            EventKind.KEY_DIGEST,
+        )),
+    ],
+)
+@pytest.mark.parametrize("payload", [None, [], "{}"], ids=["null", "list", "string"])
+def test_machines_reject_a_payload_that_is_not_an_object(kind, to_alice, payload):
+    party, actor, _genuine = _awaiting(kind, 33, to_alice=to_alice)
+    with pytest.raises(ProtocolViolation):
+        party.receive(actor, kind, payload)
+    assert not party.done
