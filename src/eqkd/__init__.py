@@ -34,20 +34,15 @@ from .channel import (
     FixedPauliString,
     Passive,
     PauliLetter,
-    QubitSymbol,
     RngStreams,
     SymbolBlock,
-    apply_pauli,
     transmit,
 )
 from .codes import (
     CssPair,
-    DecodeFailure,
     LinearCode,
     load_code,
     load_css,
-    reconcile_alice,
-    reconcile_bob,
     steane_pair,
     validate_css,
 )
@@ -76,7 +71,6 @@ __all__ = [
     "BiasedInterceptResend",
     "BobMachine",
     "CssPair",
-    "DecodeFailure",
     "DepolarizingPauli",
     "ErrorEstimate",
     "Event",
@@ -89,7 +83,6 @@ __all__ = [
     "Passive",
     "PauliLetter",
     "ProtocolParams",
-    "QubitSymbol",
     "RngStreams",
     "SamplingInstance",
     "SecurityParams",
@@ -98,7 +91,6 @@ __all__ = [
     "SessionTranscript",
     "SymbolBlock",
     "alice_prepare",
-    "apply_pauli",
     "biased_attack_rates",
     "binary_entropy",
     "bob_measure",
@@ -111,8 +103,6 @@ __all__ = [
     "naive_average_rate",
     "plan_parameters",
     "rate_threshold",
-    "reconcile_alice",
-    "reconcile_bob",
     "run_session",
     "steane_pair",
     "theorem2_asymptotic",

@@ -39,25 +39,11 @@ class PauliLetter(enum.IntEnum):
 _FLIP = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.uint8)
 
 
-@dataclass(frozen=True)
-class QubitSymbol:
-    """One transmitted photon, reduced to its preparation basis and bit."""
-
-    basis: Basis
-    bit: int
-
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
-        if not isinstance(self.basis, Basis):
-            object.__setattr__(self, "basis", Basis(self.basis))
-
-
 class SymbolBlock:
-    """A batch of qubit symbols stored as parallel bit arrays.
+    """A batch of transmitted photons stored as parallel bit arrays.
 
-    Indexing yields one :class:`QubitSymbol`; bulk operations work on the
-    underlying arrays directly.
+    Entry i is photon i's preparation basis (a :class:`Basis` value) and its
+    encoded bit; operations work on the arrays directly.
     """
 
     __slots__ = ("bases", "bits")
@@ -74,9 +60,6 @@ class SymbolBlock:
 
     def __len__(self) -> int:
         return int(self.bases.size)
-
-    def __getitem__(self, i: int) -> QubitSymbol:
-        return QubitSymbol(Basis(int(self.bases[i])), int(self.bits[i]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolBlock):
@@ -257,18 +240,12 @@ def strategy_from_dict(d: dict) -> AttackStrategy:
         raise ValueError(f"malformed {cls.kind} strategy {d!r}") from exc
 
 
-def apply_pauli(symbol: QubitSymbol, letter: PauliLetter) -> QubitSymbol:
-    """Apply one Pauli letter to one symbol.
-
-    The basis never changes; the bit flips according to whether the letter
-    anticommutes with the encoding of that basis.
-    """
-    flip = int(_FLIP[int(letter), int(symbol.basis)])
-    return QubitSymbol(symbol.basis, symbol.bit ^ flip)
-
-
 def apply_pauli_block(block: SymbolBlock, letters: np.ndarray) -> SymbolBlock:
-    """Vectorized :func:`apply_pauli` over a block."""
+    """Apply one Pauli letter per position of a block.
+
+    The bases never change; a bit flips when its letter anticommutes with
+    the encoding of its basis.
+    """
     letters = np.asarray(letters, dtype=np.uint8)
     if letters.shape != block.bases.shape:
         raise ValueError("letter string length must match the block")

@@ -33,14 +33,6 @@ class DegenerateCode(CodeError):
     """The pair carries no key bits (dim C1 == dim C2)."""
 
 
-class DecodeFailure(CodeError):
-    """No codeword within the decoder's reach."""
-
-
-class NotACodeword(CodeError):
-    """Coset labeling applied to a word outside C1."""
-
-
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra
 # ---------------------------------------------------------------------------
@@ -146,10 +138,6 @@ class BinaryMatrix:
     @classmethod
     def from_rows(cls, rows: list[str]) -> "BinaryMatrix":
         return cls([[int(ch) for ch in row] for row in rows])
-
-    def mul(self, other) -> np.ndarray:
-        other_arr = other.array if isinstance(other, BinaryMatrix) else np.asarray(other)
-        return gf2_mul(self.array, other_arr)
 
     def to_strings(self) -> list[str]:
         return ["".join(str(int(b)) for b in row) for row in self.array]
@@ -306,38 +294,6 @@ def _decode_table(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     return cache
 
 
-def syndrome_decode(code: LinearCode, word: np.ndarray) -> np.ndarray:
-    """Bounded-distance decode: the unique codeword within radius t, if any.
-
-    Raises
-    ------
-    DecodeFailure
-        If no codeword lies within Hamming distance t of the word.
-    """
-    word = np.asarray(word, dtype=np.uint8)
-    if word.shape != (code.n,):
-        raise ValueError(f"word must have {code.n} bits")
-    decoded, ok = syndrome_decode_blocks(code, word[None, :])
-    if not ok[0]:
-        raise DecodeFailure("no codeword within the correction radius")
-    return decoded[0]
-
-
-def syndrome_decode_blocks(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bounded-distance decode of a (B, n) batch.
-
-    Returns (decoded, ok); rows with ok False had no leader within radius t
-    and are returned error-corrected by nothing (caller decides policy).
-    """
-    leaders, covered = _decode_table(code)
-    words = np.asarray(words, dtype=np.uint8)
-    m = code.n - code.k_dim
-    idx = _syndrome_index(code.syndrome(words), m)
-    ok = covered[idx]
-    decoded = words ^ leaders[idx]
-    return decoded, ok
-
-
 # ---------------------------------------------------------------------------
 # Nested pairs
 # ---------------------------------------------------------------------------
@@ -422,19 +378,8 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     return CssPair(c1=c1, c2=c2, t=t, k=k, g2=g2, key_map=key_map)
 
 
-def coset_label(pair: CssPair, u: np.ndarray) -> np.ndarray:
-    """The k-bit coset coordinates of a codeword u of C1.
-
-    Constant on cosets of C2 and injective across them; the label of any
-    word of C2 is all-zero.
-    """
-    u = np.asarray(u, dtype=np.uint8)
-    if not pair.c1.contains(u):
-        raise NotACodeword("coset labels are defined only on C1")
-    return gf2_mul(pair.key_map, u)
-
-
 def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:
+    """Each row's k-bit coset label: on C1, one label per coset of C2, zero on C2."""
     return gf2_mul(np.atleast_2d(words), pair.key_map.T)
 
 
@@ -474,11 +419,11 @@ def reconcile_bob_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode a batch and return (keys, decode_ok).
 
-    Equals decoding ``received ^ announcements`` with
-    :func:`syndrome_decode_blocks` and labelling the decoded words; rows whose
-    syndrome has no leader within radius t get a best-effort key (the label
-    of the undecoded word) and ok False, which is unreachable for perfect
-    outer codes. Labels are linear, so the key is the label of the word XOR
+    Equals correcting each word ``received ^ announcements`` by its
+    syndrome's leader and labelling the result, as ``tests/pipeline_oracle.py``
+    does; rows whose syndrome has no leader within radius t get a best-effort
+    key (the label of the uncorrected word) and ok False, which is
+    unreachable for perfect outer codes. Labels are linear, so the key is the label of the word XOR
     the label of its syndrome's leader, looked up in a (2^m, k) table whose
     uncovered rows are zero; no decoded word is formed.
     """
@@ -490,21 +435,6 @@ def reconcile_bob_blocks(
     leader_labels, covered = _leader_labels(pair)
     idx = _syndrome_index(pair.c1.syndrome(words), pair.c1.n - pair.c1.k_dim)
     return _labels(pair, words) ^ leader_labels[idx], covered[idx]
-
-
-def reconcile_alice(
-    pair: CssPair, v: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-block announcement and key for Alice's raw bits v."""
-    ann, key = reconcile_alice_blocks(pair, np.asarray(v, dtype=np.uint8)[None, :], rng)
-    return ann[0], key[0]
-
-
-def reconcile_bob(pair: CssPair, received: np.ndarray, announcement: np.ndarray) -> np.ndarray:
-    """Single-block key for Bob; raises DecodeFailure beyond the radius."""
-    word = np.asarray(received, dtype=np.uint8) ^ np.asarray(announcement, dtype=np.uint8)
-    u = syndrome_decode(pair.c1, word)
-    return gf2_mul(pair.key_map, u)
 
 
 # ---------------------------------------------------------------------------

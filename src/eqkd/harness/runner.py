@@ -27,7 +27,7 @@ from ..protocol import (
     naive_average_rate,
     run_session,
 )
-from ..transcript import SessionTranscript
+from ..transcript import SessionTranscript, TranscriptError
 
 CSV_FIELDS = (
     "trial",
@@ -231,10 +231,14 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
 
     Returns ``(True, detail)`` when the replay reproduces the recorded
     canonical event stream exactly, else ``(False, detail)`` naming the
-    first divergence. Partial (single-party) transcripts are rejected.
+    first divergence or what is malformed. Partial (single-party)
+    transcripts are rejected.
     """
     if not isinstance(transcript, SessionTranscript):
-        transcript = SessionTranscript.from_jsonl(Path(transcript).read_text())
+        try:
+            transcript = SessionTranscript.from_jsonl(Path(transcript).read_text())
+        except TranscriptError as exc:
+            return False, f"malformed transcript: {exc}"
     meta = transcript.meta
     for field_name in ("seed", "params", "strategy", "css"):
         if field_name not in meta:

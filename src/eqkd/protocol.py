@@ -21,7 +21,7 @@ import hashlib
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,15 +97,7 @@ class ProtocolParams:
         return self.e_max - self.delta_e
 
     def to_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "bias_p": self.bias_p,
-            "m1": self.m1,
-            "m2": self.m2,
-            "e_max": self.e_max,
-            "delta_e": self.delta_e,
-            "delta_prime": self.delta_prime,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolParams":
@@ -304,10 +296,10 @@ def _peer_int(payload: dict, key: str, low: int, high: int) -> int:
 
 
 def _peer_digest(payload: dict) -> str:
-    """The ``digest`` field of a received KEY_DIGEST: 64 hex characters."""
+    """The ``digest`` of a received KEY_DIGEST: 64 lowercase hex characters, as ``hexdigest``."""
     digest = payload.get("digest")
-    if not isinstance(digest, str) or not re.fullmatch("[0-9a-fA-F]{64}", digest):
-        raise ProtocolViolation(f"'digest' is {digest!r}, expected 64 hex characters")
+    if not isinstance(digest, str) or not re.fullmatch("[0-9a-f]{64}", digest):
+        raise ProtocolViolation(f"'digest' is {digest!r}, expected 64 lowercase hex characters")
     return digest
 
 
@@ -626,6 +618,8 @@ class BobMachine(_PartyMachine):
         if self._state == "await_decision":
             self._accept(actor, kind, payload, EventKind.DECISION)
             status = status_for_decision(payload.get("status"))
+            if status is SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
+                raise ProtocolViolation("insufficient-sample decision after the test sample")
             if status is SessionStatus.ACCEPTED:
                 self._state = "await_permutation"
             else:

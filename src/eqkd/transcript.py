@@ -46,12 +46,20 @@ def pack_bits(bits: np.ndarray) -> str:
 def unpack_bits(hex_str: str, n: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`: the ``n`` bits a hex string encodes.
 
-    The string must decode to exactly ceil(n/8) bytes; a shorter or longer
-    one is a ValueError, never zero-padded or cut.
+    Only what ``pack_bits`` gives is accepted: exactly 2·ceil(n/8) lowercase
+    hex characters with zero pad bits, so ``pack_bits(unpack_bits(s, n)) == s``.
+    Anything else is a ValueError, never zero-padded, cut or re-encoded.
     """
+    size = (n + 7) // 8
+    if n < 0 or len(hex_str) != 2 * size:
+        raise ValueError(f"{len(hex_str)} characters do not encode exactly {n} bits")
+    # fromhex takes upper case and skips whitespace, which at this length
+    # leaves it short of `size` bytes; each `in` is one scan in C
     data = bytes.fromhex(hex_str)
-    if n < 0 or len(data) != (n + 7) // 8:
-        raise ValueError(f"{len(data)} bytes do not encode exactly {n} bits")
+    if len(data) != size or any(c in hex_str for c in "ABCDEF"):
+        raise ValueError("hex field is not lowercase hex digits only")
+    if size and data[-1] & ((1 << (8 * size - n)) - 1):
+        raise ValueError(f"pad bits after bit {n} are not zero")
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
@@ -76,13 +84,20 @@ class Event:
 
     @classmethod
     def from_json(cls, line: str) -> "Event":
-        obj = json.loads(line)
-        return cls(
-            seq=int(obj["seq"]),
-            actor=Actor(obj["actor"]),
-            kind=EventKind(obj["kind"]),
-            payload=obj["payload"],
-        )
+        """Parse one event line; a malformed line is a TranscriptError."""
+        try:
+            obj = json.loads(line)
+            ev = cls(
+                seq=int(obj["seq"]),
+                actor=Actor(obj["actor"]),
+                kind=EventKind(obj["kind"]),
+                payload=obj["payload"],
+            )
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise TranscriptError(f"malformed event line: {exc!r}") from None
+        if not isinstance(ev.payload, dict):
+            raise TranscriptError(f"event {ev.seq} payload is not an object")
+        return ev
 
 
 class TranscriptError(Exception):
@@ -145,10 +160,13 @@ class SessionTranscript:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise TranscriptError("empty transcript")
-        head = json.loads(lines[0])
-        if "meta" not in head:
+        try:
+            meta = json.loads(lines[0])["meta"]
+        except (KeyError, TypeError, ValueError, RecursionError):
+            meta = None
+        if not isinstance(meta, dict):
             raise TranscriptError("missing metadata header line")
-        t = cls(meta=head["meta"])
+        t = cls(meta=meta)
         for line in lines[1:]:
             t.record(Event.from_json(line))
         t.validate()

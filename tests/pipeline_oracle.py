@@ -15,6 +15,9 @@ block permutations sorting their keys with ``argsort`` and gathering with
 ``take_along_axis``; the GF(2) product as an integer matmul; and Bob's batch
 decode correcting each word with its leader before labelling it. The library
 computes the same results without building those intermediates.
+
+``syndrome_decode_blocks`` is the bounded-distance decoder that last form
+uses, over the library's own syndrome table.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block
-from eqkd.codes import _labels, syndrome_decode_blocks
+from eqkd.codes import LinearCode, _decode_table, _labels, _syndrome_index
 from eqkd.protocol import (
     alice_prepare,
     bob_measure,
@@ -128,6 +131,21 @@ def bob_measure_oracle(received, params, rng):
     mismatch = bases != received.bases
     bits[mismatch] = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
     return SymbolBlock(bases, bits)
+
+
+def syndrome_decode_blocks(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized bounded-distance decode of a (B, n) batch.
+
+    Returns (decoded, ok); rows with ok False had no leader within radius t
+    and are returned error-corrected by nothing (caller decides policy).
+    """
+    leaders, covered = _decode_table(code)
+    words = np.asarray(words, dtype=np.uint8)
+    m = code.n - code.k_dim
+    idx = _syndrome_index(code.syndrome(words), m)
+    ok = covered[idx]
+    decoded = words ^ leaders[idx]
+    return decoded, ok
 
 
 def reconcile_bob_blocks_oracle(pair, received, announcements):

@@ -26,7 +26,7 @@ from eqkd.bounds import (
     theorem2_bound,
 )
 from eqkd.channel import BiasedInterceptResend, DepolarizingPauli, RngStreams
-from eqkd.codes import coset_label, reconcile_bob, steane_pair
+from eqkd.codes import reconcile_bob_blocks, steane_pair
 from eqkd.harness.endpoints import loopback_session
 from eqkd.harness.runner import ExperimentConfig, run_experiment
 from eqkd.protocol import (
@@ -172,22 +172,25 @@ def test_c5_reconciliation_exhaustive_within_radius():
         d = np.zeros(7, dtype=np.uint8)
         d[i] = 1
         deltas.append(d)
-    total = matched = 0
+    received, announced, labels = [], [], []
     for u in CSS.c1.codewords():
-        label = coset_label(CSS, u)
+        # the coset label, by an integer matmul of the key map
+        label = (CSS.key_map.astype(np.int64) @ u) % 2
         for _ in range(100):
             v = rng.integers(0, 2, 7, dtype=np.uint8)
             ann = u ^ v
             for delta in deltas:
-                total += 1
-                if np.array_equal(reconcile_bob(CSS, v ^ delta, ann), label):
-                    matched += 1
-    # distance witness: some double error must corrupt the key
+                received.append(v ^ delta)
+                announced.append(ann)
+                labels.append(label)
+    keys, _ok = reconcile_bob_blocks(CSS, np.array(received), np.array(announced))
+    total = len(labels)
+    matched = int((keys == np.array(labels)).all(axis=1).sum())
+    # distance witness: some double error must corrupt the key of u0 = 0,
+    # whose label is 0
     witness = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
     u0 = np.zeros(7, dtype=np.uint8)
-    corrupted = not np.array_equal(
-        reconcile_bob(CSS, witness, u0), coset_label(CSS, u0)
-    )
+    corrupted = bool(reconcile_bob_blocks(CSS, witness, u0)[0].any())
     ok = matched == total == 16 * 100 * 8 and corrupted
     _verdict(
         5,

@@ -8,10 +8,8 @@ from eqkd.channel import (
     FixedPauliString,
     Passive,
     PauliLetter,
-    QubitSymbol,
     RngStreams,
     SymbolBlock,
-    apply_pauli,
     apply_pauli_block,
     transmit,
 )
@@ -35,20 +33,10 @@ FLIPS = {
 @pytest.mark.parametrize("basis", list(Basis))
 @pytest.mark.parametrize("bit", [0, 1])
 def test_pauli_action_exhaustive(letter, basis, bit):
-    out = apply_pauli(QubitSymbol(basis, bit), letter)
-    assert out.basis == basis
-    assert out.bit == bit ^ FLIPS[(letter, basis)]
-
-
-def test_apply_pauli_block_matches_scalar():
-    rng = np.random.default_rng(0)
-    block = SymbolBlock(rng.integers(0, 2, 64, dtype=np.uint8),
-                        rng.integers(0, 2, 64, dtype=np.uint8))
-    letters = rng.integers(0, 4, 64)
-    out = apply_pauli_block(block, letters)
-    for i in range(64):
-        expect = apply_pauli(block[i], PauliLetter(letters[i]))
-        assert out[i] == expect
+    block = SymbolBlock(np.array([basis], dtype=np.uint8), np.array([bit], dtype=np.uint8))
+    out = apply_pauli_block(block, np.array([letter]))
+    assert out.bases.tolist() == [basis]
+    assert out.bits.tolist() == [bit ^ FLIPS[(letter, basis)]]
 
 
 def test_apply_pauli_block_length_mismatch():
@@ -57,21 +45,13 @@ def test_apply_pauli_block_length_mismatch():
         apply_pauli_block(block, np.zeros(3, dtype=np.int64))
 
 
-def test_qubit_symbol_validation():
-    s = QubitSymbol(1, 1)
-    assert s.basis is Basis.DIAGONAL
-    with pytest.raises(ValueError):
-        QubitSymbol(Basis.RECTILINEAR, 2)
-
-
 def test_symbol_block_validation_and_roundtrip():
     with pytest.raises(ValueError):
         SymbolBlock(np.array([0, 2], dtype=np.uint8), np.array([0, 0], dtype=np.uint8))
     with pytest.raises(ValueError):
         SymbolBlock(np.array([0], dtype=np.uint8), np.array([0, 0], dtype=np.uint8))
-    symbols = [QubitSymbol(0, 1), QubitSymbol(1, 0), QubitSymbol(1, 1)]
     block = SymbolBlock(np.array([0, 1, 1], dtype=np.uint8), np.array([1, 0, 1], dtype=np.uint8))
-    assert [block[i] for i in range(len(block))] == symbols
+    assert block.bases.tolist() == [0, 1, 1] and block.bits.tolist() == [1, 0, 1]
     assert block == block.copy()
     assert len(block) == 3
 

@@ -316,3 +316,27 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
     transcript = tmp_path / "trial_0000.jsonl"
     assert main(["replay", str(transcript)]) == 0
     assert capsys.readouterr().out.startswith("ok")
+
+
+def _event_line(seq, actor, kind, payload):
+    return json.dumps({"seq": seq, "actor": actor, "kind": kind, "payload": payload})
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ['{"meta":{}}', '{"seq":0}'],
+        ['"metadata"'],
+        ['{"meta":{}}', _event_line(0, "alice", "bases_announced_alice", {}),
+         _event_line(1, "bob", "bases_announced_bob", {})],
+        ['{"meta":{}}', _event_line(0, "alice", "qubits_sent", [])],
+        ['{"meta":{}}', '[' * 100_000],
+    ],
+    ids=["event_without_fields", "header_not_an_object", "alice_bases_first",
+         "payload_not_an_object", "nesting_past_the_decoder"],
+)
+def test_cli_replay_fails_cleanly_on_a_malformed_transcript(tmp_path, capsys, lines):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: malformed transcript: ")

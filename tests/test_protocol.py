@@ -487,9 +487,11 @@ def test_bob_rejects_an_unknown_decision():
     bob = BobMachine(params, CSS, streams)
     pending = _drive(alice, bob, Passive(), streams, stop_at=EventKind.DECISION)
     _dest, (actor, kind, _payload) = pending[0]
-    with pytest.raises(ProtocolViolation):
-        bob.receive(actor, kind, {"status": "no_such_status"})
-    assert not bob.done
+    # Bob has drawn his test sample, so only Alice's two verdicts can follow
+    for status in ("no_such_status", "abort_insufficient_sample"):
+        with pytest.raises(ProtocolViolation):
+            bob.receive(actor, kind, {"status": status})
+        assert not bob.done
 
 
 def _alice_awaiting(kind, seed):
@@ -652,8 +654,8 @@ def test_bob_rejects_a_codeword_announcement_of_another_layout(change):
 @pytest.mark.parametrize("to_alice", [False, True], ids=["bob", "alice"])
 @pytest.mark.parametrize(
     "digest",
-    [None, "ab" * 31, "ab" * 33, "zz" * 32, "ab" * 32 + "\n", 12, ["ab" * 32]],
-    ids=["missing", "short", "long", "not_hex", "newline", "integer", "list"],
+    [None, "ab" * 31, "ab" * 33, "zz" * 32, "ab" * 32 + "\n", 12, ["ab" * 32], str.upper],
+    ids=["missing", "short", "long", "not_hex", "newline", "integer", "list", "upper_case"],
 )
 def test_machines_reject_a_malformed_key_digest(to_alice, digest):
     party, actor, genuine = _awaiting(EventKind.KEY_DIGEST, 32, to_alice=to_alice)

@@ -32,6 +32,18 @@ def test_unpack_bits_wants_exactly_the_bytes_n_bits_take():
     assert unpack_bits("e0", 3).tolist() == [1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "hex_str, n",
+    [("ff", 3), ("E0", 3), (" e0 ", 3), ("e0 ", 3), ("AB" * 2, 16), ("ab  ", 16)],
+    ids=["pad_bits_set", "upper_case", "spaces", "trailing_space", "upper_full_bytes",
+         "space_for_a_byte"],
+)
+def test_unpack_bits_accepts_only_the_canonical_hex(hex_str, n):
+    """Set pad bits, upper case and whitespace are each a ValueError, even at the right length."""
+    with pytest.raises(ValueError):
+        unpack_bits(hex_str, n)
+
+
 def test_pack_bits_is_msb_first():
     assert pack_bits(np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)) == "80"
     assert pack_bits(np.array([1], dtype=np.uint8)) == "80"
