@@ -231,6 +231,8 @@ _STRATEGY_KINDS = {
 
 def strategy_from_dict(d: dict) -> AttackStrategy:
     """Rebuild a strategy from its ``to_dict`` form; a malformed dict is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"malformed strategy {d!r}")
     cls = _STRATEGY_KINDS.get(d.get("kind"))
     if cls is None:
         raise ValueError(f"unknown strategy kind {d.get('kind')!r}")

@@ -591,6 +591,9 @@ def css_meta(pair: CssPair) -> dict:
 
 
 def css_from_meta(meta: dict) -> CssPair:
-    c1 = LinearCode.from_generator(BinaryMatrix.from_rows(meta["c1_rows"]))
-    c2 = LinearCode.from_generator(BinaryMatrix.from_rows(meta["c2_rows"]))
-    return validate_css(c1, c2)
+    """Rebuild a pair from ``css_meta``'s form; a malformed dict is a ValueError."""
+    try:
+        g1, g2 = (BinaryMatrix.from_rows(meta[key]) for key in ("c1_rows", "c2_rows"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed code pair {meta!r}") from exc
+    return validate_css(LinearCode.from_generator(g1), LinearCode.from_generator(g2))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import socket
 import sys
 from pathlib import Path
 
@@ -226,7 +227,7 @@ def _cmd_serve(args) -> int:
     return serve_endpoint(
         args.role,
         meta,
-        listen=args.listen,
+        listen=None if args.listen is None else socket.create_server(args.listen, backlog=1),
         connect=args.connect,
         out_dir=args.out,
         timeout=args.timeout,
@@ -345,8 +346,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CodeError) as exc:
-        # configuration problems, not bugs: no traceback
+    except (ValueError, CodeError, OSError) as exc:
+        # bad configuration, unreadable files, unusable addresses: no traceback
         print(f"eqkd: error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,9 @@ the canonical session transcript. The party endpoints drive exactly the same
 state machines as the in-process driver, so a networked session with a given
 seed produces byte-identical transcripts to ``run_session``.
 
-Startup order is receiver, relay, sender (listeners before dialers), though
-dialing retries paper over small races.
+Listeners are bound before any endpoint starts, and every link sets
+``TCP_NODELAY``: the protocol is a chain of small request/response frames,
+which Nagle's algorithm would hold back for the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..channel import RngStreams, strategy_from_dict
-from ..codes import css_from_meta
+from ..channel import RngStreams
 from ..protocol import (
     AliceMachine,
     BobMachine,
     ProtocolError,
-    ProtocolParams,
+    _peer_digest,
     channel_transform,
     config_digest,
+    session_from_meta,
     session_meta,
     status_for_decision,
 )
@@ -51,37 +52,35 @@ ROLES = ("alice", "channel", "bob")
 
 
 def _materialize(config: dict):
-    params = ProtocolParams.from_dict(config["params"])
-    strategy = strategy_from_dict(config["strategy"])
-    css = css_from_meta(config["css"])
-    seed = int(config["seed"])
-    meta = session_meta(params, strategy, css, seed)
-    return params, strategy, css, seed, meta
+    params, strategy, css, seed = session_from_meta(config)
+    return params, strategy, css, seed, session_meta(params, strategy, css, seed)
+
+
+def _no_delay(sock: socket.socket) -> socket.socket:
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def _connect_retry(address: tuple[str, int], deadline: float) -> socket.socket:
     while True:
         try:
-            return socket.create_connection(address, timeout=max(deadline - time.monotonic(), 0.1))
+            sock = socket.create_connection(address, timeout=max(deadline - time.monotonic(), 0.1))
         except ConnectionRefusedError:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(0.05)
+        else:
+            return _no_delay(sock)
 
 
-def _accept_one(listen: tuple[str, int], deadline: float, port_report=None) -> socket.socket:
-    lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    lsock.bind(listen)
-    lsock.listen(1)
-    if port_report is not None:
-        port_report(lsock.getsockname()[1])
+def _accept_one(lsock: socket.socket, deadline: float) -> socket.socket:
+    """Accept one link on ``lsock``, then close the listener."""
     lsock.settimeout(max(deadline - time.monotonic(), 0.1))
     try:
         conn, _addr = lsock.accept()
     finally:
         lsock.close()
-    return conn
+    return _no_delay(conn)
 
 
 def _party_outcome_dict(role: str, machine) -> dict:
@@ -133,9 +132,9 @@ def _serve_alice(config, connect, out_dir, deadline) -> int:
     return EXIT_OK
 
 
-def _serve_bob(config, listen, out_dir, deadline, port_report) -> int:
+def _serve_bob(config, listen, out_dir, deadline) -> int:
     params, strategy, css, seed, meta = _materialize(config)
-    sock = _accept_one(listen, deadline, port_report)
+    sock = _accept_one(listen, deadline)
     sock.settimeout(max(deadline - time.monotonic(), 0.1))
     try:
         exchange_hello(sock, config_digest(meta), initiate=False)
@@ -153,7 +152,7 @@ def _serve_bob(config, listen, out_dir, deadline, port_report) -> int:
 
 def _channel_outcome(canonical: SessionTranscript) -> dict:
     decisions = canonical.find_all(EventKind.DECISION)
-    digests = [e.payload["digest"] for e in canonical.find_all(EventKind.KEY_DIGEST)]
+    digests = [_peer_digest(e.payload) for e in canonical.find_all(EventKind.KEY_DIGEST)]
     status = None
     if decisions:
         status = status_for_decision(decisions[-1].payload.get("status")).value
@@ -165,13 +164,13 @@ def _channel_outcome(canonical: SessionTranscript) -> dict:
     }
 
 
-def _serve_channel(config, listen, connect, out_dir, deadline, port_report) -> int:
+def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
     params, strategy, css, seed, meta = _materialize(config)
     streams = RngStreams(seed)
     digest = config_digest(meta)
     canonical = SessionTranscript(meta=meta)
 
-    asock = _accept_one(listen, deadline, port_report)
+    asock = _accept_one(listen, deadline)
     asock.settimeout(max(deadline - time.monotonic(), 0.1))
     try:
         exchange_hello(asock, digest, initiate=False)
@@ -220,17 +219,17 @@ def _serve_channel(config, listen, connect, out_dir, deadline, port_report) -> i
 def serve_endpoint(
     role: str,
     config: dict,
-    listen: tuple[str, int] | None = None,
+    listen: socket.socket | None = None,
     connect: tuple[str, int] | None = None,
     out_dir=None,
-    port_report=None,
     timeout: float = 30.0,
 ) -> int:
     """Run one endpoint to completion; returns a process exit code.
 
-    ``alice`` needs ``connect`` (the relay), ``bob`` needs ``listen``, and
-    ``channel`` needs both. ``port_report`` is called with the bound port
-    once a listener is ready, which lets callers use port 0.
+    ``alice`` needs ``connect`` (the relay's address), ``bob`` needs
+    ``listen``, and ``channel`` needs both. ``listen`` is a listening socket
+    the caller bound; the endpoint accepts one link on it and closes it,
+    whatever the outcome.
     """
     deadline = time.monotonic() + timeout
     try:
@@ -240,12 +239,12 @@ def serve_endpoint(
             return _serve_alice(config, connect, out_dir, deadline)
         if role == "bob":
             if listen is None:
-                raise ValueError("bob needs an address to listen on")
-            return _serve_bob(config, listen, out_dir, deadline, port_report)
+                raise ValueError("bob needs a socket to listen on")
+            return _serve_bob(config, listen, out_dir, deadline)
         if role == "channel":
             if listen is None or connect is None:
-                raise ValueError("channel needs both listen and connect addresses")
-            return _serve_channel(config, listen, connect, out_dir, deadline, port_report)
+                raise ValueError("channel needs a socket to listen on and an address to connect to")
+            return _serve_channel(config, listen, connect, out_dir, deadline)
         raise ValueError(f"unknown role {role!r}; pick one of {ROLES}")
     except HandshakeError as exc:
         print(f"[{role}] handshake failed: {exc}", file=sys.stderr)
@@ -253,64 +252,57 @@ def serve_endpoint(
     except (FrameError, ProtocolError, EOFError, OSError) as exc:
         print(f"[{role}] session failed: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
+    finally:
+        if listen is not None:
+            listen.close()
 
 
-def _endpoint_proc(role, config, listen, connect, out_dir, queue, timeout):
-    code = serve_endpoint(
-        role,
-        config,
-        listen=listen,
-        connect=connect,
-        out_dir=out_dir,
-        port_report=None if queue is None else queue.put,
-        timeout=timeout,
+def _endpoint_proc(role, config, listen, connect, out_dir, timeout, foreign):
+    # a forked child inherits every listener; it keeps only the one it serves,
+    # so a dial to a dead endpoint is refused instead of queued
+    for sock in foreign:
+        sock.close()
+    sys.exit(
+        serve_endpoint(
+            role, config, listen=listen, connect=connect, out_dir=out_dir, timeout=timeout
+        )
     )
-    sys.exit(code)
 
 
 def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
     """Run all three endpoints as local processes over loopback TCP.
 
-    Returns the exit code of each role. Transcripts and outcomes land in
-    ``out_dir`` under the usual per-role filenames.
+    Both listeners are bound before any endpoint starts, so all three start
+    at once. Returns the exit code of each role. Transcripts and outcomes
+    land in ``out_dir`` under the usual per-role filenames.
     """
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    host = "127.0.0.1"
-
-    bob_q = ctx.Queue()
-    bob = ctx.Process(
-        target=_endpoint_proc,
-        args=("bob", config, (host, 0), None, out_dir, bob_q, timeout),
-    )
-    bob.start()
-    try:
-        bob_port = bob_q.get(timeout=timeout)
-    except Exception:
-        bob.terminate()
-        raise RuntimeError("receiver never reported a port")
-
-    relay_q = ctx.Queue()
-    relay = ctx.Process(
-        target=_endpoint_proc,
-        args=("channel", config, (host, 0), (host, bob_port), out_dir, relay_q, timeout),
-    )
-    relay.start()
-    try:
-        relay_port = relay_q.get(timeout=timeout)
-    except Exception:
-        relay.terminate()
-        bob.terminate()
-        raise RuntimeError("relay never reported a port")
-
-    alice = ctx.Process(
-        target=_endpoint_proc,
-        args=("alice", config, None, (host, relay_port), out_dir, None, timeout),
-    )
-    alice.start()
+    procs = {}
+    with (
+        socket.create_server(("127.0.0.1", 0), backlog=1) as bob_l,
+        socket.create_server(("127.0.0.1", 0), backlog=1) as relay_l,
+    ):
+        links = {
+            "alice": (None, relay_l.getsockname()),
+            "channel": (relay_l, bob_l.getsockname()),
+            "bob": (bob_l, None),
+        }
+        try:
+            for name, (listen, connect) in links.items():
+                foreign = [s for s in (bob_l, relay_l) if s is not listen]
+                procs[name] = ctx.Process(
+                    target=_endpoint_proc,
+                    args=(name, config, listen, connect, out_dir, timeout, foreign),
+                )
+                procs[name].start()
+        except BaseException:
+            for proc in procs.values():
+                proc.terminate()
+            raise
 
     codes = {}
-    for name, proc in (("alice", alice), ("channel", relay), ("bob", bob)):
+    for name, proc in procs.items():
         proc.join(timeout=timeout)
         if proc.is_alive():
             proc.terminate()
@@ -318,4 +310,5 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
             codes[name] = -1
         else:
             codes[name] = proc.exitcode
+        proc.close()
     return codes

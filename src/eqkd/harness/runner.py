@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..channel import AttackStrategy, BiasedInterceptResend, strategy_from_dict
-from ..codes import CssPair, css_from_meta, steane_pair
+from ..channel import AttackStrategy, BiasedInterceptResend
+from ..codes import CssPair, steane_pair
 from ..protocol import (
     ProtocolParams,
     SessionOutcome,
@@ -26,6 +26,7 @@ from ..protocol import (
     biased_attack_rates,
     naive_average_rate,
     run_session,
+    session_from_meta,
 )
 from ..transcript import SessionTranscript, TranscriptError
 
@@ -243,10 +244,7 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
     for field_name in ("seed", "params", "strategy", "css"):
         if field_name not in meta:
             return False, f"transcript metadata lacks {field_name!r}"
-    params = ProtocolParams.from_dict(meta["params"])
-    strategy = strategy_from_dict(meta["strategy"])
-    css = css_from_meta(meta["css"])
-    replayed = run_session(params, strategy, css, int(meta["seed"]))
+    replayed = run_session(*session_from_meta(meta))
     want = transcript.event_lines()
     got = replayed.transcript.event_lines()
     if len(want) != len(got):

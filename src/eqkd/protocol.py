@@ -25,10 +25,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import AttackStrategy, RngStreams, SymbolBlock, transmit
+from .channel import AttackStrategy, RngStreams, SymbolBlock, strategy_from_dict, transmit
 from .codes import (
     CssPair,
     block_permutations,
+    css_from_meta,
     css_meta,
     reconcile_alice_blocks,
     reconcile_bob_blocks,
@@ -101,7 +102,11 @@ class ProtocolParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolParams":
-        return cls(**d)
+        """Rebuild from ``to_dict``'s form; a malformed dict is a ValueError."""
+        try:
+            return cls(**d)
+        except TypeError as exc:
+            raise ValueError(f"malformed protocol parameters {d!r}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,6 +337,15 @@ def session_meta(
         "strategy": strategy.to_dict(),
         "css": css_meta(css),
     }
+
+
+def session_from_meta(meta: dict) -> tuple[ProtocolParams, AttackStrategy, CssPair, int]:
+    """The configuration ``session_meta`` recorded; malformed metadata is a ValueError."""
+    seed = meta["seed"]
+    if type(seed) is not int:
+        raise ValueError(f"malformed seed {seed!r}")
+    params = ProtocolParams.from_dict(meta["params"])
+    return params, strategy_from_dict(meta["strategy"]), css_from_meta(meta["css"]), seed
 
 
 def config_digest(meta: dict) -> str:

@@ -87,8 +87,11 @@ class Event:
         """Parse one event line; a malformed line is a TranscriptError."""
         try:
             obj = json.loads(line)
+            seq = obj["seq"]
+            if type(seq) is not int:
+                raise TypeError(f"seq {seq!r} is not an integer")
             ev = cls(
-                seq=int(obj["seq"]),
+                seq=seq,
                 actor=Actor(obj["actor"]),
                 kind=EventKind(obj["kind"]),
                 payload=obj["payload"],

@@ -1,8 +1,11 @@
+import errno
 import json
 import multiprocessing
-import queue
+import os
 import socket
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from eqkd.codes import steane_pair
 from eqkd.harness.endpoints import (
     EXIT_HANDSHAKE,
     EXIT_PROTOCOL,
+    _accept_one,
     _channel_outcome,
+    _connect_retry,
     _endpoint_proc,
     loopback_session,
     serve_endpoint,
@@ -77,30 +82,72 @@ def test_loopback_abort_paths(tmp_path):
     assert len(relay.events) == 5
 
 
-def test_mismatched_configs_fail_the_handshake(tmp_path):
-    _params, meta_a = _meta(33)
-    _params, meta_b = _meta(34)  # different seed -> different config digest
-    ctx = multiprocessing.get_context(
+def _listener():
+    return socket.create_server(("127.0.0.1", 0), backlog=1)
+
+
+def test_loopback_leaves_the_parent_no_open_descriptors(tmp_path):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    _params, meta = _meta(38)
+    before = len(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)  # a socket left for gc to close
+        assert loopback_session(meta, tmp_path, timeout=30) == {"alice": 0, "channel": 0, "bob": 0}
+    assert len(os.listdir("/proc/self/fd")) <= before
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_every_endpoint_link_turns_nagle_off():
+    deadline = time.monotonic() + 15
+    lsock = _listener()
+    with _connect_retry(lsock.getsockname(), deadline) as dialed, _accept_one(lsock, deadline) as accepted:
+        for sock in (dialed, accepted):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    assert lsock.fileno() == -1  # the listener is closed once its one link is in
+
+
+def _fork_context():
+    return multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else multiprocessing.get_start_method()
     )
-    host = "127.0.0.1"
 
-    bob_q = ctx.Queue()
-    bob = ctx.Process(target=_endpoint_proc,
-                      args=("bob", meta_b, (host, 0), None, None, bob_q, 15))
-    bob.start()
-    bob_port = bob_q.get(timeout=15)
 
-    relay_q = ctx.Queue()
-    relay = ctx.Process(target=_endpoint_proc,
-                        args=("channel", meta_a, (host, 0), (host, bob_port), None, relay_q, 15))
-    relay.start()
-    relay_port = relay_q.get(timeout=15)
-
-    alice = ctx.Process(target=_endpoint_proc,
-                        args=("alice", meta_a, None, (host, relay_port), None, None, 15))
+def test_a_forked_endpoint_keeps_no_listener_it_does_not_serve(capfd):
+    # alice dials a listener that only her own process could hold open: once
+    # she has closed her copy, the dial is refused instead of queued
+    _params, meta = _meta(40)
+    lsock = _listener()
+    alice = _fork_context().Process(
+        target=_endpoint_proc, args=("alice", meta, None, lsock.getsockname(), None, 0.3, [lsock])
+    )
     alice.start()
+    lsock.close()
+    alice.join(timeout=15)
+    assert not alice.is_alive()
+    assert alice.exitcode == EXIT_PROTOCOL
+    assert os.strerror(errno.ECONNREFUSED) in capfd.readouterr().err
+
+
+def test_mismatched_configs_fail_the_handshake(tmp_path):
+    _params, meta_a = _meta(33)
+    _params, meta_b = _meta(34)  # different seed -> different config digest
+    ctx = _fork_context()
+    bob_l, relay_l = _listener(), _listener()
+    procs = []
+    for role, meta, listen, connect in (
+        ("bob", meta_b, bob_l, None),
+        ("channel", meta_a, relay_l, bob_l.getsockname()),
+        ("alice", meta_a, None, relay_l.getsockname()),
+    ):
+        foreign = [s for s in (bob_l, relay_l) if s is not listen]
+        procs.append(ctx.Process(target=_endpoint_proc,
+                                 args=(role, meta, listen, connect, None, 15, foreign)))
+        procs[-1].start()
+    bob_l.close()
+    relay_l.close()
+    bob, relay, alice = procs
 
     for proc in (alice, relay, bob):
         proc.join(timeout=20)
@@ -116,8 +163,10 @@ def test_serve_endpoint_argument_validation():
         serve_endpoint("alice", meta)  # no address to connect to
     with pytest.raises(ValueError):
         serve_endpoint("bob", meta)
+    lsock = _listener()
     with pytest.raises(ValueError):
-        serve_endpoint("nope", meta, listen=("127.0.0.1", 0))
+        serve_endpoint("nope", meta, listen=lsock)
+    assert lsock.fileno() == -1  # the endpoint owns the listener it is given
 
 
 def test_channel_outcome_rejects_an_unknown_decision():
@@ -131,15 +180,14 @@ def test_channel_outcome_rejects_an_unknown_decision():
 
 def test_truncated_payload_ends_the_endpoint_with_exit_protocol():
     params, meta = _meta(36)
-    ports = queue.Queue()
+    lsock = _listener()
+    address = lsock.getsockname()
     codes = []
     bob = threading.Thread(
-        target=lambda: codes.append(
-            serve_endpoint("bob", meta, listen=("127.0.0.1", 0), port_report=ports.put, timeout=15)
-        )
+        target=lambda: codes.append(serve_endpoint("bob", meta, listen=lsock, timeout=15))
     )
     bob.start()
-    with socket.create_connection(("127.0.0.1", ports.get(timeout=15)), timeout=15) as relay:
+    with socket.create_connection(address, timeout=15) as relay:
         exchange_hello(relay, config_digest(meta), initiate=True)
         payload = encode_symbols(alice_prepare(params, RngStreams(36)))
         send_event(relay, EventKind.QUBITS_SENT, dict(payload, bases=payload["bases"][:-2]))
@@ -152,17 +200,16 @@ def test_truncated_payload_ends_the_endpoint_with_exit_protocol():
 
 def test_malformed_estimate_ends_the_endpoint_with_exit_protocol():
     params, meta = _meta(37)
-    ports = queue.Queue()
+    lsock = _listener()
+    address = lsock.getsockname()
     codes = []
     bob = threading.Thread(
-        target=lambda: codes.append(
-            serve_endpoint("bob", meta, listen=("127.0.0.1", 0), port_report=ports.put, timeout=15)
-        )
+        target=lambda: codes.append(serve_endpoint("bob", meta, listen=lsock, timeout=15))
     )
     bob.start()
     # the relay plays Alice over a passive channel, up to her estimate
     alice = AliceMachine(params, CSS, RngStreams(37), meta=meta)
-    with socket.create_connection(("127.0.0.1", ports.get(timeout=15)), timeout=15) as relay:
+    with socket.create_connection(address, timeout=15) as relay:
         exchange_hello(relay, config_digest(meta), initiate=True)
         replies = alice.start()
         while not any(kind is EventKind.ESTIMATE for _actor, kind, _payload in replies):
@@ -174,3 +221,31 @@ def test_malformed_estimate_ends_the_endpoint_with_exit_protocol():
         bob.join(timeout=15)
         assert not bob.is_alive()
     assert codes == [EXIT_PROTOCOL]
+
+
+def test_relay_ends_a_digest_without_a_digest_field_with_exit_protocol(capsys):
+    _params, meta = _meta(39)
+    digest = config_digest(meta)
+    relay_l, bob_l = _listener(), _listener()
+    relay_address = relay_l.getsockname()
+    codes = []
+    relay = threading.Thread(
+        target=lambda: codes.append(
+            serve_endpoint("channel", meta, listen=relay_l, connect=bob_l.getsockname(), timeout=15)
+        )
+    )
+    relay.start()
+    with bob_l, socket.create_connection(relay_address, timeout=15) as alice:
+        exchange_hello(alice, digest, initiate=True)
+        bob_l.settimeout(15)
+        bob, _addr = bob_l.accept()
+        with bob:
+            exchange_hello(bob, digest, initiate=False)
+            send_event(alice, EventKind.KEY_DIGEST, {})
+            # read the forwarded frame first, so the relay's send cannot fail
+            assert recv_event(bob) == (EventKind.KEY_DIGEST, {})
+            alice.close()
+    relay.join(timeout=15)
+    assert not relay.is_alive()
+    assert codes == [EXIT_PROTOCOL]
+    assert "'digest'" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from eqkd.harness.wire import (
     send_frame,
     send_hello,
 )
-from eqkd.protocol import ProtocolParams, SessionStatus, run_session
+from eqkd.protocol import ProtocolParams, SessionStatus, run_session, session_meta
 from eqkd.transcript import Event, EventKind, SessionTranscript
 
 CSS = steane_pair()
@@ -331,12 +331,34 @@ def _event_line(seq, actor, kind, payload):
          _event_line(1, "bob", "bases_announced_bob", {})],
         ['{"meta":{}}', _event_line(0, "alice", "qubits_sent", [])],
         ['{"meta":{}}', '[' * 100_000],
+        ['{"meta":{}}', _event_line(1.5, "bob", "bases_announced_bob", {})],
+        ['{"meta":{}}', _event_line(True, "bob", "bases_announced_bob", {})],
     ],
     ids=["event_without_fields", "header_not_an_object", "alice_bases_first",
-         "payload_not_an_object", "nesting_past_the_decoder"],
+         "payload_not_an_object", "nesting_past_the_decoder", "float_seq", "boolean_seq"],
 )
 def test_cli_replay_fails_cleanly_on_a_malformed_transcript(tmp_path, capsys, lines):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(path)]) == 1
     assert capsys.readouterr().out.startswith("FAIL: malformed transcript: ")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("params", 5), ("params", {"n_qubits": 0}), ("css", {}), ("strategy", 5),
+     ("seed", None), ("seed", 6.5), ("seed", True)],
+    ids=["params_not_an_object", "params_missing_fields", "css_without_rows",
+         "strategy_not_an_object", "null_seed", "float_seed", "boolean_seed"],
+)
+def test_cli_replay_reports_an_invalid_recorded_configuration(tmp_path, capsys, field, value):
+    meta = dict(session_meta(PARAMS, Passive(), CSS, 6), **{field: value})
+    path = tmp_path / "bad_meta.jsonl"
+    path.write_text(json.dumps({"meta": meta}) + "\n")
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("eqkd: error: ")
+
+
+def test_cli_replay_reports_an_unreadable_path(tmp_path, capsys):
+    assert main(["replay", str(tmp_path / "missing.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("eqkd: error: ")

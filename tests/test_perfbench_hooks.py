@@ -8,12 +8,15 @@ or patched.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eqkd.codes import reconcile_bob_blocks, steane_pair
+from eqkd.harness.endpoints import serve_endpoint
+from eqkd.harness.wire import send_frame
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +49,12 @@ def test_block_counter_reads_a_keys_and_ok_pair(tracer):
     counts = {"codes.blocks": 0, "codes.decode_failures": 0}
     tracer._count_blocks(counts, (), result)
     assert counts == {"codes.blocks": 40, "codes.decode_failures": 0}
+
+
+
+def test_traced_endpoint_and_frame_arguments_keep_their_positions():
+    # the tracer labels an endpoint span by args[0] and dumps its spans to the
+    # out_dir keyword; it counts a frame's bytes as len(args[2])
+    endpoint = list(inspect.signature(serve_endpoint).parameters)
+    assert endpoint[0] == "role" and "out_dir" in endpoint
+    assert list(inspect.signature(send_frame).parameters) == ["sock", "tag", "payload"]
