@@ -8,7 +8,8 @@ order as a session does, so for a given seed they see the same symbols, the
 same test sample and the same lumped sample.
 
 The ``*_oracle`` functions are the straightforward forms of the hot paths:
-the depolarizing channel drawing explicit Pauli letters with
+Alice's preparation drawing all her bases' uniforms in one array; the
+depolarizing channel drawing explicit Pauli letters with
 ``Generator.choice``; intercept-resend and Bob's measurement scattering their
 coins through a boolean mask; the raw-key layout taking a set difference; the
 block permutations sorting their keys with ``argsort`` and gathering with
@@ -99,6 +100,14 @@ def quantum_phase_stats(params, strategy, seed) -> tuple[float, float | None]:
     streams, sent, results = quantum_phase(params, strategy, seed)
     sifted = sift(sent, results)
     return sifted.retained_fraction, naive_estimate(sifted, params, streams.stream("naive_test"))
+
+
+def alice_prepare_oracle(params, streams):
+    """``alice_prepare`` with the bases from one whole-array draw."""
+    n = params.n_qubits
+    bases = (streams.stream("alice_bases").random(n) >= params.bias_p).astype(np.uint8)
+    bits = streams.stream("alice_bits").integers(0, 2, size=n, dtype=np.uint8)
+    return SymbolBlock(bases, bits)
 
 
 def depolarizing_letters_oracle(strategy, block, rng):

@@ -150,11 +150,19 @@ def _random_block(gen, n):
     return SymbolBlock(gen.integers(0, 2, n, dtype=np.uint8), gen.integers(0, 2, n, dtype=np.uint8))
 
 
+# Lengths on either side of one pass of uniform draws (2^16), and one that
+# spans three passes and a bit.
+PASS_LENGTHS = (2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)
+
+
 def test_depolarizing_matches_the_letter_oracle():
     gen = np.random.default_rng(2024)
-    for k, q in enumerate(_letter_distributions(gen, 320)):
+    dists = list(_letter_distributions(gen, 320))
+    lengths = [(0, 1, int(gen.integers(2, 4000)))[k % 3] for k in range(len(dists))]
+    # the first distributions run once more at each length around a pass boundary
+    cases = [*zip(dists, lengths), *zip(dists, PASS_LENGTHS * 2)]
+    for q, n in cases:
         strat = DepolarizingPauli(*q)
-        n = (0, 1, int(gen.integers(2, 4000)))[k % 3]
         block = _random_block(gen, n)
         seed = int(gen.integers(2**63))
         ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -212,7 +220,7 @@ def test_biased_intercept_resend_statistics():
 def test_biased_intercept_resend_matches_the_masked_oracle(p1, p2):
     strat = BiasedInterceptResend(p1, p2)
     gen = np.random.default_rng(int(1000 * p1 + 10 * p2))
-    for n in (0, 1, 1, *gen.integers(2, 5000, size=6)):
+    for n in (0, 1, 1, *gen.integers(2, 5000, size=6), *PASS_LENGTHS):
         block = _random_block(gen, int(n))
         seed = int(gen.integers(2**63))
         ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -357,8 +357,11 @@ def test_block_permutations_valid_and_deterministic():
 @pytest.mark.parametrize("n", [2, 3, 7, 15, 31])
 def test_block_permutations_match_the_argsort_oracle(n):
     rng = np.random.default_rng(41 + n)
-    # a random count, and one that spans three passes of key draws
-    for blocks in (0, 1, int(rng.integers(2, 5000)), 2 * (_KEYS_PER_PASS // n) + 1):
+    # A pass of key draws holds whole rows, step of them. Counts around one
+    # pass, and counts that span two and three passes.
+    step = _KEYS_PER_PASS // n
+    for blocks in (0, 1, int(rng.integers(2, 5000)), step - 1, step, step + 1, 2 * step + 1,
+                   3 * step + 5):
         words = rng.integers(0, 256, (blocks, n), dtype=np.uint8)
         seed = int(rng.integers(0, 2**63))
         got = block_permutations(words, seed)

@@ -67,6 +67,17 @@ SESSIONS_15_11 = [
      "0ddde928cd780d974177984b22c972d4c40d80e613ab1bc28ba7f331e0b60cd1"),
 ]
 
+# One pass of uniform draws is 2^16 symbols; these sessions span three and a
+# bit, so a kernel that draws in passes is pinned across pass boundaries.
+MULTI_PASS = dict(n_qubits=3 * 2**16 + 5, bias_p=0.3, m1=2000, m2=2000)
+
+SESSIONS_MULTI_PASS = [
+    (DepolarizingPauli.symmetric(0.01), 23,
+     "0ba43cf34f80d4197d3d9c87291c364b8aec5c27304e173770ad169aa14082e5"),
+    (BiasedInterceptResend(0.02, 0.03), 24,
+     "38ff8fbce2d50ff52ad3c32c188afb34582a07648cba4a7fd1f6ba7fc17fee4b"),
+]
+
 EXPERIMENTS = [
     # accepted and error-rate aborts
     (dict(n_qubits=6000, bias_p=0.2, m1=50, m2=100), BiasedInterceptResend(0.05, 0.2), 300,
@@ -92,6 +103,13 @@ def test_golden_transcript(params, strategy, seed, status, digest):
 def test_golden_transcript_hamming_15_11(strategy, seed, digest):
     assert (CSS_15_11.n, CSS_15_11.k, CSS_15_11.t) == (15, 7, 1)
     out = run_session(ProtocolParams(**BASE), strategy, CSS_15_11, seed)
+    assert out.status.value == "accepted"
+    assert _sha256(out.transcript.to_jsonl()) == digest
+
+
+@pytest.mark.parametrize("strategy, seed, digest", SESSIONS_MULTI_PASS)
+def test_golden_transcript_multi_pass(strategy, seed, digest):
+    out = run_session(ProtocolParams(**MULTI_PASS), strategy, CSS, seed)
     assert out.status.value == "accepted"
     assert _sha256(out.transcript.to_jsonl()) == digest
 

@@ -33,6 +33,7 @@ from eqkd.protocol import (
 )
 from eqkd.transcript import Actor, EventKind, pack_bits, unpack_bits
 from pipeline_oracle import (
+    alice_prepare_oracle,
     bob_measure_oracle,
     quantum_phase,
     quantum_phase_stats,
@@ -102,10 +103,31 @@ def test_bob_measure_matching_bases_reproduce_bits():
     assert abs(coins.mean() - 0.5) < 3 * 0.5 / np.sqrt(coins.size)
 
 
+# Lengths on either side of one pass of uniform draws (2^16), and one that
+# spans three passes and a bit.
+PASS_LENGTHS = (2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)
+
+
+@pytest.mark.parametrize("bias_p", [0.5, 0.3, 0.05, 1e-9, 1.0])
+def test_alice_prepare_matches_the_whole_array_oracle(bias_p):
+    gen = np.random.default_rng(int(bias_p * 1000) + 11)
+    for n in (0, 1, 1, *gen.integers(2, 5000, size=4), *PASS_LENGTHS):
+        # alice_prepare reads only these two fields
+        params = SimpleNamespace(n_qubits=int(n), bias_p=bias_p)
+        seed = int(gen.integers(2**63))
+        ours, oracle = RngStreams(seed), RngStreams(seed)
+        sent = alice_prepare(params, ours)
+        assert sent == alice_prepare_oracle(params, oracle), n
+        assert sent.bases.dtype == sent.bits.dtype == np.uint8
+        # the same draws: both streams are left in the same state
+        for name in ("alice_bases", "alice_bits"):
+            assert ours.stream(name).bit_generator.state == oracle.stream(name).bit_generator.state
+
+
 @pytest.mark.parametrize("bias_p", [0.5, 0.3, 0.05, 1e-9])
 def test_bob_measure_matches_the_masked_oracle(bias_p):
     gen = np.random.default_rng(int(bias_p * 1000) + 7)
-    for n in (0, 1, 1, *gen.integers(2, 5000, size=6)):
+    for n in (0, 1, 1, *gen.integers(2, 5000, size=6), *PASS_LENGTHS):
         n = int(n)
         # bob_measure reads only these two fields; params for n < 5 are infeasible
         params = SimpleNamespace(n_qubits=n, bias_p=bias_p)
