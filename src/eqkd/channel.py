@@ -39,6 +39,43 @@ class PauliLetter(enum.IntEnum):
 _FLIP = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.uint8)
 
 
+# Uniform draws are made this many at a time into one reused buffer, so that a
+# pass and what is computed from it stay in L2 cache. A generator fills in
+# order, so the passes together are the draws of one rng.random(n) call.
+UNIFORMS_PER_PASS = 1 << 16
+
+
+def uniform_passes(rng: np.random.Generator, n: int, per_pass: int = UNIFORMS_PER_PASS):
+    """Yield (start, u): u holds draws start .. start + len(u) - 1 of ``rng.random(n)``.
+
+    Every u is a view of one buffer that the next pass overwrites, so a
+    caller uses each pass before asking for the next one.
+    """
+    buf = np.empty(min(n, per_pass))
+    for start in range(0, n, per_pass):
+        u = buf[: min(per_pass, n - start)]
+        rng.random(out=u)
+        yield start, u
+
+
+def mismatch_coins(
+    bits: np.ndarray, bases: np.ndarray, sent_bases: np.ndarray, rng: np.random.Generator
+) -> None:
+    """Replace the bit at each position where the bases differ by a fair coin.
+
+    Draw contract: one ``rng.integers(0, 2, size=k, dtype=uint8)`` call for
+    the k positions where ``bases`` differs from ``sent_bases``, coin i going
+    to the i-th of them in increasing order.
+    """
+    parts = [slice(s, s + UNIFORMS_PER_PASS) for s in range(0, bits.size, UNIFORMS_PER_PASS)]
+    counts = [int(np.count_nonzero(bases[p] != sent_bases[p])) for p in parts]
+    coins = rng.integers(0, 2, size=sum(counts), dtype=np.uint8)
+    used = 0
+    for part, k in zip(parts, counts):
+        bits[part][np.flatnonzero(bases[part] != sent_bases[part])] = coins[used : used + k]
+        used += k
+
+
 class SymbolBlock:
     """A batch of transmitted photons stored as parallel bit arrays.
 
@@ -129,17 +166,31 @@ class BiasedInterceptResend(_Strategy):
             raise ValueError("p1 + p2 must not exceed 1")
 
     def apply(self, block: SymbolBlock, rng: np.random.Generator) -> SymbolBlock:
-        u = rng.random(len(block))
-        meas_rect = u < self.p1
-        meas_diag = (u >= self.p1) & (u < self.p1 + self.p2)
-        diag = block.bases.view(bool)
+        """Intercept, then re-send each photon.
+
+        Draw contract: the draws of one ``rng.random(n)`` call, made in
+        passes; a photon is measured in the rectilinear basis when its draw
+        u < p1 and in the diagonal one when p1 <= u < p1 + p2. Then
+        :func:`mismatch_coins` gives the photons re-sent in the other basis
+        Eve's outcomes, in one ``integers`` call in position order.
+        """
+        bases = self._resent_bases(block.bases, rng)
+        # a measurement in the other basis is exactly a change of basis
         bits = block.bits.copy()
-        # mismatched measurements randomize the re-sent bit; one coin per
-        # mismatched position, in position order
-        idx = np.flatnonzero((meas_rect & diag) | (meas_diag & ~diag))
-        bits[idx] = rng.integers(0, 2, size=idx.size, dtype=np.uint8)
-        bases = ((diag | meas_diag) & ~meas_rect).view(np.uint8)
+        mismatch_coins(bits, bases, block.bases, rng)
         return SymbolBlock(bases, bits)
+
+    def _resent_bases(self, sent_bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # a function of its own, so that no pass buffer outlives the draws
+        diag = sent_bases.view(bool)
+        bases = np.empty(sent_bases.size, dtype=np.uint8)
+        resent_diag = bases.view(bool)
+        for start, u in uniform_passes(rng, sent_bases.size):
+            part = slice(start, start + u.size)
+            meas_rect = u < self.p1
+            meas_diag = (u >= self.p1) & (u < self.p1 + self.p2)
+            np.logical_and(diag[part] | meas_diag, ~meas_rect, out=resent_diag[part])
+        return bases
 
 
 @dataclass(frozen=True)
@@ -177,21 +228,24 @@ class DepolarizingPauli(_Strategy):
     def apply(self, block: SymbolBlock, rng: np.random.Generator) -> SymbolBlock:
         """Flip each bit whose sampled letter anticommutes with its basis.
 
-        Draw contract: exactly one ``rng.random(len(block))`` call. Those are
-        the draws ``rng.choice(4, size=len(block), p=q)`` makes, and the cdf
-        below is built as ``choice`` builds it, so a seed gives the same
-        flips as sampling letters with ``choice`` and applying them with
-        :func:`apply_pauli_block`. No letters are formed: the letter at a
-        draw u is the first whose cdf value exceeds u, so a diagonal bit
-        flips on Y or Z (u >= cdf[1]) and a rectilinear bit on X or Y
-        (cdf[0] <= u < cdf[2]).
+        Draw contract: the draws of one ``rng.random(len(block))`` call, made
+        in passes. Those are the draws ``rng.choice(4, size=len(block), p=q)``
+        makes, and the cdf below is built as ``choice`` builds it, so a seed
+        gives the same flips as sampling letters with ``choice`` and applying
+        them with :func:`apply_pauli_block`. No letters are formed: the
+        letter at a draw u is the first whose cdf value exceeds u, so a
+        diagonal bit flips on Y or Z (u >= cdf[1]) and a rectilinear bit on
+        X or Y (cdf[0] <= u < cdf[2]).
         """
         cdf = np.array([self.q_i, self.q_x, self.q_y, self.q_z], dtype=np.float64).cumsum()
         cdf /= cdf[-1]
-        u = rng.random(len(block))
         diag = block.bases.view(bool)
-        flips = (diag & (u >= cdf[1])) | (~diag & (u >= cdf[0]) & (u < cdf[2]))
-        return SymbolBlock(block.bases.copy(), block.bits ^ flips)
+        bits = block.bits.copy()
+        for start, u in uniform_passes(rng, len(block)):
+            part = slice(start, start + u.size)
+            d = diag[part]
+            bits[part] ^= (d & (u >= cdf[1])) | (~d & (u >= cdf[0]) & (u < cdf[2]))
+        return SymbolBlock(block.bases.copy(), bits)
 
 
 @dataclass(frozen=True)
@@ -269,6 +323,25 @@ def transmit(
 _MAX_SEED = 2**64
 
 
+def seeded_rng(seed: int, name: str = "") -> np.random.Generator:
+    """``default_rng(SeedSequence([seed, *name.encode("ascii")]))``, built cheaply.
+
+    SeedSequence splits each int of a list into little-endian uint32 words,
+    at least one, and joins them; it takes a uint32 array as those words
+    as they are. Handing it the words directly skips its per-element
+    conversion and gives the same state. With no name this is
+    ``default_rng(seed)``.
+    """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    words = [seed & 0xFFFFFFFF]
+    while seed >= 1 << 32:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    words += name.encode("ascii")
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+
+
 class RngStreams:
     """Named, independently seeded RNG substreams from one 64-bit master seed.
 
@@ -286,7 +359,6 @@ class RngStreams:
     def stream(self, name: str) -> np.random.Generator:
         gen = self._streams.get(name)
         if gen is None:
-            ss = np.random.SeedSequence([self.seed, *name.encode("ascii")])
-            gen = np.random.default_rng(ss)
+            gen = seeded_rng(self.seed, name)
             self._streams[name] = gen
         return gen

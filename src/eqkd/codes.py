@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import UNIFORMS_PER_PASS, seeded_rng, uniform_passes
+
 
 class CodeError(Exception):
     """Base class for code construction and decoding failures."""
@@ -441,12 +443,6 @@ def reconcile_bob_blocks(
 # Block permutations
 # ---------------------------------------------------------------------------
 
-# Keys are drawn and ranked this many at a time, so that one pass works in
-# cache. The draws come off the generator in order, so they are the same as
-# one (B, n) draw.
-_KEYS_PER_PASS = 1 << 16
-
-
 def _stable_ranks(keys: np.ndarray) -> np.ndarray:
     """(n, B) array whose column b holds the stable ranks of keys[b].
 
@@ -472,10 +468,11 @@ def _stable_ranks(keys: np.ndarray) -> np.ndarray:
 def block_permutations(words: np.ndarray, seed: int) -> np.ndarray:
     """Each row of a (B, n) uint8 array permuted; one seed gives all B permutations.
 
-    The keys are ``default_rng(seed).random((B, n))``, and entry j of row b
-    moves to its stable rank among keys[b]. So row b of the result is row b
-    of ``words`` in the order a stable sort gives keys[b], for any uint8
-    values; ``tests/pipeline_oracle.py`` has that form. An unstable sort gives
+    The keys are the draws of one ``default_rng(seed).random((B, n))`` call,
+    made in passes of whole rows, and entry j of row b moves to its stable
+    rank among keys[b]. So row b of the result is row b of ``words`` in the
+    order a stable sort gives keys[b], for any uint8 values;
+    ``tests/pipeline_oracle.py`` has that form. An unstable sort gives
     the same order unless a row has two equal keys, which has probability
     below n(n-1)/2 in 2^53 per row.
     """
@@ -483,17 +480,19 @@ def block_permutations(words: np.ndarray, seed: int) -> np.ndarray:
     if words.ndim != 2 or words.dtype != np.uint8:
         raise ValueError("words must be a 2-d uint8 array")
     blocks, n = words.shape
-    rng = np.random.default_rng(int(seed))
+    rng = seeded_rng(int(seed))
     out = np.empty_like(words)
     # A row is built as little-endian 64-bit lanes, byte r of the row being
     # bits 8r..8r+7 of lane r // 8: entry j is shifted to bit 8 * rank_j of
     # the row. A shift outside a lane's 64 bits (wrapped, when negative)
     # gives 0.
     lanes = -(-n // 8)
-    step = max(1, _KEYS_PER_PASS // max(n, 1))
-    for start in range(0, blocks, step):
+    # a pass draws the keys of step whole rows; n = 0 draws none
+    step = max(1, UNIFORMS_PER_PASS // max(n, 1))
+    for first, keys in uniform_passes(rng, blocks * n, step * max(n, 1)):
+        start = first // n
         rows = words[start : start + step]
-        bit_at = np.left_shift(_stable_ranks(rng.random(rows.shape)), 3, dtype=np.uint64)
+        bit_at = np.left_shift(_stable_ranks(keys.reshape(rows.shape)), 3, dtype=np.uint64)
         packed = np.empty((rows.shape[0], lanes), dtype="<u8")
         for g in range(lanes):
             moved = np.left_shift(rows.T, bit_at - np.uint64(64 * g), dtype=np.uint64)

@@ -74,7 +74,12 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
 
 def _session_setup(args):
     file_cfg = json.loads(args.config.read_text()) if args.config else {}
-    pd = dict(file_cfg.get("params", {}))
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"a config file holds a JSON object, not {file_cfg!r}")
+    pd = file_cfg.get("params", {})
+    if not isinstance(pd, dict):
+        raise ValueError(f"malformed params {pd!r}")
+    pd = dict(pd)
     for key in _PARAM_KEYS:
         if key in file_cfg:
             pd[key] = file_cfg[key]
@@ -106,11 +111,17 @@ def _session_setup(args):
 
         css = css_from_meta(file_cfg["css"])
     elif "code_files" in file_cfg:
-        css = load_css(*file_cfg["code_files"])
+        files = file_cfg["code_files"]
+        if not (isinstance(files, list) and len(files) in (1, 2)
+                and all(isinstance(f, str) for f in files)):
+            raise ValueError(f"malformed code_files {files!r}")
+        css = load_css(*files)
     else:
         css = steane_pair()
 
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError(f"malformed seed {seed!r}")
     meta = session_meta(params, strategy, css, seed)
     return params, strategy, css, seed, meta
 

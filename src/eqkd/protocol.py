@@ -25,7 +25,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import AttackStrategy, RngStreams, SymbolBlock, strategy_from_dict, transmit
+from .channel import (
+    AttackStrategy,
+    RngStreams,
+    SymbolBlock,
+    mismatch_coins,
+    strategy_from_dict,
+    transmit,
+    uniform_passes,
+)
 from .codes import (
     CssPair,
     block_permutations,
@@ -164,10 +172,22 @@ class SessionOutcome:
 # Pipeline steps
 # ---------------------------------------------------------------------------
 
+def _draw_bases(rng: np.random.Generator, n: int, bias_p: float) -> np.ndarray:
+    """n bases from the draws of one ``rng.random(n)`` call, made in passes.
+
+    A draw below p picks the rectilinear basis (0), any other the diagonal (1).
+    """
+    bases = np.empty(n, dtype=np.uint8)
+    diag = bases.view(bool)
+    for start, u in uniform_passes(rng, n):
+        np.greater_equal(u, bias_p, out=diag[start : start + u.size])
+    return bases
+
+
 def alice_prepare(params: ProtocolParams, streams: RngStreams) -> SymbolBlock:
     """Draw Alice's bases (rectilinear w.p. p) and uniform bits."""
     n = params.n_qubits
-    bases = (streams.stream("alice_bases").random(n) >= params.bias_p).view(np.uint8)
+    bases = _draw_bases(streams.stream("alice_bases"), n, params.bias_p)
     bits = streams.stream("alice_bits").integers(0, 2, size=n, dtype=np.uint8)
     return SymbolBlock(bases, bits)
 
@@ -180,18 +200,18 @@ def bob_measure(
     A matching basis reproduces the encoded bit; a mismatched one yields a
     uniform outcome. Returns the (basis, outcome) record as a SymbolBlock.
 
-    Draw contract: ``rng.random(n)`` picks the bases (rectilinear below p),
-    then one ``rng.integers(0, 2, size=k, dtype=uint8)`` call gives the k
-    mismatched positions their outcomes, coin i going to the i-th mismatched
-    position in increasing order.
+    Draw contract: the draws of one ``rng.random(n)`` call, made in passes,
+    pick the bases (rectilinear below p); then one
+    ``rng.integers(0, 2, size=k, dtype=uint8)`` call gives the k mismatched
+    positions their outcomes, coin i going to the i-th mismatched position
+    in increasing order.
     """
     n = len(received)
     if n != params.n_qubits:
         raise ValueError("received block length does not match params")
-    bases = (rng.random(n) >= params.bias_p).view(np.uint8)
+    bases = _draw_bases(rng, n, params.bias_p)
     bits = received.bits.copy()
-    idx = np.flatnonzero(bases != received.bases)
-    bits[idx] = rng.integers(0, 2, size=idx.size, dtype=np.uint8)
+    mismatch_coins(bits, bases, received.bases, rng)
     return SymbolBlock(bases, bits)
 
 

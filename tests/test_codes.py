@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from eqkd.channel import UNIFORMS_PER_PASS
 from eqkd.codes import (
-    _KEYS_PER_PASS,
     BinaryMatrix,
     CodeError,
     DegenerateCode,
@@ -359,7 +359,7 @@ def test_block_permutations_match_the_argsort_oracle(n):
     rng = np.random.default_rng(41 + n)
     # A pass of key draws holds whole rows, step of them. Counts around one
     # pass, and counts that span two and three passes.
-    step = _KEYS_PER_PASS // n
+    step = UNIFORMS_PER_PASS // n
     for blocks in (0, 1, int(rng.integers(2, 5000)), step - 1, step, step + 1, 2 * step + 1,
                    3 * step + 5):
         words = rng.integers(0, 256, (blocks, n), dtype=np.uint8)

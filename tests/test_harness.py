@@ -262,6 +262,23 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert summary["status_counts"]["accepted"] == 1
 
 
+_SETTINGS = {"n_qubits": 3000, "bias_p": 0.3, "m1": 80, "m2": 80}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [[1], {"params": 5}, {**_SETTINGS, "css": 5}, {**_SETTINGS, "code_files": 5},
+     {**_SETTINGS, "seed": [1]}, {**_SETTINGS, "seed": 6.5}],
+    ids=["not_an_object", "params_not_an_object", "css_not_an_object", "code_files_not_a_list",
+         "seed_a_list", "float_seed"],
+)
+def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, config):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+    assert capsys.readouterr().err.startswith("eqkd: error: ")
+
+
 def test_cli_bounds_commands(capsys):
     assert main(["bounds", "theorem2", "--delta", "0.01", "--k", "10"]) == 0
     out = json.loads(capsys.readouterr().out)
