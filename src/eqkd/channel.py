@@ -12,6 +12,7 @@ vertical; in the diagonal basis bit 0 is 45 degrees and bit 1 is 135 degrees.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, Union
 
@@ -45,7 +46,9 @@ _FLIP = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.uint8)
 UNIFORMS_PER_PASS = 1 << 16
 
 
-def uniform_passes(rng: np.random.Generator, n: int, per_pass: int = UNIFORMS_PER_PASS):
+def uniform_passes(
+    rng: np.random.Generator, n: int, per_pass: int = UNIFORMS_PER_PASS
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, u): u holds draws start .. start + len(u) - 1 of ``rng.random(n)``.
 
     Every u is a view of one buffer that the next pass overwrites, so a
