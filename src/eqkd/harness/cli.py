@@ -34,21 +34,12 @@ from ..bounds import (
     theorem3_fidelity,
 )
 from ..channel import BiasedInterceptResend, DepolarizingPauli, FixedPauliString, strategy_from_dict
-from ..codes import CodeError, load_css, css_fingerprint, steane_pair
+from ..codes import CodeError, css_fingerprint, css_from_meta, load_css, steane_pair
 from ..protocol import ProtocolParams, session_meta
 from .endpoints import ROLES, loopback_session, serve_endpoint
 from .runner import ExperimentConfig, attack_demo, emit_csv, replay_verify, run_experiment
 
-_PARAM_KEYS = ("n_qubits", "bias_p", "m1", "m2", "e_max", "delta_e", "delta_prime")
-_FLAG_TO_PARAM = {
-    "n": "n_qubits",
-    "bias_p": "bias_p",
-    "m1": "m1",
-    "m2": "m2",
-    "e_max": "e_max",
-    "delta_e": "delta_e",
-    "delta_prime": "delta_prime",
-}
+_PARAM_FIELDS = dataclasses.fields(ProtocolParams)
 
 
 def _print(obj) -> None:
@@ -80,19 +71,17 @@ def _session_setup(args):
     if not isinstance(pd, dict):
         raise ValueError(f"malformed params {pd!r}")
     pd = dict(pd)
-    for key in _PARAM_KEYS:
-        if key in file_cfg:
-            pd[key] = file_cfg[key]
-    for attr, key in _FLAG_TO_PARAM.items():
-        value = getattr(args, attr)
-        if value is not None:
-            pd[key] = value
-    pd.setdefault("e_max", 0.11)
-    pd.setdefault("delta_e", 0.01)
-    missing = [k for k in ("n_qubits", "bias_p", "m1", "m2") if k not in pd]
+    for f in _PARAM_FIELDS:
+        if f.name in file_cfg:
+            pd[f.name] = file_cfg[f.name]
+        flag = getattr(args, "n" if f.name == "n_qubits" else f.name)
+        if flag is not None:
+            pd[f.name] = flag
+    required = [f.name for f in _PARAM_FIELDS if f.default is dataclasses.MISSING]
+    missing = [name for name in required if name not in pd]
     if missing:
-        raise SystemExit(f"missing session settings: {', '.join(missing)}")
-    params = ProtocolParams.from_dict({k: pd[k] for k in _PARAM_KEYS if k in pd})
+        raise ValueError(f"missing session settings: {', '.join(missing)}")
+    params = ProtocolParams.from_dict({f.name: pd[f.name] for f in _PARAM_FIELDS if f.name in pd})
 
     if args.eve is not None:
         p1, p2 = (float(x) for x in args.eve.split(","))
@@ -107,8 +96,6 @@ def _session_setup(args):
     if args.code is not None:
         css = load_css(*args.code.split(","))
     elif "css" in file_cfg:
-        from ..codes import css_from_meta
-
         css = css_from_meta(file_cfg["css"])
     elif "code_files" in file_cfg:
         files = file_cfg["code_files"]
@@ -147,7 +134,7 @@ def _cmd_run(args) -> int:
 def _cmd_attack_demo(args) -> int:
     params, _strategy, css, seed, _meta = _session_setup(args)
     if args.eve is None:
-        raise SystemExit("attack-demo needs --eve P1,P2")
+        raise ValueError("attack-demo needs --eve P1,P2")
     p1, p2 = (float(x) for x in args.eve.split(","))
     _print(
         attack_demo(params, p1, p2, trials=args.trials, base_seed=seed, css=css)

@@ -29,13 +29,13 @@ from ..protocol import (
     BobMachine,
     ProtocolError,
     _peer_digest,
-    channel_transform,
     config_digest,
+    relay,
     session_from_meta,
     session_meta,
     status_for_decision,
 )
-from ..transcript import Actor, EventKind, SessionTranscript, pack_bits
+from ..transcript import Actor, EventKind, SessionTranscript, TranscriptError, pack_bits
 from .wire import (
     FrameError,
     HandshakeError,
@@ -113,40 +113,27 @@ def _write_outputs(out_dir, role: str, transcript: SessionTranscript, outcome: d
     (out / f"outcome_{role}.json").write_text(json.dumps(outcome, indent=2) + "\n")
 
 
-def _serve_alice(config, connect, out_dir, deadline) -> int:
+def _serve_party(role, config, link, out_dir, deadline) -> int:
+    """One party's endpoint: Alice dials the relay at ``link``, Bob accepts it on ``link``."""
     params, strategy, css, seed, meta = _materialize(config)
-    sock = _connect_retry(connect, deadline)
+    alice = role == "alice"
+    sock = _connect_retry(link, deadline) if alice else _accept_one(link, deadline)
     sock.settimeout(max(deadline - time.monotonic(), 0.1))
     try:
-        exchange_hello(sock, config_digest(meta), initiate=True)
-        machine = AliceMachine(params, css, RngStreams(seed), meta=meta)
-        for _actor, kind, payload in machine.start():
+        exchange_hello(sock, config_digest(meta), initiate=alice)
+        machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
+        peer = Actor.BOB if alice else Actor.ALICE
+        for _actor, kind, payload in machine.start() if alice else []:
             send_event(sock, kind, payload)
         while not machine.done:
             kind, payload = recv_event(sock)
-            for _actor, okind, opayload in machine.receive(Actor.BOB, kind, payload):
+            # the relay delivers the qubits; every other frame is the peer's own
+            sender = Actor.CHANNEL if kind is EventKind.QUBITS_SENT else peer
+            for _actor, okind, opayload in machine.receive(sender, kind, payload):
                 send_event(sock, okind, opayload)
     finally:
         sock.close()
-    _write_outputs(out_dir, "alice", machine.transcript, _party_outcome_dict("alice", machine))
-    return EXIT_OK
-
-
-def _serve_bob(config, listen, out_dir, deadline) -> int:
-    params, strategy, css, seed, meta = _materialize(config)
-    sock = _accept_one(listen, deadline)
-    sock.settimeout(max(deadline - time.monotonic(), 0.1))
-    try:
-        exchange_hello(sock, config_digest(meta), initiate=False)
-        machine = BobMachine(params, css, RngStreams(seed), meta=meta)
-        while not machine.done:
-            kind, payload = recv_event(sock)
-            actor = Actor.CHANNEL if kind is EventKind.QUBITS_SENT else Actor.ALICE
-            for _actor, okind, opayload in machine.receive(actor, kind, payload):
-                send_event(sock, okind, opayload)
-    finally:
-        sock.close()
-    _write_outputs(out_dir, "bob", machine.transcript, _party_outcome_dict("bob", machine))
+    _write_outputs(out_dir, role, machine.transcript, _party_outcome_dict(role, machine))
     return EXIT_OK
 
 
@@ -182,32 +169,22 @@ def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
     try:
         exchange_hello(bsock, digest, initiate=True)
         sel = selectors.DefaultSelector()
-        sel.register(asock, selectors.EVENT_READ, "alice")
-        sel.register(bsock, selectors.EVENT_READ, "bob")
-        open_links = {"alice", "bob"}
+        sel.register(asock, selectors.EVENT_READ, (Actor.ALICE, bsock))
+        sel.register(bsock, selectors.EVENT_READ, (Actor.BOB, asock))
+        open_links = 2
         while open_links:
             if time.monotonic() >= deadline:
                 raise FrameError("relay timed out waiting for traffic")
             for key, _mask in sel.select(timeout=0.5):
-                side = key.data
+                actor, peer = key.data
                 try:
                     kind, payload = recv_event(key.fileobj)
                 except EOFError:
                     sel.unregister(key.fileobj)
-                    open_links.discard(side)
+                    open_links -= 1
                     continue
-                if side == "alice":
-                    if kind is EventKind.QUBITS_SENT:
-                        canonical.append(Actor.ALICE, kind, payload)
-                        delivered = channel_transform(payload, strategy, streams)
-                        canonical.append(Actor.CHANNEL, kind, delivered)
-                        send_event(bsock, kind, delivered)
-                    else:
-                        canonical.append(Actor.ALICE, kind, payload)
-                        send_event(bsock, kind, payload)
-                else:
-                    canonical.append(Actor.BOB, kind, payload)
-                    send_event(asock, kind, payload)
+                ev = relay(canonical, actor, kind, payload, strategy, streams)
+                send_event(peer, ev.kind, ev.payload)
     finally:
         asock.close()
         bsock.close()
@@ -236,11 +213,11 @@ def serve_endpoint(
         if role == "alice":
             if connect is None:
                 raise ValueError("alice needs an address to connect to")
-            return _serve_alice(config, connect, out_dir, deadline)
+            return _serve_party(role, config, connect, out_dir, deadline)
         if role == "bob":
             if listen is None:
                 raise ValueError("bob needs a socket to listen on")
-            return _serve_bob(config, listen, out_dir, deadline)
+            return _serve_party(role, config, listen, out_dir, deadline)
         if role == "channel":
             if listen is None or connect is None:
                 raise ValueError("channel needs a socket to listen on and an address to connect to")
@@ -249,7 +226,7 @@ def serve_endpoint(
     except HandshakeError as exc:
         print(f"[{role}] handshake failed: {exc}", file=sys.stderr)
         return EXIT_HANDSHAKE
-    except (FrameError, ProtocolError, EOFError, OSError) as exc:
+    except (FrameError, ProtocolError, TranscriptError, EOFError, OSError) as exc:
         print(f"[{role}] session failed: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     finally:

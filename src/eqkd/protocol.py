@@ -43,7 +43,9 @@ from .codes import (
     reconcile_bob_blocks,
 )
 from .transcript import (
+    PROCEED,
     Actor,
+    Event,
     EventKind,
     SessionTranscript,
     pack_bits,
@@ -343,6 +345,30 @@ def channel_transform(payload: dict, strategy: AttackStrategy, streams: RngStrea
     return encode_symbols(transmit(block, strategy, rng))
 
 
+def relay(
+    canonical: SessionTranscript,
+    actor: Actor,
+    kind: EventKind,
+    payload: dict,
+    strategy: AttackStrategy,
+    streams: RngStreams,
+) -> Event:
+    """Log one message in flight between the parties; returns the event that arrives.
+
+    The message must be the next event the session grammar allows. Alice's
+    qubits must number the session's N before the channel strategy acts on
+    them; the delivered copy is logged as the CHANNEL event and returned.
+    """
+    if not canonical.allows(actor, kind):
+        raise ProtocolViolation(f"{actor.value} {kind.value} is out of the session order")
+    ev = canonical.append(actor, kind, payload)
+    if kind is EventKind.QUBITS_SENT:
+        n = canonical.meta["params"]["n_qubits"]
+        _peer_int(payload, "n", n, n)
+        ev = canonical.append(Actor.CHANNEL, kind, channel_transform(payload, strategy, streams))
+    return ev
+
+
 def key_digest_payload(key: np.ndarray) -> dict:
     digest = hashlib.sha256(np.packbits(np.asarray(key, dtype=np.uint8)).tobytes())
     return {"algo": "sha256", "bits": int(key.size), "digest": digest.hexdigest()}
@@ -381,7 +407,7 @@ Message = tuple[Actor, EventKind, dict]
 
 # The one mapping between session statuses and the DECISION payload strings.
 _DECISION_FOR_STATUS = {
-    SessionStatus.ACCEPTED: "proceed",
+    SessionStatus.ACCEPTED: PROCEED,
     SessionStatus.ABORTED_ERROR_RATE: "abort_error_rate",
     SessionStatus.ABORTED_INSUFFICIENT_SAMPLE: "abort_insufficient_sample",
 }
@@ -409,6 +435,8 @@ class PartyResult:
 
 
 class _PartyMachine:
+    actor: Actor  # whose messages this machine emits
+
     def __init__(
         self,
         params: ProtocolParams,
@@ -430,14 +458,18 @@ class _PartyMachine:
         self._key: np.ndarray | None = None
         self._num_blocks = 0
 
-    def _emit(self, actor: Actor, kind: EventKind, payload: dict) -> Message:
-        self.transcript.append(actor, kind, payload)
-        return (actor, kind, payload)
+    def _emit(self, kind: EventKind, payload: dict) -> Message:
+        self.transcript.append(self.actor, kind, payload)
+        return (self.actor, kind, payload)
 
-    def _accept(self, actor: Actor, kind: EventKind, payload: dict, *expected: EventKind) -> None:
-        """Log an inbound message of one of the ``expected`` kinds with an object payload."""
-        if kind not in expected:
-            raise ProtocolViolation(f"unexpected {kind} in state {self._state}")
+    def _accept(self, actor: Actor, kind: EventKind, payload: dict) -> None:
+        """Log an inbound message: the grammar's next event, from a peer, with an object payload.
+
+        A party receives each kind at most once, so ``receive`` dispatches on
+        the kind alone once this has passed.
+        """
+        if self.done or actor is self.actor or not self.transcript.allows(actor, kind):
+            raise ProtocolViolation(f"unexpected {kind.value} from {actor.value}")
         if not isinstance(payload, dict):
             raise ProtocolViolation(f"{kind} payload is a {type(payload).__name__}, not an object")
         self.transcript.append(actor, kind, payload)
@@ -455,7 +487,6 @@ class _PartyMachine:
             num_blocks=self._num_blocks,
         )
         self.done = True
-        self._state = "done"
 
     def _layout_blocks(self) -> int:
         """How many whole blocks the untested both-diagonal positions fill."""
@@ -480,58 +511,46 @@ class _PartyMachine:
 class AliceMachine(_PartyMachine):
     """Alice: prepares symbols, discloses bases second, decides, reconciles."""
 
+    actor = Actor.ALICE
+
     def __init__(self, params, css, streams, meta=None):
         super().__init__(params, css, streams, meta)
-        self._state = "start"
         self.symbols: SymbolBlock | None = None
         self._own_digest: str | None = None
 
     def start(self) -> list[Message]:
-        if self._state != "start":
+        if self.symbols is not None:
             raise ProtocolViolation("start called twice")
         self.symbols = alice_prepare(self.params, self.streams)
-        msg = self._emit(Actor.ALICE, EventKind.QUBITS_SENT, encode_symbols(self.symbols))
+        msg = self._emit(EventKind.QUBITS_SENT, encode_symbols(self.symbols))
         self.transcript.skip()  # channel delivery is not visible to Alice
-        self._state = "await_bob_bases"
         return [msg]
 
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
-        if self._state == "await_bob_bases":
-            self._accept(actor, kind, payload, EventKind.BASES_ANNOUNCED_BOB)
-            n = self.params.n_qubits
-            _peer_int(payload, "n", n, n)
-            bob_bases = _peer_bits(payload, "bases", n)
-            out = [
-                self._emit(
-                    Actor.ALICE,
-                    EventKind.BASES_ANNOUNCED_ALICE,
-                    {"n": len(self.symbols), "bases": pack_bits(self.symbols.bases)},
-                )
-            ]
+        self._accept(actor, kind, payload)
+        p = self.params
+        if kind is EventKind.BASES_ANNOUNCED_BOB:
+            _peer_int(payload, "n", p.n_qubits, p.n_qubits)
+            bob_bases = _peer_bits(payload, "bases", p.n_qubits)
+            bases = {"n": len(self.symbols), "bases": pack_bits(self.symbols.bases)}
+            out = [self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)]
             self._rect_pos, self._diag_pos = _sift_positions(self.symbols.bases, bob_bases)
-            self._state = "await_test"
             return out
-        if self._state == "await_test":
-            self._accept(actor, kind, payload, EventKind.TEST_INDICES, EventKind.DECISION)
-            if kind is EventKind.DECISION:
-                status = status_for_decision(payload.get("status"))
-                if status is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
-                    raise ProtocolViolation("unexpected early decision")
-                self._finish(status)
-                return []
-            p = self.params
+        if kind is EventKind.DECISION:
+            status = status_for_decision(payload.get("status"))
+            if status is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
+                raise ProtocolViolation("unexpected early decision")
+            self._finish(status)
+            return []
+        if kind is EventKind.TEST_INDICES:
             self._test_rect = _class_sample(self._rect_pos, payload.get("rect"), p.m1, "rect")
             self._test_diag = _class_sample(self._diag_pos, payload.get("diag"), p.m2, "diag")
-            self._state = "await_disclosure"
             return []
-        if self._state == "await_disclosure":
-            self._accept(actor, kind, payload, EventKind.TEST_DISCLOSURE)
+        if kind is EventKind.TEST_DISCLOSURE:
             return self._estimate_and_decide(payload)
-        if self._state == "await_bob_digest":
-            self._accept(actor, kind, payload, EventKind.KEY_DIGEST)
-            self._finish(SessionStatus.ACCEPTED, self._own_digest, _peer_digest(payload))
-            return []
-        raise ProtocolViolation(f"no messages expected in state {self._state}")
+        # Bob's KEY_DIGEST, the only other kind the grammar lets Alice receive
+        self._finish(SessionStatus.ACCEPTED, self._own_digest, _peer_digest(payload))
+        return []
 
     def _estimate_and_decide(self, payload: dict) -> list[Message]:
         p = self.params
@@ -552,26 +571,15 @@ class AliceMachine(_PartyMachine):
             tested_diag=self._test_diag,
         )
         self._estimate = est
-        out = [
-            self._emit(
-                Actor.ALICE,
-                EventKind.ESTIMATE,
-                {"r1": est.r1, "m1": est.m1, "r2": est.r2, "m2": est.m2},
-            )
-        ]
+        out = [self._emit(EventKind.ESTIMATE, {"r1": r1, "m1": p.m1, "r2": r2, "m2": p.m2})]
         threshold = p.threshold
         accepted = est.e1 < threshold and est.e2 < threshold
         status = SessionStatus.ACCEPTED if accepted else SessionStatus.ABORTED_ERROR_RATE
-        out.append(
-            self._emit(
-                Actor.ALICE, EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]}
-            )
-        )
+        out.append(self._emit(EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]}))
         if not accepted:
             self._finish(status)
             return out
         out.extend(self._reconcile())
-        self._state = "await_bob_digest"
         return out
 
     def _reconcile(self) -> list[Message]:
@@ -585,60 +593,43 @@ class AliceMachine(_PartyMachine):
         self._key = keys.reshape(-1)
         digest_payload = key_digest_payload(self._key)
         self._own_digest = digest_payload["digest"]
+        layout = {"blocks": blocks, "block_len": css.n}
         return [
+            self._emit(EventKind.PERMUTATION_SEED, {"seed": perm_seed, **layout}),
             self._emit(
-                Actor.ALICE,
-                EventKind.PERMUTATION_SEED,
-                {"seed": perm_seed, "blocks": blocks, "block_len": css.n},
-            ),
-            self._emit(
-                Actor.ALICE,
                 EventKind.CODEWORD_ANNOUNCEMENT,
-                {
-                    "blocks": blocks,
-                    "block_len": css.n,
-                    "masked": pack_bits(announcements.reshape(-1)),
-                },
+                {**layout, "masked": pack_bits(announcements.reshape(-1))},
             ),
-            self._emit(Actor.ALICE, EventKind.KEY_DIGEST, digest_payload),
+            self._emit(EventKind.KEY_DIGEST, digest_payload),
         ]
 
 
 class BobMachine(_PartyMachine):
     """Bob: measures, announces bases first, draws the test sample, decodes."""
 
+    actor = Actor.BOB
+
     def __init__(self, params, css, streams, meta=None):
         super().__init__(params, css, streams, meta)
         self.transcript.skip()  # Alice's pre-channel symbols are not visible
-        self._state = "await_qubits"
         self.results: SymbolBlock | None = None
         self._perm_seed: int | None = None
 
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
-        if self._state == "await_qubits":
-            self._accept(actor, kind, payload, EventKind.QUBITS_SENT)
-            n = self.params.n_qubits
-            _peer_int(payload, "n", n, n)
+        self._accept(actor, kind, payload)
+        p = self.params
+        if kind is EventKind.QUBITS_SENT:
+            _peer_int(payload, "n", p.n_qubits, p.n_qubits)
             received = decode_symbols(payload)
-            self.results = bob_measure(received, self.params, self.streams.stream("bob_bases"))
-            self._state = "await_alice_bases"
-            return [
-                self._emit(
-                    Actor.BOB,
-                    EventKind.BASES_ANNOUNCED_BOB,
-                    {"n": len(self.results), "bases": pack_bits(self.results.bases)},
-                )
-            ]
-        if self._state == "await_alice_bases":
-            self._accept(actor, kind, payload, EventKind.BASES_ANNOUNCED_ALICE)
-            n = self.params.n_qubits
-            _peer_int(payload, "n", n, n)
-            alice_bases = _peer_bits(payload, "bases", n)
+            self.results = bob_measure(received, p, self.streams.stream("bob_bases"))
+            bases = {"n": len(self.results), "bases": pack_bits(self.results.bases)}
+            return [self._emit(EventKind.BASES_ANNOUNCED_BOB, bases)]
+        if kind is EventKind.BASES_ANNOUNCED_ALICE:
+            _peer_int(payload, "n", p.n_qubits, p.n_qubits)
+            alice_bases = _peer_bits(payload, "bases", p.n_qubits)
             self._rect_pos, self._diag_pos = _sift_positions(alice_bases, self.results.bases)
             return self._select_test()
-        if self._state == "await_estimate":
-            self._accept(actor, kind, payload, EventKind.ESTIMATE)
-            p = self.params
+        if kind is EventKind.ESTIMATE:
             self._estimate = ErrorEstimate(
                 r1=_peer_int(payload, "r1", 0, p.m1),
                 m1=_peer_int(payload, "m1", p.m1, p.m1),
@@ -647,38 +638,28 @@ class BobMachine(_PartyMachine):
                 tested_rect=self._test_rect,
                 tested_diag=self._test_diag,
             )
-            self._state = "await_decision"
             return []
-        if self._state == "await_decision":
-            self._accept(actor, kind, payload, EventKind.DECISION)
+        if kind is EventKind.DECISION:
             status = status_for_decision(payload.get("status"))
             if status is SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
                 raise ProtocolViolation("insufficient-sample decision after the test sample")
-            if status is SessionStatus.ACCEPTED:
-                self._state = "await_permutation"
-            else:
+            if status is not SessionStatus.ACCEPTED:
                 self._finish(status)
             return []
-        if self._state == "await_permutation":
-            self._accept(actor, kind, payload, EventKind.PERMUTATION_SEED)
+        if kind is EventKind.PERMUTATION_SEED:
             self._perm_seed = _peer_int(payload, "seed", 0, 2**63 - 1)
             self._num_blocks = self._layout_blocks()
             self._check_block_layout(payload)
-            self._state = "await_codeword"
             return []
-        if self._state == "await_codeword":
-            self._accept(actor, kind, payload, EventKind.CODEWORD_ANNOUNCEMENT)
+        if kind is EventKind.CODEWORD_ANNOUNCEMENT:
             self._decode_blocks(payload)
-            self._state = "await_alice_digest"
             return []
-        if self._state == "await_alice_digest":
-            self._accept(actor, kind, payload, EventKind.KEY_DIGEST)
-            peer_digest = _peer_digest(payload)
-            digest_payload = key_digest_payload(self._key)
-            out = [self._emit(Actor.BOB, EventKind.KEY_DIGEST, digest_payload)]
-            self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], peer_digest)
-            return out
-        raise ProtocolViolation(f"no messages expected in state {self._state}")
+        # Alice's KEY_DIGEST, the only other kind the grammar lets Bob receive
+        peer_digest = _peer_digest(payload)
+        digest_payload = key_digest_payload(self._key)
+        out = [self._emit(EventKind.KEY_DIGEST, digest_payload)]
+        self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], peer_digest)
+        return out
 
     def _select_test(self) -> list[Message]:
         p = self.params
@@ -688,11 +669,7 @@ class BobMachine(_PartyMachine):
         )
         if not enough:
             status = SessionStatus.ABORTED_INSUFFICIENT_SAMPLE
-            out = [
-                self._emit(
-                    Actor.BOB, EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]}
-                )
-            ]
+            out = [self._emit(EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]})]
             self._finish(status)
             return out
         i1, i2 = _draw_class_samples(
@@ -704,17 +681,12 @@ class BobMachine(_PartyMachine):
         )
         self._test_rect = self._rect_pos[i1]
         self._test_diag = self._diag_pos[i2]
-        out = [
+        return [
             self._emit(
-                Actor.BOB,
                 EventKind.TEST_INDICES,
-                {
-                    "rect": self._test_rect.tolist(),
-                    "diag": self._test_diag.tolist(),
-                },
+                {"rect": self._test_rect.tolist(), "diag": self._test_diag.tolist()},
             ),
             self._emit(
-                Actor.BOB,
                 EventKind.TEST_DISCLOSURE,
                 {
                     "m1": p.m1,
@@ -724,8 +696,6 @@ class BobMachine(_PartyMachine):
                 },
             ),
         ]
-        self._state = "await_estimate"
-        return out
 
     def _check_block_layout(self, payload: dict) -> None:
         """``blocks`` and ``block_len`` must describe this party's own raw-key layout."""
@@ -789,29 +759,14 @@ def run_session(
     alice = AliceMachine(params, css, streams, meta=meta)
     bob = BobMachine(params, css, streams, meta=meta)
 
-    queue: deque[tuple[str, Message]] = deque(
-        ("bob", msg) for msg in alice.start()
-    )
+    queue: deque[Message] = deque(alice.start())
     while queue:
-        dest, (actor, kind, payload) = queue.popleft()
-        if actor is Actor.ALICE and kind is EventKind.QUBITS_SENT:
-            canonical.append(Actor.ALICE, kind, payload)
-            delivered = channel_transform(payload, strategy, streams)
-            canonical.append(Actor.CHANNEL, EventKind.QUBITS_SENT, delivered)
-            replies = bob.receive(Actor.CHANNEL, EventKind.QUBITS_SENT, delivered)
-            queue.extend(("alice", m) for m in replies)
-            continue
-        canonical.append(actor, kind, payload)
-        if dest == "bob":
-            replies = bob.receive(actor, kind, payload)
-            queue.extend(("alice", m) for m in replies)
-        else:
-            replies = alice.receive(actor, kind, payload)
-            queue.extend(("bob", m) for m in replies)
+        ev = relay(canonical, *queue.popleft(), strategy, streams)
+        receiver = alice if ev.actor is Actor.BOB else bob
+        queue.extend(receiver.receive(ev.actor, ev.kind, ev.payload))
 
     if not (alice.done and bob.done):
         raise ProtocolError("session stalled before both parties finished")
-    canonical.validate()
     a, b = alice.result, bob.result
     if a.status is not b.status:
         raise ProtocolError("parties disagree on the session status")

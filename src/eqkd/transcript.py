@@ -1,10 +1,13 @@
 """Session transcripts: the ordered record of a protocol run.
 
 Every public-channel message and both parties' relevant local data appear as
-events. Sequence numbers follow the fixed protocol grammar, so independently
-running endpoints assign identical numbers without coordination; an endpoint
-that cannot observe an event (Alice never sees the post-channel symbols, Bob
-never sees the pre-channel ones) skips its sequence number.
+events. Sequence numbers follow the fixed protocol grammar, ``GRAMMAR``: the
+(actor, kind) pairs allowed at each seq. Independently running endpoints
+therefore assign identical numbers without coordination; an endpoint that
+cannot observe an event (Alice never sees the post-channel symbols, Bob
+never sees the pre-channel ones) skips its sequence number. The party
+machines, the relay and ``SessionTranscript.validate`` all read that one
+table.
 """
 
 from __future__ import annotations
@@ -33,6 +36,32 @@ class EventKind(str, enum.Enum):
     CODEWORD_ANNOUNCEMENT = "codeword_announcement"
     PERMUTATION_SEED = "permutation_seed"
     KEY_DIGEST = "key_digest"
+
+
+# The session grammar: the (actor, kind) pairs allowed as event ``seq``. Bob's
+# DECISION at seq 4 stands in for TEST_INDICES when a class is too small to
+# sample. A DECISION ends the session unless it says PROCEED, and Bob's
+# KEY_DIGEST, the last seq, ends it too.
+GRAMMAR: tuple[tuple[tuple[Actor, EventKind], ...], ...] = (
+    ((Actor.ALICE, EventKind.QUBITS_SENT),),
+    ((Actor.CHANNEL, EventKind.QUBITS_SENT),),
+    ((Actor.BOB, EventKind.BASES_ANNOUNCED_BOB),),
+    ((Actor.ALICE, EventKind.BASES_ANNOUNCED_ALICE),),
+    ((Actor.BOB, EventKind.TEST_INDICES), (Actor.BOB, EventKind.DECISION)),
+    ((Actor.BOB, EventKind.TEST_DISCLOSURE),),
+    ((Actor.ALICE, EventKind.ESTIMATE),),
+    ((Actor.ALICE, EventKind.DECISION),),
+    ((Actor.ALICE, EventKind.PERMUTATION_SEED),),
+    ((Actor.ALICE, EventKind.CODEWORD_ANNOUNCEMENT),),
+    ((Actor.ALICE, EventKind.KEY_DIGEST),),
+    ((Actor.BOB, EventKind.KEY_DIGEST),),
+)
+PROCEED = "proceed"
+
+
+def _fits_grammar(seq: int, actor: Actor, kind: EventKind) -> bool:
+    """Whether the grammar allows ``actor``'s ``kind`` as event ``seq``."""
+    return 0 <= seq < len(GRAMMAR) and (actor, kind) in GRAMMAR[seq]
 
 
 def pack_bits(bits: np.ndarray) -> str:
@@ -102,6 +131,12 @@ class Event:
             raise TranscriptError(f"event {ev.seq} payload is not an object")
         return ev
 
+    def ends_session(self) -> bool:
+        """Whether no event may follow this one."""
+        if self.kind is EventKind.DECISION:
+            return self.payload.get("status") != PROCEED
+        return self.seq == len(GRAMMAR) - 1
+
 
 class TranscriptError(Exception):
     pass
@@ -132,6 +167,11 @@ class SessionTranscript:
         """Burn sequence numbers for events this party cannot observe."""
         self._next_seq += count
 
+    def allows(self, actor: Actor, kind: EventKind) -> bool:
+        """Whether the grammar allows ``actor``'s ``kind`` as the next event."""
+        ended = bool(self.events) and self.events[-1].ends_session()
+        return not ended and _fits_grammar(self._next_seq, actor, kind)
+
     def find(self, kind: EventKind) -> Event | None:
         for ev in self.events:
             if ev.kind == kind:
@@ -142,14 +182,24 @@ class SessionTranscript:
         return [ev for ev in self.events if ev.kind == kind]
 
     def validate(self) -> None:
-        """Check seq monotonicity and the basis-announcement ordering."""
-        seqs = [ev.seq for ev in self.events]
-        if any(b <= a for a, b in zip(seqs, seqs[1:])):
-            raise TranscriptError("sequence numbers must be strictly increasing")
-        bob = self.find(EventKind.BASES_ANNOUNCED_BOB)
-        alice = self.find(EventKind.BASES_ANNOUNCED_ALICE)
-        if bob is not None and alice is not None and not bob.seq < alice.seq:
-            raise TranscriptError("Bob's bases must be announced before Alice's")
+        """Walk the events through the session grammar.
+
+        Each event must fit its seq. Only seq 0 or seq 1 may be missing, not
+        both: a party's own record holds one of the two QUBITS_SENT events.
+        The last event, and only the last, must end the session. A record
+        without events passes, so a bare metadata header loads.
+        """
+        prev = -1
+        for i, ev in enumerate(self.events, start=1):
+            if not (ev.seq == prev + 1 or ev.seq == prev + 2 <= 2):
+                raise TranscriptError(f"seq {ev.seq} follows seq {prev}")
+            if not _fits_grammar(ev.seq, ev.actor, ev.kind):
+                raise TranscriptError(f"{ev.actor.value} {ev.kind.value} cannot be event {ev.seq}")
+            last = i == len(self.events)
+            if ev.ends_session() != last:
+                ends = "is cut short" if last else "ends before its last event"
+                raise TranscriptError(f"the session {ends}, at seq {ev.seq}")
+            prev = ev.seq
 
     def event_lines(self) -> list[str]:
         return [ev.to_json() for ev in self.events]

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eqkd.channel import DepolarizingPauli, Passive, RngStreams
+from eqkd.channel import DepolarizingPauli, FixedPauliString, Passive, RngStreams
 from eqkd.codes import steane_pair
 from eqkd.harness.endpoints import (
     EXIT_HANDSHAKE,
@@ -31,6 +31,7 @@ from eqkd.protocol import (
     config_digest,
     encode_symbols,
     run_session,
+    session_from_meta,
     session_meta,
 )
 from eqkd.transcript import Actor, EventKind, SessionTranscript
@@ -223,16 +224,22 @@ def test_malformed_estimate_ends_the_endpoint_with_exit_protocol():
     assert codes == [EXIT_PROTOCOL]
 
 
-def test_relay_ends_a_digest_without_a_digest_field_with_exit_protocol(capsys):
-    _params, meta = _meta(39)
+def _play_to_relay(meta, frames, out_dir=None):
+    """Run a relay in a thread and play both parties over its two links.
+
+    Each (actor, kind, payload) frame goes out on its sender's link and is
+    read back from the other one, until the relay stops forwarding; then
+    both links close. Returns the relay's exit code and the forwarded frames.
+    """
     digest = config_digest(meta)
     relay_l, bob_l = _listener(), _listener()
     relay_address = relay_l.getsockname()
-    codes = []
+    codes, forwarded = [], []
     relay = threading.Thread(
-        target=lambda: codes.append(
-            serve_endpoint("channel", meta, listen=relay_l, connect=bob_l.getsockname(), timeout=15)
-        )
+        target=lambda: codes.append(serve_endpoint(
+            "channel", meta, listen=relay_l, connect=bob_l.getsockname(), out_dir=out_dir,
+            timeout=15,
+        ))
     )
     relay.start()
     with bob_l, socket.create_connection(relay_address, timeout=15) as alice:
@@ -241,11 +248,61 @@ def test_relay_ends_a_digest_without_a_digest_field_with_exit_protocol(capsys):
         bob, _addr = bob_l.accept()
         with bob:
             exchange_hello(bob, digest, initiate=False)
-            send_event(alice, EventKind.KEY_DIGEST, {})
-            # read the forwarded frame first, so the relay's send cannot fail
-            assert recv_event(bob) == (EventKind.KEY_DIGEST, {})
-            alice.close()
+            links = {Actor.ALICE: (alice, bob), Actor.BOB: (bob, alice)}
+            try:
+                for actor, kind, payload in frames:
+                    out, back = links[actor]
+                    send_event(out, kind, payload)
+                    # read the forwarded frame first, so the relay's send cannot fail
+                    forwarded.append(recv_event(back))
+            except (EOFError, OSError):
+                pass  # the relay refused the frame and closed both links
     relay.join(timeout=15)
     assert not relay.is_alive()
+    return codes, forwarded
+
+
+def _party_frames(meta):
+    """The (actor, kind, payload) frames the parties send in the in-process session of ``meta``."""
+    events = run_session(*session_from_meta(meta)).transcript.events
+    return [(ev.actor, ev.kind, ev.payload) for ev in events if ev.actor is not Actor.CHANNEL]
+
+
+def test_relay_ends_a_digest_without_a_digest_field_with_exit_protocol(capsys):
+    _params, meta = _meta(39)
+    frames = _party_frames(meta)
+    assert frames[9][:2] == (Actor.ALICE, EventKind.KEY_DIGEST)  # event 10, after the CHANNEL's
+    frames[9] = (Actor.ALICE, EventKind.KEY_DIGEST, {})
+    codes, forwarded = _play_to_relay(meta, frames)
+    assert len(forwarded) == 11 and forwarded[9] == (EventKind.KEY_DIGEST, {})
     assert codes == [EXIT_PROTOCOL]
     assert "'digest'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "strategy", [FixedPauliString("I" * 1500), Passive()], ids=["fixed_pauli_string", "passive"]
+)
+def test_relay_refuses_a_qubit_frame_of_the_wrong_length(capsys, strategy):
+    _params, meta = _meta(41, strategy)
+    short = ProtocolParams(n_qubits=1400, bias_p=0.3, m1=60, m2=60)
+    symbols = encode_symbols(alice_prepare(short, RngStreams(41)))
+    codes, forwarded = _play_to_relay(meta, [(Actor.ALICE, EventKind.QUBITS_SENT, symbols)])
+    assert codes == [EXIT_PROTOCOL] and forwarded == []
+    assert "expected 1500" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["digest_first", "alice_bases_first", "cut_short"])
+def test_relay_refuses_a_session_out_of_order(tmp_path, capsys, order):
+    _params, meta = _meta(42)
+    frames = _party_frames(meta)
+    if order == "digest_first":
+        frames = [f for f in frames if f[:2] == (Actor.ALICE, EventKind.KEY_DIGEST)]
+    elif order == "alice_bases_first":
+        frames = [frames[2], frames[1]]
+    else:
+        frames = frames[:3]
+    codes, forwarded = _play_to_relay(meta, frames, out_dir=tmp_path)
+    assert codes == [EXIT_PROTOCOL]
+    assert len(forwarded) == (3 if order == "cut_short" else 0)
+    assert not (tmp_path / "transcript_channel.jsonl").exists()
+    assert "session failed" in capsys.readouterr().err

@@ -4,15 +4,17 @@ The party machines are driven to each of their states along one accepted
 session, then handed an arbitrary message: any kind, any actor, and a payload
 that is either an arbitrary JSON value or the session's own payload of that
 kind with fields dropped, replaced or nudged. Only ``ProtocolViolation`` may
-escape. The wire decoder is fed arbitrary byte streams and frames; only
-``FrameError`` may escape. Example budgets are bounded so the suite stays
-fast.
+escape, and the same holds for the relay step at each point of the session,
+with the object payloads the wire lets through. The wire decoder is fed
+arbitrary byte streams and frames; only ``FrameError`` may escape. Example
+budgets are bounded so the suite stays fast.
 """
 
 import copy
 import json
 import socket
 import struct
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +28,10 @@ from eqkd.protocol import (
     ProtocolParams,
     ProtocolViolation,
     SessionStatus,
-    channel_transform,
+    relay,
+    session_meta,
 )
-from eqkd.transcript import Actor, EventKind
+from eqkd.transcript import Actor, EventKind, SessionTranscript
 
 CSS = steane_pair()
 PARAMS = ProtocolParams(n_qubits=400, bias_p=0.3, m1=10, m2=10)
@@ -38,35 +41,36 @@ FUZZ = settings(max_examples=60, deadline=None, database=None)
 
 
 def _snapshots():
-    """Each machine in every state one accepted session passes through.
+    """Each machine and the relay in every state one accepted session passes through.
 
-    Returns (alice states, bob states, payload of each kind); a machine state
-    is (machine, kind it expects next, or None once done).
+    Returns (alice states, bob states, relay states, payload of each kind); a
+    machine state is (machine, kind it expects next, or None once done), a
+    relay state (canonical transcript, streams, message it relays next).
     """
     streams = RngStreams(SEED)
+    canonical = SessionTranscript(meta=session_meta(PARAMS, STRATEGY, CSS, SEED))
     alice = AliceMachine(PARAMS, CSS, streams)
     bob = BobMachine(PARAMS, CSS, streams)
     alice_states = [(copy.deepcopy(alice), None)]
-    bob_states = []
+    bob_states, relay_states = [], []
     payloads = {}
-    queue = []
-    for actor, kind, payload in alice.start():
-        payloads[kind] = payload
-        queue.append((bob, Actor.CHANNEL, kind, channel_transform(payload, STRATEGY, streams)))
+    queue = deque(alice.start())
     while queue:
-        dest, actor, kind, payload = queue.pop(0)
-        states = alice_states if dest is alice else bob_states
-        states.append((copy.deepcopy(dest), kind))
+        actor, kind, payload = queue.popleft()
         payloads.setdefault(kind, payload)
-        peer = bob if dest is alice else alice
-        queue.extend((peer, *msg) for msg in dest.receive(actor, kind, payload))
+        relay_states.append((copy.deepcopy(canonical), copy.deepcopy(streams), (actor, kind)))
+        ev = relay(canonical, actor, kind, payload, STRATEGY, streams)
+        dest, states = (alice, alice_states) if ev.actor is Actor.BOB else (bob, bob_states)
+        states.append((copy.deepcopy(dest), kind))
+        queue.extend(dest.receive(ev.actor, ev.kind, ev.payload))
     assert alice.done and bob.done and alice.result.status is SessionStatus.ACCEPTED
     alice_states.append((alice, None))
     bob_states.append((bob, None))
-    return alice_states, bob_states, payloads
+    relay_states.append((canonical, streams, None))
+    return alice_states, bob_states, relay_states, payloads
 
 
-ALICE_STATES, BOB_STATES, PAYLOADS = _snapshots()
+ALICE_STATES, BOB_STATES, RELAY_STATES, PAYLOADS = _snapshots()
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
@@ -124,6 +128,17 @@ def messages(draw, states):
     return copy.deepcopy(machine), draw(st.sampled_from(list(Actor))), kind, draw(payloads(kind))
 
 
+@st.composite
+def relayed(draw):
+    """(canonical, streams, actor, kind, object payload); the expected message half the time."""
+    canonical, streams, expected = draw(st.sampled_from(RELAY_STATES))
+    if expected is None or draw(st.booleans()):
+        actor = draw(st.sampled_from([Actor.ALICE, Actor.BOB]))
+        expected = actor, draw(st.sampled_from(list(EventKind)))
+    payload = draw(payloads(expected[1]).filter(lambda p: isinstance(p, dict)))
+    return copy.deepcopy(canonical), copy.deepcopy(streams), *expected, payload
+
+
 def _only_violations(machine, actor, kind, payload):
     try:
         machine.receive(actor, kind, payload)
@@ -162,6 +177,16 @@ def test_alice_raises_only_protocol_violation(message):
 @given(messages(BOB_STATES))
 def test_bob_raises_only_protocol_violation(message):
     _only_violations(*message)
+
+
+@FUZZ
+@given(relayed())
+def test_relay_raises_only_protocol_violation(message):
+    canonical, streams, actor, kind, payload = message
+    try:
+        relay(canonical, actor, kind, payload, STRATEGY, streams)
+    except ProtocolViolation:
+        pass
 
 
 def _recv_from(data: bytes):

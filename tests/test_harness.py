@@ -279,6 +279,20 @@ def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, conf
     assert capsys.readouterr().err.startswith("eqkd: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, wanted",
+    [
+        (["run", "--n", "100", "--trials", "1"], "missing session settings: bias_p, m1, m2"),
+        (["attack-demo", "--n", "20000", "--bias-p", "0.1", "--m1", "25", "--m2", "100"],
+         "attack-demo needs --eve P1,P2"),
+    ],
+    ids=["run_without_settings", "attack_demo_without_eve"],
+)
+def test_cli_usage_errors_exit_2(capsys, argv, wanted):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"eqkd: error: {wanted}\n"
+
+
 def test_cli_bounds_commands(capsys):
     assert main(["bounds", "theorem2", "--delta", "0.01", "--k", "10"]) == 0
     out = json.loads(capsys.readouterr().out)

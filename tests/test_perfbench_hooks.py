@@ -17,6 +17,7 @@ import pytest
 from eqkd.codes import reconcile_bob_blocks, steane_pair
 from eqkd.harness.endpoints import serve_endpoint
 from eqkd.harness.wire import send_frame
+from eqkd.protocol import AliceMachine, BobMachine
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,10 +52,17 @@ def test_block_counter_reads_a_keys_and_ok_pair(tracer):
     assert counts == {"codes.blocks": 40, "codes.decode_failures": 0}
 
 
-
 def test_traced_endpoint_and_frame_arguments_keep_their_positions():
     # the tracer labels an endpoint span by args[0] and dumps its spans to the
     # out_dir keyword; it counts a frame's bytes as len(args[2])
     endpoint = list(inspect.signature(serve_endpoint).parameters)
     assert endpoint[0] == "role" and "out_dir" in endpoint
     assert list(inspect.signature(send_frame).parameters) == ["sock", "tag", "payload"]
+
+
+@pytest.mark.parametrize("cls", [AliceMachine, BobMachine])
+def test_traced_machine_steps_keep_their_parameters(cls):
+    # the tracer patches receive in the class's own __dict__ and labels each
+    # step by args[2].value, the kind of the message received
+    receive = cls.__dict__["receive"]
+    assert list(inspect.signature(receive).parameters) == ["self", "actor", "kind", "payload"]

@@ -1,4 +1,5 @@
 import hashlib
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,11 +28,12 @@ from eqkd.protocol import (
     channel_transform,
     encode_symbols,
     naive_average_rate,
+    relay,
     run_session,
     session_meta,
     weighted_error_rates,
 )
-from eqkd.transcript import Actor, EventKind, pack_bits, unpack_bits
+from eqkd.transcript import Actor, EventKind, SessionTranscript, pack_bits, unpack_bits
 from pipeline_oracle import (
     alice_prepare_oracle,
     bob_measure_oracle,
@@ -416,36 +418,35 @@ def test_raw_key_layout_matches_the_setdiff_oracle():
         assert np.array_equal(layout.reshape(-1), expected)
 
 
-def test_machine_views_are_the_canonical_transcript_minus_one_event():
-    params = default_params()
-    strategy = Passive()
-    seed = 19
+def _drive(seed, stop_at=None, strategy=None):
+    """Two machines and the relay step, shuttling messages as ``run_session`` does.
+
+    Returns (alice, bob, canonical transcript, undelivered messages). The
+    messages are left undelivered once the next is ``stop_at``, an (actor,
+    kind) pair; none are left once the session ends.
+    """
+    params, strategy = default_params(), strategy or Passive()
     streams = RngStreams(seed)
     meta = session_meta(params, strategy, CSS, seed)
     alice = AliceMachine(params, CSS, streams, meta=meta)
     bob = BobMachine(params, CSS, streams, meta=meta)
-    pending = [("bob", m) for m in alice.start()]
-    canonical = []
-    while pending:
-        dest, (actor, kind, payload) = pending.pop(0)
-        if actor is Actor.ALICE and kind is EventKind.QUBITS_SENT:
-            canonical.append((Actor.ALICE, kind, payload))
-            delivered = channel_transform(payload, strategy, streams)
-            canonical.append((Actor.CHANNEL, kind, delivered))
-            pending.extend(("alice", m) for m in bob.receive(Actor.CHANNEL, kind, delivered))
-            continue
-        canonical.append((actor, kind, payload))
-        if dest == "bob":
-            pending.extend(("alice", m) for m in bob.receive(actor, kind, payload))
-        else:
-            pending.extend(("bob", m) for m in alice.receive(actor, kind, payload))
+    canonical = SessionTranscript(meta=meta)
+    pending = deque(alice.start())
+    while pending and pending[0][:2] != stop_at:
+        ev = relay(canonical, *pending.popleft(), strategy, streams)
+        receiver = alice if ev.actor is Actor.BOB else bob
+        pending.extend(receiver.receive(ev.actor, ev.kind, ev.payload))
+    return alice, bob, canonical, list(pending)
 
+
+def test_machine_views_are_the_canonical_transcript_minus_one_event():
+    alice, bob, canonical, _pending = _drive(19, strategy=DepolarizingPauli.symmetric(0.01))
     assert alice.done and bob.done
-    alice_view = [(e.seq, e.actor, e.kind) for e in alice.transcript.events]
-    bob_view = [(e.seq, e.actor, e.kind) for e in bob.transcript.events]
-    full = [(i, a, k) for i, (a, k, _p) in enumerate(canonical)]
-    assert alice_view == [e for e in full if e[0] != 1]
-    assert bob_view == [e for e in full if e[0] != 0]
+    canonical.validate()
+    full = canonical.event_lines()
+    assert len(full) == 12
+    assert alice.transcript.event_lines() == full[:1] + full[2:]
+    assert bob.transcript.event_lines() == full[1:]
 
 
 def test_machines_reject_out_of_order_messages():
@@ -457,6 +458,11 @@ def test_machines_reject_out_of_order_messages():
         alice.receive(Actor.BOB, EventKind.KEY_DIGEST, {"digest": "00"})
     with pytest.raises(ProtocolViolation):
         alice.start()
+    # the grammar's seq 0 is Alice's own message, which she never receives
+    fresh = AliceMachine(params, CSS, RngStreams(20))
+    with pytest.raises(ProtocolViolation):
+        fresh.receive(Actor.ALICE, EventKind.QUBITS_SENT, {"digest": "00" * 32})
+    assert not fresh.done
 
 
 def test_session_outcome_statuses_agree_between_parties():
@@ -467,34 +473,8 @@ def test_session_outcome_statuses_agree_between_parties():
     assert out.alice_key.size == out.bob_key.size
 
 
-def _drive(alice, bob, strategy, streams, stop_at=None):
-    """Shuttle messages between the machines as ``run_session`` does.
-
-    Returns the undelivered (dest, message) pairs once a message of kind
-    ``stop_at`` is next, or an empty list when the session ends.
-    """
-    pending = [("bob", m) for m in alice.start()]
-    while pending:
-        dest, (actor, kind, payload) = pending[0]
-        if kind is stop_at:
-            return pending
-        pending.pop(0)
-        if actor is Actor.ALICE and kind is EventKind.QUBITS_SENT:
-            delivered = channel_transform(payload, strategy, streams)
-            pending.extend(("alice", m) for m in bob.receive(Actor.CHANNEL, kind, delivered))
-        elif dest == "bob":
-            pending.extend(("alice", m) for m in bob.receive(actor, kind, payload))
-        else:
-            pending.extend(("bob", m) for m in alice.receive(actor, kind, payload))
-    return pending
-
-
 def test_alice_rejects_a_second_key_digest():
-    params = default_params()
-    streams = RngStreams(22)
-    alice = AliceMachine(params, CSS, streams)
-    bob = BobMachine(params, CSS, streams)
-    _drive(alice, bob, Passive(), streams)
+    alice, _bob, _canonical, _pending = _drive(22)
     assert alice.done and alice.result.status is SessionStatus.ACCEPTED
     genuine = alice.result.peer_digest
     with pytest.raises(ProtocolViolation):
@@ -502,29 +482,32 @@ def test_alice_rejects_a_second_key_digest():
     assert alice.result.peer_digest == genuine
 
 
+def _awaiting(kind, seed, to_alice=False):
+    """(receiver, actor, genuine payload) with the peer's message of ``kind`` next due.
+
+    The receiver is Bob, or Alice when ``to_alice``. Over a passive channel
+    the relay delivers Alice's qubits unchanged, as the CHANNEL's.
+    """
+    sender = Actor.BOB if to_alice else Actor.ALICE
+    alice, bob, _canonical, pending = _drive(seed, stop_at=(sender, kind))
+    _sender, _kind, payload = pending[0]
+    actor = Actor.CHANNEL if kind is EventKind.QUBITS_SENT else sender
+    return (alice if to_alice else bob), actor, payload
+
+
 def test_bob_rejects_an_unknown_decision():
-    params = default_params()
-    streams = RngStreams(23)
-    alice = AliceMachine(params, CSS, streams)
-    bob = BobMachine(params, CSS, streams)
-    pending = _drive(alice, bob, Passive(), streams, stop_at=EventKind.DECISION)
-    _dest, (actor, kind, _payload) = pending[0]
+    bob, actor, _genuine = _awaiting(EventKind.DECISION, 23)
+    with pytest.raises(ProtocolViolation):
+        bob.receive(actor, EventKind.DECISION, {"status": "no_such_status"})
+    assert not bob.done
+
+
+def test_bob_rejects_an_insufficient_sample_decision_after_his_test_sample():
     # Bob has drawn his test sample, so only Alice's two verdicts can follow
-    for status in ("no_such_status", "abort_insufficient_sample"):
-        with pytest.raises(ProtocolViolation):
-            bob.receive(actor, kind, {"status": status})
-        assert not bob.done
-
-
-def _alice_awaiting(kind, seed):
-    """Alice, with Bob's genuine message of ``kind`` the next one due to her."""
-    params = default_params()
-    streams = RngStreams(seed)
-    alice = AliceMachine(params, CSS, streams)
-    bob = BobMachine(params, CSS, streams)
-    pending = _drive(alice, bob, Passive(), streams, stop_at=kind)
-    _dest, (actor, _kind, payload) = pending[0]
-    return alice, actor, payload
+    bob, actor, _genuine = _awaiting(EventKind.DECISION, 23)
+    with pytest.raises(ProtocolViolation):
+        bob.receive(actor, EventKind.DECISION, {"status": "abort_insufficient_sample"})
+    assert not bob.done
 
 
 @pytest.mark.parametrize(
@@ -533,7 +516,7 @@ def _alice_awaiting(kind, seed):
      "not_integers"],
 )
 def test_alice_rejects_a_malformed_test_sample(probe):
-    alice, actor, genuine = _alice_awaiting(EventKind.TEST_INDICES, 25)
+    alice, actor, genuine = _awaiting(EventKind.TEST_INDICES, 25, to_alice=True)
     rect, diag = list(genuine["rect"]), list(genuine["diag"])
     if probe == "repeated_index":
         diag = [diag[0]] * len(diag)
@@ -556,14 +539,8 @@ def test_alice_rejects_a_malformed_test_sample(probe):
     "kind", [EventKind.QUBITS_SENT, EventKind.BASES_ANNOUNCED_BOB, EventKind.BASES_ANNOUNCED_ALICE]
 )
 def test_machines_reject_a_truncated_bases_payload(kind):
-    params = default_params()
-    streams = RngStreams(26)
-    alice = AliceMachine(params, CSS, streams)
-    bob = BobMachine(params, CSS, streams)
-    dest, (actor, _kind, payload) = _drive(alice, bob, Passive(), streams, stop_at=kind)[0]
-    receiver = alice if dest == "alice" else bob
-    if kind is EventKind.QUBITS_SENT:
-        actor = Actor.CHANNEL
+    to_alice = kind is EventKind.BASES_ANNOUNCED_BOB
+    receiver, actor, payload = _awaiting(kind, 26, to_alice=to_alice)
     for bad in (dict(payload, bases=payload["bases"][:-2]), dict(payload, n=payload["n"] - 8)):
         with pytest.raises(ProtocolViolation):
             receiver.receive(actor, kind, bad)
@@ -577,30 +554,12 @@ def test_relay_rejects_a_truncated_qubits_payload():
 
 
 def test_alice_rejects_a_disclosure_of_the_wrong_size():
-    alice, actor, genuine = _alice_awaiting(EventKind.TEST_DISCLOSURE, 28)
+    alice, actor, genuine = _awaiting(EventKind.TEST_DISCLOSURE, 28, to_alice=True)
     short = genuine["m1"] - 8
     bad = dict(genuine, m1=short, rect_bits=pack_bits(np.zeros(short, dtype=np.uint8)))
     with pytest.raises(ProtocolViolation):
         alice.receive(actor, EventKind.TEST_DISCLOSURE, bad)
     assert not alice.done
-
-
-def _awaiting(kind, seed, to_alice=False):
-    """(receiver, actor, genuine payload) with a message of ``kind`` next due.
-
-    The receiver is Bob, or Alice when ``to_alice``; only KEY_DIGEST goes
-    both ways, and Bob's comes once Alice's is delivered.
-    """
-    params = default_params()
-    streams = RngStreams(seed)
-    alice = AliceMachine(params, CSS, streams)
-    bob = BobMachine(params, CSS, streams)
-    dest, (actor, _kind, payload) = _drive(alice, bob, Passive(), streams, stop_at=kind)[0]
-    if to_alice and dest == "bob":
-        [(actor, _kind, payload)] = bob.receive(actor, kind, payload)
-        dest = "alice"
-    assert dest == ("alice" if to_alice else "bob")
-    return (alice if to_alice else bob), actor, payload
 
 
 def _probe(genuine, change):

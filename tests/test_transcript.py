@@ -91,13 +91,47 @@ def test_validate_enforces_disclosure_order():
         t.validate()
 
 
-def test_jsonl_roundtrip_with_meta():
-    t = SessionTranscript(meta={"seed": 9, "note": "x"})
+def _starved_session(meta=None) -> SessionTranscript:
+    """A whole session: Bob ends it at seq 4, a class being too small to sample."""
+    t = SessionTranscript(meta=meta or {})
     t.append(Actor.ALICE, EventKind.QUBITS_SENT, {"n": 4, "bases": "a0", "bits": "50"})
     t.append(Actor.CHANNEL, EventKind.QUBITS_SENT, {"n": 4, "bases": "a0", "bits": "50"})
+    t.append(Actor.BOB, EventKind.BASES_ANNOUNCED_BOB, {"n": 4, "bases": "30"})
+    t.append(Actor.ALICE, EventKind.BASES_ANNOUNCED_ALICE, {"n": 4, "bases": "a0"})
+    t.append(Actor.BOB, EventKind.DECISION, {"status": "abort_insufficient_sample"})
+    return t
+
+
+def test_jsonl_roundtrip_with_meta():
+    t = _starved_session(meta={"seed": 9, "note": "x"})
     text = t.to_jsonl()
     back = SessionTranscript.from_jsonl(text)
     assert back.meta == t.meta
     assert back.event_lines() == t.event_lines()
     assert back.find(EventKind.QUBITS_SENT).actor is Actor.ALICE
     assert len(back.find_all(EventKind.QUBITS_SENT)) == 2
+
+
+def test_validate_rejects_a_session_cut_short():
+    t = _starved_session()
+    t.events.pop()
+    with pytest.raises(TranscriptError, match="cut short"):
+        t.validate()
+
+
+def test_a_decision_ends_the_session_unless_it_says_proceed():
+    t = _starved_session()
+    t.events[-1] = Event(4, Actor.BOB, EventKind.DECISION, {"status": "proceed"})
+    with pytest.raises(TranscriptError, match="cut short"):
+        t.validate()
+
+
+def test_allows_reads_the_grammar_at_the_next_seq():
+    t = SessionTranscript()
+    assert t.allows(Actor.ALICE, EventKind.QUBITS_SENT)
+    assert not t.allows(Actor.CHANNEL, EventKind.QUBITS_SENT)
+    t.skip(4)
+    assert t.allows(Actor.BOB, EventKind.TEST_INDICES) and t.allows(Actor.BOB, EventKind.DECISION)
+    assert not t.allows(Actor.ALICE, EventKind.DECISION)
+    t.append(Actor.BOB, EventKind.DECISION, {"status": "abort_insufficient_sample"})
+    assert not t.allows(Actor.BOB, EventKind.TEST_DISCLOSURE)  # the session has ended
