@@ -40,25 +40,55 @@ class PauliLetter(enum.IntEnum):
 _FLIP = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.uint8)
 
 
-# Uniform draws are made this many at a time into one reused buffer, so that a
-# pass and what is computed from it stay in L2 cache. A generator fills in
-# order, so the passes together are the draws of one rng.random(n) call.
-UNIFORMS_PER_PASS = 1 << 16
+# The draw contract: how every per-symbol kernel turns a generator's output
+# into draws. Recorded in the session metadata, so a transcript drawn under
+# another contract is refused rather than replayed into a divergence.
+DRAW_CONTRACT = 2
+
+# Raw words are drawn this many at a time, so that a pass and what is computed
+# from it stay in L2 cache. A bit generator hands out its words in order, so
+# the passes together are the words of one ``random_raw`` call.
+WORDS_PER_PASS = 1 << 16
 
 
-def uniform_passes(
-    rng: np.random.Generator, n: int, per_pass: int = UNIFORMS_PER_PASS
+def raw_passes(
+    rng: np.random.Generator, n: int, dtype=np.uint64, words_per_pass: int = WORDS_PER_PASS
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, u): u holds draws start .. start + len(u) - 1 of ``rng.random(n)``.
+    """Yield (start, d): d holds draws start .. start + len(d) - 1 of n.
 
-    Every u is a view of one buffer that the next pass overwrites, so a
-    caller uses each pass before asking for the next one.
+    The draws are the generator's raw 64-bit words (``bit_generator.random_raw``)
+    cut into little-endian ``dtype`` pieces, low piece first: uint32 draw 2j
+    is the low half of word j and draw 2j + 1 its high half, and uint8 draw
+    i is byte i mod 8 of word i // 8. n draws use ceil(n / pieces per word)
+    words; the rest of the last one is dropped. Each pass is a fresh array of
+    at most ``words_per_pass`` words.
     """
-    buf = np.empty(min(n, per_pass))
-    for start in range(0, n, per_pass):
-        u = buf[: min(per_pass, n - start)]
-        rng.random(out=u)
-        yield start, u
+    size = np.dtype(dtype).itemsize
+    words = -(-n * size // 8)
+    for first in range(0, words, words_per_pass):
+        raw = rng.bit_generator.random_raw(min(words_per_pass, words - first))
+        start = first * 8 // size
+        yield start, raw.astype("<u8", copy=False).view(f"<u{size}")[: n - start]
+
+
+def bernoulli_threshold(p: float) -> np.uint32 | int:
+    """round(p * 2^32): a uint32 draw u fires a Bernoulli(p) when u < this.
+
+    The firing probability is the threshold over 2^32, within 2^-33 of p.
+    The threshold is a numpy uint32, which a uint32 array compares against
+    fastest. A probability of 1 gives the Python int 2^32 instead: numpy
+    compares it exactly, so every draw is below it and it does not wrap to 0.
+    """
+    t = round(float(p) * 4294967296.0)
+    return np.uint32(t) if t < 1 << 32 else t
+
+
+def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n fair 0/1 bits as uint8: bit i is bit i mod 64 of raw word i // 64."""
+    raw = np.empty(-(-n // 8), dtype=np.uint8)
+    for start, d in raw_passes(rng, raw.size, np.uint8):
+        raw[start : start + d.size] = d
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def mismatch_coins(
@@ -66,17 +96,19 @@ def mismatch_coins(
 ) -> None:
     """Replace the bit at each position where the bases differ by a fair coin.
 
-    Draw contract: one ``rng.integers(0, 2, size=k, dtype=uint8)`` call for
-    the k positions where ``bases`` differs from ``sent_bases``, coin i going
-    to the i-th of them in increasing order.
+    Draw contract: coins are positional. Coin i is bit i of
+    ``uniform_bits(rng, len(bits))``, and it replaces bit i only where
+    ``bases`` differs from ``sent_bases``; the coins of the other positions
+    are drawn and dropped. So the stream always moves by ceil(n / 64) words.
     """
-    parts = [slice(s, s + UNIFORMS_PER_PASS) for s in range(0, bits.size, UNIFORMS_PER_PASS)]
-    counts = [int(np.count_nonzero(bases[p] != sent_bases[p])) for p in parts]
-    coins = rng.integers(0, 2, size=sum(counts), dtype=np.uint8)
-    used = 0
-    for part, k in zip(parts, counts):
-        bits[part][np.flatnonzero(bases[part] != sent_bases[part])] = coins[used : used + k]
-        used += k
+    # a pass of 2^10 words covers 2^16 positions
+    for start, raw in raw_passes(rng, -(-bits.size // 8), np.uint8, WORDS_PER_PASS // 64):
+        part = slice(8 * start, 8 * (start + raw.size))
+        b = bits[part]
+        coins = np.unpackbits(raw, count=b.size, bitorder="little")
+        coins ^= b
+        coins &= bases[part] ^ sent_bases[part]
+        b ^= coins
 
 
 class SymbolBlock:
@@ -171,11 +203,12 @@ class BiasedInterceptResend(_Strategy):
     def apply(self, block: SymbolBlock, rng: np.random.Generator) -> SymbolBlock:
         """Intercept, then re-send each photon.
 
-        Draw contract: the draws of one ``rng.random(n)`` call, made in
-        passes; a photon is measured in the rectilinear basis when its draw
-        u < p1 and in the diagonal one when p1 <= u < p1 + p2. Then
-        :func:`mismatch_coins` gives the photons re-sent in the other basis
-        Eve's outcomes, in one ``integers`` call in position order.
+        Draw contract: one uint32 draw of :func:`raw_passes` per photon. A
+        photon is measured in the rectilinear basis when its draw u <
+        ``bernoulli_threshold(p1)``, and in the diagonal one when that
+        threshold <= u < ``bernoulli_threshold(p1 + p2)``; each probability
+        has a resolution of 2^-32. Then :func:`mismatch_coins` gives the
+        photons re-sent in the other basis Eve's outcomes, positionally.
         """
         bases = self._resent_bases(block.bases, rng)
         # a measurement in the other basis is exactly a change of basis
@@ -184,15 +217,15 @@ class BiasedInterceptResend(_Strategy):
         return SymbolBlock(bases, bits)
 
     def _resent_bases(self, sent_bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        # a function of its own, so that no pass buffer outlives the draws
+        t_rect = bernoulli_threshold(self.p1)
+        t_any = bernoulli_threshold(self.p1 + self.p2)
         diag = sent_bases.view(bool)
         bases = np.empty(sent_bases.size, dtype=np.uint8)
         resent_diag = bases.view(bool)
-        for start, u in uniform_passes(rng, sent_bases.size):
+        for start, u in raw_passes(rng, sent_bases.size, np.uint32):
             part = slice(start, start + u.size)
-            meas_rect = u < self.p1
-            meas_diag = (u >= self.p1) & (u < self.p1 + self.p2)
-            np.logical_and(diag[part] | meas_diag, ~meas_rect, out=resent_diag[part])
+            # not measured rectilinear, and measured diagonal or sent diagonal
+            np.logical_and(u >= t_rect, (u < t_any) | diag[part], out=resent_diag[part])
         return bases
 
 
@@ -231,23 +264,23 @@ class DepolarizingPauli(_Strategy):
     def apply(self, block: SymbolBlock, rng: np.random.Generator) -> SymbolBlock:
         """Flip each bit whose sampled letter anticommutes with its basis.
 
-        Draw contract: the draws of one ``rng.random(len(block))`` call, made
-        in passes. Those are the draws ``rng.choice(4, size=len(block), p=q)``
-        makes, and the cdf below is built as ``choice`` builds it, so a seed
-        gives the same flips as sampling letters with ``choice`` and applying
-        them with :func:`apply_pauli_block`. No letters are formed: the
-        letter at a draw u is the first whose cdf value exceeds u, so a
-        diagonal bit flips on Y or Z (u >= cdf[1]) and a rectilinear bit on
-        X or Y (cdf[0] <= u < cdf[2]).
+        Draw contract: one uint32 draw of :func:`raw_passes` per symbol,
+        compared against the cumulative letter thresholds
+        ``bernoulli_threshold(cdf[k])`` for k = 0, 1, 2, the cdf being the
+        running sum of (q_i, q_x, q_y, q_z) over its total. The letter at a
+        draw u is the first whose threshold exceeds u, so each letter has a
+        resolution of 2^-32 and a letter of probability 0 never fires. No
+        letters are formed: a diagonal bit flips on Y or Z (u >= t[1]) and a
+        rectilinear bit on X or Y (t[0] <= u < t[2]).
         """
         cdf = np.array([self.q_i, self.q_x, self.q_y, self.q_z], dtype=np.float64).cumsum()
-        cdf /= cdf[-1]
+        t0, t1, t2 = (bernoulli_threshold(c) for c in cdf[:3] / cdf[-1])
         diag = block.bases.view(bool)
         bits = block.bits.copy()
-        for start, u in uniform_passes(rng, len(block)):
+        for start, u in raw_passes(rng, len(block), np.uint32):
             part = slice(start, start + u.size)
             d = diag[part]
-            bits[part] ^= (d & (u >= cdf[1])) | (~d & (u >= cdf[0]) & (u < cdf[2]))
+            bits[part] ^= (d & (u >= t1)) | (~d & (u >= t0) & (u < t2))
         return SymbolBlock(block.bases.copy(), bits)
 
 

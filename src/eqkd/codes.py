@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import UNIFORMS_PER_PASS, seeded_rng, uniform_passes
+from .channel import WORDS_PER_PASS, raw_passes, seeded_rng, uniform_bits
 
 
 class CodeError(Exception):
@@ -406,12 +406,16 @@ def reconcile_alice_blocks(
 
     For each block a codeword u of C1 is drawn uniformly; the announcement
     is u + v and the key is u's coset label.
+
+    Draw contract: the B messages, k_dim bits each, are the B * k_dim bits
+    of ``uniform_bits(rng, B * k_dim)`` in row order, raw bit i being bit
+    i mod k_dim of message i // k_dim.
     """
     v_blocks = np.atleast_2d(np.asarray(v_blocks, dtype=np.uint8))
     b = v_blocks.shape[0]
     if v_blocks.shape[1] != pair.n:
         raise ValueError(f"blocks must have {pair.n} bits")
-    msgs = rng.integers(0, 2, size=(b, pair.c1.k_dim), dtype=np.uint8)
+    msgs = uniform_bits(rng, b * pair.c1.k_dim).reshape(b, pair.c1.k_dim)
     u = pair.c1.encode(msgs)
     return u ^ v_blocks, _labels(pair, u)
 
@@ -468,13 +472,14 @@ def _stable_ranks(keys: np.ndarray) -> np.ndarray:
 def block_permutations(words: np.ndarray, seed: int) -> np.ndarray:
     """Each row of a (B, n) uint8 array permuted; one seed gives all B permutations.
 
-    The keys are the draws of one ``default_rng(seed).random((B, n))`` call,
-    made in passes of whole rows, and entry j of row b moves to its stable
-    rank among keys[b]. So row b of the result is row b of ``words`` in the
-    order a stable sort gives keys[b], for any uint8 values;
-    ``tests/pipeline_oracle.py`` has that form. An unstable sort gives
-    the same order unless a row has two equal keys, which has probability
-    below n(n-1)/2 in 2^53 per row.
+    Draw contract: the keys are the first B * n raw 64-bit words of
+    ``default_rng(seed)``, in row order, drawn in passes of whole rows by
+    :func:`raw_passes`; entry j of row b moves to its stable rank among
+    keys[b]. So row b of the result is row b of ``words`` in the order a
+    stable sort gives keys[b], for any uint8 values;
+    ``tests/pipeline_oracle.py`` has that form. An unstable sort gives the
+    same order unless a row has two equal keys, which has probability below
+    n(n-1)/2 in 2^64 per row.
     """
     words = np.asarray(words)
     if words.ndim != 2 or words.dtype != np.uint8:
@@ -488,8 +493,8 @@ def block_permutations(words: np.ndarray, seed: int) -> np.ndarray:
     # gives 0.
     lanes = -(-n // 8)
     # a pass draws the keys of step whole rows; n = 0 draws none
-    step = max(1, UNIFORMS_PER_PASS // max(n, 1))
-    for first, keys in uniform_passes(rng, blocks * n, step * max(n, 1)):
+    step = max(1, WORDS_PER_PASS // max(n, 1))
+    for first, keys in raw_passes(rng, blocks * n, np.uint64, step * max(n, 1)):
         start = first // n
         rows = words[start : start + step]
         bit_at = np.left_shift(_stable_ranks(keys.reshape(rows.shape)), 3, dtype=np.uint64)

@@ -251,8 +251,11 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
 
     Both listeners are bound before any endpoint starts, so all three start
     at once. Returns the exit code of each role. Transcripts and outcomes
-    land in ``out_dir`` under the usual per-role filenames.
+    land in ``out_dir`` under the usual per-role filenames. A malformed
+    config, or one of another draw contract, is a ValueError here, before
+    anything is bound or started.
     """
+    session_from_meta(config)
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     procs = {}

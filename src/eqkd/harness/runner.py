@@ -25,6 +25,7 @@ from ..protocol import (
     SessionStatus,
     biased_attack_rates,
     naive_average_rate,
+    other_draw_contract,
     run_session,
     session_from_meta,
 )
@@ -232,8 +233,9 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
 
     Returns ``(True, detail)`` when the replay reproduces the recorded
     canonical event stream exactly, else ``(False, detail)`` naming the
-    first divergence or what is malformed. Partial (single-party)
-    transcripts are rejected.
+    first divergence, what is malformed, or the other draw contract the
+    session was recorded under. Partial (single-party) transcripts are
+    rejected.
     """
     if not isinstance(transcript, SessionTranscript):
         try:
@@ -244,6 +246,8 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
     for field_name in ("seed", "params", "strategy", "css"):
         if field_name not in meta:
             return False, f"transcript metadata lacks {field_name!r}"
+    if other := other_draw_contract(meta):
+        return False, other
     replayed = run_session(*session_from_meta(meta))
     want = transcript.event_lines()
     got = replayed.transcript.event_lines()

@@ -17,6 +17,7 @@ shuttle the same messages, so both modes produce identical transcripts.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import re
@@ -26,13 +27,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import (
+    DRAW_CONTRACT,
     AttackStrategy,
     RngStreams,
     SymbolBlock,
+    bernoulli_threshold,
     mismatch_coins,
+    raw_passes,
     strategy_from_dict,
     transmit,
-    uniform_passes,
+    uniform_bits,
 )
 from .codes import (
     CssPair,
@@ -175,22 +179,28 @@ class SessionOutcome:
 # ---------------------------------------------------------------------------
 
 def _draw_bases(rng: np.random.Generator, n: int, bias_p: float) -> np.ndarray:
-    """n bases from the draws of one ``rng.random(n)`` call, made in passes.
+    """n bases from n uint32 draws of :func:`raw_passes`, two to a raw word.
 
-    A draw below p picks the rectilinear basis (0), any other the diagonal (1).
+    A draw below ``bernoulli_threshold(p)`` picks the rectilinear basis (0),
+    any other the diagonal (1); p = 1/2 gives a threshold of exactly 2^31.
     """
     bases = np.empty(n, dtype=np.uint8)
     diag = bases.view(bool)
-    for start, u in uniform_passes(rng, n):
-        np.greater_equal(u, bias_p, out=diag[start : start + u.size])
+    t = bernoulli_threshold(bias_p)
+    for start, u in raw_passes(rng, n, np.uint32):
+        np.greater_equal(u, t, out=diag[start : start + u.size])
     return bases
 
 
 def alice_prepare(params: ProtocolParams, streams: RngStreams) -> SymbolBlock:
-    """Draw Alice's bases (rectilinear w.p. p) and uniform bits."""
+    """Draw Alice's bases (rectilinear w.p. p) and uniform bits.
+
+    Draw contract: the bases as :func:`_draw_bases` draws them from the
+    ``alice_bases`` stream, the bits by ``uniform_bits`` from ``alice_bits``.
+    """
     n = params.n_qubits
     bases = _draw_bases(streams.stream("alice_bases"), n, params.bias_p)
-    bits = streams.stream("alice_bits").integers(0, 2, size=n, dtype=np.uint8)
+    bits = uniform_bits(streams.stream("alice_bits"), n)
     return SymbolBlock(bases, bits)
 
 
@@ -202,11 +212,10 @@ def bob_measure(
     A matching basis reproduces the encoded bit; a mismatched one yields a
     uniform outcome. Returns the (basis, outcome) record as a SymbolBlock.
 
-    Draw contract: the draws of one ``rng.random(n)`` call, made in passes,
-    pick the bases (rectilinear below p); then one
-    ``rng.integers(0, 2, size=k, dtype=uint8)`` call gives the k mismatched
-    positions their outcomes, coin i going to the i-th mismatched position
-    in increasing order.
+    Draw contract: n uint32 draws pick the bases as :func:`_draw_bases`
+    does (rectilinear below ``bernoulli_threshold(p)``); then n positional
+    coins, one raw bit each, give the mismatched positions their outcomes
+    (:func:`mismatch_coins`): coin i is used only if basis i differs.
     """
     n = len(received)
     if n != params.n_qubits:
@@ -379,19 +388,37 @@ def session_meta(
 ) -> dict:
     return {
         "seed": int(seed),
+        "draw_contract": DRAW_CONTRACT,
         "params": params.to_dict(),
         "strategy": strategy.to_dict(),
         "css": css_meta(css),
     }
 
 
+def other_draw_contract(meta: dict) -> str | None:
+    """Why ``meta`` cannot be run by this build's draws, or None if it can.
+
+    Metadata without a ``draw_contract`` field predates it: contract 1.
+    """
+    contract = meta.get("draw_contract", 1)
+    if type(contract) is int and contract == DRAW_CONTRACT:
+        return None
+    return f"recorded under draw contract {contract!r}; this build draws by {DRAW_CONTRACT}"
+
+
 def session_from_meta(meta: dict) -> tuple[ProtocolParams, AttackStrategy, CssPair, int]:
-    """The configuration ``session_meta`` recorded; malformed metadata is a ValueError."""
-    seed = meta["seed"]
+    """The configuration ``session_meta`` recorded; malformed metadata is a ValueError.
+
+    So is metadata of another draw contract (:func:`other_draw_contract`):
+    its seed would draw other symbols here.
+    """
+    if other := other_draw_contract(meta):
+        raise ValueError(other)
+    seed = meta.get("seed")
     if type(seed) is not int:
         raise ValueError(f"malformed seed {seed!r}")
-    params = ProtocolParams.from_dict(meta["params"])
-    return params, strategy_from_dict(meta["strategy"]), css_from_meta(meta["css"]), seed
+    params = ProtocolParams.from_dict(meta.get("params"))
+    return params, strategy_from_dict(meta.get("strategy")), css_from_meta(meta.get("css")), seed
 
 
 def config_digest(meta: dict) -> str:
@@ -422,6 +449,20 @@ def status_for_decision(decision) -> SessionStatus:
         raise ProtocolViolation(f"unknown decision {decision!r}") from None
 
 
+def _fails_on_violation(receive):
+    """Wrap a machine's ``receive`` so that its first violation leaves it failed for good."""
+
+    @functools.wraps(receive)
+    def checked(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
+        try:
+            return receive(self, actor, kind, payload)
+        except ProtocolViolation:
+            self.failed = True
+            raise
+
+    return checked
+
+
 @dataclass(frozen=True, eq=False)
 class PartyResult:
     """One party's view of the session outcome."""
@@ -449,6 +490,7 @@ class _PartyMachine:
         self.streams = streams
         self.transcript = SessionTranscript(meta=dict(meta or {}))
         self.done = False
+        self.failed = False  # set at the first violation; then every message is refused
         self.result: PartyResult | None = None
         self._rect_pos: np.ndarray | None = None
         self._diag_pos: np.ndarray | None = None
@@ -468,6 +510,8 @@ class _PartyMachine:
         A party receives each kind at most once, so ``receive`` dispatches on
         the kind alone once this has passed.
         """
+        if self.failed:
+            raise ProtocolViolation(f"{kind.value} from {actor.value} after an earlier violation")
         if self.done or actor is self.actor or not self.transcript.allows(actor, kind):
             raise ProtocolViolation(f"unexpected {kind.value} from {actor.value}")
         if not isinstance(payload, dict):
@@ -526,6 +570,7 @@ class AliceMachine(_PartyMachine):
         self.transcript.skip()  # channel delivery is not visible to Alice
         return [msg]
 
+    @_fails_on_violation
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
         self._accept(actor, kind, payload)
         p = self.params
@@ -615,6 +660,7 @@ class BobMachine(_PartyMachine):
         self.results: SymbolBlock | None = None
         self._perm_seed: int | None = None
 
+    @_fails_on_violation
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
         self._accept(actor, kind, payload)
         p = self.params

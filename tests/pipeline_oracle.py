@@ -7,15 +7,18 @@ independent derivation. They consume the same named substreams in the same
 order as a session does, so for a given seed they see the same symbols, the
 same test sample and the same lumped sample.
 
-The ``*_oracle`` functions are the straightforward forms of the hot paths:
-Alice's preparation drawing all her bases' uniforms in one array; the
-depolarizing channel drawing explicit Pauli letters with
-``Generator.choice``; intercept-resend and Bob's measurement scattering their
-coins through a boolean mask; the raw-key layout taking a set difference; the
-block permutations sorting their keys with ``argsort`` and gathering with
-``take_along_axis``; the GF(2) product as an integer matmul; and Bob's batch
-decode correcting each word with its leader before labelling it. The library
-computes the same results without building those intermediates.
+The ``*_oracle`` functions are the straightforward forms of the hot paths
+under draw contract 2, each taking its raw generator words in one
+whole-array ``random_raw`` call and comparing them against thresholds held
+as Python ints: Alice's preparation; the depolarizing channel forming
+explicit Pauli letters by ``searchsorted`` over the cumulative thresholds;
+intercept-resend and Bob's measurement scattering their positional coins
+through a boolean mask; the codeword messages of Alice's reconciliation; the
+raw-key layout taking a set difference; the block permutations sorting
+their keys with ``argsort`` and gathering with ``take_along_axis``; the
+GF(2) product as an integer matmul; and Bob's batch decode correcting each
+word with its leader before labelling it. The library computes the same
+results in passes, without building those intermediates.
 
 ``syndrome_decode_blocks`` is the bounded-distance decoder that last form
 uses, over the library's own syndrome table.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block
-from eqkd.codes import LinearCode, _decode_table, _labels, _syndrome_index
+from eqkd.codes import CssPair, LinearCode, _decode_table, _labels, _syndrome_index
 from eqkd.protocol import (
     alice_prepare,
     bob_measure,
@@ -102,44 +105,106 @@ def quantum_phase_stats(params, strategy, seed) -> tuple[float, float | None]:
     return sifted.retained_fraction, naive_estimate(sifted, params, streams.stream("naive_test"))
 
 
+class FixedDraws:
+    """A generator stand-in whose raw words carry the given uint32 draws.
+
+    Draw 2j is the low half of word j and draw 2j + 1 its high half, as
+    under the draw contract. Past the given draws it hands out zero words.
+    """
+
+    def __init__(self, draws):
+        d = np.asarray(draws, dtype=np.uint64)
+        d = np.append(d, np.zeros(d.size % 2, dtype=np.uint64))
+        self._words = d[0::2] | (d[1::2] << np.uint64(32))
+        self._used = 0
+        self.bit_generator = self
+
+    def random_raw(self, size: int) -> np.ndarray:
+        out = np.zeros(size, dtype=np.uint64)
+        given = self._words[self._used : self._used + size]
+        out[: given.size] = given
+        self._used += size
+        return out
+
+
+def _threshold(p: float) -> int:
+    """The contract's Bernoulli threshold, round(p * 2^32), as a Python int."""
+    return round(p * 2**32)
+
+
+def _raw_u32(rng, n: int) -> np.ndarray:
+    """n uint32 draws as int64: word j gives draw 2j (its low half) and 2j + 1."""
+    words = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8")
+    return words.view("<u4")[:n].astype(np.int64)
+
+
+def _raw_bits(rng, n: int) -> np.ndarray:
+    """n fair bits: bit i is bit i mod 64 of raw word i // 64."""
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8")
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+
+
 def alice_prepare_oracle(params, streams):
-    """``alice_prepare`` with the bases from one whole-array draw."""
+    """``alice_prepare`` with each stream's words from one whole-array draw."""
     n = params.n_qubits
-    bases = (streams.stream("alice_bases").random(n) >= params.bias_p).astype(np.uint8)
-    bits = streams.stream("alice_bits").integers(0, 2, size=n, dtype=np.uint8)
-    return SymbolBlock(bases, bits)
+    bases = _raw_u32(streams.stream("alice_bases"), n) >= _threshold(params.bias_p)
+    return SymbolBlock(bases.astype(np.uint8), _raw_bits(streams.stream("alice_bits"), n))
+
+
+def letter_thresholds(strategy) -> list[int]:
+    """The cumulative thresholds of I, X and Y.
+
+    A draw below t[0] is I; one at or above t[k - 1] and below t[k] is
+    letter k; one at or above t[2] is Z.
+    """
+    q = np.array([strategy.q_i, strategy.q_x, strategy.q_y, strategy.q_z], dtype=np.float64)
+    cdf = q.cumsum()
+    return [_threshold(c) for c in cdf[:3] / cdf[-1]]
 
 
 def depolarizing_letters_oracle(strategy, block, rng):
-    """``DepolarizingPauli.apply`` by explicit letters: ``choice``, then the flip table."""
-    probs = (strategy.q_i, strategy.q_x, strategy.q_y, strategy.q_z)
-    letters = rng.choice(4, size=len(block), p=probs).astype(np.uint8)
+    """``DepolarizingPauli.apply`` by explicit letters: ``searchsorted``, then the flip table."""
+    u = _raw_u32(rng, len(block))
+    letters = np.searchsorted(letter_thresholds(strategy), u, side="right").astype(np.uint8)
     return apply_pauli_block(block, letters)
 
 
 def biased_intercept_resend_oracle(strategy, block, rng):
     """``BiasedInterceptResend.apply`` with masked scatters for the coins and the bases."""
-    u = rng.random(len(block))
-    meas_rect = u < strategy.p1
-    meas_diag = (u >= strategy.p1) & (u < strategy.p1 + strategy.p2)
+    u = _raw_u32(rng, len(block))
+    t_rect, t_any = _threshold(strategy.p1), _threshold(strategy.p1 + strategy.p2)
+    meas_rect = u < t_rect
+    meas_diag = (u >= t_rect) & (u < t_any)
+    coins = _raw_bits(rng, len(block))
     bases = block.bases.copy()
     bits = block.bits.copy()
     mismatch = (meas_rect & (bases == Basis.DIAGONAL)) | (
         meas_diag & (bases == Basis.RECTILINEAR)
     )
-    bits[mismatch] = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
+    bits[mismatch] = coins[mismatch]
     bases[meas_rect] = Basis.RECTILINEAR
     bases[meas_diag] = Basis.DIAGONAL
     return SymbolBlock(bases, bits)
 
 
 def bob_measure_oracle(received, params, rng):
-    """``bob_measure`` with the coins scattered through a boolean mask."""
-    bases = (rng.random(len(received)) >= params.bias_p).astype(np.uint8)
+    """``bob_measure`` with the positional coins scattered through a boolean mask."""
+    n = len(received)
+    bases = (_raw_u32(rng, n) >= _threshold(params.bias_p)).astype(np.uint8)
+    coins = _raw_bits(rng, n)
     bits = received.bits.copy()
     mismatch = bases != received.bases
-    bits[mismatch] = rng.integers(0, 2, size=int(mismatch.sum()), dtype=np.uint8)
+    bits[mismatch] = coins[mismatch]
     return SymbolBlock(bases, bits)
+
+
+def reconcile_alice_blocks_oracle(pair: CssPair, v_blocks, rng):
+    """``reconcile_alice_blocks`` with the (B, k_dim) messages from one draw, encoded by matmul."""
+    v_blocks = np.atleast_2d(np.asarray(v_blocks, dtype=np.uint8))
+    b, k_dim = v_blocks.shape[0], pair.c1.k_dim
+    msgs = _raw_bits(rng, b * k_dim).reshape(b, k_dim)
+    u = gf2_mul_oracle(msgs, pair.c1.generator.array).astype(np.uint8)
+    return u ^ v_blocks, _labels(pair, u)
 
 
 def syndrome_decode_blocks(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,9 +244,10 @@ def raw_key_layout_oracle(diag_pos, test_diag, block_len):
 
 
 def block_permutations_oracle(words, seed):
-    """``block_permutations`` by sorting: a stable argsort of the keys, then a gather."""
-    keys = np.random.default_rng(int(seed)).random(words.shape)
-    return np.take_along_axis(words, np.argsort(keys, axis=1, kind="stable"), axis=1)
+    """``block_permutations`` by sorting: a stable argsort of the raw-word keys, then a gather."""
+    keys = np.random.default_rng(int(seed)).bit_generator.random_raw(words.size)
+    order = np.argsort(keys.reshape(words.shape), axis=1, kind="stable")
+    return np.take_along_axis(words, order, axis=1)
 
 
 def gf2_mul_oracle(a, b):

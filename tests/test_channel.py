@@ -13,7 +13,12 @@ from eqkd.channel import (
     apply_pauli_block,
     transmit,
 )
-from pipeline_oracle import biased_intercept_resend_oracle, depolarizing_letters_oracle
+from pipeline_oracle import (
+    FixedDraws,
+    biased_intercept_resend_oracle,
+    depolarizing_letters_oracle,
+    letter_thresholds,
+)
 
 # Which letters flip the encoded bit in each basis, from the polarization
 # action: X swaps horizontal/vertical, Z swaps the diagonal pair, Y both.
@@ -150,9 +155,9 @@ def _random_block(gen, n):
     return SymbolBlock(gen.integers(0, 2, n, dtype=np.uint8), gen.integers(0, 2, n, dtype=np.uint8))
 
 
-# Lengths on either side of one pass of uniform draws (2^16), and one that
-# spans three passes and a bit.
-PASS_LENGTHS = (2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)
+# Lengths on either side of one pass of coins (2^16 positions) and of one
+# pass of uint32 draws (2^17), and one that spans three passes and a bit.
+PASS_LENGTHS = (2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 5)
 
 
 def test_depolarizing_matches_the_letter_oracle():
@@ -172,23 +177,18 @@ def test_depolarizing_matches_the_letter_oracle():
 
 
 def test_depolarizing_draws_on_a_cdf_boundary():
-    # A draw u >= 1/2 makes 1 - u and u/2 exact, so these distributions put
-    # cdf boundaries exactly at u and the letter there is decided by the tie.
-    seed = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)
-    u = np.random.default_rng(seed).random()
-    tied = [
-        (u, 1.0 - u, 0.0, 0.0),  # u == cdf[0]
-        (u / 2, u / 2, 1.0 - u, 0.0),  # u == cdf[1]
-        (u / 2, 0.0, u / 2, 1.0 - u),  # u == cdf[2]
-        (u, 0.0, 0.0, 1.0 - u),  # u == cdf[0] == cdf[1] == cdf[2]
-    ]
-    for q in tied:
+    # A draw equal to a letter's threshold takes the next letter, and one
+    # below it this one; draws at 0 and 2^32 - 1 sit at the ends.
+    gen = np.random.default_rng(2025)
+    for q in (*_letter_distributions(gen, 12), (0.25, 0.25, 0.25, 0.25), (0.0, 1.0, 0.0, 0.0)):
         strat = DepolarizingPauli(*q)
+        edges = {t + k for t in letter_thresholds(strat) for k in (-1, 0)} | {0, 2**32 - 1}
+        draws = sorted(d for d in edges if 0 <= d < 2**32)
         for basis in Basis:
-            block = SymbolBlock(np.array([basis], dtype=np.uint8), np.zeros(1, dtype=np.uint8))
-            ours = strat.apply(block, np.random.default_rng(seed))
-            oracle = depolarizing_letters_oracle(strat, block, np.random.default_rng(seed))
-            assert ours == oracle, (q, basis)
+            block = SymbolBlock(np.full(len(draws), basis, dtype=np.uint8),
+                                np.zeros(len(draws), dtype=np.uint8))
+            ours = strat.apply(block, FixedDraws(draws))
+            assert ours == depolarizing_letters_oracle(strat, block, FixedDraws(draws)), (q, basis)
 
 
 def test_biased_intercept_resend_statistics():

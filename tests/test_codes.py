@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from eqkd.channel import UNIFORMS_PER_PASS
+from eqkd.channel import WORDS_PER_PASS
 from eqkd.codes import (
     BinaryMatrix,
     CodeError,
@@ -37,6 +37,7 @@ from eqkd.codes import (
 from pipeline_oracle import (
     block_permutations_oracle,
     gf2_mul_oracle,
+    reconcile_alice_blocks_oracle,
     reconcile_bob_blocks_oracle,
     syndrome_decode_blocks,
 )
@@ -294,6 +295,21 @@ def _words_of_every_weight(gen, blocks, n):
 
 
 @pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10])
+def test_reconcile_alice_blocks_match_the_whole_array_oracle(make_pair):
+    pair = make_pair()
+    gen = np.random.default_rng(50 + pair.n + pair.k)
+    # B * k_dim message bits on either side of a word, and past one pass of words
+    for blocks in (0, 1, 15, 16, 17, int(gen.integers(2, 3000)), (64 << 16) // pair.c1.k_dim + 3):
+        v = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
+        seed = int(gen.integers(2**63))
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        ann, keys = reconcile_alice_blocks(pair, v, ours)
+        ann_ref, keys_ref = reconcile_alice_blocks_oracle(pair, v, oracle)
+        assert np.array_equal(ann, ann_ref) and np.array_equal(keys, keys_ref), blocks
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10])
 def test_reconcile_bob_blocks_match_the_decode_then_label_oracle(make_pair):
     pair = make_pair()
     gen = np.random.default_rng(pair.n + pair.k)
@@ -357,9 +373,9 @@ def test_block_permutations_valid_and_deterministic():
 @pytest.mark.parametrize("n", [2, 3, 7, 15, 31])
 def test_block_permutations_match_the_argsort_oracle(n):
     rng = np.random.default_rng(41 + n)
-    # A pass of key draws holds whole rows, step of them. Counts around one
+    # A pass of key words holds whole rows, step of them. Counts around one
     # pass, and counts that span two and three passes.
-    step = UNIFORMS_PER_PASS // n
+    step = WORDS_PER_PASS // n
     for blocks in (0, 1, int(rng.integers(2, 5000)), step - 1, step, step + 1, 2 * step + 1,
                    3 * step + 5):
         words = rng.integers(0, 256, (blocks, n), dtype=np.uint8)

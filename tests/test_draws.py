@@ -1,11 +1,13 @@
 """How the library draws its randomness.
 
-* Every uniform array is drawn through ``channel.uniform_passes``, which
-  fills one pass-sized buffer at a time. An AST scan of ``src/eqkd`` fails on
-  any ``.random(...)`` call with arguments outside that helper, so no kernel
-  brings back a whole-block float draw.
-* The per-symbol kernels keep no N-length float temporary, pinned by their
-  peak traced allocation.
+* Every per-symbol draw comes from ``channel.raw_passes``, which takes raw
+  64-bit words from ``bit_generator.random_raw`` a pass at a time. An AST
+  scan of ``src/eqkd`` fails on any ``.random(...)`` call, any
+  ``.integers(...)`` call with a size, and any ``random_raw(...)`` call
+  outside that helper, so no kernel brings back a whole-block draw or a
+  second contract.
+* The per-symbol kernels keep no N-length temporary, pinned by their peak
+  traced allocation.
 * Named streams, and the permutation generator, are built from uint32 words
   and must equal the generators the documented seed lists give.
 """
@@ -25,17 +27,24 @@ from eqkd.channel import (
     BiasedInterceptResend,
     DepolarizingPauli,
     RngStreams,
+    raw_passes,
     seeded_rng,
     transmit,
+    uniform_bits,
 )
 from eqkd.protocol import alice_prepare, bob_measure
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqkd"
 TREES = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.rglob("*.py"))}
-PASS_HELPER = "uniform_passes"
+PASS_HELPER = "raw_passes"
 
 
-def _random_calls_outside_the_helper(tree: ast.Module) -> list[int]:
+def _is_sized_integers(call: ast.Call) -> bool:
+    """``integers(low, high, size, ...)`` or ``integers(..., size=...)``."""
+    return len(call.args) >= 3 or any(k.arg == "size" for k in call.keywords)
+
+
+def _draws_outside_the_helper(tree: ast.Module) -> list[tuple[int, str]]:
     inside = {
         id(node)
         for fn in ast.walk(tree)
@@ -43,13 +52,15 @@ def _random_calls_outside_the_helper(tree: ast.Module) -> list[int]:
         for node in ast.walk(fn)
     }
     return [
-        node.lineno
+        (node.lineno, node.func.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "random"
-        and (node.args or node.keywords)
         and id(node) not in inside
+        and (
+            node.func.attr in ("random", "random_raw")
+            or (node.func.attr == "integers" and _is_sized_integers(node))
+        )
     ]
 
 
@@ -62,17 +73,46 @@ def test_uniform_arrays_are_drawn_only_in_passes():
     found = {
         str(p.relative_to(PACKAGE)): lines
         for p, tree in TREES.items()
-        if (lines := _random_calls_outside_the_helper(tree))
+        if (lines := _draws_outside_the_helper(tree))
     }
-    assert not found, f"uniform draws with a size outside {PASS_HELPER}: {found}"
+    assert not found, f"draws outside {PASS_HELPER}: {found}"
 
 
 def test_the_guard_sees_a_whole_array_draw():
     tree = ast.parse(
-        "def f(rng, n):\n    return rng.random(n), rng.random(size=n), rng.random()\n"
-        f"def {PASS_HELPER}(rng, u):\n    rng.random(out=u)\n"
+        "def f(rng, n):\n"
+        "    return rng.random(n), rng.random(), rng.bit_generator.random_raw(n)\n"
+        "def g(rng, n):\n"
+        "    return rng.integers(0, 2, n), rng.integers(0, 2, size=n), rng.integers(0, 2**63)\n"
+        f"def {PASS_HELPER}(rng, n):\n    return rng.bit_generator.random_raw(n)\n"
     )
-    assert _random_calls_outside_the_helper(tree) == [2, 2]
+    assert sorted(_draws_outside_the_helper(tree)) == [
+        (2, "random"), (2, "random"), (2, "random_raw"), (4, "integers"), (4, "integers"),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 100])
+def test_passes_are_the_pieces_of_one_raw_draw(dtype, n):
+    size = np.dtype(dtype).itemsize
+    words = np.random.default_rng(n).bit_generator.random_raw(-(-n * size // 8))
+    want = words.astype("<u8").view(f"<u{size}")[:n]
+    rng = np.random.default_rng(n)
+    got = [(start, d.copy()) for start, d in raw_passes(rng, n, dtype, words_per_pass=3)]
+    assert [start for start, _ in got] == list(range(0, n, 3 * 8 // size))
+    assert np.array_equal(np.concatenate([d for _, d in got] or [want[:0]]), want)
+    assert all(d.dtype == np.dtype(dtype) for _, d in got)
+    # the passes take exactly the words one call would
+    after = np.random.default_rng(n)
+    after.bit_generator.random_raw(words.size)
+    assert rng.bit_generator.state == after.bit_generator.state
+
+
+def test_uniform_bits_across_a_pass():
+    n = (64 << 16) + 65  # one pass of words and a bit
+    words = np.random.default_rng(9).bit_generator.random_raw(-(-n // 64)).astype("<u8")
+    want = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    assert np.array_equal(uniform_bits(np.random.default_rng(9), n), want)
 
 
 N_TRACED = 1 << 20
@@ -89,10 +129,9 @@ def _peak_bytes_per_symbol(fn) -> float:
         tracemalloc.stop()
 
 
-# The two 1-byte outputs take 2 bytes per symbol. A float64 array of the
-# block's length would add 8; a pass buffer adds 8 * 2^16 / 2^20 = 0.5 here.
-# A coin array holds one byte per re-drawn position, half of them at most in
-# these blocks.
+# The two 1-byte outputs take 2 bytes per symbol. A uint32 array of the
+# block's length would add 4, and an unpacked coin array 1; a pass of raw
+# words adds 8 * 2^16 / 2^20 = 0.5 here, and Alice's packed bits 1/8.
 _PARAMS = SimpleNamespace(n_qubits=N_TRACED, bias_p=0.5)
 _SENT = alice_prepare(_PARAMS, RngStreams(3))
 KERNELS = {

@@ -1,3 +1,4 @@
+import copy
 import errno
 import json
 import multiprocessing
@@ -81,6 +82,32 @@ def test_loopback_abort_paths(tmp_path):
     relay = SessionTranscript.from_jsonl((out / "transcript_channel.jsonl").read_text())
     assert relay.event_lines() == ref.transcript.event_lines()
     assert len(relay.events) == 5
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda m: m["params"].update(m1=0),
+        lambda m: m.pop("seed"),
+        lambda m: m.update(draw_contract=1),
+        lambda m: m.pop("draw_contract"),
+    ],
+    ids=["m1_zero", "no_seed", "draw_contract_1", "no_draw_contract"],
+)
+def test_loopback_refuses_a_bad_config_before_it_starts(tmp_path, change):
+    _params, meta = _meta(39)
+    meta = copy.deepcopy(meta)
+    change(meta)
+    with pytest.raises(ValueError):
+        loopback_session(meta, tmp_path / "out", timeout=10)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_config_digest_covers_the_draw_contract():
+    # each endpoint offers the digest of its own session_meta, which records its contract
+    _params, meta = _meta(40)
+    assert meta["draw_contract"] == 2
+    assert config_digest(meta) != config_digest(dict(meta, draw_contract=1))
 
 
 def _listener():

@@ -4,8 +4,9 @@ The party machines are driven to each of their states along one accepted
 session, then handed an arbitrary message: any kind, any actor, and a payload
 that is either an arbitrary JSON value or the session's own payload of that
 kind with fields dropped, replaced or nudged. Only ``ProtocolViolation`` may
-escape, and the same holds for the relay step at each point of the session,
-with the object payloads the wire lets through. The wire decoder is fed
+escape, and once one has, the machine refuses every later message, the
+genuine rest of the session included. The same holds for the relay step at
+each point of the session, with the object payloads the wire lets through. The wire decoder is fed
 arbitrary byte streams and frames; only ``FrameError`` may escape. Example
 budgets are bounded so the suite stays fast.
 """
@@ -16,6 +17,7 @@ import socket
 import struct
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,9 +45,10 @@ FUZZ = settings(max_examples=60, deadline=None, database=None)
 def _snapshots():
     """Each machine and the relay in every state one accepted session passes through.
 
-    Returns (alice states, bob states, relay states, payload of each kind); a
-    machine state is (machine, kind it expects next, or None once done), a
-    relay state (canonical transcript, streams, message it relays next).
+    Returns (alice states, bob states, relay states, payload of each kind,
+    messages delivered to each party in order); a machine state is (machine,
+    kind it expects next, or None once done), a relay state (canonical
+    transcript, streams, message it relays next).
     """
     streams = RngStreams(SEED)
     canonical = SessionTranscript(meta=session_meta(PARAMS, STRATEGY, CSS, SEED))
@@ -54,6 +57,7 @@ def _snapshots():
     alice_states = [(copy.deepcopy(alice), None)]
     bob_states, relay_states = [], []
     payloads = {}
+    delivered = {Actor.ALICE: [], Actor.BOB: []}
     queue = deque(alice.start())
     while queue:
         actor, kind, payload = queue.popleft()
@@ -62,15 +66,16 @@ def _snapshots():
         ev = relay(canonical, actor, kind, payload, STRATEGY, streams)
         dest, states = (alice, alice_states) if ev.actor is Actor.BOB else (bob, bob_states)
         states.append((copy.deepcopy(dest), kind))
+        delivered[dest.actor].append((ev.actor, ev.kind, ev.payload))
         queue.extend(dest.receive(ev.actor, ev.kind, ev.payload))
     assert alice.done and bob.done and alice.result.status is SessionStatus.ACCEPTED
     alice_states.append((alice, None))
     bob_states.append((bob, None))
     relay_states.append((canonical, streams, None))
-    return alice_states, bob_states, relay_states, payloads
+    return alice_states, bob_states, relay_states, payloads, delivered
 
 
-ALICE_STATES, BOB_STATES, RELAY_STATES, PAYLOADS = _snapshots()
+ALICE_STATES, BOB_STATES, RELAY_STATES, PAYLOADS, DELIVERED = _snapshots()
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
@@ -129,6 +134,24 @@ def messages(draw, states):
 
 
 @st.composite
+def violations(draw):
+    """(machine, the genuine messages still due to it, a message for it).
+
+    The machine is Alice after ``start`` or Bob, in a state short of done;
+    the message is of the expected kind half the time.
+    """
+    states, due = draw(st.sampled_from([
+        (ALICE_STATES[1:-1], DELIVERED[Actor.ALICE]),
+        (BOB_STATES[:-1], DELIVERED[Actor.BOB]),
+    ]))
+    i = draw(st.integers(0, len(states) - 1))
+    machine, expected = states[i]
+    kind = expected if draw(st.booleans()) else draw(st.sampled_from(list(EventKind)))
+    message = draw(st.sampled_from(list(Actor))), kind, draw(payloads(kind))
+    return copy.deepcopy(machine), due[i:], message
+
+
+@st.composite
 def relayed(draw):
     """(canonical, streams, actor, kind, object payload); the expected message half the time."""
     canonical, streams, expected = draw(st.sampled_from(RELAY_STATES))
@@ -177,6 +200,19 @@ def test_alice_raises_only_protocol_violation(message):
 @given(messages(BOB_STATES))
 def test_bob_raises_only_protocol_violation(message):
     _only_violations(*message)
+
+
+@FUZZ
+@given(violations())
+def test_a_machine_that_has_raised_refuses_every_later_message(case):
+    machine, due, message = case
+    try:
+        machine.receive(*message)
+    except ProtocolViolation:
+        for later in (message, *due):
+            with pytest.raises(ProtocolViolation):
+                machine.receive(*later)
+        assert machine.failed and not machine.done
 
 
 @FUZZ

@@ -1,12 +1,23 @@
 """Golden outputs: what a seed produces must not move under a refactor.
 
-The hashes were recorded from the released behaviour. A transcript hash
-covers the whole JSONL text, meta header included; a CSV hash covers every
-column of ``emit_csv``, including the lumped rate and the retained fraction
-that the runner reports next to the protocol's own per-class estimate.
+The hashes were recorded under draw contract 2 (``channel.DRAW_CONTRACT``);
+a change to what a seed draws is a new contract, and re-records them. A
+transcript hash covers the whole JSONL text, meta header included; a CSV
+hash covers every column of ``emit_csv``, including the lumped rate and the
+retained fraction that the runner reports next to the protocol's own
+per-class estimate.
+
+The sessions at N <= 4000 also keep the digest of what their seed produced
+under draw contract 1, and the transcript itself in ``contract1_records/``
+(named by the first 16 hex digits of that digest): each such record must
+still hash to it, and replay must refuse it naming contract 1 rather than
+report a divergence. Those tests keep their default ids, which begin with
+the contract-1 digest; the larger sessions and the CSVs, which keep no
+record, are named by strategy and seed.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +29,7 @@ from eqkd.channel import (
     PauliLetter,
 )
 from eqkd.codes import BinaryMatrix, LinearCode, steane_pair, validate_css
-from eqkd.harness.runner import ExperimentConfig, emit_csv, run_experiment
+from eqkd.harness.runner import ExperimentConfig, emit_csv, replay_verify, run_experiment
 from eqkd.protocol import ProtocolParams, run_session
 
 CSS = steane_pair()
@@ -37,54 +48,68 @@ PATTERN = tuple(PauliLetter[c] for c in ("I" * 37 + "XZY") * 100)
 
 SESSIONS = [
     (BASE, Passive(), 10, "accepted",
-     "d65f28495322c13a1188907bc77a7e26ae2eaf0ffd01f1565158eaaf8db462da"),
+     "d65f28495322c13a1188907bc77a7e26ae2eaf0ffd01f1565158eaaf8db462da",
+     "0085f04d79613437fa0549f73065bbef75241cd920ae83e477ce5512f90df44e"),
     (BASE, DepolarizingPauli.symmetric(0.01), 14, "accepted",
-     "9c427fa48d2f4408a6a9e566b21a92076f191c1c4adeb548be61a99355195d63"),
+     "9c427fa48d2f4408a6a9e566b21a92076f191c1c4adeb548be61a99355195d63",
+     "bfc01698ab4d1b279073dbbd5bba209ddf3f2d54f441dd881b77c8ea4ed1ce46"),
     (BASE, DepolarizingPauli.symmetric(0.08), 15, "aborted_error_rate",
-     "6d37cd332f3ef37026baae76b2b7c8391fb11d2e3ff3df078449e795958cb4c9"),
+     "6d37cd332f3ef37026baae76b2b7c8391fb11d2e3ff3df078449e795958cb4c9",
+     "5240bfe0b9ecc5f2fe367e6d841017b9a32d97d5bbb443b4008c25795f0aa892"),
     (BASE, FixedPauliString(PATTERN), 16, "accepted",
-     "728d0c6a0ed2816d328fec3bb22bef7237843d382d48dc6135908e437a2d7fcc"),
+     "728d0c6a0ed2816d328fec3bb22bef7237843d382d48dc6135908e437a2d7fcc",
+     "8a2577564d02cb4242357eb7925e09a93f8d6ead1834b14a4d75ed30e6759ea2"),
     (BASE, BiasedInterceptResend(0.02, 0.03), 17, "accepted",
-     "8aa0caad610d91c139d678ca1051d02bb1de855a1e220e0811db0c4d87a38574"),
+     "8aa0caad610d91c139d678ca1051d02bb1de855a1e220e0811db0c4d87a38574",
+     "4d2e33ff6635d4cced7f0476af8709cb61138b5fe13ad24b02d11a9d728bac9d"),
     (BASE, BiasedInterceptResend(1.0, 0.0), 12, "aborted_error_rate",
-     "c098869f2a2a36f47ca3428d51bed03f9fa077ee4a2e078263c49e6d96a717bf"),
+     "c098869f2a2a36f47ca3428d51bed03f9fa077ee4a2e078263c49e6d96a717bf",
+     "0beff74fc6662512f1b62d8583342ed0632f4cb9d05c3712fd037c9a96ddef3e"),
     (STARVED, Passive(), 13, "aborted_insufficient_sample",
-     "c5c3a1dee7941a44996c4193966a99f27d151c156156a0b739da3a87f26c7edc"),
+     "c5c3a1dee7941a44996c4193966a99f27d151c156156a0b739da3a87f26c7edc",
+     "f3bb02ee0badcb26e0186237951b71f87aa3fe297547ad74b93a50eb8491a626"),
     (STARVED, BiasedInterceptResend(0.2, 0.3), 18, "aborted_insufficient_sample",
-     "98c57e8dc1e1f3506f606d69eb522eff3de4168494c48a10d67eb2bcf266fff5"),
+     "98c57e8dc1e1f3506f606d69eb522eff3de4168494c48a10d67eb2bcf266fff5",
+     "e94085eb1e72577fb87983647bc3ac1c221d8ff066e5cdf854406d27c43e2bc0"),
     (STARVED, FixedPauliString(PATTERN[:200]), 19, "aborted_insufficient_sample",
-     "9caef3c3387e016831077bc54bef7b004eb68c9e9a40b85e67c66d1d19de00c0"),
+     "9caef3c3387e016831077bc54bef7b004eb68c9e9a40b85e67c66d1d19de00c0",
+     "afa091d438e956342d4ed11b6278c998cfff6350eabce93999f486536982ea7a"),
 ]
 
 SESSIONS_15_11 = [
     (DepolarizingPauli.symmetric(0.01), 21,
-     "be1cb9b7d3911816174454b518b42ee8ce1d51e60de72a5afa87e098b3ae3c17"),
+     "be1cb9b7d3911816174454b518b42ee8ce1d51e60de72a5afa87e098b3ae3c17",
+     "229e288a606c20d4a986e85a9d74c579a3ad194a31c4efdf1cd54089ba2d86ec"),
     (DepolarizingPauli.symmetric(0.01), 22,
-     "5e04643b994b1760660a762c13bd8f4834cda8147ecf15e299b3d5fa64e80789"),
+     "5e04643b994b1760660a762c13bd8f4834cda8147ecf15e299b3d5fa64e80789",
+     "d2a98f839ce24049bcc918b0614c07d1998fddc6debe169dcd18f99dccfd51eb"),
     (BiasedInterceptResend(0.02, 0.03), 21,
-     "aa71d7144fe440e8fe258518f7b1c93b974a6c8b6c0a73d8d49423f3f3020baa"),
+     "aa71d7144fe440e8fe258518f7b1c93b974a6c8b6c0a73d8d49423f3f3020baa",
+     "a419ff3e039a25a9db3baec9204454683ec557e19a6f0fc1eb8319caf206e64f"),
     (BiasedInterceptResend(0.02, 0.03), 22,
-     "0ddde928cd780d974177984b22c972d4c40d80e613ab1bc28ba7f331e0b60cd1"),
+     "0ddde928cd780d974177984b22c972d4c40d80e613ab1bc28ba7f331e0b60cd1",
+     "626047308593e773cd28ae9e7e5413cac5278774a73eea651d9d23591fa7c045"),
 ]
 
-# One pass of uniform draws is 2^16 symbols; these sessions span three and a
-# bit, so a kernel that draws in passes is pinned across pass boundaries.
+# A pass of coins covers 2^16 symbols and a pass of uint32 draws 2^17; these
+# sessions span three coin passes and a bit, so a kernel that draws in
+# passes is pinned across pass boundaries.
 MULTI_PASS = dict(n_qubits=3 * 2**16 + 5, bias_p=0.3, m1=2000, m2=2000)
 
 SESSIONS_MULTI_PASS = [
     (DepolarizingPauli.symmetric(0.01), 23,
-     "0ba43cf34f80d4197d3d9c87291c364b8aec5c27304e173770ad169aa14082e5"),
+     "403565f20581550df8527cbbd0f5e38c78d8820fbdb615927aa0b0bde5c527ec"),
     (BiasedInterceptResend(0.02, 0.03), 24,
-     "38ff8fbce2d50ff52ad3c32c188afb34582a07648cba4a7fd1f6ba7fc17fee4b"),
+     "53221806300343b5f171c25eaddf900ef0296d3faa35f026f1d78ef66d168bda"),
 ]
 
 EXPERIMENTS = [
     # accepted and error-rate aborts
     (dict(n_qubits=6000, bias_p=0.2, m1=50, m2=100), BiasedInterceptResend(0.05, 0.2), 300,
-     "c8a709b5e4bc5f4584db4a95b2b5c8277c8409c31727f3406a0c37963e7f133d"),
+     "a76906a68df0bc3f684d98b74bb2f29cf7f98f9676a54cc973ffb55d7c3bb797"),
     # all three statuses, including an insufficient-sample abort
     (dict(n_qubits=200, bias_p=0.5, m1=10, m2=40), BiasedInterceptResend(0.1, 0.1), 400,
-     "17129d41e4f8d61714238d356a8c1f5121dedfcdf6dbeec0d2598a02eb35967e"),
+     "6f1f5dfd9ae59903993de5f4a03996d0a8ffd45e7e063708c5adaf2b4c892f53"),
 ]
 
 
@@ -92,29 +117,65 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("params, strategy, seed, status, digest", SESSIONS)
-def test_golden_transcript(params, strategy, seed, status, digest):
+CONTRACT1_RECORDS = Path(__file__).resolve().parent / "contract1_records"
+
+
+def _assert_contract1_record_is_refused(v1_digest):
+    path = CONTRACT1_RECORDS / f"{v1_digest[:16]}.jsonl"
+    assert _sha256(path.read_text()) == v1_digest
+    assert replay_verify(path) == (False, "recorded under draw contract 1; this build draws by 2")
+
+
+def _ids(cases, strategy_at, seed_at):
+    """Test ids that name each case by its strategy and seed, not by its digest."""
+    return [f"{type(c[strategy_at]).__name__}-seed{c[seed_at]}" for c in cases]
+
+
+@pytest.mark.parametrize("params, strategy, seed, status, v1_digest, digest", SESSIONS)
+def test_golden_transcript(params, strategy, seed, status, v1_digest, digest):
     out = run_session(ProtocolParams(**params), strategy, CSS, seed)
     assert out.status.value == status
     assert _sha256(out.transcript.to_jsonl()) == digest
+    _assert_contract1_record_is_refused(v1_digest)
 
 
-@pytest.mark.parametrize("strategy, seed, digest", SESSIONS_15_11)
-def test_golden_transcript_hamming_15_11(strategy, seed, digest):
+@pytest.mark.parametrize("strategy, seed, v1_digest, digest", SESSIONS_15_11)
+def test_golden_transcript_hamming_15_11(strategy, seed, v1_digest, digest):
     assert (CSS_15_11.n, CSS_15_11.k, CSS_15_11.t) == (15, 7, 1)
     out = run_session(ProtocolParams(**BASE), strategy, CSS_15_11, seed)
     assert out.status.value == "accepted"
     assert _sha256(out.transcript.to_jsonl()) == digest
+    _assert_contract1_record_is_refused(v1_digest)
 
 
-@pytest.mark.parametrize("strategy, seed, digest", SESSIONS_MULTI_PASS)
+@pytest.mark.parametrize(
+    "strategy, seed, digest", SESSIONS_MULTI_PASS, ids=_ids(SESSIONS_MULTI_PASS, 0, 1)
+)
 def test_golden_transcript_multi_pass(strategy, seed, digest):
     out = run_session(ProtocolParams(**MULTI_PASS), strategy, CSS, seed)
     assert out.status.value == "accepted"
     assert _sha256(out.transcript.to_jsonl()) == digest
 
 
-@pytest.mark.parametrize("params, strategy, base_seed, digest", EXPERIMENTS)
+REPLAYED = [
+    *((params, strategy, CSS, seed) for params, strategy, seed, _status, _v1, _sha in SESSIONS),
+    *((BASE, strategy, CSS_15_11, seed) for strategy, seed, _v1, _sha in SESSIONS_15_11),
+    *((MULTI_PASS, strategy, CSS, seed) for strategy, seed, _sha in SESSIONS_MULTI_PASS),
+]
+
+
+@pytest.mark.parametrize("params, strategy, css, seed", REPLAYED, ids=_ids(REPLAYED, 1, 3))
+def test_golden_configurations_replay_from_a_fresh_file(tmp_path, params, strategy, css, seed):
+    out = run_session(ProtocolParams(**params), strategy, css, seed)
+    path = tmp_path / "session.jsonl"
+    path.write_text(out.transcript.to_jsonl())
+    ok, detail = replay_verify(path)
+    assert ok, detail
+
+
+@pytest.mark.parametrize(
+    "params, strategy, base_seed, digest", EXPERIMENTS, ids=_ids(EXPERIMENTS, 1, 2)
+)
 def test_golden_csv(params, strategy, base_seed, digest):
     config = ExperimentConfig(
         params=ProtocolParams(**params), strategy=strategy, css=CSS, trials=12, base_seed=base_seed

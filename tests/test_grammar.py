@@ -16,8 +16,8 @@ from eqkd.protocol import ProtocolParams, run_session
 from eqkd.transcript import Actor, Event, EventKind, SessionTranscript, TranscriptError
 
 GOLDEN = [
-    *((params, strategy, CSS, seed) for params, strategy, seed, _status, _sha in SESSIONS),
-    *((BASE, strategy, CSS_15_11, seed) for strategy, seed, _sha in SESSIONS_15_11),
+    *((params, strategy, CSS, seed) for params, strategy, seed, _status, _v1, _sha in SESSIONS),
+    *((BASE, strategy, CSS_15_11, seed) for strategy, seed, _v1, _sha in SESSIONS_15_11),
 ]
 
 

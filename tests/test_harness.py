@@ -349,6 +349,22 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ok")
 
 
+@pytest.mark.parametrize("contract", [None, 1, 3], ids=["before_the_field", "v1", "v3"])
+def test_cli_replay_fails_naming_another_draw_contract(tmp_path, capsys, contract):
+    out = run_session(PARAMS, DepolarizingPauli.symmetric(0.01), CSS, seed=8)
+    meta = dict(out.transcript.meta)
+    if contract is None:
+        del meta["draw_contract"]  # a transcript recorded before the field: contract 1
+    else:
+        meta["draw_contract"] = contract
+    path = tmp_path / "other_contract.jsonl"
+    path.write_text(SessionTranscript(meta=meta, events=out.transcript.events).to_jsonl())
+    assert main(["replay", str(path)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"FAIL: recorded under draw contract {contract or 1}")
+    assert "divergence" not in printed
+
+
 def _event_line(seq, actor, kind, payload):
     return json.dumps({"seq": seq, "actor": actor, "kind": kind, "payload": payload})
 

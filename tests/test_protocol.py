@@ -105,9 +105,9 @@ def test_bob_measure_matching_bases_reproduce_bits():
     assert abs(coins.mean() - 0.5) < 3 * 0.5 / np.sqrt(coins.size)
 
 
-# Lengths on either side of one pass of uniform draws (2^16), and one that
-# spans three passes and a bit.
-PASS_LENGTHS = (2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)
+# Lengths on either side of one pass of coins (2^16 positions) and of one
+# pass of uint32 draws (2^17), and one that spans three passes and a bit.
+PASS_LENGTHS = (2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 5)
 
 
 @pytest.mark.parametrize("bias_p", [0.5, 0.3, 0.05, 1e-9, 1.0])
@@ -540,11 +540,12 @@ def test_alice_rejects_a_malformed_test_sample(probe):
 )
 def test_machines_reject_a_truncated_bases_payload(kind):
     to_alice = kind is EventKind.BASES_ANNOUNCED_BOB
-    receiver, actor, payload = _awaiting(kind, 26, to_alice=to_alice)
-    for bad in (dict(payload, bases=payload["bases"][:-2]), dict(payload, n=payload["n"] - 8)):
+    for cut in (dict(bases=lambda b: b[:-2]), dict(n=lambda n: n - 8)):
+        # a fresh receiver for each: one that has raised refuses everything
+        receiver, actor, payload = _awaiting(kind, 26, to_alice=to_alice)
         with pytest.raises(ProtocolViolation):
-            receiver.receive(actor, kind, bad)
-    assert not receiver.done
+            receiver.receive(actor, kind, _probe(payload, cut))
+        assert not receiver.done
 
 
 def test_relay_rejects_a_truncated_qubits_payload():
