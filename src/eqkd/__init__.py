@@ -11,7 +11,6 @@ intercept-resend and bit/phase-flip families that this reduction captures.
 """
 
 from .bounds import (
-    FidelityBudget,
     Lemma1Result,
     ParameterPlan,
     SamplingInstance,
@@ -58,7 +57,6 @@ from .protocol import (
     bob_measure,
     naive_average_rate,
     run_session,
-    weighted_error_rates,
 )
 from .transcript import Actor, Event, EventKind, SessionTranscript
 
@@ -75,7 +73,6 @@ __all__ = [
     "ErrorEstimate",
     "Event",
     "EventKind",
-    "FidelityBudget",
     "FixedPauliString",
     "Lemma1Result",
     "LinearCode",
@@ -110,6 +107,5 @@ __all__ = [
     "theorem3_fidelity",
     "transmit",
     "validate_css",
-    "weighted_error_rates",
     "__version__",
 ]

@@ -202,37 +202,6 @@ def theorem3_fidelity(eps1: float, eps2: float) -> float:
     return 1.0 - eps1 / eps2
 
 
-@dataclass(frozen=True)
-class FidelityBudget:
-    """The pair (eps1, eps2) with its derived fidelity defect eps1/eps2.
-
-    The ratio doubles as the delta fed to the information bound. Ratios above
-    0.1 are rejected outright; above 0.01 a warning is emitted.
-    """
-
-    eps1: float
-    eps2: float
-
-    def __post_init__(self) -> None:
-        if self.eps2 <= 0.0 or self.eps1 < 0.0:
-            raise ValueError("need eps1 >= 0 and eps2 > 0")
-        if self.ratio > 0.1:
-            raise ValueError(f"eps1/eps2 = {self.ratio:.4g} exceeds 0.1")
-        if self.ratio > 0.01:
-            warnings.warn(
-                f"eps1/eps2 = {self.ratio:.4g} above the 0.01 comfort level",
-                stacklevel=2,
-            )
-
-    @property
-    def ratio(self) -> float:
-        return self.eps1 / self.eps2
-
-    @property
-    def delta(self) -> float:
-        return self.ratio
-
-
 KEY_RATE_VARIANTS = ("css_shannon", "css_gv", "mayers")
 
 

@@ -28,12 +28,11 @@ from ..protocol import (
     AliceMachine,
     BobMachine,
     ProtocolError,
-    _peer_digest,
     config_digest,
+    read_payload,
     relay,
     session_from_meta,
     session_meta,
-    status_for_decision,
 )
 from ..transcript import Actor, EventKind, SessionTranscript, TranscriptError, pack_bits
 from .wire import (
@@ -138,14 +137,16 @@ def _serve_party(role, config, link, out_dir, deadline) -> int:
 
 
 def _channel_outcome(canonical: SessionTranscript) -> dict:
-    decisions = canonical.find_all(EventKind.DECISION)
-    digests = [_peer_digest(e.payload) for e in canonical.find_all(EventKind.KEY_DIGEST)]
-    status = None
-    if decisions:
-        status = status_for_decision(decisions[-1].payload.get("status")).value
+    """The relay's summary; the decisions and digests are read through the payload table."""
+    sizes = {"n": canonical.meta["params"]["n_qubits"]}  # a digest's key length is at most N
+
+    def read(kind: EventKind, field: str) -> list:
+        return [read_payload(kind, e.payload, sizes)[field] for e in canonical.find_all(kind)]
+
+    decisions, digests = read(EventKind.DECISION, "status"), read(EventKind.KEY_DIGEST, "digest")
     return {
         "role": "channel",
-        "status": status,
+        "status": decisions[-1].value if decisions else None,
         "events": len(canonical.events),
         "digests_match": digests[0] == digests[1] if len(digests) == 2 else None,
     }

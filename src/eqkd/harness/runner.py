@@ -21,13 +21,16 @@ from ..channel import AttackStrategy, BiasedInterceptResend
 from ..codes import CssPair, steane_pair
 from ..protocol import (
     ProtocolParams,
+    ProtocolViolation,
     SessionOutcome,
     SessionStatus,
     biased_attack_rates,
     naive_average_rate,
     other_draw_contract,
+    read_payload,
     run_session,
     session_from_meta,
+    session_sizes,
 )
 from ..transcript import SessionTranscript, TranscriptError
 
@@ -235,7 +238,9 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
     canonical event stream exactly, else ``(False, detail)`` naming the
     first divergence, what is malformed, or the other draw contract the
     session was recorded under. Partial (single-party) transcripts are
-    rejected.
+    rejected. Before the replay, every payload is read through the payload
+    table at the recorded sizes, each block count bounded by N // block_len;
+    the first malformed field is named with its event.
     """
     if not isinstance(transcript, SessionTranscript):
         try:
@@ -248,7 +253,14 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
             return False, f"transcript metadata lacks {field_name!r}"
     if other := other_draw_contract(meta):
         return False, other
-    replayed = run_session(*session_from_meta(meta))
+    params, strategy, css, seed = session_from_meta(meta)
+    sizes = session_sizes(params, css, blocks=(0, params.n_qubits // css.n))
+    for ev in transcript.events:
+        try:
+            read_payload(ev.kind, ev.payload, sizes)
+        except ProtocolViolation as exc:
+            return False, f"event {ev.seq} ({ev.actor.value} {ev.kind.value}): {exc}"
+    replayed = run_session(params, strategy, css, seed)
     want = transcript.event_lines()
     got = replayed.transcript.event_lines()
     if len(want) != len(got):

@@ -20,7 +20,8 @@ import enum
 import functools
 import hashlib
 import json
-import re
+import math
+import reprlib
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -142,10 +143,6 @@ class ErrorEstimate:
     def e2(self) -> float:
         return self.r2 / self.m2
 
-    @property
-    def tested_positions(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.tested_rect, self.tested_diag]))
-
 
 class SessionStatus(str, enum.Enum):
     ACCEPTED = "accepted"
@@ -248,29 +245,16 @@ def _draw_class_samples(
     return i1, i2
 
 
-def _class_sample(positions: np.ndarray, sample, size: int, name: str) -> np.ndarray:
-    """A test sample the peer announced for one class, checked on arrival.
+def _in_class(positions: np.ndarray, sample: np.ndarray, name: str) -> np.ndarray:
+    """A test sample the peer announced, checked to be positions of its class.
 
-    It must be ``size`` strictly increasing integers, each a position of the
-    class (``positions``, sorted); anything else is a violation.
+    ``positions`` is the class, sorted; the sample's shape, strictly
+    increasing positions below N, is the payload table's to check.
     """
-    try:
-        arr = np.asarray(sample)
-    except (ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.shape != (size,) or arr.dtype.kind not in "iu":
-        raise ProtocolViolation(f"{name} test sample is not a list of {size} integers")
-    arr = arr.astype(np.int64)
-    slots = np.searchsorted(positions, arr)
-    if (
-        np.any(np.diff(arr) <= 0)
-        or slots[-1] >= positions.size
-        or np.any(positions[slots] != arr)
-    ):
-        raise ProtocolViolation(
-            f"{name} test sample is not strictly increasing positions of its class"
-        )
-    return arr
+    slots = np.searchsorted(positions, sample)
+    if slots[-1] >= positions.size or np.any(positions[slots] != sample):
+        raise ProtocolViolation(f"{name} test sample holds a position outside its class")
+    return sample
 
 
 def naive_average_rate(p: float, e1: float, e2: float) -> float:
@@ -282,20 +266,6 @@ def naive_average_rate(p: float, e1: float, e2: float) -> float:
 def biased_attack_rates(p1: float, p2: float) -> tuple[float, float]:
     """Per-class error rates (e1, e2) = (p2/2, p1/2) under biased interception."""
     return p2 / 2.0, p1 / 2.0
-
-
-def weighted_error_rates(q: float, e1: float, e2: float) -> tuple[float, float]:
-    """(bit-flip, phase) rates when a fraction q of the key is rectilinear.
-
-    With a diagonal-only key (q = 0) the bit-flip rate is e2 and the phase
-    rate is e1: flips show up in the key's own basis, phase errors in the
-    other one.
-    """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must lie in [0, 1]")
-    e_bitflip = q * e1 + (1.0 - q) * e2
-    e_phase = q * e2 + (1.0 - q) * e1
-    return e_bitflip, e_phase
 
 
 # ---------------------------------------------------------------------------
@@ -310,46 +280,146 @@ def encode_symbols(block: SymbolBlock) -> dict:
     }
 
 
-def _peer_bits(payload: dict, key: str, count: int) -> np.ndarray:
-    """``count`` bits from a hex field of a received payload.
+# The one mapping between session statuses and the DECISION payload strings.
+_DECISION_FOR_STATUS = {
+    SessionStatus.ACCEPTED: PROCEED,
+    SessionStatus.ABORTED_ERROR_RATE: "abort_error_rate",
+    SessionStatus.ABORTED_INSUFFICIENT_SAMPLE: "abort_insufficient_sample",
+}
+_STATUS_FOR_DECISION = {d: s for s, d in _DECISION_FOR_STATUS.items()}
 
-    A missing field, or one that does not decode to exactly ``count`` bits,
-    is a protocol violation.
+# Field shapes. Each reads one field's value against the session sizes and
+# returns it decoded, or raises ValueError saying what it expected. A bound
+# or count is a number or the name of a size: "n", "m1", "m2", "block_len"
+# or "blocks". A size known only to a range is a (low, high) pair.
+
+
+def _bound(sizes: dict, bound, end: int) -> int:
+    """A number, or the size ``bound`` names; of a (low, high) size, its ``end``."""
+    value = sizes[bound] if isinstance(bound, str) else bound
+    return value[end] if isinstance(value, tuple) else value
+
+
+def _integer(low, high=None):
+    """An integer (not a bool) in [low, high]; exactly ``low`` when ``high`` is None."""
+
+    def read(value, sizes):
+        lo, hi = _bound(sizes, low, 0), _bound(sizes, low if high is None else high, 1)
+        if type(value) is int and lo <= value <= hi:
+            return value
+        raise ValueError(f"expected {lo}" if lo == hi else f"expected an integer in [{lo}, {hi}]")
+
+    return read
+
+
+def _bits(*count):
+    """As many bits as the named sizes multiply to, in hex as :func:`pack_bits` writes them."""
+
+    def read(value, sizes):
+        n = math.prod(sizes[name] for name in count)
+        try:
+            return unpack_bits(value, n)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"expected {n} bits as hex ({exc})") from None
+
+    return read
+
+
+def _positions(count):
+    """``count`` strictly increasing integer positions in [0, n), as an int64 array."""
+
+    def read(value, sizes):
+        m, n = sizes[count], sizes["n"]
+        # all Python ints, so numpy infers int64 unless one is out of its range
+        if isinstance(value, list) and len(value) == m and set(map(type, value)) == {int}:
+            arr = np.asarray(value)
+            if arr.dtype == np.int64 and 0 <= arr[0] and arr[-1] < n and (arr[1:] > arr[:-1]).all():
+                return arr
+        raise ValueError(f"expected {m} strictly increasing positions in [0, {n})")
+
+    return read
+
+
+def _string(read_text, what: str):
+    """A string that ``read_text`` decodes, raising KeyError or ValueError on any other."""
+
+    def read(value, sizes):
+        try:
+            if isinstance(value, str):
+                return read_text(value)
+        except (KeyError, ValueError):
+            pass
+        raise ValueError(f"expected {what}")
+
+    return read
+
+
+def _hexdigest(text: str) -> str:
+    unpack_bits(text, 256)  # a SHA-256 hexdigest is 256 bits as pack_bits writes them
+    return text
+
+
+# The payload table: each kind's exact field set and each field's shape. Both
+# machines, the relay and replay read every payload through it.
+_BASES = {"n": _integer("n"), "bases": _bits("n")}
+_SAMPLES = {"m1": _integer("m1"), "m2": _integer("m2")}
+_LAYOUT = {"blocks": _integer("blocks"), "block_len": _integer("block_len")}
+PAYLOADS = {
+    EventKind.QUBITS_SENT: {**_BASES, "bits": _bits("n")},
+    EventKind.BASES_ANNOUNCED_BOB: _BASES,
+    EventKind.BASES_ANNOUNCED_ALICE: _BASES,
+    EventKind.TEST_INDICES: {"rect": _positions("m1"), "diag": _positions("m2")},
+    EventKind.TEST_DISCLOSURE: {**_SAMPLES, "rect_bits": _bits("m1"), "diag_bits": _bits("m2")},
+    EventKind.ESTIMATE: {**_SAMPLES, "r1": _integer(0, "m1"), "r2": _integer(0, "m2")},
+    EventKind.DECISION: {"status": _string(_STATUS_FOR_DECISION.__getitem__, "a decision")},
+    EventKind.PERMUTATION_SEED: {"seed": _integer(0, 2**63 - 1), **_LAYOUT},
+    EventKind.CODEWORD_ANNOUNCEMENT: {**_LAYOUT, "masked": _bits("blocks", "block_len")},
+    EventKind.KEY_DIGEST: {
+        "algo": _string({"sha256": "sha256"}.__getitem__, "'sha256'"),
+        "bits": _integer(0, "n"),
+        "digest": _string(_hexdigest, "a SHA-256 hexdigest"),
+    },
+}
+
+
+def session_sizes(params: ProtocolParams, css: CssPair, blocks) -> dict:
+    """The sizes the payload table names, with the block count as known to the reader."""
+    p = params
+    return {"n": p.n_qubits, "m1": p.m1, "m2": p.m2, "block_len": css.n, "blocks": blocks}
+
+
+def read_payload(kind: EventKind, payload, sizes: dict) -> dict:
+    """The fields of a ``kind`` payload, each checked and decoded once by its shape.
+
+    ``sizes`` gives the sizes the shapes name (:func:`session_sizes`). A
+    field named after a size is that size for the fields after it, so a
+    payload's ``masked`` length follows its own ``blocks``. A payload that
+    is not an object, a missing or extra field, or a field of the wrong
+    type, range or length is a violation that names the field.
     """
-    try:
-        return unpack_bits(payload[key], count)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolViolation(f"malformed {key!r} field: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ProtocolViolation(f"{kind.value} is a {type(payload).__name__}, not an object")
+    shapes = PAYLOADS[kind]
+    if payload.keys() != shapes.keys():
+        for name in payload:
+            if name not in shapes:
+                raise ProtocolViolation(f"{name!r} is not a field of {kind.value}")
+        missing = [name for name in shapes if name not in payload]
+        verb = "is" if len(missing) == 1 else "are"
+        raise ProtocolViolation(f"{', '.join(map(repr, missing))} {verb} missing")
+    fields = {}
+    for name, read in shapes.items():
+        try:
+            fields[name] = read(payload[name], sizes)
+        except ValueError as exc:
+            raise ProtocolViolation(f"{name!r} is {reprlib.repr(payload[name])}, {exc}") from None
+        if name in sizes and sizes[name] != fields[name]:
+            sizes = {**sizes, name: fields[name]}
+    return fields
 
 
-def _peer_int(payload: dict, key: str, low: int, high: int) -> int:
-    """An integer field of a received payload; it must lie in [low, high]."""
-    value = payload.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
-        wanted = low if low == high else f"an integer in [{low}, {high}]"
-        raise ProtocolViolation(f"{key!r} is {value!r}, expected {wanted}")
-    return value
-
-
-def _peer_digest(payload: dict) -> str:
-    """The ``digest`` of a received KEY_DIGEST: 64 lowercase hex characters, as ``hexdigest``."""
-    digest = payload.get("digest")
-    if not isinstance(digest, str) or not re.fullmatch("[0-9a-f]{64}", digest):
-        raise ProtocolViolation(f"'digest' is {digest!r}, expected 64 lowercase hex characters")
-    return digest
-
-
-def decode_symbols(payload: dict) -> SymbolBlock:
-    """The symbols of a qubits payload; a malformed payload is a violation."""
-    n = payload.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise ProtocolViolation(f"malformed symbol count {n!r}")
-    return SymbolBlock(_peer_bits(payload, "bases", n), _peer_bits(payload, "bits", n))
-
-
-def channel_transform(payload: dict, strategy: AttackStrategy, streams: RngStreams) -> dict:
-    """Apply the channel strategy to a qubits payload (the relay's job)."""
-    block = decode_symbols(payload)
+def channel_transform(block: SymbolBlock, strategy: AttackStrategy, streams: RngStreams) -> dict:
+    """The qubits payload the channel strategy delivers for ``block`` (the relay's job)."""
     rng = None if strategy.stream is None else streams.stream(strategy.stream)
     return encode_symbols(transmit(block, strategy, rng))
 
@@ -365,17 +435,18 @@ def relay(
     """Log one message in flight between the parties; returns the event that arrives.
 
     The message must be the next event the session grammar allows. Alice's
-    qubits must number the session's N before the channel strategy acts on
-    them; the delivered copy is logged as the CHANNEL event and returned.
+    qubits must have the payload table's shape at the session's N before
+    the channel strategy acts on them; the delivered copy is logged as the
+    CHANNEL event and returned. No other payload is read here.
     """
     if not canonical.allows(actor, kind):
         raise ProtocolViolation(f"{actor.value} {kind.value} is out of the session order")
-    ev = canonical.append(actor, kind, payload)
-    if kind is EventKind.QUBITS_SENT:
-        n = canonical.meta["params"]["n_qubits"]
-        _peer_int(payload, "n", n, n)
-        ev = canonical.append(Actor.CHANNEL, kind, channel_transform(payload, strategy, streams))
-    return ev
+    if kind is not EventKind.QUBITS_SENT:
+        return canonical.append(actor, kind, payload)
+    sent = read_payload(kind, payload, {"n": canonical.meta["params"]["n_qubits"]})
+    canonical.append(actor, kind, payload)
+    delivered = channel_transform(SymbolBlock(sent["bases"], sent["bits"]), strategy, streams)
+    return canonical.append(Actor.CHANNEL, kind, delivered)
 
 
 def key_digest_payload(key: np.ndarray) -> dict:
@@ -431,22 +502,6 @@ def config_digest(meta: dict) -> str:
 # ---------------------------------------------------------------------------
 
 Message = tuple[Actor, EventKind, dict]
-
-# The one mapping between session statuses and the DECISION payload strings.
-_DECISION_FOR_STATUS = {
-    SessionStatus.ACCEPTED: PROCEED,
-    SessionStatus.ABORTED_ERROR_RATE: "abort_error_rate",
-    SessionStatus.ABORTED_INSUFFICIENT_SAMPLE: "abort_insufficient_sample",
-}
-_STATUS_FOR_DECISION = {d: s for s, d in _DECISION_FOR_STATUS.items()}
-
-
-def status_for_decision(decision) -> SessionStatus:
-    """The status a DECISION payload announces; unknown strings are violations."""
-    try:
-        return _STATUS_FOR_DECISION[decision]
-    except (KeyError, TypeError):
-        raise ProtocolViolation(f"unknown decision {decision!r}") from None
 
 
 def _fails_on_violation(receive):
@@ -504,19 +559,22 @@ class _PartyMachine:
         self.transcript.append(self.actor, kind, payload)
         return (self.actor, kind, payload)
 
-    def _accept(self, actor: Actor, kind: EventKind, payload: dict) -> None:
-        """Log an inbound message: the grammar's next event, from a peer, with an object payload.
+    def _accept(self, actor: Actor, kind: EventKind, payload: dict) -> dict:
+        """Log an inbound message and return its fields, read through the payload table.
 
-        A party receives each kind at most once, so ``receive`` dispatches on
-        the kind alone once this has passed.
+        It must be the grammar's next event, from a peer. A party receives
+        each kind at most once, so ``receive`` dispatches on the kind alone
+        once this has passed. The block count is this party's own layout,
+        once its test sample is known.
         """
         if self.failed:
             raise ProtocolViolation(f"{kind.value} from {actor.value} after an earlier violation")
         if self.done or actor is self.actor or not self.transcript.allows(actor, kind):
             raise ProtocolViolation(f"unexpected {kind.value} from {actor.value}")
-        if not isinstance(payload, dict):
-            raise ProtocolViolation(f"{kind} payload is a {type(payload).__name__}, not an object")
+        blocks = 0 if self._test_diag is None else self._layout_blocks()
+        fields = read_payload(kind, payload, session_sizes(self.params, self.css, blocks))
         self.transcript.append(actor, kind, payload)
+        return fields
 
     def _finish(
         self, status: SessionStatus, own_digest: str | None = None, peer_digest: str | None = None
@@ -572,51 +630,38 @@ class AliceMachine(_PartyMachine):
 
     @_fails_on_violation
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
-        self._accept(actor, kind, payload)
-        p = self.params
+        fields = self._accept(actor, kind, payload)
         if kind is EventKind.BASES_ANNOUNCED_BOB:
-            _peer_int(payload, "n", p.n_qubits, p.n_qubits)
-            bob_bases = _peer_bits(payload, "bases", p.n_qubits)
             bases = {"n": len(self.symbols), "bases": pack_bits(self.symbols.bases)}
             out = [self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)]
-            self._rect_pos, self._diag_pos = _sift_positions(self.symbols.bases, bob_bases)
+            self._rect_pos, self._diag_pos = _sift_positions(self.symbols.bases, fields["bases"])
             return out
         if kind is EventKind.DECISION:
-            status = status_for_decision(payload.get("status"))
-            if status is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
+            if fields["status"] is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
                 raise ProtocolViolation("unexpected early decision")
-            self._finish(status)
+            self._finish(fields["status"])
             return []
         if kind is EventKind.TEST_INDICES:
-            self._test_rect = _class_sample(self._rect_pos, payload.get("rect"), p.m1, "rect")
-            self._test_diag = _class_sample(self._diag_pos, payload.get("diag"), p.m2, "diag")
+            self._test_rect = _in_class(self._rect_pos, fields["rect"], "rect")
+            self._test_diag = _in_class(self._diag_pos, fields["diag"], "diag")
             return []
         if kind is EventKind.TEST_DISCLOSURE:
-            return self._estimate_and_decide(payload)
+            return self._estimate_and_decide(fields["rect_bits"], fields["diag_bits"])
         # Bob's KEY_DIGEST, the only other kind the grammar lets Alice receive
-        self._finish(SessionStatus.ACCEPTED, self._own_digest, _peer_digest(payload))
+        self._finish(SessionStatus.ACCEPTED, self._own_digest, fields["digest"])
         return []
 
-    def _estimate_and_decide(self, payload: dict) -> list[Message]:
+    def _estimate_and_decide(self, bob_rect: np.ndarray, bob_diag: np.ndarray) -> list[Message]:
         p = self.params
-        _peer_int(payload, "m1", p.m1, p.m1)
-        _peer_int(payload, "m2", p.m2, p.m2)
-        bob_rect = _peer_bits(payload, "rect_bits", p.m1)
-        bob_diag = _peer_bits(payload, "diag_bits", p.m2)
         mine_rect = self.symbols.bits[self._test_rect]
         mine_diag = self.symbols.bits[self._test_diag]
         r1 = int((mine_rect != bob_rect).sum())
         r2 = int((mine_diag != bob_diag).sum())
-        est = ErrorEstimate(
-            r1=r1,
-            m1=p.m1,
-            r2=r2,
-            m2=p.m2,
-            tested_rect=self._test_rect,
-            tested_diag=self._test_diag,
+        counts = {"r1": r1, "m1": p.m1, "r2": r2, "m2": p.m2}
+        est = self._estimate = ErrorEstimate(
+            **counts, tested_rect=self._test_rect, tested_diag=self._test_diag
         )
-        self._estimate = est
-        out = [self._emit(EventKind.ESTIMATE, {"r1": r1, "m1": p.m1, "r2": r2, "m2": p.m2})]
+        out = [self._emit(EventKind.ESTIMATE, counts)]
         threshold = p.threshold
         accepted = est.e1 < threshold and est.e2 < threshold
         status = SessionStatus.ACCEPTED if accepted else SessionStatus.ABORTED_ERROR_RATE
@@ -662,49 +707,40 @@ class BobMachine(_PartyMachine):
 
     @_fails_on_violation
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
-        self._accept(actor, kind, payload)
-        p = self.params
+        fields = self._accept(actor, kind, payload)
         if kind is EventKind.QUBITS_SENT:
-            _peer_int(payload, "n", p.n_qubits, p.n_qubits)
-            received = decode_symbols(payload)
-            self.results = bob_measure(received, p, self.streams.stream("bob_bases"))
+            received = SymbolBlock(fields["bases"], fields["bits"])
+            self.results = bob_measure(received, self.params, self.streams.stream("bob_bases"))
             bases = {"n": len(self.results), "bases": pack_bits(self.results.bases)}
             return [self._emit(EventKind.BASES_ANNOUNCED_BOB, bases)]
         if kind is EventKind.BASES_ANNOUNCED_ALICE:
-            _peer_int(payload, "n", p.n_qubits, p.n_qubits)
-            alice_bases = _peer_bits(payload, "bases", p.n_qubits)
-            self._rect_pos, self._diag_pos = _sift_positions(alice_bases, self.results.bases)
+            self._rect_pos, self._diag_pos = _sift_positions(fields["bases"], self.results.bases)
             return self._select_test()
         if kind is EventKind.ESTIMATE:
             self._estimate = ErrorEstimate(
-                r1=_peer_int(payload, "r1", 0, p.m1),
-                m1=_peer_int(payload, "m1", p.m1, p.m1),
-                r2=_peer_int(payload, "r2", 0, p.m2),
-                m2=_peer_int(payload, "m2", p.m2, p.m2),
-                tested_rect=self._test_rect,
-                tested_diag=self._test_diag,
+                **fields, tested_rect=self._test_rect, tested_diag=self._test_diag
             )
             return []
         if kind is EventKind.DECISION:
-            status = status_for_decision(payload.get("status"))
+            status = fields["status"]
             if status is SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
                 raise ProtocolViolation("insufficient-sample decision after the test sample")
             if status is not SessionStatus.ACCEPTED:
                 self._finish(status)
             return []
         if kind is EventKind.PERMUTATION_SEED:
-            self._perm_seed = _peer_int(payload, "seed", 0, 2**63 - 1)
-            self._num_blocks = self._layout_blocks()
-            self._check_block_layout(payload)
+            self._perm_seed, self._num_blocks = fields["seed"], fields["blocks"]
             return []
         if kind is EventKind.CODEWORD_ANNOUNCEMENT:
-            self._decode_blocks(payload)
+            w = self._raw_key_layout(self.results.bits)
+            perms = block_permutations(w, self._perm_seed)
+            keys, _ok = reconcile_bob_blocks(self.css, perms, fields["masked"].reshape(w.shape))
+            self._key = keys.reshape(-1)
             return []
         # Alice's KEY_DIGEST, the only other kind the grammar lets Bob receive
-        peer_digest = _peer_digest(payload)
         digest_payload = key_digest_payload(self._key)
         out = [self._emit(EventKind.KEY_DIGEST, digest_payload)]
-        self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], peer_digest)
+        self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], fields["digest"])
         return out
 
     def _select_test(self) -> list[Message]:
@@ -742,22 +778,6 @@ class BobMachine(_PartyMachine):
                 },
             ),
         ]
-
-    def _check_block_layout(self, payload: dict) -> None:
-        """``blocks`` and ``block_len`` must describe this party's own raw-key layout."""
-        _peer_int(payload, "blocks", self._num_blocks, self._num_blocks)
-        _peer_int(payload, "block_len", self.css.n, self.css.n)
-
-    def _decode_blocks(self, payload: dict) -> None:
-        css = self.css
-        self._check_block_layout(payload)
-        blocks, n = self._num_blocks, css.n
-        w = self._raw_key_layout(self.results.bits)
-        announcements = _peer_bits(payload, "masked", blocks * n).reshape(blocks, n)
-        keys, _ok = reconcile_bob_blocks(
-            css, block_permutations(w, self._perm_seed), announcements
-        )
-        self._key = keys.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

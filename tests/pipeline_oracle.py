@@ -36,9 +36,9 @@ from eqkd.protocol import (
     alice_prepare,
     bob_measure,
     channel_transform,
-    decode_symbols,
-    encode_symbols,
+    read_payload,
 )
+from eqkd.transcript import EventKind
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +65,11 @@ def quantum_phase(params, strategy, seed):
     """(streams, Alice's symbols, Bob's results) for one seed."""
     streams = RngStreams(seed)
     sent = alice_prepare(params, streams)
-    delivered = decode_symbols(channel_transform(encode_symbols(sent), strategy, streams))
+    # the relay's round trip: Alice's symbols through the channel to Bob's payload
+    arrived = read_payload(
+        EventKind.QUBITS_SENT, channel_transform(sent, strategy, streams), {"n": len(sent)}
+    )
+    delivered = SymbolBlock(arrived["bases"], arrived["bits"])
     results = bob_measure(delivered, params, streams.stream("bob_bases"))
     return streams, sent, results
 

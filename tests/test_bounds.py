@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from eqkd.bounds import (
-    FidelityBudget,
     SamplingInstance,
     SecurityParams,
     binary_entropy,
@@ -174,16 +173,6 @@ def test_theorem3_values():
         assert theorem3_fidelity(0.02, 0.01) == 0.0
     with pytest.raises(ValueError):
         theorem3_fidelity(0.001, 0.0)
-
-
-def test_fidelity_budget_policy():
-    budget = FidelityBudget(eps1=1e-4, eps2=1e-2)
-    assert budget.ratio == pytest.approx(1e-2)
-    assert budget.delta == pytest.approx(1e-2)
-    with pytest.warns(UserWarning):
-        FidelityBudget(eps1=5e-4, eps2=1e-2)  # ratio 0.05: allowed but loud
-    with pytest.raises(ValueError):
-        FidelityBudget(eps1=2e-3, eps2=1e-2)  # ratio 0.2: rejected
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,28 @@ that is either an arbitrary JSON value or the session's own payload of that
 kind with fields dropped, replaced or nudged. Only ``ProtocolViolation`` may
 escape, and once one has, the machine refuses every later message, the
 genuine rest of the session included. The same holds for the relay step at
-each point of the session, with the object payloads the wire lets through. The wire decoder is fed
-arbitrary byte streams and frames; only ``FrameError`` may escape. Example
-budgets are bounded so the suite stays fast.
+each point of the session, with the object payloads the wire lets through.
+A recorded session with one payload so tampered never replays: replay names
+that event, as a malformed field or as the first divergence, and never
+raises. The wire decoder is fed arbitrary byte streams and frames; only
+``FrameError`` may escape. Example budgets are bounded so the suite stays
+fast.
 """
 
 import copy
 import json
+import re
 import socket
 import struct
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqkd.channel import DepolarizingPauli, RngStreams
 from eqkd.codes import steane_pair
+from eqkd.harness.runner import replay_verify
 from eqkd.harness.wire import FrameError, recv_event
 from eqkd.protocol import (
     AliceMachine,
@@ -33,7 +38,7 @@ from eqkd.protocol import (
     relay,
     session_meta,
 )
-from eqkd.transcript import Actor, EventKind, SessionTranscript
+from eqkd.transcript import Actor, Event, EventKind, SessionTranscript
 
 CSS = steane_pair()
 PARAMS = ProtocolParams(n_qubits=400, bias_p=0.3, m1=10, m2=10)
@@ -162,6 +167,18 @@ def relayed(draw):
     return copy.deepcopy(canonical), copy.deepcopy(streams), *expected, payload
 
 
+@st.composite
+def tampered_records(draw):
+    """(index, the recorded session with that event's payload replaced by a different one)."""
+    canonical = RELAY_STATES[-1][0]
+    i = draw(st.integers(0, len(canonical.events) - 1))
+    ev = canonical.events[i]
+    tampered = Event(ev.seq, ev.actor, ev.kind, draw(payloads(ev.kind)))
+    assume(tampered.to_json() != ev.to_json())
+    events = [*canonical.events[:i], tampered, *canonical.events[i + 1 :]]
+    return i, SessionTranscript(meta=canonical.meta, events=events)
+
+
 def _only_violations(machine, actor, kind, payload):
     try:
         machine.receive(actor, kind, payload)
@@ -223,6 +240,14 @@ def test_relay_raises_only_protocol_violation(message):
         relay(canonical, actor, kind, payload, STRATEGY, streams)
     except ProtocolViolation:
         pass
+
+
+@FUZZ
+@given(tampered_records())
+def test_replay_names_the_event_whose_payload_was_replaced(case):
+    i, record = case
+    ok, reason = replay_verify(record)
+    assert not ok and re.search(rf"\bevent {i}\b", reason), reason
 
 
 def _recv_from(data: bytes):

@@ -17,6 +17,7 @@ record, are named by strategy and seed.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,10 @@ from eqkd.channel import (
     PauliLetter,
 )
 from eqkd.codes import BinaryMatrix, LinearCode, steane_pair, validate_css
+from eqkd.harness.cli import main
 from eqkd.harness.runner import ExperimentConfig, emit_csv, replay_verify, run_experiment
 from eqkd.protocol import ProtocolParams, run_session
+from eqkd.transcript import Event, EventKind, SessionTranscript
 
 CSS = steane_pair()
 
@@ -181,3 +184,52 @@ def test_golden_csv(params, strategy, base_seed, digest):
         params=ProtocolParams(**params), strategy=strategy, css=CSS, trials=12, base_seed=base_seed
     )
     assert _sha256(emit_csv(run_experiment(config).rows)) == digest
+
+
+# One field of the accepted N = 4000 session made malformed: (seq, field, new
+# value or a map of the old one). Each file still loads, since loading checks
+# only the event order, and replay names the event and the field before it
+# replays anything.
+MALFORMED_FIELDS = [
+    (2, "bases", "e0"),
+    (6, "r1", "3"),
+    (10, "digest", "zz"),
+    (9, "masked", lambda masked: masked[:4]),
+    (4, "rect", [-1]),
+]
+
+
+@pytest.mark.parametrize(
+    "seq, field, value", MALFORMED_FIELDS, ids=[f"{f}-seq{s}" for s, f, _v in MALFORMED_FIELDS]
+)
+def test_replay_names_a_malformed_field_of_a_golden_session(tmp_path, capsys, seq, field, value):
+    params, strategy, seed, status, _v1, _digest = SESSIONS[0]
+    out = run_session(ProtocolParams(**params), strategy, CSS, seed)
+    assert out.status.value == status
+    header, *lines = out.transcript.to_jsonl().splitlines()
+    event = json.loads(lines[seq])
+    old = event["payload"][field]
+    event["payload"][field] = value(old) if callable(value) else value
+    lines[seq] = json.dumps(event)
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("\n".join([header, *lines]) + "\n")
+
+    ok, detail = replay_verify(path)
+    assert not ok
+    assert detail.startswith(f"event {seq} ({event['actor']} {event['kind']}): {field!r} ")
+    assert main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL: {detail}\n"
+
+
+def test_replay_names_a_tampered_block_count_at_its_own_event():
+    # the count is only bounded when fields are read, so a count one short in
+    # the PERMUTATION_SEED is the replay's divergence there, not a field
+    # error of the CODEWORD_ANNOUNCEMENT after it
+    params, strategy, seed, _status, _v1, _digest = SESSIONS[0]
+    out = run_session(ProtocolParams(**params), strategy, CSS, seed)
+    events = list(out.transcript.events)
+    ev = events[8]
+    assert ev.kind is EventKind.PERMUTATION_SEED
+    events[8] = Event(ev.seq, ev.actor, ev.kind, dict(ev.payload, blocks=ev.payload["blocks"] - 1))
+    tampered = SessionTranscript(meta=out.transcript.meta, events=events)
+    assert replay_verify(tampered) == (False, "first divergence at event 8")

@@ -25,13 +25,11 @@ from eqkd.protocol import (
     alice_prepare,
     biased_attack_rates,
     bob_measure,
-    channel_transform,
     encode_symbols,
     naive_average_rate,
     relay,
     run_session,
     session_meta,
-    weighted_error_rates,
 )
 from eqkd.transcript import Actor, EventKind, SessionTranscript, pack_bits, unpack_bits
 from pipeline_oracle import (
@@ -199,7 +197,6 @@ def test_refined_estimate_clean_channel_sees_nothing():
     assert (est.m1, est.m2) == (100, 100)
     assert est.tested_rect.size == 100 and est.tested_diag.size == 100
     assert not np.intersect1d(est.tested_rect, est.tested_diag).size
-    assert est.tested_positions.size == 200
 
 
 def test_refined_estimate_insufficient_sample():
@@ -261,16 +258,6 @@ def test_analytic_rate_helpers():
     assert naive_average_rate(0.1, e1, e2) == pytest.approx(0.006097560975609757)
     assert naive_average_rate(0.5, e1, e2) == pytest.approx(0.25)
     assert naive_average_rate(0.3, 0.08, 0.08) == pytest.approx(0.08)
-
-
-def test_weighted_error_rates():
-    assert weighted_error_rates(0.0, 0.3, 0.1) == (0.1, 0.3)
-    assert weighted_error_rates(1.0, 0.3, 0.1) == (0.3, 0.1)
-    bit, phase = weighted_error_rates(0.25, 0.2, 0.04)
-    assert bit == pytest.approx(0.25 * 0.2 + 0.75 * 0.04)
-    assert phase == pytest.approx(0.25 * 0.04 + 0.75 * 0.2)
-    with pytest.raises(ValueError):
-        weighted_error_rates(1.2, 0.1, 0.1)
 
 
 def test_strategy_dict_roundtrip():
@@ -549,9 +536,13 @@ def test_machines_reject_a_truncated_bases_payload(kind):
 
 
 def test_relay_rejects_a_truncated_qubits_payload():
-    payload = encode_symbols(alice_prepare(default_params(), RngStreams(27)))
-    with pytest.raises(ProtocolViolation):
-        channel_transform(dict(payload, bits=payload["bits"][:-2]), Passive(), RngStreams(27))
+    params = default_params()
+    payload = encode_symbols(alice_prepare(params, RngStreams(27)))
+    canonical = SessionTranscript(meta=session_meta(params, Passive(), CSS, 27))
+    truncated = dict(payload, bits=payload["bits"][:-2])
+    with pytest.raises(ProtocolViolation, match="'bits'"):
+        relay(canonical, Actor.ALICE, EventKind.QUBITS_SENT, truncated, Passive(), RngStreams(27))
+    assert canonical.events == []
 
 
 def test_alice_rejects_a_disclosure_of_the_wrong_size():
@@ -608,11 +599,12 @@ def test_bob_rejects_a_malformed_estimate(change):
         {"seed": 5.0},
         {"seed": None},
         {"blocks": lambda b: b + 1},
+        {"blocks": lambda b: b - 1},
         {"blocks": None},
         {"block_len": CSS.n + 1},
     ],
-    ids=["negative", "too_large", "string", "float", "no_seed", "wrong_blocks", "no_blocks",
-         "wrong_block_len"],
+    ids=["negative", "too_large", "string", "float", "no_seed", "wrong_blocks", "fewer_blocks",
+         "no_blocks", "wrong_block_len"],
 )
 def test_bob_rejects_a_malformed_permutation_seed(change):
     bob, actor, genuine = _awaiting(EventKind.PERMUTATION_SEED, 30)
@@ -623,8 +615,14 @@ def test_bob_rejects_a_malformed_permutation_seed(change):
 
 @pytest.mark.parametrize(
     "change",
-    [{"blocks": lambda b: b + 1}, {"blocks": None}, {"block_len": CSS.n + 1}, {"block_len": "7"}],
-    ids=["wrong_blocks", "no_blocks", "wrong_block_len", "string_block_len"],
+    [
+        {"blocks": lambda b: b + 1},
+        {"blocks": lambda b: b - 1},
+        {"blocks": None},
+        {"block_len": CSS.n + 1},
+        {"block_len": "7"},
+    ],
+    ids=["wrong_blocks", "fewer_blocks", "no_blocks", "wrong_block_len", "string_block_len"],
 )
 def test_bob_rejects_a_codeword_announcement_of_another_layout(change):
     bob, actor, genuine = _awaiting(EventKind.CODEWORD_ANNOUNCEMENT, 31)
