@@ -255,8 +255,6 @@ class SecurityParams:
     k : final key length in bits
     N : transmitted pulse count
     a_prime, c : optional scaling law for s
-    alpha : optional override for the test exponent (computed from the test
-        geometry when absent)
     """
 
     u: float
@@ -265,23 +263,23 @@ class SecurityParams:
     N: int
     a_prime: float = 1.0
     c: float | None = None
-    alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.u <= 0.0:
-            raise ValueError("u must be positive")
+        if not (0.0 < self.u <= 1074.0):
+            raise ValueError("u must lie in (0, 1074], where 2^-u is a nonzero double")
         if self.s is None and self.c is None:
             raise ValueError("provide s or the (c, a_prime) scaling law")
-        if self.s is not None and self.s <= 0.0:
+        # written to reject NaN, which would make every chain meet its target
+        if self.s is not None and not self.s > 0.0:
             raise ValueError("s must be positive")
+        if self.s is None and not self.c > 0.0:
+            raise ValueError("c must be positive")
         if not (0.0 <= self.a_prime <= 1.0):
             raise ValueError("a_prime must lie in [0, 1]")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.N < 4:
             raise ValueError("N too small")
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ValueError("alpha override must be positive")
 
     def effective_s(self) -> float:
         if self.s is not None:
@@ -339,87 +337,52 @@ def plan_parameters(
     -------
     ParameterPlan; infeasible (with a reason) when no bias p <= 1/2 works.
     """
-    alpha = sec.alpha if sec.alpha is not None else exponent_A(lam_test, p_bad_assumed)
+    alpha = exponent_A(lam_test, p_bad_assumed)
     if alpha <= 0.0:
         raise ValueError("test exponent is zero: lam_test must be below p_bad_assumed")
-    s_eff = sec.effective_s()
     eps2 = 2.0**-sec.u
-    target = 2.0**-s_eff
+    target = 2.0**-sec.effective_s()
+    infeasible = ParameterPlan(
+        feasible=False, n_test=None, p=None, delta_prime=None, alpha=alpha, n_total=None,
+        eps1=None, eps2=eps2, fidelity_defect=None, eve_information=None,
+        target_information=target, reason="no bias p <= 1/2 meets the targets for this N",
+    )
 
-    def audit(n_test: int) -> tuple[bool, dict]:
+    def audit(n_test: int) -> ParameterPlan | None:
+        """The plan at n_test; None when the chain misses the target there,
+        ``infeasible`` when the geometry leaves no bias p <= 1/2 or no key bits."""
         p, delta_prime, n_key = _plan_geometry(n_test, sec.N)
-        if p > 0.5:
-            return False, {"geometry": False}
-        if n_key < 1:
-            return False, {"geometry": False}
-        n_total = n_test + n_key
-        inst = SamplingInstance(n_total, n_test, p_bad_assumed, lam_test)
-        exponent = lemma1_bound(inst).exponent
-        eps1 = 2.0**-exponent if exponent < 1060 else 0.0
+        if p > 0.5 or n_key < 1:
+            return infeasible
+        inst = SamplingInstance(n_test + n_key, n_test, p_bad_assumed, lam_test)
+        tail = lemma1_bound(inst)
+        eps1 = tail.bound if tail.exponent < 1060 else 0.0
         defect = eps1 / eps2
         if defect >= 1.0:
-            return False, {"geometry": True}
+            return None
         info = theorem2_bound(defect, sec.k)
-        ok = info <= target
-        return ok, {
-            "geometry": True,
-            "p": p,
-            "delta_prime": delta_prime,
-            "n_total": n_total,
-            "eps1": eps1,
-            "defect": defect,
-            "info": info,
-        }
-
-    # exponential bracket, then binary search for the minimal feasible size
-    lo, hi = 2, 2
-    geometry_alive = True
-    while True:
-        ok, ctx = audit(hi)
-        if ok:
-            break
-        if not ctx["geometry"]:
-            geometry_alive = False
-            break
-        lo = hi + 1
-        hi *= 2
-        if hi > sec.N:
-            geometry_alive = False
-            break
-    if not geometry_alive:
+        if info > target:
+            return None
         return ParameterPlan(
-            feasible=False,
-            n_test=None,
-            p=None,
-            delta_prime=None,
-            alpha=alpha,
-            n_total=None,
-            eps1=None,
-            eps2=eps2,
-            fidelity_defect=None,
-            eve_information=None,
-            target_information=target,
-            reason="no bias p <= 1/2 meets the targets for this N",
+            feasible=True, n_test=n_test, p=p, delta_prime=delta_prime, alpha=alpha,
+            n_total=inst.n_total, eps1=eps1, eps2=eps2, fidelity_defect=defect,
+            eve_information=info, target_information=target,
         )
-    while lo < hi:
+
+    # doubling bracket, then bisection for the smallest passing size; the
+    # plan at hi is always in hand, so no size is audited twice
+    lo, hi = 2, 2
+    plan = audit(hi)
+    while plan is None:
+        lo, hi = hi + 1, 2 * hi
+        if hi > sec.N:
+            return infeasible
+        plan = audit(hi)
+    while lo < hi and plan.feasible:
         mid = (lo + hi) // 2
-        ok, _ = audit(mid)
-        if ok:
-            hi = mid
+        at_mid = audit(mid)
+        if at_mid is not None and at_mid.feasible:
+            hi, plan = mid, at_mid
         else:
             lo = mid + 1
-    ok, ctx = audit(lo)
-    assert ok
-    return ParameterPlan(
-        feasible=True,
-        n_test=lo,
-        p=ctx["p"],
-        delta_prime=ctx["delta_prime"],
-        alpha=alpha,
-        n_total=ctx["n_total"],
-        eps1=ctx["eps1"],
-        eps2=eps2,
-        fidelity_defect=ctx["defect"],
-        eve_information=ctx["info"],
-        target_information=target,
-    )
+    return plan

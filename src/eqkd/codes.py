@@ -309,15 +309,14 @@ class CssPair:
     c1, c2 : the outer and inner codes
     t : correction radius, floor((d-1)/2) with d = min(d(C1), d(C2-dual))
     k : key bits per block, dim C1 - dim C2
-    g2 : generator matrix of the dual of C2 (the coset-labeling map)
-    key_map : k x n compression of g2 that is a bijection on C1/C2 cosets
+    key_map : k x n compression of C2's parity check (the generator of the
+        dual of C2) that is a bijection on C1/C2 cosets
     """
 
     c1: LinearCode
     c2: LinearCode
     t: int
     k: int
-    g2: BinaryMatrix
     key_map: np.ndarray
 
     @property
@@ -363,21 +362,21 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     t = (d - 1) // 2
     if t < 1:
         raise DistanceTooSmall(f"pair corrects no errors (d = {d})")
-    g2 = BinaryMatrix(c2.parity_check.array)
+    h2 = c2.parity_check
     reps = _coset_representatives(c1, c2, k)
-    # L = g2 . reps^T has rank k; find T with T L = I so that key_map = T g2
+    # L = h2 . reps^T has rank k; find T with T L = I so that key_map = T h2
     # is constant on C2-cosets and bijective across them.
-    L = gf2_mul(g2.array, reps.T)
-    T = np.zeros((k, g2.rows), dtype=np.uint8)
+    L = gf2_mul(h2.array, reps.T)
+    T = np.zeros((k, h2.rows), dtype=np.uint8)
     eye = np.eye(k, dtype=np.uint8)
     for i in range(k):
         x = gf2_solve(L.T, eye[i])
         assert x is not None
         T[i] = x
-    key_map = gf2_mul(T, g2.array)
+    key_map = gf2_mul(T, h2.array)
     assert not gf2_mul(key_map, c2.generator.array.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
-    return CssPair(c1=c1, c2=c2, t=t, k=k, g2=g2, key_map=key_map)
+    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map)
 
 
 def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:

@@ -150,7 +150,6 @@ def _cmd_plan(args) -> int:
         N=args.n_total,
         a_prime=args.a_prime,
         c=args.c,
-        alpha=args.alpha,
     )
     plan = plan_parameters(sec, args.lam, args.p_bad)
     _print(dataclasses.asdict(plan))
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="final key bits")
     p.add_argument("--lam", type=float, required=True, help="test acceptance threshold")
     p.add_argument("--p-bad", type=float, required=True, help="guarded error fraction")
-    p.add_argument("--alpha", type=float, help="override the test exponent")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("bounds", help="evaluate individual security bounds")

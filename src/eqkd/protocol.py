@@ -124,7 +124,7 @@ class ProtocolParams:
             raise ValueError(f"malformed protocol parameters {d!r}") from exc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ErrorEstimate:
     """Refined per-class error estimate from disjoint test samples."""
 
@@ -132,8 +132,6 @@ class ErrorEstimate:
     m1: int
     r2: int
     m2: int
-    tested_rect: np.ndarray
-    tested_diag: np.ndarray
 
     @property
     def e1(self) -> float:
@@ -434,13 +432,17 @@ def relay(
 ) -> Event:
     """Log one message in flight between the parties; returns the event that arrives.
 
-    The message must be the next event the session grammar allows. Alice's
-    qubits must have the payload table's shape at the session's N before
-    the channel strategy acts on them; the delivered copy is logged as the
-    CHANNEL event and returned. No other payload is read here.
+    The message must be the next event the session grammar allows. A
+    decision must have the payload table's shape, since the grammar reads
+    it to tell whether the session has ended. Alice's qubits must have the
+    table's shape at the session's N before the channel strategy acts on
+    them; the delivered copy is logged as the CHANNEL event and returned.
+    No other payload is read here.
     """
     if not canonical.allows(actor, kind):
         raise ProtocolViolation(f"{actor.value} {kind.value} is out of the session order")
+    if kind is EventKind.DECISION:
+        read_payload(kind, payload, {})
     if kind is not EventKind.QUBITS_SENT:
         return canonical.append(actor, kind, payload)
     sent = read_payload(kind, payload, {"n": canonical.meta["params"]["n_qubits"]})
@@ -658,9 +660,7 @@ class AliceMachine(_PartyMachine):
         r1 = int((mine_rect != bob_rect).sum())
         r2 = int((mine_diag != bob_diag).sum())
         counts = {"r1": r1, "m1": p.m1, "r2": r2, "m2": p.m2}
-        est = self._estimate = ErrorEstimate(
-            **counts, tested_rect=self._test_rect, tested_diag=self._test_diag
-        )
+        est = self._estimate = ErrorEstimate(**counts)
         out = [self._emit(EventKind.ESTIMATE, counts)]
         threshold = p.threshold
         accepted = est.e1 < threshold and est.e2 < threshold
@@ -717,9 +717,7 @@ class BobMachine(_PartyMachine):
             self._rect_pos, self._diag_pos = _sift_positions(fields["bases"], self.results.bases)
             return self._select_test()
         if kind is EventKind.ESTIMATE:
-            self._estimate = ErrorEstimate(
-                **fields, tested_rect=self._test_rect, tested_diag=self._test_diag
-            )
+            self._estimate = ErrorEstimate(**fields)
             return []
         if kind is EventKind.DECISION:
             status = fields["status"]

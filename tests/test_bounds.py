@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -228,6 +229,14 @@ def test_security_params_validation():
         SecurityParams(u=10, s=None, k=1, N=100)  # no secrecy target at all
     with pytest.raises(ValueError):
         SecurityParams(u=10, s=10, k=0, N=100)
+    for c in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="c must be positive"):
+            SecurityParams(u=10, s=None, c=c, k=1, N=100)
+    for u in (math.nan, 1075):  # 2^-1075 rounds to 0
+        with pytest.raises(ValueError, match="1074"):
+            SecurityParams(u=u, s=10, k=1, N=100)
+    with pytest.raises(ValueError, match="s must be positive"):
+        SecurityParams(u=10, s=math.nan, k=1, N=100)
     sec = SecurityParams(u=10, s=None, c=0.5, a_prime=0.5, k=8, N=10_000)
     assert sec.effective_s() == pytest.approx(0.5 * 100.0)
 
@@ -274,10 +283,75 @@ def test_plan_infeasible_for_tiny_population():
     assert plan.n_test is None
 
 
-def test_plan_alpha_override():
-    sec = SecurityParams(u=20, s=20, k=10, N=1_000_000, alpha=0.05)
-    plan = plan_parameters(sec, 0.10, 0.25)
-    assert plan.alpha == 0.05
+_INFEASIBLE = "no bias p <= 1/2 meets the targets for this N"
+_ALPHA = 0.10453815576167824  # exponent_A(0.10, 0.25)
+
+# Plans pinned to the last digit: the README example, acceptance c7's two
+# calls, a population too small for any test, a (c, a_prime) scaling law, a
+# lam = 0 test at N = 10^4, and targets no test size meets where, at
+# n_test = 2048, the finite-population correction drives the tail exponent
+# to about -8600, past what 2^-E can hold.
+PINNED_PLANS = [
+    (
+        dict(u=30, s=30, k=100, N=10**6), 0.10, 0.25,
+        dict(feasible=True, n_test=656, p=0.026997942308422118,
+             delta_prime=7.288888888888891e-05, alpha=_ALPHA, n_total=946733,
+             eps1=3.579329323779494e-21, eps2=9.313225746154785e-10,
+             fidelity_defect=3.8432755968116804e-12, eve_information=9.199398819660061e-10,
+             target_information=9.313225746154785e-10, reason=None),
+    ),
+    (
+        dict(u=20, s=20, k=256, N=10**6), 0.10, 0.25,
+        dict(feasible=True, n_test=473, p=0.0229249984853992,
+             delta_prime=5.255555555555556e-05, alpha=_ALPHA, n_total=954675,
+             eps1=1.647910976281018e-15, eps2=9.5367431640625e-07,
+             fidelity_defect=1.7279598998648448e-09, eve_information=9.375063338857327e-07,
+             target_information=9.5367431640625e-07, reason=None),
+    ),
+    (
+        dict(u=20, s=20, k=512, N=10**6), 0.10, 0.25,
+        dict(feasible=True, n_test=483, p=0.02316606713852541,
+             delta_prime=5.3666666666666686e-05, alpha=_ALPHA, n_total=954204,
+             eps1=8.065795732477546e-16, eps2=9.5367431640625e-07,
+             fidelity_defect=8.457599825978375e-10, eve_information=8.927687836406283e-07,
+             target_information=9.5367431640625e-07, reason=None),
+    ),
+    (
+        dict(u=40, s=40, k=1000, N=200), 0.10, 0.25,
+        dict(feasible=False, n_test=None, p=None, delta_prime=None, alpha=_ALPHA,
+             n_total=None, eps1=None, eps2=9.094947017729282e-13, fidelity_defect=None,
+             eve_information=None, target_information=9.094947017729282e-13,
+             reason=_INFEASIBLE),
+    ),
+    (
+        dict(u=20, s=None, c=0.5, a_prime=0.5, k=256, N=10**6), 0.10, 0.25,
+        dict(feasible=True, n_test=5580, p=0.07874007874011811, delta_prime=0.00062,
+             alpha=_ALPHA, n_total=848719, eps1=2.7569561184456234e-160,
+             eps2=9.5367431640625e-07, fidelity_defect=2.890878018855238e-154,
+             eve_information=2.9587792910858273e-151,
+             target_information=3.054936363499605e-151, reason=None),
+    ),
+    (
+        dict(u=10, s=20, k=10, N=10**4), 0.0, 0.2,
+        dict(feasible=True, n_test=119, p=0.11498792207106895,
+             delta_prime=0.0013222222222222225, alpha=0.3219280948873623, n_total=7832,
+             eps1=1.8410657212065265e-11, eps2=0.0009765625,
+             fidelity_defect=1.885251298515483e-08, eve_information=8.880167355893524e-07,
+             target_information=9.5367431640625e-07, reason=None),
+    ),
+    (
+        dict(u=20, s=50, k=64, N=10**4), 0.10, 0.25,
+        dict(feasible=False, n_test=None, p=None, delta_prime=None, alpha=_ALPHA,
+             n_total=None, eps1=None, eps2=2.0**-20, fidelity_defect=None,
+             eve_information=None, target_information=2.0**-50, reason=_INFEASIBLE),
+    ),
+]
+
+
+@pytest.mark.parametrize("sec, lam, p_bad, expected", PINNED_PLANS)
+def test_plan_matches_pinned_values(sec, lam, p_bad, expected):
+    plan = plan_parameters(SecurityParams(**sec), lam, p_bad)
+    assert dataclasses.asdict(plan) == expected
 
 
 def test_plan_rejects_vacuous_test():

@@ -10,8 +10,9 @@ each point of the session, with the object payloads the wire lets through.
 A recorded session with one payload so tampered never replays: replay names
 that event, as a malformed field or as the first divergence, and never
 raises. The wire decoder is fed arbitrary byte streams and frames; only
-``FrameError`` may escape. Example budgets are bounded so the suite stays
-fast.
+``FrameError`` may escape. The parameter planner, whose targets come from
+the command line, is fed any valid targets; it returns a plan or raises
+``ValueError``. Example budgets are bounded so the suite stays fast.
 """
 
 import copy
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eqkd.bounds import ParameterPlan, SecurityParams, plan_parameters
 from eqkd.channel import DepolarizingPauli, RngStreams
 from eqkd.codes import steane_pair
 from eqkd.harness.runner import replay_verify
@@ -280,4 +282,30 @@ def test_recv_event_raises_only_frame_error(data):
     try:
         _recv_from(data)
     except FrameError:
+        pass
+
+
+@st.composite
+def planner_inputs(draw):
+    """A valid SecurityParams, with s or its (c, a_prime) law, and 0 <= lam < p_bad < 1."""
+    positive = st.floats(0, 1e4, exclude_min=True)
+    sec = SecurityParams(
+        u=draw(st.floats(0, 1074, exclude_min=True)),
+        s=draw(st.none() | positive),
+        k=draw(st.integers(1, 10**6)),
+        N=draw(st.integers(4, 10**12)),
+        a_prime=draw(st.floats(0, 1)),
+        c=draw(positive),
+    )
+    p_bad = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    lam = draw(st.floats(0, p_bad, exclude_max=True))
+    return sec, lam, p_bad
+
+
+@FUZZ
+@given(planner_inputs())
+def test_planner_returns_a_plan_or_raises_value_error(case):
+    try:
+        assert isinstance(plan_parameters(*case), ParameterPlan)
+    except ValueError:
         pass

@@ -317,6 +317,16 @@ def test_cli_plan(capsys):
     assert plan["n_test"] > 0
 
 
+def test_cli_plan_prints_an_infeasible_plan_and_exits_1(capsys):
+    code = main(["plan", "--n-total", "10000", "--u", "20", "--s", "50",
+                 "--k", "64", "--lam", "0.1", "--p-bad", "0.25"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    plan = json.loads(captured.out)
+    assert plan["feasible"] is False and plan["n_test"] is None
+
+
 def test_cli_codes_validate(tmp_path, capsys):
     good = tmp_path / "good.code"
     good.write_text("7 4\n1000011\n0100101\n0010110\n0001111\n# d = 3\n")

@@ -192,11 +192,13 @@ def test_sift_partition():
 # ---------------------------------------------------------------------------
 
 def test_refined_estimate_clean_channel_sees_nothing():
-    est = run_session(default_params(), Passive(), CSS, seed=4).estimate
+    out = run_session(default_params(), Passive(), CSS, seed=4)
+    est = out.estimate
     assert (est.r1, est.r2) == (0, 0)
     assert (est.m1, est.m2) == (100, 100)
-    assert est.tested_rect.size == 100 and est.tested_diag.size == 100
-    assert not np.intersect1d(est.tested_rect, est.tested_diag).size
+    tested = out.transcript.find(EventKind.TEST_INDICES).payload
+    assert len(tested["rect"]) == 100 and len(tested["diag"]) == 100
+    assert not np.intersect1d(tested["rect"], tested["diag"]).size
 
 
 def test_refined_estimate_insufficient_sample():
@@ -354,8 +356,9 @@ def test_session_estimate_matches_pipeline_functions():
         sift(sent, results), params, streams.stream("test_selection")
     )
     assert (r1, r2) == (out.estimate.r1, out.estimate.r2)
-    assert np.array_equal(tested_rect, out.estimate.tested_rect)
-    assert np.array_equal(tested_diag, out.estimate.tested_diag)
+    tested = out.transcript.find(EventKind.TEST_INDICES).payload
+    assert np.array_equal(tested_rect, tested["rect"])
+    assert np.array_equal(tested_diag, tested["diag"])
 
 
 def test_session_key_digest_matches_key():
@@ -418,12 +421,18 @@ def _drive(seed, stop_at=None, strategy=None):
     alice = AliceMachine(params, CSS, streams, meta=meta)
     bob = BobMachine(params, CSS, streams, meta=meta)
     canonical = SessionTranscript(meta=meta)
-    pending = deque(alice.start())
+    pending = _shuttle(alice, bob, canonical, alice.start(), strategy, streams, stop_at)
+    return alice, bob, canonical, pending
+
+
+def _shuttle(alice, bob, canonical, messages, strategy, streams, stop_at=None):
+    """Relay ``messages`` and every reply until the next is ``stop_at``; the rest."""
+    pending = deque(messages)
     while pending and pending[0][:2] != stop_at:
         ev = relay(canonical, *pending.popleft(), strategy, streams)
         receiver = alice if ev.actor is Actor.BOB else bob
         pending.extend(receiver.receive(ev.actor, ev.kind, ev.payload))
-    return alice, bob, canonical, list(pending)
+    return list(pending)
 
 
 def test_machine_views_are_the_canonical_transcript_minus_one_event():
@@ -543,6 +552,25 @@ def test_relay_rejects_a_truncated_qubits_payload():
     with pytest.raises(ProtocolViolation, match="'bits'"):
         relay(canonical, Actor.ALICE, EventKind.QUBITS_SENT, truncated, Passive(), RngStreams(27))
     assert canonical.events == []
+
+
+@pytest.mark.parametrize("payload", [[], {"status": "bogus"}], ids=["list", "bogus"])
+@pytest.mark.parametrize(
+    "seq, actor, due",
+    [(4, Actor.BOB, EventKind.TEST_INDICES), (7, Actor.ALICE, EventKind.DECISION)],
+    ids=["bob", "alice"],
+)
+def test_relay_rejects_a_malformed_decision(seq, actor, due, payload):
+    # the grammar reads a logged decision to tell whether the session has ended
+    alice, bob, canonical, pending = _drive(30, stop_at=(actor, due))
+    assert len(canonical.events) == seq
+    with pytest.raises(ProtocolViolation):
+        relay(canonical, actor, EventKind.DECISION, payload, Passive(), RngStreams(30))
+    assert len(canonical.events) == seq
+    # nothing was logged, so the genuine session runs on to a valid record
+    assert _shuttle(alice, bob, canonical, pending, Passive(), RngStreams(30)) == []
+    assert alice.done and bob.done and len(canonical.events) == 12
+    canonical.validate()
 
 
 def test_alice_rejects_a_disclosure_of_the_wrong_size():
