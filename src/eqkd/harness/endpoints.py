@@ -13,6 +13,7 @@ which Nagle's algorithm would hold back for the peer's delayed ACK.
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import selectors
@@ -48,6 +49,20 @@ EXIT_HANDSHAKE = 1
 EXIT_PROTOCOL = 2
 
 ROLES = ("alice", "channel", "bob")
+
+
+def start_context() -> multiprocessing.context.BaseContext:
+    """The start method for every child this package starts: fork where it exists.
+
+    numpy imports ``numpy.random`` lazily, so a child forked before the first
+    draw imports it again (about 15 ms); importing it here, just before a
+    fork, lets every child inherit it.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" not in methods:
+        return multiprocessing.get_context(methods[0])
+    importlib.import_module("numpy.random")
+    return multiprocessing.get_context("fork")
 
 
 def _materialize(config: dict):
@@ -257,8 +272,7 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
     anything is bound or started.
     """
     session_from_meta(config)
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    ctx = start_context()
     procs = {}
     with (
         socket.create_server(("127.0.0.1", 0), backlog=1) as bob_l,

@@ -1,6 +1,7 @@
 """Batch experiment driver.
 
-Runs many seeded sessions and turns each ``SessionOutcome`` into one CSV row:
+Runs many seeded sessions, spread over the CPUs this process may use, and
+turns each ``SessionOutcome`` into one CSV row:
 the per-class estimate, and the retained fraction and lumped single-rate
 estimate (which the protocol itself deliberately avoids) that ``run_session``
 reports next to it. Aggregates the rows and writes deterministic CSV. Also
@@ -12,6 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +38,7 @@ from ..protocol import (
     session_sizes,
 )
 from ..transcript import SessionTranscript, TranscriptError
+from .endpoints import start_context
 
 CSV_FIELDS = (
     "trial",
@@ -56,6 +62,17 @@ class ExperimentConfig:
     css: CssPair = field(default_factory=steane_pair)
     trials: int = 20
     base_seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, not {self.trials}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be nonnegative, not {self.base_seed}")
+        if self.base_seed + self.trials > 2**64:
+            raise ValueError(
+                f"base_seed + trials must be at most 2^64 (each trial's seed is 64-bit), "
+                f"not {self.base_seed} + {self.trials}"
+            )
 
     def seed_for(self, trial: int) -> int:
         return self.base_seed + trial
@@ -114,14 +131,87 @@ def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, SessionOu
     return row, outcome
 
 
-def run_experiment(config: ExperimentConfig, keep_outcomes: bool = False) -> ExperimentResult:
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_slice(
+    config: ExperimentConfig, trials: range, keep_outcomes: bool
+) -> tuple[list[TrialRow], list[SessionOutcome]]:
     rows: list[TrialRow] = []
     outcomes: list[SessionOutcome] = []
-    for trial in range(config.trials):
+    for trial in trials:
         row, outcome = run_trial(config, trial)
         rows.append(row)
         if keep_outcomes:
             outcomes.append(outcome)
+    return rows, outcomes
+
+
+def _slice_worker(config: ExperimentConfig, trials: range, keep_outcomes: bool, fd: int) -> None:
+    """A forked worker's body: run one slice and write it to ``fd`` as one pickle.
+
+    What it writes is the slice's rows and outcomes, or the exception of its
+    first failing trial with that trial's formatted traceback.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted caller reaps its workers
+    try:
+        result = _run_slice(config, trials, keep_outcomes)
+    except Exception as exc:
+        result = (exc, traceback.format_exc())
+    with open(fd, "wb") as pipe:
+        pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def run_experiment(config: ExperimentConfig, keep_outcomes: bool = False) -> ExperimentResult:
+    """Run every trial; rows, summary and outcomes come in trial order.
+
+    The trials are split into k contiguous slices, k the CPUs this process
+    may use (at most one per trial, and 1 without the fork start method).
+    The caller runs the first slice; a forked worker runs each later one and
+    sends it back over a pipe. Each trial depends on its seed alone, so the
+    result does not depend on k. The exception of the earliest failing trial
+    propagates, and every worker has been reaped when this returns or raises.
+    """
+    ctx = start_context()
+    k = max(1, min(config.trials, usable_cpus())) if ctx.get_start_method() == "fork" else 1
+    slices = [range(config.trials * i // k, config.trials * (i + 1) // k) for i in range(k)]
+    procs, pipes = [], []
+    try:
+        for trials in slices[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            proc = ctx.Process(target=_slice_worker, args=(config, trials, keep_outcomes, write_fd))
+            try:
+                proc.start()
+            finally:
+                os.close(write_fd)  # the worker holds the only write end, so its death is EOF
+            procs.append(proc)
+        rows, outcomes = _run_slice(config, slices[0], keep_outcomes)
+        for proc, pipe in zip(procs, pipes):
+            try:
+                got = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                proc.join()
+                raise RuntimeError(
+                    f"a trial worker exited with code {proc.exitcode} before sending its trials"
+                ) from None
+            if isinstance(got[0], BaseException):
+                exc, remote = got
+                raise exc from RuntimeError(f"raised in a trial worker:\n{remote}")
+            rows += got[0]
+            outcomes += got[1]
+            proc.join()
+    finally:
+        for proc in procs:
+            proc.terminate()  # does nothing to a worker already joined
+            proc.join()
+            proc.close()
+        for pipe in pipes:
+            pipe.close()
     return ExperimentResult(
         config=config, rows=rows, summary=aggregate(rows), outcomes=outcomes
     )

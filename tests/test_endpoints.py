@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -22,6 +24,7 @@ from eqkd.harness.endpoints import (
     _endpoint_proc,
     loopback_session,
     serve_endpoint,
+    start_context,
 )
 from eqkd.harness.wire import exchange_hello, recv_event, send_event
 from eqkd.protocol import (
@@ -135,11 +138,20 @@ def test_every_endpoint_link_turns_nagle_off():
     assert lsock.fileno() == -1  # the listener is closed once its one link is in
 
 
-def _fork_context():
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else multiprocessing.get_start_method()
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_the_start_context_forks_with_numpy_random_imported_and_the_package_does_not():
+    # a child forked before numpy.random is imported pays for that import itself
+    code = (
+        "import sys; import eqkd.harness.cli; from eqkd.harness.endpoints import start_context; "
+        "cold = 'numpy.random' not in sys.modules; ctx = start_context(); "
+        "print(cold, ctx.get_start_method(), 'numpy.random' in sys.modules)"
     )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert out == ["True", "fork", "True"]
 
 
 def test_a_forked_endpoint_keeps_no_listener_it_does_not_serve(capfd):
@@ -147,7 +159,7 @@ def test_a_forked_endpoint_keeps_no_listener_it_does_not_serve(capfd):
     # she has closed her copy, the dial is refused instead of queued
     _params, meta = _meta(40)
     lsock = _listener()
-    alice = _fork_context().Process(
+    alice = start_context().Process(
         target=_endpoint_proc, args=("alice", meta, None, lsock.getsockname(), None, 0.3, [lsock])
     )
     alice.start()
@@ -161,7 +173,7 @@ def test_a_forked_endpoint_keeps_no_listener_it_does_not_serve(capfd):
 def test_mismatched_configs_fail_the_handshake(tmp_path):
     _params, meta_a = _meta(33)
     _params, meta_b = _meta(34)  # different seed -> different config digest
-    ctx = _fork_context()
+    ctx = start_context()
     bob_l, relay_l = _listener(), _listener()
     procs = []
     for role, meta, listen, connect in (

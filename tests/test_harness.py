@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import multiprocessing
+import os
 import socket
 import struct
 
@@ -7,6 +10,7 @@ import pytest
 
 from eqkd.channel import BiasedInterceptResend, DepolarizingPauli, Passive
 from eqkd.codes import steane_pair
+from eqkd.harness import runner
 from eqkd.harness.cli import main
 from eqkd.harness.runner import (
     CSV_FIELDS,
@@ -17,6 +21,7 @@ from eqkd.harness.runner import (
     emit_csv,
     replay_verify,
     run_experiment,
+    run_trial,
 )
 from eqkd.harness.wire import (
     FrameError,
@@ -30,7 +35,13 @@ from eqkd.harness.wire import (
     send_frame,
     send_hello,
 )
-from eqkd.protocol import ProtocolParams, SessionStatus, run_session, session_meta
+from eqkd.protocol import (
+    ProtocolParams,
+    ProtocolViolation,
+    SessionStatus,
+    run_session,
+    session_meta,
+)
 from eqkd.transcript import Event, EventKind, SessionTranscript
 
 CSS = steane_pair()
@@ -205,6 +216,118 @@ def test_attack_demo_reports_analytics():
     assert demo["naive_accept_rate"] == 1.0
 
 
+# The parallel runner: k CPUs are forced through the one CPU-count helper, so
+# a 1-CPU host also runs the forked workers; the oracle is the serial loop.
+
+# m1 near the rectilinear class's expected 270 and w = 0.04 give all three
+# statuses over seeds 0-6: accepted, error-rate aborts, insufficient samples
+MIXED = ExperimentConfig(
+    params=ProtocolParams(n_qubits=3000, bias_p=0.3, m1=260, m2=80, delta_prime=0.001),
+    strategy=DepolarizingPauli.symmetric(0.04),
+    css=CSS,
+    trials=7,
+)
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda k: f"k{k}")
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(runner, "usable_cpus", lambda: request.param)
+    yield request.param
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("keep_outcomes", [False, True], ids=["rows", "outcomes"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        MIXED,
+        dataclasses.replace(MIXED, trials=2),  # fewer trials than workers at k = 3
+        ExperimentConfig(params=PARAMS, strategy=BiasedInterceptResend(0.1, 0.2), css=CSS,
+                         trials=5, base_seed=11),
+    ],
+    ids=["mixed_statuses", "two_trials", "biased_intercept"],
+)
+def test_parallel_runner_matches_the_serial_loop(cpus, config, keep_outcomes):
+    oracle = [run_trial(config, t) for t in range(config.trials)]
+    result = run_experiment(config, keep_outcomes=keep_outcomes)
+    want_rows = [row for row, _ in oracle]
+    assert [dataclasses.astuple(r) for r in result.rows] == [
+        dataclasses.astuple(r) for r in want_rows
+    ]
+    assert emit_csv(result.rows) == emit_csv(want_rows)
+    assert result.summary == aggregate(want_rows)
+    if config is MIXED:
+        assert all(result.summary["status_counts"].values())  # every status occurs
+    assert len(result.outcomes) == (config.trials if keep_outcomes else 0)
+    for got, (_row, want) in zip(result.outcomes, oracle):
+        assert got.transcript.event_lines() == want.transcript.event_lines()
+        assert got.status is want.status
+        for key in ("alice_key", "bob_key"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def _failing_run_trial(failures: dict):
+    """run_trial, except that trial t raises failures[t]."""
+    def patched(config, trial):
+        if trial in failures:
+            raise failures[trial]
+        return run_trial(config, trial)
+    return patched
+
+
+@pytest.mark.parametrize(
+    "failures, wanted",
+    [
+        ({5: ProtocolViolation("late")}, ProtocolViolation),  # a worker's slice at k >= 2
+        ({3: LookupError("first"), 6: ValueError("second")}, LookupError),
+        ({0: KeyError("caller"), 6: ValueError("worker")}, KeyError),  # the caller's slice
+        ({1: KeyboardInterrupt()}, KeyboardInterrupt),
+    ],
+    ids=["in_a_worker", "earliest_of_two", "in_the_callers_slice", "interrupt"],
+)
+def test_parallel_runner_raises_the_earliest_failure(cpus, monkeypatch, failures, wanted):
+    monkeypatch.setattr(runner, "run_trial", _failing_run_trial(failures))
+    with pytest.raises(wanted):
+        [runner.run_trial(MIXED, t) for t in range(MIXED.trials)]
+    with pytest.raises(wanted):
+        run_experiment(MIXED)
+
+
+def test_a_worker_that_dies_is_reported_and_reaped(monkeypatch):
+    def dying(config, trial):
+        if trial == 6:
+            os._exit(3)
+        return run_trial(config, trial)
+
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "run_trial", dying)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_experiment(MIXED)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "trials, base_seed, field",
+    [(-3, 0, "trials"), (2, -1, "base_seed"), (3, 2**64 - 2, "base_seed \\+ trials")],
+)
+def test_experiment_config_checks_its_trial_range(trials, base_seed, field):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(params=PARAMS, strategy=Passive(), trials=trials, base_seed=base_seed)
+
+
+def test_the_last_64_bit_seed_runs():
+    config = ExperimentConfig(params=PARAMS, strategy=Passive(), css=CSS,
+                              trials=2, base_seed=2**64 - 2)
+    assert [r.seed for r in run_experiment(config).rows] == [2**64 - 2, 2**64 - 1]
+
+
 def test_replay_verify_accepts_genuine_and_rejects_tampered(tmp_path):
     out = run_session(PARAMS, DepolarizingPauli.symmetric(0.01), CSS, seed=8)
     ok, detail = replay_verify(out.transcript)
@@ -263,6 +386,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
 
 
 _SETTINGS = {"n_qubits": 3000, "bias_p": 0.3, "m1": 80, "m2": 80}
+_RUN = ["run", "--n", "3000", "--bias-p", "0.3", "--m1", "80", "--m2", "80"]
 
 
 @pytest.mark.parametrize(
@@ -285,8 +409,15 @@ def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, conf
         (["run", "--n", "100", "--trials", "1"], "missing session settings: bias_p, m1, m2"),
         (["attack-demo", "--n", "20000", "--bias-p", "0.1", "--m1", "25", "--m2", "100"],
          "attack-demo needs --eve P1,P2"),
+        ([*_RUN, "--trials", "-3"], "trials must be nonnegative, not -3"),
+        ([*_RUN, "--seed", "18446744073709551615", "--trials", "3"],
+         "base_seed + trials must be at most 2^64 (each trial's seed is 64-bit), "
+         "not 18446744073709551615 + 3"),
+        (["attack-demo", "--n", "20000", "--bias-p", "0.1", "--m1", "25", "--m2", "100",
+          "--eve", "0,1", "--trials", "-1"], "trials must be nonnegative, not -1"),
     ],
-    ids=["run_without_settings", "attack_demo_without_eve"],
+    ids=["run_without_settings", "attack_demo_without_eve", "run_negative_trials",
+         "run_past_the_last_seed", "attack_demo_negative_trials"],
 )
 def test_cli_usage_errors_exit_2(capsys, argv, wanted):
     assert main(argv) == 2
