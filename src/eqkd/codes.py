@@ -12,6 +12,7 @@ leaves the coset unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +124,9 @@ def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 
 class BinaryMatrix:
-    """A 0/1 matrix over GF(2) with its rank computed at construction."""
+    """A 0/1 matrix over GF(2)."""
 
-    __slots__ = ("array", "rows", "cols", "rank")
+    __slots__ = ("array", "rows", "cols")
 
     def __init__(self, array) -> None:
         arr = np.array(array, dtype=np.uint8)
@@ -135,7 +136,6 @@ class BinaryMatrix:
             raise ValueError("entries must be 0 or 1")
         self.array = arr
         self.rows, self.cols = arr.shape
-        self.rank = gf2_rank(arr)
 
     @classmethod
     def from_rows(cls, rows: list[str]) -> "BinaryMatrix":
@@ -145,15 +145,15 @@ class BinaryMatrix:
         return ["".join(str(int(b)) for b in row) for row in self.array]
 
     def __repr__(self) -> str:
-        return f"BinaryMatrix({self.rows}x{self.cols}, rank={self.rank})"
+        return f"BinaryMatrix({self.rows}x{self.cols})"
 
 
 # ---------------------------------------------------------------------------
 # Linear codes
 # ---------------------------------------------------------------------------
 
-# Exhaustive codeword enumeration is used to certify distances for codes up
-# to this block length; larger codes must come with a trusted distance.
+# Every distance is certified by enumerating the codewords, so a code may be
+# at most this long and of at most this dimension.
 EXHAUSTIVE_N_LIMIT = 24
 _ENUM_DIM_LIMIT = 20
 
@@ -169,7 +169,7 @@ def enumerate_codewords(generator: np.ndarray) -> np.ndarray:
     gen = np.asarray(generator, dtype=np.uint8)
     k = gen.shape[0]
     if k > _ENUM_DIM_LIMIT:
-        raise CodeError(f"refusing to enumerate 2^{k} codewords")
+        raise CodeError(f"refusing to enumerate 2^{k} codewords: dimension limit {_ENUM_DIM_LIMIT}")
     return gf2_mul(_all_messages(k), gen)
 
 
@@ -193,7 +193,7 @@ class LinearCode:
     k_dim : dimension (generator row count)
     generator : BinaryMatrix, full row rank, k_dim x n
     parity_check : BinaryMatrix, full row rank, (n - k_dim) x n
-    d : minimum distance; certified exhaustively when n <= 24
+    d : minimum distance, certified by enumerating the codewords
     """
 
     n: int
@@ -204,21 +204,20 @@ class LinearCode:
 
     @classmethod
     def from_generator(cls, generator, claimed_d: int | None = None) -> "LinearCode":
+        """The code the rows generate; a claimed distance is checked, never used."""
         gen = generator if isinstance(generator, BinaryMatrix) else BinaryMatrix(generator)
         k_dim, n = gen.rows, gen.cols
-        if gen.rank != k_dim:
+        if n > EXHAUSTIVE_N_LIMIT or k_dim > _ENUM_DIM_LIMIT:
+            raise CodeError(
+                f"cannot certify the distance of a [{n}, {k_dim}] code: enumeration is "
+                f"limited to n <= {EXHAUSTIVE_N_LIMIT} and dimension <= {_ENUM_DIM_LIMIT}"
+            )
+        if gf2_rank(gen.array) != k_dim:
             raise CodeError("generator matrix must have full row rank")
+        d = min_distance(gen.array)
+        if claimed_d is not None and claimed_d != d:
+            raise CodeError(f"claimed distance {claimed_d} but computed {d}")
         pc = BinaryMatrix(gf2_nullspace(gen.array))
-        if n <= EXHAUSTIVE_N_LIMIT and k_dim <= _ENUM_DIM_LIMIT:
-            d = min_distance(gen.array)
-            if claimed_d is not None and claimed_d != d:
-                raise CodeError(f"claimed distance {claimed_d} but computed {d}")
-        else:
-            if claimed_d is None:
-                raise CodeError(
-                    "distance cannot be certified exhaustively; provide a trusted value"
-                )
-            d = claimed_d
         return cls(n=n, k_dim=k_dim, generator=gen, parity_check=pc, d=d)
 
     def contains(self, word: np.ndarray) -> bool:
@@ -245,58 +244,6 @@ class LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Bounded-distance syndrome decoding
-# ---------------------------------------------------------------------------
-
-_TABLE_SYNDROME_LIMIT = 22  # refuse tables above 2^22 syndromes
-
-
-def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
-    """Each syndrome row read as an m-bit integer, its first bit the highest."""
-    syndromes = np.atleast_2d(syndromes)
-    idx = np.zeros(syndromes.shape[0], dtype=np.intp)
-    for j in range(m):
-        idx <<= 1
-        idx |= syndromes[:, j]
-    return idx
-
-
-def _decode_table(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-    """(leaders, covered) arrays indexed by syndrome integer.
-
-    Leaders hold the unique error pattern of weight <= t for each covered
-    syndrome, t being the code's own correction radius.
-    """
-    cached = getattr(code, "_syndrome_cache", None)
-    if cached is not None:
-        return cached
-    m = code.n - code.k_dim
-    if m > _TABLE_SYNDROME_LIMIT:
-        raise CodeError("syndrome table too large")
-    t = (code.d - 1) // 2
-    leaders = np.zeros((2**m, code.n), dtype=np.uint8)
-    covered = np.zeros(2**m, dtype=bool)
-    covered[0] = True  # zero syndrome -> zero error
-    patterns = [np.zeros(code.n, dtype=np.uint8)]
-    from itertools import combinations
-
-    for w in range(1, t + 1):
-        for pos in combinations(range(code.n), w):
-            e = np.zeros(code.n, dtype=np.uint8)
-            e[list(pos)] = 1
-            patterns.append(e)
-    if len(patterns) > 1:
-        errs = np.array(patterns[1:], dtype=np.uint8)
-        idx = _syndrome_index(code.syndrome(errs), m)
-        # distance >= 2t+1 guarantees these syndromes are distinct
-        leaders[idx] = errs
-        covered[idx] = True
-    cache = (leaders, covered)
-    object.__setattr__(code, "_syndrome_cache", cache)
-    return cache
-
-
-# ---------------------------------------------------------------------------
 # Nested pairs
 # ---------------------------------------------------------------------------
 
@@ -311,6 +258,11 @@ class CssPair:
     k : key bits per block, dim C1 - dim C2
     key_map : k x n compression of C2's parity check (the generator of the
         dual of C2) that is a bijection on C1/C2 cosets
+    leader_labels : (2^m, k) key labels of C1's coset leaders, m = n - dim C1,
+        row s for the syndrome whose bits read s; a leader is the error
+        pattern of weight at most C1's own radius (d(C1) - 1) // 2 with that
+        syndrome, and a syndrome that has none keeps a zero row
+    covered : (2^m,) whether syndrome s has such a leader
     """
 
     c1: LinearCode
@@ -318,6 +270,8 @@ class CssPair:
     t: int
     k: int
     key_map: np.ndarray
+    leader_labels: np.ndarray
+    covered: np.ndarray
 
     @property
     def n(self) -> int:
@@ -339,14 +293,25 @@ def _coset_representatives(c1: LinearCode, c2: LinearCode, k: int) -> np.ndarray
     return np.array(reps, dtype=np.uint8)
 
 
+def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
+    """Each syndrome row read as an m-bit integer, its first bit the highest."""
+    syndromes = np.atleast_2d(syndromes)
+    idx = np.zeros(syndromes.shape[0], dtype=np.intp)
+    for j in range(m):
+        idx <<= 1
+        idx |= syndromes[:, j]
+    return idx
+
+
 def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
-    """Check nesting and distance conditions; build the labeling maps.
+    """Check nesting and distance conditions; build the labeling maps and the decode table.
 
     Raises
     ------
     NestingViolation : some generator row of C2 lies outside C1.
     DegenerateCode : dim C1 == dim C2 (no key bits).
     DistanceTooSmall : correction radius below 1.
+    CodeError : different block lengths, or a dual of C2 past the enumeration limit.
     """
     if c1.n != c2.n:
         raise CodeError("codes must share a block length")
@@ -357,8 +322,7 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
         if not c1.contains(row):
             raise NestingViolation("C2 is not a subcode of C1")
     # dual of C2 is generated by C2's parity check
-    c2_dual = LinearCode.from_generator(c2.parity_check)
-    d = min(c1.d, c2_dual.d)
+    d = min(c1.d, min_distance(c2.parity_check.array))
     t = (d - 1) // 2
     if t < 1:
         raise DistanceTooSmall(f"pair corrects no errors (d = {d})")
@@ -376,26 +340,24 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     key_map = gf2_mul(T, h2.array)
     assert not gf2_mul(key_map, c2.generator.array.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
-    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map)
+    # every error pattern of weight 1..t1; d(C1) >= 2 t1 + 1 gives them distinct syndromes
+    m, t1 = c1.n - c1.k_dim, (c1.d - 1) // 2
+    supports = [s for w in range(1, t1 + 1) for s in combinations(range(c1.n), w)]
+    errs = np.zeros((len(supports), c1.n), dtype=np.uint8)
+    for row, support in zip(errs, supports):
+        row[list(support)] = 1
+    idx = _syndrome_index(c1.syndrome(errs), m)
+    leader_labels = np.zeros((2**m, k), dtype=np.uint8)
+    leader_labels[idx] = gf2_mul(errs, key_map.T)
+    covered = np.zeros(2**m, dtype=bool)
+    covered[0] = covered[idx] = True  # the zero syndrome's leader is the zero pattern
+    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map,
+                   leader_labels=leader_labels, covered=covered)
 
 
 def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:
     """Each row's k-bit coset label: on C1, one label per coset of C2, zero on C2."""
     return gf2_mul(np.atleast_2d(words), pair.key_map.T)
-
-
-def _leader_labels(pair: CssPair) -> tuple[np.ndarray, np.ndarray]:
-    """((2^m, k) labels of C1's coset leaders, covered) indexed by syndrome integer.
-
-    An uncovered syndrome has the all-zero leader, so its row is zero.
-    """
-    cached = getattr(pair, "_leader_label_cache", None)
-    if cached is not None:
-        return cached
-    leaders, covered = _decode_table(pair.c1)
-    cache = (_labels(pair, leaders), covered)
-    object.__setattr__(pair, "_leader_label_cache", cache)
-    return cache
 
 
 def reconcile_alice_blocks(
@@ -424,22 +386,22 @@ def reconcile_bob_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode a batch and return (keys, decode_ok).
 
-    Equals correcting each word ``received ^ announcements`` by its
-    syndrome's leader and labelling the result, as ``tests/pipeline_oracle.py``
-    does; rows whose syndrome has no leader within radius t get a best-effort
-    key (the label of the uncorrected word) and ok False, which is
-    unreachable for perfect outer codes. Labels are linear, so the key is the label of the word XOR
-    the label of its syndrome's leader, looked up in a (2^m, k) table whose
-    uncovered rows are zero; no decoded word is formed.
+    Equals decoding each word ``received ^ announcements`` to the codeword
+    of C1 within C1's radius and labelling it, as ``tests/pipeline_oracle.py``
+    does; rows with no codeword that close get a best-effort key (the label
+    of the uncorrected word) and ok False, which is unreachable for perfect
+    outer codes. The word less its codeword is its syndrome's leader, and
+    labels are linear, so the key is the label of the word XOR the leader's
+    label, read from ``pair.leader_labels``, whose uncovered rows are zero;
+    no decoded word is formed.
     """
     received = np.atleast_2d(np.asarray(received_blocks, dtype=np.uint8))
     ann = np.atleast_2d(np.asarray(announcements, dtype=np.uint8))
     if received.shape != ann.shape or received.shape[1] != pair.n:
         raise ValueError("received blocks and announcements must be (B, n)")
     words = received ^ ann
-    leader_labels, covered = _leader_labels(pair)
     idx = _syndrome_index(pair.c1.syndrome(words), pair.c1.n - pair.c1.k_dim)
-    return _labels(pair, words) ^ leader_labels[idx], covered[idx]
+    return _labels(pair, words) ^ pair.leader_labels[idx], pair.covered[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +492,8 @@ def parse_code(text: str) -> LinearCode:
     """Parse the plain-text code format.
 
     Header line ``n k_dim``, then k_dim lines of n characters in {0,1}.
-    A comment line ``# d = <int>`` anywhere supplies a claimed distance,
-    verified exhaustively for n <= 24.
+    A comment line ``# d = <int>`` anywhere claims a distance, which is
+    checked against the one enumeration certifies.
     """
     claimed_d: int | None = None
     lines = []

@@ -46,6 +46,15 @@ def _print(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _eve(text: str) -> tuple[float, float]:
+    try:
+        p1, p2 = (float(x) for x in text.split(","))
+    except ValueError:
+        msg = f"expected two probabilities P1,P2, not {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+    return p1, p2
+
+
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON session settings; explicit flags win")
     p.add_argument("--n", type=int, help="symbols transmitted per session")
@@ -56,7 +65,8 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-e", type=float, help="threshold margin (default 0.01)")
     p.add_argument("--delta-prime", type=float, help="sampling slack (default p^2/10)")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--eve", metavar="P1,P2", help="biased intercept-resend probabilities")
+    g.add_argument("--eve", type=_eve, metavar="P1,P2",
+                   help="biased intercept-resend probabilities")
     g.add_argument("--depolarize", type=float, metavar="W", help="symmetric flip weight")
     g.add_argument("--pauli", metavar="LETTERS", help="fixed error string, e.g. IIXZY...")
     p.add_argument("--code", metavar="FILE[,FILE2]", help="code pair files; one file means the second code is its dual")
@@ -84,8 +94,7 @@ def _session_setup(args):
     params = ProtocolParams.from_dict({f.name: pd[f.name] for f in _PARAM_FIELDS if f.name in pd})
 
     if args.eve is not None:
-        p1, p2 = (float(x) for x in args.eve.split(","))
-        strategy = BiasedInterceptResend(p1, p2)
+        strategy = BiasedInterceptResend(*args.eve)
     elif args.depolarize is not None:
         strategy = DepolarizingPauli.symmetric(args.depolarize)
     elif args.pauli is not None:
@@ -135,10 +144,7 @@ def _cmd_attack_demo(args) -> int:
     params, _strategy, css, seed, _meta = _session_setup(args)
     if args.eve is None:
         raise ValueError("attack-demo needs --eve P1,P2")
-    p1, p2 = (float(x) for x in args.eve.split(","))
-    _print(
-        attack_demo(params, p1, p2, trials=args.trials, base_seed=seed, css=css)
-    )
+    _print(attack_demo(params, *args.eve, trials=args.trials, base_seed=seed, css=css))
     return 0
 
 
@@ -214,8 +220,8 @@ def _cmd_codes_validate(args) -> int:
 
 def _addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host:
-        raise argparse.ArgumentTypeError("addresses look like HOST:PORT")
+    if not (host and port.isdigit() and int(port) <= 0xFFFF):
+        raise argparse.ArgumentTypeError("addresses look like HOST:PORT, PORT at most 65535")
     return host, int(port)
 
 

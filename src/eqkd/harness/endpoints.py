@@ -286,14 +286,16 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
         try:
             for name, (listen, connect) in links.items():
                 foreign = [s for s in (bob_l, relay_l) if s is not listen]
-                procs[name] = ctx.Process(
+                proc = ctx.Process(
                     target=_endpoint_proc,
                     args=(name, config, listen, connect, out_dir, timeout, foreign),
                 )
-                procs[name].start()
+                proc.start()
+                procs[name] = proc  # only a started endpoint is one to stop and reap
         except BaseException:
             for proc in procs.values():
                 proc.terminate()
+                proc.join()
             raise
 
     codes = {}

@@ -19,7 +19,7 @@ import json
 import socket
 import struct
 
-from ..transcript import EventKind
+from ..transcript import EventKind, canonical_json
 
 WIRE_VERSION = 0x01
 TAG_HELLO = 0x00
@@ -89,8 +89,7 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
 
 
 def send_event(sock: socket.socket, kind: EventKind, payload: dict) -> None:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    send_frame(sock, _KIND_TAGS[kind], blob)
+    send_frame(sock, _KIND_TAGS[kind], canonical_json(payload).encode())
 
 
 def recv_event(sock: socket.socket) -> tuple[EventKind, dict]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-import json
 import math
 import reprlib
 from collections import deque
@@ -53,6 +52,7 @@ from .transcript import (
     Event,
     EventKind,
     SessionTranscript,
+    canonical_json,
     pack_bits,
     unpack_bits,
 )
@@ -495,8 +495,7 @@ def session_from_meta(meta: dict) -> tuple[ProtocolParams, AttackStrategy, CssPa
 
 
 def config_digest(meta: dict) -> str:
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(canonical_json(meta).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,11 @@ def _fits_grammar(seq: int, actor: Actor, kind: EventKind) -> bool:
     return 0 <= seq < len(GRAMMAR) and (actor, kind) in GRAMMAR[seq]
 
 
+def canonical_json(obj) -> str:
+    """The one JSON form of transcript lines, wire payloads and config digests."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def pack_bits(bits: np.ndarray) -> str:
     """Hex encoding of a 0/1 array, 8 bits per byte, most significant first."""
     arr = np.asarray(bits, dtype=np.uint8)
@@ -100,15 +105,13 @@ class Event:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "seq": self.seq,
                 "actor": self.actor.value,
                 "kind": self.kind.value,
                 "payload": self.payload,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     @classmethod
@@ -205,8 +208,7 @@ class SessionTranscript:
         return [ev.to_json() for ev in self.events]
 
     def to_jsonl(self) -> str:
-        header = json.dumps({"meta": self.meta}, sort_keys=True, separators=(",", ":"))
-        return "\n".join([header, *self.event_lines()]) + "\n"
+        return "\n".join([canonical_json({"meta": self.meta}), *self.event_lines()]) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionTranscript":

@@ -16,12 +16,13 @@ intercept-resend and Bob's measurement scattering their positional coins
 through a boolean mask; the codeword messages of Alice's reconciliation; the
 raw-key layout taking a set difference; the block permutations sorting
 their keys with ``argsort`` and gathering with ``take_along_axis``; the
-GF(2) product as an integer matmul; and Bob's batch decode correcting each
-word with its leader before labelling it. The library computes the same
-results in passes, without building those intermediates.
+GF(2) product as an integer matmul; and Bob's batch decode forming each
+decoded word before labelling it. The library computes the same results in
+passes, without building those intermediates.
 
 ``syndrome_decode_blocks`` is the bounded-distance decoder that last form
-uses, over the library's own syndrome table.
+uses. It searches all the codewords for one within the code's radius, so it
+shares no syndrome table with the library.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block
-from eqkd.codes import CssPair, LinearCode, _decode_table, _labels, _syndrome_index
+from eqkd.codes import CssPair, LinearCode, _labels, enumerate_codewords
 from eqkd.protocol import (
     alice_prepare,
     bob_measure,
@@ -212,17 +213,22 @@ def reconcile_alice_blocks_oracle(pair: CssPair, v_blocks, rng):
 
 
 def syndrome_decode_blocks(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bounded-distance decode of a (B, n) batch.
+    """Bounded-distance decode of a (B, n) batch by searching every codeword.
 
-    Returns (decoded, ok); rows with ok False had no leader within radius t
-    and are returned error-corrected by nothing (caller decides policy).
+    Returns (decoded, ok): a row within (d - 1) // 2 of a codeword, which is
+    then the only one that close, decodes to it; a row with ok False has
+    none and is returned as it is (caller decides policy).
     """
-    leaders, covered = _decode_table(code)
-    words = np.asarray(words, dtype=np.uint8)
-    m = code.n - code.k_dim
-    idx = _syndrome_index(code.syndrome(words), m)
-    ok = covered[idx]
-    decoded = words ^ leaders[idx]
+    words = np.atleast_2d(np.asarray(words, dtype=np.uint8))
+    codewords = enumerate_codewords(code.generator.array)
+    t = (code.d - 1) // 2
+    decoded, ok = words.copy(), np.zeros(len(words), dtype=bool)
+    for start in range(0, len(words), 64):
+        rows = slice(start, start + 64)
+        dist = (words[rows, None, :] ^ codewords[None, :, :]).sum(axis=2)
+        nearest = dist.argmin(axis=1)
+        ok[rows] = dist[np.arange(len(nearest)), nearest] <= t
+        decoded[rows][ok[rows]] = codewords[nearest[ok[rows]]]
     return decoded, ok
 
 

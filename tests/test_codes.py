@@ -28,9 +28,7 @@ from eqkd.codes import (
     reconcile_bob_blocks,
     steane_pair,
     validate_css,
-    _decode_table,
     _labels,
-    _leader_labels,
     _stable_ranks,
     _syndrome_index,
 )
@@ -156,7 +154,9 @@ def test_hamming_code_basics():
 def test_from_generator_rejects_bad_inputs():
     with pytest.raises(CodeError):
         LinearCode.from_generator(BinaryMatrix.from_rows(["110", "110"]))
-    with pytest.raises(CodeError):
+    # a claimed distance is checked against the enumerated one, never used in its place
+    assert LinearCode.from_generator(BinaryMatrix.from_rows(HAMMING_ROWS), claimed_d=3).d == 3
+    with pytest.raises(CodeError, match="claimed distance 4 but computed 3"):
         LinearCode.from_generator(BinaryMatrix.from_rows(HAMMING_ROWS), claimed_d=4)
 
 
@@ -330,20 +330,29 @@ def test_reconcile_bob_blocks_match_the_decode_then_label_oracle(make_pair):
 def test_non_perfect_pair_covers_half_its_syndromes():
     pair = _pair_15_10()
     assert (pair.c1.n, pair.c1.k_dim, pair.c1.d, pair.k, pair.t) == (15, 10, 4, 6, 1)
-    _leaders, covered = _decode_table(pair.c1)
-    assert covered.size == 32 and covered.sum() == 16
+    assert pair.covered.size == 32 and pair.covered.sum() == 16
+
+
+def _lightest_words_by_syndrome(code: LinearCode) -> np.ndarray:
+    """(2^m, n): row s is the first word of least weight whose syndrome reads s."""
+    words = np.array(list(itertools.product((0, 1), repeat=code.n)), dtype=np.uint8)
+    words = words[np.argsort(words.sum(axis=1), kind="stable")]
+    idx = _syndrome_index(code.syndrome(words), code.n - code.k_dim)
+    syndromes, first = np.unique(idx, return_index=True)
+    assert np.array_equal(syndromes, np.arange(2 ** (code.n - code.k_dim)))
+    return words[first]
 
 
 @pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10])
 def test_leader_label_table_labels_the_covered_leaders(make_pair):
     pair = make_pair()
-    leaders, covered = _decode_table(pair.c1)
-    table, table_covered = _leader_labels(pair)
+    leaders = _lightest_words_by_syndrome(pair.c1)
+    covered = leaders.sum(axis=1) <= (pair.c1.d - 1) // 2
+    table = pair.leader_labels
     assert table.shape == (covered.size, pair.k) and table.dtype == np.uint8
-    assert table_covered is covered
+    assert np.array_equal(pair.covered, covered)
     assert np.array_equal(table[covered], _labels(pair, leaders[covered]))
     assert not table[~covered].any()
-    assert _leader_labels(pair)[0] is table  # cached on the pair
 
 
 def test_reconcile_weight_two_corrupts_key():
@@ -451,6 +460,8 @@ def test_parse_code_errors():
         parse_code("7 2\n1000011")
     with pytest.raises(CodeError):
         parse_code("3 1\n12x")
+    with pytest.raises(CodeError, match="claimed distance 4 but computed 3"):
+        parse_code(CODE_TEXT.replace("d = 3", "d = 4"))
 
 
 def test_css_meta_roundtrip():
@@ -461,5 +472,32 @@ def test_css_meta_roundtrip():
 
 
 def test_enumerate_codewords_guard():
-    with pytest.raises(CodeError):
+    with pytest.raises(CodeError, match="dimension limit 20"):
         enumerate_codewords(np.eye(21, dtype=np.uint8))
+
+
+def _hamming_31_26_over_simplex() -> tuple[np.ndarray, np.ndarray]:
+    """Generators of the [31,26,3] Hamming code and of its dual, the [31,5,16] simplex code."""
+    simplex = ((np.arange(1, 32)[None, :] >> np.arange(5)[:, None]) & 1).astype(np.uint8)
+    return gf2_nullspace(simplex), simplex
+
+
+@pytest.mark.parametrize("claimed_d", [None, 3])
+def test_a_code_past_the_enumeration_limits_is_refused_whatever_it_claims(claimed_d):
+    hamming_31, _simplex = _hamming_31_26_over_simplex()
+    with pytest.raises(CodeError, match=r"\[31, 26\] code: enumeration is limited to n <= 24"):
+        LinearCode.from_generator(hamming_31, claimed_d=claimed_d)
+    with pytest.raises(CodeError, match="dimension <= 20"):
+        LinearCode.from_generator(np.eye(21, dtype=np.uint8))
+
+
+def test_a_pair_whose_inner_dual_is_past_the_dimension_limit_is_refused():
+    # the [22,17,3] shortened Hamming code over one of its own codewords:
+    # both certify, but the dual of the inner code has dimension 21
+    checks = ((np.arange(1, 23)[None, :] >> np.arange(5)[:, None]) & 1).astype(np.uint8)
+    c1 = LinearCode.from_generator(gf2_nullspace(checks))
+    assert (c1.n, c1.k_dim, c1.d) == (22, 17, 3)
+    c2 = LinearCode.from_generator(c1.generator.array[:1])
+    with pytest.raises(CodeError, match="dimension limit 20"):
+        validate_css(c1, c2)
+

@@ -106,6 +106,29 @@ def test_loopback_refuses_a_bad_config_before_it_starts(tmp_path, change):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("failing", [2, 3], ids=["second_start", "third_start"])
+def test_loopback_reaps_the_started_endpoints_when_one_fails_to_start(
+    tmp_path, monkeypatch, failing
+):
+    process = start_context().Process
+    real_start, starts = process.start, []
+
+    def start(self):
+        starts.append(self.name)
+        if len(starts) == failing:
+            raise OSError(errno.EAGAIN, "no process for this endpoint")
+        real_start(self)
+
+    monkeypatch.setattr(process, "start", start)
+    _params, meta = _meta(41)
+    with pytest.raises(OSError, match="no process for this endpoint"):
+        loopback_session(meta, tmp_path, timeout=10)
+    assert len(starts) == failing
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_the_config_digest_covers_the_draw_contract():
     # each endpoint offers the digest of its own session_meta, which records its contract
     _params, meta = _meta(40)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eqkd.channel import BiasedInterceptResend, DepolarizingPauli, Passive
-from eqkd.codes import steane_pair
+from eqkd.codes import gf2_nullspace, steane_pair
 from eqkd.harness import runner
 from eqkd.harness.cli import main
 from eqkd.harness.runner import (
@@ -424,6 +424,17 @@ def test_cli_usage_errors_exit_2(capsys, argv, wanted):
     assert capsys.readouterr().err == f"eqkd: error: {wanted}\n"
 
 
+@pytest.mark.parametrize("eve", ["0.1", "0.1,0.2,0.3", "0.1,x", ""],
+                         ids=["one_value", "three_values", "not_a_number", "empty"])
+@pytest.mark.parametrize("command", ["run", "attack-demo"])
+def test_cli_malformed_eve_is_a_usage_error(capsys, command, eve):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *_RUN[1:], "--eve", eve])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --eve: expected two probabilities P1,P2, not {eve!r}" in err
+
+
 def test_cli_bounds_commands(capsys):
     assert main(["bounds", "theorem2", "--delta", "0.01", "--k", "10"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -437,6 +448,19 @@ def test_cli_bounds_commands(capsys):
                  "--lam", "0.1", "--p-bad", "0.25"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert 0 < out["bound"] < 0.01
+
+    assert main(["bounds", "theorem2", "--delta", "0.01", "--k", "10", "--asymptotic"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # 0.01 * (1/ln 2 + 2 * 10 + log2(100))
+    assert out["asymptotic"] == pytest.approx(0.2808655, abs=1e-7)
+
+    assert main(["bounds", "theorem3", "--eps1", "0.01", "--eps2", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"fidelity": pytest.approx(0.98)}
+
+    assert main(["bounds", "rate", "--error-rate", "0.05"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["variant"] == "css_shannon" and out["error_rate"] == 0.05
+    assert out["key_rate"] == pytest.approx(1 - 2 * 0.28639695711595625)  # 1 - 2 h(0.05)
 
 
 def test_cli_plan(capsys):
@@ -468,6 +492,75 @@ def test_cli_codes_validate(tmp_path, capsys):
     bad = tmp_path / "bad.code"
     bad.write_text("4 1\n1111\n")  # self-dual nesting fails distance policy
     assert main(["codes", "validate", "--code", str(bad)]) == 1
+
+
+def _code_file(path, generator, claimed_d=None) -> str:
+    rows = ["".join(map(str, row)) for row in generator]
+    claim = [] if claimed_d is None else [f"# d = {claimed_d}"]
+    path.write_text("\n".join([f"{len(rows[0])} {len(rows)}", *rows, *claim]) + "\n")
+    return str(path)
+
+
+def _hamming_checks(r: int) -> np.ndarray:
+    """The r x (2^r - 1) parity check of the Hamming code, the simplex code's generator."""
+    return ((np.arange(1, 2**r)[None, :] >> np.arange(r)[:, None]) & 1).astype(np.uint8)
+
+
+def test_cli_codes_validate_refuses_a_pair_past_the_enumeration_limits(tmp_path, capsys):
+    simplex = _hamming_checks(5)
+    # both files claim their true distances, which cannot be certified at n = 31
+    outer = _code_file(tmp_path / "hamming31.code", gf2_nullspace(simplex), claimed_d=3)
+    inner = _code_file(tmp_path / "simplex31.code", simplex, claimed_d=16)
+    assert main(["codes", "validate", "--code", f"{outer},{inner}"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid code pair: cannot certify the distance of a [31, 26] code: "
+        "enumeration is limited to n <= 24 and dimension <= 20\n"
+    )
+
+
+def test_cli_run_reads_a_code_pair_from_a_flag_or_a_config_file(tmp_path, capsys):
+    # the [15,11] Hamming code over its dual carries 7 key bits a block; the default pair, 1
+    hamming15 = _code_file(tmp_path / "hamming15.code", gf2_nullspace(_hamming_checks(4)))
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({**_SETTINGS, "code_files": [hamming15]}))
+    for argv in ([*_RUN, "--code", hamming15], ["run", "--config", str(config)]):
+        assert main([*argv, "--trials", "1", "--seed", "2"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status_counts"]["accepted"] == 1
+        assert summary["mean_key_length"] == 7 * summary["total_blocks"] > 0
+
+
+def test_cli_run_applies_a_fixed_pauli_string(capsys):
+    # Y on every symbol flips every sifted bit of either basis; letters may be lower case
+    assert main([*_RUN, "--pauli", "y" * 3000, "--trials", "1"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["status_counts"]["aborted_error_rate"] == 1
+    assert summary["mean_e1"] == summary["mean_e2"] == 1.0
+
+
+def test_cli_loopback_reports_every_exit_code_and_the_channel_outcome(tmp_path, capsys):
+    assert main(["loopback", *_RUN[1:], "--seed", "9", "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_codes"] == {"alice": 0, "channel": 0, "bob": 0}
+    outcome = report["channel_outcome"]
+    assert outcome["role"] == "channel" and outcome["status"] == "accepted"
+    assert outcome["digests_match"] is True
+
+
+@pytest.mark.parametrize("address", ["nohost", "host:", "host:port", "127.0.0.1:65536"])
+def test_cli_serve_refuses_a_malformed_address(capsys, address):
+    for flag in ("--listen", "--connect"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--role", "channel", *_RUN[1:], flag, address])
+        assert exit_.value.code == 2
+        assert "addresses look like HOST:PORT, PORT at most 65535" in capsys.readouterr().err
+
+
+def test_cli_serve_refuses_a_listen_port_already_bound(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["serve", "--role", "bob", *_RUN[1:], "--listen", f"127.0.0.1:{port}"]) == 2
+    assert capsys.readouterr().err.startswith("eqkd: error: ")
 
 
 def test_cli_attack_demo(capsys):
