@@ -8,11 +8,14 @@ seed produces byte-identical transcripts to ``run_session``.
 
 Listeners are bound before any endpoint starts, and every link sets
 ``TCP_NODELAY``: the protocol is a chain of small request/response frames,
-which Nagle's algorithm would hold back for the peer's delayed ACK.
+which Nagle's algorithm would hold back for the peer's delayed ACK. Each
+endpoint writes its transcript line by line while the session runs and keeps
+it only if the session succeeds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import multiprocessing
@@ -39,9 +42,12 @@ from ..transcript import Actor, EventKind, SessionTranscript, TranscriptError, p
 from .wire import (
     FrameError,
     HandshakeError,
+    check_hello,
     exchange_hello,
     recv_event,
+    recv_hello,
     send_event,
+    send_hello,
 )
 
 EXIT_OK = 0
@@ -65,7 +71,19 @@ def start_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork")
 
 
+# (config, its _materialize result), set by loopback_session while it forks
+_inherited: tuple[dict, tuple] | None = None
+
+
 def _materialize(config: dict):
+    """The session ``config`` records, and its metadata.
+
+    An endpoint forked by ``loopback_session`` inherits what its parent
+    built for the same config object, instead of certifying the code pair
+    again.
+    """
+    if _inherited is not None and _inherited[0] is config:
+        return _inherited[1]
     params, strategy, css, seed = session_from_meta(config)
     return params, strategy, css, seed, session_meta(params, strategy, css, seed)
 
@@ -118,36 +136,79 @@ def _party_outcome_dict(role: str, machine) -> dict:
     }
 
 
-def _write_outputs(out_dir, role: str, transcript: SessionTranscript, outcome: dict) -> None:
+@contextlib.contextmanager
+def _transcript_log(out_dir, role: str, transcript: SessionTranscript):
+    """Write ``role``'s transcript as the session runs; keep it only if the block succeeds.
+
+    Yields a function that appends the events logged since its last call to
+    ``transcript_<role>.jsonl.partial``, one ``Event.to_json`` line each. When
+    the block ends without an error the file holds ``transcript.to_jsonl()``
+    and is renamed to ``transcript_<role>.jsonl``; on any error it is
+    removed. Without an ``out_dir`` nothing is written.
+    """
     if out_dir is None:
+        yield lambda: None
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"transcript_{role}.jsonl").write_text(transcript.to_jsonl())
-    (out / f"outcome_{role}.json").write_text(json.dumps(outcome, indent=2) + "\n")
+    partial = out / f"transcript_{role}.jsonl.partial"
+    written = 0
+
+    def write_new() -> None:
+        nonlocal written
+        for ev in transcript.events[written:]:
+            log.write(ev.to_json())
+            log.write("\n")
+        written = len(transcript.events)
+
+    try:
+        with open(partial, "w", encoding="ascii") as log:
+            log.write(transcript.meta_line() + "\n")
+            yield write_new
+            write_new()
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(out / f"transcript_{role}.jsonl")
+
+
+def _write_outcome(out_dir, role: str, outcome: dict) -> None:
+    if out_dir is not None:
+        (Path(out_dir) / f"outcome_{role}.json").write_text(json.dumps(outcome, indent=2) + "\n")
 
 
 def _serve_party(role, config, link, out_dir, deadline) -> int:
     """One party's endpoint: Alice dials the relay at ``link``, Bob accepts it on ``link``."""
     params, strategy, css, seed, meta = _materialize(config)
+    digest = config_digest(meta)
     alice = role == "alice"
+    machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
     sock = _connect_retry(link, deadline) if alice else _accept_one(link, deadline)
     sock.settimeout(max(deadline - time.monotonic(), 0.1))
     try:
-        exchange_hello(sock, config_digest(meta), initiate=alice)
-        machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
+        if alice:
+            # her qubits are prepared while the relay answers her hello
+            send_hello(sock, digest)
+            outgoing = machine.start()
+            check_hello(recv_hello(sock), digest)
+        else:
+            exchange_hello(sock, digest, initiate=False)
+            outgoing = []
         peer = Actor.BOB if alice else Actor.ALICE
-        for _actor, kind, payload in machine.start() if alice else []:
-            send_event(sock, kind, payload)
-        while not machine.done:
-            kind, payload = recv_event(sock)
-            # the relay delivers the qubits; every other frame is the peer's own
-            sender = Actor.CHANNEL if kind is EventKind.QUBITS_SENT else peer
-            for _actor, okind, opayload in machine.receive(sender, kind, payload):
-                send_event(sock, okind, opayload)
+        with _transcript_log(out_dir, role, machine.transcript) as write_log:
+            while True:
+                for _actor, kind, payload in outgoing:
+                    send_event(sock, kind, payload)
+                write_log()  # while the peer works on what was just sent
+                if machine.done:
+                    break
+                kind, payload = recv_event(sock)
+                # the relay delivers the qubits; every other frame is the peer's own
+                sender = Actor.CHANNEL if kind is EventKind.QUBITS_SENT else peer
+                outgoing = machine.receive(sender, kind, payload)
     finally:
         sock.close()
-    _write_outputs(out_dir, role, machine.transcript, _party_outcome_dict(role, machine))
+    _write_outcome(out_dir, role, _party_outcome_dict(role, machine))
     return EXIT_OK
 
 
@@ -168,44 +229,52 @@ def _channel_outcome(canonical: SessionTranscript) -> dict:
 
 
 def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
+    """The relay: it dials Bob at ``connect`` first, then accepts Alice on ``listen``.
+
+    Its transcript is kept only once the session has validated and
+    ``_channel_outcome`` has read its decisions and digests.
+    """
     params, strategy, css, seed, meta = _materialize(config)
     streams = RngStreams(seed)
     digest = config_digest(meta)
     canonical = SessionTranscript(meta=meta)
 
-    asock = _accept_one(listen, deadline)
-    asock.settimeout(max(deadline - time.monotonic(), 0.1))
+    bsock = _connect_retry(connect, deadline)
     try:
-        exchange_hello(asock, digest, initiate=False)
-        bsock = _connect_retry(connect, deadline)
         bsock.settimeout(max(deadline - time.monotonic(), 0.1))
+        exchange_hello(bsock, digest, initiate=True)
+        asock = _accept_one(listen, deadline)
     except BaseException:
-        asock.close()
+        bsock.close()
         raise
     try:
-        exchange_hello(bsock, digest, initiate=True)
-        sel = selectors.DefaultSelector()
-        sel.register(asock, selectors.EVENT_READ, (Actor.ALICE, bsock))
-        sel.register(bsock, selectors.EVENT_READ, (Actor.BOB, asock))
-        open_links = 2
-        while open_links:
-            if time.monotonic() >= deadline:
-                raise FrameError("relay timed out waiting for traffic")
-            for key, _mask in sel.select(timeout=0.5):
-                actor, peer = key.data
-                try:
-                    kind, payload = recv_event(key.fileobj)
-                except EOFError:
-                    sel.unregister(key.fileobj)
-                    open_links -= 1
-                    continue
-                ev = relay(canonical, actor, kind, payload, strategy, streams)
-                send_event(peer, ev.kind, ev.payload)
+        asock.settimeout(max(deadline - time.monotonic(), 0.1))
+        exchange_hello(asock, digest, initiate=False)
+        with _transcript_log(out_dir, "channel", canonical) as write_log:
+            sel = selectors.DefaultSelector()
+            sel.register(asock, selectors.EVENT_READ, (Actor.ALICE, bsock))
+            sel.register(bsock, selectors.EVENT_READ, (Actor.BOB, asock))
+            open_links = 2
+            while open_links:
+                if time.monotonic() >= deadline:
+                    raise FrameError("relay timed out waiting for traffic")
+                for key, _mask in sel.select(timeout=0.5):
+                    actor, peer = key.data
+                    try:
+                        kind, payload = recv_event(key.fileobj)
+                    except EOFError:
+                        sel.unregister(key.fileobj)
+                        open_links -= 1
+                        continue
+                    ev = relay(canonical, actor, kind, payload, strategy, streams)
+                    send_event(peer, ev.kind, ev.payload)
+                    write_log()
+            canonical.validate()
+            outcome = _channel_outcome(canonical)
     finally:
         asock.close()
         bsock.close()
-    canonical.validate()
-    _write_outputs(out_dir, "channel", canonical, _channel_outcome(canonical))
+    _write_outcome(out_dir, "channel", outcome)
     return EXIT_OK
 
 
@@ -266,12 +335,14 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
     """Run all three endpoints as local processes over loopback TCP.
 
     Both listeners are bound before any endpoint starts, so all three start
-    at once. Returns the exit code of each role. Transcripts and outcomes
+    at once. The session is built here, once, and the forked endpoints
+    inherit it. Returns the exit code of each role. Transcripts and outcomes
     land in ``out_dir`` under the usual per-role filenames. A malformed
     config, or one of another draw contract, is a ValueError here, before
     anything is bound or started.
     """
-    session_from_meta(config)
+    global _inherited
+    session = _materialize(config)
     ctx = start_context()
     procs = {}
     with (
@@ -284,6 +355,7 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
             "bob": (bob_l, None),
         }
         try:
+            _inherited = (config, session)
             for name, (listen, connect) in links.items():
                 foreign = [s for s in (bob_l, relay_l) if s is not listen]
                 proc = ctx.Process(
@@ -297,6 +369,8 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
                 proc.terminate()
                 proc.join()
             raise
+        finally:
+            _inherited = None
 
     codes = {}
     for name, proc in procs.items():

@@ -54,37 +54,43 @@ class HandshakeError(Exception):
     """Version or configuration mismatch during the hello exchange."""
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    """Fill ``view`` from the stream; the stream ending first is a FrameError."""
+    while view:
+        got = sock.recv_into(view)
+        if not got:
             raise FrameError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        view = view[got:]
 
 
 def send_frame(sock: socket.socket, tag: int, payload: bytes) -> None:
+    """Send one frame; the header and the payload go out in one call, neither copied."""
     if not (0 <= tag <= 0xFF):
         raise ValueError("tag must fit one byte")
-    body = bytes([tag]) + payload
-    if len(body) > MAX_FRAME:
-        raise FrameError(f"frame of {len(body)} bytes exceeds the cap")
-    sock.sendall(struct.pack(">I", len(body)) + body)
+    if len(payload) + 1 > MAX_FRAME:
+        raise FrameError(f"frame of {len(payload) + 1} bytes exceeds the cap")
+    header = struct.pack(">IB", len(payload) + 1, tag)
+    sent = sock.sendmsg([header, payload]) if hasattr(sock, "sendmsg") else 0
+    # what one call left unsent goes out as sendall would send it
+    if sent < len(header):
+        sock.sendall(header[sent:])
+        sent = len(header)
+    if sent - len(header) < len(payload):
+        sock.sendall(memoryview(payload)[sent - len(header):])
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = sock.recv(4)
-    if not header:
+def recv_frame(sock: socket.socket) -> tuple[int, memoryview]:
+    """Receive one frame: its tag and a view of its payload, read in place."""
+    header = memoryview(bytearray(4))
+    got = sock.recv_into(header)
+    if not got:
         raise EOFError("connection closed")
-    if len(header) < 4:
-        header += _recv_exact(sock, 4 - len(header))
+    _recv_into(sock, header[got:])
     (length,) = struct.unpack(">I", header)
     if length < 1 or length > MAX_FRAME:
         raise FrameError(f"frame length {length} out of range")
-    body = _recv_exact(sock, length)
+    body = memoryview(bytearray(length))
+    _recv_into(sock, body)
     return body[0], body[1:]
 
 
@@ -100,7 +106,7 @@ def recv_event(sock: socket.socket) -> tuple[EventKind, dict]:
     if kind is None:
         raise UnknownTag(tag)
     try:
-        payload = json.loads(blob.decode())
+        payload = json.loads(str(blob, "utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and integers past the digit
         # limit; RecursionError is nesting deeper than the decoder follows
@@ -130,6 +136,12 @@ def recv_hello(sock: socket.socket) -> str:
     return payload[1:].hex()
 
 
+def check_hello(theirs: str, config_digest_hex: str) -> None:
+    """Refuse a peer whose hello carried another configuration digest."""
+    if theirs != config_digest_hex:
+        raise HandshakeError("peer was launched with a different configuration")
+
+
 def exchange_hello(sock: socket.socket, config_digest_hex: str, initiate: bool) -> None:
     """Run the hello exchange and verify the peer's configuration digest."""
     if initiate:
@@ -138,5 +150,4 @@ def exchange_hello(sock: socket.socket, config_digest_hex: str, initiate: bool) 
     else:
         theirs = recv_hello(sock)
         send_hello(sock, config_digest_hex)
-    if theirs != config_digest_hex:
-        raise HandshakeError("peer was launched with a different configuration")
+    check_hello(theirs, config_digest_hex)

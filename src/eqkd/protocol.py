@@ -619,13 +619,16 @@ class AliceMachine(_PartyMachine):
     def __init__(self, params, css, streams, meta=None):
         super().__init__(params, css, streams, meta)
         self.symbols: SymbolBlock | None = None
+        self._bases_hex: str | None = None  # sent with her qubits, announced again when sifting
         self._own_digest: str | None = None
 
     def start(self) -> list[Message]:
         if self.symbols is not None:
             raise ProtocolViolation("start called twice")
         self.symbols = alice_prepare(self.params, self.streams)
-        msg = self._emit(EventKind.QUBITS_SENT, encode_symbols(self.symbols))
+        sent = encode_symbols(self.symbols)
+        self._bases_hex = sent["bases"]
+        msg = self._emit(EventKind.QUBITS_SENT, sent)
         self.transcript.skip()  # channel delivery is not visible to Alice
         return [msg]
 
@@ -633,7 +636,7 @@ class AliceMachine(_PartyMachine):
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
         fields = self._accept(actor, kind, payload)
         if kind is EventKind.BASES_ANNOUNCED_BOB:
-            bases = {"n": len(self.symbols), "bases": pack_bits(self.symbols.bases)}
+            bases = {"n": len(self.symbols), "bases": self._bases_hex}
             out = [self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)]
             self._rect_pos, self._diag_pos = _sift_positions(self.symbols.bases, fields["bases"])
             return out

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,15 +49,20 @@ def _meta(seed, strategy=None, n=1500):
     return params, session_meta(params, strategy or Passive(), CSS, seed)
 
 
+def _transcript_files(out_dir) -> list:
+    """The transcript files in ``out_dir``, whole or partial."""
+    return sorted(p.name for p in Path(out_dir).glob("transcript_*"))
+
+
 def test_loopback_reproduces_in_process_session(tmp_path):
     params, meta = _meta(31, DepolarizingPauli.symmetric(0.01))
     codes = loopback_session(meta, tmp_path, timeout=30)
     assert codes == {"alice": 0, "channel": 0, "bob": 0}
 
     ref = run_session(params, DepolarizingPauli.symmetric(0.01), CSS, 31)
-    relay = SessionTranscript.from_jsonl((tmp_path / "transcript_channel.jsonl").read_text())
-    assert relay.event_lines() == ref.transcript.event_lines()
-    assert relay.meta == ref.transcript.meta
+    # written line by line during the session, byte for byte run_session's record
+    assert (tmp_path / "transcript_channel.jsonl").read_text() == ref.transcript.to_jsonl()
+    assert _transcript_files(tmp_path) == [f"transcript_{r}.jsonl" for r in ("alice", "bob", "channel")]
 
     alice_view = SessionTranscript.from_jsonl((tmp_path / "transcript_alice.jsonl").read_text())
     bob_view = SessionTranscript.from_jsonl((tmp_path / "transcript_bob.jsonl").read_text())
@@ -199,14 +205,16 @@ def test_mismatched_configs_fail_the_handshake(tmp_path):
     ctx = start_context()
     bob_l, relay_l = _listener(), _listener()
     procs = []
-    for role, meta, listen, connect in (
-        ("bob", meta_b, bob_l, None),
-        ("channel", meta_a, relay_l, bob_l.getsockname()),
-        ("alice", meta_a, None, relay_l.getsockname()),
+    # the relay gives up at Bob's hello without accepting Alice, so she may
+    # dial a closed listener until her deadline
+    for role, meta, listen, connect, timeout in (
+        ("bob", meta_b, bob_l, None, 15),
+        ("channel", meta_a, relay_l, bob_l.getsockname(), 15),
+        ("alice", meta_a, None, relay_l.getsockname(), 2),
     ):
         foreign = [s for s in (bob_l, relay_l) if s is not listen]
         procs.append(ctx.Process(target=_endpoint_proc,
-                                 args=(role, meta, listen, connect, None, 15, foreign)))
+                                 args=(role, meta, listen, connect, None, timeout, foreign)))
         procs[-1].start()
     bob_l.close()
     relay_l.close()
@@ -261,13 +269,15 @@ def test_truncated_payload_ends_the_endpoint_with_exit_protocol():
     assert codes == [EXIT_PROTOCOL]
 
 
-def test_malformed_estimate_ends_the_endpoint_with_exit_protocol():
+def test_malformed_estimate_ends_the_endpoint_with_exit_protocol(tmp_path):
     params, meta = _meta(37)
     lsock = _listener()
     address = lsock.getsockname()
     codes = []
     bob = threading.Thread(
-        target=lambda: codes.append(serve_endpoint("bob", meta, listen=lsock, timeout=15))
+        target=lambda: codes.append(
+            serve_endpoint("bob", meta, listen=lsock, out_dir=tmp_path, timeout=15)
+        )
     )
     bob.start()
     # the relay plays Alice over a passive channel, up to her estimate
@@ -284,6 +294,8 @@ def test_malformed_estimate_ends_the_endpoint_with_exit_protocol():
         bob.join(timeout=15)
         assert not bob.is_alive()
     assert codes == [EXIT_PROTOCOL]
+    # Bob had logged five events by then; his partial transcript is removed
+    assert _transcript_files(tmp_path) == []
 
 
 def _play_to_relay(meta, frames, out_dir=None):
@@ -304,12 +316,11 @@ def _play_to_relay(meta, frames, out_dir=None):
         ))
     )
     relay.start()
-    with bob_l, socket.create_connection(relay_address, timeout=15) as alice:
-        exchange_hello(alice, digest, initiate=True)
-        bob_l.settimeout(15)
-        bob, _addr = bob_l.accept()
-        with bob:
-            exchange_hello(bob, digest, initiate=False)
+    bob_l.settimeout(15)
+    with bob_l, bob_l.accept()[0] as bob:
+        exchange_hello(bob, digest, initiate=False)  # the relay dials Bob before it takes Alice
+        with socket.create_connection(relay_address, timeout=15) as alice:
+            exchange_hello(alice, digest, initiate=True)
             links = {Actor.ALICE: (alice, bob), Actor.BOB: (bob, alice)}
             try:
                 for actor, kind, payload in frames:
@@ -330,27 +341,48 @@ def _party_frames(meta):
     return [(ev.actor, ev.kind, ev.payload) for ev in events if ev.actor is not Actor.CHANNEL]
 
 
-def test_relay_ends_a_digest_without_a_digest_field_with_exit_protocol(capsys):
+def test_relay_ends_a_digest_without_a_digest_field_with_exit_protocol(tmp_path, capsys):
     _params, meta = _meta(39)
     frames = _party_frames(meta)
     assert frames[9][:2] == (Actor.ALICE, EventKind.KEY_DIGEST)  # event 10, after the CHANNEL's
     frames[9] = (Actor.ALICE, EventKind.KEY_DIGEST, {})
-    codes, forwarded = _play_to_relay(meta, frames)
+    codes, forwarded = _play_to_relay(meta, frames, out_dir=tmp_path)
     assert len(forwarded) == 11 and forwarded[9] == (EventKind.KEY_DIGEST, {})
     assert codes == [EXIT_PROTOCOL]
     assert "'digest'" in capsys.readouterr().err
+    # every event was logged, but the outcome could not read the digest
+    assert _transcript_files(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "decision",
+    [{"status": "no_such_status"}, {"status": "proceed", "note": 1}, {}],
+    ids=["unknown_status", "extra_field", "missing_status"],
+)
+def test_relay_refuses_a_malformed_decision(tmp_path, capsys, decision):
+    _params, meta = _meta(43)
+    frames = _party_frames(meta)
+    assert frames[6][:2] == (Actor.ALICE, EventKind.DECISION)  # event 7
+    frames[6] = (Actor.ALICE, EventKind.DECISION, decision)
+    codes, forwarded = _play_to_relay(meta, frames[:7], out_dir=tmp_path)
+    assert codes == [EXIT_PROTOCOL] and len(forwarded) == 6
+    assert "session failed" in capsys.readouterr().err
+    assert _transcript_files(tmp_path) == []
 
 
 @pytest.mark.parametrize(
     "strategy", [FixedPauliString("I" * 1500), Passive()], ids=["fixed_pauli_string", "passive"]
 )
-def test_relay_refuses_a_qubit_frame_of_the_wrong_length(capsys, strategy):
+def test_relay_refuses_a_qubit_frame_of_the_wrong_length(tmp_path, capsys, strategy):
     _params, meta = _meta(41, strategy)
     short = ProtocolParams(n_qubits=1400, bias_p=0.3, m1=60, m2=60)
     symbols = encode_symbols(alice_prepare(short, RngStreams(41)))
-    codes, forwarded = _play_to_relay(meta, [(Actor.ALICE, EventKind.QUBITS_SENT, symbols)])
+    codes, forwarded = _play_to_relay(
+        meta, [(Actor.ALICE, EventKind.QUBITS_SENT, symbols)], out_dir=tmp_path
+    )
     assert codes == [EXIT_PROTOCOL] and forwarded == []
     assert "expected 1500" in capsys.readouterr().err
+    assert _transcript_files(tmp_path) == []
 
 
 @pytest.mark.parametrize("order", ["digest_first", "alice_bases_first", "cut_short"])
@@ -366,5 +398,5 @@ def test_relay_refuses_a_session_out_of_order(tmp_path, capsys, order):
     codes, forwarded = _play_to_relay(meta, frames, out_dir=tmp_path)
     assert codes == [EXIT_PROTOCOL]
     assert len(forwarded) == (3 if order == "cut_short" else 0)
-    assert not (tmp_path / "transcript_channel.jsonl").exists()
+    assert _transcript_files(tmp_path) == []
     assert "session failed" in capsys.readouterr().err

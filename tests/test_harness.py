@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_event_frame_roundtrip(sockets):
         got_kind, got_payload = recv_event(b)
         assert got_kind is kind
         assert got_payload == payload
+
+
+def test_a_frame_larger_than_the_socket_buffers_arrives_whole(sockets):
+    # with a timeout set, one sendmsg takes only what the buffers hold; the
+    # rest must follow, and the reader must fill the frame across many reads
+    a, b = sockets
+    a.settimeout(15)
+    payload = os.urandom(3 << 20)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(recv_frame(b)))
+    reader.start()
+    send_frame(a, 0x01, payload)
+    reader.join(timeout=15)
+    assert not reader.is_alive()
+    tag, body = got[0]
+    assert tag == 0x01 and body == payload
 
 
 def test_hello_roundtrip_and_mismatch(sockets):

@@ -9,15 +9,20 @@ or patched.
 
 import importlib.util
 import inspect
+import socket
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eqkd.channel import Passive
 from eqkd.codes import reconcile_bob_blocks, steane_pair
 from eqkd.harness.endpoints import serve_endpoint
 from eqkd.harness.wire import send_frame
-from eqkd.protocol import AliceMachine, BobMachine
+from eqkd.protocol import AliceMachine, BobMachine, ProtocolParams, session_meta
+from eqkd.transcript import Event
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -66,3 +71,46 @@ def test_traced_machine_steps_keep_their_parameters(cls):
     # step by args[2].value, the kind of the message received
     receive = cls.__dict__["receive"]
     assert list(inspect.signature(receive).parameters) == ["self", "actor", "kind", "payload"]
+
+
+def test_endpoints_write_every_transcript_line_through_event_to_json(tmp_path, monkeypatch):
+    # the tracer times Event.to_json as transcript.encode_s; a line an endpoint
+    # wrote another way would fall to the endpoint's own time
+    made = []
+    to_json = Event.to_json
+
+    def counted(self):
+        line = to_json(self)
+        made.append(line)
+        return line
+
+    monkeypatch.setattr(Event, "to_json", counted)
+    params = ProtocolParams(n_qubits=1500, bias_p=0.3, m1=60, m2=60)
+    meta = session_meta(params, Passive(), steane_pair(), 44)
+    bob_l, relay_l = (socket.create_server(("127.0.0.1", 0), backlog=1) for _ in range(2))
+    links = {
+        "bob": {"listen": bob_l},
+        "channel": {"listen": relay_l, "connect": bob_l.getsockname()},
+        "alice": {"connect": relay_l.getsockname()},
+    }
+    codes = {}
+    threads = [
+        threading.Thread(
+            target=lambda role=role, link=link: codes.update(
+                {role: serve_endpoint(role, meta, out_dir=tmp_path, timeout=15, **link)}
+            )
+        )
+        for role, link in links.items()
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert codes == {"alice": 0, "channel": 0, "bob": 0}
+    written = Counter(
+        line
+        for role in links
+        for line in (tmp_path / f"transcript_{role}.jsonl").read_text().splitlines()[1:]
+    )
+    assert sum(written.values()) == 11 + 12 + 11  # each party misses one QUBITS_SENT
+    assert not written - Counter(made)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqkd.transcript import (
     Actor,
@@ -7,6 +11,7 @@ from eqkd.transcript import (
     EventKind,
     SessionTranscript,
     TranscriptError,
+    canonical_json,
     pack_bits,
     unpack_bits,
 )
@@ -135,3 +140,85 @@ def test_allows_reads_the_grammar_at_the_next_seq():
     assert not t.allows(Actor.ALICE, EventKind.DECISION)
     t.append(Actor.BOB, EventKind.DECISION, {"status": "abort_insufficient_sample"})
     assert not t.allows(Actor.BOB, EventKind.TEST_DISCLOSURE)  # the session has ended
+
+
+# Strings json escapes (control characters, '"', '\\', DEL, non-ASCII, lone
+# surrogates) beside ones it leaves alone, hex fields among them.
+_SPECIAL = '"\\\x00\x01\x1f\x7f\x80\xe9\u2028\ud800\udfff\U0001f600 _-azAZ09'
+_HEX = st.binary(max_size=4096).map(bytes.hex)
+_STRINGS = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.text(st.sampled_from(_SPECIAL)),
+    _HEX,
+    st.tuples(_HEX, st.sampled_from(_SPECIAL), _HEX).map("".join),  # one odd character in hex
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256) | st.integers(max_value=-(2**64)),
+    st.floats(),  # nan and both infinities included
+    _STRINGS,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=12,
+)
+# events and payloads: the shapes written key by key
+_EVENTS = st.dictionaries(
+    _STRINGS, _SCALARS | st.dictionaries(_STRINGS, _SCALARS | _VALUES, max_size=4), max_size=5
+)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_VALUES | _EVENTS)
+def test_canonical_json_is_json_dumps_with_sorted_keys_and_no_spaces(value):
+    assert canonical_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("char", list(_SPECIAL))
+def test_canonical_json_escapes_one_odd_character_in_a_hex_field_as_json_does(char):
+    payload = {"bases": "0f" * 1000 + char + "a0", "n": 8002, f"k{char}": "ab"}
+    event = {"seq": 0, "actor": "alice", "kind": "qubits_sent", "payload": payload}
+    assert canonical_json(payload) == _dumps(payload)
+    assert canonical_json(event) == _dumps(event)
+
+
+def test_canonical_json_of_a_session_event_is_json_dumps():
+    ev = _starved_session().events[0]
+    payload = {**ev.payload, "bases": "0f" * 50_000}
+    assert Event(ev.seq, ev.actor, ev.kind, payload).to_json() == _dumps(
+        {"seq": ev.seq, "actor": "alice", "kind": "qubits_sent", "payload": payload}
+    )
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")], ids=["lists", "objects"])
+def test_canonical_json_encodes_or_raises_as_json_dumps_at_the_decoders_depth(opening, closing):
+    def nested(depth: int) -> str:
+        return '{"rect":' + opening * depth + "0" + closing * depth + "}"
+
+    def loads(depth: int) -> bool:
+        try:
+            json.loads(nested(depth))
+        except RecursionError:
+            return False
+        return True
+
+    low, high = 1, 100_000  # the deepest payload json.loads accepts here
+    while low < high:
+        mid = (low + high + 1) // 2
+        low, high = (mid, high) if loads(mid) else (low, mid - 1)
+    payload = json.loads(nested(low))
+    # both called from this frame, so both start with the same recursion budget
+    try:
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        with pytest.raises(RecursionError):
+            canonical_json(payload)
+    else:
+        assert canonical_json(payload) == expected
