@@ -15,8 +15,10 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import socket
 import sys
 from pathlib import Path
@@ -225,6 +227,13 @@ def _addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _seconds(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0 < (value := float(text)) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a positive, finite number of seconds, not {text!r}")
+
+
 def _cmd_serve(args) -> int:
     _params, _strategy, _css, _seed, meta = _session_setup(args)
     return serve_endpoint(
@@ -328,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", type=_addr, metavar="HOST:PORT")
     p.add_argument("--connect", type=_addr, metavar="HOST:PORT")
     p.add_argument("--out", type=Path, help="directory for transcript and outcome files")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_seconds, default=30.0)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("loopback", help="run all three endpoints locally")
     _add_session_flags(p)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_seconds, default=30.0)
     p.set_defaults(func=_cmd_loopback)
 
     p = sub.add_parser("replay", help="re-run a recorded transcript and compare")

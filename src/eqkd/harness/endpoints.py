@@ -19,7 +19,6 @@ import contextlib
 import importlib
 import json
 import multiprocessing
-import selectors
 import socket
 import sys
 import time
@@ -32,13 +31,14 @@ from ..protocol import (
     AliceMachine,
     BobMachine,
     ProtocolError,
+    ProtocolViolation,
     config_digest,
     read_payload,
     relay,
     session_from_meta,
     session_meta,
 )
-from ..transcript import Actor, EventKind, SessionTranscript, TranscriptError, pack_bits
+from ..transcript import GRAMMAR, Actor, EventKind, SessionTranscript, TranscriptError, pack_bits
 from .wire import (
     FrameError,
     HandshakeError,
@@ -183,9 +183,8 @@ def _serve_party(role, config, link, out_dir, deadline) -> int:
     digest = config_digest(meta)
     alice = role == "alice"
     machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
-    sock = _connect_retry(link, deadline) if alice else _accept_one(link, deadline)
-    sock.settimeout(max(deadline - time.monotonic(), 0.1))
-    try:
+    with (_connect_retry(link, deadline) if alice else _accept_one(link, deadline)) as sock:
+        sock.settimeout(max(deadline - time.monotonic(), 0.1))
         if alice:
             # her qubits are prepared while the relay answers her hello
             send_hello(sock, digest)
@@ -206,8 +205,6 @@ def _serve_party(role, config, link, out_dir, deadline) -> int:
                 # the relay delivers the qubits; every other frame is the peer's own
                 sender = Actor.CHANNEL if kind is EventKind.QUBITS_SENT else peer
                 outgoing = machine.receive(sender, kind, payload)
-    finally:
-        sock.close()
     _write_outcome(out_dir, role, _party_outcome_dict(role, machine))
     return EXIT_OK
 
@@ -228,52 +225,44 @@ def _channel_outcome(canonical: SessionTranscript) -> dict:
     }
 
 
-def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
-    """The relay: it dials Bob at ``connect`` first, then accepts Alice on ``listen``.
+def _time_left(sock: socket.socket, deadline: float) -> socket.socket:
+    """``sock``, set to time out at ``deadline``; a deadline already passed is a TimeoutError."""
+    if (left := deadline - time.monotonic()) <= 0:
+        raise TimeoutError("the endpoint's deadline has passed")
+    sock.settimeout(left)
+    return sock
 
-    Its transcript is kept only once the session has validated and
-    ``_channel_outcome`` has read its decisions and digests.
+
+def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
+    """The relay: it dials Bob at ``connect`` and accepts Alice on ``listen``, then greets both.
+
+    It reads only the party the session grammar names at the next seq, until
+    an event ends the session; then each link must close without another
+    frame. Its transcript is kept only once ``_channel_outcome`` has read it.
     """
     params, strategy, css, seed, meta = _materialize(config)
     streams = RngStreams(seed)
     digest = config_digest(meta)
     canonical = SessionTranscript(meta=meta)
 
-    bsock = _connect_retry(connect, deadline)
-    try:
-        bsock.settimeout(max(deadline - time.monotonic(), 0.1))
-        exchange_hello(bsock, digest, initiate=True)
-        asock = _accept_one(listen, deadline)
-    except BaseException:
-        bsock.close()
-        raise
-    try:
-        asock.settimeout(max(deadline - time.monotonic(), 0.1))
-        exchange_hello(asock, digest, initiate=False)
+    # both links are held before either hello, so a failed handshake closes both at once
+    with _connect_retry(connect, deadline) as bsock, _accept_one(listen, deadline) as asock:
+        exchange_hello(_time_left(bsock, deadline), digest, initiate=True)
+        exchange_hello(_time_left(asock, deadline), digest, initiate=False)
+        links = {Actor.ALICE: (asock, bsock), Actor.BOB: (bsock, asock)}
         with _transcript_log(out_dir, "channel", canonical) as write_log:
-            sel = selectors.DefaultSelector()
-            sel.register(asock, selectors.EVENT_READ, (Actor.ALICE, bsock))
-            sel.register(bsock, selectors.EVENT_READ, (Actor.BOB, asock))
-            open_links = 2
-            while open_links:
-                if time.monotonic() >= deadline:
-                    raise FrameError("relay timed out waiting for traffic")
-                for key, _mask in sel.select(timeout=0.5):
-                    actor, peer = key.data
-                    try:
-                        kind, payload = recv_event(key.fileobj)
-                    except EOFError:
-                        sel.unregister(key.fileobj)
-                        open_links -= 1
-                        continue
-                    ev = relay(canonical, actor, kind, payload, strategy, streams)
-                    send_event(peer, ev.kind, ev.payload)
-                    write_log()
-            canonical.validate()
+            while not canonical.ended:
+                actor = GRAMMAR[len(canonical.events)][0][0]
+                sock, peer = links[actor]
+                kind, payload = recv_event(_time_left(sock, deadline))
+                ev = relay(canonical, actor, kind, payload, strategy, streams)
+                send_event(peer, ev.kind, ev.payload)
+                write_log()
+            for sock in (sock, peer):  # the last speaker's link first
+                with contextlib.suppress(EOFError):
+                    kind, _payload = recv_event(_time_left(sock, deadline))
+                    raise ProtocolViolation(f"{kind.value} arrived after the session ended")
             outcome = _channel_outcome(canonical)
-    finally:
-        asock.close()
-        bsock.close()
     _write_outcome(out_dir, "channel", outcome)
     return EXIT_OK
 

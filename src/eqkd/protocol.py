@@ -416,12 +416,6 @@ def read_payload(kind: EventKind, payload, sizes: dict) -> dict:
     return fields
 
 
-def channel_transform(block: SymbolBlock, strategy: AttackStrategy, streams: RngStreams) -> dict:
-    """The qubits payload the channel strategy delivers for ``block`` (the relay's job)."""
-    rng = None if strategy.stream is None else streams.stream(strategy.stream)
-    return encode_symbols(transmit(block, strategy, rng))
-
-
 def relay(
     canonical: SessionTranscript,
     actor: Actor,
@@ -447,8 +441,9 @@ def relay(
         return canonical.append(actor, kind, payload)
     sent = read_payload(kind, payload, {"n": canonical.meta["params"]["n_qubits"]})
     canonical.append(actor, kind, payload)
-    delivered = channel_transform(SymbolBlock(sent["bases"], sent["bits"]), strategy, streams)
-    return canonical.append(Actor.CHANNEL, kind, delivered)
+    rng = None if strategy.stream is None else streams.stream(strategy.stream)
+    delivered = transmit(SymbolBlock(sent["bases"], sent["bits"]), strategy, rng)
+    return canonical.append(Actor.CHANNEL, kind, encode_symbols(delivered))
 
 
 def key_digest_payload(key: np.ndarray) -> dict:
@@ -488,8 +483,8 @@ def session_from_meta(meta: dict) -> tuple[ProtocolParams, AttackStrategy, CssPa
     if other := other_draw_contract(meta):
         raise ValueError(other)
     seed = meta.get("seed")
-    if type(seed) is not int:
-        raise ValueError(f"malformed seed {seed!r}")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"malformed seed {seed!r}; a seed is an integer in [0, 2^64)")
     params = ProtocolParams.from_dict(meta.get("params"))
     return params, strategy_from_dict(meta.get("strategy")), css_from_meta(meta.get("css")), seed
 

@@ -41,7 +41,7 @@ class EventKind(str, enum.Enum):
 # The session grammar: the (actor, kind) pairs allowed as event ``seq``. Bob's
 # DECISION at seq 4 stands in for TEST_INDICES when a class is too small to
 # sample. A DECISION ends the session unless it says PROCEED, and Bob's
-# KEY_DIGEST, the last seq, ends it too.
+# KEY_DIGEST, the last seq, ends it too. One actor speaks at each seq.
 GRAMMAR: tuple[tuple[tuple[Actor, EventKind], ...], ...] = (
     ((Actor.ALICE, EventKind.QUBITS_SENT),),
     ((Actor.CHANNEL, EventKind.QUBITS_SENT),),
@@ -209,10 +209,14 @@ class SessionTranscript:
         """Burn sequence numbers for events this party cannot observe."""
         self._next_seq += count
 
+    @property
+    def ended(self) -> bool:
+        """Whether the last event ends the session."""
+        return bool(self.events) and self.events[-1].ends_session()
+
     def allows(self, actor: Actor, kind: EventKind) -> bool:
         """Whether the grammar allows ``actor``'s ``kind`` as the next event."""
-        ended = bool(self.events) and self.events[-1].ends_session()
-        return not ended and _fits_grammar(self._next_seq, actor, kind)
+        return not self.ended and _fits_grammar(self._next_seq, actor, kind)
 
     def find(self, kind: EventKind) -> Event | None:
         for ev in self.events:

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block
+from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block, transmit
 from eqkd.codes import CssPair, LinearCode, _labels, enumerate_codewords
 from eqkd.protocol import (
     alice_prepare,
     bob_measure,
-    channel_transform,
+    encode_symbols,
     read_payload,
 )
 from eqkd.transcript import EventKind
@@ -67,9 +67,9 @@ def quantum_phase(params, strategy, seed):
     streams = RngStreams(seed)
     sent = alice_prepare(params, streams)
     # the relay's round trip: Alice's symbols through the channel to Bob's payload
-    arrived = read_payload(
-        EventKind.QUBITS_SENT, channel_transform(sent, strategy, streams), {"n": len(sent)}
-    )
+    rng = None if strategy.stream is None else streams.stream(strategy.stream)
+    payload = encode_symbols(transmit(sent, strategy, rng))
+    arrived = read_payload(EventKind.QUBITS_SENT, payload, {"n": len(sent)})
     delivered = SymbolBlock(arrived["bases"], arrived["bits"])
     results = bob_measure(delivered, params, streams.stream("bob_bases"))
     return streams, sent, results

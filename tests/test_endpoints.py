@@ -100,8 +100,11 @@ def test_loopback_abort_paths(tmp_path):
         lambda m: m.pop("seed"),
         lambda m: m.update(draw_contract=1),
         lambda m: m.pop("draw_contract"),
+        lambda m: m.update(seed=-1),
+        lambda m: m.update(seed=2**64),
     ],
-    ids=["m1_zero", "no_seed", "draw_contract_1", "no_draw_contract"],
+    ids=["m1_zero", "no_seed", "draw_contract_1", "no_draw_contract", "negative_seed",
+         "seed_past_64_bits"],
 )
 def test_loopback_refuses_a_bad_config_before_it_starts(tmp_path, change):
     _params, meta = _meta(39)
@@ -110,6 +113,7 @@ def test_loopback_refuses_a_bad_config_before_it_starts(tmp_path, change):
     with pytest.raises(ValueError):
         loopback_session(meta, tmp_path / "out", timeout=10)
     assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("failing", [2, 3], ids=["second_start", "third_start"])
@@ -204,27 +208,37 @@ def test_mismatched_configs_fail_the_handshake(tmp_path):
     _params, meta_b = _meta(34)  # different seed -> different config digest
     ctx = start_context()
     bob_l, relay_l = _listener(), _listener()
-    procs = []
-    # the relay gives up at Bob's hello without accepting Alice, so she may
-    # dial a closed listener until her deadline
-    for role, meta, listen, connect, timeout in (
-        ("bob", meta_b, bob_l, None, 15),
-        ("channel", meta_a, relay_l, bob_l.getsockname(), 15),
-        ("alice", meta_a, None, relay_l.getsockname(), 2),
-    ):
+    relay_address = relay_l.getsockname()
+
+    def start(role, meta, listen, connect):
         foreign = [s for s in (bob_l, relay_l) if s is not listen]
-        procs.append(ctx.Process(target=_endpoint_proc,
-                                 args=(role, meta, listen, connect, None, timeout, foreign)))
-        procs[-1].start()
+        proc = ctx.Process(target=_endpoint_proc,
+                           args=(role, meta, listen, connect, None, 15, foreign))
+        proc.start()
+        return proc
+
+    bob = start("bob", meta_b, bob_l, None)
+    relay = start("channel", meta_a, relay_l, bob_l.getsockname())
     bob_l.close()
     relay_l.close()
-    bob, relay, alice = procs
-
-    for proc in (alice, relay, bob):
-        proc.join(timeout=20)
-        assert not proc.is_alive()
+    procs = (bob, relay)
+    try:
+        # Alice dials last, once the relay has got as far as it can without her:
+        # the failed handshake with Bob must not leave her redialing until her deadline
+        relay.join(timeout=1)
+        alice = start("alice", meta_a, None, relay_address)
+        procs = (alice, relay, bob)
+        deadline = time.monotonic() + 5
+        for proc in procs:
+            proc.join(timeout=max(deadline - time.monotonic(), 0))
+            assert not proc.is_alive()
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
     assert bob.exitcode == EXIT_HANDSHAKE
-    assert relay.exitcode != 0
+    assert relay.exitcode == EXIT_HANDSHAKE
     assert alice.exitcode != 0
 
 
@@ -298,12 +312,14 @@ def test_malformed_estimate_ends_the_endpoint_with_exit_protocol(tmp_path):
     assert _transcript_files(tmp_path) == []
 
 
-def _play_to_relay(meta, frames, out_dir=None):
+def _play_to_relay(meta, frames, out_dir=None, timeout=15, pause=0.0, hold_open=False):
     """Run a relay in a thread and play both parties over its two links.
 
-    Each (actor, kind, payload) frame goes out on its sender's link and is
-    read back from the other one, until the relay stops forwarding; then
-    both links close. Returns the relay's exit code and the forwarded frames.
+    Each (actor, kind, payload) frame goes out on its sender's link, ``pause``
+    seconds after the one before, and is read back from the other link,
+    until the relay stops forwarding. Then
+    both links close or, with ``hold_open``, stay open and silent until the
+    relay has exited. Returns the relay's exit code and the forwarded frames.
     """
     digest = config_digest(meta)
     relay_l, bob_l = _listener(), _listener()
@@ -312,24 +328,31 @@ def _play_to_relay(meta, frames, out_dir=None):
     relay = threading.Thread(
         target=lambda: codes.append(serve_endpoint(
             "channel", meta, listen=relay_l, connect=bob_l.getsockname(), out_dir=out_dir,
-            timeout=15,
+            timeout=timeout,
         ))
     )
     relay.start()
     bob_l.settimeout(15)
-    with bob_l, bob_l.accept()[0] as bob:
-        exchange_hello(bob, digest, initiate=False)  # the relay dials Bob before it takes Alice
-        with socket.create_connection(relay_address, timeout=15) as alice:
-            exchange_hello(alice, digest, initiate=True)
-            links = {Actor.ALICE: (alice, bob), Actor.BOB: (bob, alice)}
-            try:
-                for actor, kind, payload in frames:
-                    out, back = links[actor]
-                    send_event(out, kind, payload)
-                    # read the forwarded frame first, so the relay's send cannot fail
-                    forwarded.append(recv_event(back))
-            except (EOFError, OSError):
-                pass  # the relay refused the frame and closed both links
+    # the relay holds both links before it greets Bob, then Alice
+    with (
+        bob_l,
+        bob_l.accept()[0] as bob,
+        socket.create_connection(relay_address, timeout=15) as alice,
+    ):
+        exchange_hello(bob, digest, initiate=False)
+        exchange_hello(alice, digest, initiate=True)
+        links = {Actor.ALICE: (alice, bob), Actor.BOB: (bob, alice)}
+        try:
+            for i, (actor, kind, payload) in enumerate(frames):
+                time.sleep(pause if i else 0)
+                out, back = links[actor]
+                send_event(out, kind, payload)
+                # read the forwarded frame first, so the relay's send cannot fail
+                forwarded.append(recv_event(back))
+        except (EOFError, OSError):
+            pass  # the relay refused the frame and closed both links
+        if hold_open:
+            relay.join(timeout=15)
     relay.join(timeout=15)
     assert not relay.is_alive()
     return codes, forwarded
@@ -400,3 +423,28 @@ def test_relay_refuses_a_session_out_of_order(tmp_path, capsys, order):
     assert len(forwarded) == (3 if order == "cut_short" else 0)
     assert _transcript_files(tmp_path) == []
     assert "session failed" in capsys.readouterr().err
+
+
+def test_relay_refuses_a_frame_after_the_session_ended(tmp_path, capsys):
+    _params, meta = _meta(44)
+    frames = _party_frames(meta)
+    assert frames[-1][:2] == (Actor.BOB, EventKind.KEY_DIGEST)  # the last event
+    codes, forwarded = _play_to_relay(meta, [*frames, frames[-1]], out_dir=tmp_path)
+    assert codes == [EXIT_PROTOCOL] and len(forwarded) == len(frames)
+    assert "key_digest arrived after the session ended" in capsys.readouterr().err
+    assert _transcript_files(tmp_path) == []
+
+
+def test_a_silent_party_ends_the_relay_at_its_deadline(tmp_path, capsys):
+    # the parties take 0.3 s per frame, then Bob stops after Alice's bases
+    # (seq 3) with his link open. The relay's 1 s deadline covers the whole
+    # session: a fresh 1 s for each read would end it at 1.6 s at the earliest
+    _params, meta = _meta(45)
+    started = time.monotonic()
+    codes, forwarded = _play_to_relay(
+        meta, _party_frames(meta)[:3], out_dir=tmp_path, timeout=1, pause=0.3, hold_open=True
+    )
+    assert time.monotonic() - started < 1.5
+    assert codes == [EXIT_PROTOCOL] and len(forwarded) == 3
+    assert "session failed" in capsys.readouterr().err
+    assert _transcript_files(tmp_path) == []

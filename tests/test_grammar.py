@@ -13,7 +13,7 @@ from test_golden import BASE, CSS, CSS_15_11, SESSIONS, SESSIONS_15_11
 
 from eqkd.harness.runner import replay_verify
 from eqkd.protocol import ProtocolParams, run_session
-from eqkd.transcript import Actor, Event, EventKind, SessionTranscript, TranscriptError
+from eqkd.transcript import GRAMMAR, Actor, Event, EventKind, SessionTranscript, TranscriptError
 
 GOLDEN = [
     *((params, strategy, CSS, seed) for params, strategy, seed, _status, _v1, _sha in SESSIONS),
@@ -77,3 +77,23 @@ def test_golden_records_load_and_every_single_mutation_is_rejected(params, strat
             accepted.append(f"{name}: {what}")
     assert tried == sum(14 * len(lines) - 1 for lines in records.values())
     assert accepted == []
+
+
+def test_one_party_speaks_at_each_seq():
+    # the networked relay reads only the link of the party GRAMMAR names next
+    assert all(len({actor for actor, _kind in pairs}) == 1 for pairs in GRAMMAR)
+
+
+@pytest.mark.parametrize(
+    "params, strategy, css, seed",
+    GOLDEN,
+    ids=[f"{type(g[1]).__name__}-seed{g[3]}-n{g[2].n}" for g in GOLDEN],
+)
+def test_a_transcript_has_ended_once_its_last_event_is_in(params, strategy, css, seed):
+    events = run_session(ProtocolParams(**params), strategy, css, seed).transcript.events
+    record = SessionTranscript()
+    for ev in events:
+        assert not record.ended
+        record.record(ev)
+    assert record.ended
+    assert not any(record.allows(actor, kind) for actor in Actor for kind in EventKind)

@@ -432,13 +432,37 @@ def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, conf
          "not 18446744073709551615 + 3"),
         (["attack-demo", "--n", "20000", "--bias-p", "0.1", "--m1", "25", "--m2", "100",
           "--eve", "0,1", "--trials", "-1"], "trials must be nonnegative, not -1"),
+        (["loopback", *_RUN[1:], "--out", "unused", "--timeout", "nan"],
+         "argument --timeout: expected a positive, finite number of seconds, not 'nan'"),
+        (["serve", *_RUN[1:], "--role", "bob", "--timeout", "-1"],
+         "argument --timeout: expected a positive, finite number of seconds, not '-1'"),
     ],
     ids=["run_without_settings", "attack_demo_without_eve", "run_negative_trials",
-         "run_past_the_last_seed", "attack_demo_negative_trials"],
+         "run_past_the_last_seed", "attack_demo_negative_trials", "loopback_nan_timeout",
+         "serve_negative_timeout"],
 )
 def test_cli_usage_errors_exit_2(capsys, argv, wanted):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        # argparse refused a flag before the command ran: its usage, then one error line
+        code = exit_.code
+        usage, _, err = capsys.readouterr().err.rpartition(f"eqkd {argv[0]}: error: ")
+        assert usage.startswith(f"usage: eqkd {argv[0]} ") and err == f"{wanted}\n"
+    else:
+        assert capsys.readouterr().err == f"eqkd: error: {wanted}\n"
+    assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_loopback_refuses_a_seed_past_64_bits_before_it_starts(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    argv = ["loopback", *_RUN[1:], "--seed", seed, "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"eqkd: error: {wanted}\n"
+    err = capsys.readouterr().err
+    assert err == f"eqkd: error: malformed seed {seed}; a seed is an integer in [0, 2^64)\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("eve", ["0.1", "0.1,0.2,0.3", "0.1,x", ""],
