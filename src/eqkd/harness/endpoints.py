@@ -38,12 +38,11 @@ from ..protocol import (
     session_from_meta,
     session_meta,
 )
-from ..transcript import GRAMMAR, Actor, EventKind, SessionTranscript, TranscriptError, pack_bits
+from ..transcript import Actor, EventKind, SessionTranscript, TranscriptError, pack_bits
 from .wire import (
     FrameError,
     HandshakeError,
     check_hello,
-    exchange_hello,
     recv_event,
     recv_hello,
     send_event,
@@ -107,12 +106,17 @@ def _connect_retry(address: tuple[str, int], deadline: float) -> socket.socket:
 
 def _accept_one(lsock: socket.socket, deadline: float) -> socket.socket:
     """Accept one link on ``lsock``, then close the listener."""
-    lsock.settimeout(max(deadline - time.monotonic(), 0.1))
-    try:
-        conn, _addr = lsock.accept()
-    finally:
-        lsock.close()
+    with lsock:
+        conn, _addr = _time_left(lsock, deadline).accept()
     return _no_delay(conn)
+
+
+def _time_left(sock: socket.socket, deadline: float) -> socket.socket:
+    """``sock``, set to time out at ``deadline``; a deadline already passed is a TimeoutError."""
+    if (left := deadline - time.monotonic()) <= 0:
+        raise TimeoutError("the endpoint's deadline has passed")
+    sock.settimeout(left)
+    return sock
 
 
 def _party_outcome_dict(role: str, machine) -> dict:
@@ -184,16 +188,9 @@ def _serve_party(role, config, link, out_dir, deadline) -> int:
     alice = role == "alice"
     machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
     with (_connect_retry(link, deadline) if alice else _accept_one(link, deadline)) as sock:
-        sock.settimeout(max(deadline - time.monotonic(), 0.1))
-        if alice:
-            # her qubits are prepared while the relay answers her hello
-            send_hello(sock, digest)
-            outgoing = machine.start()
-            check_hello(recv_hello(sock), digest)
-        else:
-            exchange_hello(sock, digest, initiate=False)
-            outgoing = []
-        peer = Actor.BOB if alice else Actor.ALICE
+        send_hello(sock, digest)
+        outgoing = machine.start() if alice else []  # her qubits, prepared while the relay answers
+        check_hello(recv_hello(_time_left(sock, deadline)), digest)
         with _transcript_log(out_dir, role, machine.transcript) as write_log:
             while True:
                 for _actor, kind, payload in outgoing:
@@ -201,9 +198,8 @@ def _serve_party(role, config, link, out_dir, deadline) -> int:
                 write_log()  # while the peer works on what was just sent
                 if machine.done:
                     break
-                kind, payload = recv_event(sock)
-                # the relay delivers the qubits; every other frame is the peer's own
-                sender = Actor.CHANNEL if kind is EventKind.QUBITS_SENT else peer
+                sender = machine.transcript.speaker
+                kind, payload = recv_event(_time_left(sock, deadline))
                 outgoing = machine.receive(sender, kind, payload)
     _write_outcome(out_dir, role, _party_outcome_dict(role, machine))
     return EXIT_OK
@@ -225,18 +221,10 @@ def _channel_outcome(canonical: SessionTranscript) -> dict:
     }
 
 
-def _time_left(sock: socket.socket, deadline: float) -> socket.socket:
-    """``sock``, set to time out at ``deadline``; a deadline already passed is a TimeoutError."""
-    if (left := deadline - time.monotonic()) <= 0:
-        raise TimeoutError("the endpoint's deadline has passed")
-    sock.settimeout(left)
-    return sock
-
-
 def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
     """The relay: it dials Bob at ``connect`` and accepts Alice on ``listen``, then greets both.
 
-    It reads only the party the session grammar names at the next seq, until
+    It reads only the party its transcript names as the next speaker, until
     an event ends the session; then each link must close without another
     frame. Its transcript is kept only once ``_channel_outcome`` has read it.
     """
@@ -247,12 +235,14 @@ def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
 
     # both links are held before either hello, so a failed handshake closes both at once
     with _connect_retry(connect, deadline) as bsock, _accept_one(listen, deadline) as asock:
-        exchange_hello(_time_left(bsock, deadline), digest, initiate=True)
-        exchange_hello(_time_left(asock, deadline), digest, initiate=False)
+        for sock in (bsock, asock):
+            send_hello(sock, digest)
+        for sock in (bsock, asock):
+            check_hello(recv_hello(_time_left(sock, deadline)), digest)
         links = {Actor.ALICE: (asock, bsock), Actor.BOB: (bsock, asock)}
         with _transcript_log(out_dir, "channel", canonical) as write_log:
             while not canonical.ended:
-                actor = GRAMMAR[len(canonical.events)][0][0]
+                actor = canonical.speaker
                 sock, peer = links[actor]
                 kind, payload = recv_event(_time_left(sock, deadline))
                 ev = relay(canonical, actor, kind, payload, strategy, streams)

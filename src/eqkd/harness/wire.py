@@ -141,13 +141,3 @@ def check_hello(theirs: str, config_digest_hex: str) -> None:
     if theirs != config_digest_hex:
         raise HandshakeError("peer was launched with a different configuration")
 
-
-def exchange_hello(sock: socket.socket, config_digest_hex: str, initiate: bool) -> None:
-    """Run the hello exchange and verify the peer's configuration digest."""
-    if initiate:
-        send_hello(sock, config_digest_hex)
-        theirs = recv_hello(sock)
-    else:
-        theirs = recv_hello(sock)
-        send_hello(sock, config_digest_hex)
-    check_hello(theirs, config_digest_hex)

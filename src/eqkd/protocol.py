@@ -21,6 +21,7 @@ import functools
 import hashlib
 import math
 import reprlib
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -29,6 +30,7 @@ import numpy as np
 from .channel import (
     DRAW_CONTRACT,
     AttackStrategy,
+    FixedPauliString,
     RngStreams,
     SymbolBlock,
     bernoulli_threshold,
@@ -91,6 +93,17 @@ class ProtocolParams:
     delta_prime: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_qubits", "m1", "m2"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, not {reprlib.repr(value)}")
+        for name in ("bias_p", "e_max", "delta_e", "delta_prime"):
+            value = getattr(self, name)
+            if value is None and name == "delta_prime":
+                continue  # its default is set below
+            # NaN, the infinities and integers past the float range fail the bound
+            number = type(value) is int or isinstance(value, float)
+            if not (number and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, not {reprlib.repr(value)}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         if not (0.0 < self.bias_p <= 0.5):
@@ -454,6 +467,14 @@ def key_digest_payload(key: np.ndarray) -> dict:
 def session_meta(
     params: ProtocolParams, strategy: AttackStrategy, css: CssPair, seed: int
 ) -> dict:
+    """The session's configuration, as its transcript records it.
+
+    A fixed Pauli string of other than one letter per qubit is a ValueError.
+    """
+    if isinstance(strategy, FixedPauliString) and len(strategy.letters) != params.n_qubits:
+        raise ValueError(
+            f"the Pauli string has {len(strategy.letters)} letters for {params.n_qubits} qubits"
+        )
     return {
         "seed": int(seed),
         "draw_contract": DRAW_CONTRACT,

@@ -6,8 +6,9 @@ events. Sequence numbers follow the fixed protocol grammar, ``GRAMMAR``: the
 therefore assign identical numbers without coordination; an endpoint that
 cannot observe an event (Alice never sees the post-channel symbols, Bob
 never sees the pre-channel ones) skips its sequence number. The party
-machines, the relay and ``SessionTranscript.validate`` all read that one
-table.
+machines and the relay ask ``SessionTranscript`` whose turn it is and
+whether an event may come next; loading a record walks the same
+``allows`` check, event by event.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ GRAMMAR: tuple[tuple[tuple[Actor, EventKind], ...], ...] = (
     ((Actor.BOB, EventKind.KEY_DIGEST),),
 )
 PROCEED = "proceed"
-
-
-def _fits_grammar(seq: int, actor: Actor, kind: EventKind) -> bool:
-    """Whether the grammar allows ``actor``'s ``kind`` as event ``seq``."""
-    return 0 <= seq < len(GRAMMAR) and (actor, kind) in GRAMMAR[seq]
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -199,11 +195,21 @@ class SessionTranscript:
         return ev
 
     def record(self, ev: Event) -> None:
-        """Record an event observed elsewhere, keeping seq numbers aligned."""
-        if ev.seq < self._next_seq:
-            raise TranscriptError(f"seq {ev.seq} not increasing")
+        """Record an event read from elsewhere; it must be the next one ``allows`` permits.
+
+        A party's own record lacks one of the two QUBITS_SENT events, so
+        seq 0 or seq 1 may be missing, not both.
+        """
+        if ev.seq == self._next_seq + 1 <= 2:
+            self.skip()
+        if ev.seq != self._next_seq:
+            raise TranscriptError(f"seq {ev.seq} follows seq {self._next_seq - 1}")
+        if self.ended:
+            raise TranscriptError(f"the session ended before seq {ev.seq}")
+        if not self.allows(ev.actor, ev.kind):
+            raise TranscriptError(f"{ev.actor.value} {ev.kind.value} cannot be event {ev.seq}")
         self.events.append(ev)
-        self._next_seq = ev.seq + 1
+        self._next_seq += 1
 
     def skip(self, count: int = 1) -> None:
         """Burn sequence numbers for events this party cannot observe."""
@@ -214,9 +220,15 @@ class SessionTranscript:
         """Whether the last event ends the session."""
         return bool(self.events) and self.events[-1].ends_session()
 
+    @property
+    def speaker(self) -> Actor:
+        """Who speaks the next event; read it only before the session has ended."""
+        return GRAMMAR[self._next_seq][0][0]
+
     def allows(self, actor: Actor, kind: EventKind) -> bool:
         """Whether the grammar allows ``actor``'s ``kind`` as the next event."""
-        return not self.ended and _fits_grammar(self._next_seq, actor, kind)
+        seq = self._next_seq
+        return not self.ended and seq < len(GRAMMAR) and (actor, kind) in GRAMMAR[seq]
 
     def find(self, kind: EventKind) -> Event | None:
         for ev in self.events:
@@ -226,26 +238,6 @@ class SessionTranscript:
 
     def find_all(self, kind: EventKind) -> list[Event]:
         return [ev for ev in self.events if ev.kind == kind]
-
-    def validate(self) -> None:
-        """Walk the events through the session grammar.
-
-        Each event must fit its seq. Only seq 0 or seq 1 may be missing, not
-        both: a party's own record holds one of the two QUBITS_SENT events.
-        The last event, and only the last, must end the session. A record
-        without events passes, so a bare metadata header loads.
-        """
-        prev = -1
-        for i, ev in enumerate(self.events, start=1):
-            if not (ev.seq == prev + 1 or ev.seq == prev + 2 <= 2):
-                raise TranscriptError(f"seq {ev.seq} follows seq {prev}")
-            if not _fits_grammar(ev.seq, ev.actor, ev.kind):
-                raise TranscriptError(f"{ev.actor.value} {ev.kind.value} cannot be event {ev.seq}")
-            last = i == len(self.events)
-            if ev.ends_session() != last:
-                ends = "is cut short" if last else "ends before its last event"
-                raise TranscriptError(f"the session {ends}, at seq {ev.seq}")
-            prev = ev.seq
 
     def meta_line(self) -> str:
         """The first line of the JSONL form; one ``Event.to_json`` line per event follows it."""
@@ -271,5 +263,6 @@ class SessionTranscript:
         t = cls(meta=meta)
         for line in lines[1:]:
             t.record(Event.from_json(line))
-        t.validate()
+        if t.events and not t.ended:  # a bare metadata header loads
+            raise TranscriptError(f"the session is cut short, at seq {t.events[-1].seq}")
         return t

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import errno
 import json
@@ -27,7 +28,7 @@ from eqkd.harness.endpoints import (
     serve_endpoint,
     start_context,
 )
-from eqkd.harness.wire import exchange_hello, recv_event, send_event
+from eqkd.harness.wire import check_hello, recv_event, recv_hello, send_event, send_hello
 from eqkd.protocol import (
     AliceMachine,
     ProtocolParams,
@@ -102,9 +103,11 @@ def test_loopback_abort_paths(tmp_path):
         lambda m: m.pop("draw_contract"),
         lambda m: m.update(seed=-1),
         lambda m: m.update(seed=2**64),
+        lambda m: m.update(strategy={"kind": "fixed_pauli", "letters": "IXZ"}),
+        lambda m: m["params"].update(n_qubits=1500.0),
     ],
     ids=["m1_zero", "no_seed", "draw_contract_1", "no_draw_contract", "negative_seed",
-         "seed_past_64_bits"],
+         "seed_past_64_bits", "short_pauli_string", "float_n_qubits"],
 )
 def test_loopback_refuses_a_bad_config_before_it_starts(tmp_path, change):
     _params, meta = _meta(39)
@@ -148,6 +151,12 @@ def test_the_config_digest_covers_the_draw_contract():
 
 def _listener():
     return socket.create_server(("127.0.0.1", 0), backlog=1)
+
+
+def _greet(sock, digest):
+    """One end's hello, as every endpoint greets: send its own, then check the peer's."""
+    send_hello(sock, digest)
+    check_hello(recv_hello(sock), digest)
 
 
 def test_loopback_leaves_the_parent_no_open_descriptors(tmp_path):
@@ -273,7 +282,7 @@ def test_truncated_payload_ends_the_endpoint_with_exit_protocol():
     )
     bob.start()
     with socket.create_connection(address, timeout=15) as relay:
-        exchange_hello(relay, config_digest(meta), initiate=True)
+        _greet(relay, config_digest(meta))
         payload = encode_symbols(alice_prepare(params, RngStreams(36)))
         send_event(relay, EventKind.QUBITS_SENT, dict(payload, bases=payload["bases"][:-2]))
         # judged with the link still open: a closed link would end Bob with
@@ -297,7 +306,7 @@ def test_malformed_estimate_ends_the_endpoint_with_exit_protocol(tmp_path):
     # the relay plays Alice over a passive channel, up to her estimate
     alice = AliceMachine(params, CSS, RngStreams(37), meta=meta)
     with socket.create_connection(address, timeout=15) as relay:
-        exchange_hello(relay, config_digest(meta), initiate=True)
+        _greet(relay, config_digest(meta))
         replies = alice.start()
         while not any(kind is EventKind.ESTIMATE for _actor, kind, _payload in replies):
             for _actor, kind, payload in replies:
@@ -339,8 +348,8 @@ def _play_to_relay(meta, frames, out_dir=None, timeout=15, pause=0.0, hold_open=
         bob_l.accept()[0] as bob,
         socket.create_connection(relay_address, timeout=15) as alice,
     ):
-        exchange_hello(bob, digest, initiate=False)
-        exchange_hello(alice, digest, initiate=True)
+        _greet(bob, digest)
+        _greet(alice, digest)
         links = {Actor.ALICE: (alice, bob), Actor.BOB: (bob, alice)}
         try:
             for i, (actor, kind, payload) in enumerate(frames):
@@ -448,3 +457,44 @@ def test_a_silent_party_ends_the_relay_at_its_deadline(tmp_path, capsys):
     assert codes == [EXIT_PROTOCOL] and len(forwarded) == 3
     assert "session failed" in capsys.readouterr().err
     assert _transcript_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("role", ["bob", "alice"])
+def test_a_party_deadline_covers_the_whole_session(capsys, role):
+    # the relay, played here, sends the party its next two frames at 0.8 s and
+    # 1.6 s and then falls silent with the link open. The party's 1 s deadline
+    # covers the whole session: a fresh 1 s for each read would answer the
+    # second frame and end only at 2.6 s
+    _params, meta = _meta(46)
+    events = run_session(*session_from_meta(meta)).transcript.events
+    # each party reads what the other two say, less the QUBITS_SENT it cannot see
+    unseen = 0 if role == "bob" else 1
+    frames = [ev for ev in events if ev.actor is not Actor(role) and ev.seq != unseen][:2]
+    lsock = _listener()
+    link = {"listen": lsock} if role == "bob" else {"connect": lsock.getsockname()}
+    ended = []
+
+    def serve():
+        code = serve_endpoint(role, meta, timeout=1.0, **link)
+        ended.append((code, time.monotonic()))
+
+    party = threading.Thread(target=serve)
+    started = time.monotonic()
+    party.start()
+    if role == "bob":
+        relay = socket.create_connection(lsock.getsockname(), timeout=15)
+    else:
+        lsock.settimeout(15)
+        with lsock:
+            relay, _addr = lsock.accept()
+    with relay:
+        _greet(relay, config_digest(meta))
+        for i, ev in enumerate(frames, start=1):
+            time.sleep(max(started + 0.8 * i - time.monotonic(), 0))
+            with contextlib.suppress(OSError):  # the party may have ended already
+                send_event(relay, ev.kind, ev.payload)
+        party.join(timeout=15)
+    assert not party.is_alive()
+    [(code, at)] = ended
+    assert code == EXIT_PROTOCOL and at - started < 1.3
+    assert "session failed" in capsys.readouterr().err

@@ -80,7 +80,7 @@ def test_golden_records_load_and_every_single_mutation_is_rejected(params, strat
 
 
 def test_one_party_speaks_at_each_seq():
-    # the networked relay reads only the link of the party GRAMMAR names next
+    # each endpoint reads only the link of the party ``speaker`` names next
     assert all(len({actor for actor, _kind in pairs}) == 1 for pairs in GRAMMAR)
 
 
@@ -97,3 +97,23 @@ def test_a_transcript_has_ended_once_its_last_event_is_in(params, strategy, css,
         record.record(ev)
     assert record.ended
     assert not any(record.allows(actor, kind) for actor in Actor for kind in EventKind)
+
+
+@pytest.mark.parametrize(
+    "params, strategy, css, seed",
+    GOLDEN,
+    ids=[f"{type(g[1]).__name__}-seed{g[3]}-n{g[2].n}" for g in GOLDEN],
+)
+def test_the_transcript_names_each_speaker_before_the_event(params, strategy, css, seed):
+    _header, records = _records(params, strategy, css, seed)
+    checked = 0
+    for name, lines in records.items():
+        record = SessionTranscript()
+        for ev in map(Event.from_json, lines):
+            # a party's record skips seq 0 or seq 1 only as it records the event
+            # after the gap, so its speaker is checked from seq 3 on
+            if name == "canonical" or ev.seq > 2:
+                assert record.speaker is ev.actor, f"{name}: seq {ev.seq}"
+                checked += 1
+            record.record(ev)
+    assert checked == sum(len(lines) for lines in records.values()) - 4

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import socket
@@ -28,7 +29,7 @@ from eqkd.harness.wire import (
     FrameError,
     HandshakeError,
     UnknownTag,
-    exchange_hello,
+    check_hello,
     recv_event,
     recv_frame,
     recv_hello,
@@ -92,10 +93,10 @@ def test_hello_roundtrip_and_mismatch(sockets):
     digest = "ab" * 32
     send_hello(a, digest)
     assert recv_hello(b) == digest
-    # a mismatched digest is refused by the non-initiating side
+    # a mismatched digest is refused by the end that checks it
     send_hello(a, "cd" * 32)
     with pytest.raises(HandshakeError):
-        exchange_hello(b, digest, initiate=False)
+        check_hello(recv_hello(b), digest)
 
 
 def test_unknown_tag_rejected(sockets):
@@ -409,9 +410,11 @@ _RUN = ["run", "--n", "3000", "--bias-p", "0.3", "--m1", "80", "--m2", "80"]
 @pytest.mark.parametrize(
     "config",
     [[1], {"params": 5}, {**_SETTINGS, "css": 5}, {**_SETTINGS, "code_files": 5},
-     {**_SETTINGS, "seed": [1]}, {**_SETTINGS, "seed": 6.5}],
+     {**_SETTINGS, "seed": [1]}, {**_SETTINGS, "seed": 6.5}, {**_SETTINGS, "n_qubits": 3000.0},
+     {**_SETTINGS, "m1": 80.5}, {**_SETTINGS, "m2": True}, {**_SETTINGS, "delta_prime": math.nan}],
     ids=["not_an_object", "params_not_an_object", "css_not_an_object", "code_files_not_a_list",
-         "seed_a_list", "float_seed"],
+         "seed_a_list", "float_seed", "float_n_qubits", "fractional_m1", "boolean_m2",
+         "nan_delta_prime"],
 )
 def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, config):
     path = tmp_path / "session.json"
@@ -436,10 +439,14 @@ def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, conf
          "argument --timeout: expected a positive, finite number of seconds, not 'nan'"),
         (["serve", *_RUN[1:], "--role", "bob", "--timeout", "-1"],
          "argument --timeout: expected a positive, finite number of seconds, not '-1'"),
+        ([*_RUN, "--pauli", "IXZ", "--trials", "1"],
+         "the Pauli string has 3 letters for 3000 qubits"),
+        (["loopback", *_RUN[1:], "--pauli", "IXZ", "--out", "unused"],
+         "the Pauli string has 3 letters for 3000 qubits"),
     ],
     ids=["run_without_settings", "attack_demo_without_eve", "run_negative_trials",
          "run_past_the_last_seed", "attack_demo_negative_trials", "loopback_nan_timeout",
-         "serve_negative_timeout"],
+         "serve_negative_timeout", "run_short_pauli_string", "loopback_short_pauli_string"],
 )
 def test_cli_usage_errors_exit_2(capsys, argv, wanted):
     try:
@@ -669,9 +676,13 @@ def test_cli_replay_fails_cleanly_on_a_malformed_transcript(tmp_path, capsys, li
 @pytest.mark.parametrize(
     "field, value",
     [("params", 5), ("params", {"n_qubits": 0}), ("css", {}), ("strategy", 5),
-     ("seed", None), ("seed", 6.5), ("seed", True)],
+     ("seed", None), ("seed", 6.5), ("seed", True),
+     ("params", dict(PARAMS.to_dict(), n_qubits=3000.0)),
+     ("params", dict(PARAMS.to_dict(), m1=True)),
+     ("strategy", {"kind": "fixed_pauli", "letters": "IXZ"})],
     ids=["params_not_an_object", "params_missing_fields", "css_without_rows",
-         "strategy_not_an_object", "null_seed", "float_seed", "boolean_seed"],
+         "strategy_not_an_object", "null_seed", "float_seed", "boolean_seed", "float_n_qubits",
+         "boolean_m1", "short_pauli_string"],
 )
 def test_cli_replay_reports_an_invalid_recorded_configuration(tmp_path, capsys, field, value):
     meta = dict(session_meta(PARAMS, Passive(), CSS, 6), **{field: value})

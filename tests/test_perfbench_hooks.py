@@ -19,6 +19,7 @@ import pytest
 
 from eqkd.channel import Passive
 from eqkd.codes import reconcile_bob_blocks, steane_pair
+from eqkd.harness import endpoints, wire
 from eqkd.harness.endpoints import serve_endpoint
 from eqkd.harness.wire import send_frame
 from eqkd.protocol import AliceMachine, BobMachine, ProtocolParams, session_meta
@@ -73,18 +74,8 @@ def test_traced_machine_steps_keep_their_parameters(cls):
     assert list(inspect.signature(receive).parameters) == ["self", "actor", "kind", "payload"]
 
 
-def test_endpoints_write_every_transcript_line_through_event_to_json(tmp_path, monkeypatch):
-    # the tracer times Event.to_json as transcript.encode_s; a line an endpoint
-    # wrote another way would fall to the endpoint's own time
-    made = []
-    to_json = Event.to_json
-
-    def counted(self):
-        line = to_json(self)
-        made.append(line)
-        return line
-
-    monkeypatch.setattr(Event, "to_json", counted)
+def _serve_three(out_dir) -> dict:
+    """Run a passive N = 1500 session's three endpoints in threads; their exit codes."""
     params = ProtocolParams(n_qubits=1500, bias_p=0.3, m1=60, m2=60)
     meta = session_meta(params, Passive(), steane_pair(), 44)
     bob_l, relay_l = (socket.create_server(("127.0.0.1", 0), backlog=1) for _ in range(2))
@@ -97,7 +88,7 @@ def test_endpoints_write_every_transcript_line_through_event_to_json(tmp_path, m
     threads = [
         threading.Thread(
             target=lambda role=role, link=link: codes.update(
-                {role: serve_endpoint(role, meta, out_dir=tmp_path, timeout=15, **link)}
+                {role: serve_endpoint(role, meta, out_dir=out_dir, timeout=15, **link)}
             )
         )
         for role, link in links.items()
@@ -106,11 +97,50 @@ def test_endpoints_write_every_transcript_line_through_event_to_json(tmp_path, m
         thread.start()
     for thread in threads:
         thread.join(timeout=30)
-    assert codes == {"alice": 0, "channel": 0, "bob": 0}
+    return codes
+
+
+def test_endpoints_write_every_transcript_line_through_event_to_json(tmp_path, monkeypatch):
+    # the tracer times Event.to_json as transcript.encode_s; a line an endpoint
+    # wrote another way would fall to the endpoint's own time
+    made = []
+    to_json = Event.to_json
+
+    def counted(self):
+        line = to_json(self)
+        made.append(line)
+        return line
+
+    monkeypatch.setattr(Event, "to_json", counted)
+    assert _serve_three(tmp_path) == {"alice": 0, "channel": 0, "bob": 0}
     written = Counter(
         line
-        for role in links
+        for role in ("alice", "channel", "bob")
         for line in (tmp_path / f"transcript_{role}.jsonl").read_text().splitlines()[1:]
     )
     assert sum(written.values()) == 11 + 12 + 11  # each party misses one QUBITS_SENT
     assert not written - Counter(made)
+
+
+def test_endpoints_read_every_frame_through_recv_event_and_recv_hello(monkeypatch):
+    # the tracer times waiting by patching endpoints.recv_event by name; an
+    # endpoint that bound it, or recv_hello, another way would wait untimed
+    frames, through = Counter(), Counter()
+
+    def counting(counts, key, read):
+        def wrapper(*args):
+            got = read(*args)
+            counts[key] += 1
+            return got
+
+        return wrapper
+
+    monkeypatch.setattr(wire, "recv_frame", counting(frames, "frame", wire.recv_frame))
+    for name in ("recv_event", "recv_hello"):
+        monkeypatch.setattr(endpoints, name, counting(through, name, getattr(endpoints, name)))
+    assert _serve_three(None) == {"alice": 0, "channel": 0, "bob": 0}
+    # each party hears the relay's hello, the relay both parties'; 11 party
+    # events reach the relay, and 11 frames leave it, the delivered qubits
+    # in place of Alice's
+    assert through == {"recv_hello": 4, "recv_event": 22}
+    assert frames["frame"] == 4 + 22

@@ -69,6 +69,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         # N (p^2 - delta') = 4000 * 0.009 = 36 < 100
         default_params(bias_p=0.1)
+    # counts are integers and the rest finite numbers, never booleans
+    for field, value in [("n_qubits", 4000.0), ("m1", 100.5), ("m2", True), ("bias_p", True),
+                         ("e_max", float("inf")), ("delta_e", "0.01"),
+                         ("delta_prime", float("nan")), ("delta_prime", 10**400)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            default_params(**{field: value})
 
 
 def test_params_defaults():
@@ -438,7 +444,7 @@ def _shuttle(alice, bob, canonical, messages, strategy, streams, stop_at=None):
 def test_machine_views_are_the_canonical_transcript_minus_one_event():
     alice, bob, canonical, _pending = _drive(19, strategy=DepolarizingPauli.symmetric(0.01))
     assert alice.done and bob.done
-    canonical.validate()
+    SessionTranscript.from_jsonl(canonical.to_jsonl())
     full = canonical.event_lines()
     assert len(full) == 12
     assert alice.transcript.event_lines() == full[:1] + full[2:]
@@ -570,7 +576,7 @@ def test_relay_rejects_a_malformed_decision(seq, actor, due, payload):
     # nothing was logged, so the genuine session runs on to a valid record
     assert _shuttle(alice, bob, canonical, pending, Passive(), RngStreams(30)) == []
     assert alice.done and bob.done and len(canonical.events) == 12
-    canonical.validate()
+    SessionTranscript.from_jsonl(canonical.to_jsonl())
 
 
 def test_alice_rejects_a_disclosure_of_the_wrong_size():

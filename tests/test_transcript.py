@@ -83,9 +83,9 @@ def test_transcript_skip_burns_numbers():
 
 def test_transcript_record_rejects_regressions():
     t = SessionTranscript()
-    t.record(Event(2, Actor.BOB, EventKind.BASES_ANNOUNCED_BOB, {}))
-    with pytest.raises(TranscriptError):
-        t.record(Event(1, Actor.ALICE, EventKind.BASES_ANNOUNCED_ALICE, {}))
+    t.record(Event(1, Actor.CHANNEL, EventKind.QUBITS_SENT, {}))  # Bob's record skips seq 0
+    with pytest.raises(TranscriptError, match="seq 0 follows seq 1"):
+        t.record(Event(0, Actor.ALICE, EventKind.QUBITS_SENT, {}))
 
 
 def test_validate_enforces_disclosure_order():
@@ -93,7 +93,7 @@ def test_validate_enforces_disclosure_order():
     t.append(Actor.ALICE, EventKind.BASES_ANNOUNCED_ALICE, {})
     t.append(Actor.BOB, EventKind.BASES_ANNOUNCED_BOB, {})
     with pytest.raises(TranscriptError):
-        t.validate()
+        SessionTranscript.from_jsonl(t.to_jsonl())
 
 
 def _starved_session(meta=None) -> SessionTranscript:
@@ -121,14 +121,14 @@ def test_validate_rejects_a_session_cut_short():
     t = _starved_session()
     t.events.pop()
     with pytest.raises(TranscriptError, match="cut short"):
-        t.validate()
+        SessionTranscript.from_jsonl(t.to_jsonl())
 
 
 def test_a_decision_ends_the_session_unless_it_says_proceed():
     t = _starved_session()
     t.events[-1] = Event(4, Actor.BOB, EventKind.DECISION, {"status": "proceed"})
     with pytest.raises(TranscriptError, match="cut short"):
-        t.validate()
+        SessionTranscript.from_jsonl(t.to_jsonl())
 
 
 def test_allows_reads_the_grammar_at_the_next_seq():
