@@ -192,10 +192,11 @@ def theorem3_fidelity(eps1: float, eps2: float) -> float:
     eps2 is the passing probability actually achieved. The floor is clamped
     at 0; a zero value is vacuous and a warning is emitted.
     """
-    if eps2 == 0.0:
-        raise ValueError("eps2 must be positive (conditioning on passing)")
-    if eps1 < 0.0 or eps2 < 0.0:
-        raise ValueError("probabilities must be nonnegative")
+    # written so that a NaN probability fails the checks too
+    if not 0.0 <= eps1 <= 1.0:
+        raise ValueError(f"eps1 must lie in [0, 1], not {eps1!r}")
+    if not 0.0 < eps2 <= 1.0:
+        raise ValueError(f"eps2 must lie in (0, 1] (conditioning on passing), not {eps2!r}")
     if eps1 >= eps2:
         warnings.warn("eps1 >= eps2: fidelity bound is vacuous", stacklevel=2)
         return 0.0

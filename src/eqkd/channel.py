@@ -327,9 +327,14 @@ def strategy_from_dict(d: dict) -> AttackStrategy:
     if cls is None:
         raise ValueError(f"unknown strategy kind {d.get('kind')!r}")
     try:
-        return cls.from_dict(d)
+        strategy = cls.from_dict(d)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {cls.kind} strategy {d!r}") from exc
+    unknown = d.keys() - strategy.to_dict().keys()
+    if unknown:
+        names = ", ".join(sorted(map(str, unknown)))
+        raise ValueError(f"unknown {cls.kind} strategy keys: {names}")
+    return strategy
 
 
 def apply_pauli_block(block: SymbolBlock, letters: np.ndarray) -> SymbolBlock:

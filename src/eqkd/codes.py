@@ -11,6 +11,7 @@ leaves the coset unchanged.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -88,64 +89,18 @@ def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def gf2_rank(a: np.ndarray) -> int:
-    if np.asarray(a).size == 0:
-        return 0
     return len(gf2_rref(a)[1])
 
 
 def gf2_nullspace(a: np.ndarray) -> np.ndarray:
     """Basis (as rows) of the right null space {x : a @ x = 0 over GF(2)}."""
-    a = np.asarray(a, dtype=np.uint8)
-    rows, cols = a.shape
     r, pivots = gf2_rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row_idx, p in enumerate(pivots):
-            if r[row_idx, f]:
-                basis[i, p] = 1
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    # row i sets free variable i and solves the pivot variables for it
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.uint8)
+    basis[:, free] = np.eye(len(free), dtype=np.uint8)
+    basis[:, pivots] = r[: len(pivots), free].T
     return basis
-
-
-def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of a @ x = b over GF(2), or None if inconsistent."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
-    aug = np.hstack([a, b])
-    r, pivots = gf2_rref(aug)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.uint8)
-    for row_idx, p in enumerate(pivots):
-        x[p] = r[row_idx, ncols]
-    return x
-
-
-class BinaryMatrix:
-    """A 0/1 matrix over GF(2)."""
-
-    __slots__ = ("array", "rows", "cols")
-
-    def __init__(self, array) -> None:
-        arr = np.array(array, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d bit matrix")
-        if arr.size and arr.max() > 1:
-            raise ValueError("entries must be 0 or 1")
-        self.array = arr
-        self.rows, self.cols = arr.shape
-
-    @classmethod
-    def from_rows(cls, rows: list[str]) -> "BinaryMatrix":
-        return cls([[int(ch) for ch in row] for row in rows])
-
-    def to_strings(self) -> list[str]:
-        return ["".join(str(int(b)) for b in row) for row in self.array]
-
-    def __repr__(self) -> str:
-        return f"BinaryMatrix({self.rows}x{self.cols})"
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +114,7 @@ _ENUM_DIM_LIMIT = 20
 
 
 def _all_messages(k: int) -> np.ndarray:
-    return ((np.arange(2**k, dtype=np.uint32)[:, None] >> np.arange(k)[None, :]) & 1).astype(
-        np.uint8
-    )
+    return ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
 
 
 def enumerate_codewords(generator: np.ndarray) -> np.ndarray:
@@ -191,56 +144,42 @@ class LinearCode:
     ----------
     n : block length
     k_dim : dimension (generator row count)
-    generator : BinaryMatrix, full row rank, k_dim x n
-    parity_check : BinaryMatrix, full row rank, (n - k_dim) x n
+    generator : uint8 0/1 array, full row rank, k_dim x n
+    parity_check : uint8 0/1 array, full row rank, (n - k_dim) x n
     d : minimum distance, certified by enumerating the codewords
     """
 
     n: int
     k_dim: int
-    generator: BinaryMatrix
-    parity_check: BinaryMatrix
+    generator: np.ndarray
+    parity_check: np.ndarray
     d: int
 
     @classmethod
     def from_generator(cls, generator, claimed_d: int | None = None) -> "LinearCode":
-        """The code the rows generate; a claimed distance is checked, never used."""
-        gen = generator if isinstance(generator, BinaryMatrix) else BinaryMatrix(generator)
-        k_dim, n = gen.rows, gen.cols
+        """The code the rows generate; a claimed distance is checked, never used.
+
+        ``generator`` is a 2-d array-like of 0/1 entries; anything else is a
+        ValueError.
+        """
+        gen = np.asarray(generator)
+        if gen.ndim != 2:
+            raise ValueError("expected a 2-d bit matrix")
+        if not np.isin(gen, (0, 1)).all():
+            raise ValueError("entries must be 0 or 1")
+        gen = gen.astype(np.uint8)
+        k_dim, n = gen.shape
         if n > EXHAUSTIVE_N_LIMIT or k_dim > _ENUM_DIM_LIMIT:
             raise CodeError(
                 f"cannot certify the distance of a [{n}, {k_dim}] code: enumeration is "
                 f"limited to n <= {EXHAUSTIVE_N_LIMIT} and dimension <= {_ENUM_DIM_LIMIT}"
             )
-        if gf2_rank(gen.array) != k_dim:
+        if gf2_rank(gen) != k_dim:
             raise CodeError("generator matrix must have full row rank")
-        d = min_distance(gen.array)
+        d = min_distance(gen)
         if claimed_d is not None and claimed_d != d:
             raise CodeError(f"claimed distance {claimed_d} but computed {d}")
-        pc = BinaryMatrix(gf2_nullspace(gen.array))
-        return cls(n=n, k_dim=k_dim, generator=gen, parity_check=pc, d=d)
-
-    def contains(self, word: np.ndarray) -> bool:
-        word = np.asarray(word, dtype=np.uint8)
-        if word.shape != (self.n,):
-            return False
-        return not gf2_mul(self.parity_check.array, word).any()
-
-    def encode(self, messages: np.ndarray) -> np.ndarray:
-        """Encode a message row-vector or a batch of them."""
-        msgs = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
-        if msgs.shape[1] != self.k_dim:
-            raise ValueError(f"messages must have {self.k_dim} bits")
-        out = gf2_mul(msgs, self.generator.array)
-        return out[0] if np.asarray(messages).ndim == 1 else out
-
-    def codewords(self) -> np.ndarray:
-        return enumerate_codewords(self.generator.array)
-
-    def syndrome(self, words: np.ndarray) -> np.ndarray:
-        w = np.atleast_2d(np.asarray(words, dtype=np.uint8))
-        s = gf2_mul(w, self.parity_check.array.T)
-        return s[0] if np.asarray(words).ndim == 1 else s
+        return cls(n=n, k_dim=k_dim, generator=gen, parity_check=gf2_nullspace(gen), d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +217,8 @@ class CssPair:
         return self.c1.n
 
 
-def _coset_representatives(c1: LinearCode, c2: LinearCode, k: int) -> np.ndarray:
-    """k rows of C1 that extend a basis of C2 to a basis of C1."""
-    reps = []
-    current = c2.generator.array
-    for row in c1.generator.array:
-        if len(reps) == k:
-            break
-        candidate = np.vstack([current, row[None, :]])
-        if gf2_rank(candidate) > gf2_rank(current):
-            reps.append(row)
-            current = candidate
-    assert len(reps) == k
-    return np.array(reps, dtype=np.uint8)
-
-
 def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
     """Each syndrome row read as an m-bit integer, its first bit the highest."""
-    syndromes = np.atleast_2d(syndromes)
     idx = np.zeros(syndromes.shape[0], dtype=np.intp)
     for j in range(m):
         idx <<= 1
@@ -318,27 +241,28 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     k = c1.k_dim - c2.k_dim
     if k <= 0:
         raise DegenerateCode("pair carries no key bits (dim C1 <= dim C2)")
-    for row in c2.generator.array:
-        if not c1.contains(row):
-            raise NestingViolation("C2 is not a subcode of C1")
+    if gf2_mul(c2.generator, c1.parity_check.T).any():
+        raise NestingViolation("C2 is not a subcode of C1")
     # dual of C2 is generated by C2's parity check
-    d = min(c1.d, min_distance(c2.parity_check.array))
+    d = min(c1.d, min_distance(c2.parity_check))
     t = (d - 1) // 2
     if t < 1:
         raise DistanceTooSmall(f"pair corrects no errors (d = {d})")
     h2 = c2.parity_check
-    reps = _coset_representatives(c1, c2, k)
-    # L = h2 . reps^T has rank k; find T with T L = I so that key_map = T h2
-    # is constant on C2-cosets and bijective across them.
-    L = gf2_mul(h2.array, reps.T)
-    T = np.zeros((k, h2.rows), dtype=np.uint8)
+    # Coset representatives: the rows of C1 whose columns of [G2; G1]^T are
+    # pivots past C2's, each outside the span of C2 and the rows before it.
+    _, pivots = gf2_rref(np.vstack([c2.generator, c1.generator]).T)
+    reps = c1.generator[[p - c2.k_dim for p in pivots[c2.k_dim:]]]
+    # L = h2 . reps^T has rank k; T with T L = I makes key_map = T h2 constant
+    # on C2-cosets and bijective across them. Reducing [L^T | I] solves
+    # L^T x = e_i with the free variables at zero, for every i at once.
+    L = gf2_mul(h2, reps.T)
     eye = np.eye(k, dtype=np.uint8)
-    for i in range(k):
-        x = gf2_solve(L.T, eye[i])
-        assert x is not None
-        T[i] = x
-    key_map = gf2_mul(T, h2.array)
-    assert not gf2_mul(key_map, c2.generator.array.T).any()
+    r, pivots = gf2_rref(np.hstack([L.T, eye]))
+    T = np.zeros((k, h2.shape[0]), dtype=np.uint8)
+    T[:, pivots] = r[:, h2.shape[0]:].T
+    key_map = gf2_mul(T, h2)
+    assert not gf2_mul(key_map, c2.generator.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
     # every error pattern of weight 1..t1; d(C1) >= 2 t1 + 1 gives them distinct syndromes
     m, t1 = c1.n - c1.k_dim, (c1.d - 1) // 2
@@ -346,7 +270,7 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     errs = np.zeros((len(supports), c1.n), dtype=np.uint8)
     for row, support in zip(errs, supports):
         row[list(support)] = 1
-    idx = _syndrome_index(c1.syndrome(errs), m)
+    idx = _syndrome_index(gf2_mul(errs, c1.parity_check.T), m)
     leader_labels = np.zeros((2**m, k), dtype=np.uint8)
     leader_labels[idx] = gf2_mul(errs, key_map.T)
     covered = np.zeros(2**m, dtype=bool)
@@ -377,7 +301,7 @@ def reconcile_alice_blocks(
     if v_blocks.shape[1] != pair.n:
         raise ValueError(f"blocks must have {pair.n} bits")
     msgs = uniform_bits(rng, b * pair.c1.k_dim).reshape(b, pair.c1.k_dim)
-    u = pair.c1.encode(msgs)
+    u = gf2_mul(msgs, pair.c1.generator)
     return u ^ v_blocks, _labels(pair, u)
 
 
@@ -400,7 +324,7 @@ def reconcile_bob_blocks(
     if received.shape != ann.shape or received.shape[1] != pair.n:
         raise ValueError("received blocks and announcements must be (B, n)")
     words = received ^ ann
-    idx = _syndrome_index(pair.c1.syndrome(words), pair.c1.n - pair.c1.k_dim)
+    idx = _syndrome_index(gf2_mul(words, pair.c1.parity_check.T), pair.c1.n - pair.c1.k_dim)
     return _labels(pair, words) ^ pair.leader_labels[idx], pair.covered[idx]
 
 
@@ -481,9 +405,18 @@ _HAMMING_7_4_GEN = [
 ]
 
 
+def _from_rows(rows: list[str]) -> list[list[int]]:
+    """A bit matrix from its row-string form, such as ``["101", "011"]``."""
+    return [[int(ch) for ch in row] for row in rows]
+
+
+def _to_rows(matrix: np.ndarray) -> list[str]:
+    return ["".join(map(str, row)) for row in matrix.tolist()]
+
+
 def steane_pair() -> CssPair:
     """The default [7,4,3] / dual pair (one key bit, corrects one error)."""
-    c1 = LinearCode.from_generator(BinaryMatrix.from_rows(_HAMMING_7_4_GEN))
+    c1 = LinearCode.from_generator(_from_rows(_HAMMING_7_4_GEN))
     c2 = LinearCode.from_generator(c1.parity_check)
     return validate_css(c1, c2)
 
@@ -503,8 +436,12 @@ def parse_code(text: str) -> LinearCode:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("d") and "=" in body:
-                claimed_d = int(body.split("=", 1)[1].strip())
+            key, eq, value = body.partition("=")
+            if eq and key.strip() == "d":
+                try:
+                    claimed_d = int(value)
+                except ValueError:
+                    raise CodeError(f"malformed distance claim {line!r}") from None
             continue
         lines.append(line)
     if not lines:
@@ -519,7 +456,7 @@ def parse_code(text: str) -> LinearCode:
     for row in rows:
         if len(row) != n or set(row) - {"0", "1"}:
             raise CodeError(f"generator rows must be {n} characters of 0/1")
-    return LinearCode.from_generator(BinaryMatrix.from_rows(rows), claimed_d=claimed_d)
+    return LinearCode.from_generator(_from_rows(rows), claimed_d=claimed_d)
 
 
 def load_code(path) -> LinearCode:
@@ -539,26 +476,24 @@ def load_css(path1, path2=None) -> CssPair:
 
 def css_fingerprint(pair: CssPair) -> str:
     """Stable hex digest identifying the pair's generator matrices."""
-    import hashlib
-
     h = hashlib.sha256()
-    h.update(b"c1:" + "|".join(pair.c1.generator.to_strings()).encode())
-    h.update(b"c2:" + "|".join(pair.c2.generator.to_strings()).encode())
+    h.update(b"c1:" + "|".join(_to_rows(pair.c1.generator)).encode())
+    h.update(b"c2:" + "|".join(_to_rows(pair.c2.generator)).encode())
     return h.hexdigest()
 
 
 def css_meta(pair: CssPair) -> dict:
     """JSON-compatible description sufficient to rebuild the pair."""
     return {
-        "c1_rows": pair.c1.generator.to_strings(),
-        "c2_rows": pair.c2.generator.to_strings(),
+        "c1_rows": _to_rows(pair.c1.generator),
+        "c2_rows": _to_rows(pair.c2.generator),
     }
 
 
 def css_from_meta(meta: dict) -> CssPair:
     """Rebuild a pair from ``css_meta``'s form; a malformed dict is a ValueError."""
     try:
-        g1, g2 = (BinaryMatrix.from_rows(meta[key]) for key in ("c1_rows", "c2_rows"))
+        g1, g2 = (_from_rows(meta[key]) for key in ("c1_rows", "c2_rows"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed code pair {meta!r}") from exc
     return validate_css(LinearCode.from_generator(g1), LinearCode.from_generator(g2))

@@ -42,6 +42,8 @@ from .endpoints import ROLES, loopback_session, serve_endpoint
 from .runner import ExperimentConfig, attack_demo, emit_csv, replay_verify, run_experiment
 
 _PARAM_FIELDS = dataclasses.fields(ProtocolParams)
+_PARAM_NAMES = {f.name for f in _PARAM_FIELDS}
+_CONFIG_KEYS = {"params", "strategy", "css", "code_files", "seed", *_PARAM_NAMES}
 
 
 def _print(obj) -> None:
@@ -55,6 +57,14 @@ def _eve(text: str) -> tuple[float, float]:
         msg = f"expected two probabilities P1,P2, not {text!r}"
         raise argparse.ArgumentTypeError(msg) from None
     return p1, p2
+
+
+def _code_files(text: str) -> list[str]:
+    files = text.split(",")
+    if not (len(files) <= 2 and all(files)):
+        msg = f"expected one or two code files FILE[,FILE2], not {text!r}"
+        raise argparse.ArgumentTypeError(msg)
+    return files
 
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
@@ -71,17 +81,25 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
                    help="biased intercept-resend probabilities")
     g.add_argument("--depolarize", type=float, metavar="W", help="symmetric flip weight")
     g.add_argument("--pauli", metavar="LETTERS", help="fixed error string, e.g. IIXZY...")
-    p.add_argument("--code", metavar="FILE[,FILE2]", help="code pair files; one file means the second code is its dual")
+    p.add_argument("--code", type=_code_files, metavar="FILE[,FILE2]",
+                   help="code pair files; one file means the second code is its dual")
     p.add_argument("--seed", type=int, help="base seed (default 0)")
+
+
+def _refuse_unknown(d: dict, known: set, what: str) -> None:
+    if unknown := sorted(d.keys() - known):
+        raise ValueError(f"unknown {what}: {', '.join(unknown)}")
 
 
 def _session_setup(args):
     file_cfg = json.loads(args.config.read_text()) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise ValueError(f"a config file holds a JSON object, not {file_cfg!r}")
+    _refuse_unknown(file_cfg, _CONFIG_KEYS, "config keys")
     pd = file_cfg.get("params", {})
     if not isinstance(pd, dict):
         raise ValueError(f"malformed params {pd!r}")
+    _refuse_unknown(pd, _PARAM_NAMES, "params keys")
     pd = dict(pd)
     for f in _PARAM_FIELDS:
         if f.name in file_cfg:
@@ -93,7 +111,7 @@ def _session_setup(args):
     missing = [name for name in required if name not in pd]
     if missing:
         raise ValueError(f"missing session settings: {', '.join(missing)}")
-    params = ProtocolParams.from_dict({f.name: pd[f.name] for f in _PARAM_FIELDS if f.name in pd})
+    params = ProtocolParams.from_dict(pd)
 
     if args.eve is not None:
         strategy = BiasedInterceptResend(*args.eve)
@@ -105,7 +123,7 @@ def _session_setup(args):
         strategy = strategy_from_dict(file_cfg.get("strategy", {"kind": "passive"}))
 
     if args.code is not None:
-        css = load_css(*args.code.split(","))
+        css = load_css(*args.code)
     elif "css" in file_cfg:
         css = css_from_meta(file_cfg["css"])
     elif "code_files" in file_cfg:
@@ -203,7 +221,7 @@ def _cmd_bounds_threshold(args) -> int:
 
 def _cmd_codes_validate(args) -> int:
     try:
-        css = load_css(*args.code.split(","))
+        css = load_css(*args.code)
     except (CodeError, OSError, ValueError) as exc:
         print(f"invalid code pair: {exc}", file=sys.stderr)
         return 1
@@ -328,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codes", help="code utilities")
     csub = p.add_subparsers(dest="codes_cmd", required=True)
     c = csub.add_parser("validate", help="check a nested pair from files")
-    c.add_argument("--code", required=True, metavar="FILE[,FILE2]")
+    c.add_argument("--code", type=_code_files, required=True, metavar="FILE[,FILE2]")
     c.set_defaults(func=_cmd_codes_validate)
 
     p = sub.add_parser("serve", help="run one networked endpoint")

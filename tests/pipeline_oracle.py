@@ -23,6 +23,10 @@ passes, without building those intermediates.
 ``syndrome_decode_blocks`` is the bounded-distance decoder that last form
 uses. It searches all the codewords for one within the code's radius, so it
 shares no syndrome table with the library.
+
+``key_map_oracle`` builds a pair's key map the long way: a greedy rank loop
+picks the coset representatives, and one linear solve per key bit inverts
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block, transmit
-from eqkd.codes import CssPair, LinearCode, _labels, enumerate_codewords
+from eqkd.codes import (
+    CssPair,
+    LinearCode,
+    _labels,
+    enumerate_codewords,
+    gf2_mul,
+    gf2_rank,
+    gf2_rref,
+)
 from eqkd.protocol import (
     alice_prepare,
     bob_measure,
@@ -208,7 +220,7 @@ def reconcile_alice_blocks_oracle(pair: CssPair, v_blocks, rng):
     v_blocks = np.atleast_2d(np.asarray(v_blocks, dtype=np.uint8))
     b, k_dim = v_blocks.shape[0], pair.c1.k_dim
     msgs = _raw_bits(rng, b * k_dim).reshape(b, k_dim)
-    u = gf2_mul_oracle(msgs, pair.c1.generator.array).astype(np.uint8)
+    u = gf2_mul_oracle(msgs, pair.c1.generator).astype(np.uint8)
     return u ^ v_blocks, _labels(pair, u)
 
 
@@ -220,7 +232,7 @@ def syndrome_decode_blocks(code: LinearCode, words: np.ndarray) -> tuple[np.ndar
     none and is returned as it is (caller decides policy).
     """
     words = np.atleast_2d(np.asarray(words, dtype=np.uint8))
-    codewords = enumerate_codewords(code.generator.array)
+    codewords = enumerate_codewords(code.generator)
     t = (code.d - 1) // 2
     decoded, ok = words.copy(), np.zeros(len(words), dtype=bool)
     for start in range(0, len(words), 64):
@@ -263,3 +275,39 @@ def block_permutations_oracle(words, seed):
 def gf2_mul_oracle(a, b):
     """``gf2_mul`` as a ``uint32`` matmul, reduced mod 2."""
     return (np.asarray(a, dtype=np.uint32) @ np.asarray(b, dtype=np.uint32)) & 1
+
+
+def gf2_solve_oracle(a, b):
+    """One solution x of a @ x = b over GF(2), free variables at zero, or None."""
+    a = np.asarray(a, dtype=np.uint8)
+    r, pivots = gf2_rref(np.hstack([a, np.asarray(b, dtype=np.uint8).reshape(-1, 1)]))
+    ncols = a.shape[1]
+    if ncols in pivots:
+        return None
+    x = np.zeros(ncols, dtype=np.uint8)
+    for row_idx, p in enumerate(pivots):
+        x[p] = r[row_idx, ncols]
+    return x
+
+
+def key_map_oracle(c1: LinearCode, c2: LinearCode) -> np.ndarray:
+    """The k x n key map of the nested pair C2 < C1, built row by row.
+
+    The representatives are the rows of C1, in order, that raise the rank of
+    C2's generator stacked with the rows kept so far. Row i of T solves
+    (h2 reps^T)^T x = e_i, and the key map is T h2.
+    """
+    k = c1.k_dim - c2.k_dim
+    reps, current = [], c2.generator
+    for row in c1.generator:
+        if len(reps) == k:
+            break
+        candidate = np.vstack([current, row[None, :]])
+        if gf2_rank(candidate) > gf2_rank(current):
+            reps.append(row)
+            current = candidate
+    assert len(reps) == k
+    h2 = c2.parity_check
+    lt = gf2_mul(h2, np.array(reps).T).T
+    t = np.array([gf2_solve_oracle(lt, e) for e in np.eye(k, dtype=np.uint8)])
+    return gf2_mul(t, h2)

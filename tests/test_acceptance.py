@@ -26,7 +26,7 @@ from eqkd.bounds import (
     theorem2_bound,
 )
 from eqkd.channel import BiasedInterceptResend, DepolarizingPauli, RngStreams
-from eqkd.codes import reconcile_bob_blocks, steane_pair
+from eqkd.codes import enumerate_codewords, reconcile_bob_blocks, steane_pair
 from eqkd.harness.endpoints import loopback_session
 from eqkd.harness.runner import ExperimentConfig, run_experiment
 from eqkd.protocol import (
@@ -173,7 +173,7 @@ def test_c5_reconciliation_exhaustive_within_radius():
         d[i] = 1
         deltas.append(d)
     received, announced, labels = [], [], []
-    for u in CSS.c1.codewords():
+    for u in enumerate_codewords(CSS.c1.generator):
         # the coset label, by an integer matmul of the key map
         label = (CSS.key_map.astype(np.int64) @ u) % 2
         for _ in range(100):

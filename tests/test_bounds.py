@@ -174,6 +174,12 @@ def test_theorem3_values():
         assert theorem3_fidelity(0.02, 0.01) == 0.0
     with pytest.raises(ValueError):
         theorem3_fidelity(0.001, 0.0)
+    assert theorem3_fidelity(0.0, 1.0) == 1.0
+    # probabilities outside [0, 1], NaN among them; eps2 > 0 as well
+    for eps1, eps2 in [(-0.1, 0.5), (1.5, 0.5), (math.nan, 0.5), (0.1, 3.0), (0.1, -0.5),
+                       (0.1, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(ValueError):
+            theorem3_fidelity(eps1, eps2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from eqkd.channel import WORDS_PER_PASS
 from eqkd.codes import (
-    BinaryMatrix,
     CodeError,
     DegenerateCode,
     DistanceTooSmall,
@@ -20,7 +19,6 @@ from eqkd.codes import (
     gf2_nullspace,
     gf2_rank,
     gf2_rref,
-    gf2_solve,
     load_css,
     min_distance,
     parse_code,
@@ -28,6 +26,7 @@ from eqkd.codes import (
     reconcile_bob_blocks,
     steane_pair,
     validate_css,
+    _from_rows,
     _labels,
     _stable_ranks,
     _syndrome_index,
@@ -35,6 +34,7 @@ from eqkd.codes import (
 from pipeline_oracle import (
     block_permutations_oracle,
     gf2_mul_oracle,
+    key_map_oracle,
     reconcile_alice_blocks_oracle,
     reconcile_bob_blocks_oracle,
     syndrome_decode_blocks,
@@ -44,7 +44,7 @@ HAMMING_ROWS = ["1000011", "0100101", "0010110", "0001111"]
 
 
 def hamming() -> LinearCode:
-    return LinearCode.from_generator(BinaryMatrix.from_rows(HAMMING_ROWS))
+    return LinearCode.from_generator(_from_rows(HAMMING_ROWS))
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +125,6 @@ def test_gf2_nullspace_annihilates():
     assert gf2_rank(ns) == ns.shape[0]
 
 
-def test_gf2_solve_consistent_and_inconsistent():
-    rng = np.random.default_rng(4)
-    a = rng.integers(0, 2, (5, 5), dtype=np.uint8)
-    x_true = rng.integers(0, 2, 5, dtype=np.uint8)
-    b = gf2_mul(a, x_true)
-    x = gf2_solve(a, b)
-    assert x is not None and np.array_equal(gf2_mul(a, x), b)
-    # an unsatisfiable system: 0 * x = 1
-    bad = gf2_solve(np.zeros((1, 3), dtype=np.uint8), np.array([1], dtype=np.uint8))
-    assert bad is None
-
-
 # ---------------------------------------------------------------------------
 # Linear codes
 # ---------------------------------------------------------------------------
@@ -144,34 +132,40 @@ def test_gf2_solve_consistent_and_inconsistent():
 def test_hamming_code_basics():
     code = hamming()
     assert (code.n, code.k_dim, code.d) == (7, 4, 3)
-    words = code.codewords()
+    words = enumerate_codewords(code.generator)
     assert words.shape == (16, 7)
     assert len({tuple(w) for w in words}) == 16
-    assert not code.syndrome(words).any()
-    assert min_distance(code.generator.array) == 3
+    assert not gf2_mul(words, code.parity_check.T).any()
+    assert min_distance(code.generator) == 3
 
 
 def test_from_generator_rejects_bad_inputs():
     with pytest.raises(CodeError):
-        LinearCode.from_generator(BinaryMatrix.from_rows(["110", "110"]))
+        LinearCode.from_generator(_from_rows(["110", "110"]))
     # a claimed distance is checked against the enumerated one, never used in its place
-    assert LinearCode.from_generator(BinaryMatrix.from_rows(HAMMING_ROWS), claimed_d=3).d == 3
+    assert LinearCode.from_generator(_from_rows(HAMMING_ROWS), claimed_d=3).d == 3
     with pytest.raises(CodeError, match="claimed distance 4 but computed 3"):
-        LinearCode.from_generator(BinaryMatrix.from_rows(HAMMING_ROWS), claimed_d=4)
+        LinearCode.from_generator(_from_rows(HAMMING_ROWS), claimed_d=4)
+    for not_2d in ([1, 0, 1], np.ones((1, 2, 3), dtype=np.uint8), [[1, 0], [1]]):
+        with pytest.raises(ValueError):
+            LinearCode.from_generator(not_2d)
+    for not_bits in ([[1, 2, 0]], [[1, -1, 0]], [[1, 0.5, 0]]):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            LinearCode.from_generator(not_bits)
 
 
-def test_encode_scalar_and_batch_agree():
-    code = hamming()
-    msgs = np.array([[1, 0, 1, 1], [0, 1, 0, 0]], dtype=np.uint8)
-    batch = code.encode(msgs)
-    for i, m in enumerate(msgs):
-        assert np.array_equal(code.encode(m), batch[i])
-        assert code.contains(batch[i])
+def test_from_generator_keeps_uint8_arrays():
+    code = LinearCode.from_generator(np.array(_from_rows(HAMMING_ROWS), dtype=bool))
+    for matrix in (code.generator, code.parity_check):
+        assert isinstance(matrix, np.ndarray) and matrix.dtype == np.uint8
+    assert np.array_equal(code.generator, _from_rows(HAMMING_ROWS))
+    assert code.parity_check.shape == (3, 7)
+    assert not gf2_mul(code.generator, code.parity_check.T).any()
 
 
 def test_decode_corrects_every_single_error():
     code = hamming()
-    for u in code.codewords():
+    for u in enumerate_codewords(code.generator):
         words = u ^ np.vstack([np.zeros(7, dtype=np.uint8), np.eye(7, dtype=np.uint8)])
         decoded, ok = syndrome_decode_blocks(code, words)
         assert ok.all()
@@ -180,7 +174,7 @@ def test_decode_corrects_every_single_error():
 
 def test_decode_is_bounded_distance():
     # [4,1] repetition: d = 4, t = 1, so weight-2 words are undecodable
-    rep = LinearCode.from_generator(BinaryMatrix.from_rows(["1111"]))
+    rep = LinearCode.from_generator(_from_rows(["1111"]))
     assert rep.d == 4
     decoded, ok = syndrome_decode_blocks(
         rep, np.array([[1, 0, 0, 0], [1, 1, 0, 0]], dtype=np.uint8)
@@ -206,17 +200,16 @@ def test_steane_pair_structure():
     assert (pair.n, pair.k, pair.t) == (7, 1, 1)
     assert pair.c1.k_dim == 4 and pair.c2.k_dim == 3
     # the inner code is the dual of the outer one
-    assert not gf2_mul(pair.c1.generator.array, pair.c2.generator.array.T).any()
+    assert not gf2_mul(pair.c1.generator, pair.c2.generator.T).any()
     # every inner codeword is an outer codeword
-    for row in pair.c2.generator.array:
-        assert pair.c1.contains(row)
+    assert not gf2_mul(enumerate_codewords(pair.c2.generator), pair.c1.parity_check.T).any()
 
 
 def test_coset_labels_split_outer_code_in_half():
     pair = steane_pair()
     labels = {0: 0, 1: 0}
-    inner = {tuple(w) for w in pair.c2.codewords()}
-    outer = pair.c1.codewords()
+    inner = {tuple(w) for w in enumerate_codewords(pair.c2.generator)}
+    outer = enumerate_codewords(pair.c1.generator)
     for u, (label,) in zip(outer, _labels(pair, outer).tolist()):
         labels[label] += 1
         assert (label == 0) == (tuple(u) in inner)
@@ -225,7 +218,7 @@ def test_coset_labels_split_outer_code_in_half():
 
 def test_validate_css_rejects_non_nested():
     c1 = hamming()
-    stray = LinearCode.from_generator(BinaryMatrix.from_rows(["1100000"]))
+    stray = LinearCode.from_generator(_from_rows(["1100000"]))
     with pytest.raises(NestingViolation):
         validate_css(c1, stray)
 
@@ -234,7 +227,7 @@ def test_validate_css_rejects_degenerate_and_weak():
     c1 = hamming()
     with pytest.raises(DegenerateCode):
         validate_css(c1, c1)
-    rep7 = LinearCode.from_generator(BinaryMatrix.from_rows(["1111111"]))
+    rep7 = LinearCode.from_generator(_from_rows(["1111111"]))
     # nested fine, but the dual of the inner code only has distance 2
     with pytest.raises(DistanceTooSmall):
         validate_css(c1, rep7)
@@ -242,7 +235,7 @@ def test_validate_css_rejects_degenerate_and_weak():
 
 def test_block_length_mismatch_rejected():
     c1 = hamming()
-    rep4 = LinearCode.from_generator(BinaryMatrix.from_rows(["1111"]))
+    rep4 = LinearCode.from_generator(_from_rows(["1111"]))
     with pytest.raises(CodeError):
         validate_css(c1, rep4)
 
@@ -269,7 +262,7 @@ SIMPLEX_15_4 = ["101010101010101", "011001100110011", "000111100001111", "000000
 
 
 def _pair_15_11():
-    c2 = LinearCode.from_generator(BinaryMatrix.from_rows(SIMPLEX_15_4))
+    c2 = LinearCode.from_generator(_from_rows(SIMPLEX_15_4))
     return validate_css(LinearCode.from_generator(c2.parity_check), c2)
 
 
@@ -280,10 +273,57 @@ def _pair_15_10():
     but not in the simplex code, so C1 is the [15,10,4] even-weight subcode.
     Its radius is 1, so 16 of its 32 syndromes have a leader.
     """
-    simplex = BinaryMatrix.from_rows(SIMPLEX_15_4).array
+    simplex = np.array(_from_rows(SIMPLEX_15_4), dtype=np.uint8)
     checks = np.vstack([simplex, np.ones((1, 15), dtype=np.uint8)])
     c1 = LinearCode.from_generator(gf2_nullspace(checks))
     return validate_css(c1, LinearCode.from_generator(simplex))
+
+
+def _golay_pair():
+    """The [23,12,7] Golay code over its dual [23,11,8], from the generator
+    polynomial x^11+x^10+x^6+x^5+x^4+x^2+1: row i holds its coefficients,
+    lowest degree first, shifted i places."""
+    poly = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
+    gen = np.zeros((12, 23), dtype=np.uint8)
+    for i in range(12):
+        gen[i, i : i + 12] = poly
+    c1 = LinearCode.from_generator(gen)
+    return validate_css(c1, LinearCode.from_generator(c1.parity_check))
+
+
+def test_the_golay_pair_certifies():
+    pair = _golay_pair()
+    assert (pair.n, pair.c1.k_dim, pair.c1.d, pair.c2.k_dim) == (23, 12, 7, 11)
+    assert (pair.t, pair.k) == (3, 1)
+    assert pair.covered.all()  # perfect: every syndrome has a leader of weight <= 3
+
+
+def _random_invertible(rng, k):
+    while True:
+        a = rng.integers(0, 2, (k, k), dtype=np.uint8)
+        if gf2_rank(a) == k:
+            return a
+
+
+@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _golay_pair])
+def test_key_map_matches_the_rank_loop_and_solve_oracle(make_pair):
+    pair = make_pair()
+    assert np.array_equal(pair.key_map, key_map_oracle(pair.c1, pair.c2))
+    # other bases of the same pair, and the pair with its columns permuted
+    rng = np.random.default_rng(60 + pair.n)
+    for _ in range(12):
+        perm = rng.permutation(pair.n)
+        c1, c2 = (
+            LinearCode.from_generator(
+                gf2_mul(_random_invertible(rng, c.k_dim), c.generator)[:, perm]
+            )
+            for c in (pair.c1, pair.c2)
+        )
+        mixed = validate_css(c1, c2)
+        assert np.array_equal(mixed.key_map, key_map_oracle(c1, c2))
+        # still a bijection on the cosets: zero on C2, and of rank k on C1
+        assert not gf2_mul(mixed.key_map, c2.generator.T).any()
+        assert gf2_rank(gf2_mul(c1.generator, mixed.key_map.T)) == pair.k
 
 
 def _words_of_every_weight(gen, blocks, n):
@@ -337,7 +377,7 @@ def _lightest_words_by_syndrome(code: LinearCode) -> np.ndarray:
     """(2^m, n): row s is the first word of least weight whose syndrome reads s."""
     words = np.array(list(itertools.product((0, 1), repeat=code.n)), dtype=np.uint8)
     words = words[np.argsort(words.sum(axis=1), kind="stable")]
-    idx = _syndrome_index(code.syndrome(words), code.n - code.k_dim)
+    idx = _syndrome_index(gf2_mul(words, code.parity_check.T), code.n - code.k_dim)
     syndromes, first = np.unique(idx, return_index=True)
     assert np.array_equal(syndromes, np.arange(2 ** (code.n - code.k_dim)))
     return words[first]
@@ -464,6 +504,17 @@ def test_parse_code_errors():
         parse_code(CODE_TEXT.replace("d = 3", "d = 4"))
 
 
+def test_only_a_d_equals_comment_claims_a_distance():
+    prose = "# dual-containing Hamming code, see MacWilliams = Sloane ch. 1\n"
+    for comment in (prose, "# distance = 9\n", "# d: 9\n", "# dd = 9\n"):
+        assert parse_code(comment + CODE_TEXT.replace("# d = 3\n", "")).d == 3
+    for claim in ("# d=3", "#d = 3", "#  d  =  3  "):
+        assert parse_code(CODE_TEXT.replace("# d = 3", claim)).d == 3
+    for claim in ("# d = three", "# d =", "# d = 3.0"):
+        with pytest.raises(CodeError, match="malformed distance claim"):
+            parse_code(CODE_TEXT.replace("# d = 3", claim))
+
+
 def test_css_meta_roundtrip():
     pair = steane_pair()
     rebuilt = css_from_meta(css_meta(pair))
@@ -497,7 +548,7 @@ def test_a_pair_whose_inner_dual_is_past_the_dimension_limit_is_refused():
     checks = ((np.arange(1, 23)[None, :] >> np.arange(5)[:, None]) & 1).astype(np.uint8)
     c1 = LinearCode.from_generator(gf2_nullspace(checks))
     assert (c1.n, c1.k_dim, c1.d) == (22, 17, 3)
-    c2 = LinearCode.from_generator(c1.generator.array[:1])
+    c2 = LinearCode.from_generator(c1.generator[:1])
     with pytest.raises(CodeError, match="dimension limit 20"):
         validate_css(c1, c2)
 

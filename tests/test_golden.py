@@ -29,7 +29,7 @@ from eqkd.channel import (
     Passive,
     PauliLetter,
 )
-from eqkd.codes import BinaryMatrix, LinearCode, steane_pair, validate_css
+from eqkd.codes import LinearCode, _from_rows, steane_pair, validate_css
 from eqkd.harness.cli import main
 from eqkd.harness.runner import ExperimentConfig, emit_csv, replay_verify, run_experiment
 from eqkd.protocol import ProtocolParams, run_session
@@ -41,7 +41,7 @@ CSS = steane_pair()
 # bits and radius 1 per 15-bit block. Row j of the simplex generator is bit j
 # of the column numbers 1..15.
 _SIMPLEX_15_4 = ["101010101010101", "011001100110011", "000111100001111", "000000011111111"]
-_C2_15 = LinearCode.from_generator(BinaryMatrix.from_rows(_SIMPLEX_15_4))
+_C2_15 = LinearCode.from_generator(_from_rows(_SIMPLEX_15_4))
 CSS_15_11 = validate_css(LinearCode.from_generator(_C2_15.parity_check), _C2_15)
 
 BASE = dict(n_qubits=4000, bias_p=0.3, m1=100, m2=100)

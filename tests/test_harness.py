@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -407,20 +408,33 @@ _SETTINGS = {"n_qubits": 3000, "bias_p": 0.3, "m1": 80, "m2": 80}
 _RUN = ["run", "--n", "3000", "--bias-p", "0.3", "--m1", "80", "--m2", "80"]
 
 
+_NOISY = {"kind": "depolarizing", "q": [0.97, 0.01, 0.01, 0.01]}
+
+
 @pytest.mark.parametrize(
-    "config",
-    [[1], {"params": 5}, {**_SETTINGS, "css": 5}, {**_SETTINGS, "code_files": 5},
-     {**_SETTINGS, "seed": [1]}, {**_SETTINGS, "seed": 6.5}, {**_SETTINGS, "n_qubits": 3000.0},
-     {**_SETTINGS, "m1": 80.5}, {**_SETTINGS, "m2": True}, {**_SETTINGS, "delta_prime": math.nan}],
+    "config, named",
+    [([1], ""), ({"params": 5}, ""), ({**_SETTINGS, "css": 5}, ""),
+     ({**_SETTINGS, "code_files": 5}, ""), ({**_SETTINGS, "seed": [1]}, ""),
+     ({**_SETTINGS, "seed": 6.5}, ""), ({**_SETTINGS, "n_qubits": 3000.0}, ""),
+     ({**_SETTINGS, "m1": 80.5}, ""), ({**_SETTINGS, "m2": True}, ""),
+     ({**_SETTINGS, "delta_prime": math.nan}, ""),
+     ({**_SETTINGS, "emax": 0.01}, "unknown config keys: emax"),
+     ({**_SETTINGS, "sed": 9}, "unknown config keys: sed"),
+     ({**_SETTINGS, "params": {"delta-e": 0.5}}, "unknown params keys: delta-e"),
+     ({**_SETTINGS, "strategy": {**_NOISY, "w": 3}}, "unknown depolarizing strategy keys: w"),
+     ({**_SETTINGS, "strategy": {"kind": "passive", "p1": 0.5}},
+      "unknown passive strategy keys: p1")],
     ids=["not_an_object", "params_not_an_object", "css_not_an_object", "code_files_not_a_list",
          "seed_a_list", "float_seed", "float_n_qubits", "fractional_m1", "boolean_m2",
-         "nan_delta_prime"],
+         "nan_delta_prime", "unknown_key", "misspelt_seed", "unknown_params_key",
+         "unknown_strategy_key", "unknown_passive_key"],
 )
-def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, config):
+def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, config, named):
     path = tmp_path / "session.json"
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path), "--trials", "1"]) == 2
-    assert capsys.readouterr().err.startswith("eqkd: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("eqkd: error: ") and named in err
 
 
 @pytest.mark.parametrize(
@@ -443,10 +457,20 @@ def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, conf
          "the Pauli string has 3 letters for 3000 qubits"),
         (["loopback", *_RUN[1:], "--pauli", "IXZ", "--out", "unused"],
          "the Pauli string has 3 letters for 3000 qubits"),
+        ([*_RUN, "--code", "h.txt,h.txt,h.txt"],
+         "argument --code: expected one or two code files FILE[,FILE2], not 'h.txt,h.txt,h.txt'"),
+        (["codes", "validate", "--code", "h.txt,h.txt,h.txt"],
+         "argument --code: expected one or two code files FILE[,FILE2], not 'h.txt,h.txt,h.txt'"),
+        ([*_RUN, "--code", "a.txt,"],
+         "argument --code: expected one or two code files FILE[,FILE2], not 'a.txt,'"),
+        (["codes", "validate", "--code", "a.txt,"],
+         "argument --code: expected one or two code files FILE[,FILE2], not 'a.txt,'"),
     ],
     ids=["run_without_settings", "attack_demo_without_eve", "run_negative_trials",
          "run_past_the_last_seed", "attack_demo_negative_trials", "loopback_nan_timeout",
-         "serve_negative_timeout", "run_short_pauli_string", "loopback_short_pauli_string"],
+         "serve_negative_timeout", "run_short_pauli_string", "loopback_short_pauli_string",
+         "run_three_code_files", "codes_validate_three_code_files", "run_empty_second_code_file",
+         "codes_validate_empty_second_code_file"],
 )
 def test_cli_usage_errors_exit_2(capsys, argv, wanted):
     try:
@@ -454,8 +478,9 @@ def test_cli_usage_errors_exit_2(capsys, argv, wanted):
     except SystemExit as exit_:
         # argparse refused a flag before the command ran: its usage, then one error line
         code = exit_.code
-        usage, _, err = capsys.readouterr().err.rpartition(f"eqkd {argv[0]}: error: ")
-        assert usage.startswith(f"usage: eqkd {argv[0]} ") and err == f"{wanted}\n"
+        prog = " ".join(["eqkd", *itertools.takewhile(lambda a: not a.startswith("-"), argv)])
+        usage, _, err = capsys.readouterr().err.rpartition(f"{prog}: error: ")
+        assert usage.startswith(f"usage: {prog} ") and err == f"{wanted}\n"
     else:
         assert capsys.readouterr().err == f"eqkd: error: {wanted}\n"
     assert code == 2
@@ -504,6 +529,11 @@ def test_cli_bounds_commands(capsys):
 
     assert main(["bounds", "theorem3", "--eps1", "0.01", "--eps2", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out) == {"fidelity": pytest.approx(0.98)}
+    for eps1, eps2, wanted in [("nan", "0.5", "eps1 must lie in [0, 1], not nan"),
+                               ("0.1", "3", "eps2 must lie in (0, 1]")]:
+        assert main(["bounds", "theorem3", "--eps1", eps1, "--eps2", eps2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"eqkd: error: {wanted}")
 
     assert main(["bounds", "rate", "--error-rate", "0.05"]) == 0
     out = json.loads(capsys.readouterr().out)
