@@ -27,7 +27,6 @@ from .bounds import (
     theorem3_fidelity,
 )
 from .channel import (
-    Basis,
     BiasedInterceptResend,
     DepolarizingPauli,
     FixedPauliString,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Actor",
     "AliceMachine",
-    "Basis",
     "BiasedInterceptResend",
     "BobMachine",
     "CssPair",

@@ -14,16 +14,9 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
-
-
-class Basis(enum.IntEnum):
-    """Measurement/preparation basis for one photon."""
-
-    RECTILINEAR = 0
-    DIAGONAL = 1
 
 
 class PauliLetter(enum.IntEnum):
@@ -114,8 +107,8 @@ def mismatch_coins(
 class SymbolBlock:
     """A batch of transmitted photons stored as parallel bit arrays.
 
-    Entry i is photon i's preparation basis (a :class:`Basis` value) and its
-    encoded bit; operations work on the arrays directly.
+    Entry i is photon i's preparation basis (0 rectilinear, 1 diagonal) and
+    its encoded bit; operations work on the arrays directly.
     """
 
     __slots__ = ("bases", "bits")
@@ -144,8 +137,8 @@ class SymbolBlock:
         return SymbolBlock(self.bases.copy(), self.bits.copy())
 
 
-class _Strategy:
-    """Behaviour shared by the channel strategies.
+class AttackStrategy:
+    """What a channel strategy is: the base of the four below.
 
     ``kind`` names the strategy in its dict form, which feeds the session
     metadata, the config digest and replay; ``stream`` names the RNG
@@ -154,6 +147,9 @@ class _Strategy:
 
     kind: ClassVar[str]
     stream: ClassVar[str | None] = None
+
+    def check(self, n_qubits: int) -> None:
+        """Refuse, as a ValueError, a session of ``n_qubits`` this strategy cannot act on."""
 
     def apply(self, block: SymbolBlock, rng: np.random.Generator | None) -> SymbolBlock:
         """What arrives at Bob's end when Alice sends ``block``."""
@@ -168,7 +164,7 @@ class _Strategy:
 
 
 @dataclass(frozen=True)
-class Passive(_Strategy):
+class Passive(AttackStrategy):
     """No eavesdropping, no noise: the channel is the identity."""
 
     kind: ClassVar[str] = "passive"
@@ -178,7 +174,7 @@ class Passive(_Strategy):
 
 
 @dataclass(frozen=True)
-class BiasedInterceptResend(_Strategy):
+class BiasedInterceptResend(AttackStrategy):
     """Intercept-resend attack with per-basis interception probabilities.
 
     Each photon is independently measured in the rectilinear basis with
@@ -230,7 +226,7 @@ class BiasedInterceptResend(_Strategy):
 
 
 @dataclass(frozen=True)
-class DepolarizingPauli(_Strategy):
+class DepolarizingPauli(AttackStrategy):
     """I.i.d. Pauli noise with letter probabilities (q_i, q_x, q_y, q_z)."""
 
     kind: ClassVar[str] = "depolarizing"
@@ -285,11 +281,11 @@ class DepolarizingPauli(_Strategy):
 
 
 @dataclass(frozen=True)
-class FixedPauliString(_Strategy):
+class FixedPauliString(AttackStrategy):
     """Apply one fixed Pauli letter per position; length must match the block.
 
-    Letters may be given as :class:`PauliLetter` values or by name, so
-    ``FixedPauliString("IXZ")`` is the three-letter string I, X, Z.
+    Letters may be given as :class:`PauliLetter` values or by name in either
+    case, so ``FixedPauliString("ixZ")`` is the three-letter string I, X, Z.
     """
 
     kind: ClassVar[str] = "fixed_pauli"
@@ -299,7 +295,8 @@ class FixedPauliString(_Strategy):
     def __post_init__(self) -> None:
         try:
             letters = tuple(
-                PauliLetter[l] if isinstance(l, str) else PauliLetter(l) for l in self.letters
+                PauliLetter[l.upper()] if isinstance(l, str) else PauliLetter(l)
+                for l in self.letters
             )
         except KeyError as exc:
             raise ValueError(f"unknown Pauli letter {exc.args[0]!r}") from None
@@ -308,15 +305,19 @@ class FixedPauliString(_Strategy):
     def to_dict(self) -> dict:
         return {"kind": self.kind, "letters": "".join(l.name for l in self.letters)}
 
+    def check(self, n_qubits: int) -> None:
+        n = len(self.letters)
+        if n != n_qubits:
+            raise ValueError(f"the Pauli string has {n} letters for {n_qubits} qubits")
+
     def apply(self, block: SymbolBlock, rng) -> SymbolBlock:
-        return apply_pauli_block(block, np.array(self.letters, dtype=np.uint8))
+        """The bases never change; a bit flips when its letter anticommutes with its basis."""
+        self.check(len(block))
+        flips = _FLIP[np.array(self.letters, dtype=np.uint8), block.bases]
+        return SymbolBlock(block.bases.copy(), block.bits ^ flips)
 
 
-AttackStrategy = Union[Passive, BiasedInterceptResend, DepolarizingPauli, FixedPauliString]
-
-_STRATEGY_KINDS = {
-    cls.kind: cls for cls in (Passive, BiasedInterceptResend, DepolarizingPauli, FixedPauliString)
-}
+_STRATEGY_KINDS = {cls.kind: cls for cls in AttackStrategy.__subclasses__()}
 
 
 def strategy_from_dict(d: dict) -> AttackStrategy:
@@ -335,19 +336,6 @@ def strategy_from_dict(d: dict) -> AttackStrategy:
         names = ", ".join(sorted(map(str, unknown)))
         raise ValueError(f"unknown {cls.kind} strategy keys: {names}")
     return strategy
-
-
-def apply_pauli_block(block: SymbolBlock, letters: np.ndarray) -> SymbolBlock:
-    """Apply one Pauli letter per position of a block.
-
-    The bases never change; a bit flips when its letter anticommutes with
-    the encoding of its basis.
-    """
-    letters = np.asarray(letters, dtype=np.uint8)
-    if letters.shape != block.bases.shape:
-        raise ValueError("letter string length must match the block")
-    flips = _FLIP[letters, block.bases]
-    return SymbolBlock(block.bases.copy(), block.bits ^ flips)
 
 
 def transmit(

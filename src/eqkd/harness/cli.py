@@ -59,9 +59,15 @@ def _eve(text: str) -> tuple[float, float]:
     return p1, p2
 
 
+def _one_or_two_paths(files) -> bool:
+    """The rule for ``--code`` and a config's ``code_files``: one or two non-empty paths."""
+    return (isinstance(files, list) and len(files) in (1, 2)
+            and all(isinstance(f, str) and f for f in files))
+
+
 def _code_files(text: str) -> list[str]:
     files = text.split(",")
-    if not (len(files) <= 2 and all(files)):
+    if not _one_or_two_paths(files):
         msg = f"expected one or two code files FILE[,FILE2], not {text!r}"
         raise argparse.ArgumentTypeError(msg)
     return files
@@ -118,7 +124,7 @@ def _session_setup(args):
     elif args.depolarize is not None:
         strategy = DepolarizingPauli.symmetric(args.depolarize)
     elif args.pauli is not None:
-        strategy = FixedPauliString(args.pauli.upper())
+        strategy = FixedPauliString(args.pauli)
     else:
         strategy = strategy_from_dict(file_cfg.get("strategy", {"kind": "passive"}))
 
@@ -128,8 +134,7 @@ def _session_setup(args):
         css = css_from_meta(file_cfg["css"])
     elif "code_files" in file_cfg:
         files = file_cfg["code_files"]
-        if not (isinstance(files, list) and len(files) in (1, 2)
-                and all(isinstance(f, str) for f in files)):
+        if not _one_or_two_paths(files):
             raise ValueError(f"malformed code_files {files!r}")
         css = load_css(*files)
     else:

@@ -17,7 +17,7 @@ import os
 import pickle
 import signal
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,21 +39,6 @@ from ..protocol import (
 )
 from ..transcript import SessionTranscript, TranscriptError
 from .endpoints import start_context
-
-CSV_FIELDS = (
-    "trial",
-    "seed",
-    "status",
-    "e1",
-    "e2",
-    "naive_rate",
-    "retained_fraction",
-    "num_blocks",
-    "key_length",
-    "key_match",
-    "blocks_match",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -93,9 +78,11 @@ class TrialRow:
     blocks_match: int | None
 
 
+CSV_FIELDS = tuple(f.name for f in fields(TrialRow))
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    config: ExperimentConfig
     rows: list[TrialRow]
     summary: dict
     outcomes: list[SessionOutcome]
@@ -212,9 +199,7 @@ def run_experiment(config: ExperimentConfig, keep_outcomes: bool = False) -> Exp
             proc.close()
         for pipe in pipes:
             pipe.close()
-    return ExperimentResult(
-        config=config, rows=rows, summary=aggregate(rows), outcomes=outcomes
-    )
+    return ExperimentResult(rows=rows, summary=aggregate(rows), outcomes=outcomes)
 
 
 def _mean(values) -> float | None:

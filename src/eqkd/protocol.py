@@ -30,7 +30,6 @@ import numpy as np
 from .channel import (
     DRAW_CONTRACT,
     AttackStrategy,
-    FixedPauliString,
     RngStreams,
     SymbolBlock,
     bernoulli_threshold,
@@ -469,12 +468,9 @@ def session_meta(
 ) -> dict:
     """The session's configuration, as its transcript records it.
 
-    A fixed Pauli string of other than one letter per qubit is a ValueError.
+    A strategy that cannot act on ``params.n_qubits`` qubits is a ValueError.
     """
-    if isinstance(strategy, FixedPauliString) and len(strategy.letters) != params.n_qubits:
-        raise ValueError(
-            f"the Pauli string has {len(strategy.letters)} letters for {params.n_qubits} qubits"
-        )
+    strategy.check(params.n_qubits)
     return {
         "seed": int(seed),
         "draw_contract": DRAW_CONTRACT,

@@ -24,6 +24,8 @@ passes, without building those intermediates.
 uses. It searches all the codewords for one within the code's radius, so it
 shares no syndrome table with the library.
 
+``Basis`` names the two basis values, 0 and 1, that ``SymbolBlock`` holds.
+
 ``key_map_oracle`` builds a pair's key map the long way: a greedy rank loop
 picks the coset representatives, and one linear solve per key bit inverts
 them.
@@ -31,11 +33,12 @@ them.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from eqkd.channel import Basis, RngStreams, SymbolBlock, apply_pauli_block, transmit
+from eqkd.channel import RngStreams, SymbolBlock, transmit
 from eqkd.codes import (
     CssPair,
     LinearCode,
@@ -52,6 +55,13 @@ from eqkd.protocol import (
     read_payload,
 )
 from eqkd.transcript import EventKind
+
+
+class Basis(enum.IntEnum):
+    """Measurement/preparation basis for one photon."""
+
+    RECTILINEAR = 0
+    DIAGONAL = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +192,10 @@ def letter_thresholds(strategy) -> list[int]:
 def depolarizing_letters_oracle(strategy, block, rng):
     """``DepolarizingPauli.apply`` by explicit letters: ``searchsorted``, then the flip table."""
     u = _raw_u32(rng, len(block))
-    letters = np.searchsorted(letter_thresholds(strategy), u, side="right").astype(np.uint8)
-    return apply_pauli_block(block, letters)
+    letters = np.searchsorted(letter_thresholds(strategy), u, side="right")
+    # X (1) and Y (2) flip a rectilinear bit, Y and Z (3) a diagonal one
+    flips = np.where(block.bases == Basis.DIAGONAL, letters >= 2, (letters == 1) | (letters == 2))
+    return SymbolBlock(block.bases.copy(), block.bits ^ flips.astype(np.uint8))
 
 
 def biased_intercept_resend_oracle(strategy, block, rng):

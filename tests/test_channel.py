@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from eqkd.channel import (
-    Basis,
     BiasedInterceptResend,
     DepolarizingPauli,
     FixedPauliString,
@@ -10,10 +9,10 @@ from eqkd.channel import (
     PauliLetter,
     RngStreams,
     SymbolBlock,
-    apply_pauli_block,
     transmit,
 )
 from pipeline_oracle import (
+    Basis,
     FixedDraws,
     biased_intercept_resend_oracle,
     depolarizing_letters_oracle,
@@ -39,15 +38,15 @@ FLIPS = {
 @pytest.mark.parametrize("bit", [0, 1])
 def test_pauli_action_exhaustive(letter, basis, bit):
     block = SymbolBlock(np.array([basis], dtype=np.uint8), np.array([bit], dtype=np.uint8))
-    out = apply_pauli_block(block, np.array([letter]))
+    out = FixedPauliString((letter,)).apply(block, None)
     assert out.bases.tolist() == [basis]
     assert out.bits.tolist() == [bit ^ FLIPS[(letter, basis)]]
 
 
-def test_apply_pauli_block_length_mismatch():
+def test_fixed_pauli_string_length_mismatch():
     block = SymbolBlock(np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        apply_pauli_block(block, np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="the Pauli string has 3 letters for 4 qubits"):
+        FixedPauliString("III").apply(block, None)
 
 
 def test_symbol_block_validation_and_roundtrip():
@@ -104,6 +103,8 @@ def test_fixed_pauli_string_deterministic():
     with pytest.raises(ValueError):
         transmit(block, FixedPauliString((PauliLetter.I,)), np.random.default_rng(0))
     assert FixedPauliString("XZYI") == FixedPauliString(letters)
+    assert FixedPauliString("ixz") == FixedPauliString("IXZ")
+    assert FixedPauliString("xzYi").to_dict() == {"kind": "fixed_pauli", "letters": "XZYI"}
     with pytest.raises(ValueError):
         FixedPauliString("IQ")
 

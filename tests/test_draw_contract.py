@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from eqkd.channel import (
-    Basis,
     BiasedInterceptResend,
     DepolarizingPauli,
     PauliLetter,
@@ -19,7 +18,7 @@ from eqkd.channel import (
     bernoulli_threshold,
 )
 from eqkd.protocol import ProtocolParams, _draw_bases, biased_attack_rates
-from pipeline_oracle import FixedDraws, letter_thresholds, quantum_phase, sift
+from pipeline_oracle import Basis, FixedDraws, letter_thresholds, quantum_phase, sift
 
 SEEDS = range(200)
 PARAMS = ProtocolParams(n_qubits=4000, bias_p=0.3, m1=100, m2=100)

@@ -161,6 +161,19 @@ def test_hello_version_check(sockets):
         recv_hello(b)
 
 
+@pytest.mark.parametrize(
+    "tag, body, wanted",
+    [(0x01, b"{}", "expected a hello frame first"),
+     *((0x00, bytes([0x01]) * size, "hello frame has the wrong size") for size in (0, 1, 32, 34))],
+    ids=["event_frame", "empty", "version_only", "short_digest", "long_digest"],
+)
+def test_hello_refuses_a_frame_that_is_not_a_hello(sockets, tag, body, wanted):
+    a, b = sockets
+    send_frame(a, tag, body)
+    with pytest.raises(HandshakeError, match=wanted):
+        recv_hello(b)
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -414,7 +427,9 @@ _NOISY = {"kind": "depolarizing", "q": [0.97, 0.01, 0.01, 0.01]}
 @pytest.mark.parametrize(
     "config, named",
     [([1], ""), ({"params": 5}, ""), ({**_SETTINGS, "css": 5}, ""),
-     ({**_SETTINGS, "code_files": 5}, ""), ({**_SETTINGS, "seed": [1]}, ""),
+     ({**_SETTINGS, "code_files": 5}, ""),
+     ({**_SETTINGS, "code_files": ["h.txt", ""]}, "malformed code_files ['h.txt', '']"),
+     ({**_SETTINGS, "seed": [1]}, ""),
      ({**_SETTINGS, "seed": 6.5}, ""), ({**_SETTINGS, "n_qubits": 3000.0}, ""),
      ({**_SETTINGS, "m1": 80.5}, ""), ({**_SETTINGS, "m2": True}, ""),
      ({**_SETTINGS, "delta_prime": math.nan}, ""),
@@ -425,8 +440,8 @@ _NOISY = {"kind": "depolarizing", "q": [0.97, 0.01, 0.01, 0.01]}
      ({**_SETTINGS, "strategy": {"kind": "passive", "p1": 0.5}},
       "unknown passive strategy keys: p1")],
     ids=["not_an_object", "params_not_an_object", "css_not_an_object", "code_files_not_a_list",
-         "seed_a_list", "float_seed", "float_n_qubits", "fractional_m1", "boolean_m2",
-         "nan_delta_prime", "unknown_key", "misspelt_seed", "unknown_params_key",
+         "code_files_empty_path", "seed_a_list", "float_seed", "float_n_qubits",
+         "fractional_m1", "boolean_m2", "nan_delta_prime", "unknown_key", "misspelt_seed", "unknown_params_key",
          "unknown_strategy_key", "unknown_passive_key"],
 )
 def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, config, named):
@@ -608,12 +623,19 @@ def test_cli_run_reads_a_code_pair_from_a_flag_or_a_config_file(tmp_path, capsys
         assert summary["mean_key_length"] == 7 * summary["total_blocks"] > 0
 
 
-def test_cli_run_applies_a_fixed_pauli_string(capsys):
+def test_cli_run_applies_a_fixed_pauli_string(tmp_path, capsys):
     # Y on every symbol flips every sifted bit of either basis; letters may be lower case
-    assert main([*_RUN, "--pauli", "y" * 3000, "--trials", "1"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["status_counts"]["aborted_error_rate"] == 1
-    assert summary["mean_e1"] == summary["mean_e2"] == 1.0
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({**_SETTINGS, "strategy": {"kind": "fixed_pauli",
+                                                            "letters": "y" * 3000}}))
+    summaries = []
+    for argv in ([*_RUN, "--pauli", "y" * 3000], ["run", "--config", str(config)]):
+        assert main([*argv, "--trials", "1"]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    flag, file = summaries
+    assert file == flag
+    assert flag["status_counts"]["aborted_error_rate"] == 1
+    assert flag["mean_e1"] == flag["mean_e2"] == 1.0
 
 
 def test_cli_loopback_reports_every_exit_code_and_the_channel_outcome(tmp_path, capsys):

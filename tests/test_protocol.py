@@ -512,6 +512,17 @@ def test_bob_rejects_an_insufficient_sample_decision_after_his_test_sample():
     assert not bob.done
 
 
+@pytest.mark.parametrize("status", ["proceed", "abort_error_rate"])
+def test_alice_rejects_an_early_decision_that_is_not_insufficient_sample(status):
+    # where Bob's test sample is due, his only decision can be that he has none
+    alice, actor, genuine = _awaiting(EventKind.TEST_INDICES, 25, to_alice=True)
+    with pytest.raises(ProtocolViolation, match="unexpected early decision"):
+        alice.receive(actor, EventKind.DECISION, {"status": status})
+    assert alice.failed and not alice.done
+    with pytest.raises(ProtocolViolation):
+        alice.receive(actor, EventKind.TEST_INDICES, genuine)
+
+
 @pytest.mark.parametrize(
     "probe",
     ["repeated_index", "outside_the_class", "out_of_range", "wrong_length", "not_increasing",
