@@ -31,7 +31,6 @@ from .channel import (
     DepolarizingPauli,
     FixedPauliString,
     Passive,
-    PauliLetter,
     RngStreams,
     SymbolBlock,
     transmit,
@@ -76,7 +75,6 @@ __all__ = [
     "LinearCode",
     "ParameterPlan",
     "Passive",
-    "PauliLetter",
     "ProtocolParams",
     "RngStreams",
     "SamplingInstance",

@@ -11,7 +11,6 @@ vertical; in the diagonal basis bit 0 is 45 degrees and bit 1 is 135 degrees.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
@@ -19,18 +18,12 @@ from typing import ClassVar
 import numpy as np
 
 
-class PauliLetter(enum.IntEnum):
-    """Single-qubit Pauli error acting on a polarization state."""
-
-    I = 0
-    X = 1
-    Y = 2
-    Z = 3
-
-
-# _FLIP[letter, basis] == 1 when the letter flips the encoded bit in that
-# basis: X flips rectilinear encodings only, Z diagonal only, Y both.
-_FLIP = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.uint8)
+# _FLIP[b, basis] == 1 when the Pauli letter named by byte b flips the encoded
+# bit in that basis: X flips rectilinear encodings only, Z diagonal only, Y both.
+_FLIP = np.zeros((256, 2), dtype=np.uint8)
+_FLIP[list(b"XYZ")] = [[1, 0], [1, 1], [0, 1]]
+# a Pauli letter's name, from its name in either case or from its code 0-3
+_PAULI_NAMES = {**{c: c.upper() for c in "IXYZixyz"}, **dict(enumerate("IXYZ"))}
 
 
 # The draw contract: how every per-symbol kernel turns a generator's output
@@ -284,26 +277,25 @@ class DepolarizingPauli(AttackStrategy):
 class FixedPauliString(AttackStrategy):
     """Apply one fixed Pauli letter per position; length must match the block.
 
-    Letters may be given as :class:`PauliLetter` values or by name in either
-    case, so ``FixedPauliString("ixZ")`` is the three-letter string I, X, Z.
+    The letters are one upper-case string of I, X, Y and Z, given by name in
+    either case or as codes 0-3: ``FixedPauliString("ixZ")`` and
+    ``FixedPauliString((0, 1, 3))`` are both IXZ.
     """
 
     kind: ClassVar[str] = "fixed_pauli"
 
-    letters: tuple
+    letters: str
 
     def __post_init__(self) -> None:
-        try:
-            letters = tuple(
-                PauliLetter[l.upper()] if isinstance(l, str) else PauliLetter(l)
-                for l in self.letters
-            )
-        except KeyError as exc:
-            raise ValueError(f"unknown Pauli letter {exc.args[0]!r}") from None
+        letters = self.letters
+        if isinstance(letters, str) and set(letters) <= _PAULI_NAMES.keys():
+            letters = letters.upper()
+        else:  # a sequence of names and codes, or a string with an unknown letter
+            try:
+                letters = "".join(_PAULI_NAMES[l] for l in letters)
+            except KeyError as exc:
+                raise ValueError(f"unknown Pauli letter {exc.args[0]!r}") from None
         object.__setattr__(self, "letters", letters)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "letters": "".join(l.name for l in self.letters)}
 
     def check(self, n_qubits: int) -> None:
         n = len(self.letters)
@@ -313,7 +305,7 @@ class FixedPauliString(AttackStrategy):
     def apply(self, block: SymbolBlock, rng) -> SymbolBlock:
         """The bases never change; a bit flips when its letter anticommutes with its basis."""
         self.check(len(block))
-        flips = _FLIP[np.array(self.letters, dtype=np.uint8), block.bases]
+        flips = _FLIP[np.frombuffer(self.letters.encode(), dtype=np.uint8), block.bases]
         return SymbolBlock(block.bases.copy(), block.bits ^ flips)
 
 

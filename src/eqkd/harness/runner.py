@@ -314,7 +314,7 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
     first divergence, what is malformed, or the other draw contract the
     session was recorded under. Partial (single-party) transcripts are
     rejected. Before the replay, every payload is read through the payload
-    table at the recorded sizes, each block count bounded by N // block_len;
+    table at the recorded sizes, each block count bounded by (N - m2) // block_len;
     the first malformed field is named with its event.
     """
     if not isinstance(transcript, SessionTranscript):
@@ -329,7 +329,7 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
     if other := other_draw_contract(meta):
         return False, other
     params, strategy, css, seed = session_from_meta(meta)
-    sizes = session_sizes(params, css, blocks=(0, params.n_qubits // css.n))
+    sizes = session_sizes(params, css)
     for ev in transcript.events:
         try:
             read_payload(ev.kind, ev.payload, sizes)

@@ -233,28 +233,6 @@ def bob_measure(
     return SymbolBlock(bases, bits)
 
 
-def _sift_positions(
-    alice_bases: np.ndarray, bob_bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the both-rectilinear and the both-diagonal class.
-
-    The bases are 0/1 uint8 arrays, so their bool views read True for
-    diagonal.
-    """
-    a = alice_bases.view(bool)
-    b = bob_bases.view(bool)
-    return np.flatnonzero(~(a | b)), np.flatnonzero(a & b)
-
-
-def _draw_class_samples(
-    n_rect: int, n_diag: int, m1: int, m2: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted without-replacement index samples for both classes."""
-    i1 = np.sort(rng.choice(n_rect, size=m1, replace=False))
-    i2 = np.sort(rng.choice(n_diag, size=m2, replace=False))
-    return i1, i2
-
-
 def _in_class(positions: np.ndarray, sample: np.ndarray, name: str) -> np.ndarray:
     """A test sample the peer announced, checked to be positions of its class.
 
@@ -392,9 +370,16 @@ PAYLOADS = {
 }
 
 
-def session_sizes(params: ProtocolParams, css: CssPair, blocks) -> dict:
-    """The sizes the payload table names, with the block count as known to the reader."""
+def session_sizes(params: ProtocolParams, css: CssPair, n_diag: int | None = None) -> dict:
+    """The sizes the payload table names, and the one place the key layout is sized.
+
+    The key is the untested part of a both-diagonal class of ``n_diag``
+    positions, in (n_diag - m2) // css.n whole blocks. Without ``n_diag``
+    the block count is known only to its range, from 0 to its value at N.
+    """
     p = params
+    top = max(0, (p.n_qubits if n_diag is None else n_diag) - p.m2) // css.n
+    blocks = (0, top) if n_diag is None else top
     return {"n": p.n_qubits, "m1": p.m1, "m2": p.m2, "block_len": css.n, "blocks": blocks}
 
 
@@ -560,13 +545,13 @@ class _PartyMachine:
         self.done = False
         self.failed = False  # set at the first violation; then every message is refused
         self.result: PartyResult | None = None
+        self.sizes = session_sizes(params, css)  # the block count is a range until sifting
         self._rect_pos: np.ndarray | None = None
         self._diag_pos: np.ndarray | None = None
         self._test_rect: np.ndarray | None = None
         self._test_diag: np.ndarray | None = None
         self._estimate: ErrorEstimate | None = None
         self._key: np.ndarray | None = None
-        self._num_blocks = 0
 
     def _emit(self, kind: EventKind, payload: dict) -> Message:
         self.transcript.append(self.actor, kind, payload)
@@ -578,14 +563,13 @@ class _PartyMachine:
         It must be the grammar's next event, from a peer. A party receives
         each kind at most once, so ``receive`` dispatches on the kind alone
         once this has passed. The block count is this party's own layout,
-        once its test sample is known.
+        once it has sifted.
         """
         if self.failed:
             raise ProtocolViolation(f"{kind.value} from {actor.value} after an earlier violation")
         if self.done or actor is self.actor or not self.transcript.allows(actor, kind):
             raise ProtocolViolation(f"unexpected {kind.value} from {actor.value}")
-        blocks = 0 if self._test_diag is None else self._layout_blocks()
-        fields = read_payload(kind, payload, session_sizes(self.params, self.css, blocks))
+        fields = read_payload(kind, payload, self.sizes)
         self.transcript.append(actor, kind, payload)
         return fields
 
@@ -599,13 +583,20 @@ class _PartyMachine:
             key=self._key,
             own_digest=own_digest,
             peer_digest=peer_digest,
-            num_blocks=self._num_blocks,
+            num_blocks=self.sizes["blocks"] if status is SessionStatus.ACCEPTED else 0,
         )
         self.done = True
 
-    def _layout_blocks(self) -> int:
-        """How many whole blocks the untested both-diagonal positions fill."""
-        return (self._diag_pos.size - self._test_diag.size) // self.css.n
+    def _sift(self, alice_bases: np.ndarray, bob_bases: np.ndarray) -> bool:
+        """Find both same-basis classes and size the key layout; whether the session goes on.
+
+        It does when each class holds its test sample and the diagonal one a
+        whole block besides. A 0/1 basis array's bool view reads True for diagonal.
+        """
+        a, b = alice_bases.view(bool), bob_bases.view(bool)
+        self._rect_pos, self._diag_pos = np.flatnonzero(~(a | b)), np.flatnonzero(a & b)
+        self.sizes = session_sizes(self.params, self.css, self._diag_pos.size)
+        return self._rect_pos.size >= self.params.m1 and self.sizes["blocks"] >= 1
 
     def _raw_key_layout(self, bits: np.ndarray) -> np.ndarray:
         """This party's raw key: ``bits`` at the untested both-diagonal positions.
@@ -619,7 +610,7 @@ class _PartyMachine:
         """
         keep = np.ones(self._diag_pos.size, dtype=bool)
         keep[np.searchsorted(self._diag_pos, self._test_diag)] = False
-        blocks, n = self._layout_blocks(), self.css.n
+        blocks, n = self.sizes["blocks"], self.css.n
         return bits[self._diag_pos][keep][: blocks * n].reshape(blocks, n)
 
 
@@ -633,6 +624,7 @@ class AliceMachine(_PartyMachine):
         self.symbols: SymbolBlock | None = None
         self._bases_hex: str | None = None  # sent with her qubits, announced again when sifting
         self._own_digest: str | None = None
+        self._sample_fits: bool | None = None  # whether Bob owes a test sample; known once sifted
 
     def start(self) -> list[Message]:
         if self.symbols is not None:
@@ -648,16 +640,19 @@ class AliceMachine(_PartyMachine):
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
         fields = self._accept(actor, kind, payload)
         if kind is EventKind.BASES_ANNOUNCED_BOB:
+            self._sample_fits = self._sift(self.symbols.bases, fields["bases"])
             bases = {"n": len(self.symbols), "bases": self._bases_hex}
-            out = [self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)]
-            self._rect_pos, self._diag_pos = _sift_positions(self.symbols.bases, fields["bases"])
-            return out
+            return [self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)]
         if kind is EventKind.DECISION:
             if fields["status"] is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
                 raise ProtocolViolation("unexpected early decision")
+            if self._sample_fits:
+                raise ProtocolViolation("insufficient-sample decision, but the sample fits")
             self._finish(fields["status"])
             return []
         if kind is EventKind.TEST_INDICES:
+            if not self._sample_fits:
+                raise ProtocolViolation("test sample, but the classes are too small for one")
             self._test_rect = _in_class(self._rect_pos, fields["rect"], "rect")
             self._test_diag = _in_class(self._diag_pos, fields["diag"], "diag")
             return []
@@ -689,7 +684,6 @@ class AliceMachine(_PartyMachine):
     def _reconcile(self) -> list[Message]:
         css = self.css
         v = self._raw_key_layout(self.symbols.bits)
-        blocks = self._num_blocks = v.shape[0]
         perm_seed = int(self.streams.stream("permutation").integers(0, 2**63))
         announcements, keys = reconcile_alice_blocks(
             css, block_permutations(v, perm_seed), self.streams.stream("codeword")
@@ -697,7 +691,7 @@ class AliceMachine(_PartyMachine):
         self._key = keys.reshape(-1)
         digest_payload = key_digest_payload(self._key)
         self._own_digest = digest_payload["digest"]
-        layout = {"blocks": blocks, "block_len": css.n}
+        layout = {"blocks": v.shape[0], "block_len": css.n}
         return [
             self._emit(EventKind.PERMUTATION_SEED, {"seed": perm_seed, **layout}),
             self._emit(
@@ -728,8 +722,7 @@ class BobMachine(_PartyMachine):
             bases = {"n": len(self.results), "bases": pack_bits(self.results.bases)}
             return [self._emit(EventKind.BASES_ANNOUNCED_BOB, bases)]
         if kind is EventKind.BASES_ANNOUNCED_ALICE:
-            self._rect_pos, self._diag_pos = _sift_positions(fields["bases"], self.results.bases)
-            return self._select_test()
+            return self._select_test(self._sift(fields["bases"], self.results.bases))
         if kind is EventKind.ESTIMATE:
             self._estimate = ErrorEstimate(**fields)
             return []
@@ -741,7 +734,7 @@ class BobMachine(_PartyMachine):
                 self._finish(status)
             return []
         if kind is EventKind.PERMUTATION_SEED:
-            self._perm_seed, self._num_blocks = fields["seed"], fields["blocks"]
+            self._perm_seed = fields["seed"]
             return []
         if kind is EventKind.CODEWORD_ANNOUNCEMENT:
             w = self._raw_key_layout(self.results.bits)
@@ -755,26 +748,18 @@ class BobMachine(_PartyMachine):
         self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], fields["digest"])
         return out
 
-    def _select_test(self) -> list[Message]:
+    def _select_test(self, enough: bool) -> list[Message]:
+        """Bob's sorted test samples, without replacement, or his insufficient-sample decision."""
         p = self.params
-        enough = (
-            self._rect_pos.size >= p.m1
-            and self._diag_pos.size >= p.m2 + self.css.n
-        )
         if not enough:
             status = SessionStatus.ABORTED_INSUFFICIENT_SAMPLE
             out = [self._emit(EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]})]
             self._finish(status)
             return out
-        i1, i2 = _draw_class_samples(
-            self._rect_pos.size,
-            self._diag_pos.size,
-            p.m1,
-            p.m2,
-            self.streams.stream("test_selection"),
-        )
-        self._test_rect = self._rect_pos[i1]
-        self._test_diag = self._diag_pos[i2]
+        rng = self.streams.stream("test_selection")
+        i1 = np.sort(rng.choice(self._rect_pos.size, size=p.m1, replace=False))
+        i2 = np.sort(rng.choice(self._diag_pos.size, size=p.m2, replace=False))
+        self._test_rect, self._test_diag = self._rect_pos[i1], self._diag_pos[i2]
         return [
             self._emit(
                 EventKind.TEST_INDICES,

@@ -24,7 +24,9 @@ passes, without building those intermediates.
 uses. It searches all the codewords for one within the code's radius, so it
 shares no syndrome table with the library.
 
-``Basis`` names the two basis values, 0 and 1, that ``SymbolBlock`` holds.
+``Basis`` names the two basis values, 0 and 1, that ``SymbolBlock`` holds,
+and ``PauliLetter`` the four letter codes, 0-3, that ``FixedPauliString``
+reads.
 
 ``key_map_oracle`` builds a pair's key map the long way: a greedy rank loop
 picks the coset representatives, and one linear solve per key bit inverts
@@ -62,6 +64,15 @@ class Basis(enum.IntEnum):
 
     RECTILINEAR = 0
     DIAGONAL = 1
+
+
+class PauliLetter(enum.IntEnum):
+    """Single-qubit Pauli error acting on a polarization state."""
+
+    I = 0
+    X = 1
+    Y = 2
+    Z = 3
 
 
 @dataclass(frozen=True, eq=False)

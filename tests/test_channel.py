@@ -6,14 +6,15 @@ from eqkd.channel import (
     DepolarizingPauli,
     FixedPauliString,
     Passive,
-    PauliLetter,
     RngStreams,
     SymbolBlock,
+    strategy_from_dict,
     transmit,
 )
 from pipeline_oracle import (
     Basis,
     FixedDraws,
+    PauliLetter,
     biased_intercept_resend_oracle,
     depolarizing_letters_oracle,
     letter_thresholds,
@@ -105,8 +106,13 @@ def test_fixed_pauli_string_deterministic():
     assert FixedPauliString("XZYI") == FixedPauliString(letters)
     assert FixedPauliString("ixz") == FixedPauliString("IXZ")
     assert FixedPauliString("xzYi").to_dict() == {"kind": "fixed_pauli", "letters": "XZYI"}
-    with pytest.raises(ValueError):
-        FixedPauliString("IQ")
+    assert FixedPauliString((0, 1, 3)).letters == FixedPauliString(["i", "X", 3]).letters == "IXZ"
+    # an unknown name, a name of two letters and codes outside 0-3, directly and from a config
+    for unknown in ("IQ", ("I", "W"), ("XZ",), (7,), (-1,)):
+        with pytest.raises(ValueError, match="unknown Pauli letter"):
+            FixedPauliString(unknown)
+        with pytest.raises(ValueError, match="unknown Pauli letter"):
+            strategy_from_dict({"kind": "fixed_pauli", "letters": list(unknown)})
 
 
 def test_depolarizing_per_basis_flip_rate():

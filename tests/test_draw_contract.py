@@ -13,12 +13,18 @@ import pytest
 from eqkd.channel import (
     BiasedInterceptResend,
     DepolarizingPauli,
-    PauliLetter,
     SymbolBlock,
     bernoulli_threshold,
 )
 from eqkd.protocol import ProtocolParams, _draw_bases, biased_attack_rates
-from pipeline_oracle import Basis, FixedDraws, letter_thresholds, quantum_phase, sift
+from pipeline_oracle import (
+    Basis,
+    FixedDraws,
+    PauliLetter,
+    letter_thresholds,
+    quantum_phase,
+    sift,
+)
 
 SEEDS = range(200)
 PARAMS = ProtocolParams(n_qubits=4000, bias_p=0.3, m1=100, m2=100)

@@ -27,13 +27,13 @@ from eqkd.channel import (
     DepolarizingPauli,
     FixedPauliString,
     Passive,
-    PauliLetter,
 )
 from eqkd.codes import LinearCode, _from_rows, steane_pair, validate_css
 from eqkd.harness.cli import main
 from eqkd.harness.runner import ExperimentConfig, emit_csv, replay_verify, run_experiment
 from eqkd.protocol import ProtocolParams, run_session
 from eqkd.transcript import Event, EventKind, SessionTranscript
+from pipeline_oracle import PauliLetter
 
 CSS = steane_pair()
 
@@ -196,6 +196,8 @@ MALFORMED_FIELDS = [
     (10, "digest", "zz"),
     (9, "masked", lambda masked: masked[:4]),
     (4, "rect", [-1]),
+    # above (N - m2) // 7 = 557, so above what any valid transcript holds
+    (8, "blocks", 560),
 ]
 
 

@@ -12,7 +12,8 @@ being listed in an ``__all__`` does not count. So library code that only the
 tests use does not stay in ``src/``.
 
 No ``isinstance`` or ``issubclass`` call in the package names a channel
-strategy class: a strategy carries its own behaviour.
+strategy class: a strategy carries its own behaviour. No floor division
+divides by a block length outside ``protocol.session_sizes``.
 """
 
 from __future__ import annotations
@@ -143,3 +144,35 @@ def test_no_type_test_names_a_strategy():
         and _class_names(node.args[1]) & strategies
     ]
     assert not found, f"a type test on a strategy class, which should carry the behaviour: {found}"
+
+
+def test_only_session_sizes_cuts_the_key_into_blocks():
+    """Only ``session_sizes`` floor-divides by an attribute named ``n``, a block length.
+
+    How many blocks the untested both-diagonal positions fill is the
+    session's key layout. Both parties, the payload checks and replay must
+    agree on it exactly, so ``session_sizes`` is the one place it is sized;
+    a second ``// css.n`` elsewhere is a second rule for the same count,
+    free to drift from it.
+    """
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "session_sizes"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.FloorDiv)
+            and id(node) not in exempt
+            and isinstance(
+                divisor := node.right if isinstance(node, ast.BinOp) else node.value, ast.Attribute
+            )
+            and divisor.attr == "n"
+        ]
+    assert not found, f"a block count sized outside session_sizes: {found}"

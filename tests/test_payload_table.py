@@ -30,7 +30,7 @@ from eqkd.transcript import EventKind
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqkd"
 SCANNED = ["protocol.py", "harness/endpoints.py", "harness/runner.py"]
 READER = "read_payload"
-SIZES = session_sizes(ProtocolParams(n_qubits=40, bias_p=0.5, m1=2, m2=3), steane_pair(), 4)
+SIZES = session_sizes(ProtocolParams(n_qubits=40, bias_p=0.5, m1=2, m2=3), steane_pair(), 31)
 
 
 def _is_payload(node: ast.AST) -> bool:

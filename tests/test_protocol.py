@@ -10,7 +10,6 @@ from eqkd.channel import (
     DepolarizingPauli,
     FixedPauliString,
     Passive,
-    PauliLetter,
     RngStreams,
     SymbolBlock,
     strategy_from_dict,
@@ -33,6 +32,7 @@ from eqkd.protocol import (
 )
 from eqkd.transcript import Actor, EventKind, SessionTranscript, pack_bits, unpack_bits
 from pipeline_oracle import (
+    PauliLetter,
     alice_prepare_oracle,
     bob_measure_oracle,
     quantum_phase,
@@ -406,8 +406,9 @@ def test_raw_key_layout_matches_the_setdiff_oracle():
         (diag_pos[:5], diag_pos[:1]),  # fewer untested than one block
     ]
     for diag_pos, tested in cases:
-        machine._diag_pos, machine._test_diag = diag_pos, tested
         expected = raw_key_layout_oracle(diag_pos, tested, CSS.n)
+        machine._diag_pos, machine._test_diag = diag_pos, tested
+        machine.sizes["blocks"] = expected.size // CSS.n
         # bits[j] = j, so the layout reads back the positions it took
         layout = machine._raw_key_layout(np.arange(diag_pos[-1] + 1))
         assert layout.shape == (expected.size // CSS.n, CSS.n)
@@ -521,6 +522,43 @@ def test_alice_rejects_an_early_decision_that_is_not_insufficient_sample(status)
     assert alice.failed and not alice.done
     with pytest.raises(ProtocolViolation):
         alice.receive(actor, EventKind.TEST_INDICES, genuine)
+
+
+def test_alice_rejects_an_insufficient_sample_decision_when_her_sample_fits():
+    # the classes of this honest session hold both samples and a block, by
+    # Alice's count as by Bob's, so his claim that they do not is false
+    alice, actor, genuine = _awaiting(EventKind.TEST_INDICES, 25, to_alice=True)
+    with pytest.raises(ProtocolViolation, match="but the sample fits"):
+        alice.receive(actor, EventKind.DECISION, {"status": "abort_insufficient_sample"})
+    assert alice.failed and not alice.done
+    with pytest.raises(ProtocolViolation):
+        alice.receive(actor, EventKind.TEST_INDICES, genuine)
+
+
+@pytest.mark.parametrize("spare", [0, CSS.n - 1, CSS.n])
+def test_alice_takes_a_test_sample_only_when_a_block_is_left_after_it(spare):
+    # a hand-played Bob makes the both-diagonal class m2 + spare positions:
+    # every position of the sample is in its class, but below m2 + n the
+    # untested rest fills no block, so Bob owed an insufficient-sample decision
+    params = default_params()
+    alice = AliceMachine(params, CSS, RngStreams(27))
+    alice.start()
+    sent = alice.symbols.bases
+    diag = np.flatnonzero(sent)[: params.m2 + spare]
+    bob_bases = np.zeros_like(sent)
+    bob_bases[diag] = 1
+    alice.receive(Actor.BOB, EventKind.BASES_ANNOUNCED_BOB,
+                  {"n": sent.size, "bases": pack_bits(bob_bases)})
+    rect = np.flatnonzero(sent == 0)[: params.m1]
+    indices = {"rect": rect.tolist(), "diag": diag[: params.m2].tolist()}
+    if spare == CSS.n:
+        assert alice.receive(Actor.BOB, EventKind.TEST_INDICES, indices) == []
+        return
+    with pytest.raises(ProtocolViolation, match="too small"):
+        alice.receive(Actor.BOB, EventKind.TEST_INDICES, indices)
+    assert alice.failed and not alice.done
+    with pytest.raises(ProtocolViolation):
+        alice.receive(Actor.BOB, EventKind.DECISION, {"status": "abort_insufficient_sample"})
 
 
 @pytest.mark.parametrize(
