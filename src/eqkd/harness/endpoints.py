@@ -4,13 +4,16 @@ The relay sits between the parties, applies the configured channel strategy
 to the qubit frame in flight, and — because every frame crosses it — writes
 the canonical session transcript. The party endpoints drive exactly the same
 state machines as the in-process driver, so a networked session with a given
-seed produces byte-identical transcripts to ``run_session``.
+seed produces byte-identical transcripts to ``run_session``. A party sends
+each message of its reply as soon as the machine has made it, so the peer
+works on it while the party does the work that follows.
 
 Listeners are bound before any endpoint starts, and every link sets
 ``TCP_NODELAY``: the protocol is a chain of small request/response frames,
 which Nagle's algorithm would hold back for the peer's delayed ACK. Each
 endpoint writes its transcript line by line while the session runs and keeps
-it only if the session succeeds.
+it only if the session succeeds. A payload an endpoint sends is encoded once:
+its frame and its transcript line share that text.
 """
 
 from __future__ import annotations
@@ -145,23 +148,25 @@ def _transcript_log(out_dir, role: str, transcript: SessionTranscript):
     """Write ``role``'s transcript as the session runs; keep it only if the block succeeds.
 
     Yields a function that appends the events logged since its last call to
-    ``transcript_<role>.jsonl.partial``, one ``Event.to_json`` line each. When
-    the block ends without an error the file holds ``transcript.to_jsonl()``
-    and is renamed to ``transcript_<role>.jsonl``; on any error it is
-    removed. Without an ``out_dir`` nothing is written.
+    ``transcript_<role>.jsonl.partial``, one ``Event.to_json`` line each. Its
+    ``sent`` maps the (actor, kind) of each event this end sent to the text
+    ``send_event`` sent, which that event's line reuses; the grammar allows
+    each pair once. When the block ends without an error the file holds
+    ``transcript.to_jsonl()`` and is renamed to ``transcript_<role>.jsonl``;
+    on any error it is removed. Without an ``out_dir`` nothing is written.
     """
     if out_dir is None:
-        yield lambda: None
+        yield lambda sent: None
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     partial = out / f"transcript_{role}.jsonl.partial"
     written = 0
 
-    def write_new() -> None:
+    def write_new(sent: dict) -> None:
         nonlocal written
         for ev in transcript.events[written:]:
-            log.write(ev.to_json())
+            log.write(ev.to_json(sent.get((ev.actor, ev.kind))))
             log.write("\n")
         written = len(transcript.events)
 
@@ -169,7 +174,7 @@ def _transcript_log(out_dir, role: str, transcript: SessionTranscript):
         with open(partial, "w", encoding="ascii") as log:
             log.write(transcript.meta_line() + "\n")
             yield write_new
-            write_new()
+            write_new({})
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -189,13 +194,14 @@ def _serve_party(role, config, link, out_dir, deadline) -> int:
     machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
     with (_connect_retry(link, deadline) if alice else _accept_one(link, deadline)) as sock:
         send_hello(sock, digest)
-        outgoing = machine.start() if alice else []  # her qubits, prepared while the relay answers
+        outgoing = machine.start() if alice else ()  # her qubits, prepared while the relay answers
         check_hello(recv_hello(_time_left(sock, deadline)), digest)
         with _transcript_log(out_dir, role, machine.transcript) as write_log:
             while True:
-                for _actor, kind, payload in outgoing:
-                    send_event(sock, kind, payload)
-                write_log()  # while the peer works on what was just sent
+                sent = {}  # each message is made as it is taken: the peer works on it meanwhile
+                for actor, kind, payload in outgoing:
+                    sent[actor, kind] = send_event(sock, kind, payload)
+                write_log(sent)  # while the peer works on what was just sent
                 if machine.done:
                     break
                 sender = machine.transcript.speaker
@@ -246,8 +252,7 @@ def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
                 sock, peer = links[actor]
                 kind, payload = recv_event(_time_left(sock, deadline))
                 ev = relay(canonical, actor, kind, payload, strategy, streams)
-                send_event(peer, ev.kind, ev.payload)
-                write_log()
+                write_log({(ev.actor, ev.kind): send_event(peer, ev.kind, ev.payload)})
             for sock in (sock, peer):  # the last speaker's link first
                 with contextlib.suppress(EOFError):
                     kind, _payload = recv_event(_time_left(sock, deadline))

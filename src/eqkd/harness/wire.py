@@ -94,8 +94,11 @@ def recv_frame(sock: socket.socket) -> tuple[int, memoryview]:
     return body[0], body[1:]
 
 
-def send_event(sock: socket.socket, kind: EventKind, payload: dict) -> None:
-    send_frame(sock, _KIND_TAGS[kind], canonical_json(payload).encode())
+def send_event(sock: socket.socket, kind: EventKind, payload: dict) -> str:
+    """Send one event frame; returns the payload's canonical JSON, the text it sent."""
+    text = canonical_json(payload)
+    send_frame(sock, _KIND_TAGS[kind], text.encode())
+    return text
 
 
 def recv_event(sock: socket.socket) -> tuple[EventKind, dict]:

@@ -11,7 +11,9 @@ pair.
 
 The party logic lives in two explicit state machines exchanging (actor,
 kind, payload) messages; the in-process driver and the networked endpoints
-shuttle the same messages, so both modes produce identical transcripts.
+shuttle the same messages, so both modes produce identical transcripts. A
+machine answers with a lazy :class:`Reply`, which the caller drains before
+it passes the machine another message.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import reprlib
 import sys
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -502,16 +505,47 @@ def config_digest(meta: dict) -> str:
 Message = tuple[Actor, EventKind, dict]
 
 
-def _fails_on_violation(receive):
-    """Wrap a machine's ``receive`` so that its first violation leaves it failed for good."""
+class Reply:
+    """A party's messages in answer to one message, each made when it is taken.
+
+    The caller sends each message before it takes the next, so the work the
+    party does after a message overlaps its peer's work on it. ``len()``
+    makes every message not yet taken and counts them.
+    """
+
+    def __init__(self, steps: Iterable[Message]):
+        self._steps = iter(steps)
+        self._made: deque[Message] = deque()
+
+    def __iter__(self) -> Reply:
+        return self
+
+    def __next__(self) -> Message:
+        return self._made.popleft() if self._made else next(self._steps)
+
+    def __len__(self) -> int:
+        self._made.extend(self._steps)
+        return len(self._made)
+
+
+def _replies(receive):
+    """Wrap a machine's ``receive``, which checks the message, to answer with a :class:`Reply`.
+
+    Its first violation leaves the machine failed for good. A message that
+    arrives before the last reply is drained, whose work may not have run
+    yet, is refused with a ``ProtocolError``.
+    """
 
     @functools.wraps(receive)
-    def checked(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
+    def checked(self, actor: Actor, kind: EventKind, payload: dict) -> Reply:
+        if self._replying:
+            raise ProtocolError(f"{kind.value} from {actor.value} before the last reply was drained")
         try:
-            return receive(self, actor, kind, payload)
+            steps = receive(self, actor, kind, payload)
         except ProtocolViolation:
             self.failed = True
             raise
+        return self._reply(steps)
 
     return checked
 
@@ -529,6 +563,12 @@ class PartyResult:
 
 
 class _PartyMachine:
+    """One party's side of the session.
+
+    ``start`` (Alice's) and ``receive`` answer with a :class:`Reply`, which
+    the caller drains before it calls ``receive`` again.
+    """
+
     actor: Actor  # whose messages this machine emits
 
     def __init__(
@@ -545,6 +585,7 @@ class _PartyMachine:
         self.done = False
         self.failed = False  # set at the first violation; then every message is refused
         self.result: PartyResult | None = None
+        self._replying = False  # whether a reply is still to be drained
         self.sizes = session_sizes(params, css)  # the block count is a range until sifting
         self._rect_pos: np.ndarray | None = None
         self._diag_pos: np.ndarray | None = None
@@ -556,6 +597,15 @@ class _PartyMachine:
     def _emit(self, kind: EventKind, payload: dict) -> Message:
         self.transcript.append(self.actor, kind, payload)
         return (self.actor, kind, payload)
+
+    def _reply(self, steps: Iterable[Message]) -> Reply:
+        """``steps`` as this machine's reply; it takes no message until the last step has run."""
+        self._replying = True
+        return Reply(self._drain(steps))
+
+    def _drain(self, steps: Iterable[Message]) -> Iterator[Message]:
+        yield from steps
+        self._replying = False
 
     def _accept(self, actor: Actor, kind: EventKind, payload: dict) -> dict:
         """Log an inbound message and return its fields, read through the payload table.
@@ -626,7 +676,7 @@ class AliceMachine(_PartyMachine):
         self._own_digest: str | None = None
         self._sample_fits: bool | None = None  # whether Bob owes a test sample; known once sifted
 
-    def start(self) -> list[Message]:
+    def start(self) -> Reply:
         if self.symbols is not None:
             raise ProtocolViolation("start called twice")
         self.symbols = alice_prepare(self.params, self.streams)
@@ -634,35 +684,39 @@ class AliceMachine(_PartyMachine):
         self._bases_hex = sent["bases"]
         msg = self._emit(EventKind.QUBITS_SENT, sent)
         self.transcript.skip()  # channel delivery is not visible to Alice
-        return [msg]
+        return self._reply([msg])
 
-    @_fails_on_violation
-    def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
+    @_replies
+    def receive(self, actor: Actor, kind: EventKind, payload: dict) -> Iterable[Message]:
         fields = self._accept(actor, kind, payload)
         if kind is EventKind.BASES_ANNOUNCED_BOB:
-            self._sample_fits = self._sift(self.symbols.bases, fields["bases"])
-            bases = {"n": len(self.symbols), "bases": self._bases_hex}
-            return [self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)]
+            return self._announce_and_sift(fields["bases"])
         if kind is EventKind.DECISION:
             if fields["status"] is not SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
                 raise ProtocolViolation("unexpected early decision")
             if self._sample_fits:
                 raise ProtocolViolation("insufficient-sample decision, but the sample fits")
             self._finish(fields["status"])
-            return []
+            return ()
         if kind is EventKind.TEST_INDICES:
             if not self._sample_fits:
                 raise ProtocolViolation("test sample, but the classes are too small for one")
             self._test_rect = _in_class(self._rect_pos, fields["rect"], "rect")
             self._test_diag = _in_class(self._diag_pos, fields["diag"], "diag")
-            return []
+            return ()
         if kind is EventKind.TEST_DISCLOSURE:
             return self._estimate_and_decide(fields["rect_bits"], fields["diag_bits"])
         # Bob's KEY_DIGEST, the only other kind the grammar lets Alice receive
         self._finish(SessionStatus.ACCEPTED, self._own_digest, fields["digest"])
-        return []
+        return ()
 
-    def _estimate_and_decide(self, bob_rect: np.ndarray, bob_diag: np.ndarray) -> list[Message]:
+    def _announce_and_sift(self, bob_bases: np.ndarray) -> Iterator[Message]:
+        """Her bases go out first: she sifts while Bob sifts and draws his test sample."""
+        bases = {"n": len(self.symbols), "bases": self._bases_hex}
+        yield self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)
+        self._sample_fits = self._sift(self.symbols.bases, bob_bases)
+
+    def _estimate_and_decide(self, bob_rect: np.ndarray, bob_diag: np.ndarray) -> Iterator[Message]:
         p = self.params
         mine_rect = self.symbols.bits[self._test_rect]
         mine_diag = self.symbols.bits[self._test_diag]
@@ -670,36 +724,34 @@ class AliceMachine(_PartyMachine):
         r2 = int((mine_diag != bob_diag).sum())
         counts = {"r1": r1, "m1": p.m1, "r2": r2, "m2": p.m2}
         est = self._estimate = ErrorEstimate(**counts)
-        out = [self._emit(EventKind.ESTIMATE, counts)]
+        yield self._emit(EventKind.ESTIMATE, counts)
         threshold = p.threshold
         accepted = est.e1 < threshold and est.e2 < threshold
         status = SessionStatus.ACCEPTED if accepted else SessionStatus.ABORTED_ERROR_RATE
-        out.append(self._emit(EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]}))
+        yield self._emit(EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]})
         if not accepted:
             self._finish(status)
-            return out
-        out.extend(self._reconcile())
-        return out
+            return
+        yield from self._reconcile()
 
-    def _reconcile(self) -> list[Message]:
+    def _reconcile(self) -> Iterator[Message]:
+        """The permutation seed goes out first: Bob permutes while she reconciles."""
         css = self.css
-        v = self._raw_key_layout(self.symbols.bits)
+        layout = {"blocks": self.sizes["blocks"], "block_len": css.n}
         perm_seed = int(self.streams.stream("permutation").integers(0, 2**63))
+        yield self._emit(EventKind.PERMUTATION_SEED, {"seed": perm_seed, **layout})
+        v = self._raw_key_layout(self.symbols.bits)
         announcements, keys = reconcile_alice_blocks(
             css, block_permutations(v, perm_seed), self.streams.stream("codeword")
         )
         self._key = keys.reshape(-1)
+        yield self._emit(
+            EventKind.CODEWORD_ANNOUNCEMENT,
+            {**layout, "masked": pack_bits(announcements.reshape(-1))},
+        )
         digest_payload = key_digest_payload(self._key)
         self._own_digest = digest_payload["digest"]
-        layout = {"blocks": v.shape[0], "block_len": css.n}
-        return [
-            self._emit(EventKind.PERMUTATION_SEED, {"seed": perm_seed, **layout}),
-            self._emit(
-                EventKind.CODEWORD_ANNOUNCEMENT,
-                {**layout, "masked": pack_bits(announcements.reshape(-1))},
-            ),
-            self._emit(EventKind.KEY_DIGEST, digest_payload),
-        ]
+        yield self._emit(EventKind.KEY_DIGEST, digest_payload)
 
 
 class BobMachine(_PartyMachine):
@@ -711,10 +763,10 @@ class BobMachine(_PartyMachine):
         super().__init__(params, css, streams, meta)
         self.transcript.skip()  # Alice's pre-channel symbols are not visible
         self.results: SymbolBlock | None = None
-        self._perm_seed: int | None = None
+        self._perms: np.ndarray | None = None  # his permuted raw key, once the seed is known
 
-    @_fails_on_violation
-    def receive(self, actor: Actor, kind: EventKind, payload: dict) -> list[Message]:
+    @_replies
+    def receive(self, actor: Actor, kind: EventKind, payload: dict) -> Iterable[Message]:
         fields = self._accept(actor, kind, payload)
         if kind is EventKind.QUBITS_SENT:
             received = SymbolBlock(fields["bases"], fields["bits"])
@@ -725,23 +777,24 @@ class BobMachine(_PartyMachine):
             return self._select_test(self._sift(fields["bases"], self.results.bases))
         if kind is EventKind.ESTIMATE:
             self._estimate = ErrorEstimate(**fields)
-            return []
+            return ()
         if kind is EventKind.DECISION:
             status = fields["status"]
             if status is SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
                 raise ProtocolViolation("insufficient-sample decision after the test sample")
             if status is not SessionStatus.ACCEPTED:
                 self._finish(status)
-            return []
+            return ()
         if kind is EventKind.PERMUTATION_SEED:
-            self._perm_seed = fields["seed"]
-            return []
-        if kind is EventKind.CODEWORD_ANNOUNCEMENT:
+            # all his permutation needs is public now, so it runs while Alice reconciles
             w = self._raw_key_layout(self.results.bits)
-            perms = block_permutations(w, self._perm_seed)
-            keys, _ok = reconcile_bob_blocks(self.css, perms, fields["masked"].reshape(w.shape))
+            self._perms = block_permutations(w, fields["seed"])
+            return ()
+        if kind is EventKind.CODEWORD_ANNOUNCEMENT:
+            masked = fields["masked"].reshape(self._perms.shape)
+            keys, _ok = reconcile_bob_blocks(self.css, self._perms, masked)
             self._key = keys.reshape(-1)
-            return []
+            return ()
         # Alice's KEY_DIGEST, the only other kind the grammar lets Bob receive
         digest_payload = key_digest_payload(self._key)
         out = [self._emit(EventKind.KEY_DIGEST, digest_payload)]

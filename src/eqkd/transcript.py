@@ -139,15 +139,17 @@ class Event:
     kind: EventKind
     payload: dict
 
-    def to_json(self) -> str:
-        return canonical_json(
-            {
-                "seq": self.seq,
-                "actor": self.actor.value,
-                "kind": self.kind.value,
-                "payload": self.payload,
-            }
-        )
+    def to_json(self, payload_json: str | None = None) -> str:
+        """The event's transcript line, its canonical JSON.
+
+        ``payload_json`` is the payload's canonical JSON when the caller has
+        it already, as an endpoint has the text it sent; it is not made again.
+        """
+        if payload_json is None:
+            payload_json = canonical_json(self.payload)
+        # canonical_json of the whole event: its keys in sorted order, the payload's text in place
+        actor, kind, seq = _ENCODE(self.actor.value), _ENCODE(self.kind.value), _ENCODE(self.seq)
+        return f'{{"actor":{actor},"kind":{kind},"payload":{payload_json},"seq":{seq}}}'
 
     @classmethod
     def from_json(cls, line: str) -> "Event":

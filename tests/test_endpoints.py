@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqkd.channel import DepolarizingPauli, FixedPauliString, Passive, RngStreams
+from eqkd.channel import (
+    BiasedInterceptResend,
+    DepolarizingPauli,
+    FixedPauliString,
+    Passive,
+    RngStreams,
+)
 from eqkd.codes import steane_pair
 from eqkd.harness.endpoints import (
     EXIT_HANDSHAKE,
@@ -92,6 +98,24 @@ def test_loopback_abort_paths(tmp_path):
     relay = SessionTranscript.from_jsonl((out / "transcript_channel.jsonl").read_text())
     assert relay.event_lines() == ref.transcript.event_lines()
     assert len(relay.events) == 5
+
+    # every diagonal photon intercepted: Alice's reply to the test disclosure
+    # stops after her decision, and so does the session
+    strategy = BiasedInterceptResend(0.0, 1.0)
+    params, meta = _meta(47, strategy, n=2000)
+    out = tmp_path / "error_rate"
+    codes = loopback_session(meta, out, timeout=30)
+    assert codes == {"alice": 0, "channel": 0, "bob": 0}
+    channel_outcome = json.loads((out / "outcome_channel.json").read_text())
+    assert channel_outcome["status"] == "aborted_error_rate"
+    ref = run_session(params, strategy, CSS, 47)
+    ref_lines = ref.transcript.event_lines()
+    assert len(ref_lines) == 8
+    relay = SessionTranscript.from_jsonl((out / "transcript_channel.jsonl").read_text())
+    assert relay.event_lines() == ref_lines
+    for role, unseen in (("alice", 1), ("bob", 0)):
+        view = SessionTranscript.from_jsonl((out / f"transcript_{role}.jsonl").read_text())
+        assert view.event_lines() == [l for i, l in enumerate(ref_lines) if i != unseen]
 
 
 @pytest.mark.parametrize(
@@ -307,17 +331,55 @@ def test_malformed_estimate_ends_the_endpoint_with_exit_protocol(tmp_path):
     alice = AliceMachine(params, CSS, RngStreams(37), meta=meta)
     with socket.create_connection(address, timeout=15) as relay:
         _greet(relay, config_digest(meta))
-        replies = alice.start()
+        replies = list(alice.start())
         while not any(kind is EventKind.ESTIMATE for _actor, kind, _payload in replies):
             for _actor, kind, payload in replies:
                 send_event(relay, kind, payload)
             kind, payload = recv_event(relay)
-            replies = alice.receive(Actor.BOB, kind, payload)
+            replies = list(alice.receive(Actor.BOB, kind, payload))
         send_event(relay, EventKind.ESTIMATE, {})
         bob.join(timeout=15)
         assert not bob.is_alive()
     assert codes == [EXIT_PROTOCOL]
     # Bob had logged five events by then; his partial transcript is removed
+    assert _transcript_files(tmp_path) == []
+
+
+def test_a_party_cut_off_midway_through_its_reply_exits_with_exit_protocol(tmp_path, capsys):
+    # the relay, played here, closes Alice's link as soon as it has read her
+    # permutation seed: she sends the rest of that reply on a closed link
+    _params, meta = _meta(48)
+    lsock = _listener()
+    ended = []
+
+    def serve():
+        code = serve_endpoint(
+            "alice", meta, connect=lsock.getsockname(), out_dir=tmp_path, timeout=15
+        )
+        ended.append((code, time.monotonic()))
+
+    alice = threading.Thread(target=serve)
+    started = time.monotonic()
+    alice.start()
+    lsock.settimeout(15)
+    with lsock:
+        link, _addr = lsock.accept()
+    with link:
+        link.settimeout(15)
+        _greet(link, config_digest(meta))
+        for actor, kind, payload in _party_frames(meta):
+            if actor is Actor.BOB:
+                send_event(link, kind, payload)
+                continue
+            assert recv_event(link) == (kind, payload)
+            if kind is EventKind.PERMUTATION_SEED:
+                break
+    alice.join(timeout=15)
+    assert not alice.is_alive()
+    [(code, at)] = ended
+    assert code == EXIT_PROTOCOL and at - started < 5
+    err = capsys.readouterr().err
+    assert "[alice] session failed" in err and "Traceback" not in err
     assert _transcript_files(tmp_path) == []
 
 

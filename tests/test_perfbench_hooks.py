@@ -22,7 +22,7 @@ from eqkd.codes import reconcile_bob_blocks, steane_pair
 from eqkd.harness import endpoints, wire
 from eqkd.harness.endpoints import serve_endpoint
 from eqkd.harness.wire import send_frame
-from eqkd.protocol import AliceMachine, BobMachine, ProtocolParams, session_meta
+from eqkd.protocol import AliceMachine, BobMachine, ProtocolParams, Reply, session_meta
 from eqkd.transcript import Event
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -56,6 +56,24 @@ def test_block_counter_reads_a_keys_and_ok_pair(tracer):
     counts = {"codes.blocks": 0, "codes.decode_failures": 0}
     tracer._count_blocks(counts, (), result)
     assert counts == {"codes.blocks": 40, "codes.decode_failures": 0}
+
+
+def test_message_counter_counts_a_lazy_reply_and_leaves_it_whole(tracer):
+    # the tracer counts a machine step's messages with len(result); a Reply
+    # makes the messages not yet taken then, and still yields each of them
+    made = []
+
+    def steps():
+        for message in ("first", "second", "third"):
+            made.append(message)
+            yield message
+
+    reply = Reply(steps())
+    assert next(reply) == "first" and made == ["first"]
+    counts = Counter()
+    tracer._count_messages(counts, (), reply)
+    assert counts["protocol.messages"] == 2 and made == ["first", "second", "third"]
+    assert list(reply) == ["second", "third"]
 
 
 def test_traced_endpoint_and_frame_arguments_keep_their_positions():
@@ -106,8 +124,8 @@ def test_endpoints_write_every_transcript_line_through_event_to_json(tmp_path, m
     made = []
     to_json = Event.to_json
 
-    def counted(self):
-        line = to_json(self)
+    def counted(self, *args):
+        line = to_json(self, *args)
         made.append(line)
         return line
 

@@ -14,13 +14,16 @@ from eqkd.channel import (
     SymbolBlock,
     strategy_from_dict,
 )
+from eqkd import protocol
 from eqkd.codes import steane_pair
 from eqkd.protocol import (
     AliceMachine,
     BobMachine,
+    ProtocolError,
     ProtocolParams,
     ProtocolViolation,
     SessionStatus,
+    _PartyMachine,
     alice_prepare,
     biased_attack_rates,
     bob_measure,
@@ -456,7 +459,7 @@ def test_machines_reject_out_of_order_messages():
     params = default_params()
     streams = RngStreams(20)
     alice = AliceMachine(params, CSS, streams)
-    alice.start()
+    list(alice.start())
     with pytest.raises(ProtocolViolation):
         alice.receive(Actor.BOB, EventKind.KEY_DIGEST, {"digest": "00"})
     with pytest.raises(ProtocolViolation):
@@ -466,6 +469,126 @@ def test_machines_reject_out_of_order_messages():
     with pytest.raises(ProtocolViolation):
         fresh.receive(Actor.ALICE, EventKind.QUBITS_SENT, {"digest": "00" * 32})
     assert not fresh.done
+
+
+def _play_as_networked(alice, bob, canonical, strategy, streams, log):
+    """Shuttle the messages of a session as the networked endpoints do, logging each step.
+
+    A message is relayed and received as soon as it is taken from its
+    sender's reply. The receiver's reply is taken whole at once, and its
+    messages reach the sender once the sender's own reply is drained.
+    """
+    inbox = {alice: deque(), bob: deque()}
+    peer = {alice: bob, bob: alice}
+
+    def play(party, reply):
+        receiver = peer[party]
+        for actor, kind, payload in reply:
+            log.append(("take", actor, kind))
+            ev = relay(canonical, actor, kind, payload, strategy, streams)
+            log.append(("receive", receiver.actor, ev.kind))
+            for message in receiver.receive(ev.actor, ev.kind, ev.payload):
+                log.append(("take", *message[:2]))
+                inbox[party].append(relay(canonical, *message, strategy, streams))
+        while inbox[party]:
+            ev = inbox[party].popleft()
+            log.append(("receive", party.actor, ev.kind))
+            play(party, party.receive(ev.actor, ev.kind, ev.payload))
+
+    play(alice, alice.start())
+
+
+def test_each_party_sends_a_message_before_the_work_that_follows_it(monkeypatch):
+    seed, params, strategy = 24, default_params(), DepolarizingPauli.symmetric(0.01)
+    reference = run_session(params, strategy, CSS, seed)
+    log = []
+
+    def logged(name, call):
+        def step(*args):
+            log.append((name,))
+            return call(*args)
+
+        return step
+
+    for name in ("block_permutations", "reconcile_alice_blocks", "reconcile_bob_blocks"):
+        monkeypatch.setattr(protocol, name, logged(name, getattr(protocol, name)))
+    sift = _PartyMachine._sift
+    monkeypatch.setattr(
+        _PartyMachine, "_sift", lambda self, *bases: log.append(("sift", self.actor)) or sift(self, *bases)
+    )
+    streams = RngStreams(seed)
+    meta = session_meta(params, strategy, CSS, seed)
+    alice = AliceMachine(params, CSS, streams, meta=meta)
+    bob = BobMachine(params, CSS, streams, meta=meta)
+    canonical = SessionTranscript(meta=meta)
+    _play_as_networked(alice, bob, canonical, strategy, streams, log)
+
+    A, B, K = Actor.ALICE, Actor.BOB, EventKind
+    assert log == [
+        ("take", A, K.QUBITS_SENT),
+        ("receive", B, K.QUBITS_SENT),
+        ("take", B, K.BASES_ANNOUNCED_BOB),
+        ("receive", A, K.BASES_ANNOUNCED_BOB),
+        ("take", A, K.BASES_ANNOUNCED_ALICE),  # Alice announces before she sifts
+        ("receive", B, K.BASES_ANNOUNCED_ALICE),
+        ("sift", B),
+        ("take", B, K.TEST_INDICES),
+        ("take", B, K.TEST_DISCLOSURE),
+        ("sift", A),
+        ("receive", A, K.TEST_INDICES),
+        ("receive", A, K.TEST_DISCLOSURE),
+        ("take", A, K.ESTIMATE),
+        ("receive", B, K.ESTIMATE),
+        ("take", A, K.DECISION),
+        ("receive", B, K.DECISION),
+        ("take", A, K.PERMUTATION_SEED),  # before her layout, permutation and reconciliation
+        ("receive", B, K.PERMUTATION_SEED),
+        ("block_permutations",),  # Bob's, on the seed
+        ("block_permutations",),  # Alice's
+        ("reconcile_alice_blocks",),
+        ("take", A, K.CODEWORD_ANNOUNCEMENT),
+        ("receive", B, K.CODEWORD_ANNOUNCEMENT),
+        ("reconcile_bob_blocks",),  # the only work Bob has left on the announcement
+        ("take", A, K.KEY_DIGEST),
+        ("receive", B, K.KEY_DIGEST),
+        ("take", B, K.KEY_DIGEST),
+        ("receive", A, K.KEY_DIGEST),
+    ]
+    # the same session as the in-process driver's, byte for byte
+    assert canonical.event_lines() == reference.transcript.event_lines()
+    assert np.array_equal(alice.result.key, reference.alice_key)
+    assert np.array_equal(bob.result.key, reference.bob_key)
+
+
+def test_a_party_refuses_a_message_until_its_last_reply_is_drained():
+    seed, params, strategy = 29, default_params(), Passive()
+    streams = RngStreams(seed)
+    meta = session_meta(params, strategy, CSS, seed)
+    alice = AliceMachine(params, CSS, streams, meta=meta)
+    bob = BobMachine(params, CSS, streams, meta=meta)
+    canonical = SessionTranscript(meta=meta)
+
+    def answer(party, ev):
+        return [relay(canonical, *m, strategy, streams) for m in party.receive(ev.actor, ev.kind, ev.payload)]
+
+    def refused(party, ev):
+        logged = len(party.transcript.events)
+        with pytest.raises(ProtocolError, match="before the last reply was drained") as info:
+            party.receive(ev.actor, ev.kind, ev.payload)
+        assert type(info.value) is ProtocolError  # the caller's fault, not the peer's
+        assert not party.failed and len(party.transcript.events) == logged
+
+    started = alice.start()
+    [bases_bob] = answer(bob, relay(canonical, *next(started), strategy, streams))
+    refused(alice, bases_bob)  # her start has given its message, but is not drained
+    assert list(started) == []
+    reply = alice.receive(bases_bob.actor, bases_bob.kind, bases_bob.payload)
+    sample = answer(bob, relay(canonical, *next(reply), strategy, streams))
+    refused(alice, sample[0])  # she has announced her bases, but not sifted
+    assert list(reply) == []
+    for ev in sample:
+        answer(alice, ev)
+    assert not alice.failed and alice.transcript.events[-1].kind is EventKind.KEY_DIGEST
 
 
 def test_session_outcome_statuses_agree_between_parties():
@@ -542,17 +665,17 @@ def test_alice_takes_a_test_sample_only_when_a_block_is_left_after_it(spare):
     # untested rest fills no block, so Bob owed an insufficient-sample decision
     params = default_params()
     alice = AliceMachine(params, CSS, RngStreams(27))
-    alice.start()
+    list(alice.start())
     sent = alice.symbols.bases
     diag = np.flatnonzero(sent)[: params.m2 + spare]
     bob_bases = np.zeros_like(sent)
     bob_bases[diag] = 1
-    alice.receive(Actor.BOB, EventKind.BASES_ANNOUNCED_BOB,
-                  {"n": sent.size, "bases": pack_bits(bob_bases)})
+    list(alice.receive(Actor.BOB, EventKind.BASES_ANNOUNCED_BOB,
+                       {"n": sent.size, "bases": pack_bits(bob_bases)}))
     rect = np.flatnonzero(sent == 0)[: params.m1]
     indices = {"rect": rect.tolist(), "diag": diag[: params.m2].tolist()}
     if spare == CSS.n:
-        assert alice.receive(Actor.BOB, EventKind.TEST_INDICES, indices) == []
+        assert list(alice.receive(Actor.BOB, EventKind.TEST_INDICES, indices)) == []
         return
     with pytest.raises(ProtocolViolation, match="too small"):
         alice.receive(Actor.BOB, EventKind.TEST_INDICES, indices)
