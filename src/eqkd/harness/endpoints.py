@@ -4,16 +4,19 @@ The relay sits between the parties, applies the configured channel strategy
 to the qubit frame in flight, and — because every frame crosses it — writes
 the canonical session transcript. The party endpoints drive exactly the same
 state machines as the in-process driver, so a networked session with a given
-seed produces byte-identical transcripts to ``run_session``. A party sends
-each message of its reply as soon as the machine has made it, so the peer
-works on it while the party does the work that follows.
+seed produces byte-identical transcripts to ``run_session``. A party starts
+its machine between sending its hello and reading the relay's, so Alice's
+qubits and Bob's bases are made while the relay answers. It sends each
+message of its reply as soon as the machine has made it, so the peer works
+on it while the party does the work that follows.
 
 Listeners are bound before any endpoint starts, and every link sets
 ``TCP_NODELAY``: the protocol is a chain of small request/response frames,
 which Nagle's algorithm would hold back for the peer's delayed ACK. Each
 endpoint writes its transcript line by line while the session runs and keeps
 it only if the session succeeds. A payload an endpoint sends is encoded once:
-its frame and its transcript line share that text.
+its frame and its transcript line share that text. No endpoint imports a
+module during its session, which a forked child would pay for in each one.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ def _no_delay(sock: socket.socket) -> socket.socket:
 
 
 def _connect_retry(address: tuple[str, int], deadline: float) -> socket.socket:
+    host, port = address  # an ASCII host as bytes skips the IDNA codec a str host imports
+    address = (host.encode("ascii") if host.isascii() else host, port)
     while True:
         try:
             sock = socket.create_connection(address, timeout=max(deadline - time.monotonic(), 0.1))
@@ -154,6 +159,7 @@ def _transcript_log(out_dir, role: str, transcript: SessionTranscript):
     each pair once. When the block ends without an error the file holds
     ``transcript.to_jsonl()`` and is renamed to ``transcript_<role>.jsonl``;
     on any error it is removed. Without an ``out_dir`` nothing is written.
+    Its lines are encoded by ``str.encode``, which, unlike a text file, imports no codec.
     """
     if out_dir is None:
         yield lambda sent: None
@@ -166,13 +172,13 @@ def _transcript_log(out_dir, role: str, transcript: SessionTranscript):
     def write_new(sent: dict) -> None:
         nonlocal written
         for ev in transcript.events[written:]:
-            log.write(ev.to_json(sent.get((ev.actor, ev.kind))))
-            log.write("\n")
+            log.write(ev.to_json(sent.get((ev.actor, ev.kind))).encode("ascii"))
+            log.write(b"\n")
         written = len(transcript.events)
 
     try:
-        with open(partial, "w", encoding="ascii") as log:
-            log.write(transcript.meta_line() + "\n")
+        with open(partial, "wb") as log:
+            log.write(transcript.meta_line().encode("ascii") + b"\n")
             yield write_new
             write_new({})
     except BaseException:
@@ -194,7 +200,7 @@ def _serve_party(role, config, link, out_dir, deadline) -> int:
     machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
     with (_connect_retry(link, deadline) if alice else _accept_one(link, deadline)) as sock:
         send_hello(sock, digest)
-        outgoing = machine.start() if alice else ()  # her qubits, prepared while the relay answers
+        outgoing = machine.start()  # Alice's qubits or Bob's bases, made while the relay answers
         check_hello(recv_hello(_time_left(sock, deadline)), digest)
         with _transcript_log(out_dir, role, machine.transcript) as write_log:
             while True:
@@ -295,7 +301,8 @@ def serve_endpoint(
     except HandshakeError as exc:
         print(f"[{role}] handshake failed: {exc}", file=sys.stderr)
         return EXIT_HANDSHAKE
-    except (FrameError, ProtocolError, TranscriptError, EOFError, OSError) as exc:
+    # a UnicodeError is a host name the IDNA codec refuses
+    except (FrameError, ProtocolError, TranscriptError, EOFError, OSError, UnicodeError) as exc:
         print(f"[{role}] session failed: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     finally:

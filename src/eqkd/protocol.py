@@ -12,8 +12,11 @@ pair.
 The party logic lives in two explicit state machines exchanging (actor,
 kind, payload) messages; the in-process driver and the networked endpoints
 shuttle the same messages, so both modes produce identical transcripts. A
-machine answers with a lazy :class:`Reply`, which the caller drains before
-it passes the machine another message.
+machine's ``start`` does the work that needs no message: Alice prepares her
+qubits, Bob draws his bases. A machine answers with a lazy :class:`Reply`,
+which the caller drains before it passes the machine another message; each
+reply makes a message before the work that only its sender needs, so the
+peer works on it meanwhile.
 """
 
 from __future__ import annotations
@@ -215,22 +218,20 @@ def alice_prepare(params: ProtocolParams, streams: RngStreams) -> SymbolBlock:
 
 
 def bob_measure(
-    received: SymbolBlock, params: ProtocolParams, rng: np.random.Generator
+    received: SymbolBlock, bases: np.ndarray, rng: np.random.Generator
 ) -> SymbolBlock:
-    """Measure each symbol in an independently drawn basis.
+    """Measure each received symbol in Bob's basis for it.
 
     A matching basis reproduces the encoded bit; a mismatched one yields a
     uniform outcome. Returns the (basis, outcome) record as a SymbolBlock.
 
-    Draw contract: n uint32 draws pick the bases as :func:`_draw_bases`
-    does (rectilinear below ``bernoulli_threshold(p)``); then n positional
+    Draw contract: Bob's bases are the first n uint32 draws of ``rng``, as
+    :func:`_draw_bases` draws them (``BobMachine.start``); then n positional
     coins, one raw bit each, give the mismatched positions their outcomes
     (:func:`mismatch_coins`): coin i is used only if basis i differs.
     """
-    n = len(received)
-    if n != params.n_qubits:
-        raise ValueError("received block length does not match params")
-    bases = _draw_bases(rng, n, params.bias_p)
+    if len(received) != bases.size:
+        raise ValueError("received block length does not match the bases")
     bits = received.bits.copy()
     mismatch_coins(bits, bases, received.bases, rng)
     return SymbolBlock(bases, bits)
@@ -565,8 +566,9 @@ class PartyResult:
 class _PartyMachine:
     """One party's side of the session.
 
-    ``start`` (Alice's) and ``receive`` answer with a :class:`Reply`, which
-    the caller drains before it calls ``receive`` again.
+    ``start`` does the work that needs no message from the peer and is
+    called once, before any ``receive``. Both answer with a :class:`Reply`,
+    which the caller drains before it calls ``receive`` again.
     """
 
     actor: Actor  # whose messages this machine emits
@@ -586,6 +588,7 @@ class _PartyMachine:
         self.failed = False  # set at the first violation; then every message is refused
         self.result: PartyResult | None = None
         self._replying = False  # whether a reply is still to be drained
+        self._bases_hex: str | None = None  # this party's bases, packed in start
         self.sizes = session_sizes(params, css)  # the block count is a range until sifting
         self._rect_pos: np.ndarray | None = None
         self._diag_pos: np.ndarray | None = None
@@ -597,6 +600,9 @@ class _PartyMachine:
     def _emit(self, kind: EventKind, payload: dict) -> Message:
         self.transcript.append(self.actor, kind, payload)
         return (self.actor, kind, payload)
+
+    def _announce_bases(self, kind: EventKind) -> Message:
+        return self._emit(kind, {"n": self.params.n_qubits, "bases": self._bases_hex})
 
     def _reply(self, steps: Iterable[Message]) -> Reply:
         """``steps`` as this machine's reply; it takes no message until the last step has run."""
@@ -619,6 +625,8 @@ class _PartyMachine:
             raise ProtocolViolation(f"{kind.value} from {actor.value} after an earlier violation")
         if self.done or actor is self.actor or not self.transcript.allows(actor, kind):
             raise ProtocolViolation(f"unexpected {kind.value} from {actor.value}")
+        if self._bases_hex is None:  # only Bob's grammar lets a message in before his start
+            raise ProtocolError(f"{kind.value} from {actor.value} before start")
         fields = read_payload(kind, payload, self.sizes)
         self.transcript.append(actor, kind, payload)
         return fields
@@ -672,12 +680,12 @@ class AliceMachine(_PartyMachine):
     def __init__(self, params, css, streams, meta=None):
         super().__init__(params, css, streams, meta)
         self.symbols: SymbolBlock | None = None
-        self._bases_hex: str | None = None  # sent with her qubits, announced again when sifting
         self._own_digest: str | None = None
         self._sample_fits: bool | None = None  # whether Bob owes a test sample; known once sifted
 
     def start(self) -> Reply:
-        if self.symbols is not None:
+        """Her qubits, prepared before any message reaches her; her bases go with them."""
+        if self._bases_hex is not None:
             raise ProtocolViolation("start called twice")
         self.symbols = alice_prepare(self.params, self.streams)
         sent = encode_symbols(self.symbols)
@@ -712,8 +720,7 @@ class AliceMachine(_PartyMachine):
 
     def _announce_and_sift(self, bob_bases: np.ndarray) -> Iterator[Message]:
         """Her bases go out first: she sifts while Bob sifts and draws his test sample."""
-        bases = {"n": len(self.symbols), "bases": self._bases_hex}
-        yield self._emit(EventKind.BASES_ANNOUNCED_ALICE, bases)
+        yield self._announce_bases(EventKind.BASES_ANNOUNCED_ALICE)
         self._sample_fits = self._sift(self.symbols.bases, bob_bases)
 
     def _estimate_and_decide(self, bob_rect: np.ndarray, bob_diag: np.ndarray) -> Iterator[Message]:
@@ -755,7 +762,7 @@ class AliceMachine(_PartyMachine):
 
 
 class BobMachine(_PartyMachine):
-    """Bob: measures, announces bases first, draws the test sample, decodes."""
+    """Bob: draws his bases at start, announces them, measures, draws the test sample, decodes."""
 
     actor = Actor.BOB
 
@@ -763,16 +770,23 @@ class BobMachine(_PartyMachine):
         super().__init__(params, css, streams, meta)
         self.transcript.skip()  # Alice's pre-channel symbols are not visible
         self.results: SymbolBlock | None = None
+        self._bases: np.ndarray | None = None
         self._perms: np.ndarray | None = None  # his permuted raw key, once the seed is known
+
+    def start(self) -> Reply:
+        """His bases, the first draws of ``bob_bases``, packed before the qubits arrive."""
+        if self._bases_hex is not None:
+            raise ProtocolViolation("start called twice")
+        p = self.params
+        self._bases = _draw_bases(self.streams.stream("bob_bases"), p.n_qubits, p.bias_p)
+        self._bases_hex = pack_bits(self._bases)
+        return self._reply(())
 
     @_replies
     def receive(self, actor: Actor, kind: EventKind, payload: dict) -> Iterable[Message]:
         fields = self._accept(actor, kind, payload)
         if kind is EventKind.QUBITS_SENT:
-            received = SymbolBlock(fields["bases"], fields["bits"])
-            self.results = bob_measure(received, self.params, self.streams.stream("bob_bases"))
-            bases = {"n": len(self.results), "bases": pack_bits(self.results.bases)}
-            return [self._emit(EventKind.BASES_ANNOUNCED_BOB, bases)]
+            return self._announce_and_measure(SymbolBlock(fields["bases"], fields["bits"]))
         if kind is EventKind.BASES_ANNOUNCED_ALICE:
             return self._select_test(self._sift(fields["bases"], self.results.bases))
         if kind is EventKind.ESTIMATE:
@@ -800,6 +814,11 @@ class BobMachine(_PartyMachine):
         out = [self._emit(EventKind.KEY_DIGEST, digest_payload)]
         self._finish(SessionStatus.ACCEPTED, digest_payload["digest"], fields["digest"])
         return out
+
+    def _announce_and_measure(self, received: SymbolBlock) -> Iterator[Message]:
+        """His bases go out first: he draws his mismatch coins while Alice sifts."""
+        yield self._announce_bases(EventKind.BASES_ANNOUNCED_BOB)
+        self.results = bob_measure(received, self._bases, self.streams.stream("bob_bases"))
 
     def _select_test(self, enough: bool) -> list[Message]:
         """Bob's sorted test samples, without replacement, or his insufficient-sample decision."""
@@ -875,7 +894,8 @@ def run_session(
     alice = AliceMachine(params, css, streams, meta=meta)
     bob = BobMachine(params, css, streams, meta=meta)
 
-    queue: deque[Message] = deque(alice.start())
+    queue: deque[Message] = deque(bob.start())  # empty: Bob draws his bases
+    queue.extend(alice.start())
     while queue:
         ev = relay(canonical, *queue.popleft(), strategy, streams)
         receiver = alice if ev.actor is Actor.BOB else bob

@@ -51,6 +51,7 @@ from eqkd.codes import (
     gf2_rref,
 )
 from eqkd.protocol import (
+    _draw_bases,
     alice_prepare,
     bob_measure,
     encode_symbols,
@@ -104,8 +105,13 @@ def quantum_phase(params, strategy, seed):
     payload = encode_symbols(transmit(sent, strategy, rng))
     arrived = read_payload(EventKind.QUBITS_SENT, payload, {"n": len(sent)})
     delivered = SymbolBlock(arrived["bases"], arrived["bits"])
-    results = bob_measure(delivered, params, streams.stream("bob_bases"))
+    results = measure_as_bob(delivered, params, streams.stream("bob_bases"))
     return streams, sent, results
+
+
+def measure_as_bob(received, params, rng):
+    """``bob_measure`` on Bob's bases, drawn from ``rng`` as ``BobMachine.start`` draws them."""
+    return bob_measure(received, _draw_bases(rng, params.n_qubits, params.bias_p), rng)
 
 
 def sift(sent, results) -> Sifted:

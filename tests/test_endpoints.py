@@ -220,6 +220,69 @@ def test_the_start_context_forks_with_numpy_random_imported_and_the_package_does
     assert out == ["True", "fork", "True"]
 
 
+_WATCH_IMPORTS = """
+import json, sys
+from pathlib import Path
+import eqkd.harness.cli
+from eqkd.channel import DepolarizingPauli
+from eqkd.codes import steane_pair
+from eqkd.harness import endpoints
+from eqkd.protocol import ProtocolParams, session_meta
+
+params = ProtocolParams(n_qubits=1500, bias_p=0.3, m1=60, m2=60)
+meta = session_meta(params, DepolarizingPauli.symmetric(0.01), steane_pair(), 31)
+out = Path(sys.argv[1])
+serve = endpoints.serve_endpoint
+
+def watched(role, *args, **kwargs):
+    before = set(sys.modules)
+    try:
+        return serve(role, *args, **kwargs)
+    finally:
+        imported = sorted(set(sys.modules) - before)
+        (out / f"imported_{role}.json").write_text(json.dumps(imported))
+
+endpoints.serve_endpoint = watched
+codes = endpoints.loopback_session(meta, out, timeout=30)
+imported = {r: json.loads((out / f"imported_{r}.json").read_text()) for r in endpoints.ROLES}
+print(json.dumps({"codes": codes, "imported": imported}))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_no_forked_endpoint_imports_a_module_during_its_session(tmp_path):
+    # a module a forked endpoint imports mid-session is paid for in every
+    # session (a str host's IDNA codec, a text file's codec); its parent
+    # must not import it instead either, as that counts in its peak RSS
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _WATCH_IMPORTS, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    assert json.loads(out[-1]) == {
+        "codes": {"alice": 0, "channel": 0, "bob": 0},
+        "imported": {"alice": [], "channel": [], "bob": []},
+    }
+
+
+def test_the_dialer_reaches_a_listener_by_name_or_by_address():
+    for host in ("localhost", "127.0.0.1"):
+        lsock = _listener()
+        deadline = time.monotonic() + 15
+        with _connect_retry((host, lsock.getsockname()[1]), deadline) as dialed:
+            with _accept_one(lsock, deadline) as accepted:
+                assert accepted.getpeername() == dialed.getsockname()
+
+
+def test_a_host_name_the_codec_refuses_ends_the_endpoint_with_exit_protocol(capfd):
+    # a non-ASCII host still goes through the IDNA codec, which refuses a
+    # label over 63 characters before any lookup is made
+    _params, meta = _meta(41)
+    assert serve_endpoint("alice", meta, connect=("\u00fc" * 70, 9), timeout=1) == EXIT_PROTOCOL
+    err = capfd.readouterr().err
+    assert "[alice] session failed: " in err and "idna" in err and "Traceback" not in err
+
+
 def test_a_forked_endpoint_keeps_no_listener_it_does_not_serve(capfd):
     # alice dials a listener that only her own process could hold open: once
     # she has closed her copy, the dial is refused instead of queued

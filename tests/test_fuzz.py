@@ -61,6 +61,7 @@ def _snapshots():
     canonical = SessionTranscript(meta=session_meta(PARAMS, STRATEGY, CSS, SEED))
     alice = AliceMachine(PARAMS, CSS, streams)
     bob = BobMachine(PARAMS, CSS, streams)
+    list(bob.start())
     alice_states = [(copy.deepcopy(alice), None)]
     bob_states, relay_states = [], []
     payloads = {}

@@ -26,7 +26,6 @@ from eqkd.protocol import (
     _PartyMachine,
     alice_prepare,
     biased_attack_rates,
-    bob_measure,
     encode_symbols,
     naive_average_rate,
     relay,
@@ -38,6 +37,7 @@ from pipeline_oracle import (
     PauliLetter,
     alice_prepare_oracle,
     bob_measure_oracle,
+    measure_as_bob,
     quantum_phase,
     quantum_phase_stats,
     raw_key_layout_oracle,
@@ -104,7 +104,7 @@ def test_bob_measure_matching_bases_reproduce_bits():
     params = default_params()
     streams = RngStreams(1)
     sent = alice_prepare(params, streams)
-    results = bob_measure(sent, params, streams.stream("bob_bases"))
+    results = measure_as_bob(sent, params, streams.stream("bob_bases"))
     same = results.bases == sent.bases
     assert np.array_equal(results.bits[same], sent.bits[same])
     # mismatched outcomes are fair coins
@@ -138,14 +138,14 @@ def test_bob_measure_matches_the_masked_oracle(bias_p):
     gen = np.random.default_rng(int(bias_p * 1000) + 7)
     for n in (0, 1, 1, *gen.integers(2, 5000, size=6), *PASS_LENGTHS):
         n = int(n)
-        # bob_measure reads only these two fields; params for n < 5 are infeasible
+        # measure_as_bob reads only these two fields; params for n < 5 are infeasible
         params = SimpleNamespace(n_qubits=n, bias_p=bias_p)
         received = SymbolBlock(
             gen.integers(0, 2, n, dtype=np.uint8), gen.integers(0, 2, n, dtype=np.uint8)
         )
         seed = int(gen.integers(2**63))
         ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = bob_measure(received, params, ours)
+        out = measure_as_bob(received, params, ours)
         assert out == bob_measure_oracle(received, params, oracle), n
         assert out.bases.dtype == out.bits.dtype == np.uint8
         # the same draws: both generators are left in the same state
@@ -157,7 +157,7 @@ def test_bob_measure_length_check():
     streams = RngStreams(2)
     sent = alice_prepare(default_params(n_qubits=4001), streams)
     with pytest.raises(ValueError):
-        bob_measure(sent, params, streams.stream("bob_bases"))
+        measure_as_bob(sent, params, streams.stream("bob_bases"))
 
 
 def _bases(transcript):
@@ -430,6 +430,7 @@ def _drive(seed, stop_at=None, strategy=None):
     meta = session_meta(params, strategy, CSS, seed)
     alice = AliceMachine(params, CSS, streams, meta=meta)
     bob = BobMachine(params, CSS, streams, meta=meta)
+    list(bob.start())
     canonical = SessionTranscript(meta=meta)
     pending = _shuttle(alice, bob, canonical, alice.start(), strategy, streams, stop_at)
     return alice, bob, canonical, pending
@@ -471,12 +472,35 @@ def test_machines_reject_out_of_order_messages():
     assert not fresh.done
 
 
+def test_bob_takes_no_message_before_his_start_and_starts_once():
+    seed, params, strategy = 25, default_params(), Passive()
+    streams = RngStreams(seed)
+    meta = session_meta(params, strategy, CSS, seed)
+    alice = AliceMachine(params, CSS, streams, meta=meta)
+    bob = BobMachine(params, CSS, streams, meta=meta)
+    canonical = SessionTranscript(meta=meta)
+    qubits = relay(canonical, *next(alice.start()), strategy, streams)
+    with pytest.raises(ProtocolError, match="qubits_sent from channel before start") as info:
+        bob.receive(qubits.actor, qubits.kind, qubits.payload)
+    assert type(info.value) is ProtocolError  # the caller's fault, not the peer's
+    assert not bob.failed and bob.transcript.events == []
+    assert list(bob.start()) == []
+    with pytest.raises(ProtocolViolation, match="start called twice"):
+        bob.start()
+    # the refused start drew nothing: his bases are still the stream's first draws
+    [(actor, kind, payload)] = bob.receive(qubits.actor, qubits.kind, qubits.payload)
+    ref = run_session(params, strategy, CSS, seed).transcript.find(EventKind.BASES_ANNOUNCED_BOB)
+    assert (actor, kind, payload) == (Actor.BOB, EventKind.BASES_ANNOUNCED_BOB, ref.payload)
+
+
 def _play_as_networked(alice, bob, canonical, strategy, streams, log):
     """Shuttle the messages of a session as the networked endpoints do, logging each step.
 
-    A message is relayed and received as soon as it is taken from its
-    sender's reply. The receiver's reply is taken whole at once, and its
-    messages reach the sender once the sender's own reply is drained.
+    Both parties start before any message is relayed, Bob first, as
+    ``run_session`` starts them. A message is relayed and received as soon
+    as it is taken from its sender's reply. The receiver's reply is taken
+    whole at once, and its messages reach the sender once the sender's own
+    reply is drained.
     """
     inbox = {alice: deque(), bob: deque()}
     peer = {alice: bob, bob: alice}
@@ -495,6 +519,7 @@ def _play_as_networked(alice, bob, canonical, strategy, streams, log):
             log.append(("receive", party.actor, ev.kind))
             play(party, party.receive(ev.actor, ev.kind, ev.payload))
 
+    assert list(bob.start()) == []  # Bob's start sends nothing
     play(alice, alice.start())
 
 
@@ -510,8 +535,14 @@ def test_each_party_sends_a_message_before_the_work_that_follows_it(monkeypatch)
 
         return step
 
-    for name in ("block_permutations", "reconcile_alice_blocks", "reconcile_bob_blocks"):
+    work = ("block_permutations", "reconcile_alice_blocks", "reconcile_bob_blocks")
+    for name in ("_draw_bases", "bob_measure", *work):
         monkeypatch.setattr(protocol, name, logged(name, getattr(protocol, name)))
+    for cls in (AliceMachine, BobMachine):
+        start = cls.start
+        monkeypatch.setattr(
+            cls, "start", lambda self, start=start: log.append(("start", self.actor)) or start(self)
+        )
     sift = _PartyMachine._sift
     monkeypatch.setattr(
         _PartyMachine, "_sift", lambda self, *bases: log.append(("sift", self.actor)) or sift(self, *bases)
@@ -525,9 +556,14 @@ def test_each_party_sends_a_message_before_the_work_that_follows_it(monkeypatch)
 
     A, B, K = Actor.ALICE, Actor.BOB, EventKind
     assert log == [
+        ("start", B),
+        ("_draw_bases",),  # Bob's bases, before the qubits reach him
+        ("start", A),
+        ("_draw_bases",),  # Alice's, as she prepares her qubits
         ("take", A, K.QUBITS_SENT),
         ("receive", B, K.QUBITS_SENT),
         ("take", B, K.BASES_ANNOUNCED_BOB),
+        ("bob_measure",),  # his mismatch coins, once his bases have gone out
         ("receive", A, K.BASES_ANNOUNCED_BOB),
         ("take", A, K.BASES_ANNOUNCED_ALICE),  # Alice announces before she sifts
         ("receive", B, K.BASES_ANNOUNCED_ALICE),
@@ -578,8 +614,11 @@ def test_a_party_refuses_a_message_until_its_last_reply_is_drained():
         assert type(info.value) is ProtocolError  # the caller's fault, not the peer's
         assert not party.failed and len(party.transcript.events) == logged
 
-    started = alice.start()
-    [bases_bob] = answer(bob, relay(canonical, *next(started), strategy, streams))
+    bob_started, started = bob.start(), alice.start()
+    qubits = relay(canonical, *next(started), strategy, streams)
+    refused(bob, qubits)  # his start's reply is empty, but not drained
+    assert list(bob_started) == []
+    [bases_bob] = answer(bob, qubits)
     refused(alice, bases_bob)  # her start has given its message, but is not drained
     assert list(started) == []
     reply = alice.receive(bases_bob.actor, bases_bob.kind, bases_bob.payload)
