@@ -316,9 +316,10 @@ def strategy_from_dict(d: dict) -> AttackStrategy:
     """Rebuild a strategy from its ``to_dict`` form; a malformed dict is a ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"malformed strategy {d!r}")
-    cls = _STRATEGY_KINDS.get(d.get("kind"))
+    kind = d.get("kind")
+    cls = _STRATEGY_KINDS.get(kind) if isinstance(kind, str) else None  # a list is unhashable
     if cls is None:
-        raise ValueError(f"unknown strategy kind {d.get('kind')!r}")
+        raise ValueError(f"unknown strategy kind {kind!r}")
     try:
         strategy = cls.from_dict(d)
     except (KeyError, TypeError) as exc:

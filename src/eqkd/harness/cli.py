@@ -245,8 +245,8 @@ def _cmd_codes_validate(args) -> int:
 
 def _addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not (host and port.isdigit() and int(port) <= 0xFFFF):
-        raise argparse.ArgumentTypeError("addresses look like HOST:PORT, PORT at most 65535")
+    if not (host and port.isdigit() and 1 <= int(port) <= 0xFFFF):
+        raise argparse.ArgumentTypeError("addresses look like HOST:PORT, PORT from 1 to 65535")
     return host, int(port)
 
 
@@ -258,10 +258,9 @@ def _seconds(text: str) -> float:
 
 
 def _cmd_serve(args) -> int:
-    _params, _strategy, _css, _seed, meta = _session_setup(args)
     return serve_endpoint(
         args.role,
-        meta,
+        _session_setup(args),
         listen=None if args.listen is None else socket.create_server(args.listen, backlog=1),
         connect=args.connect,
         out_dir=args.out,

@@ -12,11 +12,13 @@ on it while the party does the work that follows.
 
 Listeners are bound before any endpoint starts, and every link sets
 ``TCP_NODELAY``: the protocol is a chain of small request/response frames,
-which Nagle's algorithm would hold back for the peer's delayed ACK. Each
-endpoint writes its transcript line by line while the session runs and keeps
-it only if the session succeeds. A payload an endpoint sends is encoded once:
-its frame and its transcript line share that text. No endpoint imports a
-module during its session, which a forked child would pay for in each one.
+which Nagle's algorithm would hold back for the peer's delayed ACK. An
+endpoint runs the session it is handed, built once by its caller, and
+decodes no configuration itself. It writes its transcript line by line
+while the session runs and keeps it only if the session succeeds. A payload
+an endpoint sends is encoded once: its frame and its transcript line share
+that text. No endpoint imports a module during its session, which a forked
+child would pay for in each one.
 """
 
 from __future__ import annotations
@@ -74,23 +76,6 @@ def start_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context(methods[0])
     importlib.import_module("numpy.random")
     return multiprocessing.get_context("fork")
-
-
-# (config, its _materialize result), set by loopback_session while it forks
-_inherited: tuple[dict, tuple] | None = None
-
-
-def _materialize(config: dict):
-    """The session ``config`` records, and its metadata.
-
-    An endpoint forked by ``loopback_session`` inherits what its parent
-    built for the same config object, instead of certifying the code pair
-    again.
-    """
-    if _inherited is not None and _inherited[0] is config:
-        return _inherited[1]
-    params, strategy, css, seed = session_from_meta(config)
-    return params, strategy, css, seed, session_meta(params, strategy, css, seed)
 
 
 def _no_delay(sock: socket.socket) -> socket.socket:
@@ -192,9 +177,9 @@ def _write_outcome(out_dir, role: str, outcome: dict) -> None:
         (Path(out_dir) / f"outcome_{role}.json").write_text(json.dumps(outcome, indent=2) + "\n")
 
 
-def _serve_party(role, config, link, out_dir, deadline) -> int:
+def _serve_party(role, session, link, out_dir, deadline) -> int:
     """One party's endpoint: Alice dials the relay at ``link``, Bob accepts it on ``link``."""
-    params, strategy, css, seed, meta = _materialize(config)
+    params, _strategy, css, seed, meta = session
     digest = config_digest(meta)
     alice = role == "alice"
     machine = (AliceMachine if alice else BobMachine)(params, css, RngStreams(seed), meta=meta)
@@ -233,14 +218,14 @@ def _channel_outcome(canonical: SessionTranscript) -> dict:
     }
 
 
-def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
+def _serve_channel(session, listen, connect, out_dir, deadline) -> int:
     """The relay: it dials Bob at ``connect`` and accepts Alice on ``listen``, then greets both.
 
     It reads only the party its transcript names as the next speaker, until
     an event ends the session; then each link must close without another
     frame. Its transcript is kept only once ``_channel_outcome`` has read it.
     """
-    params, strategy, css, seed, meta = _materialize(config)
+    _params, strategy, _css, seed, meta = session
     streams = RngStreams(seed)
     digest = config_digest(meta)
     canonical = SessionTranscript(meta=meta)
@@ -270,14 +255,17 @@ def _serve_channel(config, listen, connect, out_dir, deadline) -> int:
 
 def serve_endpoint(
     role: str,
-    config: dict,
+    session: tuple,
     listen: socket.socket | None = None,
     connect: tuple[str, int] | None = None,
     out_dir=None,
     timeout: float = 30.0,
 ) -> int:
-    """Run one endpoint to completion; returns a process exit code.
+    """Run one endpoint of ``session`` to completion; returns a process exit code.
 
+    ``session`` is the built session ``(params, strategy, css, seed, meta)``:
+    ``session_from_meta``'s four values and the ``session_meta`` they record.
+    The endpoint runs it as it is handed and certifies nothing again.
     ``alice`` needs ``connect`` (the relay's address), ``bob`` needs
     ``listen``, and ``channel`` needs both. ``listen`` is a listening socket
     the caller bound; the endpoint accepts one link on it and closes it,
@@ -288,15 +276,15 @@ def serve_endpoint(
         if role == "alice":
             if connect is None:
                 raise ValueError("alice needs an address to connect to")
-            return _serve_party(role, config, connect, out_dir, deadline)
+            return _serve_party(role, session, connect, out_dir, deadline)
         if role == "bob":
             if listen is None:
                 raise ValueError("bob needs a socket to listen on")
-            return _serve_party(role, config, listen, out_dir, deadline)
+            return _serve_party(role, session, listen, out_dir, deadline)
         if role == "channel":
             if listen is None or connect is None:
                 raise ValueError("channel needs a socket to listen on and an address to connect to")
-            return _serve_channel(config, listen, connect, out_dir, deadline)
+            return _serve_channel(session, listen, connect, out_dir, deadline)
         raise ValueError(f"unknown role {role!r}; pick one of {ROLES}")
     except HandshakeError as exc:
         print(f"[{role}] handshake failed: {exc}", file=sys.stderr)
@@ -310,30 +298,31 @@ def serve_endpoint(
             listen.close()
 
 
-def _endpoint_proc(role, config, listen, connect, out_dir, timeout, foreign):
+def _endpoint_proc(role, session, listen, connect, out_dir, timeout, foreign):
     # a forked child inherits every listener; it keeps only the one it serves,
     # so a dial to a dead endpoint is refused instead of queued
     for sock in foreign:
         sock.close()
     sys.exit(
         serve_endpoint(
-            role, config, listen=listen, connect=connect, out_dir=out_dir, timeout=timeout
+            role, session, listen=listen, connect=connect, out_dir=out_dir, timeout=timeout
         )
     )
 
 
 def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
-    """Run all three endpoints as local processes over loopback TCP.
+    """Run the three endpoints of ``config``'s session as local processes over loopback TCP.
 
-    Both listeners are bound before any endpoint starts, so all three start
-    at once. The session is built here, once, and the forked endpoints
-    inherit it. Returns the exit code of each role. Transcripts and outcomes
-    land in ``out_dir`` under the usual per-role filenames. A malformed
-    config, or one of another draw contract, is a ValueError here, before
-    anything is bound or started.
+    The session is built here, once, and handed to each endpoint as an
+    argument, so no endpoint certifies the code pair again: a forked one
+    inherits it, a spawned one unpickles it. A malformed config, or one of
+    another draw contract, is a ValueError here, before anything is bound or
+    started. Both listeners are bound before any endpoint starts, so all
+    three start at once. Returns the exit code of each role. Transcripts and
+    outcomes land in ``out_dir`` under the usual per-role filenames.
     """
-    global _inherited
-    session = _materialize(config)
+    built = session_from_meta(config)
+    session = (*built, session_meta(*built))
     ctx = start_context()
     procs = {}
     with (
@@ -346,12 +335,11 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
             "bob": (bob_l, None),
         }
         try:
-            _inherited = (config, session)
             for name, (listen, connect) in links.items():
                 foreign = [s for s in (bob_l, relay_l) if s is not listen]
                 proc = ctx.Process(
                     target=_endpoint_proc,
-                    args=(name, config, listen, connect, out_dir, timeout, foreign),
+                    args=(name, session, listen, connect, out_dir, timeout, foreign),
                 )
                 proc.start()
                 procs[name] = proc  # only a started endpoint is one to stop and reap
@@ -360,8 +348,6 @@ def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
                 proc.terminate()
                 proc.join()
             raise
-        finally:
-            _inherited = None
 
     codes = {}
     for name, proc in procs.items():

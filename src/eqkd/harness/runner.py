@@ -325,7 +325,9 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
     meta = transcript.meta
     for field_name in ("seed", "params", "strategy", "css"):
         if field_name not in meta:
-            return False, f"transcript metadata lacks {field_name!r}"
+            return False, f"malformed transcript: the metadata lacks {field_name!r}"
+    if extra := meta.keys() - {"seed", "draw_contract", "params", "strategy", "css"}:
+        return False, f"malformed transcript: unknown metadata keys: {', '.join(sorted(extra))}"
     if other := other_draw_contract(meta):
         return False, other
     params, strategy, css, seed = session_from_meta(meta)

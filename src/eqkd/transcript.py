@@ -159,6 +159,8 @@ class Event:
             seq = obj["seq"]
             if type(seq) is not int:
                 raise TypeError(f"seq {seq!r} is not an integer")
+            if extra := obj.keys() - {"seq", "actor", "kind", "payload"}:
+                raise ValueError(f"unknown event keys: {', '.join(sorted(extra))}")
             ev = cls(
                 seq=seq,
                 actor=Actor(obj["actor"]),
@@ -257,11 +259,14 @@ class SessionTranscript:
         if not lines:
             raise TranscriptError("empty transcript")
         try:
-            meta = json.loads(lines[0])["meta"]
+            header = json.loads(lines[0])
+            meta = header["meta"]
         except (KeyError, TypeError, ValueError, RecursionError):
             meta = None
         if not isinstance(meta, dict):
             raise TranscriptError("missing metadata header line")
+        if extra := header.keys() - {"meta"}:
+            raise TranscriptError(f"unknown header keys: {', '.join(sorted(extra))}")
         t = cls(meta=meta)
         for line in lines[1:]:
             t.record(Event.from_json(line))

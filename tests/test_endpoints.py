@@ -22,7 +22,7 @@ from eqkd.channel import (
     Passive,
     RngStreams,
 )
-from eqkd.codes import steane_pair
+from eqkd.codes import steane_pair, validate_css
 from eqkd.harness.endpoints import (
     EXIT_HANDSHAKE,
     EXIT_PROTOCOL,
@@ -54,6 +54,11 @@ CSS = steane_pair()
 def _meta(seed, strategy=None, n=1500):
     params = ProtocolParams(n_qubits=n, bias_p=0.3, m1=60, m2=60)
     return params, session_meta(params, strategy or Passive(), CSS, seed)
+
+
+def _session(meta):
+    """The built session ``serve_endpoint`` runs: ``session_from_meta``'s values, then ``meta``."""
+    return (*session_from_meta(meta), meta)
 
 
 def _transcript_files(out_dir) -> list:
@@ -195,6 +200,31 @@ def test_loopback_leaves_the_parent_no_open_descriptors(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_no_forked_endpoint_builds_its_session_again(tmp_path, monkeypatch):
+    # loopback_session builds the session once and hands it to each endpoint;
+    # one that decoded its configuration would certify the code pair again
+    parent = os.getpid()
+
+    def in_parent_only(fn):
+        def guarded(*args):
+            if os.getpid() != parent:
+                raise AssertionError(f"{fn.__name__} ran in a forked endpoint")
+            return fn(*args)
+
+        return guarded
+
+    for target, fn in (
+        ("eqkd.codes.validate_css", validate_css),
+        ("eqkd.protocol.session_from_meta", session_from_meta),
+        ("eqkd.harness.endpoints.session_from_meta", session_from_meta),
+    ):
+        monkeypatch.setattr(target, in_parent_only(fn))
+    _params, meta = _meta(49, DepolarizingPauli.symmetric(0.01), n=20_000)
+    assert loopback_session(meta, tmp_path, timeout=30) == {"alice": 0, "channel": 0, "bob": 0}
+    assert json.loads((tmp_path / "outcome_channel.json").read_text())["status"] == "accepted"
+
+
 def test_every_endpoint_link_turns_nagle_off():
     deadline = time.monotonic() + 15
     lsock = _listener()
@@ -278,7 +308,8 @@ def test_a_host_name_the_codec_refuses_ends_the_endpoint_with_exit_protocol(capf
     # a non-ASCII host still goes through the IDNA codec, which refuses a
     # label over 63 characters before any lookup is made
     _params, meta = _meta(41)
-    assert serve_endpoint("alice", meta, connect=("\u00fc" * 70, 9), timeout=1) == EXIT_PROTOCOL
+    code = serve_endpoint("alice", _session(meta), connect=("\u00fc" * 70, 9), timeout=1)
+    assert code == EXIT_PROTOCOL
     err = capfd.readouterr().err
     assert "[alice] session failed: " in err and "idna" in err and "Traceback" not in err
 
@@ -289,7 +320,8 @@ def test_a_forked_endpoint_keeps_no_listener_it_does_not_serve(capfd):
     _params, meta = _meta(40)
     lsock = _listener()
     alice = start_context().Process(
-        target=_endpoint_proc, args=("alice", meta, None, lsock.getsockname(), None, 0.3, [lsock])
+        target=_endpoint_proc,
+        args=("alice", _session(meta), None, lsock.getsockname(), None, 0.3, [lsock]),
     )
     alice.start()
     lsock.close()
@@ -309,7 +341,7 @@ def test_mismatched_configs_fail_the_handshake(tmp_path):
     def start(role, meta, listen, connect):
         foreign = [s for s in (bob_l, relay_l) if s is not listen]
         proc = ctx.Process(target=_endpoint_proc,
-                           args=(role, meta, listen, connect, None, 15, foreign))
+                           args=(role, _session(meta), listen, connect, None, 15, foreign))
         proc.start()
         return proc
 
@@ -341,12 +373,12 @@ def test_mismatched_configs_fail_the_handshake(tmp_path):
 def test_serve_endpoint_argument_validation():
     _params, meta = _meta(35)
     with pytest.raises(ValueError):
-        serve_endpoint("alice", meta)  # no address to connect to
+        serve_endpoint("alice", _session(meta))  # no address to connect to
     with pytest.raises(ValueError):
-        serve_endpoint("bob", meta)
+        serve_endpoint("bob", _session(meta))
     lsock = _listener()
     with pytest.raises(ValueError):
-        serve_endpoint("nope", meta, listen=lsock)
+        serve_endpoint("nope", _session(meta), listen=lsock)
     assert lsock.fileno() == -1  # the endpoint owns the listener it is given
 
 
@@ -365,7 +397,9 @@ def test_truncated_payload_ends_the_endpoint_with_exit_protocol():
     address = lsock.getsockname()
     codes = []
     bob = threading.Thread(
-        target=lambda: codes.append(serve_endpoint("bob", meta, listen=lsock, timeout=15))
+        target=lambda: codes.append(
+            serve_endpoint("bob", _session(meta), listen=lsock, timeout=15)
+        )
     )
     bob.start()
     with socket.create_connection(address, timeout=15) as relay:
@@ -386,7 +420,7 @@ def test_malformed_estimate_ends_the_endpoint_with_exit_protocol(tmp_path):
     codes = []
     bob = threading.Thread(
         target=lambda: codes.append(
-            serve_endpoint("bob", meta, listen=lsock, out_dir=tmp_path, timeout=15)
+            serve_endpoint("bob", _session(meta), listen=lsock, out_dir=tmp_path, timeout=15)
         )
     )
     bob.start()
@@ -417,7 +451,7 @@ def test_a_party_cut_off_midway_through_its_reply_exits_with_exit_protocol(tmp_p
 
     def serve():
         code = serve_endpoint(
-            "alice", meta, connect=lsock.getsockname(), out_dir=tmp_path, timeout=15
+            "alice", _session(meta), connect=lsock.getsockname(), out_dir=tmp_path, timeout=15
         )
         ended.append((code, time.monotonic()))
 
@@ -461,8 +495,8 @@ def _play_to_relay(meta, frames, out_dir=None, timeout=15, pause=0.0, hold_open=
     codes, forwarded = [], []
     relay = threading.Thread(
         target=lambda: codes.append(serve_endpoint(
-            "channel", meta, listen=relay_l, connect=bob_l.getsockname(), out_dir=out_dir,
-            timeout=timeout,
+            "channel", _session(meta), listen=relay_l, connect=bob_l.getsockname(),
+            out_dir=out_dir, timeout=timeout,
         ))
     )
     relay.start()
@@ -600,7 +634,7 @@ def test_a_party_deadline_covers_the_whole_session(capsys, role):
     ended = []
 
     def serve():
-        code = serve_endpoint(role, meta, timeout=1.0, **link)
+        code = serve_endpoint(role, _session(meta), timeout=1.0, **link)
         ended.append((code, time.monotonic()))
 
     party = threading.Thread(target=serve)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from eqkd.channel import BiasedInterceptResend, DepolarizingPauli, Passive
-from eqkd.codes import gf2_nullspace, steane_pair
+from eqkd.codes import gf2_nullspace, steane_pair, validate_css
 from eqkd.harness import runner
 from eqkd.harness.cli import main
 from eqkd.harness.runner import (
@@ -438,11 +438,14 @@ _NOISY = {"kind": "depolarizing", "q": [0.97, 0.01, 0.01, 0.01]}
      ({**_SETTINGS, "params": {"delta-e": 0.5}}, "unknown params keys: delta-e"),
      ({**_SETTINGS, "strategy": {**_NOISY, "w": 3}}, "unknown depolarizing strategy keys: w"),
      ({**_SETTINGS, "strategy": {"kind": "passive", "p1": 0.5}},
-      "unknown passive strategy keys: p1")],
+      "unknown passive strategy keys: p1"),
+     ({**_SETTINGS, "strategy": {"kind": []}}, "unknown strategy kind []"),
+     ({**_SETTINGS, "strategy": {"kind": {}}}, "unknown strategy kind {}")],
     ids=["not_an_object", "params_not_an_object", "css_not_an_object", "code_files_not_a_list",
          "code_files_empty_path", "seed_a_list", "float_seed", "float_n_qubits",
          "fractional_m1", "boolean_m2", "nan_delta_prime", "unknown_key", "misspelt_seed", "unknown_params_key",
-         "unknown_strategy_key", "unknown_passive_key"],
+         "unknown_strategy_key", "unknown_passive_key", "strategy_kind_a_list",
+         "strategy_kind_an_object"],
 )
 def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, config, named):
     path = tmp_path / "session.json"
@@ -647,13 +650,32 @@ def test_cli_loopback_reports_every_exit_code_and_the_channel_outcome(tmp_path, 
     assert outcome["digests_match"] is True
 
 
-@pytest.mark.parametrize("address", ["nohost", "host:", "host:port", "127.0.0.1:65536"])
+@pytest.mark.parametrize(
+    "address", ["nohost", "host:", "host:port", "127.0.0.1:65536", "127.0.0.1:0"]
+)
 def test_cli_serve_refuses_a_malformed_address(capsys, address):
     for flag in ("--listen", "--connect"):
         with pytest.raises(SystemExit) as exit_:
             main(["serve", "--role", "channel", *_RUN[1:], flag, address])
         assert exit_.value.code == 2
-        assert "addresses look like HOST:PORT, PORT at most 65535" in capsys.readouterr().err
+        assert "addresses look like HOST:PORT, PORT from 1 to 65535" in capsys.readouterr().err
+
+
+def test_cli_serve_certifies_its_code_pair_once(monkeypatch, capsys):
+    # the endpoint runs the session the command built, code pair included
+    certified = []
+
+    def counted(*args):
+        certified.append(args)
+        return validate_css(*args)
+
+    monkeypatch.setattr("eqkd.codes.validate_css", counted)
+    with socket.create_server(("127.0.0.1", 0)) as relay:  # takes Alice's link, never greets her
+        address = f"127.0.0.1:{relay.getsockname()[1]}"
+        argv = ["serve", "--role", "alice", *_RUN[1:], "--connect", address, "--timeout", "0.2"]
+        assert main(argv) == 2
+    assert len(certified) == 1
+    assert "[alice] session failed" in capsys.readouterr().err
 
 
 def test_cli_serve_refuses_a_listen_port_already_bound(capsys):
@@ -703,26 +725,39 @@ def _event_line(seq, actor, kind, payload):
     return json.dumps({"seq": seq, "actor": actor, "kind": kind, "payload": payload})
 
 
+def _record_with(change) -> list[str]:
+    """The lines of a whole 12-event record, after ``change`` edits its header or an event."""
+    record = run_session(PARAMS, DepolarizingPauli.symmetric(0.01), CSS, seed=8).transcript
+    header, *events = (json.loads(line) for line in record.to_jsonl().splitlines())
+    change(header, events)
+    return [json.dumps(obj) for obj in (header, *events)]
+
+
 @pytest.mark.parametrize(
-    "lines",
+    "lines, named",
     [
-        ['{"meta":{}}', '{"seq":0}'],
-        ['"metadata"'],
-        ['{"meta":{}}', _event_line(0, "alice", "bases_announced_alice", {}),
-         _event_line(1, "bob", "bases_announced_bob", {})],
-        ['{"meta":{}}', _event_line(0, "alice", "qubits_sent", [])],
-        ['{"meta":{}}', '[' * 100_000],
-        ['{"meta":{}}', _event_line(1.5, "bob", "bases_announced_bob", {})],
-        ['{"meta":{}}', _event_line(True, "bob", "bases_announced_bob", {})],
+        (['{"meta":{}}', '{"seq":0}'], ""),
+        (['"metadata"'], ""),
+        (['{"meta":{}}', _event_line(0, "alice", "bases_announced_alice", {}),
+          _event_line(1, "bob", "bases_announced_bob", {})], ""),
+        (['{"meta":{}}', _event_line(0, "alice", "qubits_sent", [])], ""),
+        (['{"meta":{}}', '[' * 100_000], ""),
+        (['{"meta":{}}', _event_line(1.5, "bob", "bases_announced_bob", {})], ""),
+        (['{"meta":{}}', _event_line(True, "bob", "bases_announced_bob", {})], ""),
+        (_record_with(lambda header, events: events[4].update(note=1)), "note"),
+        (_record_with(lambda header, events: header.update(note=1)), "note"),
+        (_record_with(lambda header, events: header["meta"].update(note=1)), "note"),
     ],
     ids=["event_without_fields", "header_not_an_object", "alice_bases_first",
-         "payload_not_an_object", "nesting_past_the_decoder", "float_seq", "boolean_seq"],
+         "payload_not_an_object", "nesting_past_the_decoder", "float_seq", "boolean_seq",
+         "unknown_event_key", "unknown_header_key", "unknown_metadata_key"],
 )
-def test_cli_replay_fails_cleanly_on_a_malformed_transcript(tmp_path, capsys, lines):
+def test_cli_replay_fails_cleanly_on_a_malformed_transcript(tmp_path, capsys, lines, named):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(path)]) == 1
-    assert capsys.readouterr().out.startswith("FAIL: malformed transcript: ")
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL: malformed transcript: ") and named in printed
 
 
 @pytest.mark.parametrize(
@@ -731,10 +766,11 @@ def test_cli_replay_fails_cleanly_on_a_malformed_transcript(tmp_path, capsys, li
      ("seed", None), ("seed", 6.5), ("seed", True),
      ("params", dict(PARAMS.to_dict(), n_qubits=3000.0)),
      ("params", dict(PARAMS.to_dict(), m1=True)),
-     ("strategy", {"kind": "fixed_pauli", "letters": "IXZ"})],
+     ("strategy", {"kind": "fixed_pauli", "letters": "IXZ"}),
+     ("strategy", {"kind": []}), ("strategy", {"kind": {}})],
     ids=["params_not_an_object", "params_missing_fields", "css_without_rows",
          "strategy_not_an_object", "null_seed", "float_seed", "boolean_seed", "float_n_qubits",
-         "boolean_m1", "short_pauli_string"],
+         "boolean_m1", "short_pauli_string", "strategy_kind_a_list", "strategy_kind_an_object"],
 )
 def test_cli_replay_reports_an_invalid_recorded_configuration(tmp_path, capsys, field, value):
     meta = dict(session_meta(PARAMS, Passive(), CSS, 6), **{field: value})

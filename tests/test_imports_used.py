@@ -13,7 +13,9 @@ tests use does not stay in ``src/``.
 
 No ``isinstance`` or ``issubclass`` call in the package names a channel
 strategy class: a strategy carries its own behaviour. No floor division
-divides by a block length outside ``protocol.session_sizes``.
+divides by a block length outside ``protocol.session_sizes``. No module of
+the package has a ``global`` statement: what a function needs is handed to
+it.
 """
 
 from __future__ import annotations
@@ -176,3 +178,19 @@ def test_only_session_sizes_cuts_the_key_into_blocks():
             and divisor.attr == "n"
         ]
     assert not found, f"a block count sized outside session_sizes: {found}"
+
+
+def test_no_module_rebinds_a_global():
+    """No ``global`` statement in the package: module state set around a call is hidden input.
+
+    A slot set before a fork and read back in the child is a second way of
+    handing a value to a function, beside its arguments, and one that a
+    spawned child or a second caller does not see.
+    """
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, f"a global statement: {found}"

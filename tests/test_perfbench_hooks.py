@@ -22,7 +22,14 @@ from eqkd.codes import reconcile_bob_blocks, steane_pair
 from eqkd.harness import endpoints, wire
 from eqkd.harness.endpoints import serve_endpoint
 from eqkd.harness.wire import send_frame
-from eqkd.protocol import AliceMachine, BobMachine, ProtocolParams, Reply, session_meta
+from eqkd.protocol import (
+    AliceMachine,
+    BobMachine,
+    ProtocolParams,
+    Reply,
+    session_from_meta,
+    session_meta,
+)
 from eqkd.transcript import Event
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -96,6 +103,7 @@ def _serve_three(out_dir) -> dict:
     """Run a passive N = 1500 session's three endpoints in threads; their exit codes."""
     params = ProtocolParams(n_qubits=1500, bias_p=0.3, m1=60, m2=60)
     meta = session_meta(params, Passive(), steane_pair(), 44)
+    session = (*session_from_meta(meta), meta)
     bob_l, relay_l = (socket.create_server(("127.0.0.1", 0), backlog=1) for _ in range(2))
     links = {
         "bob": {"listen": bob_l},
@@ -106,7 +114,7 @@ def _serve_three(out_dir) -> dict:
     threads = [
         threading.Thread(
             target=lambda role=role, link=link: codes.update(
-                {role: serve_endpoint(role, meta, out_dir=out_dir, timeout=15, **link)}
+                {role: serve_endpoint(role, session, out_dir=out_dir, timeout=15, **link)}
             )
         )
         for role, link in links.items()
