@@ -37,8 +37,8 @@ from ..bounds import (
 )
 from ..channel import BiasedInterceptResend, DepolarizingPauli, FixedPauliString, strategy_from_dict
 from ..codes import CodeError, css_fingerprint, css_from_meta, load_css, steane_pair
-from ..protocol import ProtocolParams, session_meta
-from .endpoints import ROLES, loopback_session, serve_endpoint
+from ..protocol import ProtocolParams, check_seed, session_meta
+from .endpoints import ROLES, serve_endpoint, serve_loopback
 from .runner import ExperimentConfig, attack_demo, emit_csv, replay_verify, run_experiment
 
 _PARAM_FIELDS = dataclasses.fields(ProtocolParams)
@@ -140,9 +140,7 @@ def _session_setup(args):
     else:
         css = steane_pair()
 
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    if type(seed) is not int:
-        raise ValueError(f"malformed seed {seed!r}")
+    seed = check_seed(args.seed if args.seed is not None else file_cfg.get("seed", 0))
     meta = session_meta(params, strategy, css, seed)
     return params, strategy, css, seed, meta
 
@@ -269,8 +267,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_loopback(args) -> int:
-    _params, _strategy, _css, _seed, meta = _session_setup(args)
-    codes = loopback_session(meta, args.out, timeout=args.timeout)
+    codes = serve_loopback(_session_setup(args), args.out, timeout=args.timeout)
     report = {"exit_codes": codes}
     outcome_path = Path(args.out) / "outcome_channel.json"
     if outcome_path.exists():

@@ -311,18 +311,26 @@ def _endpoint_proc(role, session, listen, connect, out_dir, timeout, foreign):
 
 
 def loopback_session(config: dict, out_dir, timeout: float = 30.0) -> dict:
-    """Run the three endpoints of ``config``'s session as local processes over loopback TCP.
+    """:func:`serve_loopback` of ``config``'s session, which is built here, once.
 
-    The session is built here, once, and handed to each endpoint as an
-    argument, so no endpoint certifies the code pair again: a forked one
-    inherits it, a spawned one unpickles it. A malformed config, or one of
-    another draw contract, is a ValueError here, before anything is bound or
-    started. Both listeners are bound before any endpoint starts, so all
-    three start at once. Returns the exit code of each role. Transcripts and
-    outcomes land in ``out_dir`` under the usual per-role filenames.
+    A malformed config, or one of another draw contract, is a ValueError
+    before anything is bound or started.
     """
     built = session_from_meta(config)
-    session = (*built, session_meta(*built))
+    return serve_loopback((*built, session_meta(*built)), out_dir, timeout)
+
+
+def serve_loopback(session: tuple, out_dir, timeout: float = 30.0) -> dict:
+    """Run the three endpoints of a built session as local processes over loopback TCP.
+
+    ``session`` is ``(params, strategy, css, seed, meta)``, as
+    :func:`serve_endpoint` takes it. It is handed to each endpoint as an
+    argument, so no endpoint certifies the code pair again: a forked one
+    inherits it, a spawned one unpickles it. Both listeners are bound before
+    any endpoint starts, so all three start at once. Returns the exit code
+    of each role. Transcripts and outcomes land in ``out_dir`` under the
+    usual per-role filenames.
+    """
     ctx = start_context()
     procs = {}
     with (

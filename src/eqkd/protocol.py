@@ -237,16 +237,44 @@ def bob_measure(
     return SymbolBlock(bases, bits)
 
 
-def _in_class(positions: np.ndarray, sample: np.ndarray, name: str) -> np.ndarray:
+def _in_class(members: np.ndarray, sample: np.ndarray, name: str) -> np.ndarray:
     """A test sample the peer announced, checked to be positions of its class.
 
-    ``positions`` is the class, sorted; the sample's shape, strictly
-    increasing positions below N, is the payload table's to check.
+    ``members`` is the class as a mask over the N positions; the sample's
+    shape, strictly increasing positions below N, is the payload table's to
+    check.
     """
-    slots = np.searchsorted(positions, sample)
-    if slots[-1] >= positions.size or np.any(positions[slots] != sample):
+    if not members[sample].all():
         raise ProtocolViolation(f"{name} test sample holds a position outside its class")
     return sample
+
+
+# A sifted class is a mask over the N positions. A list of its positions,
+# 8 bytes a member, is made at most a chunk of positions at a time.
+_CHUNK = 1 << 16
+
+
+def _member_positions(members: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(members)[ranks]``, listing at most a chunk of positions.
+
+    A mask of at most a chunk is listed whole, which at that size costs less
+    than packing it. A longer one is packed into 64-position words, whose
+    running member counts find the word of each rank, and only those words
+    are listed. A rank past the last member is an IndexError, as it is for
+    the indexing; ranks are not negative.
+    """
+    if members.size <= _CHUNK:
+        return np.flatnonzero(members)[ranks]
+    words = np.zeros(-(-members.size // 64), dtype=np.uint64)
+    words.view(np.uint8)[: -(-members.size // 8)] = np.packbits(members)  # in position order
+    counts = np.bitwise_count(words).astype(np.int64)
+    ends = np.cumsum(counts)
+    word = np.searchsorted(ends, ranks, side="right")
+    hits = counts[word]
+    # the members of each rank's word, one word after another; a rank's own
+    # member sits ends[word] - rank places before the end of its word's run
+    listed = np.flatnonzero(np.unpackbits(words[word].view(np.uint8)).view(bool))
+    return word * 64 + listed[np.cumsum(hits) - (ends[word] - ranks)] % 64
 
 
 def naive_average_rate(p: float, e1: float, e2: float) -> float:
@@ -480,6 +508,13 @@ def other_draw_contract(meta: dict) -> str | None:
     return f"recorded under draw contract {contract!r}; this build draws by {DRAW_CONTRACT}"
 
 
+def check_seed(seed) -> int:
+    """``seed`` if it is a session seed, an integer in [0, 2^64); any other is a ValueError."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"malformed seed {seed!r}; a seed is an integer in [0, 2^64)")
+    return seed
+
+
 def session_from_meta(meta: dict) -> tuple[ProtocolParams, AttackStrategy, CssPair, int]:
     """The configuration ``session_meta`` recorded; malformed metadata is a ValueError.
 
@@ -488,9 +523,7 @@ def session_from_meta(meta: dict) -> tuple[ProtocolParams, AttackStrategy, CssPa
     """
     if other := other_draw_contract(meta):
         raise ValueError(other)
-    seed = meta.get("seed")
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ValueError(f"malformed seed {seed!r}; a seed is an integer in [0, 2^64)")
+    seed = check_seed(meta.get("seed"))
     params = ProtocolParams.from_dict(meta.get("params"))
     return params, strategy_from_dict(meta.get("strategy")), css_from_meta(meta.get("css")), seed
 
@@ -590,8 +623,9 @@ class _PartyMachine:
         self._replying = False  # whether a reply is still to be drained
         self._bases_hex: str | None = None  # this party's bases, packed in start
         self.sizes = session_sizes(params, css)  # the block count is a range until sifting
-        self._rect_pos: np.ndarray | None = None
-        self._diag_pos: np.ndarray | None = None
+        self._rect: np.ndarray | None = None  # the same-basis classes, as masks over N
+        self._diag: np.ndarray | None = None
+        self._class_sizes: tuple[int, int] | None = None  # (rect, diag) member counts
         self._test_rect: np.ndarray | None = None
         self._test_diag: np.ndarray | None = None
         self._estimate: ErrorEstimate | None = None
@@ -646,30 +680,47 @@ class _PartyMachine:
         self.done = True
 
     def _sift(self, alice_bases: np.ndarray, bob_bases: np.ndarray) -> bool:
-        """Find both same-basis classes and size the key layout; whether the session goes on.
+        """Mask both same-basis classes and size the key layout; whether the session goes on.
 
         It does when each class holds its test sample and the diagonal one a
-        whole block besides. A 0/1 basis array's bool view reads True for diagonal.
+        whole block besides. A 0/1 basis array's bool view reads True for
+        diagonal. The classes are kept as masks over the N positions, with
+        their sizes; no list of their positions is built.
         """
         a, b = alice_bases.view(bool), bob_bases.view(bool)
-        self._rect_pos, self._diag_pos = np.flatnonzero(~(a | b)), np.flatnonzero(a & b)
-        self.sizes = session_sizes(self.params, self.css, self._diag_pos.size)
-        return self._rect_pos.size >= self.params.m1 and self.sizes["blocks"] >= 1
+        self._rect = np.logical_or(a, b)
+        np.logical_not(self._rect, out=self._rect)
+        self._diag = np.logical_and(a, b)
+        n_rect, n_diag = int(np.count_nonzero(self._rect)), int(np.count_nonzero(self._diag))
+        self._class_sizes = (n_rect, n_diag)
+        self.sizes = session_sizes(self.params, self.css, n_diag)
+        return n_rect >= self.params.m1 and self.sizes["blocks"] >= 1
 
     def _raw_key_layout(self, bits: np.ndarray) -> np.ndarray:
         """This party's raw key: ``bits`` at the untested both-diagonal positions.
 
         Equals ``bits[untested]``, where ``untested`` is the both-diagonal
         positions not in the test sample, in increasing order, cut to whole
-        blocks, reshaped to ``(blocks, n)``. The class is gathered first and
-        the tested slots dropped from the gathered bits: ``_diag_pos`` is
-        sorted (it comes from ``flatnonzero``) and the tested positions are
-        members of it, so ``searchsorted`` finds their slots.
+        blocks, reshaped to ``(blocks, n)``. The class is listed a chunk of
+        positions at a time, less the chunk's tested positions, and their
+        bits are copied into the output until it is full; the tested
+        positions are sorted, so ``searchsorted`` finds each chunk's.
         """
-        keep = np.ones(self._diag_pos.size, dtype=bool)
-        keep[np.searchsorted(self._diag_pos, self._test_diag)] = False
         blocks, n = self.sizes["blocks"], self.css.n
-        return bits[self._diag_pos][keep][: blocks * n].reshape(blocks, n)
+        out = np.empty(blocks * n, dtype=bits.dtype)
+        tested = self._test_diag
+        done = 0
+        for start in range(0, self._diag.size, _CHUNK):
+            if done == out.size:
+                break
+            stop = start + _CHUNK
+            untested = self._diag[start:stop].copy()
+            lo, hi = np.searchsorted(tested, (start, stop))
+            untested[tested[lo:hi] - start] = False
+            local = np.flatnonzero(untested)[: out.size - done]
+            out[done : done + local.size] = bits[start:stop][local]
+            done += local.size
+        return out.reshape(blocks, n)
 
 
 class AliceMachine(_PartyMachine):
@@ -709,8 +760,8 @@ class AliceMachine(_PartyMachine):
         if kind is EventKind.TEST_INDICES:
             if not self._sample_fits:
                 raise ProtocolViolation("test sample, but the classes are too small for one")
-            self._test_rect = _in_class(self._rect_pos, fields["rect"], "rect")
-            self._test_diag = _in_class(self._diag_pos, fields["diag"], "diag")
+            self._test_rect = _in_class(self._rect, fields["rect"], "rect")
+            self._test_diag = _in_class(self._diag, fields["diag"], "diag")
             return ()
         if kind is EventKind.TEST_DISCLOSURE:
             return self._estimate_and_decide(fields["rect_bits"], fields["diag_bits"])
@@ -829,9 +880,11 @@ class BobMachine(_PartyMachine):
             self._finish(status)
             return out
         rng = self.streams.stream("test_selection")
-        i1 = np.sort(rng.choice(self._rect_pos.size, size=p.m1, replace=False))
-        i2 = np.sort(rng.choice(self._diag_pos.size, size=p.m2, replace=False))
-        self._test_rect, self._test_diag = self._rect_pos[i1], self._diag_pos[i2]
+        n_rect, n_diag = self._class_sizes
+        i1 = np.sort(rng.choice(n_rect, size=p.m1, replace=False))
+        i2 = np.sort(rng.choice(n_diag, size=p.m2, replace=False))
+        self._test_rect = _member_positions(self._rect, i1)
+        self._test_diag = _member_positions(self._diag, i2)
         return [
             self._emit(
                 EventKind.TEST_INDICES,
@@ -853,29 +906,24 @@ class BobMachine(_PartyMachine):
 # In-process driver
 # ---------------------------------------------------------------------------
 
-def _lumped_rate(
-    rect_pos: np.ndarray,
-    diag_pos: np.ndarray,
-    alice_bits: np.ndarray,
-    bob_bits: np.ndarray,
-    sample_size: int,
-    rng: np.random.Generator,
-) -> float | None:
-    """Error rate over a sample drawn uniformly from both same-basis classes.
+def _lumped_rate(alice: AliceMachine, bob: BobMachine, rng: np.random.Generator) -> float | None:
+    """Error rate over a sample drawn uniformly from both of Bob's same-basis classes.
 
     Index i < |rect| stands for the i-th both-rectilinear position and the
     rest for the both-diagonal ones; only the sampled indices are mapped to
     positions, so no array of the session's length is built.
     """
-    total = rect_pos.size + diag_pos.size
+    n_rect, n_diag = bob._class_sizes
+    total = n_rect + n_diag
     if total == 0:
         return None
-    idx = rng.choice(total, size=min(sample_size, total), replace=False)
-    in_rect = idx < rect_pos.size
+    p = bob.params
+    idx = rng.choice(total, size=min(p.m1 + p.m2, total), replace=False)
+    in_rect = idx < n_rect
     positions = np.empty_like(idx)
-    positions[in_rect] = rect_pos[idx[in_rect]]
-    positions[~in_rect] = diag_pos[idx[~in_rect] - rect_pos.size]
-    return float((alice_bits[positions] != bob_bits[positions]).mean())
+    positions[in_rect] = _member_positions(bob._rect, idx[in_rect])
+    positions[~in_rect] = _member_positions(bob._diag, idx[~in_rect] - n_rect)
+    return float((alice.symbols.bits[positions] != bob.results.bits[positions]).mean())
 
 
 def run_session(
@@ -906,21 +954,13 @@ def run_session(
     a, b = alice.result, bob.result
     if a.status is not b.status:
         raise ProtocolError("parties disagree on the session status")
-    rect_pos, diag_pos = bob._rect_pos, bob._diag_pos
     return SessionOutcome(
         status=a.status,
         estimate=a.estimate,
         alice_key=a.key,
         bob_key=b.key,
         transcript=canonical,
-        retained_fraction=(rect_pos.size + diag_pos.size) / params.n_qubits,
-        lumped_rate=_lumped_rate(
-            rect_pos,
-            diag_pos,
-            alice.symbols.bits,
-            bob.results.bits,
-            params.m1 + params.m2,
-            streams.stream("naive_test"),
-        ),
+        retained_fraction=sum(bob._class_sizes) / params.n_qubits,
+        lumped_rate=_lumped_rate(alice, bob, streams.stream("naive_test")),
         num_blocks=a.num_blocks,
     )

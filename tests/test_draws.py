@@ -32,7 +32,8 @@ from eqkd.channel import (
     transmit,
     uniform_bits,
 )
-from eqkd.protocol import alice_prepare
+from eqkd.codes import steane_pair
+from eqkd.protocol import ProtocolParams, alice_prepare, run_session
 from pipeline_oracle import measure_as_bob
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqkd"
@@ -119,13 +120,13 @@ def test_uniform_bits_across_a_pass():
 N_TRACED = 1 << 20
 
 
-def _peak_bytes_per_symbol(fn) -> float:
+def _peak_bytes_per_symbol(fn, n: int = N_TRACED) -> float:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / N_TRACED
+        return (tracemalloc.get_traced_memory()[1] - base) / n
     finally:
         tracemalloc.stop()
 
@@ -150,6 +151,17 @@ KERNELS = {
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_keep_no_block_length_float_temporary(kernel):
     assert _peak_bytes_per_symbol(KERNELS[kernel]) < 3.0
+
+
+# A session at p = 0.2 peaks at about 13.6 bytes per symbol: the symbols,
+# both parties' class masks and the messages' hex text. Listing the two
+# same-basis classes as int64 positions, about 0.68 N of them per party,
+# took it to about 20.5.
+def test_a_session_peaks_below_16_bytes_per_symbol():
+    n = 10**6
+    params = ProtocolParams(n_qubits=n, bias_p=0.2, m1=200, m2=200)
+    strategy, css = DepolarizingPauli.symmetric(0.005), steane_pair()
+    assert _peak_bytes_per_symbol(lambda: run_session(params, strategy, css, 1), n) < 16.0
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]

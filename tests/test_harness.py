@@ -678,6 +678,20 @@ def test_cli_serve_certifies_its_code_pair_once(monkeypatch, capsys):
     assert "[alice] session failed" in capsys.readouterr().err
 
 
+def test_cli_loopback_certifies_its_code_pair_once(tmp_path, monkeypatch, capsys):
+    # the endpoints run the session the command built; they count in their own processes
+    certified = []
+
+    def counted(*args):
+        certified.append(args)
+        return validate_css(*args)
+
+    monkeypatch.setattr("eqkd.codes.validate_css", counted)
+    assert main(["loopback", *_RUN[1:], "--seed", "9", "--out", str(tmp_path)]) == 0
+    assert len(certified) == 1
+    assert json.loads(capsys.readouterr().out)["exit_codes"] == {"alice": 0, "channel": 0, "bob": 0}
+
+
 def test_cli_serve_refuses_a_listen_port_already_bound(capsys):
     with socket.create_server(("127.0.0.1", 0)) as taken:
         port = taken.getsockname()[1]

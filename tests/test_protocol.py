@@ -408,14 +408,61 @@ def test_raw_key_layout_matches_the_setdiff_oracle():
         (diag_pos, diag_pos[:0]),  # none tested
         (diag_pos[:5], diag_pos[:1]),  # fewer untested than one block
     ]
+    chunk = protocol._CHUNK
+    for _ in range(3):  # classes over several chunks, N not a multiple of one
+        size = int(gen.integers(2 * chunk, 3 * chunk))
+        diag_pos = np.sort(gen.choice(2 * size + 1, size=size, replace=False))
+        tested = np.sort(gen.choice(diag_pos, size=int(gen.integers(0, 500)), replace=False))
+        cases.append((diag_pos, tested))
+    diag_pos = np.arange(3 * chunk + 500)
+    edges = np.array([0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 3 * chunk - 1, 3 * chunk])
+    cases.append((diag_pos, np.append(edges, diag_pos[-1])))  # tested at each chunk's ends
+    # 2 * chunk = 7 * 18724 + 4 members fill chunks 0 and 1, and two more sit in
+    # chunk 2: the last block ends part-way through chunk 1, and chunk 2 is left out
+    cases.append((np.append(np.arange(2 * chunk), [2 * chunk + 5, 2 * chunk + 9]), np.array([], int)))
     for diag_pos, tested in cases:
         expected = raw_key_layout_oracle(diag_pos, tested, CSS.n)
-        machine._diag_pos, machine._test_diag = diag_pos, tested
+        machine._diag = np.zeros(diag_pos[-1] + 1, dtype=bool)
+        machine._diag[diag_pos] = True
+        machine._test_diag = tested
         machine.sizes["blocks"] = expected.size // CSS.n
         # bits[j] = j, so the layout reads back the positions it took
         layout = machine._raw_key_layout(np.arange(diag_pos[-1] + 1))
         assert layout.shape == (expected.size // CSS.n, CSS.n)
         assert np.array_equal(layout.reshape(-1), expected)
+
+
+# one mask within a chunk, listed whole, and one of 3 chunks and a part,
+# packed into words; neither is a multiple of a 64-position word or a byte
+@pytest.mark.parametrize("n", [64 * 300 + 37, 3 * protocol._CHUNK + 37])
+def test_member_positions_match_the_listed_class(n):
+    gen = np.random.default_rng(23)
+    members = gen.random(n) < 0.3
+    listed = np.flatnonzero(members)
+    counts = [np.count_nonzero(members[s : s + 64]) for s in range(0, n, 64)]
+    first = np.cumsum([0, *counts])[:-1]  # the rank of each word's first member
+    rank_sets = [
+        np.arange(listed.size),  # every member
+        np.array([0, listed.size - 1]),  # the first and last member
+        np.unique(np.concatenate([first, first[1:] - 1])),  # each side of every word edge
+        np.arange(5, 12),  # several in one word
+        gen.choice(listed.size, size=200, replace=False),  # in any order
+        np.array([], dtype=np.int64),
+    ]
+    for ranks in rank_sets:
+        assert np.array_equal(protocol._member_positions(members, ranks), listed[ranks])
+    # members at a word's first and last position, and in a short last word
+    edge = np.zeros(n, dtype=bool)
+    edge[[63, 64, 127, 128, n - 1]] = True
+    assert protocol._member_positions(edge, np.arange(5)).tolist() == [63, 64, 127, 128, n - 1]
+    # classes of 0 and 1 members
+    empty, one = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    one[n - 1] = True
+    assert protocol._member_positions(empty, np.array([], dtype=np.int64)).size == 0
+    assert protocol._member_positions(one, np.array([0])).tolist() == [n - 1]
+    for mask, ranks in ((empty, [0]), (one, [1]), (members, [listed.size])):
+        with pytest.raises(IndexError):
+            protocol._member_positions(mask, np.array(ranks))
 
 
 def _drive(seed, stop_at=None, strategy=None):
