@@ -26,10 +26,10 @@ _FLIP[list(b"XYZ")] = [[1, 0], [1, 1], [0, 1]]
 _PAULI_NAMES = {**{c: c.upper() for c in "IXYZixyz"}, **dict(enumerate("IXYZ"))}
 
 
-# The draw contract: how every per-symbol kernel turns a generator's output
-# into draws. Recorded in the session metadata, so a transcript drawn under
-# another contract is refused rather than replayed into a divergence.
-DRAW_CONTRACT = 2
+# The draw contract: the streams a session draws and how every kernel turns a
+# generator's output into draws. Recorded in the session metadata, so a
+# transcript drawn under another contract is refused rather than replayed.
+DRAW_CONTRACT = 3
 
 # Raw words are drawn this many at a time, so that a pass and what is computed
 # from it stay in L2 cache. A bit generator hands out its words in order, so

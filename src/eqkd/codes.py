@@ -1,12 +1,12 @@
 """Binary linear codes and nested-pair key reconciliation.
 
 Error correction and privacy amplification run over a nested pair of binary
-linear codes C2 < C1. Alice hides her raw block v behind a random codeword u
-of C1 (announcing u + v); Bob strips the announcement from his noisy copy and
-decodes back to u; both then keep only the coset of C2 that u lies in. The
-coset coordinates are the final key bits: the announcement leaks nothing
-about them, and any error pattern of weight at most the correction radius t
-leaves the coset unchanged.
+linear codes C2 < C1. Alice announces her raw block v's C1 syndrome s = H1 v
+and keeps the coset of C2 that v + R s lies in, where the lift R is a right
+inverse of H1, so that v + R s is a codeword of C1. Bob adds R s to his
+noisy copy and decodes to that codeword. The coset coordinates are the final
+key bits: the syndrome leaks nothing about them, and any error pattern of
+weight at most the correction radius t leaves the coset unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import WORDS_PER_PASS, raw_passes, seeded_rng, uniform_bits
+from .channel import WORDS_PER_PASS, raw_passes, seeded_rng
 
 
 class CodeError(Exception):
@@ -197,6 +197,8 @@ class CssPair:
     k : key bits per block, dim C1 - dim C2
     key_map : k x n compression of C2's parity check (the generator of the
         dual of C2) that is a bijection on C1/C2 cosets
+    lift : n x m right inverse of C1's parity check H1 (m = n - dim C1), zero
+        but on m rows picked from the last back: a systematic C1 lifts by placement
     leader_labels : (2^m, k) key labels of C1's coset leaders, m = n - dim C1,
         row s for the syndrome whose bits read s; a leader is the error
         pattern of weight at most C1's own radius (d(C1) - 1) // 2 with that
@@ -209,6 +211,7 @@ class CssPair:
     t: int
     k: int
     key_map: np.ndarray
+    lift: np.ndarray
     leader_labels: np.ndarray
     covered: np.ndarray
 
@@ -264,18 +267,23 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     key_map = gf2_mul(T, h2)
     assert not gf2_mul(key_map, c2.generator.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
+    # [H1 reversed | I] reduces to [E H1' | E], E H1' being I on the first m
+    # independent columns from H1's last; E's rows placed there give H1 R = I.
+    h1, m, t1 = c1.parity_check, c1.n - c1.k_dim, (c1.d - 1) // 2
+    r, pivots = gf2_rref(np.hstack([h1[:, ::-1], np.eye(m, dtype=np.uint8)]))
+    lift = np.zeros((c1.n, m), dtype=np.uint8)
+    lift[[c1.n - 1 - p for p in pivots]] = r[:, c1.n:]
     # every error pattern of weight 1..t1; d(C1) >= 2 t1 + 1 gives them distinct syndromes
-    m, t1 = c1.n - c1.k_dim, (c1.d - 1) // 2
     supports = [s for w in range(1, t1 + 1) for s in combinations(range(c1.n), w)]
     errs = np.zeros((len(supports), c1.n), dtype=np.uint8)
     for row, support in zip(errs, supports):
         row[list(support)] = 1
-    idx = _syndrome_index(gf2_mul(errs, c1.parity_check.T), m)
+    idx = _syndrome_index(gf2_mul(errs, h1.T), m)
     leader_labels = np.zeros((2**m, k), dtype=np.uint8)
     leader_labels[idx] = gf2_mul(errs, key_map.T)
     covered = np.zeros(2**m, dtype=bool)
     covered[0] = covered[idx] = True  # the zero syndrome's leader is the zero pattern
-    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map,
+    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map, lift=lift,
                    leader_labels=leader_labels, covered=covered)
 
 
@@ -284,25 +292,18 @@ def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:
     return gf2_mul(np.atleast_2d(words), pair.key_map.T)
 
 
-def reconcile_alice_blocks(
-    pair: CssPair, v_blocks: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Announcements and key bits for a (B, n) batch of raw blocks.
+def reconcile_alice_blocks(pair: CssPair, v_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Syndromes and key bits for a (B, n) batch of raw blocks.
 
-    For each block a codeword u of C1 is drawn uniformly; the announcement
-    is u + v and the key is u's coset label.
-
-    Draw contract: the B messages, k_dim bits each, are the B * k_dim bits
-    of ``uniform_bits(rng, B * k_dim)`` in row order, raw bit i being bit
-    i mod k_dim of message i // k_dim.
+    Block v announces its syndrome s = H1 v and keys the coset label of
+    v + R s, the codeword of C1 that the lift R moves it to: labels are
+    linear, so that is K v + (K R) s, and no lifted word is formed.
     """
     v_blocks = np.atleast_2d(np.asarray(v_blocks, dtype=np.uint8))
-    b = v_blocks.shape[0]
     if v_blocks.shape[1] != pair.n:
         raise ValueError(f"blocks must have {pair.n} bits")
-    msgs = uniform_bits(rng, b * pair.c1.k_dim).reshape(b, pair.c1.k_dim)
-    u = gf2_mul(msgs, pair.c1.generator)
-    return u ^ v_blocks, _labels(pair, u)
+    s = gf2_mul(v_blocks, pair.c1.parity_check.T)
+    return s, _labels(pair, v_blocks) ^ gf2_mul(s, gf2_mul(pair.key_map, pair.lift).T)
 
 
 def reconcile_bob_blocks(

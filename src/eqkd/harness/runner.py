@@ -280,10 +280,8 @@ def attack_demo(
     threshold = params.threshold
     decided = [r for r in result.rows if r.e1 is not None]
     naive_rows = [r for r in result.rows if r.naive_rate is not None]
-    refined_aborts = sum(
-        1 for r in decided if r.status == SessionStatus.ABORTED_ERROR_RATE.value
-    )
-    naive_accepts = sum(1 for r in naive_rows if r.naive_rate < threshold)
+    refined_aborts = sum(r.status == SessionStatus.ABORTED_ERROR_RATE.value for r in decided)
+    naive_accepts = sum(r.naive_rate < threshold for r in naive_rows)
     return {
         "bias_p": params.bias_p,
         "p1": p1,
@@ -318,8 +316,9 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
     the first malformed field is named with its event.
     """
     if not isinstance(transcript, SessionTranscript):
-        try:
-            transcript = SessionTranscript.from_jsonl(Path(transcript).read_text())
+        try:  # no event of another contract is read: its kinds may not be this build's
+            text = Path(transcript).read_text()
+            transcript = SessionTranscript.from_jsonl(text, skip_events=other_draw_contract)
         except TranscriptError as exc:
             return False, f"malformed transcript: {exc}"
     meta = transcript.meta

@@ -34,7 +34,7 @@ _KIND_TAGS = {
     EventKind.ESTIMATE: 0x06,
     EventKind.DECISION: 0x07,
     EventKind.PERMUTATION_SEED: 0x08,
-    EventKind.CODEWORD_ANNOUNCEMENT: 0x09,
+    EventKind.SYNDROME_ANNOUNCEMENT: 0x09,
     EventKind.KEY_DIGEST: 0x0A,
 }
 _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}

@@ -50,6 +50,7 @@ from .codes import (
     block_permutations,
     css_from_meta,
     css_meta,
+    gf2_mul,
     reconcile_alice_blocks,
     reconcile_bob_blocks,
 )
@@ -164,6 +165,12 @@ class SessionStatus(str, enum.Enum):
     ACCEPTED = "accepted"
     ABORTED_ERROR_RATE = "aborted_error_rate"
     ABORTED_INSUFFICIENT_SAMPLE = "aborted_insufficient_sample"
+
+
+def decide(estimate: ErrorEstimate, params: ProtocolParams) -> SessionStatus:
+    """The acceptance rule both parties read: each class rate below the threshold."""
+    accepted = estimate.e1 < params.threshold and estimate.e2 < params.threshold
+    return SessionStatus.ACCEPTED if accepted else SessionStatus.ABORTED_ERROR_RATE
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,8 +317,8 @@ _STATUS_FOR_DECISION = {d: s for s, d in _DECISION_FOR_STATUS.items()}
 
 # Field shapes. Each reads one field's value against the session sizes and
 # returns it decoded, or raises ValueError saying what it expected. A bound
-# or count is a number or the name of a size: "n", "m1", "m2", "block_len"
-# or "blocks". A size known only to a range is a (low, high) pair.
+# or count is a number or the name of a size: "n", "m1", "m2", "block_len",
+# "checks" or "blocks". A size known only to a range is a (low, high) pair.
 
 
 def _bound(sizes: dict, bound, end: int) -> int:
@@ -393,7 +400,7 @@ PAYLOADS = {
     EventKind.ESTIMATE: {**_SAMPLES, "r1": _integer(0, "m1"), "r2": _integer(0, "m2")},
     EventKind.DECISION: {"status": _string(_STATUS_FOR_DECISION.__getitem__, "a decision")},
     EventKind.PERMUTATION_SEED: {"seed": _integer(0, 2**63 - 1), **_LAYOUT},
-    EventKind.CODEWORD_ANNOUNCEMENT: {**_LAYOUT, "masked": _bits("blocks", "block_len")},
+    EventKind.SYNDROME_ANNOUNCEMENT: {**_LAYOUT, "syndrome": _bits("blocks", "checks")},
     EventKind.KEY_DIGEST: {
         "algo": _string({"sha256": "sha256"}.__getitem__, "'sha256'"),
         "bits": _integer(0, "n"),
@@ -412,7 +419,8 @@ def session_sizes(params: ProtocolParams, css: CssPair, n_diag: int | None = Non
     p = params
     top = max(0, (p.n_qubits if n_diag is None else n_diag) - p.m2) // css.n
     blocks = (0, top) if n_diag is None else top
-    return {"n": p.n_qubits, "m1": p.m1, "m2": p.m2, "block_len": css.n, "blocks": blocks}
+    return {"n": p.n_qubits, "m1": p.m1, "m2": p.m2, "block_len": css.n,
+            "checks": css.n - css.c1.k_dim, "blocks": blocks}
 
 
 def read_payload(kind: EventKind, payload, sizes: dict) -> dict:
@@ -420,7 +428,7 @@ def read_payload(kind: EventKind, payload, sizes: dict) -> dict:
 
     ``sizes`` gives the sizes the shapes name (:func:`session_sizes`). A
     field named after a size is that size for the fields after it, so a
-    payload's ``masked`` length follows its own ``blocks``. A payload that
+    payload's ``syndrome`` length follows its own ``blocks``. A payload that
     is not an object, a missing or extra field, or a field of the wrong
     type, range or length is a violation that names the field.
     """
@@ -783,11 +791,9 @@ class AliceMachine(_PartyMachine):
         counts = {"r1": r1, "m1": p.m1, "r2": r2, "m2": p.m2}
         est = self._estimate = ErrorEstimate(**counts)
         yield self._emit(EventKind.ESTIMATE, counts)
-        threshold = p.threshold
-        accepted = est.e1 < threshold and est.e2 < threshold
-        status = SessionStatus.ACCEPTED if accepted else SessionStatus.ABORTED_ERROR_RATE
+        status = decide(est, p)
         yield self._emit(EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]})
-        if not accepted:
+        if status is not SessionStatus.ACCEPTED:
             self._finish(status)
             return
         yield from self._reconcile()
@@ -799,14 +805,9 @@ class AliceMachine(_PartyMachine):
         perm_seed = int(self.streams.stream("permutation").integers(0, 2**63))
         yield self._emit(EventKind.PERMUTATION_SEED, {"seed": perm_seed, **layout})
         v = self._raw_key_layout(self.symbols.bits)
-        announcements, keys = reconcile_alice_blocks(
-            css, block_permutations(v, perm_seed), self.streams.stream("codeword")
-        )
+        s, keys = reconcile_alice_blocks(css, block_permutations(v, perm_seed))
         self._key = keys.reshape(-1)
-        yield self._emit(
-            EventKind.CODEWORD_ANNOUNCEMENT,
-            {**layout, "masked": pack_bits(announcements.reshape(-1))},
-        )
+        yield self._emit(EventKind.SYNDROME_ANNOUNCEMENT, {**layout, "syndrome": pack_bits(s)})
         digest_payload = key_digest_payload(self._key)
         self._own_digest = digest_payload["digest"]
         yield self._emit(EventKind.KEY_DIGEST, digest_payload)
@@ -845,8 +846,8 @@ class BobMachine(_PartyMachine):
             return ()
         if kind is EventKind.DECISION:
             status = fields["status"]
-            if status is SessionStatus.ABORTED_INSUFFICIENT_SAMPLE:
-                raise ProtocolViolation("insufficient-sample decision after the test sample")
+            if status is not decide(self._estimate, self.params):
+                raise ProtocolViolation(f"{status.value} decision against the estimate")
             if status is not SessionStatus.ACCEPTED:
                 self._finish(status)
             return ()
@@ -855,9 +856,9 @@ class BobMachine(_PartyMachine):
             w = self._raw_key_layout(self.results.bits)
             self._perms = block_permutations(w, fields["seed"])
             return ()
-        if kind is EventKind.CODEWORD_ANNOUNCEMENT:
-            masked = fields["masked"].reshape(self._perms.shape)
-            keys, _ok = reconcile_bob_blocks(self.css, self._perms, masked)
+        if kind is EventKind.SYNDROME_ANNOUNCEMENT:
+            s = fields["syndrome"].reshape(len(self._perms), -1)  # R s: a word with her syndromes
+            keys, _ok = reconcile_bob_blocks(self.css, self._perms, gf2_mul(s, self.css.lift.T))
             self._key = keys.reshape(-1)
             return ()
         # Alice's KEY_DIGEST, the only other kind the grammar lets Bob receive

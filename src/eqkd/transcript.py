@@ -34,7 +34,7 @@ class EventKind(str, enum.Enum):
     TEST_DISCLOSURE = "test_disclosure"
     ESTIMATE = "estimate"
     DECISION = "decision"
-    CODEWORD_ANNOUNCEMENT = "codeword_announcement"
+    SYNDROME_ANNOUNCEMENT = "syndrome_announcement"
     PERMUTATION_SEED = "permutation_seed"
     KEY_DIGEST = "key_digest"
 
@@ -53,7 +53,7 @@ GRAMMAR: tuple[tuple[tuple[Actor, EventKind], ...], ...] = (
     ((Actor.ALICE, EventKind.ESTIMATE),),
     ((Actor.ALICE, EventKind.DECISION),),
     ((Actor.ALICE, EventKind.PERMUTATION_SEED),),
-    ((Actor.ALICE, EventKind.CODEWORD_ANNOUNCEMENT),),
+    ((Actor.ALICE, EventKind.SYNDROME_ANNOUNCEMENT),),
     ((Actor.ALICE, EventKind.KEY_DIGEST),),
     ((Actor.BOB, EventKind.KEY_DIGEST),),
 )
@@ -235,10 +235,7 @@ class SessionTranscript:
         return not self.ended and seq < len(GRAMMAR) and (actor, kind) in GRAMMAR[seq]
 
     def find(self, kind: EventKind) -> Event | None:
-        for ev in self.events:
-            if ev.kind == kind:
-                return ev
-        return None
+        return next((ev for ev in self.events if ev.kind == kind), None)
 
     def find_all(self, kind: EventKind) -> list[Event]:
         return [ev for ev in self.events if ev.kind == kind]
@@ -254,7 +251,8 @@ class SessionTranscript:
         return "\n".join([self.meta_line(), *self.event_lines()]) + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "SessionTranscript":
+    def from_jsonl(cls, text: str, skip_events=lambda meta: False) -> "SessionTranscript":
+        """Load a record; when ``skip_events(meta)`` is true, only its header is read."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise TranscriptError("empty transcript")
@@ -268,7 +266,7 @@ class SessionTranscript:
         if extra := header.keys() - {"meta"}:
             raise TranscriptError(f"unknown header keys: {', '.join(sorted(extra))}")
         t = cls(meta=meta)
-        for line in lines[1:]:
+        for line in [] if skip_events(meta) else lines[1:]:
             t.record(Event.from_json(line))
         if t.events and not t.ended:  # a bare metadata header loads
             raise TranscriptError(f"the session is cut short, at seq {t.events[-1].seq}")

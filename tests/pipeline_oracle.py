@@ -8,17 +8,22 @@ order as a session does, so for a given seed they see the same symbols, the
 same test sample and the same lumped sample.
 
 The ``*_oracle`` functions are the straightforward forms of the hot paths
-under draw contract 2, each taking its raw generator words in one
+under draw contract 3, each taking its raw generator words in one
 whole-array ``random_raw`` call and comparing them against thresholds held
 as Python ints: Alice's preparation; the depolarizing channel forming
 explicit Pauli letters by ``searchsorted`` over the cumulative thresholds;
 intercept-resend and Bob's measurement scattering their positional coins
-through a boolean mask; the codeword messages of Alice's reconciliation; the
-raw-key layout taking a set difference; the block permutations sorting
-their keys with ``argsort`` and gathering with ``take_along_axis``; the
-GF(2) product as an integer matmul; and Bob's batch decode forming each
-decoded word before labelling it. The library computes the same results in
-passes, without building those intermediates.
+through a boolean mask; Alice's reconciliation by integer matmuls, forming
+each lifted word; the raw-key layout taking a set difference; the block
+permutations sorting their keys with ``argsort`` and gathering with
+``take_along_axis``; the GF(2) product as an integer matmul; and Bob's batch
+decode forming each decoded word before labelling it. The library computes
+the same results in passes, without building those intermediates.
+
+``masked_codeword_alice_blocks`` is Alice's reconciliation as draw contract
+2 ran it: she announced u + v for a uniform codeword u of C1, drawn from a
+generator, and kept u's coset label. It is the reference that the syndrome
+form's agreeing blocks are checked against.
 
 ``syndrome_decode_blocks`` is the bounded-distance decoder that last form
 uses. It searches all the codewords for one within the code's radius, so it
@@ -244,8 +249,16 @@ def bob_measure_oracle(received, params, rng):
     return SymbolBlock(bases, bits)
 
 
-def reconcile_alice_blocks_oracle(pair: CssPair, v_blocks, rng):
-    """``reconcile_alice_blocks`` with the (B, k_dim) messages from one draw, encoded by matmul."""
+def reconcile_alice_blocks_oracle(pair: CssPair, v_blocks):
+    """``reconcile_alice_blocks`` by integer matmuls: s = v H1^T, then the label of v + R s."""
+    v = np.atleast_2d(np.asarray(v_blocks, dtype=np.int64))
+    s = v @ pair.c1.parity_check.T.astype(np.int64) % 2
+    lifted = (v + s @ pair.lift.T.astype(np.int64)) % 2
+    return s.astype(np.uint8), (lifted @ pair.key_map.T.astype(np.int64) % 2).astype(np.uint8)
+
+
+def masked_codeword_alice_blocks(pair: CssPair, v_blocks, rng):
+    """Contract 2's (announcement, key): u + v and u's label, u from B * k_dim drawn bits."""
     v_blocks = np.atleast_2d(np.asarray(v_blocks, dtype=np.uint8))
     b, k_dim = v_blocks.shape[0], pair.c1.k_dim
     msgs = _raw_bits(rng, b * k_dim).reshape(b, k_dim)

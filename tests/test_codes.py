@@ -248,7 +248,8 @@ def test_reconcile_roundtrip_within_radius():
     pair = steane_pair()
     rng = np.random.default_rng(5)
     v = rng.integers(0, 2, (50, 7), dtype=np.uint8)
-    ann, keys_a = reconcile_alice_blocks(pair, v, rng)
+    s, keys_a = reconcile_alice_blocks(pair, v)
+    ann = gf2_mul(s, pair.lift.T)  # the public word R s that Bob adds
     one_error = np.eye(7, dtype=np.uint8)[rng.integers(0, 7, 50)]
     for err in (np.zeros_like(v), one_error):
         keys_b, ok = reconcile_bob_blocks(pair, v ^ err, ann)
@@ -334,19 +335,31 @@ def _words_of_every_weight(gen, blocks, n):
     return words
 
 
-@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10])
+@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10, _golay_pair])
+def test_the_lift_is_a_right_inverse_of_the_outer_parity_check(make_pair):
+    pair = make_pair()
+    m = pair.n - pair.c1.k_dim
+    assert pair.lift.shape == (pair.n, m)
+    h1 = pair.c1.parity_check.astype(np.int64)
+    assert np.array_equal(h1 @ pair.lift % 2, np.eye(m, dtype=np.int64))
+
+
+def test_the_steane_lift_places_the_syndrome_in_the_last_bits():
+    # H1 = [P^T | I] for the systematic [7,4] code, so R s is s in bits 4..6
+    pair = steane_pair()
+    assert np.array_equal(pair.lift, np.vstack([np.zeros((4, 3)), np.eye(3)]))
+
+
+@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10, _golay_pair])
 def test_reconcile_alice_blocks_match_the_whole_array_oracle(make_pair):
     pair = make_pair()
     gen = np.random.default_rng(50 + pair.n + pair.k)
-    # B * k_dim message bits on either side of a word, and past one pass of words
-    for blocks in (0, 1, 15, 16, 17, int(gen.integers(2, 3000)), (64 << 16) // pair.c1.k_dim + 3):
+    for blocks in (0, 1, 15, 16, 17, int(gen.integers(2, 3000)), 70_001):
         v = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
-        seed = int(gen.integers(2**63))
-        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        ann, keys = reconcile_alice_blocks(pair, v, ours)
-        ann_ref, keys_ref = reconcile_alice_blocks_oracle(pair, v, oracle)
-        assert np.array_equal(ann, ann_ref) and np.array_equal(keys, keys_ref), blocks
-        assert ours.bit_generator.state == oracle.bit_generator.state
+        s, keys = reconcile_alice_blocks(pair, v)
+        s_ref, keys_ref = reconcile_alice_blocks_oracle(pair, v)
+        assert np.array_equal(s, s_ref) and np.array_equal(keys, keys_ref), blocks
+        assert (s.dtype, keys.dtype) == (np.uint8, np.uint8)
 
 
 @pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10])

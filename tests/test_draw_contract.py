@@ -1,4 +1,4 @@
-"""Draw contract 2 in distribution, and at its threshold edges.
+"""The draw contract in distribution, and at its threshold edges.
 
 The statistical checks run over the seeds 0..199, fixed before the test was
 first run; each pooled figure must lie within 3 sigma of what the protocol

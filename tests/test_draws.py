@@ -185,8 +185,8 @@ def _stream_names() -> set[str]:
 
 def test_the_scan_sees_the_stream_names():
     assert _stream_names() >= {
-        "alice_bases", "alice_bits", "bob_bases", "eve", "noise", "permutation", "codeword",
-        "test_selection", "naive_test",
+        "alice_bases", "alice_bits", "bob_bases", "eve", "noise", "permutation", "test_selection",
+        "naive_test",
     }
 
 

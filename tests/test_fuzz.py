@@ -204,7 +204,7 @@ def test_snapshots_cover_every_state():
         EventKind.ESTIMATE,
         EventKind.DECISION,
         EventKind.PERMUTATION_SEED,
-        EventKind.CODEWORD_ANNOUNCEMENT,
+        EventKind.SYNDROME_ANNOUNCEMENT,
         EventKind.KEY_DIGEST,
         None,
     ]

@@ -1,6 +1,6 @@
 """Golden outputs: what a seed produces must not move under a refactor.
 
-The hashes were recorded under draw contract 2 (``channel.DRAW_CONTRACT``);
+The hashes were recorded under draw contract 3 (``channel.DRAW_CONTRACT``);
 a change to what a seed draws is a new contract, and re-records them. A
 transcript hash covers the whole JSONL text, meta header included; a CSV
 hash covers every column of ``emit_csv``, including the lumped rate and the
@@ -14,6 +14,11 @@ still hash to it, and replay must refuse it naming contract 1 rather than
 report a divergence. Those tests keep their default ids, which begin with
 the contract-1 digest; the larger sessions and the CSVs, which keep no
 record, are named by strategy and seed.
+
+The first session also keeps its contract-2 transcript in
+``contract2_records/``, named the same way. Contract 2 announced a masked
+codeword, an event kind this build does not have, so replay must refuse
+that record by its header, naming contract 2, before it reads an event.
 """
 
 import hashlib
@@ -52,46 +57,46 @@ PATTERN = tuple(PauliLetter[c] for c in ("I" * 37 + "XZY") * 100)
 SESSIONS = [
     (BASE, Passive(), 10, "accepted",
      "d65f28495322c13a1188907bc77a7e26ae2eaf0ffd01f1565158eaaf8db462da",
-     "0085f04d79613437fa0549f73065bbef75241cd920ae83e477ce5512f90df44e"),
+     "bc14266153af22793cb9ffc9f47e76a025152cbcbf2a90968414d618e57d31f5"),
     (BASE, DepolarizingPauli.symmetric(0.01), 14, "accepted",
      "9c427fa48d2f4408a6a9e566b21a92076f191c1c4adeb548be61a99355195d63",
-     "bfc01698ab4d1b279073dbbd5bba209ddf3f2d54f441dd881b77c8ea4ed1ce46"),
+     "d8a42721d94bc6314f27f5072f0d1a6b53bdb40d22308291d33311e597622764"),
     (BASE, DepolarizingPauli.symmetric(0.08), 15, "aborted_error_rate",
      "6d37cd332f3ef37026baae76b2b7c8391fb11d2e3ff3df078449e795958cb4c9",
-     "5240bfe0b9ecc5f2fe367e6d841017b9a32d97d5bbb443b4008c25795f0aa892"),
+     "a0d522e3db5a8efb79166bb8dde82f3ff1a8cb53c66a5641980f5aab6c31b1b8"),
     (BASE, FixedPauliString(PATTERN), 16, "accepted",
      "728d0c6a0ed2816d328fec3bb22bef7237843d382d48dc6135908e437a2d7fcc",
-     "8a2577564d02cb4242357eb7925e09a93f8d6ead1834b14a4d75ed30e6759ea2"),
+     "d808dccc66ab5eab63073784250ca8dd7ebeb07acdbe98a9e378274bc1f62220"),
     (BASE, BiasedInterceptResend(0.02, 0.03), 17, "accepted",
      "8aa0caad610d91c139d678ca1051d02bb1de855a1e220e0811db0c4d87a38574",
-     "4d2e33ff6635d4cced7f0476af8709cb61138b5fe13ad24b02d11a9d728bac9d"),
+     "ad607cb01a37e3cf800d24f4f943dc87ae2d42c0118860501508dd79df876b3d"),
     (BASE, BiasedInterceptResend(1.0, 0.0), 12, "aborted_error_rate",
      "c098869f2a2a36f47ca3428d51bed03f9fa077ee4a2e078263c49e6d96a717bf",
-     "0beff74fc6662512f1b62d8583342ed0632f4cb9d05c3712fd037c9a96ddef3e"),
+     "9bd2afac0691d7b111e0bf1918e299a4764ccc8b1613fedfad46abae0e83c9fe"),
     (STARVED, Passive(), 13, "aborted_insufficient_sample",
      "c5c3a1dee7941a44996c4193966a99f27d151c156156a0b739da3a87f26c7edc",
-     "f3bb02ee0badcb26e0186237951b71f87aa3fe297547ad74b93a50eb8491a626"),
+     "d3909bbbf62713b04765bff29cc79a1b7a7a93778471f9a90d24b9d1dd74748d"),
     (STARVED, BiasedInterceptResend(0.2, 0.3), 18, "aborted_insufficient_sample",
      "98c57e8dc1e1f3506f606d69eb522eff3de4168494c48a10d67eb2bcf266fff5",
-     "e94085eb1e72577fb87983647bc3ac1c221d8ff066e5cdf854406d27c43e2bc0"),
+     "a9efd13b2827b457b8ac6435c3f9058ff3defa14fdda31e63b376dfed83cd082"),
     (STARVED, FixedPauliString(PATTERN[:200]), 19, "aborted_insufficient_sample",
      "9caef3c3387e016831077bc54bef7b004eb68c9e9a40b85e67c66d1d19de00c0",
-     "afa091d438e956342d4ed11b6278c998cfff6350eabce93999f486536982ea7a"),
+     "9721dab260620e501053c21952005b7e0713aea9fc85294baf6fb25ee56888fe"),
 ]
 
 SESSIONS_15_11 = [
     (DepolarizingPauli.symmetric(0.01), 21,
      "be1cb9b7d3911816174454b518b42ee8ce1d51e60de72a5afa87e098b3ae3c17",
-     "229e288a606c20d4a986e85a9d74c579a3ad194a31c4efdf1cd54089ba2d86ec"),
+     "8dbb8d3b1cdcd3bc410060bb9f14166fed13cc3d05486c7a366a841df3c4794e"),
     (DepolarizingPauli.symmetric(0.01), 22,
      "5e04643b994b1760660a762c13bd8f4834cda8147ecf15e299b3d5fa64e80789",
-     "d2a98f839ce24049bcc918b0614c07d1998fddc6debe169dcd18f99dccfd51eb"),
+     "148222d2da7a99bc5e45bb9bd5f9dac03543f7f10b8299dfacb857ef6b958253"),
     (BiasedInterceptResend(0.02, 0.03), 21,
      "aa71d7144fe440e8fe258518f7b1c93b974a6c8b6c0a73d8d49423f3f3020baa",
-     "a419ff3e039a25a9db3baec9204454683ec557e19a6f0fc1eb8319caf206e64f"),
+     "6e00718f2150449ecb20894fcebcd87e84392bc140c8ea86a9a862e463f31090"),
     (BiasedInterceptResend(0.02, 0.03), 22,
      "0ddde928cd780d974177984b22c972d4c40d80e613ab1bc28ba7f331e0b60cd1",
-     "626047308593e773cd28ae9e7e5413cac5278774a73eea651d9d23591fa7c045"),
+     "81c8c8751a722d600187a02b70baef55c4446c4cb4fb1540629a287d1df38f4f"),
 ]
 
 # A pass of coins covers 2^16 symbols and a pass of uint32 draws 2^17; these
@@ -101,9 +106,9 @@ MULTI_PASS = dict(n_qubits=3 * 2**16 + 5, bias_p=0.3, m1=2000, m2=2000)
 
 SESSIONS_MULTI_PASS = [
     (DepolarizingPauli.symmetric(0.01), 23,
-     "403565f20581550df8527cbbd0f5e38c78d8820fbdb615927aa0b0bde5c527ec"),
+     "339a875e2876ef6b06e86c7bd09f2fe9e1468011288ea74d4990f7c2bd0145e8"),
     (BiasedInterceptResend(0.02, 0.03), 24,
-     "53221806300343b5f171c25eaddf900ef0296d3faa35f026f1d78ef66d168bda"),
+     "27b121882be5d0a1654ab38ab2cc9aa67069e1023bfacd61f1f5ec81aee36713"),
 ]
 
 EXPERIMENTS = [
@@ -121,12 +126,14 @@ def _sha256(text: str) -> str:
 
 
 CONTRACT1_RECORDS = Path(__file__).resolve().parent / "contract1_records"
+V2_DIGEST = "0085f04d79613437fa0549f73065bbef75241cd920ae83e477ce5512f90df44e"
+CONTRACT2_RECORD = CONTRACT1_RECORDS.parent / "contract2_records" / f"{V2_DIGEST[:16]}.jsonl"
 
 
 def _assert_contract1_record_is_refused(v1_digest):
     path = CONTRACT1_RECORDS / f"{v1_digest[:16]}.jsonl"
     assert _sha256(path.read_text()) == v1_digest
-    assert replay_verify(path) == (False, "recorded under draw contract 1; this build draws by 2")
+    assert replay_verify(path) == (False, "recorded under draw contract 1; this build draws by 3")
 
 
 def _ids(cases, strategy_at, seed_at):
@@ -140,6 +147,17 @@ def test_golden_transcript(params, strategy, seed, status, v1_digest, digest):
     assert out.status.value == status
     assert _sha256(out.transcript.to_jsonl()) == digest
     _assert_contract1_record_is_refused(v1_digest)
+
+
+def test_the_contract2_record_is_refused_naming_contract_2(capsys):
+    text = CONTRACT2_RECORD.read_text()
+    assert _sha256(text) == V2_DIGEST
+    assert '"kind":"codeword_announcement"' in text
+    assert replay_verify(CONTRACT2_RECORD) == (
+        False, "recorded under draw contract 2; this build draws by 3"
+    )
+    assert main(["replay", str(CONTRACT2_RECORD)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: recorded under draw contract 2;")
 
 
 @pytest.mark.parametrize("strategy, seed, v1_digest, digest", SESSIONS_15_11)
@@ -194,7 +212,7 @@ MALFORMED_FIELDS = [
     (2, "bases", "e0"),
     (6, "r1", "3"),
     (10, "digest", "zz"),
-    (9, "masked", lambda masked: masked[:4]),
+    (9, "syndrome", lambda syndrome: syndrome[:4]),
     (4, "rect", [-1]),
     # above (N - m2) // 7 = 557, so above what any valid transcript holds
     (8, "blocks", 560),
@@ -226,7 +244,7 @@ def test_replay_names_a_malformed_field_of_a_golden_session(tmp_path, capsys, se
 def test_replay_names_a_tampered_block_count_at_its_own_event():
     # the count is only bounded when fields are read, so a count one short in
     # the PERMUTATION_SEED is the replay's divergence there, not a field
-    # error of the CODEWORD_ANNOUNCEMENT after it
+    # error of the SYNDROME_ANNOUNCEMENT after it
     params, strategy, seed, _status, _v1, _digest = SESSIONS[0]
     out = run_session(ProtocolParams(**params), strategy, CSS, seed)
     events = list(out.transcript.events)

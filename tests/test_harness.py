@@ -719,7 +719,9 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ok")
 
 
-@pytest.mark.parametrize("contract", [None, 1, 3], ids=["before_the_field", "v1", "v3"])
+@pytest.mark.parametrize(
+    "contract", [None, 1, 2, 4], ids=["before_the_field", "v1", "v2", "v4"]
+)
 def test_cli_replay_fails_naming_another_draw_contract(tmp_path, capsys, contract):
     out = run_session(PARAMS, DepolarizingPauli.symmetric(0.01), CSS, seed=8)
     meta = dict(out.transcript.meta)
@@ -739,6 +741,10 @@ def _event_line(seq, actor, kind, payload):
     return json.dumps({"seq": seq, "actor": actor, "kind": kind, "payload": payload})
 
 
+# a header replay can run, so that the events after it are read
+_HEADER = json.dumps({"meta": session_meta(PARAMS, Passive(), CSS, 6)})
+
+
 def _record_with(change) -> list[str]:
     """The lines of a whole 12-event record, after ``change`` edits its header or an event."""
     record = run_session(PARAMS, DepolarizingPauli.symmetric(0.01), CSS, seed=8).transcript
@@ -750,14 +756,14 @@ def _record_with(change) -> list[str]:
 @pytest.mark.parametrize(
     "lines, named",
     [
-        (['{"meta":{}}', '{"seq":0}'], ""),
+        ([_HEADER, '{"seq":0}'], ""),
         (['"metadata"'], ""),
-        (['{"meta":{}}', _event_line(0, "alice", "bases_announced_alice", {}),
+        ([_HEADER, _event_line(0, "alice", "bases_announced_alice", {}),
           _event_line(1, "bob", "bases_announced_bob", {})], ""),
-        (['{"meta":{}}', _event_line(0, "alice", "qubits_sent", [])], ""),
-        (['{"meta":{}}', '[' * 100_000], ""),
-        (['{"meta":{}}', _event_line(1.5, "bob", "bases_announced_bob", {})], ""),
-        (['{"meta":{}}', _event_line(True, "bob", "bases_announced_bob", {})], ""),
+        ([_HEADER, _event_line(0, "alice", "qubits_sent", [])], ""),
+        ([_HEADER, '[' * 100_000], ""),
+        ([_HEADER, _event_line(1.5, "bob", "bases_announced_bob", {})], ""),
+        ([_HEADER, _event_line(True, "bob", "bases_announced_bob", {})], ""),
         (_record_with(lambda header, events: events[4].update(note=1)), "note"),
         (_record_with(lambda header, events: header.update(note=1)), "note"),
         (_record_with(lambda header, events: header["meta"].update(note=1)), "note"),

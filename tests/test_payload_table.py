@@ -145,9 +145,23 @@ def test_read_payload_names_the_malformed_field(kind, payload, named):
 def test_a_size_field_sets_the_length_of_the_fields_after_it():
     # replay knows the block count only to a range; each payload's own count applies
     ranged = dict(SIZES, blocks=(0, 5))
-    payload = {"blocks": 2, "block_len": 7, "masked": "0000"}
-    assert read_payload(EventKind.CODEWORD_ANNOUNCEMENT, payload, ranged)["masked"].size == 14
+    # a [7,4] block's syndrome is 3 bits, so 2 blocks take 6 bits, one hex byte
+    payload = {"blocks": 2, "block_len": 7, "syndrome": "a4"}
+    assert read_payload(EventKind.SYNDROME_ANNOUNCEMENT, payload, ranged)["syndrome"].size == 6
     with pytest.raises(ProtocolViolation, match="'blocks' is 6, expected an integer in"):
-        read_payload(EventKind.CODEWORD_ANNOUNCEMENT, dict(payload, blocks=6), ranged)
-    with pytest.raises(ProtocolViolation, match="'masked'"):
-        read_payload(EventKind.CODEWORD_ANNOUNCEMENT, dict(payload, blocks=3), ranged)
+        read_payload(EventKind.SYNDROME_ANNOUNCEMENT, dict(payload, blocks=6), ranged)
+    with pytest.raises(ProtocolViolation, match="'syndrome' is 'a4', expected 9 bits"):
+        read_payload(EventKind.SYNDROME_ANNOUNCEMENT, dict(payload, blocks=3), ranged)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"blocks": 2, "block_len": 7, "masked": "0000"},
+        {"blocks": 2, "block_len": 7, "syndrome": "a4", "masked": "0000"},
+    ],
+    ids=["in_place_of_the_syndrome", "beside_the_syndrome"],
+)
+def test_a_masked_codeword_announcement_is_refused_by_name(payload):
+    with pytest.raises(ProtocolViolation, match="'masked' is not a field of syndrome_announcement"):
+        read_payload(EventKind.SYNDROME_ANNOUNCEMENT, payload, SIZES)

@@ -15,10 +15,11 @@ from eqkd.channel import (
     strategy_from_dict,
 )
 from eqkd import protocol
-from eqkd.codes import steane_pair
+from eqkd.codes import gf2_mul, reconcile_bob_blocks, steane_pair
 from eqkd.protocol import (
     AliceMachine,
     BobMachine,
+    ErrorEstimate,
     ProtocolError,
     ProtocolParams,
     ProtocolViolation,
@@ -26,6 +27,7 @@ from eqkd.protocol import (
     _PartyMachine,
     alice_prepare,
     biased_attack_rates,
+    decide,
     encode_symbols,
     naive_average_rate,
     relay,
@@ -37,6 +39,7 @@ from pipeline_oracle import (
     PauliLetter,
     alice_prepare_oracle,
     bob_measure_oracle,
+    masked_codeword_alice_blocks,
     measure_as_bob,
     quantum_phase,
     quantum_phase_stats,
@@ -311,7 +314,7 @@ def test_session_grammar_accepted():
         (6, Actor.ALICE, EventKind.ESTIMATE),
         (7, Actor.ALICE, EventKind.DECISION),
         (8, Actor.ALICE, EventKind.PERMUTATION_SEED),
-        (9, Actor.ALICE, EventKind.CODEWORD_ANNOUNCEMENT),
+        (9, Actor.ALICE, EventKind.SYNDROME_ANNOUNCEMENT),
         (10, Actor.ALICE, EventKind.KEY_DIGEST),
         (11, Actor.BOB, EventKind.KEY_DIGEST),
     ]
@@ -629,8 +632,8 @@ def test_each_party_sends_a_message_before_the_work_that_follows_it(monkeypatch)
         ("block_permutations",),  # Bob's, on the seed
         ("block_permutations",),  # Alice's
         ("reconcile_alice_blocks",),
-        ("take", A, K.CODEWORD_ANNOUNCEMENT),
-        ("receive", B, K.CODEWORD_ANNOUNCEMENT),
+        ("take", A, K.SYNDROME_ANNOUNCEMENT),
+        ("receive", B, K.SYNDROME_ANNOUNCEMENT),
         ("reconcile_bob_blocks",),  # the only work Bob has left on the announcement
         ("take", A, K.KEY_DIGEST),
         ("receive", B, K.KEY_DIGEST),
@@ -720,6 +723,67 @@ def test_bob_rejects_an_insufficient_sample_decision_after_his_test_sample():
     with pytest.raises(ProtocolViolation):
         bob.receive(actor, EventKind.DECISION, {"status": "abort_insufficient_sample"})
     assert not bob.done
+
+
+def test_decide_accepts_only_when_both_rates_are_below_the_threshold():
+    params = default_params()  # threshold 0.10 on samples of 100
+    for r1, r2, status in [(0, 0, "accepted"), (9, 9, "accepted"), (10, 0, "aborted_error_rate"),
+                           (0, 10, "aborted_error_rate"), (100, 100, "aborted_error_rate")]:
+        assert decide(ErrorEstimate(r1=r1, m1=100, r2=r2, m2=100), params).value == status
+
+
+@pytest.mark.parametrize(
+    "r1, status",
+    [(75, "proceed"), (None, "abort_error_rate")],
+    ids=["over_the_threshold_then_proceed", "under_the_threshold_then_abort"],
+)
+def test_bob_refuses_a_decision_that_does_not_follow_from_the_estimate(r1, status):
+    # a hand-played Alice sends an estimate, then the decision it does not give;
+    # over a passive channel the genuine estimate counts no errors
+    bob, actor, genuine = _awaiting(EventKind.ESTIMATE, 29)
+    assert (genuine["r1"], genuine["r2"]) == (0, 0)
+    estimate = genuine if r1 is None else dict(genuine, r1=r1)
+    assert list(bob.receive(actor, EventKind.ESTIMATE, estimate)) == []
+    with pytest.raises(ProtocolViolation, match="decision against the estimate"):
+        bob.receive(actor, EventKind.DECISION, {"status": status})
+    assert bob.failed and not bob.done and bob.result is None
+    with pytest.raises(ProtocolViolation, match="after an earlier violation"):
+        bob.receive(actor, EventKind.DECISION, {"status": status})
+
+
+@pytest.mark.parametrize("q", [0.005, 0.02])
+def test_the_syndrome_form_agrees_on_the_same_blocks_as_the_masked_codeword_form(monkeypatch, q):
+    # A session's raw blocks, caught on their way into reconciliation, are
+    # reconciled again as draw contract 2 did: Alice announces u + v for a
+    # uniform codeword u and keys u's label. Bob's decode of either form sees
+    # the same error pattern, so exactly the same blocks agree.
+    caught = {}
+
+    def catch(name):
+        call = getattr(protocol, name)
+
+        def step(pair, blocks, *rest):
+            caught[name] = blocks  # Alice's permuted raw blocks, or Bob's
+            return call(pair, blocks, *rest)
+
+        return step
+
+    for name in ("reconcile_alice_blocks", "reconcile_bob_blocks"):
+        monkeypatch.setattr(protocol, name, catch(name))
+    params = ProtocolParams(n_qubits=1_100_000, bias_p=0.2, m1=200, m2=200)
+    out = run_session(params, DepolarizingPauli(1 - q, q / 3, q / 3, q / 3), CSS, seed=5)
+    assert out.status is SessionStatus.ACCEPTED and out.num_blocks >= 10**5
+    v, w = caught["reconcile_alice_blocks"], caught["reconcile_bob_blocks"]
+    agree = (out.alice_key == out.bob_key).reshape(out.num_blocks, CSS.k).all(axis=1)
+    rng = np.random.default_rng(round(q * 1000))
+    announced, masked_keys = masked_codeword_alice_blocks(CSS, v, rng)
+    masked_bob, _ok = reconcile_bob_blocks(CSS, w, announced)
+    assert np.array_equal(agree, (masked_keys == masked_bob).all(axis=1))
+    assert 0 < (~agree).sum() < out.num_blocks / 100
+    # the two keys differ by a function of what each form announces: K(u + v) + K(R s)
+    s = gf2_mul(v, CSS.c1.parity_check.T)
+    public = gf2_mul(announced ^ gf2_mul(s, CSS.lift.T), CSS.key_map.T)
+    assert np.array_equal(masked_keys ^ out.alice_key.reshape(-1, CSS.k), public)
 
 
 @pytest.mark.parametrize("status", ["proceed", "abort_error_rate"])
@@ -913,13 +977,15 @@ def test_bob_rejects_a_malformed_permutation_seed(change):
         {"blocks": None},
         {"block_len": CSS.n + 1},
         {"block_len": "7"},
+        {"syndrome": lambda s: s[:-2]},
     ],
-    ids=["wrong_blocks", "fewer_blocks", "no_blocks", "wrong_block_len", "string_block_len"],
+    ids=["wrong_blocks", "fewer_blocks", "no_blocks", "wrong_block_len", "string_block_len",
+         "short_syndrome"],
 )
-def test_bob_rejects_a_codeword_announcement_of_another_layout(change):
-    bob, actor, genuine = _awaiting(EventKind.CODEWORD_ANNOUNCEMENT, 31)
+def test_bob_rejects_a_syndrome_announcement_of_another_layout(change):
+    bob, actor, genuine = _awaiting(EventKind.SYNDROME_ANNOUNCEMENT, 31)
     with pytest.raises(ProtocolViolation):
-        bob.receive(actor, EventKind.CODEWORD_ANNOUNCEMENT, _probe(genuine, change))
+        bob.receive(actor, EventKind.SYNDROME_ANNOUNCEMENT, _probe(genuine, change))
     assert not bob.done
 
 
@@ -945,7 +1011,7 @@ def test_machines_reject_a_malformed_key_digest(to_alice, digest):
             EventKind.ESTIMATE,
             EventKind.DECISION,
             EventKind.PERMUTATION_SEED,
-            EventKind.CODEWORD_ANNOUNCEMENT,
+            EventKind.SYNDROME_ANNOUNCEMENT,
             EventKind.KEY_DIGEST,
         )),
         *((kind, True) for kind in (
