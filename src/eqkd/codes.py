@@ -2,11 +2,12 @@
 
 Error correction and privacy amplification run over a nested pair of binary
 linear codes C2 < C1. Alice announces her raw block v's C1 syndrome s = H1 v
-and keeps the coset of C2 that v + R s lies in, where the lift R is a right
-inverse of H1, so that v + R s is a codeword of C1. Bob adds R s to his
-noisy copy and decodes to that codeword. The coset coordinates are the final
-key bits: the syndrome leaks nothing about them, and any error pattern of
-weight at most the correction radius t leaves the coset unchanged.
+and keys its label K v, the key map K reading v's coset of C2. Bob adds s
+to his noisy copy's syndrome, which gives the syndrome of the errors
+between the two, and keys the label of his copy less that syndrome's
+leader. The labels are the final key bits: the syndrome leaks nothing about
+them, and an error pattern of weight at most the correction radius t is its
+syndrome's leader, so Bob's label is then Alice's.
 """
 
 from __future__ import annotations
@@ -197,8 +198,6 @@ class CssPair:
     k : key bits per block, dim C1 - dim C2
     key_map : k x n compression of C2's parity check (the generator of the
         dual of C2) that is a bijection on C1/C2 cosets
-    lift : n x m right inverse of C1's parity check H1 (m = n - dim C1), zero
-        but on m rows picked from the last back: a systematic C1 lifts by placement
     leader_labels : (2^m, k) key labels of C1's coset leaders, m = n - dim C1,
         row s for the syndrome whose bits read s; a leader is the error
         pattern of weight at most C1's own radius (d(C1) - 1) // 2 with that
@@ -211,7 +210,6 @@ class CssPair:
     t: int
     k: int
     key_map: np.ndarray
-    lift: np.ndarray
     leader_labels: np.ndarray
     covered: np.ndarray
 
@@ -267,12 +265,7 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     key_map = gf2_mul(T, h2)
     assert not gf2_mul(key_map, c2.generator.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
-    # [H1 reversed | I] reduces to [E H1' | E], E H1' being I on the first m
-    # independent columns from H1's last; E's rows placed there give H1 R = I.
     h1, m, t1 = c1.parity_check, c1.n - c1.k_dim, (c1.d - 1) // 2
-    r, pivots = gf2_rref(np.hstack([h1[:, ::-1], np.eye(m, dtype=np.uint8)]))
-    lift = np.zeros((c1.n, m), dtype=np.uint8)
-    lift[[c1.n - 1 - p for p in pivots]] = r[:, c1.n:]
     # every error pattern of weight 1..t1; d(C1) >= 2 t1 + 1 gives them distinct syndromes
     supports = [s for w in range(1, t1 + 1) for s in combinations(range(c1.n), w)]
     errs = np.zeros((len(supports), c1.n), dtype=np.uint8)
@@ -283,7 +276,7 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     leader_labels[idx] = gf2_mul(errs, key_map.T)
     covered = np.zeros(2**m, dtype=bool)
     covered[0] = covered[idx] = True  # the zero syndrome's leader is the zero pattern
-    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map, lift=lift,
+    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map,
                    leader_labels=leader_labels, covered=covered)
 
 
@@ -293,40 +286,33 @@ def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:
 
 
 def reconcile_alice_blocks(pair: CssPair, v_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Syndromes and key bits for a (B, n) batch of raw blocks.
-
-    Block v announces its syndrome s = H1 v and keys the coset label of
-    v + R s, the codeword of C1 that the lift R moves it to: labels are
-    linear, so that is K v + (K R) s, and no lifted word is formed.
-    """
+    """Syndromes and key bits for a (B, n) batch of raw blocks: (H1 v, K v) for each block v."""
     v_blocks = np.atleast_2d(np.asarray(v_blocks, dtype=np.uint8))
     if v_blocks.shape[1] != pair.n:
         raise ValueError(f"blocks must have {pair.n} bits")
-    s = gf2_mul(v_blocks, pair.c1.parity_check.T)
-    return s, _labels(pair, v_blocks) ^ gf2_mul(s, gf2_mul(pair.key_map, pair.lift).T)
+    return gf2_mul(v_blocks, pair.c1.parity_check.T), _labels(pair, v_blocks)
 
 
 def reconcile_bob_blocks(
-    pair: CssPair, received_blocks: np.ndarray, announcements: np.ndarray
+    pair: CssPair, received_blocks: np.ndarray, syndromes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a batch and return (keys, decode_ok).
+    """Decode a (B, n) batch against Alice's (B, n - dim C1) syndromes; return (keys, decode_ok).
 
-    Equals decoding each word ``received ^ announcements`` to the codeword
-    of C1 within C1's radius and labelling it, as ``tests/pipeline_oracle.py``
-    does; rows with no codeword that close get a best-effort key (the label
-    of the uncorrected word) and ok False, which is unreachable for perfect
-    outer codes. The word less its codeword is its syndrome's leader, and
-    labels are linear, so the key is the label of the word XOR the leader's
-    label, read from ``pair.leader_labels``, whose uncovered rows are zero;
-    no decoded word is formed.
+    Block w with her syndrome s keys K w + leader_labels[H1 w + s]: H1 w + s
+    is the syndrome of w less her block, and a pattern within C1's radius is
+    that syndrome's leader, so the key is her K v. ``tests/pipeline_oracle.py``
+    gets the same keys by decoding each lifted word and labelling it. A row
+    whose syndrome has no leader gets a best-effort key, the label of the
+    uncorrected block, and ok False, which is unreachable for perfect outer
+    codes.
     """
     received = np.atleast_2d(np.asarray(received_blocks, dtype=np.uint8))
-    ann = np.atleast_2d(np.asarray(announcements, dtype=np.uint8))
-    if received.shape != ann.shape or received.shape[1] != pair.n:
-        raise ValueError("received blocks and announcements must be (B, n)")
-    words = received ^ ann
-    idx = _syndrome_index(gf2_mul(words, pair.c1.parity_check.T), pair.c1.n - pair.c1.k_dim)
-    return _labels(pair, words) ^ pair.leader_labels[idx], pair.covered[idx]
+    s = np.atleast_2d(np.asarray(syndromes, dtype=np.uint8))
+    m = pair.n - pair.c1.k_dim
+    if received.shape[1] != pair.n or s.shape != (received.shape[0], m):
+        raise ValueError(f"expected (B, {pair.n}) received blocks and (B, {m}) syndromes")
+    idx = _syndrome_index(gf2_mul(received, pair.c1.parity_check.T) ^ s, m)
+    return _labels(pair, received) ^ pair.leader_labels[idx], pair.covered[idx]
 
 
 # ---------------------------------------------------------------------------

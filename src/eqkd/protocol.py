@@ -50,7 +50,6 @@ from .codes import (
     block_permutations,
     css_from_meta,
     css_meta,
-    gf2_mul,
     reconcile_alice_blocks,
     reconcile_bob_blocks,
 )
@@ -340,14 +339,16 @@ def _integer(low, high=None):
 
 
 def _bits(*count):
-    """As many bits as the named sizes multiply to, in hex as :func:`pack_bits` writes them."""
+    """Bits in hex as :func:`pack_bits` writes them, shaped by the named sizes."""
 
     def read(value, sizes):
-        n = math.prod(sizes[name] for name in count)
+        shape = [sizes[name] for name in count]
+        n = math.prod(shape)
         try:
-            return unpack_bits(value, n)
+            bits = unpack_bits(value, n)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"expected {n} bits as hex ({exc})") from None
+        return bits.reshape(shape)
 
     return read
 
@@ -857,8 +858,7 @@ class BobMachine(_PartyMachine):
             self._perms = block_permutations(w, fields["seed"])
             return ()
         if kind is EventKind.SYNDROME_ANNOUNCEMENT:
-            s = fields["syndrome"].reshape(len(self._perms), -1)  # R s: a word with her syndromes
-            keys, _ok = reconcile_bob_blocks(self.css, self._perms, gf2_mul(s, self.css.lift.T))
+            keys, _ok = reconcile_bob_blocks(self.css, self._perms, fields["syndrome"])
             self._key = keys.reshape(-1)
             return ()
         # Alice's KEY_DIGEST, the only other kind the grammar lets Bob receive

@@ -17,8 +17,14 @@ through a boolean mask; Alice's reconciliation by integer matmuls, forming
 each lifted word; the raw-key layout taking a set difference; the block
 permutations sorting their keys with ``argsort`` and gathering with
 ``take_along_axis``; the GF(2) product as an integer matmul; and Bob's batch
-decode forming each decoded word before labelling it. The library computes
-the same results in passes, without building those intermediates.
+decode lifting Alice's syndromes and forming each decoded word before
+labelling it. The library computes the same results in passes, without
+building those intermediates.
+
+``lift_oracle`` is the lift those two oracles use: a right inverse R of the
+outer parity check H1, so that a block v plus R times its syndrome is a
+codeword of C1. The key map reads no position the lift writes, so the
+library keys a block by its own label and never forms the lifted word.
 
 ``masked_codeword_alice_blocks`` is Alice's reconciliation as draw contract
 2 ran it: she announced u + v for a uniform codeword u of C1, drawn from a
@@ -249,11 +255,27 @@ def bob_measure_oracle(received, params, rng):
     return SymbolBlock(bases, bits)
 
 
+def lift_oracle(pair: CssPair) -> np.ndarray:
+    """An n x m right inverse R of C1's parity check H1 (m = n - dim C1).
+
+    It is zero but on m rows picked from the last back, so a systematic C1
+    lifts by placement: [H1 reversed | I] reduces to [E H1' | E], E H1'
+    being I on the first m independent columns from H1's last, and E's rows
+    placed there give H1 R = I.
+    """
+    h1, n = pair.c1.parity_check, pair.n
+    m = h1.shape[0]
+    r, pivots = gf2_rref(np.hstack([h1[:, ::-1], np.eye(m, dtype=np.uint8)]))
+    lift = np.zeros((n, m), dtype=np.uint8)
+    lift[[n - 1 - p for p in pivots]] = r[:, n:]
+    return lift
+
+
 def reconcile_alice_blocks_oracle(pair: CssPair, v_blocks):
     """``reconcile_alice_blocks`` by integer matmuls: s = v H1^T, then the label of v + R s."""
     v = np.atleast_2d(np.asarray(v_blocks, dtype=np.int64))
     s = v @ pair.c1.parity_check.T.astype(np.int64) % 2
-    lifted = (v + s @ pair.lift.T.astype(np.int64)) % 2
+    lifted = (v + s @ lift_oracle(pair).T.astype(np.int64)) % 2
     return s.astype(np.uint8), (lifted @ pair.key_map.T.astype(np.int64) % 2).astype(np.uint8)
 
 
@@ -286,13 +308,15 @@ def syndrome_decode_blocks(code: LinearCode, words: np.ndarray) -> tuple[np.ndar
     return decoded, ok
 
 
-def reconcile_bob_blocks_oracle(pair, received, announcements):
-    """``reconcile_bob_blocks`` by decoding each word, then labelling it.
+def reconcile_bob_blocks_oracle(pair, received, syndromes):
+    """``reconcile_bob_blocks`` by lifting the syndromes, decoding each word, then labelling it.
 
-    An uncovered syndrome leaves the word as it is, so its key is the label
-    of the undecoded word.
+    Word w + R s has the syndrome H1 w + s of w less Alice's block. An
+    uncovered syndrome leaves the word as it is, so its key is the label of
+    the undecoded word.
     """
-    words = np.atleast_2d(received) ^ np.atleast_2d(announcements)
+    lifted = np.atleast_2d(syndromes).astype(np.int64) @ lift_oracle(pair).T.astype(np.int64) % 2
+    words = np.atleast_2d(received) ^ lifted.astype(np.uint8)
     decoded, ok = syndrome_decode_blocks(pair.c1, words)
     keys = _labels(pair, decoded)
     if not ok.all():

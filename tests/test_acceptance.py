@@ -37,7 +37,7 @@ from eqkd.protocol import (
     session_meta,
 )
 from eqkd.transcript import SessionTranscript
-from pipeline_oracle import measure_as_bob
+from pipeline_oracle import lift_oracle, measure_as_bob
 
 CSS = steane_pair()
 
@@ -172,25 +172,26 @@ def test_c5_reconciliation_exhaustive_within_radius():
         d = np.zeros(7, dtype=np.uint8)
         d[i] = 1
         deltas.append(d)
+    h1, key_map = CSS.c1.parity_check.astype(np.int64), CSS.key_map.astype(np.int64)
+    lift = lift_oracle(CSS).astype(np.int64)
     received, announced, labels = [], [], []
     for u in enumerate_codewords(CSS.c1.generator):
-        # the coset label, by an integer matmul of the key map
-        label = (CSS.key_map.astype(np.int64) @ u) % 2
         for _ in range(100):
-            v = rng.integers(0, 2, 7, dtype=np.uint8)
-            ann = u ^ v
+            x = u ^ rng.integers(0, 2, 7, dtype=np.uint8)  # Alice's block
+            s = (h1 @ x) % 2
+            # the coset label of the codeword x + R s, by integer matmuls
+            label = (key_map @ ((x + lift @ s) % 2)) % 2
             for delta in deltas:
-                received.append(v ^ delta)
-                announced.append(ann)
+                received.append(x ^ delta)
+                announced.append(s)
                 labels.append(label)
     keys, _ok = reconcile_bob_blocks(CSS, np.array(received), np.array(announced))
     total = len(labels)
     matched = int((keys == np.array(labels)).all(axis=1).sum())
-    # distance witness: some double error must corrupt the key of u0 = 0,
-    # whose label is 0
+    # distance witness: some double error must corrupt the key of the zero
+    # block, whose syndrome and label are 0
     witness = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
-    u0 = np.zeros(7, dtype=np.uint8)
-    corrupted = bool(reconcile_bob_blocks(CSS, witness, u0)[0].any())
+    corrupted = bool(reconcile_bob_blocks(CSS, witness, np.zeros(3, dtype=np.uint8))[0].any())
     ok = matched == total == 16 * 100 * 8 and corrupted
     _verdict(
         5,

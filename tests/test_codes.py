@@ -35,6 +35,7 @@ from pipeline_oracle import (
     block_permutations_oracle,
     gf2_mul_oracle,
     key_map_oracle,
+    lift_oracle,
     reconcile_alice_blocks_oracle,
     reconcile_bob_blocks_oracle,
     syndrome_decode_blocks,
@@ -249,10 +250,9 @@ def test_reconcile_roundtrip_within_radius():
     rng = np.random.default_rng(5)
     v = rng.integers(0, 2, (50, 7), dtype=np.uint8)
     s, keys_a = reconcile_alice_blocks(pair, v)
-    ann = gf2_mul(s, pair.lift.T)  # the public word R s that Bob adds
     one_error = np.eye(7, dtype=np.uint8)[rng.integers(0, 7, 50)]
     for err in (np.zeros_like(v), one_error):
-        keys_b, ok = reconcile_bob_blocks(pair, v ^ err, ann)
+        keys_b, ok = reconcile_bob_blocks(pair, v ^ err, s)
         assert ok.all()
         assert np.array_equal(keys_a, keys_b)
 
@@ -325,6 +325,7 @@ def test_key_map_matches_the_rank_loop_and_solve_oracle(make_pair):
         # still a bijection on the cosets: zero on C2, and of rank k on C1
         assert not gf2_mul(mixed.key_map, c2.generator.T).any()
         assert gf2_rank(gf2_mul(c1.generator, mixed.key_map.T)) == pair.k
+        assert not gf2_mul(mixed.key_map, lift_oracle(mixed)).any()
 
 
 def _words_of_every_weight(gen, blocks, n):
@@ -339,15 +340,23 @@ def _words_of_every_weight(gen, blocks, n):
 def test_the_lift_is_a_right_inverse_of_the_outer_parity_check(make_pair):
     pair = make_pair()
     m = pair.n - pair.c1.k_dim
-    assert pair.lift.shape == (pair.n, m)
+    lift = lift_oracle(pair)
+    assert lift.shape == (pair.n, m)
     h1 = pair.c1.parity_check.astype(np.int64)
-    assert np.array_equal(h1 @ pair.lift % 2, np.eye(m, dtype=np.int64))
+    assert np.array_equal(h1 @ lift % 2, np.eye(m, dtype=np.int64))
+    # K R = 0, so a block's key is its own label, the label of its lifted
+    # codeword too. The lift writes only C1's check positions: the free
+    # columns of G1's RREF, where H1 is the identity. For such a position f,
+    # h2's row f is h1's row f, which is orthogonal to C1, plus h2's rows for
+    # earlier positions that are pivots of C1 but free in C2. So column f of
+    # (h2 reps^T)^T is a combination of earlier columns; it is never a
+    # pivot, so T, and hence K, is zero at f.
+    assert not gf2_mul(pair.key_map, lift).any()
 
 
 def test_the_steane_lift_places_the_syndrome_in_the_last_bits():
     # H1 = [P^T | I] for the systematic [7,4] code, so R s is s in bits 4..6
-    pair = steane_pair()
-    assert np.array_equal(pair.lift, np.vstack([np.zeros((4, 3)), np.eye(3)]))
+    assert np.array_equal(lift_oracle(steane_pair()), np.vstack([np.zeros((4, 3)), np.eye(3)]))
 
 
 @pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10, _golay_pair])
@@ -368,10 +377,11 @@ def test_reconcile_bob_blocks_match_the_decode_then_label_oracle(make_pair):
     gen = np.random.default_rng(pair.n + pair.k)
     uncovered = 0
     for blocks in (0, 1, int(gen.integers(2, 3000)), 20 * (pair.n + 1)):
-        received = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
-        ann = received ^ _words_of_every_weight(gen, blocks, pair.n)
-        keys, ok = reconcile_bob_blocks(pair, received, ann)
-        keys_ref, ok_ref = reconcile_bob_blocks_oracle(pair, received, ann)
+        sent = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
+        received = sent ^ _words_of_every_weight(gen, blocks, pair.n)
+        s = gf2_mul(sent, pair.c1.parity_check.T)
+        keys, ok = reconcile_bob_blocks(pair, received, s)
+        keys_ref, ok_ref = reconcile_bob_blocks_oracle(pair, received, s)
         assert keys.shape == (blocks, pair.k) and keys.dtype == np.uint8
         assert np.array_equal(keys, keys_ref)
         assert np.array_equal(ok, ok_ref)
@@ -410,12 +420,22 @@ def test_leader_label_table_labels_the_covered_leaders(make_pair):
 
 def test_reconcile_weight_two_corrupts_key():
     pair = steane_pair()
-    v = np.zeros(7, dtype=np.uint8)
-    u = np.zeros(7, dtype=np.uint8)  # announcement u + v = 0
-    ann = u ^ v
+    v = np.zeros(7, dtype=np.uint8)  # Alice's block: syndrome 0, key 0
+    s, keys_a = reconcile_alice_blocks(pair, v)
     err = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
-    keys_b, _ok = reconcile_bob_blocks(pair, v ^ err, ann)
-    assert not np.array_equal(keys_b, _labels(pair, u))
+    keys_b, _ok = reconcile_bob_blocks(pair, v ^ err, s)
+    assert not keys_a.any() and not np.array_equal(keys_b, keys_a)
+
+
+@pytest.mark.parametrize(
+    "syndromes",
+    [np.zeros((4, 2)), np.zeros((3, 3)), np.zeros((4, 7))],
+    ids=["a_wrong_width", "a_wrong_row_count", "an_n_bit_word"],
+)
+def test_reconcile_bob_blocks_refuses_syndromes_of_the_wrong_shape(syndromes):
+    pair = steane_pair()
+    with pytest.raises(ValueError, match=r"\(B, 3\) syndromes"):
+        reconcile_bob_blocks(pair, np.zeros((4, 7), dtype=np.uint8), syndromes)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ No ``isinstance`` or ``issubclass`` call in the package names a channel
 strategy class: a strategy carries its own behaviour. No floor division
 divides by a block length outside ``protocol.session_sizes``. No module of
 the package has a ``global`` statement: what a function needs is handed to
-it.
+it. No module but ``codes`` imports or reads a ``gf2_*`` name: the GF(2)
+algebra, and with it the reconciliation format, stays in one module.
 """
 
 from __future__ import annotations
@@ -194,3 +195,27 @@ def test_no_module_rebinds_a_global():
         if isinstance(node, ast.Global)
     ]
     assert not found, f"a global statement: {found}"
+
+
+def test_only_codes_does_gf2_algebra():
+    """No module of the package but ``codes.py`` imports or reads a ``gf2_*`` name.
+
+    A block's syndrome and key are products over GF(2) that both parties
+    must form alike. A second module that multiplies matrices is a second
+    place that knows the reconciliation format, free to drift from
+    ``reconcile_alice_blocks`` and ``reconcile_bob_blocks``.
+    """
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "codes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            where = f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            found += [f"{where} {name}" for name in names if name.startswith("gf2_")]
+    assert not found, f"GF(2) algebra outside codes.py: {found}"

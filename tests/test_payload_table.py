@@ -147,7 +147,7 @@ def test_a_size_field_sets_the_length_of_the_fields_after_it():
     ranged = dict(SIZES, blocks=(0, 5))
     # a [7,4] block's syndrome is 3 bits, so 2 blocks take 6 bits, one hex byte
     payload = {"blocks": 2, "block_len": 7, "syndrome": "a4"}
-    assert read_payload(EventKind.SYNDROME_ANNOUNCEMENT, payload, ranged)["syndrome"].size == 6
+    assert read_payload(EventKind.SYNDROME_ANNOUNCEMENT, payload, ranged)["syndrome"].shape == (2, 3)
     with pytest.raises(ProtocolViolation, match="'blocks' is 6, expected an integer in"):
         read_payload(EventKind.SYNDROME_ANNOUNCEMENT, dict(payload, blocks=6), ranged)
     with pytest.raises(ProtocolViolation, match="'syndrome' is 'a4', expected 9 bits"):

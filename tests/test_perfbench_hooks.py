@@ -57,7 +57,7 @@ def test_every_traced_method_resolves_on_its_class(tracer):
 def test_block_counter_reads_a_keys_and_ok_pair(tracer):
     pair = steane_pair()
     words = np.random.default_rng(3).integers(0, 2, (40, pair.n), dtype=np.uint8)
-    result = reconcile_bob_blocks(pair, words, np.zeros_like(words))
+    result = reconcile_bob_blocks(pair, words, np.zeros((40, pair.n - pair.c1.k_dim)))
     keys, ok = result
     assert keys.shape == (40, pair.k) and ok.size == 40
     counts = {"codes.blocks": 0, "codes.decode_failures": 0}

@@ -777,12 +777,14 @@ def test_the_syndrome_form_agrees_on_the_same_blocks_as_the_masked_codeword_form
     agree = (out.alice_key == out.bob_key).reshape(out.num_blocks, CSS.k).all(axis=1)
     rng = np.random.default_rng(round(q * 1000))
     announced, masked_keys = masked_codeword_alice_blocks(CSS, v, rng)
-    masked_bob, _ok = reconcile_bob_blocks(CSS, w, announced)
+    # his masked-form key, the label of w + (u + v) less its leader, is his
+    # key for the syndrome H1 (u + v) plus K(u + v)
+    public = gf2_mul(announced, CSS.key_map.T)  # K(u + v)
+    masked_bob, _ok = reconcile_bob_blocks(CSS, w, gf2_mul(announced, CSS.c1.parity_check.T))
+    masked_bob ^= public
     assert np.array_equal(agree, (masked_keys == masked_bob).all(axis=1))
     assert 0 < (~agree).sum() < out.num_blocks / 100
-    # the two keys differ by a function of what each form announces: K(u + v) + K(R s)
-    s = gf2_mul(v, CSS.c1.parity_check.T)
-    public = gf2_mul(announced ^ gf2_mul(s, CSS.lift.T), CSS.key_map.T)
+    # the two keys differ by a function of what the masked form announces: K(u + v)
     assert np.array_equal(masked_keys ^ out.alice_key.reshape(-1, CSS.k), public)
 
 
