@@ -8,6 +8,11 @@ between the two, and keys the label of his copy less that syndrome's
 leader. The labels are the final key bits: the syndrome leaks nothing about
 them, and an error pattern of weight at most the correction radius t is its
 syndrome's leader, so Bob's label is then Alice's.
+
+A permuted raw block is one packed n-bit word, bit r holding position r.
+H1 and K are linear, so a word's syndrome and label together are the XOR
+of one table entry per byte of the word, from the byte tables that
+``validate_css`` builds with the pair.
 """
 
 from __future__ import annotations
@@ -198,10 +203,15 @@ class CssPair:
     k : key bits per block, dim C1 - dim C2
     key_map : k x n compression of C2's parity check (the generator of the
         dual of C2) that is a bijection on C1/C2 cosets
-    leader_labels : (2^m, k) key labels of C1's coset leaders, m = n - dim C1,
-        row s for the syndrome whose bits read s; a leader is the error
-        pattern of weight at most C1's own radius (d(C1) - 1) // 2 with that
-        syndrome, and a syndrome that has none keeps a zero row
+    byte_tables : (ceil(n/8), 256) byte tables in the word type of
+        :func:`block_permutations`: entry x of row b is (H1 v) << k | K v
+        for the word v that holds x in byte b and zeros elsewhere, each
+        product read as an integer whose first bit is the highest
+    leader_labels : (2^m,) key labels of C1's coset leaders in the word
+        type, m = n - dim C1, entry s for the syndrome whose bits read s; a
+        leader is the error pattern of weight at most C1's own radius
+        (d(C1) - 1) // 2 with that syndrome, and a syndrome that has none
+        keeps a zero label
     covered : (2^m,) whether syndrome s has such a leader
     """
 
@@ -210,6 +220,7 @@ class CssPair:
     t: int
     k: int
     key_map: np.ndarray
+    byte_tables: np.ndarray
     leader_labels: np.ndarray
     covered: np.ndarray
 
@@ -218,9 +229,14 @@ class CssPair:
         return self.c1.n
 
 
+def _word_dtype(bits: int) -> np.dtype:
+    """The smallest unsigned type that holds the given number of bits, little-endian."""
+    return np.min_scalar_type((1 << bits) - 1).newbyteorder("<")
+
+
 def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
-    """Each syndrome row read as an m-bit integer, its first bit the highest."""
-    idx = np.zeros(syndromes.shape[0], dtype=np.intp)
+    """Each 0/1 syndrome row read as an m-bit integer, its first bit the highest."""
+    idx = np.zeros(syndromes.shape[0], dtype=_word_dtype(m))
     for j in range(m):
         idx <<= 1
         idx |= syndromes[:, j]
@@ -228,7 +244,7 @@ def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
 
 
 def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
-    """Check nesting and distance conditions; build the labeling maps and the decode table.
+    """Check nesting and distance conditions; build the labeling maps and the lookup tables.
 
     Raises
     ------
@@ -265,54 +281,80 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     key_map = gf2_mul(T, h2)
     assert not gf2_mul(key_map, c2.generator.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
-    h1, m, t1 = c1.parity_check, c1.n - c1.k_dim, (c1.d - 1) // 2
+    n, h1, m, t1 = c1.n, c1.parity_check, c1.n - c1.k_dim, (c1.d - 1) // 2
+    word = _word_dtype(n)
+    # probe (b, x) is the word that holds x in byte b; m + k <= n, so an
+    # entry fits the word type
+    probes = np.arange(256) << 8 * np.arange(-(-n // 8))[:, None]
+    bits = ((probes.reshape(-1, 1) >> np.arange(n)) & 1).astype(np.uint8)
+    products = gf2_mul(bits, np.vstack([h1, key_map]).T)
+    tables = _syndrome_index(products, m + k).astype(word).reshape(probes.shape)
     # every error pattern of weight 1..t1; d(C1) >= 2 t1 + 1 gives them distinct syndromes
-    supports = [s for w in range(1, t1 + 1) for s in combinations(range(c1.n), w)]
-    errs = np.zeros((len(supports), c1.n), dtype=np.uint8)
+    supports = [s for w in range(1, t1 + 1) for s in combinations(range(n), w)]
+    errs = np.zeros((len(supports), n), dtype=np.uint8)
     for row, support in zip(errs, supports):
         row[list(support)] = 1
     idx = _syndrome_index(gf2_mul(errs, h1.T), m)
-    leader_labels = np.zeros((2**m, k), dtype=np.uint8)
-    leader_labels[idx] = gf2_mul(errs, key_map.T)
+    leader_labels = np.zeros(2**m, dtype=word)
+    leader_labels[idx] = _syndrome_index(gf2_mul(errs, key_map.T), k)
     covered = np.zeros(2**m, dtype=bool)
     covered[0] = covered[idx] = True  # the zero syndrome's leader is the zero pattern
-    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map,
+    return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map, byte_tables=tables,
                    leader_labels=leader_labels, covered=covered)
 
 
-def _labels(pair: CssPair, words: np.ndarray) -> np.ndarray:
-    """Each row's k-bit coset label: on C1, one label per coset of C2, zero on C2."""
-    return gf2_mul(np.atleast_2d(words), pair.key_map.T)
+def _lookup(pair: CssPair, words: np.ndarray) -> np.ndarray:
+    """(H1 v) << k | K v for each packed word v: the XOR of its bytes' table entries."""
+    words, tables = np.asarray(words), pair.byte_tables
+    if words.ndim != 1 or words.dtype != tables.dtype:
+        raise ValueError(f"blocks must be a 1-d array of {pair.n}-bit {tables.dtype} words")
+    by_byte = np.ascontiguousarray(words).view(np.uint8).reshape(words.size, words.itemsize)
+    found = tables[0][by_byte[:, 0]]
+    for b in range(1, len(tables)):
+        found ^= tables[b][by_byte[:, b]]
+    return found
 
 
-def reconcile_alice_blocks(pair: CssPair, v_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Syndromes and key bits for a (B, n) batch of raw blocks: (H1 v, K v) for each block v."""
-    v_blocks = np.atleast_2d(np.asarray(v_blocks, dtype=np.uint8))
-    if v_blocks.shape[1] != pair.n:
-        raise ValueError(f"blocks must have {pair.n} bits")
-    return gf2_mul(v_blocks, pair.c1.parity_check.T), _labels(pair, v_blocks)
+def _int_bits(ints: np.ndarray, width: int, low: int) -> np.ndarray:
+    """(B, width) uint8 array of bits low + width - 1 down to low of each int, the highest first."""
+    out = np.empty((ints.size, width), dtype=np.uint8)
+    for j in range(width):
+        np.bitwise_and(ints >> (low + width - 1 - j), 1, out=out[:, j], casting="unsafe")
+    return out
+
+
+def reconcile_alice_blocks(pair: CssPair, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Syndromes and key bits for a (B,) batch of packed raw blocks: (H1 v, K v) for each block v.
+
+    ``words`` is what :func:`block_permutations` returns; only the low n bits
+    of a word are read. The syndromes come as (B, n - dim C1) bits and the
+    keys as (B, k) bits.
+    """
+    found = _lookup(pair, words)
+    return _int_bits(found, pair.n - pair.c1.k_dim, pair.k), _int_bits(found, pair.k, 0)
 
 
 def reconcile_bob_blocks(
-    pair: CssPair, received_blocks: np.ndarray, syndromes: np.ndarray
+    pair: CssPair, words: np.ndarray, syndromes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a (B, n) batch against Alice's (B, n - dim C1) syndromes; return (keys, decode_ok).
+    """Decode packed words against Alice's (B, n - dim C1) syndromes; return (keys, decode_ok).
 
-    Block w with her syndrome s keys K w + leader_labels[H1 w + s]: H1 w + s
+    Word w with her syndrome s keys K w + leader_labels[H1 w + s]: H1 w + s
     is the syndrome of w less her block, and a pattern within C1's radius is
     that syndrome's leader, so the key is her K v. ``tests/pipeline_oracle.py``
     gets the same keys by decoding each lifted word and labelling it. A row
     whose syndrome has no leader gets a best-effort key, the label of the
     uncorrected block, and ok False, which is unreachable for perfect outer
-    codes.
+    codes. The keys come as (B, k) bits.
     """
-    received = np.atleast_2d(np.asarray(received_blocks, dtype=np.uint8))
+    found = _lookup(pair, words)
     s = np.atleast_2d(np.asarray(syndromes, dtype=np.uint8))
     m = pair.n - pair.c1.k_dim
-    if received.shape[1] != pair.n or s.shape != (received.shape[0], m):
-        raise ValueError(f"expected (B, {pair.n}) received blocks and (B, {m}) syndromes")
-    idx = _syndrome_index(gf2_mul(received, pair.c1.parity_check.T) ^ s, m)
-    return _labels(pair, received) ^ pair.leader_labels[idx], pair.covered[idx]
+    if s.shape != (found.size, m):
+        raise ValueError(f"expected (B,) received words and (B, {m}) syndromes")
+    idx = (found >> pair.k) ^ _syndrome_index(s, m)
+    # the labels sit in the low k bits, below the syndrome that the key ignores
+    return _int_bits(found ^ pair.leader_labels[idx], pair.k, 0), pair.covered[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -342,39 +384,33 @@ def _stable_ranks(keys: np.ndarray) -> np.ndarray:
 
 
 def block_permutations(words: np.ndarray, seed: int) -> np.ndarray:
-    """Each row of a (B, n) uint8 array permuted; one seed gives all B permutations.
+    """Each 0/1 row of a (B, n) uint8 array permuted and packed into one n-bit word.
+
+    The words are of the smallest unsigned type that holds n bits, and n may
+    be 1 to ``EXHAUSTIVE_N_LIMIT``, the longest a certified code can be. An
+    entry above 1 would spill into the bits above its own.
 
     Draw contract: the keys are the first B * n raw 64-bit words of
     ``default_rng(seed)``, in row order, drawn in passes of whole rows by
     :func:`raw_passes`; entry j of row b moves to its stable rank among
-    keys[b]. So row b of the result is row b of ``words`` in the order a
-    stable sort gives keys[b], for any uint8 values;
+    keys[b], which is a bit of word b rather than a byte of a row. So bit r
+    of word b is entry r of row b in the order a stable sort gives keys[b];
     ``tests/pipeline_oracle.py`` has that form. An unstable sort gives the
     same order unless a row has two equal keys, which has probability below
     n(n-1)/2 in 2^64 per row.
     """
     words = np.asarray(words)
-    if words.ndim != 2 or words.dtype != np.uint8:
-        raise ValueError("words must be a 2-d uint8 array")
+    if words.ndim != 2 or words.dtype != np.uint8 or not 0 < words.shape[1] <= EXHAUSTIVE_N_LIMIT:
+        raise ValueError(f"words must be a 2-d uint8 array of 1 to {EXHAUSTIVE_N_LIMIT} columns")
     blocks, n = words.shape
-    rng = seeded_rng(int(seed))
-    out = np.empty_like(words)
-    # A row is built as little-endian 64-bit lanes, byte r of the row being
-    # bits 8r..8r+7 of lane r // 8: entry j is shifted to bit 8 * rank_j of
-    # the row. A shift outside a lane's 64 bits (wrapped, when negative)
-    # gives 0.
-    lanes = -(-n // 8)
-    # a pass draws the keys of step whole rows; n = 0 draws none
-    step = max(1, WORDS_PER_PASS // max(n, 1))
-    for first, keys in raw_passes(rng, blocks * n, np.uint64, step * max(n, 1)):
+    word = _word_dtype(n)
+    out = np.empty(blocks, dtype=word)
+    step = WORDS_PER_PASS // n  # a pass draws the keys of step whole rows
+    for first, keys in raw_passes(seeded_rng(int(seed)), blocks * n, np.uint64, step * n):
         start = first // n
         rows = words[start : start + step]
-        bit_at = np.left_shift(_stable_ranks(keys.reshape(rows.shape)), 3, dtype=np.uint64)
-        packed = np.empty((rows.shape[0], lanes), dtype="<u8")
-        for g in range(lanes):
-            moved = np.left_shift(rows.T, bit_at - np.uint64(64 * g), dtype=np.uint64)
-            np.bitwise_or.reduce(moved, axis=0, out=packed[:, g])
-        out[start : start + step] = packed.view(np.uint8)[:, :n]
+        moved = np.left_shift(rows.T, _stable_ranks(keys.reshape(rows.shape)), dtype=word)
+        np.bitwise_or.reduce(moved, axis=0, out=out[start : start + step])
     return out
 
 

@@ -800,7 +800,11 @@ class AliceMachine(_PartyMachine):
         yield from self._reconcile()
 
     def _reconcile(self) -> Iterator[Message]:
-        """The permutation seed goes out first: Bob permutes while she reconciles."""
+        """The permutation seed goes out first: Bob permutes while she reconciles.
+
+        Each permuted block is one packed n-bit word, which her syndrome and
+        key are looked up from a byte at a time.
+        """
         css = self.css
         layout = {"blocks": self.sizes["blocks"], "block_len": css.n}
         perm_seed = int(self.streams.stream("permutation").integers(0, 2**63))
@@ -824,7 +828,7 @@ class BobMachine(_PartyMachine):
         self.transcript.skip()  # Alice's pre-channel symbols are not visible
         self.results: SymbolBlock | None = None
         self._bases: np.ndarray | None = None
-        self._perms: np.ndarray | None = None  # his permuted raw key, once the seed is known
+        self._perms: np.ndarray | None = None  # his permuted blocks as packed words, once seeded
 
     def start(self) -> Reply:
         """His bases, the first draws of ``bob_bases``, packed before the qubits arrive."""

@@ -41,7 +41,11 @@ reads.
 
 ``key_map_oracle`` builds a pair's key map the long way: a greedy rank loop
 picks the coset representatives, and one linear solve per key bit inverts
-them.
+them. ``coset_labels`` applies it to 0/1 rows.
+
+``pack_blocks`` and ``unpack_blocks`` convert between (B, n) 0/1 rows and
+the packed n-bit words that ``block_permutations`` returns and the two
+reconcile steps read: bit r of a word is column r of its row.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from eqkd.channel import RngStreams, SymbolBlock, transmit
 from eqkd.codes import (
     CssPair,
     LinearCode,
-    _labels,
     enumerate_codewords,
     gf2_mul,
     gf2_rank,
@@ -255,6 +258,25 @@ def bob_measure_oracle(received, params, rng):
     return SymbolBlock(bases, bits)
 
 
+def pack_blocks(rows):
+    """(B, n) 0/1 rows as (B,) words of the smallest unsigned type that holds n bits."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
+    n = rows.shape[1]
+    packed = np.bitwise_or.reduce(rows << np.arange(n, dtype=np.uint64), axis=1)
+    return packed.astype(np.min_scalar_type((1 << n) - 1))
+
+
+def unpack_blocks(words, n: int) -> np.ndarray:
+    """The inverse of ``pack_blocks``: (B, n) uint8 rows, column r from bit r."""
+    words = np.asarray(words, dtype=np.uint64)
+    return ((words[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.uint8)
+
+
+def coset_labels(pair: CssPair, rows) -> np.ndarray:
+    """Each 0/1 row's k-bit coset label: on C1, one label per coset of C2, zero on C2."""
+    return gf2_mul(np.atleast_2d(rows), pair.key_map.T)
+
+
 def lift_oracle(pair: CssPair) -> np.ndarray:
     """An n x m right inverse R of C1's parity check H1 (m = n - dim C1).
 
@@ -285,7 +307,7 @@ def masked_codeword_alice_blocks(pair: CssPair, v_blocks, rng):
     b, k_dim = v_blocks.shape[0], pair.c1.k_dim
     msgs = _raw_bits(rng, b * k_dim).reshape(b, k_dim)
     u = gf2_mul_oracle(msgs, pair.c1.generator).astype(np.uint8)
-    return u ^ v_blocks, _labels(pair, u)
+    return u ^ v_blocks, coset_labels(pair, u)
 
 
 def syndrome_decode_blocks(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +340,9 @@ def reconcile_bob_blocks_oracle(pair, received, syndromes):
     lifted = np.atleast_2d(syndromes).astype(np.int64) @ lift_oracle(pair).T.astype(np.int64) % 2
     words = np.atleast_2d(received) ^ lifted.astype(np.uint8)
     decoded, ok = syndrome_decode_blocks(pair.c1, words)
-    keys = _labels(pair, decoded)
+    keys = coset_labels(pair, decoded)
     if not ok.all():
-        keys[~ok] = _labels(pair, words[~ok])
+        keys[~ok] = coset_labels(pair, words[~ok])
     return keys, ok
 
 

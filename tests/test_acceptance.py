@@ -37,7 +37,7 @@ from eqkd.protocol import (
     session_meta,
 )
 from eqkd.transcript import SessionTranscript
-from pipeline_oracle import lift_oracle, measure_as_bob
+from pipeline_oracle import lift_oracle, measure_as_bob, pack_blocks
 
 CSS = steane_pair()
 
@@ -185,13 +185,15 @@ def test_c5_reconciliation_exhaustive_within_radius():
                 received.append(x ^ delta)
                 announced.append(s)
                 labels.append(label)
-    keys, _ok = reconcile_bob_blocks(CSS, np.array(received), np.array(announced))
+    keys, _ok = reconcile_bob_blocks(CSS, pack_blocks(received), np.array(announced))
     total = len(labels)
     matched = int((keys == np.array(labels)).all(axis=1).sum())
     # distance witness: some double error must corrupt the key of the zero
     # block, whose syndrome and label are 0
     witness = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
-    corrupted = bool(reconcile_bob_blocks(CSS, witness, np.zeros(3, dtype=np.uint8))[0].any())
+    corrupted = bool(
+        reconcile_bob_blocks(CSS, pack_blocks(witness), np.zeros(3, dtype=np.uint8))[0].any()
+    )
     ok = matched == total == 16 * 100 * 8 and corrupted
     _verdict(
         5,

@@ -27,18 +27,20 @@ from eqkd.codes import (
     steane_pair,
     validate_css,
     _from_rows,
-    _labels,
     _stable_ranks,
     _syndrome_index,
 )
 from pipeline_oracle import (
     block_permutations_oracle,
+    coset_labels,
     gf2_mul_oracle,
     key_map_oracle,
     lift_oracle,
+    pack_blocks,
     reconcile_alice_blocks_oracle,
     reconcile_bob_blocks_oracle,
     syndrome_decode_blocks,
+    unpack_blocks,
 )
 
 HAMMING_ROWS = ["1000011", "0100101", "0010110", "0001111"]
@@ -211,7 +213,7 @@ def test_coset_labels_split_outer_code_in_half():
     labels = {0: 0, 1: 0}
     inner = {tuple(w) for w in enumerate_codewords(pair.c2.generator)}
     outer = enumerate_codewords(pair.c1.generator)
-    for u, (label,) in zip(outer, _labels(pair, outer).tolist()):
+    for u, (label,) in zip(outer, coset_labels(pair, outer).tolist()):
         labels[label] += 1
         assert (label == 0) == (tuple(u) in inner)
     assert labels == {0: 8, 1: 8}
@@ -249,10 +251,10 @@ def test_reconcile_roundtrip_within_radius():
     pair = steane_pair()
     rng = np.random.default_rng(5)
     v = rng.integers(0, 2, (50, 7), dtype=np.uint8)
-    s, keys_a = reconcile_alice_blocks(pair, v)
+    s, keys_a = reconcile_alice_blocks(pair, pack_blocks(v))
     one_error = np.eye(7, dtype=np.uint8)[rng.integers(0, 7, 50)]
     for err in (np.zeros_like(v), one_error):
-        keys_b, ok = reconcile_bob_blocks(pair, v ^ err, s)
+        keys_b, ok = reconcile_bob_blocks(pair, pack_blocks(v ^ err), s)
         assert ok.all()
         assert np.array_equal(keys_a, keys_b)
 
@@ -365,7 +367,7 @@ def test_reconcile_alice_blocks_match_the_whole_array_oracle(make_pair):
     gen = np.random.default_rng(50 + pair.n + pair.k)
     for blocks in (0, 1, 15, 16, 17, int(gen.integers(2, 3000)), 70_001):
         v = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
-        s, keys = reconcile_alice_blocks(pair, v)
+        s, keys = reconcile_alice_blocks(pair, pack_blocks(v))
         s_ref, keys_ref = reconcile_alice_blocks_oracle(pair, v)
         assert np.array_equal(s, s_ref) and np.array_equal(keys, keys_ref), blocks
         assert (s.dtype, keys.dtype) == (np.uint8, np.uint8)
@@ -380,7 +382,7 @@ def test_reconcile_bob_blocks_match_the_decode_then_label_oracle(make_pair):
         sent = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
         received = sent ^ _words_of_every_weight(gen, blocks, pair.n)
         s = gf2_mul(sent, pair.c1.parity_check.T)
-        keys, ok = reconcile_bob_blocks(pair, received, s)
+        keys, ok = reconcile_bob_blocks(pair, pack_blocks(received), s)
         keys_ref, ok_ref = reconcile_bob_blocks_oracle(pair, received, s)
         assert keys.shape == (blocks, pair.k) and keys.dtype == np.uint8
         assert np.array_equal(keys, keys_ref)
@@ -412,18 +414,39 @@ def test_leader_label_table_labels_the_covered_leaders(make_pair):
     leaders = _lightest_words_by_syndrome(pair.c1)
     covered = leaders.sum(axis=1) <= (pair.c1.d - 1) // 2
     table = pair.leader_labels
-    assert table.shape == (covered.size, pair.k) and table.dtype == np.uint8
+    assert table.shape == covered.shape and table.dtype == pair.byte_tables.dtype
     assert np.array_equal(pair.covered, covered)
-    assert np.array_equal(table[covered], _labels(pair, leaders[covered]))
+    # a label is read as a k-bit integer, its first bit the highest
+    weights = 1 << np.arange(pair.k - 1, -1, -1)
+    assert np.array_equal(table[covered], coset_labels(pair, leaders[covered]) @ weights)
     assert not table[~covered].any()
+
+
+@pytest.mark.parametrize("make_pair", [steane_pair, _pair_15_11, _pair_15_10, _golay_pair])
+def test_byte_tables_give_each_words_syndrome_and_label(make_pair):
+    pair = make_pair()
+    m = pair.n - pair.c1.k_dim
+    word = pair.byte_tables.dtype
+    assert pair.byte_tables.shape == (-(-pair.n // 8), 256) and word.itemsize * 8 >= pair.n
+    if pair.n <= 15:
+        words = np.arange(2**pair.n).astype(word)
+    else:
+        words = np.random.default_rng(61).integers(0, 2**pair.n, 10**5).astype(word)
+    found = np.zeros(words.size, dtype=np.int64)
+    for b, table in enumerate(pair.byte_tables):
+        found ^= table[(words >> (8 * b)) & 0xFF]
+    bits = unpack_blocks(words, pair.n)
+    product = gf2_mul(bits, np.vstack([pair.c1.parity_check, pair.key_map]).T)
+    weights = 1 << np.arange(m + pair.k - 1, -1, -1)
+    assert np.array_equal(found, product.astype(np.int64) @ weights)
 
 
 def test_reconcile_weight_two_corrupts_key():
     pair = steane_pair()
     v = np.zeros(7, dtype=np.uint8)  # Alice's block: syndrome 0, key 0
-    s, keys_a = reconcile_alice_blocks(pair, v)
+    s, keys_a = reconcile_alice_blocks(pair, pack_blocks(v))
     err = np.array([1, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
-    keys_b, _ok = reconcile_bob_blocks(pair, v ^ err, s)
+    keys_b, _ok = reconcile_bob_blocks(pair, pack_blocks(v ^ err), s)
     assert not keys_a.any() and not np.array_equal(keys_b, keys_a)
 
 
@@ -435,7 +458,20 @@ def test_reconcile_weight_two_corrupts_key():
 def test_reconcile_bob_blocks_refuses_syndromes_of_the_wrong_shape(syndromes):
     pair = steane_pair()
     with pytest.raises(ValueError, match=r"\(B, 3\) syndromes"):
-        reconcile_bob_blocks(pair, np.zeros((4, 7), dtype=np.uint8), syndromes)
+        reconcile_bob_blocks(pair, np.zeros(4, dtype=np.uint8), syndromes)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [np.zeros((4, 7), dtype=np.uint8), np.zeros(4, dtype=np.uint16), np.zeros(4, dtype=np.int8)],
+    ids=["unpacked_rows", "a_wider_word", "a_signed_word"],
+)
+def test_the_reconcile_steps_refuse_blocks_that_are_not_packed_words(words):
+    pair = steane_pair()
+    with pytest.raises(ValueError, match="1-d array of 7-bit uint8 words"):
+        reconcile_alice_blocks(pair, words)
+    with pytest.raises(ValueError, match="1-d array of 7-bit uint8 words"):
+        reconcile_bob_blocks(pair, words, np.zeros((4, 3), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -443,43 +479,46 @@ def test_reconcile_bob_blocks_refuses_syndromes_of_the_wrong_shape(syndromes):
 # ---------------------------------------------------------------------------
 
 def test_block_permutations_valid_and_deterministic():
-    words = np.tile(np.arange(7, dtype=np.uint8), (12, 1))
+    # row b of the input e_j moves its one set bit to the rank of j in row
+    # b's permutation, so over j = 0..6 each block takes every bit once
+    ones = [block_permutations(np.tile(np.eye(7, dtype=np.uint8)[j], (12, 1)), 1234)
+            for j in range(7)]
+    for perms in ones:
+        assert perms.shape == (12,) and perms.dtype == np.uint8
+        assert set(perms.tolist()) <= {1 << r for r in range(7)}
+    assert (np.bitwise_or.reduce(ones) == 0x7F).all()
+    words = np.random.default_rng(40).integers(0, 2, (12, 7), dtype=np.uint8)
     perms = block_permutations(words, 1234)
-    assert perms.shape == (12, 7)
-    for row in perms:
-        assert sorted(row.tolist()) == list(range(7))
+    assert np.array_equal(unpack_blocks(perms, 7).sum(axis=1), words.sum(axis=1))
     assert np.array_equal(perms, block_permutations(words, 1234))
     assert not np.array_equal(perms, block_permutations(words, 1235))
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 15, 31])
+@pytest.mark.parametrize("n", [2, 3, 7, 15, 23, 24])
 def test_block_permutations_match_the_argsort_oracle(n):
     rng = np.random.default_rng(41 + n)
     # A pass of key words holds whole rows, step of them. Counts around one
     # pass, and counts that span two and three passes.
     step = WORDS_PER_PASS // n
+    word = np.min_scalar_type((1 << n) - 1)
     for blocks in (0, 1, int(rng.integers(2, 5000)), step - 1, step, step + 1, 2 * step + 1,
                    3 * step + 5):
-        words = rng.integers(0, 256, (blocks, n), dtype=np.uint8)
+        words = rng.integers(0, 2, (blocks, n), dtype=np.uint8)
         seed = int(rng.integers(0, 2**63))
         got = block_permutations(words, seed)
-        assert got.dtype == np.uint8 and got.shape == words.shape
-        assert np.array_equal(got, block_permutations_oracle(words, seed))
-        # a transposed (non-contiguous) input gives the same rows
+        assert got.dtype == word and got.shape == (blocks,)
+        assert np.array_equal(got, pack_blocks(block_permutations_oracle(words, seed)))
+        # a transposed (non-contiguous) input gives the same words
         assert np.array_equal(block_permutations(np.ascontiguousarray(words.T).T, seed), got)
 
 
-def test_block_permutations_of_rows_longer_than_a_byte_can_rank():
-    rng = np.random.default_rng(42)
-    words = rng.integers(0, 256, (5, 300), dtype=np.uint8)
-    assert np.array_equal(block_permutations(words, 7), block_permutations_oracle(words, 7))
-
-
 def test_block_permutations_want_a_2d_uint8_array():
-    with pytest.raises(ValueError):
-        block_permutations(np.zeros((3, 7), dtype=np.int64), 1)
-    with pytest.raises(ValueError):
-        block_permutations(np.zeros(7, dtype=np.uint8), 1)
+    # rows of int64 or int8, a 1-d row, and rows of 25 bits and of none
+    for words in (np.zeros((3, 7), dtype=np.int64), np.zeros((3, 7), dtype=np.int8),
+                  np.zeros(7, dtype=np.uint8), np.zeros((3, 25), dtype=np.uint8),
+                  np.zeros((3, 0), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="2-d uint8 array of 1 to 24 columns"):
+            block_permutations(words, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 31, 300])

@@ -6,7 +6,8 @@
   ``.integers(...)`` call with a size, and any ``random_raw(...)`` call
   outside that helper, so no kernel brings back a whole-block draw or a
   second contract.
-* The per-symbol kernels keep no N-length temporary, pinned by their peak
+* The per-symbol kernels keep no N-length temporary, and the block
+  permutations no block-length one past their output, pinned by their peak
   traced allocation.
 * Named streams, and the permutation generator, are built from uint32 words
   and must equal the generators the documented seed lists give.
@@ -32,7 +33,7 @@ from eqkd.channel import (
     transmit,
     uniform_bits,
 )
-from eqkd.codes import steane_pair
+from eqkd.codes import block_permutations, steane_pair
 from eqkd.protocol import ProtocolParams, alice_prepare, run_session
 from pipeline_oracle import measure_as_bob
 
@@ -153,15 +154,25 @@ def test_kernels_keep_no_block_length_float_temporary(kernel):
     assert _peak_bytes_per_symbol(KERNELS[kernel]) < 3.0
 
 
-# A session at p = 0.2 peaks at about 13.6 bytes per symbol: the symbols,
+# A session at p = 0.2 peaks at about 11.5 bytes per symbol: the symbols,
 # both parties' class masks and the messages' hex text. Listing the two
 # same-basis classes as int64 positions, about 0.68 N of them per party,
-# took it to about 20.5.
+# took it to about 20.5, and permuting each block into bytes of uint64
+# lanes, rather than into the bits of one word, to about 13.5.
 def test_a_session_peaks_below_16_bytes_per_symbol():
     n = 10**6
     params = ProtocolParams(n_qubits=n, bias_p=0.2, m1=200, m2=200)
     strategy, css = DepolarizingPauli.symmetric(0.005), steane_pair()
     assert _peak_bytes_per_symbol(lambda: run_session(params, strategy, css, 1), n) < 16.0
+
+
+# block_permutations peaks at about 7.4 bytes per [7,4] block at 2 * 10^5
+# blocks: its one-byte words, and a pass's keys, ranks and shifted entries.
+# Placing each entry at a byte of uint64 lanes took it to about 20.8.
+def test_block_permutations_peak_below_10_bytes_per_block():
+    blocks = 2 * 10**5
+    rows = np.random.default_rng(8).integers(0, 2, (blocks, 7), dtype=np.uint8)
+    assert _peak_bytes_per_symbol(lambda: block_permutations(rows, 9), blocks) < 10.0
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]

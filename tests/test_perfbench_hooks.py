@@ -31,6 +31,7 @@ from eqkd.protocol import (
     session_meta,
 )
 from eqkd.transcript import Event
+from pipeline_oracle import pack_blocks
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -56,7 +57,7 @@ def test_every_traced_method_resolves_on_its_class(tracer):
 
 def test_block_counter_reads_a_keys_and_ok_pair(tracer):
     pair = steane_pair()
-    words = np.random.default_rng(3).integers(0, 2, (40, pair.n), dtype=np.uint8)
+    words = pack_blocks(np.random.default_rng(3).integers(0, 2, (40, pair.n), dtype=np.uint8))
     result = reconcile_bob_blocks(pair, words, np.zeros((40, pair.n - pair.c1.k_dim)))
     keys, ok = result
     assert keys.shape == (40, pair.k) and ok.size == 40

@@ -46,6 +46,7 @@ from pipeline_oracle import (
     raw_key_layout_oracle,
     refined_estimate,
     sift,
+    unpack_blocks,
 )
 
 CSS = steane_pair()
@@ -773,7 +774,9 @@ def test_the_syndrome_form_agrees_on_the_same_blocks_as_the_masked_codeword_form
     params = ProtocolParams(n_qubits=1_100_000, bias_p=0.2, m1=200, m2=200)
     out = run_session(params, DepolarizingPauli(1 - q, q / 3, q / 3, q / 3), CSS, seed=5)
     assert out.status is SessionStatus.ACCEPTED and out.num_blocks >= 10**5
-    v, w = caught["reconcile_alice_blocks"], caught["reconcile_bob_blocks"]
+    # Alice's blocks, unpacked for the oracle; Bob's stay packed for the library
+    v = unpack_blocks(caught["reconcile_alice_blocks"], CSS.n)
+    w = caught["reconcile_bob_blocks"]
     agree = (out.alice_key == out.bob_key).reshape(out.num_blocks, CSS.k).all(axis=1)
     rng = np.random.default_rng(round(q * 1000))
     announced, masked_keys = masked_codeword_alice_blocks(CSS, v, rng)
