@@ -232,12 +232,12 @@ def key_rate(e: float, variant: str) -> float:
     return max(0.0, _raw_key_rate(e, variant))
 
 
-def rate_threshold(variant: str, tol: float = 1e-9) -> float:
-    """Largest error rate with positive rate, found by bisection."""
+def rate_threshold(variant: str) -> float:
+    """Largest error rate with positive rate, found by bisection to within 1e-9."""
     lo, hi = 0.0, 0.4999999
     if _raw_key_rate(lo, variant) <= 0.0:
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if _raw_key_rate(mid, variant) > 0.0:
             lo = mid

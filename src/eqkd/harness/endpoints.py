@@ -14,16 +14,17 @@ Listeners are bound before any endpoint starts, and every link sets
 ``TCP_NODELAY``: the protocol is a chain of small request/response frames,
 which Nagle's algorithm would hold back for the peer's delayed ACK. An
 endpoint runs the session it is handed, built once by its caller, and
-decodes no configuration itself. It writes its transcript line by line
-while the session runs and keeps it only if the session succeeds. A payload
-an endpoint sends is encoded once: its frame and its transcript line share
-that text. No endpoint imports a module during its session, which a forked
-child would pay for in each one.
+decodes no configuration itself. It writes its transcript while the session
+runs, each line its event's canonical JSON, written while the peer works on
+what it was just sent, and keeps it only if the session succeeds. No
+endpoint imports a module during its session, which a forked child would
+pay for in each one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib
 import json
 import multiprocessing
@@ -119,9 +120,7 @@ def _party_outcome_dict(role: str, machine) -> dict:
     return {
         "role": role,
         "status": res.status.value,
-        "estimate": None
-        if est is None
-        else {"r1": est.r1, "m1": est.m1, "r2": est.r2, "m2": est.m2},
+        "estimate": None if est is None else dataclasses.asdict(est),
         "num_blocks": res.num_blocks,
         "key_bits": 0 if key is None else int(key.size),
         "key": None if key is None else pack_bits(np.asarray(key)),
@@ -138,26 +137,25 @@ def _transcript_log(out_dir, role: str, transcript: SessionTranscript):
     """Write ``role``'s transcript as the session runs; keep it only if the block succeeds.
 
     Yields a function that appends the events logged since its last call to
-    ``transcript_<role>.jsonl.partial``, one ``Event.to_json`` line each. Its
-    ``sent`` maps the (actor, kind) of each event this end sent to the text
-    ``send_event`` sent, which that event's line reuses; the grammar allows
-    each pair once. When the block ends without an error the file holds
+    ``transcript_<role>.jsonl.partial``, one ``Event.to_json`` line each, so
+    each line is its event's canonical JSON, whatever text carried a received
+    payload. When the block ends without an error the file holds
     ``transcript.to_jsonl()`` and is renamed to ``transcript_<role>.jsonl``;
     on any error it is removed. Without an ``out_dir`` nothing is written.
     Its lines are encoded by ``str.encode``, which, unlike a text file, imports no codec.
     """
     if out_dir is None:
-        yield lambda sent: None
+        yield lambda: None
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     partial = out / f"transcript_{role}.jsonl.partial"
     written = 0
 
-    def write_new(sent: dict) -> None:
+    def write_new() -> None:
         nonlocal written
         for ev in transcript.events[written:]:
-            log.write(ev.to_json(sent.get((ev.actor, ev.kind))).encode("ascii"))
+            log.write(ev.to_json().encode("ascii"))
             log.write(b"\n")
         written = len(transcript.events)
 
@@ -165,7 +163,7 @@ def _transcript_log(out_dir, role: str, transcript: SessionTranscript):
         with open(partial, "wb") as log:
             log.write(transcript.meta_line().encode("ascii") + b"\n")
             yield write_new
-            write_new({})
+            write_new()
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -189,10 +187,10 @@ def _serve_party(role, session, link, out_dir, deadline) -> int:
         check_hello(recv_hello(_time_left(sock, deadline)), digest)
         with _transcript_log(out_dir, role, machine.transcript) as write_log:
             while True:
-                sent = {}  # each message is made as it is taken: the peer works on it meanwhile
-                for actor, kind, payload in outgoing:
-                    sent[actor, kind] = send_event(sock, kind, payload)
-                write_log(sent)  # while the peer works on what was just sent
+                # each message is made as it is taken: the peer works on it meanwhile
+                for _actor, kind, payload in outgoing:
+                    send_event(sock, kind, payload)
+                write_log()  # while the peer works on what was just sent
                 if machine.done:
                     break
                 sender = machine.transcript.speaker
@@ -243,7 +241,8 @@ def _serve_channel(session, listen, connect, out_dir, deadline) -> int:
                 sock, peer = links[actor]
                 kind, payload = recv_event(_time_left(sock, deadline))
                 ev = relay(canonical, actor, kind, payload, strategy, streams)
-                write_log({(ev.actor, ev.kind): send_event(peer, ev.kind, ev.payload)})
+                send_event(peer, ev.kind, ev.payload)
+                write_log()
             for sock in (sock, peer):  # the last speaker's link first
                 with contextlib.suppress(EOFError):
                     kind, _payload = recv_event(_time_left(sock, deadline))

@@ -34,7 +34,15 @@ from eqkd.harness.endpoints import (
     serve_endpoint,
     start_context,
 )
-from eqkd.harness.wire import check_hello, recv_event, recv_hello, send_event, send_hello
+from eqkd.harness.wire import (
+    _KIND_TAGS,
+    check_hello,
+    recv_event,
+    recv_hello,
+    send_event,
+    send_frame,
+    send_hello,
+)
 from eqkd.protocol import (
     AliceMachine,
     ProtocolParams,
@@ -46,7 +54,7 @@ from eqkd.protocol import (
     session_from_meta,
     session_meta,
 )
-from eqkd.transcript import Actor, EventKind, SessionTranscript
+from eqkd.transcript import Actor, EventKind, SessionTranscript, canonical_json
 
 CSS = steane_pair()
 
@@ -658,3 +666,35 @@ def test_a_party_deadline_covers_the_whole_session(capsys, role):
     [(code, at)] = ended
     assert code == EXIT_PROTOCOL and at - started < 1.3
     assert "session failed" in capsys.readouterr().err
+
+
+def test_a_party_logs_a_non_canonical_frame_as_its_canonical_line(tmp_path):
+    # the relay, played here, sends Bob the delivered qubits as JSON with
+    # spaces and its keys in reverse order; Bob's log encodes each event
+    # itself, so his line is still run_session's
+    _params, meta = _meta(49)
+    ref = run_session(*session_from_meta(meta)).transcript
+    lsock = _listener()
+    codes = []
+    bob = threading.Thread(
+        target=lambda: codes.append(
+            serve_endpoint("bob", _session(meta), listen=lsock, out_dir=tmp_path, timeout=15)
+        )
+    )
+    bob.start()
+    with socket.create_connection(lsock.getsockname(), timeout=15) as relay:
+        _greet(relay, config_digest(meta))
+        for ev in ref.events[1:]:  # Bob never sees Alice's QUBITS_SENT
+            if ev.actor is Actor.BOB:
+                assert recv_event(relay) == (ev.kind, ev.payload)
+            elif ev.actor is Actor.CHANNEL:
+                text = json.dumps(dict(sorted(ev.payload.items(), reverse=True)))
+                assert json.loads(text) == ev.payload and text != canonical_json(ev.payload)
+                send_frame(relay, _KIND_TAGS[ev.kind], text.encode())
+            else:
+                send_event(relay, ev.kind, ev.payload)
+        bob.join(timeout=15)
+    assert not bob.is_alive() and codes == [0]
+    _header, *lines = (tmp_path / "transcript_bob.jsonl").read_text().splitlines()
+    assert lines[0] == ref.events[1].to_json() == ref.event_lines()[1]
+    assert lines == ref.event_lines()[1:]
