@@ -342,20 +342,23 @@ def transmit(
     return strategy.apply(block, rng)
 
 
-_MAX_SEED = 2**64
+def check_seed(seed) -> int:
+    """``seed`` if it is a session seed, an integer in [0, 2^64); any other is a ValueError."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"malformed seed {seed!r}; a seed is an integer in [0, 2^64)")
+    return seed
 
 
 def seeded_rng(seed: int, name: str = "") -> np.random.Generator:
     """``default_rng(SeedSequence([seed, *name.encode("ascii")]))``, built cheaply.
 
-    SeedSequence splits each int of a list into little-endian uint32 words,
-    at least one, and joins them; it takes a uint32 array as those words
-    as they are. Handing it the words directly skips its per-element
-    conversion and gives the same state. With no name this is
-    ``default_rng(seed)``.
+    ``seed`` must pass :func:`check_seed`. SeedSequence splits each int of a
+    list into little-endian uint32 words, at least one, and joins them; it
+    takes a uint32 array as those words as they are. Handing it the words
+    directly skips its per-element conversion and gives the same state. With
+    no name this is ``default_rng(seed)``.
     """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    check_seed(seed)
     words = [seed & 0xFFFFFFFF]
     while seed >= 1 << 32:
         seed >>= 32
@@ -365,17 +368,14 @@ def seeded_rng(seed: int, name: str = "") -> np.random.Generator:
 
 
 class RngStreams:
-    """Named, independently seeded RNG substreams from one 64-bit master seed.
+    """Named, independently seeded RNG substreams from one seed that passes :func:`check_seed`.
 
     The same (seed, name) pair always yields the same stream; repeated calls
     for a name return the same stateful generator.
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not (0 <= seed < _MAX_SEED):
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        self.seed = seed
+        self.seed = check_seed(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:

@@ -406,7 +406,7 @@ def block_permutations(words: np.ndarray, seed: int) -> np.ndarray:
     word = _word_dtype(n)
     out = np.empty(blocks, dtype=word)
     step = WORDS_PER_PASS // n  # a pass draws the keys of step whole rows
-    for first, keys in raw_passes(seeded_rng(int(seed)), blocks * n, np.uint64, step * n):
+    for first, keys in raw_passes(seeded_rng(seed), blocks * n, np.uint64, step * n):
         start = first // n
         rows = words[start : start + step]
         moved = np.left_shift(rows.T, _stable_ranks(keys.reshape(rows.shape)), dtype=word)

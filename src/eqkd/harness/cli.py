@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from ..bounds import (
+    KEY_RATE_VARIANTS,
     Lemma1Result,
     SamplingInstance,
     SecurityParams,
@@ -37,7 +38,7 @@ from ..bounds import (
 )
 from ..channel import BiasedInterceptResend, DepolarizingPauli, FixedPauliString, strategy_from_dict
 from ..codes import CodeError, css_fingerprint, css_from_meta, load_css, steane_pair
-from ..protocol import ProtocolParams, check_seed, session_meta
+from ..protocol import ProtocolParams, session_meta
 from .endpoints import ROLES, serve_endpoint, serve_loopback
 from .runner import ExperimentConfig, attack_demo, emit_csv, replay_verify, run_experiment
 
@@ -140,7 +141,7 @@ def _session_setup(args):
     else:
         css = steane_pair()
 
-    seed = check_seed(args.seed if args.seed is not None else file_cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     meta = session_meta(params, strategy, css, seed)
     return params, strategy, css, seed, meta
 
@@ -335,13 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser("rate", help="asymptotic key rate at an error rate")
     b.add_argument("--error-rate", type=float, required=True)
-    b.add_argument("--variant", default="css_shannon",
-                   choices=("css_shannon", "mayers", "css_gv"))
+    b.add_argument("--variant", default="css_shannon", choices=KEY_RATE_VARIANTS)
     b.set_defaults(func=_cmd_bounds_rate)
 
     b = bsub.add_parser("threshold", help="zero of the key rate")
-    b.add_argument("--variant", default="css_shannon",
-                   choices=("css_shannon", "mayers", "css_gv"))
+    b.add_argument("--variant", default="css_shannon", choices=KEY_RATE_VARIANTS)
     b.set_defaults(func=_cmd_bounds_threshold)
 
     p = sub.add_parser("codes", help="code utilities")

@@ -49,6 +49,9 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "base_seed"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, not {self.trials}")
         if self.base_seed < 0:
@@ -309,11 +312,13 @@ def replay_verify(transcript: SessionTranscript | str | Path) -> tuple[bool, str
 
     Returns ``(True, detail)`` when the replay reproduces the recorded
     canonical event stream exactly, else ``(False, detail)`` naming the
-    first divergence, what is malformed, or the other draw contract the
-    session was recorded under. Partial (single-party) transcripts are
+    first divergence, a missing or unknown metadata key, a malformed line or
+    payload, or another draw contract. Partial (single-party) transcripts are
     rejected. Before the replay, every payload is read through the payload
     table at the recorded sizes, each block count bounded by (N - m2) // block_len;
-    the first malformed field is named with its event.
+    the first malformed field is named with its event. An invalid recorded
+    value (a seed that is not an integer, an unknown strategy kind, ...)
+    raises ``ValueError`` or ``CodeError``, which the CLI exits 2 on.
     """
     if not isinstance(transcript, SessionTranscript):
         try:  # no event of another contract is read: its kinds may not be this build's

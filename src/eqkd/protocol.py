@@ -39,6 +39,7 @@ from .channel import (
     RngStreams,
     SymbolBlock,
     bernoulli_threshold,
+    check_seed,
     mismatch_coins,
     raw_passes,
     strategy_from_dict,
@@ -498,7 +499,7 @@ def session_meta(
     """
     strategy.check(params.n_qubits)
     return {
-        "seed": int(seed),
+        "seed": check_seed(seed),
         "draw_contract": DRAW_CONTRACT,
         "params": params.to_dict(),
         "strategy": strategy.to_dict(),
@@ -515,13 +516,6 @@ def other_draw_contract(meta: dict) -> str | None:
     if type(contract) is int and contract == DRAW_CONTRACT:
         return None
     return f"recorded under draw contract {contract!r}; this build draws by {DRAW_CONTRACT}"
-
-
-def check_seed(seed) -> int:
-    """``seed`` if it is a session seed, an integer in [0, 2^64); any other is a ValueError."""
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ValueError(f"malformed seed {seed!r}; a seed is an integer in [0, 2^64)")
-    return seed
 
 
 def session_from_meta(meta: dict) -> tuple[ProtocolParams, AttackStrategy, CssPair, int]:

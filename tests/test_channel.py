@@ -282,3 +282,7 @@ def test_rng_streams_seed_validation():
     with pytest.raises(ValueError):
         RngStreams(2**64)
     RngStreams(2**64 - 1)
+    # each of these was once truncated or converted to another seed
+    for seed in (2.5, True, "5", np.int64(5)):
+        with pytest.raises(ValueError, match="malformed seed"):
+            RngStreams(seed)

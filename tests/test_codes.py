@@ -521,6 +521,12 @@ def test_block_permutations_want_a_2d_uint8_array():
             block_permutations(words, 1)
 
 
+def test_block_permutations_refuse_a_seed_that_is_not_an_int():
+    # 2.7 once drew the permutations of seed 2
+    with pytest.raises(ValueError, match="malformed seed 2.7"):
+        block_permutations(np.zeros((3, 7), dtype=np.uint8), 2.7)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 31, 300])
 def test_stable_ranks_break_ties_like_a_stable_argsort(n):
     rng = np.random.default_rng(43 + n)

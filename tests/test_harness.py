@@ -297,6 +297,8 @@ def test_parallel_runner_matches_the_serial_loop(cpus, config, keep_outcomes):
     if config is MIXED:
         assert all(result.summary["status_counts"].values())  # every status occurs
     assert len(result.outcomes) == (config.trials if keep_outcomes else 0)
+    for row, got in zip(result.rows, result.outcomes):
+        assert row.seed == got.transcript.meta["seed"]
     for got, (_row, want) in zip(result.outcomes, oracle):
         assert got.transcript.event_lines() == want.transcript.event_lines()
         assert got.status is want.status
@@ -347,7 +349,8 @@ def test_a_worker_that_dies_is_reported_and_reaped(monkeypatch):
 
 @pytest.mark.parametrize(
     "trials, base_seed, field",
-    [(-3, 0, "trials"), (2, -1, "base_seed"), (3, 2**64 - 2, "base_seed \\+ trials")],
+    [(-3, 0, "trials"), (2, -1, "base_seed"), (3, 2**64 - 2, "base_seed \\+ trials"),
+     (2.0, 0, "trials must be an integer"), (2, 2.5, "base_seed must be an integer")],
 )
 def test_experiment_config_checks_its_trial_range(trials, base_seed, field):
     with pytest.raises(ValueError, match=field):

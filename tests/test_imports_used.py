@@ -16,7 +16,8 @@ strategy class: a strategy carries its own behaviour. No floor division
 divides by a block length outside ``protocol.session_sizes``. No module of
 the package has a ``global`` statement: what a function needs is handed to
 it. No module but ``codes`` imports or reads a ``gf2_*`` name: the GF(2)
-algebra, and with it the reconciliation format, stays in one module.
+algebra, and with it the reconciliation format, stays in one module. No
+``int()`` converts a seed: ``channel.check_seed`` is the one seed rule.
 """
 
 from __future__ import annotations
@@ -219,3 +220,29 @@ def test_only_codes_does_gf2_algebra():
             where = f"{path.relative_to(PACKAGE)}:{node.lineno}"
             found += [f"{where} {name}" for name in names if name.startswith("gf2_")]
     assert not found, f"GF(2) algebra outside codes.py: {found}"
+
+
+def _ends_in_seed(node: ast.expr) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.endswith("seed")
+
+
+def test_no_seed_is_converted():
+    """No ``int(x)`` in the package where ``x`` is a name or attribute ending in ``seed``.
+
+    ``channel.check_seed`` is the one seed rule: it refuses what is not an
+    integer in [0, 2^64). A converted seed is a second rule for the same
+    value, and it can record, or draw from, a seed the caller never gave:
+    ``int(2.5)`` runs seed 2.
+    """
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and node.args
+        and _ends_in_seed(node.args[0])
+    ]
+    assert not found, f"a seed converted with int() instead of checked: {found}"

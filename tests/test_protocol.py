@@ -360,6 +360,13 @@ def test_session_is_deterministic_in_the_seed():
     assert a.transcript.event_lines() != c.transcript.event_lines()
 
 
+@pytest.mark.parametrize("seed", [2.5, True, "5"], ids=repr)
+def test_session_refuses_a_seed_that_is_not_an_int(seed):
+    # 2.5 once ran, and was recorded as, seed 2
+    with pytest.raises(ValueError, match=f"malformed seed {seed!r}"):
+        run_session(default_params(), Passive(), CSS, seed)
+
+
 def test_session_estimate_matches_pipeline_functions():
     params = default_params()
     strategy = DepolarizingPauli.symmetric(0.02)
