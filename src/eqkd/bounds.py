@@ -150,6 +150,12 @@ def lemma1_bound(inst: SamplingInstance) -> Lemma1Result:
     return Lemma1Result(bound=min(1.0, raw), exponent=exponent)
 
 
+def _check_key_length(k) -> None:
+    """A key length is an int (not a bool) of at least 1; any other is a ValueError."""
+    if type(k) is not int or k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 def theorem2_bound(delta: float, k: int) -> float:
     """Eavesdropper-information bound (bits) from a fidelity defect delta.
 
@@ -165,8 +171,7 @@ def theorem2_bound(delta: float, k: int) -> float:
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
+    _check_key_length(k)
     if delta == 0.0:
         return 0.0
     # log2(2^{2k} - 1) without forming 2^{2k}
@@ -180,8 +185,7 @@ def theorem2_asymptotic(delta: float, k: int) -> float:
     """First-order form delta * (1/ln 2 + 2k + log2(1/delta)) of the bound."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_key_length(k)
     return delta * (1.0 / _LN2 + 2.0 * k + math.log2(1.0 / delta))
 
 
@@ -277,8 +281,7 @@ class SecurityParams:
             raise ValueError("c must be positive")
         if not (0.0 <= self.a_prime <= 1.0):
             raise ValueError("a_prime must lie in [0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        _check_key_length(self.k)
         if self.N < 4:
             raise ValueError("N too small")
 

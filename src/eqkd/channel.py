@@ -29,7 +29,8 @@ _PAULI_NAMES = {**{c: c.upper() for c in "IXYZixyz"}, **dict(enumerate("IXYZ"))}
 # The draw contract: the streams a session draws and how every kernel turns a
 # generator's output into draws. Recorded in the session metadata, so a
 # transcript drawn under another contract is refused rather than replayed.
-DRAW_CONTRACT = 3
+# Under contract 4 the test samples are drawn from a seed that Bob announces.
+DRAW_CONTRACT = 4
 
 # Raw words are drawn this many at a time, so that a pass and what is computed
 # from it stay in L2 cache. A bit generator hands out its words in order, so

@@ -447,7 +447,8 @@ def steane_pair() -> CssPair:
 def parse_code(text: str) -> LinearCode:
     """Parse the plain-text code format.
 
-    Header line ``n k_dim``, then k_dim lines of n characters in {0,1}.
+    Header line ``n k_dim``, two positive integers in decimal digits, then
+    k_dim lines of n characters in {0,1}.
     A comment line ``# d = <int>`` anywhere claims a distance, which is
     checked against the one enumeration certifies.
     """
@@ -470,9 +471,9 @@ def parse_code(text: str) -> LinearCode:
     if not lines:
         raise CodeError("empty code file")
     head = lines[0].split()
-    if len(head) != 2:
-        raise CodeError("header must be 'n k_dim'")
-    n, k_dim = int(head[0]), int(head[1])
+    if len(head) != 2 or not all(h.isascii() and h.isdigit() and int(h) > 0 for h in head):
+        raise CodeError(f"header must be 'n k_dim', two positive integers, not {lines[0]!r}")
+    n, k_dim = map(int, head)
     rows = lines[1:]
     if len(rows) != k_dim:
         raise CodeError(f"expected {k_dim} generator rows, got {len(rows)}")

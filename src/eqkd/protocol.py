@@ -42,6 +42,7 @@ from .channel import (
     check_seed,
     mismatch_coins,
     raw_passes,
+    seeded_rng,
     strategy_from_dict,
     transmit,
     uniform_bits,
@@ -244,18 +245,6 @@ def bob_measure(
     return SymbolBlock(bases, bits)
 
 
-def _in_class(members: np.ndarray, sample: np.ndarray, name: str) -> np.ndarray:
-    """A test sample the peer announced, checked to be positions of its class.
-
-    ``members`` is the class as a mask over the N positions; the sample's
-    shape, strictly increasing positions below N, is the payload table's to
-    check.
-    """
-    if not members[sample].all():
-        raise ProtocolViolation(f"{name} test sample holds a position outside its class")
-    return sample
-
-
 # A sifted class is a mask over the N positions. A list of its positions,
 # 8 bytes a member, is made at most a chunk of positions at a time.
 _CHUNK = 1 << 16
@@ -354,21 +343,6 @@ def _bits(*count):
     return read
 
 
-def _positions(count):
-    """``count`` strictly increasing integer positions in [0, n), as an int64 array."""
-
-    def read(value, sizes):
-        m, n = sizes[count], sizes["n"]
-        # all Python ints, so numpy infers int64 unless one is out of its range
-        if isinstance(value, list) and len(value) == m and set(map(type, value)) == {int}:
-            arr = np.asarray(value)
-            if arr.dtype == np.int64 and 0 <= arr[0] and arr[-1] < n and (arr[1:] > arr[:-1]).all():
-                return arr
-        raise ValueError(f"expected {m} strictly increasing positions in [0, {n})")
-
-    return read
-
-
 def _string(read_text, what: str):
     """A string that ``read_text`` decodes, raising KeyError or ValueError on any other."""
 
@@ -393,15 +367,16 @@ def _hexdigest(text: str) -> str:
 _BASES = {"n": _integer("n"), "bases": _bits("n")}
 _SAMPLES = {"m1": _integer("m1"), "m2": _integer("m2")}
 _LAYOUT = {"blocks": _integer("blocks"), "block_len": _integer("block_len")}
+_SEED = _integer(0, 2**63 - 1)  # one party draws it, and both draw from it
 PAYLOADS = {
     EventKind.QUBITS_SENT: {**_BASES, "bits": _bits("n")},
     EventKind.BASES_ANNOUNCED_BOB: _BASES,
     EventKind.BASES_ANNOUNCED_ALICE: _BASES,
-    EventKind.TEST_INDICES: {"rect": _positions("m1"), "diag": _positions("m2")},
+    EventKind.TEST_INDICES: {"seed": _SEED},
     EventKind.TEST_DISCLOSURE: {**_SAMPLES, "rect_bits": _bits("m1"), "diag_bits": _bits("m2")},
     EventKind.ESTIMATE: {**_SAMPLES, "r1": _integer(0, "m1"), "r2": _integer(0, "m2")},
     EventKind.DECISION: {"status": _string(_STATUS_FOR_DECISION.__getitem__, "a decision")},
-    EventKind.PERMUTATION_SEED: {"seed": _integer(0, 2**63 - 1), **_LAYOUT},
+    EventKind.PERMUTATION_SEED: {"seed": _SEED, **_LAYOUT},
     EventKind.SYNDROME_ANNOUNCEMENT: {**_LAYOUT, "syndrome": _bits("blocks", "checks")},
     EventKind.KEY_DIGEST: {
         "algo": _string({"sha256": "sha256"}.__getitem__, "'sha256'"),
@@ -432,7 +407,8 @@ def read_payload(kind: EventKind, payload, sizes: dict) -> dict:
     field named after a size is that size for the fields after it, so a
     payload's ``syndrome`` length follows its own ``blocks``. A payload that
     is not an object, a missing or extra field, or a field of the wrong
-    type, range or length is a violation that names the field.
+    type, range or length is a violation that names the field; an extra
+    one's also names the kind's fields.
     """
     if not isinstance(payload, dict):
         raise ProtocolViolation(f"{kind.value} is a {type(payload).__name__}, not an object")
@@ -440,7 +416,8 @@ def read_payload(kind: EventKind, payload, sizes: dict) -> dict:
     if payload.keys() != shapes.keys():
         for name in payload:
             if name not in shapes:
-                raise ProtocolViolation(f"{name!r} is not a field of {kind.value}")
+                known = ", ".join(map(repr, shapes))
+                raise ProtocolViolation(f"{name!r} is not a field of {kind.value}, which has {known}")
         missing = [name for name in shapes if name not in payload]
         verb = "is" if len(missing) == 1 else "are"
         raise ProtocolViolation(f"{', '.join(map(repr, missing))} {verb} missing")
@@ -699,6 +676,21 @@ class _PartyMachine:
         self.sizes = session_sizes(self.params, self.css, n_diag)
         return n_rect >= self.params.m1 and self.sizes["blocks"] >= 1
 
+    def _draw_test(self, seed: int) -> None:
+        """The test samples that ``seed`` draws, as positions of the sifted classes.
+
+        Draw contract: ``seeded_rng(seed)`` draws m1 ranks of the
+        both-rectilinear class, then m2 of the both-diagonal one, each by
+        ``choice`` without replacement, sorted; rank i is the class's i-th
+        position. Each class must hold its sample.
+        """
+        rng, p = seeded_rng(seed), self.params
+        n_rect, n_diag = self._class_sizes
+        i1 = np.sort(rng.choice(n_rect, size=p.m1, replace=False))
+        i2 = np.sort(rng.choice(n_diag, size=p.m2, replace=False))
+        self._test_rect = _member_positions(self._rect, i1)
+        self._test_diag = _member_positions(self._diag, i2)
+
     def _raw_key_layout(self, bits: np.ndarray) -> np.ndarray:
         """This party's raw key: ``bits`` at the untested both-diagonal positions.
 
@@ -763,8 +755,7 @@ class AliceMachine(_PartyMachine):
         if kind is EventKind.TEST_INDICES:
             if not self._sample_fits:
                 raise ProtocolViolation("test sample, but the classes are too small for one")
-            self._test_rect = _in_class(self._rect, fields["rect"], "rect")
-            self._test_diag = _in_class(self._diag, fields["diag"], "diag")
+            self._draw_test(fields["seed"])
             return ()
         if kind is EventKind.TEST_DISCLOSURE:
             return self._estimate_and_decide(fields["rect_bits"], fields["diag_bits"])
@@ -871,24 +862,22 @@ class BobMachine(_PartyMachine):
         self.results = bob_measure(received, self._bases, self.streams.stream("bob_bases"))
 
     def _select_test(self, enough: bool) -> list[Message]:
-        """Bob's sorted test samples, without replacement, or his insufficient-sample decision."""
+        """The seed of Bob's test samples and his bits there, or his insufficient-sample decision.
+
+        Draw contract: the seed is the first ``integers(0, 2**63)`` of his
+        ``test_selection`` stream, and the samples are what it draws
+        (:meth:`_draw_test`), as Alice draws them when it reaches her.
+        """
         p = self.params
         if not enough:
             status = SessionStatus.ABORTED_INSUFFICIENT_SAMPLE
             out = [self._emit(EventKind.DECISION, {"status": _DECISION_FOR_STATUS[status]})]
             self._finish(status)
             return out
-        rng = self.streams.stream("test_selection")
-        n_rect, n_diag = self._class_sizes
-        i1 = np.sort(rng.choice(n_rect, size=p.m1, replace=False))
-        i2 = np.sort(rng.choice(n_diag, size=p.m2, replace=False))
-        self._test_rect = _member_positions(self._rect, i1)
-        self._test_diag = _member_positions(self._diag, i2)
+        seed = int(self.streams.stream("test_selection").integers(0, 2**63))
+        self._draw_test(seed)
         return [
-            self._emit(
-                EventKind.TEST_INDICES,
-                {"rect": self._test_rect.tolist(), "diag": self._test_diag.tolist()},
-            ),
+            self._emit(EventKind.TEST_INDICES, {"seed": seed}),
             self._emit(
                 EventKind.TEST_DISCLOSURE,
                 {

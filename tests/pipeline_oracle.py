@@ -8,7 +8,7 @@ order as a session does, so for a given seed they see the same symbols, the
 same test sample and the same lumped sample.
 
 The ``*_oracle`` functions are the straightforward forms of the hot paths
-under draw contract 3, each taking its raw generator words in one
+under draw contract 4, each taking its raw generator words in one
 whole-array ``random_raw`` call and comparing them against thresholds held
 as Python ints: Alice's preparation; the depolarizing channel forming
 explicit Pauli letters by ``searchsorted`` over the cumulative thresholds;
@@ -136,14 +136,31 @@ def sift(sent, results) -> Sifted:
     return Sifted(both_rect=keep(0), both_diag=keep(1), n_total=len(sent))
 
 
+def sample_ranks(seed, n_rect, n_diag, params):
+    """The sorted ranks of the test samples that ``seed`` draws under draw contract 4.
+
+    ``default_rng(seed)`` draws m1 ranks of the rectilinear class's n_rect
+    members, then m2 of the diagonal class's n_diag, each without
+    replacement; rank i stands for the class's i-th position.
+    """
+    draws = np.random.default_rng(seed)
+    i1 = np.sort(draws.choice(n_rect, size=params.m1, replace=False))
+    i2 = np.sort(draws.choice(n_diag, size=params.m2, replace=False))
+    return i1, i2
+
+
 def refined_estimate(sifted: Sifted, params, rng):
-    """(r1, r2, tested_rect, tested_diag) from sorted per-class samples."""
-    i1 = np.sort(rng.choice(sifted.both_rect.positions.size, size=params.m1, replace=False))
-    i2 = np.sort(rng.choice(sifted.both_diag.positions.size, size=params.m2, replace=False))
+    """(seed, r1, r2, tested_rect, tested_diag) from sorted per-class samples.
+
+    The seed is the first ``integers(0, 2**63)`` of ``rng``, and the
+    samples are what it draws (:func:`sample_ranks`).
+    """
+    seed = int(rng.integers(0, 2**63))
     rect, diag = sifted.both_rect, sifted.both_diag
+    i1, i2 = sample_ranks(seed, rect.positions.size, diag.positions.size, params)
     r1 = int((rect.alice_bits[i1] != rect.bob_bits[i1]).sum())
     r2 = int((diag.alice_bits[i2] != diag.bob_bits[i2]).sum())
-    return r1, r2, rect.positions[i1], diag.positions[i2]
+    return seed, r1, r2, rect.positions[i1], diag.positions[i2]
 
 
 def naive_estimate(sifted: Sifted, params, rng) -> float | None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eqkd.channel import WORDS_PER_PASS
+from eqkd.harness.cli import main
 from eqkd.codes import (
     CodeError,
     DegenerateCode,
@@ -580,6 +581,20 @@ def test_parse_code_errors():
         parse_code("3 1\n12x")
     with pytest.raises(CodeError, match="claimed distance 4 but computed 3"):
         parse_code(CODE_TEXT.replace("d = 3", "d = 4"))
+
+
+@pytest.mark.parametrize("header", ["7 x", "x 1", "7 1.5", "7 0", "7 -1", "0 1", "7", "7 1 1"])
+def test_parse_code_names_a_malformed_header(tmp_path, capsys, header):
+    # "7 x" once raised int()'s bare ValueError, "7 0" a complaint about the
+    # bit matrix and "7 -1" that it expected -1 generator rows
+    named = f"header must be 'n k_dim', two positive integers, not {header!r}"
+    with pytest.raises(CodeError) as info:
+        parse_code(f"{header}\n1000011\n")
+    assert str(info.value) == named
+    path = tmp_path / "bad.code"
+    path.write_text(f"{header}\n1000011\n")
+    assert main(["codes", "validate", "--code", str(path)]) == 1
+    assert capsys.readouterr().err == f"invalid code pair: {named}\n"
 
 
 def test_only_a_d_equals_comment_claims_a_distance():

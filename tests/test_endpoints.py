@@ -182,8 +182,8 @@ def test_loopback_reaps_the_started_endpoints_when_one_fails_to_start(
 def test_the_config_digest_covers_the_draw_contract():
     # each endpoint offers the digest of its own session_meta, which records its contract
     _params, meta = _meta(40)
-    assert meta["draw_contract"] == 3
-    for other in (1, 2):
+    assert meta["draw_contract"] == 4
+    for other in (1, 2, 3):
         assert config_digest(meta) != config_digest(dict(meta, draw_contract=other))
 
 

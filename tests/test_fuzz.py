@@ -6,7 +6,9 @@ that is either an arbitrary JSON value or the session's own payload of that
 kind with fields dropped, replaced or nudged. Only ``ProtocolViolation`` may
 escape, and once one has, the machine refuses every later message, the
 genuine rest of the session included. The same holds for the relay step at
-each point of the session, with the object payloads the wire lets through.
+each point of the session, with the object payloads the wire lets through,
+and for Alice handed test-sample messages when her classes are too small
+for the samples, so her check of their size must come before she draws them.
 A recorded session with one payload so tampered never replays: replay names
 that event, as a malformed field or as the first divergence, and never
 raises. The wire decoder is fed arbitrary byte streams and frames; only
@@ -220,6 +222,32 @@ def test_alice_raises_only_protocol_violation(message):
 @given(messages(BOB_STATES))
 def test_bob_raises_only_protocol_violation(message):
     _only_violations(*message)
+
+
+def _starved_alice():
+    """Alice once she has sifted classes too small for the test samples and a block."""
+    params = ProtocolParams(n_qubits=200, bias_p=0.5, m1=10, m2=60)
+    streams = RngStreams(SEED)
+    alice, bob = AliceMachine(params, CSS, streams), BobMachine(params, CSS, streams)
+    list(bob.start())
+    canonical = SessionTranscript(meta=session_meta(params, STRATEGY, CSS, SEED))
+    queue = deque(alice.start())
+    while queue[0][:2] != (Actor.BOB, EventKind.DECISION):
+        ev = relay(canonical, *queue.popleft(), STRATEGY, streams)
+        receiver = alice if ev.actor is Actor.BOB else bob
+        queue.extend(receiver.receive(ev.actor, ev.kind, ev.payload))
+    assert alice._sample_fits is False
+    return alice
+
+
+STARVED_ALICE = _starved_alice()
+
+
+@FUZZ
+@given(payloads(EventKind.TEST_INDICES))
+def test_alice_with_too_small_classes_raises_only_protocol_violation(payload):
+    # her sample-size check comes before the draw, which such classes cannot hold
+    _only_violations(copy.deepcopy(STARVED_ALICE), Actor.BOB, EventKind.TEST_INDICES, payload)
 
 
 @FUZZ

@@ -1,6 +1,6 @@
 """Golden outputs: what a seed produces must not move under a refactor.
 
-The hashes were recorded under draw contract 3 (``channel.DRAW_CONTRACT``);
+The hashes were recorded under draw contract 4 (``channel.DRAW_CONTRACT``);
 a change to what a seed draws is a new contract, and re-records them. A
 transcript hash covers the whole JSONL text, meta header included; a CSV
 hash covers every column of ``emit_csv``, including the lumped rate and the
@@ -19,6 +19,9 @@ The first session also keeps its contract-2 transcript in
 ``contract2_records/``, named the same way. Contract 2 announced a masked
 codeword, an event kind this build does not have, so replay must refuse
 that record by its header, naming contract 2, before it reads an event.
+Its contract-3 transcript, in ``contract3_records/``, announced the test
+samples as lists of positions, which this build's payload table does not
+read; replay must refuse it by its header too, naming contract 3.
 """
 
 import hashlib
@@ -57,46 +60,46 @@ PATTERN = tuple(PauliLetter[c] for c in ("I" * 37 + "XZY") * 100)
 SESSIONS = [
     (BASE, Passive(), 10, "accepted",
      "d65f28495322c13a1188907bc77a7e26ae2eaf0ffd01f1565158eaaf8db462da",
-     "bc14266153af22793cb9ffc9f47e76a025152cbcbf2a90968414d618e57d31f5"),
+     "8a1ad7833556e2ee7b8020d3cd23d9fbd70d56526b58782b2c372ea24dd63b20"),
     (BASE, DepolarizingPauli.symmetric(0.01), 14, "accepted",
      "9c427fa48d2f4408a6a9e566b21a92076f191c1c4adeb548be61a99355195d63",
-     "d8a42721d94bc6314f27f5072f0d1a6b53bdb40d22308291d33311e597622764"),
+     "1b5b405c896705bc22b6160e1b333df2bf69bb4021a949cf851414eba37bd123"),
     (BASE, DepolarizingPauli.symmetric(0.08), 15, "aborted_error_rate",
      "6d37cd332f3ef37026baae76b2b7c8391fb11d2e3ff3df078449e795958cb4c9",
-     "a0d522e3db5a8efb79166bb8dde82f3ff1a8cb53c66a5641980f5aab6c31b1b8"),
+     "edf1932b1912a93dd92a5e461395aa654e666d6a3ebef249746e086fb648286f"),
     (BASE, FixedPauliString(PATTERN), 16, "accepted",
      "728d0c6a0ed2816d328fec3bb22bef7237843d382d48dc6135908e437a2d7fcc",
-     "d808dccc66ab5eab63073784250ca8dd7ebeb07acdbe98a9e378274bc1f62220"),
+     "2fba45e99157498f0f0e8f1bc8fea2282349c8d74df3311b987e375333f72c12"),
     (BASE, BiasedInterceptResend(0.02, 0.03), 17, "accepted",
      "8aa0caad610d91c139d678ca1051d02bb1de855a1e220e0811db0c4d87a38574",
-     "ad607cb01a37e3cf800d24f4f943dc87ae2d42c0118860501508dd79df876b3d"),
+     "913890e4d0791d3a421841fedbb0dacc5c3b48e3864eae5946965575600e0902"),
     (BASE, BiasedInterceptResend(1.0, 0.0), 12, "aborted_error_rate",
      "c098869f2a2a36f47ca3428d51bed03f9fa077ee4a2e078263c49e6d96a717bf",
-     "9bd2afac0691d7b111e0bf1918e299a4764ccc8b1613fedfad46abae0e83c9fe"),
+     "a12a4bb01369bff66430f6295ed57a9961d72ba32914574da47497ec57f74ae0"),
     (STARVED, Passive(), 13, "aborted_insufficient_sample",
      "c5c3a1dee7941a44996c4193966a99f27d151c156156a0b739da3a87f26c7edc",
-     "d3909bbbf62713b04765bff29cc79a1b7a7a93778471f9a90d24b9d1dd74748d"),
+     "558e873b6f46a6489a59638fb2e6cb645be61eda92806eb759ef43d3cbffc7b8"),
     (STARVED, BiasedInterceptResend(0.2, 0.3), 18, "aborted_insufficient_sample",
      "98c57e8dc1e1f3506f606d69eb522eff3de4168494c48a10d67eb2bcf266fff5",
-     "a9efd13b2827b457b8ac6435c3f9058ff3defa14fdda31e63b376dfed83cd082"),
+     "56b0c21d5525116591c0c64dcff88ff879e571912b9ddd09c992a7c405bdf9da"),
     (STARVED, FixedPauliString(PATTERN[:200]), 19, "aborted_insufficient_sample",
      "9caef3c3387e016831077bc54bef7b004eb68c9e9a40b85e67c66d1d19de00c0",
-     "9721dab260620e501053c21952005b7e0713aea9fc85294baf6fb25ee56888fe"),
+     "0fa9ffbde014a7cc3da24cb127424e4f2791c04e1e533862ffd122193a89ba68"),
 ]
 
 SESSIONS_15_11 = [
     (DepolarizingPauli.symmetric(0.01), 21,
      "be1cb9b7d3911816174454b518b42ee8ce1d51e60de72a5afa87e098b3ae3c17",
-     "8dbb8d3b1cdcd3bc410060bb9f14166fed13cc3d05486c7a366a841df3c4794e"),
+     "fac3bcc99ff889c31918f801f165fad04bbe05796f8d3100fcb87f68ccb4b279"),
     (DepolarizingPauli.symmetric(0.01), 22,
      "5e04643b994b1760660a762c13bd8f4834cda8147ecf15e299b3d5fa64e80789",
-     "148222d2da7a99bc5e45bb9bd5f9dac03543f7f10b8299dfacb857ef6b958253"),
+     "549dcc62ebd1b9369155512196ac872ec6fa4f5a14f2be7b33511c75d7852c46"),
     (BiasedInterceptResend(0.02, 0.03), 21,
      "aa71d7144fe440e8fe258518f7b1c93b974a6c8b6c0a73d8d49423f3f3020baa",
-     "6e00718f2150449ecb20894fcebcd87e84392bc140c8ea86a9a862e463f31090"),
+     "c06e76e734ea699dd8b4bf4993d5b5c6d68ff1bebd8840b7b865d407d59a9095"),
     (BiasedInterceptResend(0.02, 0.03), 22,
      "0ddde928cd780d974177984b22c972d4c40d80e613ab1bc28ba7f331e0b60cd1",
-     "81c8c8751a722d600187a02b70baef55c4446c4cb4fb1540629a287d1df38f4f"),
+     "5a55cc1ca3f3ee9bd4ae876a79359a62cc9c2779880efe4ca225857ab5e1d2b8"),
 ]
 
 # A pass of coins covers 2^16 symbols and a pass of uint32 draws 2^17; these
@@ -106,18 +109,18 @@ MULTI_PASS = dict(n_qubits=3 * 2**16 + 5, bias_p=0.3, m1=2000, m2=2000)
 
 SESSIONS_MULTI_PASS = [
     (DepolarizingPauli.symmetric(0.01), 23,
-     "339a875e2876ef6b06e86c7bd09f2fe9e1468011288ea74d4990f7c2bd0145e8"),
+     "f7df25f9a3104c39152b53173456b2a94af55f5bcaff71fcd753fd60079d4c25"),
     (BiasedInterceptResend(0.02, 0.03), 24,
-     "27b121882be5d0a1654ab38ab2cc9aa67069e1023bfacd61f1f5ec81aee36713"),
+     "dd24734aed764721cf5e277922bb7a72ccb2231a4da0487ef18134a6d3167675"),
 ]
 
 EXPERIMENTS = [
     # accepted and error-rate aborts
     (dict(n_qubits=6000, bias_p=0.2, m1=50, m2=100), BiasedInterceptResend(0.05, 0.2), 300,
-     "a76906a68df0bc3f684d98b74bb2f29cf7f98f9676a54cc973ffb55d7c3bb797"),
+     "143b9a4c28c1dcbc1dad9fba6ecafa25c0a06a0e701f446a9b9141854b4e2f48"),
     # all three statuses, including an insufficient-sample abort
     (dict(n_qubits=200, bias_p=0.5, m1=10, m2=40), BiasedInterceptResend(0.1, 0.1), 400,
-     "6f1f5dfd9ae59903993de5f4a03996d0a8ffd45e7e063708c5adaf2b4c892f53"),
+     "a0c0fc73912671b292dff767ce17cdb64aa581a5a31251e6e0271df44102623a"),
 ]
 
 
@@ -128,12 +131,14 @@ def _sha256(text: str) -> str:
 CONTRACT1_RECORDS = Path(__file__).resolve().parent / "contract1_records"
 V2_DIGEST = "0085f04d79613437fa0549f73065bbef75241cd920ae83e477ce5512f90df44e"
 CONTRACT2_RECORD = CONTRACT1_RECORDS.parent / "contract2_records" / f"{V2_DIGEST[:16]}.jsonl"
+V3_DIGEST = "bc14266153af22793cb9ffc9f47e76a025152cbcbf2a90968414d618e57d31f5"
+CONTRACT3_RECORD = CONTRACT1_RECORDS.parent / "contract3_records" / f"{V3_DIGEST[:16]}.jsonl"
 
 
 def _assert_contract1_record_is_refused(v1_digest):
     path = CONTRACT1_RECORDS / f"{v1_digest[:16]}.jsonl"
     assert _sha256(path.read_text()) == v1_digest
-    assert replay_verify(path) == (False, "recorded under draw contract 1; this build draws by 3")
+    assert replay_verify(path) == (False, "recorded under draw contract 1; this build draws by 4")
 
 
 def _ids(cases, strategy_at, seed_at):
@@ -154,10 +159,21 @@ def test_the_contract2_record_is_refused_naming_contract_2(capsys):
     assert _sha256(text) == V2_DIGEST
     assert '"kind":"codeword_announcement"' in text
     assert replay_verify(CONTRACT2_RECORD) == (
-        False, "recorded under draw contract 2; this build draws by 3"
+        False, "recorded under draw contract 2; this build draws by 4"
     )
     assert main(["replay", str(CONTRACT2_RECORD)]) == 1
     assert capsys.readouterr().out.startswith("FAIL: recorded under draw contract 2;")
+
+
+def test_the_contract3_record_is_refused_naming_contract_3(capsys):
+    text = CONTRACT3_RECORD.read_text()
+    assert _sha256(text) == V3_DIGEST
+    assert '"payload":{"diag":[' in text
+    assert replay_verify(CONTRACT3_RECORD) == (
+        False, "recorded under draw contract 3; this build draws by 4"
+    )
+    assert main(["replay", str(CONTRACT3_RECORD)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: recorded under draw contract 3;")
 
 
 @pytest.mark.parametrize("strategy, seed, v1_digest, digest", SESSIONS_15_11)
@@ -213,7 +229,7 @@ MALFORMED_FIELDS = [
     (6, "r1", "3"),
     (10, "digest", "zz"),
     (9, "syndrome", lambda syndrome: syndrome[:4]),
-    (4, "rect", [-1]),
+    (4, "seed", -1),
     # above (N - m2) // 7 = 557, so above what any valid transcript holds
     (8, "blocks", 560),
 ]

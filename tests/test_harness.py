@@ -723,7 +723,7 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "contract", [None, 1, 2, 4], ids=["before_the_field", "v1", "v2", "v4"]
+    "contract", [None, 1, 2, 3, 5], ids=["before_the_field", "v1", "v2", "v3", "v5"]
 )
 def test_cli_replay_fails_naming_another_draw_contract(tmp_path, capsys, contract):
     out = run_session(PARAMS, DepolarizingPauli.symmetric(0.01), CSS, seed=8)

@@ -45,6 +45,7 @@ from pipeline_oracle import (
     quantum_phase_stats,
     raw_key_layout_oracle,
     refined_estimate,
+    sample_ranks,
     sift,
     unpack_blocks,
 )
@@ -188,10 +189,11 @@ def test_sift_partition():
     expected = 0.3**2 + 0.7**2
     sigma = np.sqrt(expected * (1 - expected) / params.n_qubits)
     assert abs(out.retained_fraction - expected) < 3 * sigma
-    # the machines test positions of the right class, and the disclosed bits
+    # the announced seed draws positions of each class, and the disclosed bits
     # are Bob's bits there: on a passive channel, Alice's bits
-    tested = tr.find(EventKind.TEST_INDICES).payload
-    assert np.isin(tested["rect"], rect).all() and np.isin(tested["diag"], diag).all()
+    seed = tr.find(EventKind.TEST_INDICES).payload["seed"]
+    i1, i2 = sample_ranks(seed, rect.size, diag.size, params)
+    tested = {"rect": rect[i1], "diag": diag[i2]}
     sent = tr.events[0].payload
     alice_bits = unpack_bits(sent["bits"], sent["n"])
     disclosed = tr.find(EventKind.TEST_DISCLOSURE).payload
@@ -205,13 +207,15 @@ def test_sift_partition():
 # ---------------------------------------------------------------------------
 
 def test_refined_estimate_clean_channel_sees_nothing():
-    out = run_session(default_params(), Passive(), CSS, seed=4)
-    est = out.estimate
+    alice, bob, _canonical, _pending = _drive(4)  # run_session's machines at seed 4
+    est = alice.result.estimate
     assert (est.r1, est.r2) == (0, 0)
     assert (est.m1, est.m2) == (100, 100)
-    tested = out.transcript.find(EventKind.TEST_INDICES).payload
-    assert len(tested["rect"]) == 100 and len(tested["diag"]) == 100
-    assert not np.intersect1d(tested["rect"], tested["diag"]).size
+    for party in (alice, bob):
+        assert party._test_rect.size == 100 and party._test_diag.size == 100
+        assert not np.intersect1d(party._test_rect, party._test_diag).size
+    assert np.array_equal(alice._test_rect, bob._test_rect)
+    assert np.array_equal(alice._test_diag, bob._test_diag)
 
 
 def test_refined_estimate_insufficient_sample():
@@ -372,13 +376,40 @@ def test_session_estimate_matches_pipeline_functions():
     strategy = DepolarizingPauli.symmetric(0.02)
     out = run_session(params, strategy, CSS, seed=16)
     streams, sent, results = quantum_phase(params, strategy, 16)
-    r1, r2, tested_rect, tested_diag = refined_estimate(
+    seed, r1, r2, tested_rect, tested_diag = refined_estimate(
         sift(sent, results), params, streams.stream("test_selection")
     )
     assert (r1, r2) == (out.estimate.r1, out.estimate.r2)
-    tested = out.transcript.find(EventKind.TEST_INDICES).payload
-    assert np.array_equal(tested_rect, tested["rect"])
-    assert np.array_equal(tested_diag, tested["diag"])
+    assert out.transcript.find(EventKind.TEST_INDICES).payload == {"seed": seed}
+    # Bob discloses his bits at the oracle's positions
+    disclosed = out.transcript.find(EventKind.TEST_DISCLOSURE).payload
+    assert np.array_equal(unpack_bits(disclosed["rect_bits"], params.m1), results.bits[tested_rect])
+    assert np.array_equal(unpack_bits(disclosed["diag_bits"], params.m2), results.bits[tested_diag])
+
+
+# one N whose classes are listed whole, one whose classes are packed into words
+@pytest.mark.parametrize("n", [protocol._CHUNK // 2, 2 * protocol._CHUNK + 37])
+def test_both_parties_test_the_positions_the_oracle_draws(monkeypatch, n):
+    params = ProtocolParams(n_qubits=n, bias_p=0.3, m1=200, m2=200)
+    strategy = DepolarizingPauli.symmetric(0.01)
+    drawn = {}
+    draw_test = _PartyMachine._draw_test
+
+    def recording(self, seed):
+        draw_test(self, seed)
+        drawn[self.actor] = (seed, self._test_rect, self._test_diag)
+
+    monkeypatch.setattr(_PartyMachine, "_draw_test", recording)
+    out = run_session(params, strategy, CSS, seed=40)
+    assert out.status is SessionStatus.ACCEPTED
+    streams, sent, results = quantum_phase(params, strategy, 40)
+    seed, _r1, _r2, tested_rect, tested_diag = refined_estimate(
+        sift(sent, results), params, streams.stream("test_selection")
+    )
+    assert set(drawn) == {Actor.ALICE, Actor.BOB}
+    for party_seed, rect, diag in drawn.values():
+        assert party_seed == seed
+        assert np.array_equal(rect, tested_rect) and np.array_equal(diag, tested_diag)
 
 
 def test_session_key_digest_matches_key():
@@ -397,8 +428,7 @@ def test_session_key_comes_from_untested_diagonal_positions():
     alice_bases = unpack_bits(tr.events[0].payload["bases"], n)
     bob_bases = unpack_bits(tr.find(EventKind.BASES_ANNOUNCED_BOB).payload["bases"], n)
     both_diag = int(((alice_bases == 1) & (bob_bases == 1)).sum())
-    tested_diag = len(tr.find(EventKind.TEST_INDICES).payload["diag"])
-    expected_blocks = (both_diag - tested_diag) // CSS.n
+    expected_blocks = (both_diag - default_params().m2) // CSS.n
     assert out.num_blocks == expected_blocks
     assert tr.find(EventKind.PERMUTATION_SEED).payload["blocks"] == expected_blocks
 
@@ -834,10 +864,10 @@ def test_alice_takes_a_test_sample_only_when_a_block_is_left_after_it(spare):
     bob_bases[diag] = 1
     list(alice.receive(Actor.BOB, EventKind.BASES_ANNOUNCED_BOB,
                        {"n": sent.size, "bases": pack_bits(bob_bases)}))
-    rect = np.flatnonzero(sent == 0)[: params.m1]
-    indices = {"rect": rect.tolist(), "diag": diag[: params.m2].tolist()}
+    indices = {"seed": 1}
     if spare == CSS.n:
         assert list(alice.receive(Actor.BOB, EventKind.TEST_INDICES, indices)) == []
+        assert np.isin(alice._test_diag, diag).all()
         return
     with pytest.raises(ProtocolViolation, match="too small"):
         alice.receive(Actor.BOB, EventKind.TEST_INDICES, indices)
@@ -847,28 +877,18 @@ def test_alice_takes_a_test_sample_only_when_a_block_is_left_after_it(spare):
 
 
 @pytest.mark.parametrize(
-    "probe",
-    ["repeated_index", "outside_the_class", "out_of_range", "wrong_length", "not_increasing",
-     "not_integers"],
+    "change",
+    [{"seed": True}, {"seed": -1}, {"seed": 2**63}, {"seed": float}, {"seed": str},
+     {"seed": None}, {"rect": [0, 1]}],
+    ids=["bool", "negative", "too_large", "float", "string", "missing", "extra_field"],
 )
-def test_alice_rejects_a_malformed_test_sample(probe):
+def test_alice_rejects_a_malformed_test_sample(change):
     alice, actor, genuine = _awaiting(EventKind.TEST_INDICES, 25, to_alice=True)
-    rect, diag = list(genuine["rect"]), list(genuine["diag"])
-    if probe == "repeated_index":
-        diag = [diag[0]] * len(diag)
-    elif probe == "outside_the_class":
-        rect = diag[: len(rect)]  # increasing, but both-diagonal positions
-    elif probe == "out_of_range":
-        rect[-1] = default_params().n_qubits + 5
-    elif probe == "wrong_length":
-        diag = diag[:-1]
-    elif probe == "not_increasing":
-        rect = rect[::-1]
-    else:
-        rect = [float(x) for x in rect]
+    with pytest.raises(ProtocolViolation, match="'seed'"):
+        alice.receive(actor, EventKind.TEST_INDICES, _probe(genuine, change))
+    assert alice.failed and not alice.done
     with pytest.raises(ProtocolViolation):
-        alice.receive(actor, EventKind.TEST_INDICES, {"rect": rect, "diag": diag})
-    assert not alice.done
+        alice.receive(actor, EventKind.TEST_INDICES, genuine)
 
 
 @pytest.mark.parametrize(
