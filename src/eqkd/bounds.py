@@ -151,9 +151,12 @@ def lemma1_bound(inst: SamplingInstance) -> Lemma1Result:
 
 
 def _check_key_length(k) -> None:
-    """A key length is an int (not a bool) of at least 1; any other is a ValueError."""
-    if type(k) is not int or k < 1:
-        raise ValueError("k must be a positive integer")
+    """A key length is an int (not a bool) from 1 to 2^1022; any other is a ValueError.
+
+    The bounds take 2k as a float, which that range keeps finite.
+    """
+    if type(k) is not int or not 1 <= k <= 2**1022:
+        raise ValueError("k must be a positive integer of at most 2^1022")
 
 
 def theorem2_bound(delta: float, k: int) -> float:

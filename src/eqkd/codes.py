@@ -449,8 +449,9 @@ def parse_code(text: str) -> LinearCode:
 
     Header line ``n k_dim``, two positive integers in decimal digits, then
     k_dim lines of n characters in {0,1}.
-    A comment line ``# d = <int>`` anywhere claims a distance, which is
-    checked against the one enumeration certifies.
+    A comment line ``# d = <int>`` anywhere, the integer in decimal digits,
+    claims a distance, which is checked against the one enumeration
+    certifies.
     """
     claimed_d: int | None = None
     lines = []
@@ -462,10 +463,10 @@ def parse_code(text: str) -> LinearCode:
             body = line[1:].strip()
             key, eq, value = body.partition("=")
             if eq and key.strip() == "d":
-                try:
-                    claimed_d = int(value)
-                except ValueError:
-                    raise CodeError(f"malformed distance claim {line!r}") from None
+                digits = value.strip()
+                if not (digits.isascii() and digits.isdigit()):
+                    raise CodeError(f"malformed distance claim {line!r}")
+                claimed_d = int(digits)
             continue
         lines.append(line)
     if not lines:

@@ -63,6 +63,7 @@ from .transcript import (
     SessionTranscript,
     canonical_json,
     pack_bits,
+    packed_bits,
     unpack_bits,
 )
 
@@ -245,32 +246,78 @@ def bob_measure(
     return SymbolBlock(bases, bits)
 
 
-# A sifted class is a mask over the N positions. A list of its positions,
-# 8 bytes a member, is made at most a chunk of positions at a time.
+# A class is unpacked at most a chunk of positions at a time.
 _CHUNK = 1 << 16
+_WORD = np.dtype("<u8")  # 64 positions, in np.packbits' order in its bytes
+# _TAIL[k - 1]: the word whose first k positions are set
+_TAIL = np.packbits(np.arange(64) < np.arange(1, 65)[:, None], axis=1).view(_WORD).reshape(-1)
+# _SELECT8[8 v + j]: the place in byte v, most significant bit first, of its
+# j-th set bit; a stable sort puts the places of the set bits first
+_SELECT8 = np.argsort(
+    1 - np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, kind="stable"
+).astype(np.uint8).reshape(-1)
+_ONES = np.uint64(0x0101010101010101)  # 1 in each byte of a word
+_HIGHS = np.uint64(0x8080808080808080)  # each byte's high bit
+_3, _8, _56, _255 = (np.uint64(k) for k in (3, 8, 56, 255))
 
 
-def _member_positions(members: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """``np.flatnonzero(members)[ranks]``, listing at most a chunk of positions.
+@dataclass(frozen=True, eq=False)
+class _SiftedClasses:
+    """Both same-basis classes as packed 64-position words, with their rank directory.
 
-    A mask of at most a chunk is listed whole, which at that size costs less
-    than packing it. A longer one is packed into 64-position words, whose
-    running member counts find the word of each rank, and only those words
-    are listed. A rank past the last member is an IndexError, as it is for
-    the indexing; ranks are not negative.
+    Row 0 of ``words`` is the both-rectilinear class and row 1 the
+    both-diagonal one; position 64 w + j is bit j of word w, most
+    significant first in each byte, as ``np.packbits`` writes. The classes
+    are ranked as one: the rectilinear members in position order, then the
+    diagonal ones. ``ends[i]`` counts the members of the first i + 1 words
+    of the rows laid end to end, so a rank lies in the first word whose end
+    passes it.
     """
-    if members.size <= _CHUNK:
-        return np.flatnonzero(members)[ranks]
-    words = np.zeros(-(-members.size // 64), dtype=np.uint64)
-    words.view(np.uint8)[: -(-members.size // 8)] = np.packbits(members)  # in position order
-    counts = np.bitwise_count(words).astype(np.int64)
-    ends = np.cumsum(counts)
-    word = np.searchsorted(ends, ranks, side="right")
-    hits = counts[word]
-    # the members of each rank's word, one word after another; a rank's own
-    # member sits ends[word] - rank places before the end of its word's run
-    listed = np.flatnonzero(np.unpackbits(words[word].view(np.uint8)).view(bool))
-    return word * 64 + listed[np.cumsum(hits) - (ends[word] - ranks)] % 64
+
+    words: np.ndarray  # (2, ceil(N / 64)) _WORD
+    ends: np.ndarray  # int64, one per word of the rows laid end to end
+
+    @classmethod
+    def of_bases(cls, a: bytes, b: bytes, n: int) -> _SiftedClasses:
+        """The classes of two parties' ``n`` bases, each packed as ``pack_bits`` packs them.
+
+        A basis bit is 1 for diagonal, so the rectilinear class is
+        NOT(a OR b), less the pad positions past n, and the diagonal one
+        a AND b.
+        """
+        size = -(-n // 64)
+        a, b = (np.frombuffer(x.ljust(8 * size, b"\0"), dtype=_WORD) for x in (a, b))
+        words = np.empty((2, size), dtype=_WORD)
+        np.bitwise_or(a, b, out=words[0])
+        np.invert(words[0], out=words[0])
+        words[0, -1] &= _TAIL[(n - 1) % 64]
+        np.bitwise_and(a, b, out=words[1])
+        return cls(words, np.bitwise_count(words).astype(np.int64).cumsum())
+
+    @property
+    def sizes(self) -> tuple[int, int]:
+        """(rect, diag) member counts."""
+        n_rect = int(self.ends[self.words.shape[1] - 1])
+        return n_rect, int(self.ends[-1]) - n_rect
+
+    def positions(self, ranks: np.ndarray) -> np.ndarray:
+        """The position of each rank, in any order; a rank past the last member is an IndexError.
+
+        The directory finds each rank's word, the word's byte popcounts its
+        byte, and ``_SELECT8`` its place in that byte.
+        """
+        flat = np.searchsorted(self.ends, ranks, side="right")
+        words = self.words.reshape(-1)[flat]  # an IndexError past the last member
+        # byte k: the word's members in its bytes 0..k; at most 64, so no byte carries
+        before = np.bitwise_count(words.view(np.uint8)).view(_WORD) * _ONES
+        # the rank within its word; negative until the word's count wraps it back
+        rank = (ranks - self.ends[flat]).view(np.uint64) + (before >> _56)
+        # byte k of 128 + rank - before[k] borrows nothing and keeps its high
+        # bit where before[k] <= rank: those bytes precede the rank's
+        shift = np.bitwise_count((rank * _ONES | _HIGHS) - before & _HIGHS).astype(np.uint64) << _3
+        skipped = (before << _8) >> shift & _255
+        place = _SELECT8[((words >> shift & _255) << _3 | rank - skipped).view(np.int64)]
+        return (flat % self.words.shape[1] << 6) + (shift + place).view(np.int64)
 
 
 def naive_average_rate(p: float, e1: float, e2: float) -> float:
@@ -328,17 +375,20 @@ def _integer(low, high=None):
     return read
 
 
-def _bits(*count):
-    """Bits in hex as :func:`pack_bits` writes them, shaped by the named sizes."""
+def _bits(*count, packed=False):
+    """Bits in hex as :func:`pack_bits` writes them, shaped by the named sizes.
+
+    A ``packed`` field is read as the bytes they were packed into
+    (:func:`packed_bits`), by the same check.
+    """
 
     def read(value, sizes):
         shape = [sizes[name] for name in count]
         n = math.prod(shape)
         try:
-            bits = unpack_bits(value, n)
+            return packed_bits(value, n) if packed else unpack_bits(value, n).reshape(shape)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"expected {n} bits as hex ({exc})") from None
-        return bits.reshape(shape)
 
     return read
 
@@ -364,12 +414,12 @@ def _hexdigest(text: str) -> str:
 
 # The payload table: each kind's exact field set and each field's shape. Both
 # machines, the relay and replay read every payload through it.
-_BASES = {"n": _integer("n"), "bases": _bits("n")}
+_BASES = {"n": _integer("n"), "bases": _bits("n", packed=True)}
 _SAMPLES = {"m1": _integer("m1"), "m2": _integer("m2")}
 _LAYOUT = {"blocks": _integer("blocks"), "block_len": _integer("block_len")}
 _SEED = _integer(0, 2**63 - 1)  # one party draws it, and both draw from it
 PAYLOADS = {
-    EventKind.QUBITS_SENT: {**_BASES, "bits": _bits("n")},
+    EventKind.QUBITS_SENT: {"n": _integer("n"), "bases": _bits("n"), "bits": _bits("n")},
     EventKind.BASES_ANNOUNCED_BOB: _BASES,
     EventKind.BASES_ANNOUNCED_ALICE: _BASES,
     EventKind.TEST_INDICES: {"seed": _SEED},
@@ -601,11 +651,10 @@ class _PartyMachine:
         self.failed = False  # set at the first violation; then every message is refused
         self.result: PartyResult | None = None
         self._replying = False  # whether a reply is still to be drained
-        self._bases_hex: str | None = None  # this party's bases, packed in start
+        self._bases_packed: bytes | None = None  # this party's bases, packed in start
+        self._bases_hex: str | None = None
         self.sizes = session_sizes(params, css)  # the block count is a range until sifting
-        self._rect: np.ndarray | None = None  # the same-basis classes, as masks over N
-        self._diag: np.ndarray | None = None
-        self._class_sizes: tuple[int, int] | None = None  # (rect, diag) member counts
+        self._classes: _SiftedClasses | None = None
         self._test_rect: np.ndarray | None = None
         self._test_diag: np.ndarray | None = None
         self._estimate: ErrorEstimate | None = None
@@ -659,20 +708,17 @@ class _PartyMachine:
         )
         self.done = True
 
-    def _sift(self, alice_bases: np.ndarray, bob_bases: np.ndarray) -> bool:
-        """Mask both same-basis classes and size the key layout; whether the session goes on.
+    def _sift(self, peer_bases: bytes) -> bool:
+        """Pack both same-basis classes and size the key layout; whether the session goes on.
 
         It does when each class holds its test sample and the diagonal one a
-        whole block besides. A 0/1 basis array's bool view reads True for
-        diagonal. The classes are kept as masks over the N positions, with
-        their sizes; no list of their positions is built.
+        whole block besides. The classes are word operations on this
+        party's packed bases and the peer's announced bytes, kept with
+        their rank directory (:class:`_SiftedClasses`); no array over the N
+        positions is built.
         """
-        a, b = alice_bases.view(bool), bob_bases.view(bool)
-        self._rect = np.logical_or(a, b)
-        np.logical_not(self._rect, out=self._rect)
-        self._diag = np.logical_and(a, b)
-        n_rect, n_diag = int(np.count_nonzero(self._rect)), int(np.count_nonzero(self._diag))
-        self._class_sizes = (n_rect, n_diag)
+        self._classes = _SiftedClasses.of_bases(self._bases_packed, peer_bases, self.params.n_qubits)
+        n_rect, n_diag = self._classes.sizes
         self.sizes = session_sizes(self.params, self.css, n_diag)
         return n_rect >= self.params.m1 and self.sizes["blocks"] >= 1
 
@@ -682,38 +728,42 @@ class _PartyMachine:
         Draw contract: ``seeded_rng(seed)`` draws m1 ranks of the
         both-rectilinear class, then m2 of the both-diagonal one, each by
         ``choice`` without replacement, sorted; rank i is the class's i-th
-        position. Each class must hold its sample.
+        position. Each class must hold its sample. Both samples are mapped
+        through the directory at once, the diagonal ranks after the
+        rectilinear class's.
         """
         rng, p = seeded_rng(seed), self.params
-        n_rect, n_diag = self._class_sizes
+        n_rect, n_diag = self._classes.sizes
         i1 = np.sort(rng.choice(n_rect, size=p.m1, replace=False))
         i2 = np.sort(rng.choice(n_diag, size=p.m2, replace=False))
-        self._test_rect = _member_positions(self._rect, i1)
-        self._test_diag = _member_positions(self._diag, i2)
+        tested = self._classes.positions(np.concatenate((i1, i2 + n_rect)))
+        self._test_rect, self._test_diag = tested[: p.m1], tested[p.m1 :]
 
     def _raw_key_layout(self, bits: np.ndarray) -> np.ndarray:
         """This party's raw key: ``bits`` at the untested both-diagonal positions.
 
         Equals ``bits[untested]``, where ``untested`` is the both-diagonal
         positions not in the test sample, in increasing order, cut to whole
-        blocks, reshaped to ``(blocks, n)``. The class is listed a chunk of
-        positions at a time, less the chunk's tested positions, and their
-        bits are copied into the output until it is full; the tested
+        blocks, reshaped to ``(blocks, n)``. The class's words are unpacked a
+        chunk of positions at a time, less the chunk's tested positions, and
+        their bits are copied into the output until it is full; the tested
         positions are sorted, so ``searchsorted`` finds each chunk's.
         """
         blocks, n = self.sizes["blocks"], self.css.n
         out = np.empty(blocks * n, dtype=bits.dtype)
         tested = self._test_diag
+        diag = self._classes.words[1]
         done = 0
-        for start in range(0, self._diag.size, _CHUNK):
+        for start in range(0, bits.size, _CHUNK):
             if done == out.size:
                 break
-            stop = start + _CHUNK
-            untested = self._diag[start:stop].copy()
-            lo, hi = np.searchsorted(tested, (start, stop))
+            chunk = bits[start : start + _CHUNK]
+            words = diag[start // 64 : (start + _CHUNK) // 64]
+            untested = np.unpackbits(words.view(np.uint8), count=chunk.size).view(bool)
+            lo, hi = np.searchsorted(tested, (start, start + chunk.size))
             untested[tested[lo:hi] - start] = False
             local = np.flatnonzero(untested)[: out.size - done]
-            out[done : done + local.size] = bits[start:stop][local]
+            out[done : done + local.size] = chunk[local]
             done += local.size
         return out.reshape(blocks, n)
 
@@ -734,8 +784,9 @@ class AliceMachine(_PartyMachine):
         if self._bases_hex is not None:
             raise ProtocolViolation("start called twice")
         self.symbols = alice_prepare(self.params, self.streams)
-        sent = encode_symbols(self.symbols)
-        self._bases_hex = sent["bases"]
+        self._bases_packed = np.packbits(self.symbols.bases).tobytes()
+        self._bases_hex = self._bases_packed.hex()
+        sent = {"n": self.params.n_qubits, "bases": self._bases_hex, "bits": pack_bits(self.symbols.bits)}
         msg = self._emit(EventKind.QUBITS_SENT, sent)
         self.transcript.skip()  # channel delivery is not visible to Alice
         return self._reply([msg])
@@ -763,17 +814,17 @@ class AliceMachine(_PartyMachine):
         self._finish(SessionStatus.ACCEPTED, self._own_digest, fields["digest"])
         return ()
 
-    def _announce_and_sift(self, bob_bases: np.ndarray) -> Iterator[Message]:
+    def _announce_and_sift(self, bob_bases: bytes) -> Iterator[Message]:
         """Her bases go out first: she sifts while Bob sifts and draws his test sample."""
         yield self._announce_bases(EventKind.BASES_ANNOUNCED_ALICE)
-        self._sample_fits = self._sift(self.symbols.bases, bob_bases)
+        self._sample_fits = self._sift(bob_bases)
 
     def _estimate_and_decide(self, bob_rect: np.ndarray, bob_diag: np.ndarray) -> Iterator[Message]:
         p = self.params
         mine_rect = self.symbols.bits[self._test_rect]
         mine_diag = self.symbols.bits[self._test_diag]
-        r1 = int((mine_rect != bob_rect).sum())
-        r2 = int((mine_diag != bob_diag).sum())
+        r1 = int(np.count_nonzero(mine_rect != bob_rect))
+        r2 = int(np.count_nonzero(mine_diag != bob_diag))
         counts = {"r1": r1, "m1": p.m1, "r2": r2, "m2": p.m2}
         est = self._estimate = ErrorEstimate(**counts)
         yield self._emit(EventKind.ESTIMATE, counts)
@@ -821,7 +872,8 @@ class BobMachine(_PartyMachine):
             raise ProtocolViolation("start called twice")
         p = self.params
         self._bases = _draw_bases(self.streams.stream("bob_bases"), p.n_qubits, p.bias_p)
-        self._bases_hex = pack_bits(self._bases)
+        self._bases_packed = np.packbits(self._bases).tobytes()
+        self._bases_hex = self._bases_packed.hex()
         return self._reply(())
 
     @_replies
@@ -830,7 +882,7 @@ class BobMachine(_PartyMachine):
         if kind is EventKind.QUBITS_SENT:
             return self._announce_and_measure(SymbolBlock(fields["bases"], fields["bits"]))
         if kind is EventKind.BASES_ANNOUNCED_ALICE:
-            return self._select_test(self._sift(fields["bases"], self.results.bases))
+            return self._select_test(self._sift(fields["bases"]))
         if kind is EventKind.ESTIMATE:
             self._estimate = ErrorEstimate(**fields)
             return ()
@@ -897,21 +949,18 @@ class BobMachine(_PartyMachine):
 def _lumped_rate(alice: AliceMachine, bob: BobMachine, rng: np.random.Generator) -> float | None:
     """Error rate over a sample drawn uniformly from both of Bob's same-basis classes.
 
-    Index i < |rect| stands for the i-th both-rectilinear position and the
-    rest for the both-diagonal ones; only the sampled indices are mapped to
-    positions, so no array of the session's length is built.
+    Index i stands for the i-th member of the two classes ranked as one,
+    the both-rectilinear positions first (:class:`_SiftedClasses`); only the
+    sampled indices are mapped to positions, so no array of the session's
+    length is built.
     """
-    n_rect, n_diag = bob._class_sizes
-    total = n_rect + n_diag
+    total = sum(bob._classes.sizes)
     if total == 0:
         return None
     p = bob.params
     idx = rng.choice(total, size=min(p.m1 + p.m2, total), replace=False)
-    in_rect = idx < n_rect
-    positions = np.empty_like(idx)
-    positions[in_rect] = _member_positions(bob._rect, idx[in_rect])
-    positions[~in_rect] = _member_positions(bob._diag, idx[~in_rect] - n_rect)
-    return float((alice.symbols.bits[positions] != bob.results.bits[positions]).mean())
+    positions = bob._classes.positions(np.sort(idx))  # sorted, the directory is read in order
+    return int(np.count_nonzero(alice.symbols.bits[positions] != bob.results.bits[positions])) / idx.size
 
 
 def run_session(
@@ -948,7 +997,7 @@ def run_session(
         alice_key=a.key,
         bob_key=b.key,
         transcript=canonical,
-        retained_fraction=sum(bob._class_sizes) / params.n_qubits,
+        retained_fraction=sum(bob._classes.sizes) / params.n_qubits,
         lumped_rate=_lumped_rate(alice, bob, streams.stream("naive_test")),
         num_blocks=a.num_blocks,
     )

@@ -112,11 +112,11 @@ def pack_bits(bits: np.ndarray) -> str:
     return np.packbits(arr).tobytes().hex()
 
 
-def unpack_bits(hex_str: str, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: the ``n`` bits a hex string encodes.
+def packed_bits(hex_str: str, n: int) -> bytes:
+    """The bytes :func:`pack_bits` packed ``n`` bits into, read back from its hex.
 
     Only what ``pack_bits`` gives is accepted: exactly 2·ceil(n/8) lowercase
-    hex characters with zero pad bits, so ``pack_bits(unpack_bits(s, n)) == s``.
+    hex characters with zero pad bits, so ``packed_bits(s, n).hex() == s``.
     Anything else is a ValueError, never zero-padded, cut or re-encoded.
     """
     size = (n + 7) // 8
@@ -129,7 +129,16 @@ def unpack_bits(hex_str: str, n: int) -> np.ndarray:
         raise ValueError("hex field is not lowercase hex digits only")
     if size and data[-1] & ((1 << (8 * size - n)) - 1):
         raise ValueError(f"pad bits after bit {n} are not zero")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
+    return data
+
+
+def unpack_bits(hex_str: str, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits`: the ``n`` bits a hex string encodes.
+
+    The string is checked as :func:`packed_bits` checks it, so
+    ``pack_bits(unpack_bits(s, n)) == s``.
+    """
+    return np.unpackbits(np.frombuffer(packed_bits(hex_str, n), dtype=np.uint8), count=n)
 
 
 @dataclass(frozen=True)

@@ -162,16 +162,27 @@ def test_theorem2_validation():
         theorem2_bound(0.1, 0)
 
 
-@pytest.mark.parametrize("k", [0, -3, 2.5, 10.0, float("inf"), math.nan, True, "10"], ids=repr)
+@pytest.mark.parametrize(
+    "k",
+    [0, -3, 2.5, 10.0, float("inf"), math.nan, True, "10",
+     pytest.param(2**1022 + 1, id="2**1022+1"), pytest.param(10**400, id="10**400")],
+    ids=repr,
+)
 def test_every_bound_refuses_a_key_length_that_is_not_a_positive_int(k):
-    # inf once overflowed in theorem2_bound and in the planner, which takes k
-    # from SecurityParams; 2.5 passed theorem2_asymptotic and SecurityParams
+    # inf, and integers past the float range, once overflowed in
+    # theorem2_bound, theorem2_asymptotic and the planner, which takes k from
+    # SecurityParams; 2.5 passed theorem2_asymptotic and SecurityParams
     with pytest.raises(ValueError, match="k must be a positive integer"):
         theorem2_bound(0.1, k)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         theorem2_asymptotic(0.1, k)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         SecurityParams(u=20, s=20, k=k, N=10**6)
+
+
+def test_the_largest_key_length_gives_finite_bounds():
+    k = 2**1022
+    assert math.isfinite(theorem2_bound(0.1, k)) and math.isfinite(theorem2_asymptotic(0.1, k))
 
 
 def test_theorem2_asymptotic_agreement():

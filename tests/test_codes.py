@@ -603,9 +603,12 @@ def test_only_a_d_equals_comment_claims_a_distance():
         assert parse_code(comment + CODE_TEXT.replace("# d = 3\n", "")).d == 3
     for claim in ("# d=3", "#d = 3", "#  d  =  3  "):
         assert parse_code(CODE_TEXT.replace("# d = 3", claim)).d == 3
-    for claim in ("# d = three", "# d =", "# d = 3.0"):
-        with pytest.raises(CodeError, match="malformed distance claim"):
+    # int() reads the last three as 3; a claim, like the header, is ASCII
+    # decimal digits only
+    for claim in ("# d = three", "# d =", "# d = 3.0", "# d = +3", "# d = 0_3", "# d = \u0663"):
+        with pytest.raises(CodeError) as info:
             parse_code(CODE_TEXT.replace("# d = 3", claim))
+        assert str(info.value) == f"malformed distance claim {claim!r}"
 
 
 def test_css_meta_roundtrip():

@@ -154,16 +154,18 @@ def test_kernels_keep_no_block_length_float_temporary(kernel):
     assert _peak_bytes_per_symbol(KERNELS[kernel]) < 3.0
 
 
-# A session at p = 0.2 peaks at about 11.5 bytes per symbol: the symbols,
-# both parties' class masks and the messages' hex text. Listing the two
-# same-basis classes as int64 positions, about 0.68 N of them per party,
-# took it to about 20.5, and permuting each block into bytes of uint64
-# lanes, rather than into the bits of one word, to about 13.5.
-def test_a_session_peaks_below_16_bytes_per_symbol():
+# A session at p = 0.2 peaks at about 8.7 bytes per symbol: the symbols and
+# the messages' hex text. Each party's packed classes and their rank
+# directory take half a byte per symbol. Keeping both classes as N-byte
+# masks on each side took it to about 11.5, listing them as int64
+# positions, about 0.68 N of them per party, to about 20.5, and permuting
+# each block into bytes of uint64 lanes, rather than into the bits of one
+# word, to about 13.5.
+def test_a_session_peaks_below_10_bytes_per_symbol():
     n = 10**6
     params = ProtocolParams(n_qubits=n, bias_p=0.2, m1=200, m2=200)
     strategy, css = DepolarizingPauli.symmetric(0.005), steane_pair()
-    assert _peak_bytes_per_symbol(lambda: run_session(params, strategy, css, 1), n) < 16.0
+    assert _peak_bytes_per_symbol(lambda: run_session(params, strategy, css, 1), n) < 10.0
 
 
 # block_permutations peaks at about 7.4 bytes per [7,4] block at 2 * 10^5

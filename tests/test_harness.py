@@ -529,6 +529,13 @@ def test_cli_malformed_eve_is_a_usage_error(capsys, command, eve):
     assert f"argument --eve: expected two probabilities P1,P2, not {eve!r}" in err
 
 
+def test_cli_bounds_refuses_a_key_length_past_the_float_range(capsys):
+    assert main(["bounds", "theorem2", "--delta", "0.1", "--k", "1" + "0" * 400]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("eqkd: error: k must be a positive integer of at most 2^1022")
+
+
 def test_cli_bounds_commands(capsys):
     assert main(["bounds", "theorem2", "--delta", "0.01", "--k", "10"]) == 0
     out = json.loads(capsys.readouterr().out)

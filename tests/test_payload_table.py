@@ -109,14 +109,29 @@ def test_the_table_covers_every_kind():
 
 
 def test_read_payload_decodes_each_shape():
-    assert read_payload(EventKind.BASES_ANNOUNCED_BOB, {"n": 40, "bases": "00" * 5}, SIZES)[
-        "bases"
-    ].tolist() == [0] * 40
+    # announced bases stay the bytes pack_bits packed; the qubits' are unpacked
+    announced = {"n": 40, "bases": "80000000c1"}
+    assert read_payload(EventKind.BASES_ANNOUNCED_BOB, announced, SIZES)["bases"] == bytes.fromhex("80000000c1")
+    sent = read_payload(EventKind.QUBITS_SENT, {**announced, "bits": "00" * 5}, SIZES)
+    assert sent["bases"].tolist() == [1] + [0] * 31 + [1, 1, 0, 0, 0, 0, 0, 1]
     assert read_payload(EventKind.TEST_INDICES, {"seed": 2**63 - 1}, SIZES) == {"seed": 2**63 - 1}
     decision = read_payload(EventKind.DECISION, {"status": "proceed"}, SIZES)
     assert decision == {"status": SessionStatus.ACCEPTED}
     digest = {"algo": "sha256", "bits": 40, "digest": "ab" * 32}
     assert read_payload(EventKind.KEY_DIGEST, digest, SIZES) == digest
+
+
+# an upper-case digit, a character short, a pad bit set, and not a string
+@pytest.mark.parametrize("bases", ["ABCDEF0000", "0" * 9, "0000000001", 17])
+@pytest.mark.parametrize("kind", [EventKind.BASES_ANNOUNCED_BOB, EventKind.BASES_ANNOUNCED_ALICE])
+def test_packed_bases_refuse_what_unpacked_bases_refuse(kind, bases):
+    sizes = {**SIZES, "n": 37}  # 5 bytes, the last with 3 pad bits
+    with pytest.raises(ProtocolViolation) as unpacked:
+        read_payload(EventKind.QUBITS_SENT, {"n": 37, "bases": bases, "bits": "00" * 5}, sizes)
+    with pytest.raises(ProtocolViolation) as packed:
+        read_payload(kind, {"n": 37, "bases": bases}, sizes)
+    assert str(packed.value) == str(unpacked.value)
+    assert str(packed.value).startswith(f"'bases' is {bases!r}, expected 37 bits as hex (")
 
 
 @pytest.mark.parametrize(

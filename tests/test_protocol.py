@@ -25,6 +25,7 @@ from eqkd.protocol import (
     ProtocolViolation,
     SessionStatus,
     _PartyMachine,
+    _SiftedClasses,
     alice_prepare,
     biased_attack_rates,
     decide,
@@ -387,7 +388,7 @@ def test_session_estimate_matches_pipeline_functions():
     assert np.array_equal(unpack_bits(disclosed["diag_bits"], params.m2), results.bits[tested_diag])
 
 
-# one N whose classes are listed whole, one whose classes are packed into words
+# one N within a chunk of positions and one over several chunks
 @pytest.mark.parametrize("n", [protocol._CHUNK // 2, 2 * protocol._CHUNK + 37])
 def test_both_parties_test_the_positions_the_oracle_draws(monkeypatch, n):
     params = ProtocolParams(n_qubits=n, bias_p=0.3, m1=200, m2=200)
@@ -433,6 +434,12 @@ def test_session_key_comes_from_untested_diagonal_positions():
     assert tr.find(EventKind.PERMUTATION_SEED).payload["blocks"] == expected_blocks
 
 
+def _diagonal_class(members: np.ndarray) -> _SiftedClasses:
+    """Sifted classes whose both-diagonal class is the mask ``members``: both parties' bases."""
+    bases = np.packbits(members).tobytes()
+    return _SiftedClasses.of_bases(bases, bases, members.size)
+
+
 def test_raw_key_layout_matches_the_setdiff_oracle():
     gen = np.random.default_rng(19)
     machine = AliceMachine(default_params(), CSS, RngStreams(19))
@@ -463,8 +470,9 @@ def test_raw_key_layout_matches_the_setdiff_oracle():
     cases.append((np.append(np.arange(2 * chunk), [2 * chunk + 5, 2 * chunk + 9]), np.array([], int)))
     for diag_pos, tested in cases:
         expected = raw_key_layout_oracle(diag_pos, tested, CSS.n)
-        machine._diag = np.zeros(diag_pos[-1] + 1, dtype=bool)
-        machine._diag[diag_pos] = True
+        members = np.zeros(diag_pos[-1] + 1, dtype=bool)
+        members[diag_pos] = True
+        machine._classes = _diagonal_class(members)
         machine._test_diag = tested
         machine.sizes["blocks"] = expected.size // CSS.n
         # bits[j] = j, so the layout reads back the positions it took
@@ -473,10 +481,15 @@ def test_raw_key_layout_matches_the_setdiff_oracle():
         assert np.array_equal(layout.reshape(-1), expected)
 
 
-# one mask within a chunk, listed whole, and one of 3 chunks and a part,
-# packed into words; neither is a multiple of a 64-position word or a byte
+# one class within a chunk and one of 3 chunks and a part; neither is a
+# multiple of a 64-position word or a byte. The class is the diagonal one,
+# ranked after the rectilinear class.
 @pytest.mark.parametrize("n", [64 * 300 + 37, 3 * protocol._CHUNK + 37])
-def test_member_positions_match_the_listed_class(n):
+def test_packed_classes_map_ranks_to_the_listed_class(n):
+    def positions(mask, ranks):
+        classes = _diagonal_class(mask)
+        return classes.positions(classes.sizes[0] + np.asarray(ranks, dtype=np.int64))
+
     gen = np.random.default_rng(23)
     members = gen.random(n) < 0.3
     listed = np.flatnonzero(members)
@@ -491,19 +504,34 @@ def test_member_positions_match_the_listed_class(n):
         np.array([], dtype=np.int64),
     ]
     for ranks in rank_sets:
-        assert np.array_equal(protocol._member_positions(members, ranks), listed[ranks])
+        assert np.array_equal(positions(members, ranks), listed[ranks])
     # members at a word's first and last position, and in a short last word
     edge = np.zeros(n, dtype=bool)
     edge[[63, 64, 127, 128, n - 1]] = True
-    assert protocol._member_positions(edge, np.arange(5)).tolist() == [63, 64, 127, 128, n - 1]
+    assert positions(edge, np.arange(5)).tolist() == [63, 64, 127, 128, n - 1]
     # classes of 0 and 1 members
     empty, one = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     one[n - 1] = True
-    assert protocol._member_positions(empty, np.array([], dtype=np.int64)).size == 0
-    assert protocol._member_positions(one, np.array([0])).tolist() == [n - 1]
+    assert positions(empty, []).size == 0
+    assert positions(one, [0]).tolist() == [n - 1]
     for mask, ranks in ((empty, [0]), (one, [1]), (members, [listed.size])):
         with pytest.raises(IndexError):
-            protocol._member_positions(mask, np.array(ranks))
+            positions(mask, ranks)
+
+
+@pytest.mark.parametrize("n", [37, 64 * 300 + 37, 3 * protocol._CHUNK + 37])
+def test_sifted_classes_hold_no_position_past_n(n):
+    gen = np.random.default_rng(29)
+    a, b = gen.random(n) < 0.6, gen.random(n) < 0.6  # True for diagonal
+    classes = _SiftedClasses.of_bases(np.packbits(a).tobytes(), np.packbits(b).tobytes(), n)
+    rect, diag = ~(a | b), a & b
+    rows = np.unpackbits(classes.words.view(np.uint8), axis=1).view(bool)
+    # NOT(a OR b) would set every pad position of the last word
+    assert not rows[:, n:].any()
+    assert np.array_equal(rows[0, :n], rect) and np.array_equal(rows[1, :n], diag)
+    assert classes.sizes == (np.count_nonzero(rect), np.count_nonzero(diag))
+    listed = np.concatenate([np.flatnonzero(rect), np.flatnonzero(diag)])
+    assert np.array_equal(classes.positions(np.arange(listed.size)), listed)
 
 
 def _drive(seed, stop_at=None, strategy=None):
