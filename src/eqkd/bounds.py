@@ -61,6 +61,16 @@ def exponent_A(lam: float, p_bad: float) -> float:
     return -binary_entropy(lam) + term_p + term_q
 
 
+def _check_count(name: str, value) -> None:
+    """A count is an int (not a bool) from 1 to 2^1022; any other is a ValueError.
+
+    The bounds take a count, and twice a key length, as a float, which that
+    range keeps finite.
+    """
+    if type(value) is not int or not 1 <= value <= 2**1022:
+        raise ValueError(f"{name} must be a positive integer of at most 2^1022")
+
+
 @dataclass(frozen=True)
 class SamplingInstance:
     """A without-replacement test of n_test draws from n_total positions.
@@ -75,6 +85,8 @@ class SamplingInstance:
     lam: float
 
     def __post_init__(self) -> None:
+        _check_count("n_total", self.n_total)
+        _check_count("n_test", self.n_test)
         if not (1 < self.n_test < self.n_total):
             raise ValueError("need 1 < n_test < n_total")
         if not (0.0 <= self.lam < self.p_bad < 1.0):
@@ -150,15 +162,6 @@ def lemma1_bound(inst: SamplingInstance) -> Lemma1Result:
     return Lemma1Result(bound=min(1.0, raw), exponent=exponent)
 
 
-def _check_key_length(k) -> None:
-    """A key length is an int (not a bool) from 1 to 2^1022; any other is a ValueError.
-
-    The bounds take 2k as a float, which that range keeps finite.
-    """
-    if type(k) is not int or not 1 <= k <= 2**1022:
-        raise ValueError("k must be a positive integer of at most 2^1022")
-
-
 def theorem2_bound(delta: float, k: int) -> float:
     """Eavesdropper-information bound (bits) from a fidelity defect delta.
 
@@ -174,7 +177,7 @@ def theorem2_bound(delta: float, k: int) -> float:
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
-    _check_key_length(k)
+    _check_count("k", k)
     if delta == 0.0:
         return 0.0
     # log2(2^{2k} - 1) without forming 2^{2k}
@@ -188,7 +191,7 @@ def theorem2_asymptotic(delta: float, k: int) -> float:
     """First-order form delta * (1/ln 2 + 2k + log2(1/delta)) of the bound."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    _check_key_length(k)
+    _check_count("k", k)
     return delta * (1.0 / _LN2 + 2.0 * k + math.log2(1.0 / delta))
 
 
@@ -284,7 +287,8 @@ class SecurityParams:
             raise ValueError("c must be positive")
         if not (0.0 <= self.a_prime <= 1.0):
             raise ValueError("a_prime must lie in [0, 1]")
-        _check_key_length(self.k)
+        _check_count("k", self.k)
+        _check_count("N", self.N)
         if self.N < 4:
             raise ValueError("N too small")
 

@@ -11,6 +11,8 @@ vertical; in the diagonal basis bit 0 is 45 degrees and bit 1 is 135 degrees.
 
 from __future__ import annotations
 
+import reprlib
+import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
@@ -108,14 +110,17 @@ class SymbolBlock:
     __slots__ = ("bases", "bits")
 
     def __init__(self, bases: np.ndarray, bits: np.ndarray):
-        bases = np.asarray(bases, dtype=np.uint8)
-        bits = np.asarray(bits, dtype=np.uint8)
+        bases, bits = np.asarray(bases), np.asarray(bits)
         if bases.shape != bits.shape or bases.ndim != 1:
             raise ValueError("bases and bits must be equal-length 1-d arrays")
-        if bases.size and (bases.max() > 1 or bits.max() > 1):
+        # bool or integer arrays only, read unsigned, where a negative entry exceeds 1
+        unsigned = [a.view(a.dtype.str.replace("i", "u")) for a in (bases, bits)]
+        if any(a.dtype.kind not in "bu" for a in unsigned) or (
+            bases.size and (unsigned[0].max() > 1 or unsigned[1].max() > 1)
+        ):
             raise ValueError("bases and bits must be 0/1 valued")
-        self.bases = bases
-        self.bits = bits
+        self.bases = bases.astype(np.uint8, copy=False)
+        self.bits = bits.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return int(self.bases.size)
@@ -185,6 +190,8 @@ class BiasedInterceptResend(AttackStrategy):
     p2: float
 
     def __post_init__(self) -> None:
+        check_number("p1", self.p1)
+        check_number("p2", self.p2)
         if not (0.0 <= self.p1 and 0.0 <= self.p2):
             raise ValueError("interception probabilities must be nonnegative")
         if self.p1 + self.p2 > 1.0 + 1e-12:
@@ -233,6 +240,8 @@ class DepolarizingPauli(AttackStrategy):
 
     def __post_init__(self) -> None:
         qs = (self.q_i, self.q_x, self.q_y, self.q_z)
+        for name, q in zip(("q_i", "q_x", "q_y", "q_z"), qs):
+            check_number(name, q)
         if any(q < 0 for q in qs):
             raise ValueError("letter probabilities must be nonnegative")
         # written so that a NaN probability fails the check too
@@ -341,6 +350,13 @@ def transmit(
     ``stream`` is None.
     """
     return strategy.apply(block, rng)
+
+
+def check_number(name: str, value) -> None:
+    """Refuse, as a ValueError, any ``value`` but an int or float (not a bool) in the float range."""
+    number = type(value) is int or isinstance(value, float)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, not {reprlib.repr(value)}")
 
 
 def check_seed(seed) -> int:

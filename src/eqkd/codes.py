@@ -12,7 +12,8 @@ syndrome's leader, so Bob's label is then Alice's.
 A permuted raw block is one packed n-bit word, bit r holding position r.
 H1 and K are linear, so a word's syndrome and label together are the XOR
 of one table entry per byte of the word, from the byte tables that
-``validate_css`` builds with the pair.
+``validate_css`` builds with the pair. A pair is certified and tabulated on
+such words too: a codeword is an XOR of generator rows read as integers.
 """
 
 from __future__ import annotations
@@ -52,21 +53,18 @@ def gf2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Equals ``np.matmul`` of the operands cast to uint32, ``& 1``: matmul's
     rules for 1-d and 2-d operands hold, and every entry counts mod 2. It is
-    computed by XOR, without a matmul: column c of the product is the XOR of
-    the columns i of ``a`` for which ``b[i, c]`` is odd, cut to its low bit.
+    the XOR over the inner axis of the ANDed entries, cut to its low bit: the
+    operands are a code pair's matrices, so the (rows, inner, cols) AND is small.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2):
         raise ValueError("gf2_mul takes 1-d or 2-d operands")
     a2 = np.atleast_2d(a).astype(np.uint8, copy=False)
-    b2 = (b[:, None] if b.ndim == 1 else b).astype(np.uint8, copy=False) & 1
+    b2 = (b[:, None] if b.ndim == 1 else b).astype(np.uint8, copy=False)
     if a2.shape[1] != b2.shape[0]:
         raise ValueError(f"gf2_mul: shapes {a.shape} and {b.shape} do not align")
-    out = np.zeros((a2.shape[0], b2.shape[1]), dtype=np.uint8)
-    for i, c in zip(*np.nonzero(b2)):
-        out[:, c] ^= a2[:, i]
-    out &= 1  # XOR keeps the parity of the low bits; the rest is dropped here
+    out = np.bitwise_xor.reduce(a2[:, :, None] & b2, axis=1) & 1
     return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
 
 
@@ -119,23 +117,39 @@ EXHAUSTIVE_N_LIMIT = 24
 _ENUM_DIM_LIMIT = 20
 
 
-def _all_messages(k: int) -> np.ndarray:
-    return ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+def _word_dtype(bits: int) -> np.dtype:
+    """The smallest unsigned type that holds the given number of bits, little-endian."""
+    return np.min_scalar_type((1 << bits) - 1).newbyteorder("<")
 
 
-def enumerate_codewords(generator: np.ndarray) -> np.ndarray:
-    """All 2^k codewords of the code generated by the given rows."""
-    gen = np.asarray(generator, dtype=np.uint8)
-    k = gen.shape[0]
-    if k > _ENUM_DIM_LIMIT:
-        raise CodeError(f"refusing to enumerate 2^{k} codewords: dimension limit {_ENUM_DIM_LIMIT}")
-    return gf2_mul(_all_messages(k), gen)
+def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
+    """Each 0/1 syndrome row read as an m-bit integer, its first bit the highest."""
+    idx = np.zeros(syndromes.shape[0], dtype=_word_dtype(m))
+    for j in range(m):
+        idx <<= 1
+        idx |= syndromes[:, j]
+    return idx
+
+
+def _xor_span(words: np.ndarray) -> np.ndarray:
+    """(..., 2^j) array from (..., j) words: entry x is the XOR of the words at x's set bits."""
+    span = np.zeros(words.shape[:-1] + (1,), dtype=words.dtype)
+    for i in range(words.shape[-1]):  # the span so far, then each entry XOR word i
+        span = np.concatenate([span, span ^ words[..., i : i + 1]], axis=-1)
+    return span
 
 
 def min_distance(generator: np.ndarray) -> int:
-    """Exact minimum distance by exhaustive enumeration."""
-    words = enumerate_codewords(generator)
-    weights = words.sum(axis=1)
+    """Exact minimum distance: the least bit count of the 2^k codewords, each an n-bit integer.
+
+    A generator of more than ``_ENUM_DIM_LIMIT`` rows or 64 columns is refused.
+    """
+    gen = np.asarray(generator, dtype=np.uint8)
+    k, n = gen.shape
+    if k > _ENUM_DIM_LIMIT or n > 64:
+        raise CodeError(f"refusing to enumerate 2^{k} codewords of {n} bits: dimension limit "
+                        f"{_ENUM_DIM_LIMIT}, and a word holds 64")
+    weights = np.bitwise_count(_xor_span(_syndrome_index(gen, n)))
     nz = weights[weights > 0]
     if nz.size == 0:
         raise CodeError("zero-dimensional code has no distance")
@@ -229,22 +243,11 @@ class CssPair:
         return self.c1.n
 
 
-def _word_dtype(bits: int) -> np.dtype:
-    """The smallest unsigned type that holds the given number of bits, little-endian."""
-    return np.min_scalar_type((1 << bits) - 1).newbyteorder("<")
-
-
-def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
-    """Each 0/1 syndrome row read as an m-bit integer, its first bit the highest."""
-    idx = np.zeros(syndromes.shape[0], dtype=_word_dtype(m))
-    for j in range(m):
-        idx <<= 1
-        idx |= syndromes[:, j]
-    return idx
-
-
 def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     """Check nesting and distance conditions; build the labeling maps and the lookup tables.
+
+    The tables are built on n-bit words: a byte's table spans its positions'
+    images, and the error patterns within C1's radius are looked up in it.
 
     Raises
     ------
@@ -281,33 +284,29 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     key_map = gf2_mul(T, h2)
     assert not gf2_mul(key_map, c2.generator.T).any()
     assert np.array_equal(gf2_mul(key_map, reps.T), eye)
-    n, h1, m, t1 = c1.n, c1.parity_check, c1.n - c1.k_dim, (c1.d - 1) // 2
+    n, m, t1 = c1.n, c1.n - c1.k_dim, (c1.d - 1) // 2
     word = _word_dtype(n)
-    # probe (b, x) is the word that holds x in byte b; m + k <= n, so an
-    # entry fits the word type
-    probes = np.arange(256) << 8 * np.arange(-(-n // 8))[:, None]
-    bits = ((probes.reshape(-1, 1) >> np.arange(n)) & 1).astype(np.uint8)
-    products = gf2_mul(bits, np.vstack([h1, key_map]).T)
-    tables = _syndrome_index(products, m + k).astype(word).reshape(probes.shape)
-    # every error pattern of weight 1..t1; d(C1) >= 2 t1 + 1 gives them distinct syndromes
-    supports = [s for w in range(1, t1 + 1) for s in combinations(range(n), w)]
-    errs = np.zeros((len(supports), n), dtype=np.uint8)
-    for row, support in zip(errs, supports):
-        row[list(support)] = 1
-    idx = _syndrome_index(gf2_mul(errs, h1.T), m)
+    # position r's image (H1 e_r) << k | K e_r, 0 past n; m + k <= n bits fit a word
+    images = np.zeros(8 * -(-n // 8), dtype=word)
+    images[:n] = _syndrome_index(np.vstack([c1.parity_check, key_map]).T, m + k)
+    tables = _xor_span(images.reshape(-1, 8))
+    # the error patterns of weight 1..t1; d(C1) >= 2 t1 + 1 gives them distinct syndromes
+    errs = [sum(1 << r for r in s) for w in range(1, t1 + 1) for s in combinations(range(n), w)]
+    found = _lookup(tables, np.array(errs, dtype=word), n)
+    idx = found >> k
     leader_labels = np.zeros(2**m, dtype=word)
-    leader_labels[idx] = _syndrome_index(gf2_mul(errs, key_map.T), k)
+    leader_labels[idx] = found & ((1 << k) - 1)
     covered = np.zeros(2**m, dtype=bool)
     covered[0] = covered[idx] = True  # the zero syndrome's leader is the zero pattern
     return CssPair(c1=c1, c2=c2, t=t, k=k, key_map=key_map, byte_tables=tables,
                    leader_labels=leader_labels, covered=covered)
 
 
-def _lookup(pair: CssPair, words: np.ndarray) -> np.ndarray:
-    """(H1 v) << k | K v for each packed word v: the XOR of its bytes' table entries."""
-    words, tables = np.asarray(words), pair.byte_tables
+def _lookup(tables: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
+    """(H1 v) << k | K v for each packed n-bit word v: the XOR of its bytes' ``byte_tables`` entries."""
+    words = np.asarray(words)
     if words.ndim != 1 or words.dtype != tables.dtype:
-        raise ValueError(f"blocks must be a 1-d array of {pair.n}-bit {tables.dtype} words")
+        raise ValueError(f"blocks must be a 1-d array of {n}-bit {tables.dtype} words")
     by_byte = np.ascontiguousarray(words).view(np.uint8).reshape(words.size, words.itemsize)
     found = tables[0][by_byte[:, 0]]
     for b in range(1, len(tables)):
@@ -330,7 +329,7 @@ def reconcile_alice_blocks(pair: CssPair, words: np.ndarray) -> tuple[np.ndarray
     of a word are read. The syndromes come as (B, n - dim C1) bits and the
     keys as (B, k) bits.
     """
-    found = _lookup(pair, words)
+    found = _lookup(pair.byte_tables, words, pair.n)
     return _int_bits(found, pair.n - pair.c1.k_dim, pair.k), _int_bits(found, pair.k, 0)
 
 
@@ -347,7 +346,7 @@ def reconcile_bob_blocks(
     uncorrected block, and ok False, which is unreachable for perfect outer
     codes. The keys come as (B, k) bits.
     """
-    found = _lookup(pair, words)
+    found = _lookup(pair.byte_tables, words, pair.n)
     s = np.atleast_2d(np.asarray(syndromes, dtype=np.uint8))
     m = pair.n - pair.c1.k_dim
     if s.shape != (found.size, m):

@@ -26,7 +26,6 @@ import functools
 import hashlib
 import math
 import reprlib
-import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
@@ -39,6 +38,7 @@ from .channel import (
     RngStreams,
     SymbolBlock,
     bernoulli_threshold,
+    check_number,
     check_seed,
     mismatch_coins,
     raw_passes,
@@ -104,14 +104,10 @@ class ProtocolParams:
         for name in ("n_qubits", "m1", "m2"):
             if type(value := getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, not {reprlib.repr(value)}")
-        for name in ("bias_p", "e_max", "delta_e", "delta_prime"):
-            value = getattr(self, name)
-            if value is None and name == "delta_prime":
-                continue  # its default is set below
-            # NaN, the infinities and integers past the float range fail the bound
-            number = type(value) is int or isinstance(value, float)
-            if not (number and abs(value) <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite number, not {reprlib.repr(value)}")
+        for name in ("bias_p", "e_max", "delta_e"):
+            check_number(name, getattr(self, name))
+        if self.delta_prime is not None:  # None takes its default below
+            check_number("delta_prime", self.delta_prime)
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         if not (0.0 < self.bias_p <= 0.5):

@@ -46,24 +46,25 @@ them. ``coset_labels`` applies it to 0/1 rows.
 ``pack_blocks`` and ``unpack_blocks`` convert between (B, n) 0/1 rows and
 the packed n-bit words that ``block_permutations`` returns and the two
 reconcile steps read: bit r of a word is column r of its row.
+
+``enumerate_codewords`` lists a code's 2^k codewords as 0/1 rows by an
+integer matmul of every message, which ``min_distance`` is checked against.
+``byte_tables_oracle`` and ``leader_tables_oracle`` build a pair's tables
+from 0/1 matrices, where ``validate_css`` works on n-bit words: a probe row
+for each byte value of each byte, and a row for each error pattern within
+C1's radius, each multiplied by H1 and the key map.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from eqkd.channel import RngStreams, SymbolBlock, transmit
-from eqkd.codes import (
-    CssPair,
-    LinearCode,
-    enumerate_codewords,
-    gf2_mul,
-    gf2_rank,
-    gf2_rref,
-)
+from eqkd.codes import CssPair, LinearCode, gf2_mul, gf2_rank, gf2_rref
 from eqkd.protocol import (
     _draw_bases,
     alice_prepare,
@@ -380,6 +381,54 @@ def block_permutations_oracle(words, seed):
 def gf2_mul_oracle(a, b):
     """``gf2_mul`` as a ``uint32`` matmul, reduced mod 2."""
     return (np.asarray(a, dtype=np.uint32) @ np.asarray(b, dtype=np.uint32)) & 1
+
+
+def enumerate_codewords(generator) -> np.ndarray:
+    """All 2^k codewords of the code the rows generate, as (2^k, n) 0/1 rows.
+
+    Row x is the combination of the generator rows at the bits set in x.
+    """
+    gen = np.asarray(generator, dtype=np.uint8)
+    k = gen.shape[0]
+    messages = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    return gf2_mul_oracle(messages, gen).astype(np.uint8)
+
+
+def _read_rows(bits) -> np.ndarray:
+    """Each 0/1 row as an integer, its first bit the highest."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def byte_tables_oracle(pair: CssPair) -> np.ndarray:
+    """``byte_tables`` by probing: (H1 v) << k | K v by matmul for each word v that holds one byte.
+
+    Probe (b, x) is the word that holds x in byte b and zeros elsewhere; its
+    bits past n are dropped.
+    """
+    probes = np.arange(256) << 8 * np.arange(-(-pair.n // 8))[:, None]
+    bits = (probes.reshape(-1, 1) >> np.arange(pair.n)) & 1
+    products = gf2_mul_oracle(bits, np.vstack([pair.c1.parity_check, pair.key_map]).T)
+    return _read_rows(products).reshape(probes.shape)
+
+
+def leader_tables_oracle(pair: CssPair) -> tuple[np.ndarray, np.ndarray]:
+    """(``leader_labels``, ``covered``) from the matrix of error patterns of weight 1 to C1's radius.
+
+    Each pattern's syndrome and key label come by matmul; the zero syndrome
+    is covered by the zero pattern.
+    """
+    n, m = pair.n, pair.n - pair.c1.k_dim
+    supports = [s for w in range(1, (pair.c1.d - 1) // 2 + 1) for s in combinations(range(n), w)]
+    errs = np.zeros((len(supports), n), dtype=np.uint8)
+    for row, support in zip(errs, supports):
+        row[list(support)] = 1
+    idx = _read_rows(gf2_mul_oracle(errs, pair.c1.parity_check.T))
+    labels = np.zeros(2**m, dtype=np.int64)
+    labels[idx] = _read_rows(gf2_mul_oracle(errs, pair.key_map.T))
+    covered = np.zeros(2**m, dtype=bool)
+    covered[0] = covered[idx] = True
+    return labels, covered
 
 
 def gf2_solve_oracle(a, b):

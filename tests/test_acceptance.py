@@ -26,7 +26,7 @@ from eqkd.bounds import (
     theorem2_bound,
 )
 from eqkd.channel import BiasedInterceptResend, DepolarizingPauli, RngStreams
-from eqkd.codes import enumerate_codewords, reconcile_bob_blocks, steane_pair
+from eqkd.codes import reconcile_bob_blocks, steane_pair
 from eqkd.harness.endpoints import loopback_session
 from eqkd.harness.runner import ExperimentConfig, run_experiment
 from eqkd.protocol import (
@@ -37,7 +37,7 @@ from eqkd.protocol import (
     session_meta,
 )
 from eqkd.transcript import SessionTranscript
-from pipeline_oracle import lift_oracle, measure_as_bob, pack_blocks
+from pipeline_oracle import enumerate_codewords, lift_oracle, measure_as_bob, pack_blocks
 
 CSS = steane_pair()
 

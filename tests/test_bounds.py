@@ -171,18 +171,29 @@ def test_theorem2_validation():
 def test_every_bound_refuses_a_key_length_that_is_not_a_positive_int(k):
     # inf, and integers past the float range, once overflowed in
     # theorem2_bound, theorem2_asymptotic and the planner, which takes k from
-    # SecurityParams; 2.5 passed theorem2_asymptotic and SecurityParams
+    # SecurityParams; 2.5 passed theorem2_asymptotic and SecurityParams.
+    # The population sizes and the pulse count follow the same rule: past the
+    # float range they overflowed in lemma1_bound and the planner.
     with pytest.raises(ValueError, match="k must be a positive integer"):
         theorem2_bound(0.1, k)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         theorem2_asymptotic(0.1, k)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         SecurityParams(u=20, s=20, k=k, N=10**6)
+    with pytest.raises(ValueError, match="N must be a positive integer of at most 2"):
+        SecurityParams(u=20, s=20, k=10, N=k)
+    with pytest.raises(ValueError, match="n_total must be a positive integer of at most 2"):
+        SamplingInstance(n_total=k, n_test=10, p_bad=0.2, lam=0.1)
+    with pytest.raises(ValueError, match="n_test must be a positive integer of at most 2"):
+        SamplingInstance(n_total=10**6, n_test=k, p_bad=0.2, lam=0.1)
 
 
 def test_the_largest_key_length_gives_finite_bounds():
     k = 2**1022
     assert math.isfinite(theorem2_bound(0.1, k)) and math.isfinite(theorem2_asymptotic(0.1, k))
+    for n_test in (10, 2**1021):
+        tail = lemma1_bound(SamplingInstance(n_total=k, n_test=n_test, p_bad=0.2, lam=0.1))
+        assert 0.0 <= tail.bound <= 1.0 and math.isfinite(tail.exponent)
 
 
 def test_theorem2_asymptotic_agreement():

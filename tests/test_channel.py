@@ -59,6 +59,26 @@ def test_symbol_block_validation_and_roundtrip():
     assert block.bases.tolist() == [0, 1, 1] and block.bits.tolist() == [1, 0, 1]
     assert block == block.copy()
     assert len(block) == 3
+    # bool and integer bits of any width are held as uint8, a uint8 array as it is
+    for bases, bits in [([0, 1], [True, False]), (np.array([1, 0], dtype=">i2"), [1, 1])]:
+        held = SymbolBlock(bases, bits)
+        assert held.bases.dtype == held.bits.dtype == np.uint8
+        assert np.array_equal(held.bases, bases) and np.array_equal(held.bits, bits)
+    assert SymbolBlock(block.bases, block.bits).bases is block.bases
+
+
+@pytest.mark.parametrize(
+    "bases, bits",
+    [([0.5], [1.7]), (["1"], ["0"]), ([-1], [0]), ([0], np.array([-256], dtype=np.int64)),
+     ([0], np.array([256], dtype=np.int64)), (np.array([0], dtype=">i8"), [-1]),
+     (np.array([1], dtype=object), [0]), ([], [])],
+    ids=["floats", "strings", "negative", "negative_multiple_of_256", "multiple_of_256",
+         "big_endian_negative", "objects", "empty_lists"],
+)
+def test_symbol_block_refuses_what_is_not_a_bool_or_integer_bit(bases, bits):
+    # floats were truncated, strings parsed, and -1 raised numpy's OverflowError
+    with pytest.raises(ValueError, match="bases and bits must be 0/1 valued"):
+        SymbolBlock(bases, bits)
 
 
 def _always_measure(basis: Basis) -> BiasedInterceptResend:
@@ -136,6 +156,10 @@ def test_depolarizing_validation():
         DepolarizingPauli(-0.1, 0.4, 0.4, 0.3)
     with pytest.raises(ValueError):
         DepolarizingPauli(float("nan"), 0.0, 0.0, 1.0)
+    # booleans once ran and were recorded as such; 10**400 overflowed in the sum
+    for value in (True, 10**400, float("inf"), "0.1", None):
+        with pytest.raises(ValueError, match="q_x must be a finite number"):
+            DepolarizingPauli(1.0, value, 0.0, 0.0)
     q = DepolarizingPauli.symmetric(0.1)
     assert q.q_i == pytest.approx(0.7)
 
@@ -244,6 +268,9 @@ def test_biased_intercept_validation():
     with pytest.raises(ValueError):
         BiasedInterceptResend(-0.1, 0.2)
     BiasedInterceptResend(0.5, 0.5)  # boundary fine
+    for value in (False, 10**400, float("inf"), "0.1", None):
+        with pytest.raises(ValueError, match="p2 must be a finite number"):
+            BiasedInterceptResend(0.0, value)
 
 
 def test_strategy_stream_names():

@@ -15,7 +15,6 @@ from eqkd.codes import (
     css_fingerprint,
     css_from_meta,
     css_meta,
-    enumerate_codewords,
     gf2_mul,
     gf2_nullspace,
     gf2_rank,
@@ -33,9 +32,12 @@ from eqkd.codes import (
 )
 from pipeline_oracle import (
     block_permutations_oracle,
+    byte_tables_oracle,
     coset_labels,
+    enumerate_codewords,
     gf2_mul_oracle,
     key_map_oracle,
+    leader_tables_oracle,
     lift_oracle,
     pack_blocks,
     reconcile_alice_blocks_oracle,
@@ -132,6 +134,26 @@ def test_gf2_nullspace_annihilates():
 # ---------------------------------------------------------------------------
 # Linear codes
 # ---------------------------------------------------------------------------
+
+def test_min_distance_matches_the_enumeration_oracle():
+    rng = np.random.default_rng(71)
+    for k, n in [(1, 1), (1, 9), (3, 7), (5, 12), (8, 24), (6, 40), (4, 64), (10, 16)]:
+        gen = rng.integers(0, 2, (k, n), dtype=np.uint8)
+        # the rows as drawn, then with a repeated row and with a sum of two
+        for rows in (gen, np.vstack([gen, gen[:1]]), np.vstack([gen, gen[0] ^ gen[-1]])):
+            weights = enumerate_codewords(rows).sum(axis=1)
+            if weights.any():
+                assert min_distance(rows) == weights[weights > 0].min(), (k, n)
+            else:
+                with pytest.raises(CodeError, match="zero-dimensional"):
+                    min_distance(rows)
+    # no rows, and rows that span only the zero word
+    for rows in (np.zeros((0, 7), dtype=np.uint8), np.zeros((3, 7), dtype=np.uint8)):
+        with pytest.raises(CodeError, match="zero-dimensional"):
+            min_distance(rows)
+    with pytest.raises(CodeError, match="codewords of 65 bits: .* a word holds 64"):
+        min_distance(np.ones((1, 65), dtype=np.uint8))
+
 
 def test_hamming_code_basics():
     code = hamming()
@@ -442,6 +464,46 @@ def test_byte_tables_give_each_words_syndrome_and_label(make_pair):
     assert np.array_equal(found, product.astype(np.int64) @ weights)
 
 
+def _random_nested_pairs(count, seed):
+    """Pairs over random outer codes that leave some syndromes without a leader.
+
+    H1's n columns are distinct nonzero m-bit words, so d(C1) >= 3, and
+    n < 2^m - 1 keeps C1 from being perfect; C2 is spanned by random
+    combinations of C1's rows. n runs from 9 to 24, so the tables take two
+    or three bytes: a pair of n <= 8 that corrects an error has n = 7 and a
+    perfect outer code.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        n, m = int(rng.integers(9, 25)), int(rng.integers(4, 8))
+        if not (2 <= n - m <= 20 and n < 2**m - 1):
+            continue
+        cols = rng.choice(np.arange(1, 2**m), n, replace=False)
+        c1 = LinearCode.from_generator(gf2_nullspace((cols >> np.arange(m)[:, None]) & 1))
+        mix = rng.integers(0, 2, (int(rng.integers(1, c1.k_dim)), c1.k_dim), dtype=np.uint8)
+        try:
+            pair = validate_css(c1, LinearCode.from_generator(gf2_mul(mix, c1.generator)))
+        except CodeError:  # dependent rows, or a dual of C2 of distance below 3
+            continue
+        if not pair.covered.all():
+            pairs.append(pair)
+    return pairs
+
+
+def test_the_tables_match_the_probe_and_error_matrix_oracles():
+    randoms = _random_nested_pairs(20, 72)
+    assert {-(-pair.n // 8) for pair in randoms} == {2, 3}
+    for pair in [steane_pair(), _pair_15_11(), _golay_pair(), *randoms]:
+        word = np.min_scalar_type((1 << pair.n) - 1)
+        assert pair.byte_tables.dtype == pair.leader_labels.dtype == word
+        # all 256 entries of each byte, bits past n included
+        assert np.array_equal(pair.byte_tables, byte_tables_oracle(pair))
+        labels, covered = leader_tables_oracle(pair)
+        assert np.array_equal(pair.leader_labels, labels)
+        assert np.array_equal(pair.covered, covered)
+
+
 def test_reconcile_weight_two_corrupts_key():
     pair = steane_pair()
     v = np.zeros(7, dtype=np.uint8)  # Alice's block: syndrome 0, key 0
@@ -620,7 +682,7 @@ def test_css_meta_roundtrip():
 
 def test_enumerate_codewords_guard():
     with pytest.raises(CodeError, match="dimension limit 20"):
-        enumerate_codewords(np.eye(21, dtype=np.uint8))
+        min_distance(np.eye(21, dtype=np.uint8))
 
 
 def _hamming_31_26_over_simplex() -> tuple[np.ndarray, np.ndarray]:

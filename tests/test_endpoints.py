@@ -36,6 +36,7 @@ from eqkd.harness.endpoints import (
 )
 from eqkd.harness.wire import (
     _KIND_TAGS,
+    TAG_HELLO,
     check_hello,
     recv_event,
     recv_hello,
@@ -72,6 +73,14 @@ def _session(meta):
 def _transcript_files(out_dir) -> list:
     """The transcript files in ``out_dir``, whole or partial."""
     return sorted(p.name for p in Path(out_dir).glob("transcript_*"))
+
+
+def test_every_event_kind_has_a_frame_tag_of_its_own():
+    # a kind without a tag would be a stray KeyError in send_event, and two
+    # kinds on one tag would be read back as one of them
+    assert set(_KIND_TAGS) == set(EventKind)
+    tags = list(_KIND_TAGS.values())
+    assert len(set(tags)) == len(tags) and TAG_HELLO not in tags
 
 
 def test_loopback_reproduces_in_process_session(tmp_path):

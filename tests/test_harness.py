@@ -425,6 +425,7 @@ _RUN = ["run", "--n", "3000", "--bias-p", "0.3", "--m1", "80", "--m2", "80"]
 
 
 _NOISY = {"kind": "depolarizing", "q": [0.97, 0.01, 0.01, 0.01]}
+_PAST_FLOATS = "1" + "0" * 400  # 10^400, an integer past the float range
 
 
 @pytest.mark.parametrize(
@@ -443,12 +444,19 @@ _NOISY = {"kind": "depolarizing", "q": [0.97, 0.01, 0.01, 0.01]}
      ({**_SETTINGS, "strategy": {"kind": "passive", "p1": 0.5}},
       "unknown passive strategy keys: p1"),
      ({**_SETTINGS, "strategy": {"kind": []}}, "unknown strategy kind []"),
-     ({**_SETTINGS, "strategy": {"kind": {}}}, "unknown strategy kind {}")],
+     ({**_SETTINGS, "strategy": {"kind": {}}}, "unknown strategy kind {}"),
+     ({**_SETTINGS, "strategy": {**_NOISY, "q": [True, False, False, False]}},
+      "q_i must be a finite number, not True"),
+     ({**_SETTINGS, "strategy": {"kind": "biased_intercept_resend", "p1": True, "p2": 0.0}},
+      "p1 must be a finite number, not True"),
+     ({**_SETTINGS, "strategy": {**_NOISY, "q": [10**400, 0, 0, 0]}},
+      "q_i must be a finite number, not 1000")],
     ids=["not_an_object", "params_not_an_object", "css_not_an_object", "code_files_not_a_list",
          "code_files_empty_path", "seed_a_list", "float_seed", "float_n_qubits",
          "fractional_m1", "boolean_m2", "nan_delta_prime", "unknown_key", "misspelt_seed", "unknown_params_key",
          "unknown_strategy_key", "unknown_passive_key", "strategy_kind_a_list",
-         "strategy_kind_an_object"],
+         "strategy_kind_an_object", "boolean_letter_probabilities", "boolean_p1",
+         "letter_probability_past_the_float_range"],
 )
 def test_cli_run_reports_a_config_file_of_the_wrong_shape(tmp_path, capsys, config, named):
     path = tmp_path / "session.json"
@@ -529,11 +537,23 @@ def test_cli_malformed_eve_is_a_usage_error(capsys, command, eve):
     assert f"argument --eve: expected two probabilities P1,P2, not {eve!r}" in err
 
 
-def test_cli_bounds_refuses_a_key_length_past_the_float_range(capsys):
-    assert main(["bounds", "theorem2", "--delta", "0.1", "--k", "1" + "0" * 400]) == 2
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["bounds", "theorem2", "--delta", "0.1", "--k", _PAST_FLOATS], "k"),
+     (["bounds", "lemma1", "--n-test", "10", "--n-total", _PAST_FLOATS, "--lam", "0.1",
+       "--p-bad", "0.2"], "n_total"),
+     (["bounds", "lemma1", "--n-test", _PAST_FLOATS, "--n-total", "100", "--lam", "0.1",
+       "--p-bad", "0.2"], "n_test"),
+     (["plan", "--n-total", _PAST_FLOATS, "--u", "20", "--s", "20", "--k", "10", "--lam", "0.1",
+       "--p-bad", "0.25"], "N")],
+    ids=["theorem2_k", "lemma1_n_total", "lemma1_n_test", "plan_n_total"],
+)
+def test_cli_bounds_refuses_a_key_length_past_the_float_range(capsys, argv, name):
+    # the population sizes and the pulse count once ended in an OverflowError traceback
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("eqkd: error: k must be a positive integer of at most 2^1022")
+    assert captured.err.startswith(f"eqkd: error: {name} must be a positive integer of at most 2^1022")
 
 
 def test_cli_bounds_commands(capsys):
@@ -797,10 +817,12 @@ def test_cli_replay_fails_cleanly_on_a_malformed_transcript(tmp_path, capsys, li
      ("params", dict(PARAMS.to_dict(), n_qubits=3000.0)),
      ("params", dict(PARAMS.to_dict(), m1=True)),
      ("strategy", {"kind": "fixed_pauli", "letters": "IXZ"}),
-     ("strategy", {"kind": []}), ("strategy", {"kind": {}})],
+     ("strategy", {"kind": []}), ("strategy", {"kind": {}}),
+     ("strategy", {"kind": "depolarizing", "q": [10**400, 0, 0, 0]})],
     ids=["params_not_an_object", "params_missing_fields", "css_without_rows",
          "strategy_not_an_object", "null_seed", "float_seed", "boolean_seed", "float_n_qubits",
-         "boolean_m1", "short_pauli_string", "strategy_kind_a_list", "strategy_kind_an_object"],
+         "boolean_m1", "short_pauli_string", "strategy_kind_a_list", "strategy_kind_an_object",
+         "letter_probability_past_the_float_range"],
 )
 def test_cli_replay_reports_an_invalid_recorded_configuration(tmp_path, capsys, field, value):
     meta = dict(session_meta(PARAMS, Passive(), CSS, 6), **{field: value})
