@@ -73,10 +73,9 @@ def bernoulli_threshold(p: float) -> np.uint32 | int:
 
 
 def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n fair 0/1 bits as uint8: bit i is bit i mod 64 of raw word i // 64."""
-    raw = np.empty(-(-n // 8), dtype=np.uint8)
-    for start, d in raw_passes(rng, raw.size, np.uint8):
-        raw[start : start + d.size] = d
+    """n fair 0/1 bits as uint8: bit i is bit i mod 64 of raw word i // 64, drawn in one pass."""
+    one_pass = raw_passes(rng, -(-n // 8), np.uint8, max(-(-n // 64), 1))
+    _, raw = next(one_pass, (0, np.zeros(0, np.uint8)))
     return np.unpackbits(raw, count=n, bitorder="little")
 
 

@@ -12,8 +12,10 @@ syndrome's leader, so Bob's label is then Alice's.
 A permuted raw block is one packed n-bit word, bit r holding position r.
 H1 and K are linear, so a word's syndrome and label together are the XOR
 of one table entry per byte of the word, from the byte tables that
-``validate_css`` builds with the pair. A pair is certified and tabulated on
-such words too: a codeword is an XOR of generator rows read as integers.
+``validate_css`` builds with the pair. A pair is certified, tabulated and
+keyed on such words too: a codeword is an XOR of generator rows read as
+integers, and one echelon form of such rows gives a code's rank and parity
+checks and a pair's coset representatives and key map.
 """
 
 from __future__ import annotations
@@ -45,69 +47,6 @@ class DegenerateCode(CodeError):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra
-# ---------------------------------------------------------------------------
-
-def gf2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2), as a uint8 array of 0/1 entries.
-
-    Equals ``np.matmul`` of the operands cast to uint32, ``& 1``: matmul's
-    rules for 1-d and 2-d operands hold, and every entry counts mod 2. It is
-    the XOR over the inner axis of the ANDed entries, cut to its low bit: the
-    operands are a code pair's matrices, so the (rows, inner, cols) AND is small.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2):
-        raise ValueError("gf2_mul takes 1-d or 2-d operands")
-    a2 = np.atleast_2d(a).astype(np.uint8, copy=False)
-    b2 = (b[:, None] if b.ndim == 1 else b).astype(np.uint8, copy=False)
-    if a2.shape[1] != b2.shape[0]:
-        raise ValueError(f"gf2_mul: shapes {a.shape} and {b.shape} do not align")
-    out = np.bitwise_xor.reduce(a2[:, :, None] & b2, axis=1) & 1
-    return out[0 if a.ndim == 1 else slice(None), 0 if b.ndim == 1 else slice(None)]
-
-
-def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (rref, pivot columns)."""
-    r = np.array(a, dtype=np.uint8) & 1
-    rows, cols = r.shape
-    pivots: list[int] = []
-    rank = 0
-    for c in range(cols):
-        sub = np.nonzero(r[rank:, c])[0]
-        if sub.size == 0:
-            continue
-        p = rank + int(sub[0])
-        if p != rank:
-            r[[rank, p]] = r[[p, rank]]
-        elim = np.nonzero(r[:, c])[0]
-        for i in elim:
-            if i != rank:
-                r[i] ^= r[rank]
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    return r, pivots
-
-
-def gf2_rank(a: np.ndarray) -> int:
-    return len(gf2_rref(a)[1])
-
-
-def gf2_nullspace(a: np.ndarray) -> np.ndarray:
-    """Basis (as rows) of the right null space {x : a @ x = 0 over GF(2)}."""
-    r, pivots = gf2_rref(a)
-    free = [c for c in range(r.shape[1]) if c not in pivots]
-    # row i sets free variable i and solves the pivot variables for it
-    basis = np.zeros((len(free), r.shape[1]), dtype=np.uint8)
-    basis[:, free] = np.eye(len(free), dtype=np.uint8)
-    basis[:, pivots] = r[: len(pivots), free].T
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # Linear codes
 # ---------------------------------------------------------------------------
 
@@ -123,7 +62,7 @@ def _word_dtype(bits: int) -> np.dtype:
 
 
 def _syndrome_index(syndromes: np.ndarray, m: int) -> np.ndarray:
-    """Each 0/1 syndrome row read as an m-bit integer, its first bit the highest."""
+    """Each 0/1 row, such as a syndrome, read as an m-bit integer, its first bit the highest."""
     idx = np.zeros(syndromes.shape[0], dtype=_word_dtype(m))
     for j in range(m):
         idx <<= 1
@@ -137,6 +76,25 @@ def _xor_span(words: np.ndarray) -> np.ndarray:
     for i in range(words.shape[-1]):  # the span so far, then each entry XOR word i
         span = np.concatenate([span, span ^ words[..., i : i + 1]], axis=-1)
     return span
+
+
+def _echelon(words) -> tuple[list[int], list[int]]:
+    """(basis, kept): the span of the words in reduced echelon form, and which words grew it.
+
+    The basis runs by leading bit, highest first, and no word of it holds
+    another's leading bit: the reduced row echelon form of the words read as
+    rows, the first column the highest bit. ``kept`` indexes each word
+    outside the span of those before it. ``min(w, w ^ b)`` clears b's
+    leading bit from w, or leaves w as it is.
+    """
+    basis, kept = [], []
+    for i, w in enumerate(words):
+        for b in basis:
+            w = min(w, w ^ b)
+        if w:
+            basis = sorted([min(b, b ^ w) for b in basis] + [w], reverse=True)
+            kept.append(i)
+    return basis, kept
 
 
 def min_distance(generator: np.ndarray) -> int:
@@ -194,12 +152,19 @@ class LinearCode:
                 f"cannot certify the distance of a [{n}, {k_dim}] code: enumeration is "
                 f"limited to n <= {EXHAUSTIVE_N_LIMIT} and dimension <= {_ENUM_DIM_LIMIT}"
             )
-        if gf2_rank(gen) != k_dim:
+        basis, _ = _echelon(_syndrome_index(gen, n).tolist())
+        if len(basis) != k_dim:
             raise CodeError("generator matrix must have full row rank")
         d = min_distance(gen)
         if claimed_d is not None and claimed_d != d:
             raise CodeError(f"claimed distance {claimed_d} but computed {d}")
-        return cls(n=n, k_dim=k_dim, generator=gen, parity_check=gf2_nullspace(gen), d=d)
+        # one check per free column f, in column order: it sets f, and each
+        # pivot column whose basis word holds f
+        pivots = {b.bit_length() - 1 for b in basis}
+        checks = [1 << f | sum(1 << (b.bit_length() - 1) for b in basis if b >> f & 1)
+                  for f in reversed(range(n)) if f not in pivots]
+        parity_check = _int_bits(np.array(checks, dtype=np.int64), n, 0)
+        return cls(n=n, k_dim=k_dim, generator=gen, parity_check=parity_check, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +226,29 @@ def validate_css(c1: LinearCode, c2: LinearCode) -> CssPair:
     k = c1.k_dim - c2.k_dim
     if k <= 0:
         raise DegenerateCode("pair carries no key bits (dim C1 <= dim C2)")
-    if gf2_mul(c2.generator, c1.parity_check.T).any():
+    n = c1.n
+    g1, g2, h1, h2 = (_syndrome_index(a, n).tolist() for a in
+                      (c1.generator, c2.generator, c1.parity_check, c2.parity_check))
+    if any((g & h).bit_count() & 1 for g in g2 for h in h1):
         raise NestingViolation("C2 is not a subcode of C1")
     # dual of C2 is generated by C2's parity check
     d = min(c1.d, min_distance(c2.parity_check))
     t = (d - 1) // 2
     if t < 1:
         raise DistanceTooSmall(f"pair corrects no errors (d = {d})")
-    h2 = c2.parity_check
-    # Coset representatives: the rows of C1 whose columns of [G2; G1]^T are
-    # pivots past C2's, each outside the span of C2 and the rows before it.
-    _, pivots = gf2_rref(np.vstack([c2.generator, c1.generator]).T)
-    reps = c1.generator[[p - c2.k_dim for p in pivots[c2.k_dim:]]]
-    # L = h2 . reps^T has rank k; T with T L = I makes key_map = T h2 constant
-    # on C2-cosets and bijective across them. Reducing [L^T | I] solves
-    # L^T x = e_i with the free variables at zero, for every i at once.
-    L = gf2_mul(h2, reps.T)
-    eye = np.eye(k, dtype=np.uint8)
-    r, pivots = gf2_rref(np.hstack([L.T, eye]))
-    T = np.zeros((k, h2.shape[0]), dtype=np.uint8)
-    T[:, pivots] = r[:, h2.shape[0]:].T
-    key_map = gf2_mul(T, h2)
-    assert not gf2_mul(key_map, c2.generator.T).any()
-    assert np.array_equal(gf2_mul(key_map, reps.T), eye)
-    n, m, t1 = c1.n, c1.n - c1.k_dim, (c1.d - 1) // 2
+    # Coset representatives: the rows of C1 outside the span of C2 and the rows before them.
+    reps = [g1[i - c2.k_dim] for i in _echelon(g2 + g1)[1][c2.k_dim:]]
+    # sig(h) packs h . rep_j into bit k - 1 - j. Key-map row i, zero on C2, is the
+    # combination of C2's checks whose sig is bit k - 1 - i: over the k checks of
+    # independent sigs it is unique, row i of the echelon form of sig << n | h.
+    sig = [sum(((h & r).bit_count() & 1) << (k - 1 - j) for j, r in enumerate(reps)) for h in h2]
+    rows, _ = _echelon([sig[i] << n | h2[i] for i in _echelon(sig)[1]])
+    key_words = [row & ((1 << n) - 1) for row in rows]
+    assert not any((w & g).bit_count() & 1 for w in key_words for g in g2)
+    assert all((w & r).bit_count() & 1 == (i == j)
+               for i, w in enumerate(key_words) for j, r in enumerate(reps))
+    key_map = _int_bits(np.array(key_words, dtype=np.int64), n, 0)
+    m, t1 = n - c1.k_dim, (c1.d - 1) // 2
     word = _word_dtype(n)
     # position r's image (H1 e_r) << k | K e_r, 0 past n; m + k <= n bits fit a word
     images = np.zeros(8 * -(-n // 8), dtype=word)
@@ -428,7 +392,17 @@ _HAMMING_7_4_GEN = [
 
 
 def _from_rows(rows: list[str]) -> list[list[int]]:
-    """A bit matrix from its row-string form, such as ``["101", "011"]``."""
+    """A bit matrix from its row-string form, such as ``["101", "011"]``.
+
+    The one row rule of the code formats: a row is a non-empty string of ASCII
+    0s and 1s, as long as the first. Any other row is a CodeError naming it.
+    """
+    if not isinstance(rows, list):
+        raise CodeError(f"code rows come as a list of strings, not {rows!r}")
+    for row in rows:
+        if not (isinstance(row, str) and row and set(row) <= {"0", "1"}
+                and len(row) == len(rows[0])):
+            raise CodeError(f"code row {row!r} is not ASCII 0/1 as long as the first row")
     return [[int(ch) for ch in row] for row in rows]
 
 
@@ -477,10 +451,10 @@ def parse_code(text: str) -> LinearCode:
     rows = lines[1:]
     if len(rows) != k_dim:
         raise CodeError(f"expected {k_dim} generator rows, got {len(rows)}")
-    for row in rows:
-        if len(row) != n or set(row) - {"0", "1"}:
-            raise CodeError(f"generator rows must be {n} characters of 0/1")
-    return LinearCode.from_generator(_from_rows(rows), claimed_d=claimed_d)
+    generator = _from_rows(rows)
+    if len(rows[0]) != n:
+        raise CodeError(f"generator row {rows[0]!r} is not {n} characters long")
+    return LinearCode.from_generator(generator, claimed_d=claimed_d)
 
 
 def load_code(path) -> LinearCode:
@@ -515,7 +489,7 @@ def css_meta(pair: CssPair) -> dict:
 
 
 def css_from_meta(meta: dict) -> CssPair:
-    """Rebuild a pair from ``css_meta``'s form; a malformed dict is a ValueError."""
+    """``css_meta``'s form rebuilt; a malformed dict is a ValueError, a bad row a CodeError."""
     try:
         g1, g2 = (_from_rows(meta[key]) for key in ("c1_rows", "c2_rows"))
     except (KeyError, TypeError) as exc:

@@ -16,10 +16,9 @@ intercept-resend and Bob's measurement scattering their positional coins
 through a boolean mask; Alice's reconciliation by integer matmuls, forming
 each lifted word; the raw-key layout taking a set difference; the block
 permutations sorting their keys with ``argsort`` and gathering with
-``take_along_axis``; the GF(2) product as an integer matmul; and Bob's batch
-decode lifting Alice's syndromes and forming each decoded word before
-labelling it. The library computes the same results in passes, without
-building those intermediates.
+``take_along_axis``; and Bob's batch decode lifting Alice's syndromes and
+forming each decoded word before labelling it. The library computes the
+same results in passes, without building those intermediates.
 
 ``lift_oracle`` is the lift those two oracles use: a right inverse R of the
 outer parity check H1, so that a block v plus R times its syndrome is a
@@ -38,6 +37,13 @@ shares no syndrome table with the library.
 ``Basis`` names the two basis values, 0 and 1, that ``SymbolBlock`` holds,
 and ``PauliLetter`` the four letter codes, 0-3, that ``FixedPauliString``
 reads.
+
+``gf2_mul_oracle``, ``gf2_rref``, ``gf2_rank`` and ``gf2_nullspace`` are
+GF(2) algebra on 0/1 matrices: the product as an integer matmul, and
+Gaussian elimination column by column. ``codes`` does its algebra on n-bit
+words through one echelon form, and is checked against these: the echelon
+basis against ``gf2_rref``, a code's parity check against
+``gf2_nullspace``.
 
 ``key_map_oracle`` builds a pair's key map the long way: a greedy rank loop
 picks the coset representatives, and one linear solve per key bit inverts
@@ -64,7 +70,7 @@ from itertools import combinations
 import numpy as np
 
 from eqkd.channel import RngStreams, SymbolBlock, transmit
-from eqkd.codes import CssPair, LinearCode, gf2_mul, gf2_rank, gf2_rref
+from eqkd.codes import CssPair, LinearCode
 from eqkd.protocol import (
     _draw_bases,
     alice_prepare,
@@ -292,7 +298,7 @@ def unpack_blocks(words, n: int) -> np.ndarray:
 
 def coset_labels(pair: CssPair, rows) -> np.ndarray:
     """Each 0/1 row's k-bit coset label: on C1, one label per coset of C2, zero on C2."""
-    return gf2_mul(np.atleast_2d(rows), pair.key_map.T)
+    return gf2_mul_oracle(np.atleast_2d(rows), pair.key_map.T).astype(np.uint8)
 
 
 def lift_oracle(pair: CssPair) -> np.ndarray:
@@ -379,7 +385,7 @@ def block_permutations_oracle(words, seed):
 
 
 def gf2_mul_oracle(a, b):
-    """``gf2_mul`` as a ``uint32`` matmul, reduced mod 2."""
+    """The matrix product over GF(2): a ``uint32`` matmul, reduced mod 2."""
     return (np.asarray(a, dtype=np.uint32) @ np.asarray(b, dtype=np.uint32)) & 1
 
 
@@ -431,6 +437,45 @@ def leader_tables_oracle(pair: CssPair) -> tuple[np.ndarray, np.ndarray]:
     return labels, covered
 
 
+def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2); returns (rref, pivot columns)."""
+    r = np.array(a, dtype=np.uint8) & 1
+    rows, cols = r.shape
+    pivots: list[int] = []
+    rank = 0
+    for c in range(cols):
+        sub = np.nonzero(r[rank:, c])[0]
+        if sub.size == 0:
+            continue
+        p = rank + int(sub[0])
+        if p != rank:
+            r[[rank, p]] = r[[p, rank]]
+        elim = np.nonzero(r[:, c])[0]
+        for i in elim:
+            if i != rank:
+                r[i] ^= r[rank]
+        pivots.append(c)
+        rank += 1
+        if rank == rows:
+            break
+    return r, pivots
+
+
+def gf2_rank(a: np.ndarray) -> int:
+    return len(gf2_rref(a)[1])
+
+
+def gf2_nullspace(a: np.ndarray) -> np.ndarray:
+    """Basis (as rows) of the right null space {x : a @ x = 0 over GF(2)}."""
+    r, pivots = gf2_rref(a)
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    # row i sets free variable i and solves the pivot variables for it
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.uint8)
+    basis[:, free] = np.eye(len(free), dtype=np.uint8)
+    basis[:, pivots] = r[: len(pivots), free].T
+    return basis
+
+
 def gf2_solve_oracle(a, b):
     """One solution x of a @ x = b over GF(2), free variables at zero, or None."""
     a = np.asarray(a, dtype=np.uint8)
@@ -462,6 +507,6 @@ def key_map_oracle(c1: LinearCode, c2: LinearCode) -> np.ndarray:
             current = candidate
     assert len(reps) == k
     h2 = c2.parity_check
-    lt = gf2_mul(h2, np.array(reps).T).T
+    lt = gf2_mul_oracle(h2, np.array(reps).T).T
     t = np.array([gf2_solve_oracle(lt, e) for e in np.eye(k, dtype=np.uint8)])
-    return gf2_mul(t, h2)
+    return gf2_mul_oracle(t, h2).astype(np.uint8)

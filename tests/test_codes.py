@@ -15,10 +15,6 @@ from eqkd.codes import (
     css_fingerprint,
     css_from_meta,
     css_meta,
-    gf2_mul,
-    gf2_nullspace,
-    gf2_rank,
-    gf2_rref,
     load_css,
     min_distance,
     parse_code,
@@ -26,6 +22,7 @@ from eqkd.codes import (
     reconcile_bob_blocks,
     steane_pair,
     validate_css,
+    _echelon,
     _from_rows,
     _stable_ranks,
     _syndrome_index,
@@ -36,6 +33,9 @@ from pipeline_oracle import (
     coset_labels,
     enumerate_codewords,
     gf2_mul_oracle,
+    gf2_nullspace,
+    gf2_rank,
+    gf2_rref,
     key_map_oracle,
     leader_tables_oracle,
     lift_oracle,
@@ -54,52 +54,9 @@ def hamming() -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra
+# GF(2) linear algebra: the oracle's matrix routines, and the word echelon
+# form that codes runs against them
 # ---------------------------------------------------------------------------
-
-def test_gf2_mul_matches_integer_arithmetic():
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 2, (6, 9), dtype=np.uint8)
-    b = rng.integers(0, 2, (9, 4), dtype=np.uint8)
-    assert np.array_equal(gf2_mul(a, b), (a.astype(int) @ b.astype(int)) % 2)
-
-
-def _gf2_operands(rng, rows, inner, cols):
-    """(a, b) pairs of every operand form matmul takes: 2-d and 1-d, transposed
-    (non-contiguous) views, entries beyond 0/1, bools and negative integers."""
-    a = rng.integers(0, 4, (rows, inner), dtype=np.uint8)
-    b = rng.integers(0, 4, (inner, cols), dtype=np.uint8)
-    yield a, b
-    yield np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
-    yield a[:, ::-1], b[::-1]
-    yield a.astype(bool), b.astype(bool)
-    yield a.astype(np.int64) - 2, b.astype(np.int64) - 2
-    if rows:
-        yield a[-1], b
-    if cols:
-        yield a, b[:, -1]
-    if rows and cols:
-        yield a[-1], b[:, -1]
-
-
-def test_gf2_mul_matches_the_matmul_oracle():
-    rng = np.random.default_rng(40)
-    shapes = [(0, 4, 7), (1, 4, 7), (5, 1, 1), (6, 9, 4), (300, 7, 3), (4, 15, 11), (3, 5, 0)]
-    shapes += [tuple(int(x) for x in rng.integers(1, 40, 3)) for _ in range(20)]
-    for rows, inner, cols in shapes:
-        for a, b in _gf2_operands(rng, rows, inner, cols):
-            got, want = gf2_mul(a, b), gf2_mul_oracle(a, b)
-            assert got.dtype == np.uint8
-            assert np.shape(got) == np.shape(want)
-            assert np.array_equal(got, want)
-
-
-def test_gf2_mul_rejects_misaligned_operands():
-    with pytest.raises(ValueError):
-        gf2_mul(np.zeros((3, 4), np.uint8), np.zeros((5, 2), np.uint8))
-    with pytest.raises(ValueError):
-        gf2_mul(np.zeros((2, 2, 2), np.uint8), np.zeros((2, 2), np.uint8))
-
 
 def test_gf2_rref_shape_and_pivots():
     rng = np.random.default_rng(1)
@@ -116,7 +73,7 @@ def test_gf2_rank_by_rowspace_enumeration():
     rng = np.random.default_rng(2)
     for _ in range(10):
         a = rng.integers(0, 2, (4, 6), dtype=np.uint8)
-        span = {tuple(gf2_mul(np.array(c, dtype=np.uint8), a)) for c in
+        span = {tuple(gf2_mul_oracle(np.array(c, dtype=np.uint8), a)) for c in
                 itertools.product((0, 1), repeat=4)}
         assert len(span) == 2 ** gf2_rank(a)
 
@@ -127,8 +84,63 @@ def test_gf2_nullspace_annihilates():
     ns = gf2_nullspace(a)
     assert ns.shape[0] == 7 - gf2_rank(a)
     if ns.size:
-        assert not gf2_mul(a, ns.T).any()
+        assert not gf2_mul_oracle(a, ns.T).any()
     assert gf2_rank(ns) == ns.shape[0]
+
+
+def _bit_matrices(count, seed):
+    """(k, n) 0/1 matrices with n from 1 to 24: the empty, the square and random shapes.
+
+    A third of them have a row replaced by the sum of a random set of the
+    others, so that rank-deficient matrices of every shape come up.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [(0, 1), (0, 24), (1, 1), (12, 12), (20, 20), (24, 24)]
+    shapes += [(int(rng.integers(0, 25)), int(rng.integers(1, 25))) for _ in range(count - 6)]
+    for k, n in shapes:
+        a = rng.integers(0, 2, (k, n), dtype=np.uint8)
+        if k > 1 and rng.random() < 1 / 3:
+            others = np.delete(np.arange(k), i := int(rng.integers(k)))
+            a[i] = np.bitwise_xor.reduce(a[others[rng.random(k - 1) < 0.5]], axis=0)
+        yield a
+
+
+def _word_rows(words, n) -> np.ndarray:
+    """n-bit words as 0/1 rows, the highest bit first."""
+    bits = np.array(words, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)
+    return (bits & 1).astype(np.uint8)
+
+
+def test_echelon_matches_the_rref_oracle():
+    # the basis is the reduced row echelon form and its size the rank; the kept
+    # words are the pivot columns of the transpose, the rows outside the span of
+    # the rows before them
+    deficient = 0
+    for a in _bit_matrices(1200, 80):
+        k, n = a.shape
+        basis, kept = _echelon(_syndrome_index(a, n).tolist())
+        r, pivots = gf2_rref(a)
+        assert len(basis) == len(pivots) == gf2_rank(a)
+        assert np.array_equal(_word_rows(basis, n), r[: len(pivots)])
+        assert kept == gf2_rref(a.T)[1]
+        deficient += len(basis) < k
+    assert deficient > 300
+
+
+def test_parity_check_matches_the_nullspace_oracle():
+    # the same rows in the same order: C1's checks become C2's generator, and
+    # every transcript records them
+    checked = 0
+    for a in _bit_matrices(1200, 81):
+        k, n = a.shape
+        if 0 < k <= 12 and gf2_rank(a) == k:
+            code = LinearCode.from_generator(a)
+            assert code.parity_check.dtype == np.uint8
+            assert np.array_equal(code.parity_check, gf2_nullspace(a))
+            checked += 1
+            if k == n:
+                assert code.parity_check.shape == (0, n)
+    assert checked > 200
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +173,7 @@ def test_hamming_code_basics():
     words = enumerate_codewords(code.generator)
     assert words.shape == (16, 7)
     assert len({tuple(w) for w in words}) == 16
-    assert not gf2_mul(words, code.parity_check.T).any()
+    assert not gf2_mul_oracle(words, code.parity_check.T).any()
     assert min_distance(code.generator) == 3
 
 
@@ -186,7 +198,7 @@ def test_from_generator_keeps_uint8_arrays():
         assert isinstance(matrix, np.ndarray) and matrix.dtype == np.uint8
     assert np.array_equal(code.generator, _from_rows(HAMMING_ROWS))
     assert code.parity_check.shape == (3, 7)
-    assert not gf2_mul(code.generator, code.parity_check.T).any()
+    assert not gf2_mul_oracle(code.generator, code.parity_check.T).any()
 
 
 def test_decode_corrects_every_single_error():
@@ -226,9 +238,9 @@ def test_steane_pair_structure():
     assert (pair.n, pair.k, pair.t) == (7, 1, 1)
     assert pair.c1.k_dim == 4 and pair.c2.k_dim == 3
     # the inner code is the dual of the outer one
-    assert not gf2_mul(pair.c1.generator, pair.c2.generator.T).any()
+    assert not gf2_mul_oracle(pair.c1.generator, pair.c2.generator.T).any()
     # every inner codeword is an outer codeword
-    assert not gf2_mul(enumerate_codewords(pair.c2.generator), pair.c1.parity_check.T).any()
+    assert not gf2_mul_oracle(enumerate_codewords(pair.c2.generator), pair.c1.parity_check.T).any()
 
 
 def test_coset_labels_split_outer_code_in_half():
@@ -341,16 +353,48 @@ def test_key_map_matches_the_rank_loop_and_solve_oracle(make_pair):
         perm = rng.permutation(pair.n)
         c1, c2 = (
             LinearCode.from_generator(
-                gf2_mul(_random_invertible(rng, c.k_dim), c.generator)[:, perm]
+                gf2_mul_oracle(_random_invertible(rng, c.k_dim), c.generator)[:, perm]
             )
             for c in (pair.c1, pair.c2)
         )
         mixed = validate_css(c1, c2)
         assert np.array_equal(mixed.key_map, key_map_oracle(c1, c2))
         # still a bijection on the cosets: zero on C2, and of rank k on C1
-        assert not gf2_mul(mixed.key_map, c2.generator.T).any()
-        assert gf2_rank(gf2_mul(c1.generator, mixed.key_map.T)) == pair.k
-        assert not gf2_mul(mixed.key_map, lift_oracle(mixed)).any()
+        assert not gf2_mul_oracle(mixed.key_map, c2.generator.T).any()
+        assert gf2_rank(gf2_mul_oracle(c1.generator, mixed.key_map.T)) == pair.k
+        assert not gf2_mul_oracle(mixed.key_map, lift_oracle(mixed)).any()
+
+
+def _validating_nested_pairs(count, seed):
+    """Random pairs of n = 7 to 16 and k = 1 to 6 that validate.
+
+    H1's columns are distinct nonzero m-bit words, so d(C1) >= 3; C2 is
+    spanned by random combinations of C1's rows whose columns are distinct
+    and nonzero too, so its dual has distance >= 3 as well.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        n, m = int(rng.integers(7, 17)), int(rng.integers(3, 6))
+        if not (n.bit_length() < n - m and n < 2**m):
+            continue
+        cols = rng.choice(np.arange(1, 2**m), n, replace=False)
+        c1 = LinearCode.from_generator(gf2_nullspace((cols >> np.arange(m)[:, None]) & 1))
+        for _ in range(50):
+            k2 = int(rng.integers(n.bit_length(), c1.k_dim))
+            g2 = gf2_mul_oracle(rng.integers(0, 2, (k2, c1.k_dim)), c1.generator)
+            cols2 = _syndrome_index(g2.T, k2)
+            if np.unique(cols2).size == n and cols2.all() and gf2_rank(g2) == k2:
+                pairs.append(validate_css(c1, LinearCode.from_generator(g2)))
+                break
+    return pairs
+
+
+def test_key_map_matches_the_oracle_on_random_pairs():
+    pairs = _validating_nested_pairs(1000, 82)
+    assert {pair.k for pair in pairs} >= {1, 2, 3, 4, 5}
+    for pair in pairs:
+        assert np.array_equal(pair.key_map, key_map_oracle(pair.c1, pair.c2))
 
 
 def _words_of_every_weight(gen, blocks, n):
@@ -376,7 +420,7 @@ def test_the_lift_is_a_right_inverse_of_the_outer_parity_check(make_pair):
     # earlier positions that are pivots of C1 but free in C2. So column f of
     # (h2 reps^T)^T is a combination of earlier columns; it is never a
     # pivot, so T, and hence K, is zero at f.
-    assert not gf2_mul(pair.key_map, lift).any()
+    assert not gf2_mul_oracle(pair.key_map, lift).any()
 
 
 def test_the_steane_lift_places_the_syndrome_in_the_last_bits():
@@ -404,7 +448,7 @@ def test_reconcile_bob_blocks_match_the_decode_then_label_oracle(make_pair):
     for blocks in (0, 1, int(gen.integers(2, 3000)), 20 * (pair.n + 1)):
         sent = gen.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
         received = sent ^ _words_of_every_weight(gen, blocks, pair.n)
-        s = gf2_mul(sent, pair.c1.parity_check.T)
+        s = gf2_mul_oracle(sent, pair.c1.parity_check.T)
         keys, ok = reconcile_bob_blocks(pair, pack_blocks(received), s)
         keys_ref, ok_ref = reconcile_bob_blocks_oracle(pair, received, s)
         assert keys.shape == (blocks, pair.k) and keys.dtype == np.uint8
@@ -425,7 +469,7 @@ def _lightest_words_by_syndrome(code: LinearCode) -> np.ndarray:
     """(2^m, n): row s is the first word of least weight whose syndrome reads s."""
     words = np.array(list(itertools.product((0, 1), repeat=code.n)), dtype=np.uint8)
     words = words[np.argsort(words.sum(axis=1), kind="stable")]
-    idx = _syndrome_index(gf2_mul(words, code.parity_check.T), code.n - code.k_dim)
+    idx = _syndrome_index(gf2_mul_oracle(words, code.parity_check.T), code.n - code.k_dim)
     syndromes, first = np.unique(idx, return_index=True)
     assert np.array_equal(syndromes, np.arange(2 ** (code.n - code.k_dim)))
     return words[first]
@@ -459,7 +503,7 @@ def test_byte_tables_give_each_words_syndrome_and_label(make_pair):
     for b, table in enumerate(pair.byte_tables):
         found ^= table[(words >> (8 * b)) & 0xFF]
     bits = unpack_blocks(words, pair.n)
-    product = gf2_mul(bits, np.vstack([pair.c1.parity_check, pair.key_map]).T)
+    product = gf2_mul_oracle(bits, np.vstack([pair.c1.parity_check, pair.key_map]).T)
     weights = 1 << np.arange(m + pair.k - 1, -1, -1)
     assert np.array_equal(found, product.astype(np.int64) @ weights)
 
@@ -483,7 +527,7 @@ def _random_nested_pairs(count, seed):
         c1 = LinearCode.from_generator(gf2_nullspace((cols >> np.arange(m)[:, None]) & 1))
         mix = rng.integers(0, 2, (int(rng.integers(1, c1.k_dim)), c1.k_dim), dtype=np.uint8)
         try:
-            pair = validate_css(c1, LinearCode.from_generator(gf2_mul(mix, c1.generator)))
+            pair = validate_css(c1, LinearCode.from_generator(gf2_mul_oracle(mix, c1.generator)))
         except CodeError:  # dependent rows, or a dual of C2 of distance below 3
             continue
         if not pair.covered.all():
@@ -643,6 +687,14 @@ def test_parse_code_errors():
         parse_code("3 1\n12x")
     with pytest.raises(CodeError, match="claimed distance 4 but computed 3"):
         parse_code(CODE_TEXT.replace("d = 3", "d = 4"))
+    # the rows keep the row rule of _from_rows, and the header's length
+    for row in ("100001\uff11", "10000a1", "1 00011"):
+        with pytest.raises(CodeError) as info:
+            parse_code(f"7 1\n{row}\n")
+        assert str(info.value) == f"code row {row!r} is not ASCII 0/1 as long as the first row"
+    with pytest.raises(CodeError) as info:
+        parse_code("7 2\n100001\n010010\n")
+    assert str(info.value) == "generator row '100001' is not 7 characters long"
 
 
 @pytest.mark.parametrize("header", ["7 x", "x 1", "7 1.5", "7 0", "7 -1", "0 1", "7", "7 1 1"])
@@ -657,6 +709,34 @@ def test_parse_code_names_a_malformed_header(tmp_path, capsys, header):
     path.write_text(f"{header}\n1000011\n")
     assert main(["codes", "validate", "--code", str(path)]) == 1
     assert capsys.readouterr().err == f"invalid code pair: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        (HAMMING_ROWS[:3] + ["000111\uff11"], "'000111\uff11'"),
+        (HAMMING_ROWS[:3] + ["000111\u0661"], "'000111\u0661'"),
+        (HAMMING_ROWS[:3] + ["000111"], "'000111'"),
+        (HAMMING_ROWS[:3] + ["00011111"], "'00011111'"),
+        (HAMMING_ROWS[:3] + ["00a1111"], "'00a1111'"),
+        (HAMMING_ROWS[:3] + [" 001111"], "' 001111'"),
+        (["", ""], "''"),
+        (HAMMING_ROWS[:3] + [1111], "1111"),
+        ("1000011", "'1000011'"),
+    ],
+    ids=["full_width_one", "arabic_indic_one", "short", "long", "letter", "space",
+         "empty", "not_a_string", "not_a_list"],
+)
+def test_a_code_row_is_a_string_of_ascii_bits_as_long_as_the_first(rows, named):
+    # int() read the full-width and Arabic-Indic digits as ones, and numpy or
+    # int() refused the others with messages that named no row
+    with pytest.raises(CodeError) as info:
+        _from_rows(rows)
+    assert named in str(info.value)
+    meta = dict(css_meta(steane_pair()), c1_rows=rows)
+    with pytest.raises(CodeError) as info:
+        css_from_meta(meta)
+    assert named in str(info.value)
 
 
 def test_only_a_d_equals_comment_claims_a_distance():

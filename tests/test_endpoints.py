@@ -332,17 +332,27 @@ def test_a_host_name_the_codec_refuses_ends_the_endpoint_with_exit_protocol(capf
     assert "[alice] session failed: " in err and "idna" in err and "Traceback" not in err
 
 
+def _endpoint_proc_on_go(go, *args):
+    """``_endpoint_proc(*args)``, once the parent sends on ``go``."""
+    go.recv()
+    _endpoint_proc(*args)
+
+
 def test_a_forked_endpoint_keeps_no_listener_it_does_not_serve(capfd):
     # alice dials a listener that only her own process could hold open: once
-    # she has closed her copy, the dial is refused instead of queued
+    # she has closed her copy, the dial is refused instead of queued. She
+    # starts once the test has closed its own copy, which would take the dial.
     _params, meta = _meta(40)
     lsock = _listener()
-    alice = start_context().Process(
-        target=_endpoint_proc,
-        args=("alice", _session(meta), None, lsock.getsockname(), None, 0.3, [lsock]),
+    ctx = start_context()
+    wait, go = ctx.Pipe(duplex=False)
+    alice = ctx.Process(
+        target=_endpoint_proc_on_go,
+        args=(wait, "alice", _session(meta), None, lsock.getsockname(), None, 0.3, [lsock]),
     )
     alice.start()
     lsock.close()
+    go.send(None)
     alice.join(timeout=15)
     assert not alice.is_alive()
     assert alice.exitcode == EXIT_PROTOCOL

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from eqkd.channel import BiasedInterceptResend, DepolarizingPauli, Passive
-from eqkd.codes import gf2_nullspace, steane_pair, validate_css
+from eqkd.codes import steane_pair, validate_css
 from eqkd.harness import runner
 from eqkd.harness.cli import main
 from eqkd.harness.runner import (
@@ -46,6 +46,7 @@ from eqkd.protocol import (
     session_meta,
 )
 from eqkd.transcript import Event, EventKind, SessionTranscript
+from pipeline_oracle import gf2_nullspace
 
 CSS = steane_pair()
 PARAMS = ProtocolParams(n_qubits=3000, bias_p=0.3, m1=80, m2=80)
@@ -830,6 +831,27 @@ def test_cli_replay_reports_an_invalid_recorded_configuration(tmp_path, capsys, 
     path.write_text(json.dumps({"meta": meta}) + "\n")
     assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err.startswith("eqkd: error: ")
+
+
+def test_cli_refuses_a_recorded_code_row_of_full_width_digits(tmp_path, capsys):
+    # int() read "\uff11" as 1, so replay once reproduced all 12 events of the
+    # record as if its rows were ASCII
+    record = run_session(PARAMS, DepolarizingPauli.symmetric(0.01), CSS, seed=8).transcript
+    css = record.meta["css"]
+    row = css["c1_rows"][0].replace("1", "\uff11")
+    css = dict(css, c1_rows=[row, *css["c1_rows"][1:]])
+    path = tmp_path / "full_width.jsonl"
+    meta = dict(record.meta, css=css)
+    path.write_text(SessionTranscript(meta=meta, events=record.events).to_jsonl())
+    named = f"eqkd: error: code row {row!r} is not ASCII 0/1 as long as the first row\n"
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == named
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({**_SETTINGS, "css": css}))
+    for argv in (["run", "--trials", "1"], ["loopback", "--out", str(tmp_path / "out")]):
+        assert main([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == named
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_replay_reports_an_unreadable_path(tmp_path, capsys):

@@ -15,9 +15,11 @@ No ``isinstance`` or ``issubclass`` call in the package names a channel
 strategy class: a strategy carries its own behaviour. No floor division
 divides by a block length outside ``protocol.session_sizes``. No module of
 the package has a ``global`` statement: what a function needs is handed to
-it. No module but ``codes`` imports or reads a ``gf2_*`` name: the GF(2)
-algebra, and with it the reconciliation format, stays in one module. No
-``int()`` converts a seed: ``channel.check_seed`` is the one seed rule.
+it. No ``gf2_*`` function is defined in the package, and no module but
+``codes`` imports a ``_``-prefixed name of ``codes``: a code's algebra runs
+on words inside ``codes``, and with it the reconciliation format stays in
+one module. No ``int()`` converts a seed: ``channel.check_seed`` is the one
+seed rule.
 """
 
 from __future__ import annotations
@@ -199,27 +201,34 @@ def test_no_module_rebinds_a_global():
 
 
 def test_only_codes_does_gf2_algebra():
-    """No module of the package but ``codes.py`` imports or reads a ``gf2_*`` name.
+    """No ``gf2_*`` definition in the package, and no import of a private name of ``codes``.
 
     A block's syndrome and key are products over GF(2) that both parties
-    must form alike. A second module that multiplies matrices is a second
-    place that knows the reconciliation format, free to drift from
-    ``reconcile_alice_blocks`` and ``reconcile_bob_blocks``.
+    must form alike. ``codes`` does that algebra on n-bit words, through its
+    private helpers; a ``gf2_*`` matrix routine, or a second module that
+    borrows those helpers, is a second place that knows the reconciliation
+    format, free to drift from ``reconcile_alice_blocks`` and
+    ``reconcile_bob_blocks``. The ``gf2_*`` references live in
+    ``tests/pipeline_oracle.py``.
     """
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path == PACKAGE / "codes.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.name.split(".")[-1] for alias in node.names]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
             else:
                 continue
             where = f"{path.relative_to(PACKAGE)}:{node.lineno}"
             found += [f"{where} {name}" for name in names if name.startswith("gf2_")]
-    assert not found, f"GF(2) algebra outside codes.py: {found}"
+            if (
+                isinstance(node, ast.ImportFrom)
+                and path != PACKAGE / "codes.py"
+                and (node.module or "").split(".")[-1] == "codes"
+            ):
+                found += [f"{where} {name}" for name in names if name.startswith("_")]
+    assert not found, f"GF(2) algebra outside the word helpers of codes.py: {found}"
 
 
 def _ends_in_seed(node: ast.expr) -> bool:

@@ -15,7 +15,7 @@ from eqkd.channel import (
     strategy_from_dict,
 )
 from eqkd import protocol
-from eqkd.codes import gf2_mul, reconcile_bob_blocks, steane_pair
+from eqkd.codes import reconcile_bob_blocks, steane_pair
 from eqkd.protocol import (
     AliceMachine,
     BobMachine,
@@ -40,6 +40,7 @@ from pipeline_oracle import (
     PauliLetter,
     alice_prepare_oracle,
     bob_measure_oracle,
+    gf2_mul_oracle,
     masked_codeword_alice_blocks,
     measure_as_bob,
     quantum_phase,
@@ -847,8 +848,8 @@ def test_the_syndrome_form_agrees_on_the_same_blocks_as_the_masked_codeword_form
     announced, masked_keys = masked_codeword_alice_blocks(CSS, v, rng)
     # his masked-form key, the label of w + (u + v) less its leader, is his
     # key for the syndrome H1 (u + v) plus K(u + v)
-    public = gf2_mul(announced, CSS.key_map.T)  # K(u + v)
-    masked_bob, _ok = reconcile_bob_blocks(CSS, w, gf2_mul(announced, CSS.c1.parity_check.T))
+    public = gf2_mul_oracle(announced, CSS.key_map.T)  # K(u + v)
+    masked_bob, _ok = reconcile_bob_blocks(CSS, w, gf2_mul_oracle(announced, CSS.c1.parity_check.T))
     masked_bob ^= public
     assert np.array_equal(agree, (masked_keys == masked_bob).all(axis=1))
     assert 0 < (~agree).sum() < out.num_blocks / 100
